@@ -26,7 +26,13 @@ from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import STATEMENT, classify, label_points, w_usage_points
+from wordtree.semantics import (
+    STATEMENT,
+    classify,
+    label_points,
+    w_declaration_points,
+    w_usage_points,
+)
 from wordtree.tape import parse_tape
 
 INCREMENT = Path(__file__).resolve().parent.parent / "programs" / "increment.tgl"
@@ -40,19 +46,8 @@ def fresh_word(rng, taken):
 
 
 def declared_words(tree):
-    g = tree.graph
-    words = []
-    node = next(
-        (a.dst for _, a in g.out_arrows(tree.root, kinds=(SYNTACTIC,)) if a.label == "is"),
-        None,
-    )
-    while node is not None:
-        words.append(g.node_label(node))
-        node = next(
-            (a.dst for _, a in g.out_arrows(node, kinds=(SYNTACTIC,)) if a.label == ","),
-            None,
-        )
-    return words
+    """Tape-alphabet words in declaration order."""
+    return [tree.graph.node_label(node) for node in w_declaration_points(tree)]
 
 
 def repair(tree, rng):
@@ -67,18 +62,10 @@ def repair(tree, rng):
     classes = classify(tree)
 
     seen = set()
-    node = next(
-        (a.dst for _, a in g.out_arrows(tree.root, kinds=(SYNTACTIC,)) if a.label == "is"),
-        None,
-    )
-    while node is not None:
+    for node in w_declaration_points(tree):
         if g.node_label(node) in seen:
             g.set_node_label(node, fresh_word(rng, seen))
         seen.add(g.node_label(node))
-        node = next(
-            (a.dst for _, a in g.out_arrows(node, kinds=(SYNTACTIC,)) if a.label == ","),
-            None,
-        )
     declared = sorted(seen)
 
     for usage in w_usage_points(tree, classes):

@@ -100,7 +100,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
         return 1
 
-    instructions = make_executable(result, optimize=args.optimize)
+    instructions = make_executable(result)
     try:
         tape = parse_tape(tape_text)
         state = initialize(result.tree, tape, args.start, instructions, args.cautious)
@@ -280,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cautious",
         action="store_true",
         help="verify each direction is safe before performing it",
-    )
-    run_p.add_argument(
-        "--optimize",
-        action="store_true",
-        help="inline compared and printed words into the instructions",
     )
     run_p.add_argument(
         "--trace",

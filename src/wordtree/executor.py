@@ -8,8 +8,8 @@ states, not exceptions: reaching a node without an instruction, running
 an instruction out of directions without following an arrow, and
 violating an action's normal-execution condition all mark the state
 crashed with a structured report. In cautious mode each direction is
-verified before it runs, so a latent violation is reported instead of
-attempted.
+verified before it runs, and a violation crashes with the same report
+a normal run gives, before the direction can touch the graph.
 """
 
 from __future__ import annotations
@@ -27,16 +27,13 @@ from .graph import (
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
     FollowArrow,
-    Inapplicable,
     LabelsEqual,
     NoArrowFrom,
     NoArrowTo,
     NormalConditionViolated,
-    PathFormula,
     Proposition,
     ReassignArrow,
     RelabelNode,
-    StartAmbiguous,
     Stop,
     Tree,
     apply_action,
@@ -44,7 +41,6 @@ from .graph import (
     eval_proposition,
     normal_violation,
     parse_path,
-    resolve,
 )
 from .semantics import STATEMENT, NodeClass, check_alphabet, check_labels, classify
 from .tape import Tape, chain_text
@@ -68,32 +64,10 @@ PRINT_WORD_PATH = parse_path("+\"'\"")
 
 
 @dataclass(frozen=True)
-class LabelIs:
-    """Inlined comparison: the node at ``path`` carries exactly ``word``."""
-
-    path: PathFormula
-    word: str
-
-    def phrase(self) -> str:
-        return f"the {self.path} node is labeled {display_word(self.word)}"
-
-
-@dataclass(frozen=True)
-class WriteLabel:
-    """Inlined print: write a fixed word onto the node at ``path``."""
-
-    path: PathFormula
-    word: str
-
-    def phrase(self) -> str:
-        return f"label the {self.path} node {display_word(self.word)}"
-
-
-@dataclass(frozen=True)
 class Act:
     """A direction that performs its action unconditionally."""
 
-    action: Union[Action, WriteLabel]
+    action: Action
 
     def phrase(self) -> str:
         return self.action.phrase()
@@ -103,8 +77,8 @@ class Act:
 class Guarded:
     """A direction that performs its action only when the condition holds."""
 
-    condition: Union[Proposition, LabelIs]
-    then: Union[Action, WriteLabel]
+    condition: Proposition
+    then: Action
 
     def phrase(self) -> str:
         return f"if {self.condition.phrase()}, then {self.then.phrase()}"
@@ -168,14 +142,11 @@ def install_instructions(
     tree: Tree,
     stop: int,
     classes: Optional[dict[int, NodeClass]] = None,
-    optimize: bool = False,
 ) -> dict[int, Instruction]:
     """Build the node-to-instruction map for an executable program tree.
 
     Exactly the root, the stop node, and the statement nodes carry
-    instructions. With ``optimize`` set, if and print instructions get
-    their operand word inlined instead of reading it from the syntactic
-    subtree on every visit.
+    instructions.
     """
     g = tree.graph
     classes = classes if classes is not None else classify(tree)
@@ -208,26 +179,17 @@ def install_instructions(
         word = g.node_label(node)
         if word == "if":
             require_flow(node, YES, NO)
-            if optimize:
-                compared = g.node_label(
-                    resolve(g, SYMBOL_PATH, current=node, kinds=(SYNTACTIC,))
-                )
-                condition: Union[Proposition, LabelIs] = LabelIs(TAPE_PATH, compared)
-            else:
-                condition = LabelsEqual(TAPE_PATH, SYMBOL_PATH)
             instructions[node] = Instruction(
-                (Guarded(condition, FollowArrow(YES)), Act(FollowArrow(NO)))
+                (
+                    Guarded(LabelsEqual(TAPE_PATH, SYMBOL_PATH), FollowArrow(YES)),
+                    Act(FollowArrow(NO)),
+                )
             )
         elif word == "print":
             require_flow(node, NEXT)
-            if optimize:
-                printed = g.node_label(
-                    resolve(g, PRINT_WORD_PATH, current=node, kinds=(SYNTACTIC,))
-                )
-                write: Union[Action, WriteLabel] = WriteLabel(TAPE_PATH, printed)
-            else:
-                write = RelabelNode(TAPE_PATH, PRINT_WORD_PATH)
-            instructions[node] = Instruction((Act(write), Act(FollowArrow(NEXT))))
+            instructions[node] = Instruction(
+                (Act(RelabelNode(TAPE_PATH, PRINT_WORD_PATH)), Act(FollowArrow(NEXT)))
+            )
         elif word == "move":
             require_flow(node, NEXT)
             sideways = [
@@ -284,7 +246,7 @@ def initialize(
             "the program violates requirements: "
             + "; ".join(str(d) for d in problems)
         )
-    if any(a.label == TAPE_ARROW for _, a in g.arrows()):
+    if g.arrows_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
 
     cells = tape.cells()
@@ -312,43 +274,11 @@ def initialize(
     return state
 
 
-def _locate(g, path: PathFormula, current: int) -> int:
-    try:
-        return resolve(g, path, current)
-    except (StartAmbiguous, Inapplicable) as failure:
-        raise NormalConditionViolated(
-            f"path {path} is not passable: {failure}"
-        ) from failure
-
-
-def _evaluate(g, condition, current: int) -> bool:
-    if isinstance(condition, LabelIs):
-        return g.node_label(_locate(g, condition.path, current)) == condition.word
-    return eval_proposition(g, condition, current)
-
-
-def _perform(g, action, current: int) -> Optional[int]:
-    if isinstance(action, WriteLabel):
-        g.set_node_label(_locate(g, action.path, current), action.word)
-        return current
-    return apply_action(g, action, current)
-
-
-def _item_violation(g, item, current: int) -> Optional[str]:
-    if isinstance(item, (LabelIs, WriteLabel)):
-        try:
-            resolve(g, item.path, current)
-            return None
-        except (StartAmbiguous, Inapplicable):
-            return f"path {item.path} is not passable"
-    return normal_violation(g, item, current)
-
-
 def _tape_text(g) -> Optional[str]:
-    hits = [a.dst for _, a in g.arrows() if a.label == TAPE_ARROW]
+    hits = g.arrows_labeled(TAPE_ARROW)
     if len(hits) != 1:
         return None
-    return chain_text(g, hits[0])
+    return chain_text(g, hits[0][1].dst)
 
 
 def _record(state: ExecState, node: int, label: str, phrase: str) -> None:
@@ -369,6 +299,14 @@ def _crash(
         TraceEntry(state.steps, node, label, f"crash {situation}: {detail}")
     )
     return state
+
+
+def _verify(state: ExecState, item: Union[Proposition, Action]) -> None:
+    """In cautious mode, crash on a violated condition before acting on it."""
+    if state.cautious:
+        problem = normal_violation(state.tree.graph, item, state.current)
+        if problem is not None:
+            raise NormalConditionViolated(problem)
 
 
 def step(state: ExecState) -> ExecState:
@@ -401,29 +339,20 @@ def step(state: ExecState) -> ExecState:
         action = direction.then if isinstance(direction, Guarded) else direction.action
         try:
             if condition is not None:
-                if state.cautious:
-                    problem = _item_violation(g, condition, node)
-                    if problem is not None:
-                        return _crash(state, NORMAL_CONDITION_VIOLATED, node, label, problem)
-                if not _evaluate(g, condition, node):
+                _verify(state, condition)
+                if not eval_proposition(g, condition, node):
                     continue
-            if state.cautious:
-                problem = _item_violation(g, action, node)
-                if problem is not None:
-                    return _crash(state, NORMAL_CONDITION_VIOLATED, node, label, problem)
-            if isinstance(action, Stop):
-                state.status = STOPPED
-                _record(state, node, label, direction.phrase())
-                return state
-            if isinstance(action, FollowArrow):
-                destination = _perform(g, action, node)
-                assert destination is not None
-                state.current = destination
-                _record(state, node, label, direction.phrase())
-                return state
-            _perform(g, action, node)
+            _verify(state, action)
+            destination = apply_action(g, action, node)
         except NormalConditionViolated as failure:
-            return _crash(state, NORMAL_CONDITION_VIOLATED, node, label, str(failure))
+            return _crash(state, NORMAL_CONDITION_VIOLATED, node, label, failure.detail)
+        if isinstance(action, (FollowArrow, Stop)):
+            if destination is None:
+                state.status = STOPPED
+            else:
+                state.current = destination
+            _record(state, node, label, direction.phrase())
+            return state
     return _crash(
         state,
         DIRECTIONS_EXHAUSTED,

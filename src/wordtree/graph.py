@@ -194,6 +194,9 @@ class LabeledGraph:
     def nodes_labeled(self, word: str) -> list[int]:
         return sorted(self._by_label.get(word, ()))
 
+    def arrows_labeled(self, word: str) -> list[tuple[int, Arrow]]:
+        return [(arrow_id, a) for arrow_id, a in self.arrows() if a.label == word]
+
     @property
     def node_count(self) -> int:
         return len(self._nodes)
@@ -342,14 +345,22 @@ def resolve(
     return node
 
 
-def _passable(g, formula, current, kinds) -> bool:
+def locate(
+    g: LabeledGraph,
+    formula: PathFormula,
+    current: Optional[int] = None,
+    kinds: Optional[Iterable[str]] = None,
+) -> int:
+    """Resolve a path formula as an executing direction does.
+
+    Returns the node, or raises NormalConditionViolated saying why the
+    path is not passable. This is the only way propositions and
+    actions navigate.
+    """
     try:
-        resolve(g, formula, current, kinds)
-    except (StartAmbiguous, Inapplicable):
-        return False
-    except ValueError:
-        return False
-    return True
+        return resolve(g, formula, current, kinds)
+    except (StartAmbiguous, Inapplicable) as exc:
+        raise NormalConditionViolated(f"path {formula} is not passable: {exc}") from exc
 
 
 # -- propositions ----------------------------------------------------
@@ -413,29 +424,24 @@ def eval_proposition(
     returning False, when a referenced path is impassable. PathPassable
     and UniqueArrowExists are total and never crash.
     """
+    operands = _operands(g, prop, current, kinds)
     match prop:
-        case LabelsEqual(p1, p2):
-            n1 = _resolve_or_violate(g, p1, current, kinds)
-            n2 = _resolve_or_violate(g, p2, current, kinds)
+        case LabelsEqual():
+            n1, n2 = operands
             return g.node_label(n1) == g.node_label(n2)
-        case NoArrowTo(word, path):
-            node = _resolve_or_violate(g, path, current, kinds)
-            return not any(a.label == word for _, a in g.in_arrows(node))
-        case NoArrowFrom(word, path):
-            node = _resolve_or_violate(g, path, current, kinds)
-            return not any(a.label == word for _, a in g.out_arrows(node))
+        case NoArrowTo(word):
+            return not any(a.label == word for _, a in g.in_arrows(operands[0]))
+        case NoArrowFrom(word):
+            return not any(a.label == word for _, a in g.out_arrows(operands[0]))
         case UniqueArrowExists(word):
-            return sum(1 for _, a in g.arrows() if a.label == word) == 1
+            return len(g.arrows_labeled(word)) == 1
         case PathPassable(path):
-            return _passable(g, path, current, kinds)
+            try:
+                locate(g, path, current, kinds)
+            except (NormalConditionViolated, ValueError):
+                return False
+            return True
     raise TypeError(f"not a proposition: {prop!r}")
-
-
-def _resolve_or_violate(g, formula, current, kinds) -> int:
-    try:
-        return resolve(g, formula, current, kinds)
-    except (StartAmbiguous, Inapplicable) as exc:
-        raise NormalConditionViolated(f"path {formula} is not passable: {exc}") from exc
 
 
 # -- actions ---------------------------------------------------------
@@ -499,6 +505,49 @@ Action = Union[
 ]
 
 
+def _operands(g, item, current, kinds) -> tuple:
+    """Resolve what a proposition or action works on, or raise why it cannot.
+
+    Paths come first, in field order, then arrow counts. These are all
+    the normal-execution conditions of the algebra, so once this step
+    succeeds, evaluating or applying the item cannot violate one.
+    """
+    match item:
+        case LabelsEqual(p1, p2) | RelabelNode(p1, p2):
+            return locate(g, p1, current, kinds), locate(g, p2, current, kinds)
+        case (
+            NoArrowTo(_, path)
+            | NoArrowFrom(_, path)
+            | CreateNodeWithArrowToTarget(path)
+            | CreateNodeWithArrowFromSource(path)
+        ):
+            return (locate(g, path, current, kinds),)
+        case ReassignArrow(word, target):
+            node = locate(g, target, current, kinds)
+            hits = g.arrows_labeled(word)
+            if len(hits) != 1:
+                raise NormalConditionViolated(
+                    f"there exist {len(hits)} {display_word(word)} arrows, not a unique one"
+                )
+            return node, hits[0][0]
+        case FollowArrow(word):
+            if current is None:
+                raise ValueError("follow requires a current node")
+            hits = [a.dst for _, a in g.out_arrows(current) if a.label == word]
+            if not hits:
+                raise NormalConditionViolated(
+                    f"there exists no {display_word(word)} arrow from the current node"
+                )
+            if len(hits) > 1:
+                raise NormalConditionViolated(
+                    f"there exist several {display_word(word)} arrows from the current node"
+                )
+            return (hits[0],)
+        case UniqueArrowExists() | PathPassable() | Stop():
+            return ()
+    raise TypeError(f"not a proposition or action: {item!r}")
+
+
 def apply_action(
     g: LabeledGraph,
     action: Action,
@@ -514,44 +563,24 @@ def apply_action(
     NormalConditionViolated outside the action's normal-execution
     condition.
     """
+    operands = _operands(g, action, current, kinds)
     match action:
-        case RelabelNode(target, source):
-            t = _resolve_or_violate(g, target, current, kinds)
-            s = _resolve_or_violate(g, source, current, kinds)
-            g.set_node_label(t, g.node_label(s))
+        case RelabelNode():
+            target, source = operands
+            g.set_node_label(target, g.node_label(source))
             return current
-        case ReassignArrow(word, target):
-            t = _resolve_or_violate(g, target, current, kinds)
-            hits = [arrow_id for arrow_id, a in g.arrows() if a.label == word]
-            if len(hits) != 1:
-                raise NormalConditionViolated(
-                    f"there exist {len(hits)} {display_word(word)} arrows, not a unique one"
-                )
-            g.set_arrow_dst(hits[0], t)
+        case ReassignArrow():
+            target, arrow_id = operands
+            g.set_arrow_dst(arrow_id, target)
             return current
-        case CreateNodeWithArrowToTarget(target):
-            t = _resolve_or_violate(g, target, current, kinds)
-            node = g.add_node("")
-            g.add_arrow(node, "", t, created_arrow_kind)
+        case CreateNodeWithArrowToTarget():
+            g.add_arrow(g.add_node(""), "", operands[0], created_arrow_kind)
             return current
-        case CreateNodeWithArrowFromSource(source):
-            s = _resolve_or_violate(g, source, current, kinds)
-            node = g.add_node("")
-            g.add_arrow(s, "", node, created_arrow_kind)
+        case CreateNodeWithArrowFromSource():
+            g.add_arrow(operands[0], "", g.add_node(""), created_arrow_kind)
             return current
-        case FollowArrow(word):
-            if current is None:
-                raise ValueError("follow requires a current node")
-            hits = [a.dst for _, a in g.out_arrows(current) if a.label == word]
-            if not hits:
-                raise NormalConditionViolated(
-                    f"there exists no {display_word(word)} arrow from the current node"
-                )
-            if len(hits) > 1:
-                raise NormalConditionViolated(
-                    f"there exist several {display_word(word)} arrows from the current node"
-                )
-            return hits[0]
+        case FollowArrow():
+            return operands[0]
         case Stop():
             return None
     raise TypeError(f"not an action: {action!r}")
@@ -563,43 +592,17 @@ def normal_violation(
     current: Optional[int] = None,
     kinds: Optional[Iterable[str]] = None,
 ) -> Optional[str]:
-    """Describe the first violated normal-execution condition, if any.
+    """Describe the violated normal-execution condition, if any.
 
-    Returns None when the proposition or action can be executed
-    normally. This is the verification step of a cautious executor.
+    Returns the detail that evaluating or applying ``item`` would raise
+    as NormalConditionViolated, or None when it would raise none. This
+    is the verification step of a cautious executor.
     """
-    def path_problem(formula: PathFormula) -> Optional[str]:
-        if not _passable(g, formula, current, kinds):
-            return f"path {formula} is not passable"
-        return None
-
-    match item:
-        case LabelsEqual(p1, p2) | RelabelNode(p1, p2):
-            return path_problem(p1) or path_problem(p2)
-        case NoArrowTo(_, path) | NoArrowFrom(_, path):
-            return path_problem(path)
-        case ReassignArrow(word, target):
-            problem = path_problem(target)
-            if problem:
-                return problem
-            count = sum(1 for _, a in g.arrows() if a.label == word)
-            if count != 1:
-                return f"there exist {count} {display_word(word)} arrows, not a unique one"
-            return None
-        case CreateNodeWithArrowToTarget(path) | CreateNodeWithArrowFromSource(path):
-            return path_problem(path)
-        case FollowArrow(word):
-            if current is None:
-                return "no current node"
-            count = sum(1 for _, a in g.out_arrows(current) if a.label == word)
-            if count == 0:
-                return f"there exists no {display_word(word)} arrow from the current node"
-            if count > 1:
-                return f"there exist several {display_word(word)} arrows from the current node"
-            return None
-        case UniqueArrowExists(_) | PathPassable(_) | Stop():
-            return None
-    raise TypeError(f"not a proposition or action: {item!r}")
+    try:
+        _operands(g, item, current, kinds)
+    except NormalConditionViolated as violation:
+        return violation.detail
+    return None
 
 
 # -- checks ----------------------------------------------------------

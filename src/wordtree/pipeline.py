@@ -106,13 +106,13 @@ def check_program(text: str) -> CheckResult:
     return result
 
 
-def make_executable(result: CheckResult, optimize: bool = False) -> dict[int, Instruction]:
+def make_executable(result: CheckResult) -> dict[int, Instruction]:
     """Store an instruction in every flow node of a clean check result."""
     if not result.ok:
         raise CheckFailed(result.errors)
     if result.stop is None:
         raise ValueError("control flow was not built")
-    return install_instructions(result.tree, result.stop, result.classes, optimize)
+    return install_instructions(result.tree, result.stop, result.classes)
 
 
 def execute_program(
@@ -121,7 +121,6 @@ def execute_program(
     start: Union[str, int] = "last",
     max_steps: int = 10_000,
     cautious: bool = False,
-    optimize: bool = False,
 ) -> RunResult:
     """Check a program, mount a tape, and run it to an outcome.
 
@@ -129,7 +128,7 @@ def execute_program(
     start problems raise ValueError from initialization.
     """
     result = check_program(text)
-    instructions = make_executable(result, optimize)
+    instructions = make_executable(result)
     tape = parse_tape(tape_text)
     state = initialize(result.tree, tape, start, instructions, cautious)
     return run(state, max_steps)

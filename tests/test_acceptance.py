@@ -37,8 +37,10 @@ from wordtree.schema import (
     turingol_schema,
     uni_labeled_family,
 )
-from wordtree.semantics import STATEMENT, classify, label_points, w_usage_points
+from wordtree.semantics import STATEMENT
 from wordtree.tape import parse_tape
+
+from fail_safety import declared_words, random_start, random_tape, repair
 
 ORACLE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "expected_runs.json").read_text()
@@ -185,108 +187,6 @@ def test_criterion_07_execution_oracle(increment_text):
         assert outcome.steps == case["steps"], case
         assert outcome.steps < 10_000
         assert final_tape(outcome.state) == case["final_tape"], case
-
-
-def fresh_word(rng, taken):
-    while True:
-        word = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(4))
-        if word not in taken:
-            return word
-
-
-def declared_words(tree):
-    """Tape-alphabet words in declaration order."""
-    g = tree.graph
-    words = []
-    node = next(
-        (a.dst for _, a in g.out_arrows(tree.root, kinds=(SYNTACTIC,)) if a.label == "is"),
-        None,
-    )
-    while node is not None:
-        words.append(g.node_label(node))
-        node = next(
-            (a.dst for _, a in g.out_arrows(node, kinds=(SYNTACTIC,)) if a.label == ","),
-            None,
-        )
-    return words
-
-
-def repair(tree, rng):
-    """Relabel a generated program in place until its checks can pass.
-
-    Declarations are deduplicated, tape-word usages are pointed at
-    declared words, duplicate label targets get fresh words, and
-    dangling go to references are retargeted, preferring later
-    statements so the jump goes forward and cannot close a cycle.
-    """
-    g = tree.graph
-    classes = classify(tree)
-
-    seen = set()
-    node = next(
-        (a.dst for _, a in g.out_arrows(tree.root, kinds=(SYNTACTIC,)) if a.label == "is"),
-        None,
-    )
-    while node is not None:
-        if g.node_label(node) in seen:
-            g.set_node_label(node, fresh_word(rng, seen))
-        seen.add(g.node_label(node))
-        node = next(
-            (a.dst for _, a in g.out_arrows(node, kinds=(SYNTACTIC,)) if a.label == ","),
-            None,
-        )
-    declared = sorted(seen)
-
-    for usage in w_usage_points(tree, classes):
-        if g.node_label(usage) not in declared:
-            g.set_node_label(usage, rng.choice(declared))
-
-    targets, usages = label_points(tree, classes)
-    words = set()
-    for target in targets:
-        if g.node_label(target) in words:
-            g.set_node_label(target, fresh_word(rng, words | seen))
-        words.add(g.node_label(target))
-
-    rises = {}
-    for target in targets:
-        walker = target
-        while classes[walker].kind != STATEMENT:
-            walker = next(
-                a.src
-                for _, a in g.in_arrows(walker, kinds=(SYNTACTIC,))
-                if a.label == ":"
-            )
-        rises[g.node_label(target)] = walker
-
-    for usage in usages:
-        if g.node_label(usage) in rises:
-            continue
-        owner = next(
-            a.src for _, a in g.in_arrows(usage, kinds=(SYNTACTIC,)) if a.label == "to"
-        )
-        if rises:
-            forward = [w for w, stmt in rises.items() if stmt > owner]
-            g.set_node_label(usage, rng.choice(sorted(forward) or sorted(rises)))
-        else:
-            hosts = [
-                n for n, c in classes.items() if c.kind == STATEMENT and n != owner
-            ] or [owner]
-            host = rng.choice(hosts)
-            word = fresh_word(rng, set(rises) | seen)
-            label = g.add_node(word)
-            g.add_arrow(host, ":", label, SYNTACTIC)
-            rises[word] = host
-            g.set_node_label(usage, word)
-
-
-def random_tape(rng, vocabulary):
-    return " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 6)))
-
-
-def random_start(rng, tape_text):
-    cells = len(tape_text.split())
-    return rng.choice(["first", "last", rng.randrange(cells)])
 
 
 def clean_generated_programs(count, rng):

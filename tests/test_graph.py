@@ -1,6 +1,7 @@
 """Kernel tests: storage, path formulas, propositions, actions, checks, export."""
 
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -369,6 +370,63 @@ class TestNormalViolation:
         g.add_arrow(a, "next", b, kind=G.CONTROL)
         g.add_arrow(a, "next", c, kind=G.CONTROL)
         assert "several" in normal_violation(g, FollowArrow("next"), current=a)
+
+
+words = st.sampled_from(["x", "y", ""])
+
+
+@st.composite
+def graphs_with_current(draw):
+    """Small graphs whose labels collide often, plus a current node."""
+    g = LabeledGraph()
+    labels = draw(st.lists(st.sampled_from(["a", "b", ""]), min_size=1, max_size=5))
+    nodes = [g.add_node(label) for label in labels]
+    for _ in range(draw(st.integers(0, 8))):
+        g.add_arrow(
+            draw(st.sampled_from(nodes)),
+            draw(words),
+            draw(st.sampled_from(nodes)),
+            draw(st.sampled_from(G.ARROW_KINDS)),
+        )
+    return g, draw(st.sampled_from(nodes))
+
+
+paths = st.builds(
+    PathFormula,
+    st.sampled_from([None, "a", "b", "zz"]),
+    st.lists(st.tuples(st.sampled_from("+-"), words), max_size=2).map(tuple),
+)
+items = st.one_of(
+    st.builds(LabelsEqual, paths, paths),
+    st.builds(NoArrowTo, words, paths),
+    st.builds(NoArrowFrom, words, paths),
+    st.builds(UniqueArrowExists, words),
+    st.builds(PathPassable, paths),
+    st.builds(RelabelNode, paths, paths),
+    st.builds(ReassignArrow, words, paths),
+    st.builds(CreateNodeWithArrowToTarget, paths),
+    st.builds(CreateNodeWithArrowFromSource, paths),
+    st.builds(FollowArrow, words),
+    st.just(Stop()),
+)
+
+
+@given(graphs_with_current(), items)
+@settings(deadline=None)
+def test_normal_violation_predicts_execution(graph_and_current, item):
+    g, current = graph_and_current
+    before = export(g, "json")
+    predicted = normal_violation(g, item, current)
+    assert export(g, "json") == before
+    try:
+        if isinstance(item, typing.get_args(G.Proposition)):
+            eval_proposition(g, item, current)
+        else:
+            apply_action(g, item, current)
+    except NormalConditionViolated as violation:
+        assert predicted == violation.detail
+    else:
+        assert predicted is None
 
 
 class TestUniLabeled:
