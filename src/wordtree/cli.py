@@ -13,11 +13,12 @@ for an exhausted step budget.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from pathlib import Path
 
-from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_json, trace_text
+from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_line, trace_row
 from .frontend import IllegalCharacter, ParseError, parse_text, render_program, to_canonical
 from .graph import export
 from .pipeline import check_program, make_executable
@@ -107,11 +108,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as failure:
         return _fail(failure)
 
-    outcome = run(state, args.max_steps)
     if args.trace == "text":
-        print(trace_text(outcome.trace))
+        outcome = run(state, args.max_steps, lambda entry: print(trace_line(entry)))
     elif args.trace == "json":
-        print(trace_json(outcome.trace))
+        # Rows stream out as they come; the output equals trace_json's.
+        opening = "["
+
+        def print_row(entry) -> None:
+            nonlocal opening
+            sys.stdout.write(opening + json.dumps(trace_row(entry)))
+            opening = ", "
+
+        outcome = run(state, args.max_steps, print_row)
+        print("]" if opening == ", " else "[]")
+    else:
+        outcome = run(state, args.max_steps)
     tape_line = final_tape(state)
     if tape_line is not None:
         print(tape_line)

@@ -10,13 +10,16 @@ violating an action's normal-execution condition all mark the state
 crashed with a structured report. In cautious mode each direction is
 verified before it runs, and a violation crashes with the same report
 a normal run gives, before the direction can touch the graph.
+
+A run keeps no trace. A caller that wants one passes ``on_step`` and
+receives each entry as it is produced; only then is the tape rendered.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .control_flow import NEXT, NO, YES
 from .graph import (
@@ -117,6 +120,9 @@ class TraceEntry:
     tape: Optional[str] = None
 
 
+_STALE = object()
+
+
 @dataclass
 class ExecState:
     tree: Tree
@@ -126,16 +132,33 @@ class ExecState:
     steps: int = 0
     status: str = RUNNING
     situation: Optional[CrashReport] = None
-    trace: list[TraceEntry] = field(default_factory=list)
-    last_tape: Optional[str] = None
+    # The tape text a trace last showed, or _STALE once an untraced step
+    # has run since; last_tape renders it again on demand.
+    _shown: object = field(default=_STALE, init=False, repr=False, compare=False)
+
+    @property
+    def last_tape(self) -> Optional[str]:
+        """The tape text the next traced step compares its tape against."""
+        if self._shown is _STALE:
+            self._shown = _tape_text(self.tree.graph)
+        return self._shown
 
 
 @dataclass
 class RunResult:
+    """How a run ended.
+
+    ``trace`` is always empty: a run keeps no trace. Pass ``on_step`` to
+    ``run`` to receive each trace entry as it is produced.
+    """
+
     outcome: str
     steps: int
     trace: list[TraceEntry]
     state: ExecState
+
+
+OnStep = Optional[Callable[[TraceEntry], None]]
 
 
 def install_instructions(
@@ -261,17 +284,9 @@ def initialize(
     if not 0 <= index < len(cells):
         raise ValueError(f"start index {index} outside the {len(cells)}-cell tape")
 
-    mapping = {}
-    for node in tape.graph.nodes():
-        mapping[node] = g.add_node(tape.graph.node_label(node))
-    for _, arrow in tape.graph.arrows():
-        g.add_arrow(mapping[arrow.src], arrow.label, mapping[arrow.dst], arrow.kind)
-    scanned = mapping[cells[index]]
-    g.add_arrow(tree.root, TAPE_ARROW, scanned, SEMANTIC)
-
-    state = ExecState(tree, dict(instructions), tree.root, cautious)
-    state.last_tape = chain_text(g, scanned)
-    return state
+    mapping = g.merge(tape.graph)
+    g.add_arrow(tree.root, TAPE_ARROW, mapping[cells[index]], SEMANTIC)
+    return ExecState(tree, dict(instructions), tree.root, cautious)
 
 
 def _tape_text(g) -> Optional[str]:
@@ -281,23 +296,23 @@ def _tape_text(g) -> Optional[str]:
     return chain_text(g, hits[0][1].dst)
 
 
-def _record(state: ExecState, node: int, label: str, phrase: str) -> None:
+def _record(state: ExecState, node: int, label: str, phrase: str, on_step) -> None:
+    """Hand the step's entry over, with the tape text if the step changed it."""
     snapshot = None
     text = _tape_text(state.tree.graph)
     if text is not None and text != state.last_tape:
         snapshot = text
-        state.last_tape = text
-    state.trace.append(TraceEntry(state.steps, node, label, phrase, snapshot))
+        state._shown = text
+    on_step(TraceEntry(state.steps, node, label, phrase, snapshot))
 
 
 def _crash(
-    state: ExecState, situation: str, node: int, label: str, detail: str
+    state: ExecState, situation: str, node: int, label: str, detail: str, on_step
 ) -> ExecState:
     state.status = CRASHED
     state.situation = CrashReport(situation, node, detail)
-    state.trace.append(
-        TraceEntry(state.steps, node, label, f"crash {situation}: {detail}")
-    )
+    if on_step is not None:
+        on_step(TraceEntry(state.steps, node, label, f"crash {situation}: {detail}"))
     return state
 
 
@@ -309,16 +324,25 @@ def _verify(state: ExecState, item: Union[Proposition, Action]) -> None:
             raise NormalConditionViolated(problem)
 
 
-def step(state: ExecState) -> ExecState:
+def step(state: ExecState, on_step: OnStep = None) -> ExecState:
     """Execute the instruction at the current node; one step of a run.
 
     Directions run in order. A guard that evaluates false falls through
     to the next direction; a guard that evaluates true performs its
     action. The first FollowArrow or Stop performed ends the step, and
     an instruction must end that way or the state crashes.
+
+    ``on_step``, when given, receives the step's trace entry, carrying
+    the tape text when the step changed it; rendering that text costs
+    time proportional to the tape. Without it the step renders nothing
+    and its cost does not depend on the tape's length.
     """
     if state.status != RUNNING:
         raise ValueError(f"cannot step a {state.status} state")
+    if on_step is None:
+        state._shown = _STALE
+    else:
+        _ = state.last_tape  # render the text this step is compared against
     g = state.tree.graph
     node = state.current
     label = g.node_label(node)
@@ -332,6 +356,7 @@ def step(state: ExecState) -> ExecState:
             node,
             label,
             f"the {display_word(label)} node holds no instruction",
+            on_step,
         )
 
     for direction in instruction.directions:
@@ -345,13 +370,16 @@ def step(state: ExecState) -> ExecState:
             _verify(state, action)
             destination = apply_action(g, action, node)
         except NormalConditionViolated as failure:
-            return _crash(state, NORMAL_CONDITION_VIOLATED, node, label, failure.detail)
+            return _crash(
+                state, NORMAL_CONDITION_VIOLATED, node, label, failure.detail, on_step
+            )
         if isinstance(action, (FollowArrow, Stop)):
             if destination is None:
                 state.status = STOPPED
             else:
                 state.current = destination
-            _record(state, node, label, direction.phrase())
+            if on_step is not None:
+                _record(state, node, label, direction.phrase(), on_step)
             return state
     return _crash(
         state,
@@ -359,20 +387,25 @@ def step(state: ExecState) -> ExecState:
         node,
         label,
         "the instruction ran out of directions without following an arrow",
+        on_step,
     )
 
 
-def run(state: ExecState, max_steps: int = 10_000) -> RunResult:
-    """Step until the state stops, crashes, or exhausts the step budget."""
+def run(state: ExecState, max_steps: int = 10_000, on_step: OnStep = None) -> RunResult:
+    """Step until the state stops, crashes, or exhausts the step budget.
+
+    ``on_step`` receives every trace entry as it is produced, the crash
+    entry included; the run itself keeps none.
+    """
     while state.status == RUNNING and state.steps < max_steps:
-        step(state)
+        step(state, on_step)
     if state.status == STOPPED:
         outcome = STOPPED
     elif state.status == CRASHED:
         outcome = CRASHED
     else:
         outcome = BUDGET_EXHAUSTED
-    return RunResult(outcome, state.steps, state.trace, state)
+    return RunResult(outcome, state.steps, [], state)
 
 
 def final_tape(state: ExecState) -> Optional[str]:
@@ -380,24 +413,26 @@ def final_tape(state: ExecState) -> Optional[str]:
     return _tape_text(state.tree.graph)
 
 
+def trace_line(entry: TraceEntry) -> str:
+    """One line of the text trace: step number, node label, direction phrase."""
+    return f"{entry.step} {display_word(entry.label)} {entry.direction}"
+
+
+def trace_row(entry: TraceEntry) -> dict:
+    """One element of the JSON trace."""
+    return {
+        "step": entry.step,
+        "node": entry.node,
+        "label": entry.label,
+        "direction": entry.direction,
+        "tape": entry.tape,
+    }
+
+
 def trace_text(trace: list[TraceEntry]) -> str:
     """Line-oriented trace: step number, node label, direction phrase."""
-    return "\n".join(
-        f"{entry.step} {display_word(entry.label)} {entry.direction}"
-        for entry in trace
-    )
+    return "\n".join(trace_line(entry) for entry in trace)
 
 
 def trace_json(trace: list[TraceEntry]) -> str:
-    return json.dumps(
-        [
-            {
-                "step": entry.step,
-                "node": entry.node,
-                "label": entry.label,
-                "direction": entry.direction,
-                "tape": entry.tape,
-            }
-            for entry in trace
-        ]
-    )
+    return json.dumps([trace_row(entry) for entry in trace])

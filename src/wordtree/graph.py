@@ -103,6 +103,7 @@ class LabeledGraph:
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
         self._by_label: dict[str, set[int]] = {}
+        self._arrows_by_label: dict[str, list[int]] = {}
         self._next_node = 0
         self._next_arrow = 0
 
@@ -135,6 +136,7 @@ class LabeledGraph:
         self._arrows[arrow_id] = Arrow(src, label, dst, kind)
         self._out[src].append(arrow_id)
         self._in[dst].append(arrow_id)
+        self._arrows_by_label.setdefault(label, []).append(arrow_id)
         return arrow_id
 
     # -- mutation ----------------------------------------------------
@@ -195,7 +197,10 @@ class LabeledGraph:
         return sorted(self._by_label.get(word, ()))
 
     def arrows_labeled(self, word: str) -> list[tuple[int, Arrow]]:
-        return [(arrow_id, a) for arrow_id, a in self.arrows() if a.label == word]
+        # Ids are handed out in increasing order and labels never change,
+        # so each index list is already sorted.
+        ids = self._arrows_by_label.get(word, ())
+        return [(arrow_id, self._arrows[arrow_id]) for arrow_id in ids]
 
     @property
     def node_count(self) -> int:
@@ -212,6 +217,7 @@ class LabeledGraph:
         dup._out = {n: list(ids) for n, ids in self._out.items()}
         dup._in = {n: list(ids) for n, ids in self._in.items()}
         dup._by_label = {w: set(ns) for w, ns in self._by_label.items()}
+        dup._arrows_by_label = {w: list(ids) for w, ids in self._arrows_by_label.items()}
         dup._next_node = self._next_node
         dup._next_arrow = self._next_arrow
         return dup

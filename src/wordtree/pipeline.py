@@ -21,6 +21,7 @@ from .control_flow import (
 )
 from .executor import (
     Instruction,
+    OnStep,
     RunResult,
     initialize,
     install_instructions,
@@ -121,9 +122,11 @@ def execute_program(
     start: Union[str, int] = "last",
     max_steps: int = 10_000,
     cautious: bool = False,
+    on_step: OnStep = None,
 ) -> RunResult:
     """Check a program, mount a tape, and run it to an outcome.
 
+    ``on_step`` receives each trace entry as the run produces it.
     Raises CheckFailed when the program has error findings; tape or
     start problems raise ValueError from initialization.
     """
@@ -131,4 +134,4 @@ def execute_program(
     instructions = make_executable(result)
     tape = parse_tape(tape_text)
     state = initialize(result.tree, tape, start, instructions, cautious)
-    return run(state, max_steps)
+    return run(state, max_steps, on_step)

@@ -89,24 +89,29 @@ def render_tape(t: Tape) -> str:
     return " ".join(label if label else EMPTY_TOKEN for label in t.labels())
 
 
-def chain_text(g: LabeledGraph, cell: int, cap: int = 1000) -> str:
+def chain_text(g: LabeledGraph, cell: int) -> str:
     """Render the chain containing ``cell`` inside a larger graph.
 
     Follows empty-labeled tape-kind arrows from ``cell`` leftwards to
-    the chain head and then rightwards to the end, stopping after
-    ``cap`` cells either way.
+    the chain head and then rightwards to the end. Each walk ends where
+    a cell would repeat, so a malformed cyclic chain prints every cell
+    once instead of looping.
     """
     node = cell
-    for _ in range(cap):
+    seen = {node}
+    while True:
         back = [a.src for _, a in g.in_arrows(node, kinds=(TAPE,)) if a.label == ""]
-        if not back:
+        if not back or back[0] in seen:
             break
         node = back[0]
-    labels = []
-    for _ in range(cap):
-        labels.append(g.node_label(node))
+        seen.add(node)
+    labels = [g.node_label(node)]
+    seen = {node}
+    while True:
         step = [a.dst for _, a in g.out_arrows(node, kinds=(TAPE,)) if a.label == ""]
-        if not step:
+        if not step or step[0] in seen:
             break
         node = step[0]
+        seen.add(node)
+        labels.append(g.node_label(node))
     return " ".join(label if label else EMPTY_TOKEN for label in labels)

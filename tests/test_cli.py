@@ -1,11 +1,17 @@
 """Exit codes and output shape of the command line interface."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from wordtree.cli import main
+from wordtree.executor import final_tape, initialize, run, trace_json, trace_text
 from wordtree.frontend import parse_text
 from wordtree.graph import SYNTACTIC
+from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import Literal, Schema, schema_to_json, turingol_schema
+from wordtree.tape import parse_tape
 
 
 def invoke(capsys, *argv):
@@ -15,6 +21,29 @@ def invoke(capsys, *argv):
 
 
 LOOPER = "tape-alphabet is one;\ntest: if the-tape-symbol is 'one' then go to test.\n"
+
+ORACLE = json.loads((Path(__file__).parent / "data" / "expected_runs.json").read_text())
+# Every oracle run, plus a tape whose first cell crashes the run.
+TRACED_RUNS = [(c["tape"], c["start"]) for c in ORACLE["cases"]] + [
+    ("tape-alphabet one", "last")
+]
+
+
+def collected_output(program_text, tape, start, cautious, trace_format) -> str:
+    """What ``run --trace`` prints, rendered from the whole collected trace."""
+    result = check_program(program_text)
+    state = initialize(
+        result.tree, parse_tape(tape), start, make_executable(result), cautious
+    )
+    entries = []
+    outcome = run(state, on_step=entries.append)
+    render = trace_text if trace_format == "text" else trace_json
+    lines = [render(entries)]
+    tape_line = final_tape(state)
+    if tape_line is not None:
+        lines.append(tape_line)
+    lines.append(outcome.outcome)
+    return "\n".join(lines) + "\n"
 
 
 class TestCheck:
@@ -108,6 +137,34 @@ class TestRun:
         assert len(entries) == 10
         assert entries[0]["step"] == 1
         assert {"step", "node", "label", "direction", "tape"} <= entries[0].keys()
+
+    @pytest.mark.parametrize("trace_format", ["text", "json"])
+    @pytest.mark.parametrize("cautious", [False, True], ids=["normal", "cautious"])
+    @pytest.mark.parametrize("tape,start", TRACED_RUNS, ids=lambda v: str(v))
+    def test_streamed_trace_matches_collected(
+        self, capsys, program_path, tape, start, cautious, trace_format
+    ):
+        path = program_path("increment.tgl")
+        mode = ["--cautious"] if cautious else []
+        _, out, _ = invoke(
+            capsys,
+            "run", str(path), "--tape", tape, "--start", str(start),
+            "--trace", trace_format, *mode,
+        )
+        assert out == collected_output(
+            path.read_text(), tape, start, cautious, trace_format
+        )
+
+    def test_long_tape_is_printed_whole(self, capsys, program_path):
+        tape = " ".join(["zero"] * 1499 + ["blank"])
+        code, out, _ = invoke(
+            capsys, "run", str(program_path("increment.tgl")), "--tape", tape
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            " ".join(["zero"] * 1498 + ["one", "point"]),
+            "stopped",
+        ]
 
     def test_warnings_on_stderr(self, capsys, program_path):
         _, out, err = invoke(

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from wordtree import executor as executor_module
+from wordtree import tape as tape_module
 from wordtree.control_flow import (
     NEXT,
     add_stop_node,
@@ -49,9 +51,11 @@ from wordtree.graph import (
     NoArrowTo,
     ReassignArrow,
     RelabelNode,
+    LabeledGraph,
     Stop,
     check_uni_labeled,
 )
+from wordtree.pipeline import execute_program
 from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape
 
@@ -75,11 +79,16 @@ def statements(tree) -> list[int]:
 
 
 def execute(text: str, tape_text: str, start):
-    """Full pipeline run; statement ids are taken before the tape merges in."""
+    """Full pipeline run; statement ids are taken before the tape merges in.
+
+    Returns the result, the trace entries the run streamed, the tree,
+    the stop node and the statement ids.
+    """
     tree, stop, instructions = prepare(text)
     s_nodes = statements(tree)
     state = initialize(tree, parse_tape(tape_text), start, instructions)
-    return run(state), tree, stop, s_nodes
+    trace = []
+    return run(state, on_step=trace.append), trace, tree, stop, s_nodes
 
 
 @pytest.fixture
@@ -217,11 +226,11 @@ class TestStep:
             "tape-alphabet is one, two;\n"
             "if the-tape-symbol is 'one' then go to x;\nx: print 'two'."
         )
-        result, _, _, _ = execute(text, "one", "first")
-        assert [e.label for e in result.trace] == [
+        result, trace, _, _, _ = execute(text, "one", "first")
+        assert [e.label for e in trace] == [
             "tape-alphabet", "if", "go", "print", "stop",
         ]
-        assert "'yes'" in result.trace[1].direction
+        assert "'yes'" in trace[1].direction
         assert result.outcome == STOPPED
         assert final_tape(result.state) == "two"
 
@@ -230,11 +239,11 @@ class TestStep:
             "tape-alphabet is one, two;\n"
             "if the-tape-symbol is 'one' then go to x;\nx: print 'two'."
         )
-        result, _, _, _ = execute(text, "two", "first")
-        assert [e.label for e in result.trace] == [
+        result, trace, _, _, _ = execute(text, "two", "first")
+        assert [e.label for e in trace] == [
             "tape-alphabet", "if", "print", "stop",
         ]
-        assert result.trace[1].direction == "follow the 'no' arrow"
+        assert trace[1].direction == "follow the 'no' arrow"
 
     def test_empty_instruction_exhausts(self, increment_parts):
         tree, _, instructions = increment_parts
@@ -259,7 +268,7 @@ class TestStep:
         assert "holds no instruction" in str(state.situation)
 
     def test_finished_state_cannot_step(self, increment_text):
-        result, _, _, _ = execute(increment_text, "one", "last")
+        result, _, _, _, _ = execute(increment_text, "one", "last")
         assert result.outcome == STOPPED
         with pytest.raises(ValueError, match="stopped"):
             step(result.state)
@@ -268,39 +277,39 @@ class TestStep:
 class TestRuns:
     @pytest.mark.parametrize("case", EXPECTED_RUNS["cases"], ids=lambda c: c["tape"])
     def test_expected_runs(self, increment_text, case):
-        result, _, _, _ = execute(increment_text, case["tape"], case["start"])
+        result, trace, _, _, _ = execute(increment_text, case["tape"], case["start"])
         assert result.outcome == case["outcome"]
         assert result.steps == case["steps"]
         assert final_tape(result.state) == case["final_tape"]
-        assert [e.label for e in result.trace] == case["trace_labels"]
+        assert [e.label for e in trace] == case["trace_labels"]
         if "snapshots" in case:
-            changes = [[e.step, e.tape] for e in result.trace if e.tape is not None]
+            changes = [[e.step, e.tape] for e in trace if e.tape is not None]
             assert changes == case["snapshots"]
 
     def test_trace_steps_count_up(self, increment_text):
-        result, _, _, _ = execute(increment_text, "one one", "last")
-        assert [e.step for e in result.trace] == list(range(1, 19))
+        _, trace, _, _, _ = execute(increment_text, "one one", "last")
+        assert [e.step for e in trace] == list(range(1, 19))
 
     def test_case_one_node_sequence(self, increment_text):
-        result, tree, stop, s_nodes = execute(increment_text, "one one", "last")
+        _, trace, tree, stop, s_nodes = execute(increment_text, "one one", "last")
         p1, g1, if1, sc1, p3, m1, g2, p2, m2, if2, g3 = s_nodes
-        assert [e.node for e in result.trace] == [
+        assert [e.node for e in trace] == [
             tree.root, p1, g1, m1, g2, if1, sc1, p3, m1, g2,
             if1, p2, m2, if2, g3, m2, if2, stop,
         ]
 
     def test_steps_land_on_statements_or_stop(self, increment_text):
         for case in EXPECTED_RUNS["cases"]:
-            result, tree, stop, s_nodes = execute(
+            _, trace, tree, stop, s_nodes = execute(
                 increment_text, case["tape"], case["start"]
             )
             allowed = set(s_nodes) | {tree.root, stop}
-            assert all(e.node in allowed for e in result.trace)
-            assert all(e.node != tree.root for e in result.trace[1:])
+            assert all(e.node in allowed for e in trace)
+            assert all(e.node != tree.root for e in trace[1:])
 
     def test_budget_exhaustion(self, program_path):
         text = program_path("next_cycle.tgl").read_text()
-        result, _, _, _ = execute(text, "one", "first")
+        result, _, _, _, _ = execute(text, "one", "first")
         assert result.outcome == BUDGET_EXHAUSTED
         assert result.steps == 10_000
 
@@ -313,13 +322,19 @@ class TestRuns:
         assert result.steps == 50
 
     def test_identical_runs_trace_identically(self, increment_text):
-        first, _, _, _ = execute(increment_text, "one one one", "last")
-        second, _, _, _ = execute(increment_text, "one one one", "last")
-        assert first.trace == second.trace
+        _, first_trace, _, _, _ = execute(increment_text, "one one one", "last")
+        _, second_trace, _, _, _ = execute(increment_text, "one one one", "last")
+        assert first_trace == second_trace
+
+    def test_long_tape_is_not_truncated(self, increment_text):
+        tape = " ".join(["zero"] * 1499 + ["blank"])
+        result = execute_program(increment_text, tape)
+        assert result.outcome == STOPPED
+        assert final_tape(result.state) == " ".join(["zero"] * 1498 + ["one", "point"])
 
     def test_uni_labeled_after_runs(self, increment_text):
         for case in EXPECTED_RUNS["cases"]:
-            result, tree, _, _ = execute(increment_text, case["tape"], case["start"])
+            _, _, tree, _, _ = execute(increment_text, case["tape"], case["start"])
             assert check_uni_labeled(tree.graph) == []
 
 
@@ -354,13 +369,14 @@ class TestRunDiscipline:
         tree, stop, instructions = prepare(increment_text)
         state = initialize(tree, parse_tape("one one"), "last", instructions)
         g = tree.graph
+        trace = []
         while state.status == RUNNING:
             before = g.node_count
-            step(state)
+            step(state, trace.append)
             grew = g.node_count - before
             assert grew in (0, 1)
             if grew:
-                assert state.trace[-1].label == "move"
+                assert trace[-1].label == "move"
 
 
 # Runs that crash: a tape cell that shadows the root's label, and a
@@ -378,7 +394,7 @@ class TestModes:
         ids=lambda c: c.get("id", c["tape"]),
     )
     def test_cautious_runs_agree(self, increment_text, case):
-        results = []
+        results, traces = [], []
         for cautious in (False, True):
             tree, _, instructions = prepare(increment_text)
             state = initialize(
@@ -386,11 +402,13 @@ class TestModes:
             )
             if case.get("second_tape_arrow"):
                 tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
-            results.append(run(state))
+            traces.append([])
+            results.append(run(state, on_step=traces[-1].append))
         plain, careful = results
+        plain_trace, careful_trace = traces
         assert careful.outcome == plain.outcome
         assert careful.steps == plain.steps
-        assert careful.trace == plain.trace
+        assert careful_trace == plain_trace
         assert careful.state.situation == plain.state.situation
 
     def test_crashes_are_states_not_exceptions(self, increment_parts):
@@ -414,17 +432,87 @@ class TestModes:
         assert report.as_dict()["node"] == report.node
 
 
+class TestTracing:
+    def test_trace_is_streamed_not_kept(self, increment_parts):
+        tree, _, instructions = increment_parts
+        state = initialize(tree, parse_tape("tape-alphabet one"), "last", instructions)
+        entries = []
+        result = run(state, on_step=entries.append)
+        assert result.outcome == CRASHED
+        assert result.trace == []
+        assert [e.step for e in entries] == list(range(1, result.steps + 1))
+        assert entries[-1].direction.startswith(f"crash {NORMAL_CONDITION_VIOLATED}: ")
+
+    def test_tracing_can_start_mid_run(self, increment_text):
+        _, full, _, _, _ = execute(increment_text, "one one", "last")
+        tree, _, instructions = prepare(increment_text)
+        state = initialize(tree, parse_tape("one one"), "last", instructions)
+        for _ in range(5):
+            step(state)
+        late = []
+        run(state, on_step=late.append)
+        assert late == full[5:]
+
+    def test_untraced_step_cost_does_not_grow_with_the_tape(
+        self, increment_text, monkeypatch
+    ):
+        """No step renders the tape or lists every arrow, and each program
+        node's step scans as many arrows on a 1 000-cell tape as on a
+        10-cell one."""
+        calls = {"arrows": 0, "chain_text": 0}
+        scanned = [0]
+        arrows, chain_text = LabeledGraph.arrows, tape_module.chain_text
+
+        def counted_arrows(self):
+            calls["arrows"] += 1
+            return arrows(self)
+
+        def counted_chain_text(g, cell):
+            calls["chain_text"] += 1
+            return chain_text(g, cell)
+
+        monkeypatch.setattr(LabeledGraph, "arrows", counted_arrows)
+        monkeypatch.setattr(tape_module, "chain_text", counted_chain_text)
+        monkeypatch.setattr(executor_module, "chain_text", counted_chain_text)
+        for name in ("out_arrows", "in_arrows"):
+
+            def counted(self, *args, _adjacent=getattr(LabeledGraph, name), **kwargs):
+                pairs = _adjacent(self, *args, **kwargs)
+                scanned[0] += len(pairs)
+                return pairs
+
+            monkeypatch.setattr(LabeledGraph, name, counted)
+
+        def scans_by_node(cells: int) -> dict[int, set[int]]:
+            tree, _, instructions = prepare(increment_text)
+            tape = parse_tape(" ".join(["one"] * cells))
+            state = initialize(tree, tape, "last", instructions)
+            calls.update(arrows=0, chain_text=0)
+            by_node: dict[int, set[int]] = {}
+            while state.status == RUNNING:
+                node = state.current
+                scanned[0] = 0
+                step(state)
+                by_node.setdefault(node, set()).add(scanned[0])
+            assert calls == {"arrows": 0, "chain_text": 0}
+            assert state.status == STOPPED
+            assert state.steps == 8 * cells + 2
+            return by_node
+
+        assert scans_by_node(10) == scans_by_node(1000)
+
+
 class TestTraceFormats:
     def test_text_lines(self, increment_text):
-        result, _, _, _ = execute(increment_text, "one one", "last")
-        lines = trace_text(result.trace).split("\n")
+        _, trace, _, _, _ = execute(increment_text, "one one", "last")
+        lines = trace_text(trace).split("\n")
         assert len(lines) == 18
         assert lines[0] == "1 \"tape-alphabet\" follow the 'next' arrow"
         assert lines[-1] == "18 'stop' stop"
 
     def test_json_round_trip(self, increment_text):
-        result, _, _, _ = execute(increment_text, "zero", "last")
-        rows = json.loads(trace_json(result.trace))
+        result, trace, _, _, _ = execute(increment_text, "zero", "last")
+        rows = json.loads(trace_json(trace))
         assert len(rows) == result.steps
         assert rows[0]["label"] == "tape-alphabet"
         assert rows[0]["tape"] is None

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordtree import graph as G
-from wordtree.tape import expand_left, expand_right, parse_tape, render_tape
+from wordtree.tape import chain_text, expand_left, expand_right, parse_tape, render_tape
 
 
 def test_parse_single_cell():
@@ -70,6 +70,19 @@ def test_expand_right():
     fresh = expand_right(t)
     assert t.last == fresh
     assert t.labels() == ["one", ""]
+
+
+def test_chain_text_renders_long_chains_whole():
+    text = " ".join(["zero"] * 1499 + ["blank"])
+    t = parse_tape(text)
+    assert chain_text(t.graph, t.cells()[700]) == text
+
+
+def test_chain_text_ends_on_a_cycle():
+    t = parse_tape("one two three")
+    first, second, third = t.cells()
+    t.graph.add_arrow(third, "", first, kind=G.TAPE)
+    assert chain_text(t.graph, second) == "three one two"
 
 
 def test_render_round_trip():
