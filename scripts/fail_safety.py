@@ -146,7 +146,7 @@ def sweep_generated(count, rng, max_steps, budget):
         tree = to_canonical(grown)
         repair(tree, rng)
         result = check_program(render_program(tree))
-        if not result.ok or any(d.code == "AW2" for d in result.diagnostics):
+        if not result.runnable:
             rejected += 1
             continue
         collected += 1

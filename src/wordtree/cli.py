@@ -35,7 +35,7 @@ from .schema import (
     uni_labeled_family,
     validate,
 )
-from .semantics import link_is_declared_at
+from .semantics import classify, link_is_declared_at
 from .tape import parse_tape
 
 
@@ -96,7 +96,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return result
     for warning in result.warnings:
         print(warning, file=sys.stderr)
-    if not result.ok:
+    if not result.runnable:
         for error in result.errors:
             print(error, file=sys.stderr)
         return 1
@@ -152,7 +152,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         try:
             tree = parse_text(text)
             if args.stage == "linked":
-                link_is_declared_at(tree)
+                link_is_declared_at(tree, classify(tree))
         except (IllegalCharacter, ParseError) as failure:
             return _fail(f"syntax error: {failure}")
         except ValueError as failure:

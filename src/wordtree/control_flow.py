@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graph import CONTROL, SYNTACTIC, Tree, display_word, elementary_cycles
+from .graph import CONTROL, SYNTACTIC, Tree, display_word, functional_cycles
 from .semantics import (
+    LABEL_FINDINGS,
     STATEMENT,
     Diagnostic,
     NodeClass,
-    check_labels,
-    classify,
+    _match,
     diagnostic,
     label_points,
 )
@@ -51,8 +51,8 @@ def _required_dst(g, node: int, label: str) -> int:
     return dst
 
 
-def _control_labels(g) -> set[str]:
-    return {a.label for _, a in g.arrows() if a.kind == CONTROL}
+def _control_arrows(g, label: str) -> list:
+    return [a for _, a in g.arrows_labeled(label) if a.kind == CONTROL]
 
 
 def add_stop_node(tree: Tree) -> int:
@@ -101,9 +101,7 @@ def _subordinator(g, root: int, node: int, stop: int) -> int:
     raise ValueError("';' arrows loop; not a program tree")
 
 
-def build_back_arrows(
-    tree: Tree, stop: int, classes: Optional[dict[int, NodeClass]] = None
-) -> int:
+def build_back_arrows(tree: Tree, stop: int, classes: dict[int, NodeClass]) -> int:
     """Give every statement without a ';' successor a 'back' arrow.
 
     The arrow points at the statement's subordinator, or at the stop
@@ -111,8 +109,7 @@ def build_back_arrows(
     number of arrows added.
     """
     g = tree.graph
-    classes = classes if classes is not None else classify(tree)
-    if BACK in _control_labels(g):
+    if _control_arrows(g, BACK):
         raise ValueError("'back' arrows are already built")
     added = 0
     for node in g.nodes():
@@ -139,28 +136,31 @@ def _rise(g, node: int) -> int:
 
 
 def build_control(
-    tree: Tree, stop: int, classes: Optional[dict[int, NodeClass]] = None
+    tree: Tree, stop: int, classes: dict[int, NodeClass]
 ) -> dict[str, int]:
     """Build the 'next', 'yes', and 'no' arrows and return counts per label.
 
     Requires 'back' arrows to be in place and the label checks to be
     clean, since a goto can only be wired when exactly one statement
-    carries the label it names. Direct succession runs in parallel with
-    ';' arrows, an if branches along 'yes' (parallel to 'then') and
-    'no', a brace pair steps inside itself along '}', and a goto jumps
-    to the statement risen to from its target label. Statements on a
-    back chain send their outgoing flow to the continuation after the
-    chain's subordinator, or to stop when the chain ends the program.
+    carries the label it names; otherwise refuses with the L1 and L2
+    findings before adding any arrow. Direct succession runs in
+    parallel with ';' arrows, an if branches along 'yes' (parallel to
+    'then') and 'no', a brace pair steps inside itself along '}', and a
+    goto jumps to the statement risen to from its target label.
+    Statements on a back chain send their outgoing flow to the
+    continuation after the chain's subordinator, or to stop when the
+    chain ends the program.
     """
     g = tree.graph
-    classes = classes if classes is not None else classify(tree)
-    problems = [d for d in check_labels(tree, classes) if d.severity == "error"]
+    targets, usages = label_points(tree, classes)
+    problems = [
+        d for d in _match(g, targets, usages, LABEL_FINDINGS) if d.severity == "error"
+    ]
     if problems:
         raise ValueError(
             "cannot build control arrows: " + "; ".join(str(d) for d in problems)
         )
-    existing = _control_labels(g)
-    overlap = existing.intersection(FLOW_LABELS)
+    overlap = [label for label in FLOW_LABELS if _control_arrows(g, label)]
     if overlap:
         raise ValueError(f"flow arrows are already built: {sorted(overlap)}")
 
@@ -175,7 +175,6 @@ def build_control(
         raise ValueError("the root has no ';' arrow to the first statement")
     put(tree.root, NEXT, first)
 
-    targets, _ = label_points(tree, classes)
     target_statement = {g.node_label(t): _rise(g, t) for t in targets}
 
     for node in g.nodes():
@@ -196,9 +195,7 @@ def build_control(
             if semi is not None:
                 put(node, NEXT, semi)
 
-    back_dst = {
-        a.src: a.dst for _, a in g.arrows() if a.kind == CONTROL and a.label == BACK
-    }
+    back_dst = {a.src: a.dst for a in _control_arrows(g, BACK)}
     back_targets = set(back_dst.values())
     for head in sorted(n for n in back_dst if n not in back_targets):
         members = []
@@ -225,12 +222,9 @@ def build_control(
     return counts
 
 
-def check_reachability(
-    tree: Tree, classes: Optional[dict[int, NodeClass]] = None
-) -> list[Diagnostic]:
+def check_reachability(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:
     """Warn about statements no flow path from the root reaches."""
     g = tree.graph
-    classes = classes if classes is not None else classify(tree)
     reached = {tree.root}
     work = [tree.root]
     while work:
@@ -252,14 +246,19 @@ def check_reachability(
 
 
 def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
-    """Error on cycles of 'next' arrows; a run entering one cannot leave."""
+    """Error on cycles of 'next' arrows; a run entering one cannot leave.
+
+    Each node has at most one 'next' arrow, so the walk is linear in
+    the number of nodes; a node with two raises ValueError.
+    """
     g = tree.graph
-    successors: dict[int, set[int]] = {}
-    for _, arrow in g.arrows():
-        if arrow.kind == CONTROL and arrow.label == NEXT:
-            successors.setdefault(arrow.src, set()).add(arrow.dst)
+    successor: dict[int, int] = {}
+    for arrow in _control_arrows(g, NEXT):
+        if arrow.src in successor:
+            raise ValueError(f"node {arrow.src} has more than one 'next' arrow")
+        successor[arrow.src] = arrow.dst
     diagnostics = []
-    for cycle in elementary_cycles(successors):
+    for cycle in functional_cycles(successor):
         words = " ".join(display_word(g.node_label(n)) for n in cycle)
         diagnostics.append(
             diagnostic("C2", cycle, f"'next' arrows cycle through {words}")

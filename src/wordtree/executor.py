@@ -45,7 +45,7 @@ from .graph import (
     normal_violation,
     parse_path,
 )
-from .semantics import STATEMENT, NodeClass, check_alphabet, check_labels, classify
+from .semantics import STATEMENT, NodeClass
 from .tape import Tape, chain_text
 
 RUNNING = "running"
@@ -162,9 +162,7 @@ OnStep = Optional[Callable[[TraceEntry], None]]
 
 
 def install_instructions(
-    tree: Tree,
-    stop: int,
-    classes: Optional[dict[int, NodeClass]] = None,
+    tree: Tree, stop: int, classes: dict[int, NodeClass]
 ) -> dict[int, Instruction]:
     """Build the node-to-instruction map for an executable program tree.
 
@@ -172,7 +170,6 @@ def install_instructions(
     instructions.
     """
     g = tree.graph
-    classes = classes if classes is not None else classify(tree)
 
     def flow_arrows(node: int, label: str) -> int:
         return sum(
@@ -258,17 +255,10 @@ def initialize(
     semantic 'tape' arrow from the root at the chosen cell, and places
     the executor at the root. ``start`` is 'first', 'last', or a
     zero-based cell index. Refuses graphs that already carry a 'tape'
-    arrow and programs whose label checks report errors or whose
-    statements use undeclared tape words.
+    arrow and start positions off the tape. Whether the program may run
+    is decided before ``instructions`` exist, by ``make_executable``.
     """
     g = tree.graph
-    problems = [d for d in check_labels(tree) if d.severity == "error"]
-    problems += [d for d in check_alphabet(tree) if d.code == "AW2"]
-    if problems:
-        raise ValueError(
-            "the program violates requirements: "
-            + "; ".join(str(d) for d in problems)
-        )
     if g.arrows_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
 

@@ -668,6 +668,28 @@ def elementary_cycles(successors: dict) -> list[tuple]:
     return cycles
 
 
+def functional_cycles(successor: dict) -> list[tuple]:
+    """The cycles of a successor map in which each node has at most one successor.
+
+    Gives what ``elementary_cycles`` gives for ``{n: {successor[n]}}``,
+    in time linear in the map's size, since each node is walked once:
+    cycles rotated to start at their least node, in sorted order.
+    """
+    walk_of: dict = {}
+    cycles: list[tuple] = []
+    for walk, node in enumerate(sorted(successor)):
+        path = []
+        while node in successor and node not in walk_of:
+            walk_of[node] = walk
+            path.append(node)
+            node = successor[node]
+        if walk_of.get(node) == walk:
+            cycle = path[path.index(node):]
+            least = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[least:] + cycle[:least]))
+    return sorted(cycles)
+
+
 def canonical_form(g: LabeledGraph, root: int, kinds: Optional[Iterable[str]] = None):
     """Order-independent fingerprint of a tree: nested (label, children) tuples.
 

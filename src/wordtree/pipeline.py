@@ -40,8 +40,8 @@ from .semantics import (
 from .tape import parse_tape
 
 
-class CheckFailed(Exception):
-    """A program with error findings was asked to do something further."""
+class CheckFailed(ValueError):
+    """A program that may not run was asked to: it has errors or an AW2 finding."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         super().__init__("; ".join(str(d) for d in diagnostics))
@@ -77,6 +77,16 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.errors
 
+    @property
+    def blocking(self) -> list[Diagnostic]:
+        """The findings that keep the program from running: errors and AW2."""
+        return [d for d in self.diagnostics if d.severity == "error" or d.code == "AW2"]
+
+    @property
+    def runnable(self) -> bool:
+        """True when ``make_executable`` accepts the result."""
+        return not self.blocking
+
 
 def check_program(text: str) -> CheckResult:
     """Parse a program and run every requirement check over it.
@@ -108,9 +118,14 @@ def check_program(text: str) -> CheckResult:
 
 
 def make_executable(result: CheckResult) -> dict[int, Instruction]:
-    """Store an instruction in every flow node of a clean check result."""
-    if not result.ok:
-        raise CheckFailed(result.errors)
+    """Store an instruction in every flow node of a runnable check result.
+
+    This is the one gate between checking and running: it raises
+    CheckFailed, listing the blocking findings, unless the result is
+    ``runnable``.
+    """
+    if not result.runnable:
+        raise CheckFailed(result.blocking)
     if result.stop is None:
         raise ValueError("control flow was not built")
     return install_instructions(result.tree, result.stop, result.classes)
@@ -127,8 +142,9 @@ def execute_program(
     """Check a program, mount a tape, and run it to an outcome.
 
     ``on_step`` receives each trace entry as the run produces it.
-    Raises CheckFailed when the program has error findings; tape or
-    start problems raise ValueError from initialization.
+    Raises CheckFailed when the program may not run (see
+    ``make_executable``); tape or start problems raise ValueError from
+    initialization.
     """
     result = check_program(text)
     instructions = make_executable(result)

@@ -11,7 +11,6 @@ collect every finding in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graph import (
     SEMANTIC,
@@ -139,12 +138,9 @@ def w_declaration_points(tree: Tree) -> list[int]:
         points.append(cursor)
 
 
-def w_usage_points(
-    tree: Tree, classes: Optional[dict[int, NodeClass]] = None
-) -> list[int]:
+def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:
     """Nodes using tape words: print operands and if comparison words."""
     g = tree.graph
-    classes = classes if classes is not None else classify(tree)
     points = []
     for node in g.nodes():
         if classes[node].kind != STATEMENT:
@@ -161,68 +157,84 @@ def w_usage_points(
     return points
 
 
-def check_alphabet(
-    tree: Tree, classes: Optional[dict[int, NodeClass]] = None
-) -> list[Diagnostic]:
-    """Alphabet checks: duplicate declarations, undeclared uses, unused words."""
-    g = tree.graph
-    declarations = w_declaration_points(tree)
-    usages = w_usage_points(tree, classes)
-    diagnostics = []
+# Code and message of the duplicate, undefined and unused findings.
+ALPHABET_FINDINGS = (
+    ("AW1", "tape word {} is declared more than once"),
+    ("AW2", "tape word {} is used but never declared"),
+    ("AW3", "declared tape word {} is never used"),
+)
+LABEL_FINDINGS = (
+    ("L1", "label {} marks more than one statement"),
+    ("L2", "go to names {} but no statement is labeled so"),
+    ("LW1", "label {} is never the target of a go to"),
+)
 
+
+def _match(g, definitions: list[int], usages: list[int], findings) -> list[Diagnostic]:
+    """Compare defining nodes with using nodes by label.
+
+    Reports each word defined twice (with its first definition), each
+    usage of an undefined word, and each definition no usage names, as
+    ``findings`` codes and words them, sorted by code and nodes.
+    """
+    (twice, twice_text), (undefined, undefined_text), (unused, unused_text) = findings
+    diagnostics = []
     first_seen: dict[str, int] = {}
-    for node in declarations:
+    for node in definitions:
         word = g.node_label(node)
         if word in first_seen:
             diagnostics.append(
                 diagnostic(
-                    "AW1",
+                    twice,
                     (first_seen[word], node),
-                    f"tape word {display_word(word)} is declared more than once",
+                    twice_text.format(display_word(word)),
                 )
             )
         else:
             first_seen[word] = node
 
-    declared = {g.node_label(n) for n in declarations}
     for node in usages:
         word = g.node_label(node)
-        if word not in declared:
+        if word not in first_seen:
             diagnostics.append(
-                diagnostic(
-                    "AW2",
-                    (node,),
-                    f"tape word {display_word(word)} is used but never declared",
-                )
+                diagnostic(undefined, (node,), undefined_text.format(display_word(word)))
             )
 
     used = {g.node_label(n) for n in usages}
-    for node in declarations:
+    for node in definitions:
         word = g.node_label(node)
         if word not in used:
             diagnostics.append(
-                diagnostic(
-                    "AW3",
-                    (node,),
-                    f"declared tape word {display_word(word)} is never used",
-                )
+                diagnostic(unused, (node,), unused_text.format(display_word(word)))
             )
 
     diagnostics.sort(key=lambda d: (d.code, d.nodes))
     return diagnostics
 
 
-def link_is_declared_at(
-    tree: Tree, classes: Optional[dict[int, NodeClass]] = None
-) -> int:
+def check_alphabet(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:
+    """Alphabet checks: duplicate declarations, undeclared uses, unused words."""
+    return _match(
+        tree.graph,
+        w_declaration_points(tree),
+        w_usage_points(tree, classes),
+        ALPHABET_FINDINGS,
+    )
+
+
+def link_is_declared_at(tree: Tree, classes: dict[int, NodeClass]) -> int:
     """Add a semantic 'is-declared-at' arrow from each usage to its declaration.
 
     Points at the first declaration of the word, skips usages that are
-    already linked, and returns the number of arrows added. Refuses to
-    run while some usage has no declaration at all.
+    already linked, and returns the number of arrows added. Refuses,
+    before adding any arrow, while some usage has no declaration at all.
     """
     g = tree.graph
-    undeclared = [d for d in check_alphabet(tree, classes) if d.code == "AW2"]
+    declarations = w_declaration_points(tree)
+    usages = w_usage_points(tree, classes)
+    undeclared = [
+        d for d in _match(g, declarations, usages, ALPHABET_FINDINGS) if d.code == "AW2"
+    ]
     if undeclared:
         raise ValueError(
             "cannot link usages to declarations: "
@@ -230,11 +242,11 @@ def link_is_declared_at(
         )
 
     first_decl: dict[str, int] = {}
-    for node in w_declaration_points(tree):
+    for node in declarations:
         first_decl.setdefault(g.node_label(node), node)
 
     added = 0
-    for usage in w_usage_points(tree, classes):
+    for usage in usages:
         linked = any(
             a.label == DECLARED_AT
             for _, a in g.out_arrows(usage, kinds=(SEMANTIC,))
@@ -247,7 +259,7 @@ def link_is_declared_at(
 
 
 def label_points(
-    tree: Tree, classes: Optional[dict[int, NodeClass]] = None
+    tree: Tree, classes: dict[int, NodeClass]
 ) -> tuple[list[int], list[int]]:
     """Label targets (':' destinations) and label usages ('to' destinations).
 
@@ -256,7 +268,6 @@ def label_points(
     produce false points.
     """
     g = tree.graph
-    classes = classes if classes is not None else classify(tree)
     targets = []
     usages = []
     for _, arrow in g.arrows():
@@ -271,51 +282,6 @@ def label_points(
     return targets, usages
 
 
-def check_labels(
-    tree: Tree, classes: Optional[dict[int, NodeClass]] = None
-) -> list[Diagnostic]:
+def check_labels(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:
     """Label checks: duplicate targets, dangling gotos, unused labels."""
-    g = tree.graph
-    targets, usages = label_points(tree, classes)
-    diagnostics = []
-
-    first_seen: dict[str, int] = {}
-    for node in targets:
-        word = g.node_label(node)
-        if word in first_seen:
-            diagnostics.append(
-                diagnostic(
-                    "L1",
-                    (first_seen[word], node),
-                    f"label {display_word(word)} marks more than one statement",
-                )
-            )
-        else:
-            first_seen[word] = node
-
-    target_words = {g.node_label(n) for n in targets}
-    for node in usages:
-        word = g.node_label(node)
-        if word not in target_words:
-            diagnostics.append(
-                diagnostic(
-                    "L2",
-                    (node,),
-                    f"go to names {display_word(word)} but no statement is labeled so",
-                )
-            )
-
-    usage_words = {g.node_label(n) for n in usages}
-    for node in targets:
-        word = g.node_label(node)
-        if word not in usage_words:
-            diagnostics.append(
-                diagnostic(
-                    "LW1",
-                    (node,),
-                    f"label {display_word(word)} is never the target of a go to",
-                )
-            )
-
-    diagnostics.sort(key=lambda d: (d.code, d.nodes))
-    return diagnostics
+    return _match(tree.graph, *label_points(tree, classes), LABEL_FINDINGS)

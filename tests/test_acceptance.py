@@ -202,7 +202,7 @@ def clean_generated_programs(count, rng):
         repair(tree, rng)
         text = render_program(tree)
         result = check_program(text)
-        if result.ok and not any(d.code == "AW2" for d in result.diagnostics):
+        if result.runnable:
             texts.append(text)
     return texts
 

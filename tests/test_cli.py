@@ -181,6 +181,14 @@ class TestRun:
         assert "L1" in err
         assert out == ""
 
+    def test_undeclared_word_refused(self, capsys, tmp_path):
+        program = tmp_path / "undeclared.tgl"
+        program.write_text("tape-alphabet is one;\nprint 'two'.")
+        code, out, err = invoke(capsys, "run", str(program), "--tape", "one")
+        assert code == 1
+        assert out == ""
+        assert "AW2 warning node 3: tape word 'two' is used but never declared" in err
+
     def test_requires_exactly_one_tape(self, capsys, program_path, tmp_path):
         program = str(program_path("increment.tgl"))
         code, _, err = invoke(capsys, "run", program)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordtree.control_flow import (
     BACK,
@@ -17,16 +19,18 @@ from wordtree.control_flow import (
     check_reachability,
 )
 from wordtree.frontend import parse_text, to_canonical
-from wordtree.graph import CONTROL, Tree
+from wordtree.graph import CONTROL, Tree, elementary_cycles, functional_cycles
+from wordtree.pipeline import check_program
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, check_labels, classify
 
 
 def build_all(text: str):
     tree = parse_text(text)
+    classes = classify(tree)
     stop = add_stop_node(tree)
-    build_back_arrows(tree, stop)
-    counts = build_control(tree, stop)
+    build_back_arrows(tree, stop, classes)
+    counts = build_control(tree, stop, classes)
     return tree, stop, counts
 
 
@@ -75,7 +79,7 @@ class TestBackArrows:
     def test_increment_back_arrows(self, increment_text):
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
-        assert build_back_arrows(tree, stop) == 4
+        assert build_back_arrows(tree, stop, classify(tree)) == 4
         p1, g1, if1, sc1, p3, m1, g2, p2, m2, if2, g3 = statements(tree)
         assert control_pairs(tree, BACK) == {
             (sc1, if1),
@@ -91,7 +95,7 @@ class TestBackArrows:
             "then print 'a';\nprint 'a'."
         )
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop)
+        build_back_arrows(tree, stop, classify(tree))
         outer_if, inner_if, inner_print, last_print = statements(tree)
         assert control_pairs(tree, BACK) == {
             (inner_print, inner_if),
@@ -102,9 +106,9 @@ class TestBackArrows:
     def test_refuses_to_build_twice(self, increment_text):
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop)
+        build_back_arrows(tree, stop, classify(tree))
         with pytest.raises(ValueError):
-            build_back_arrows(tree, stop)
+            build_back_arrows(tree, stop, classify(tree))
 
 
 class TestBuildControl:
@@ -196,21 +200,27 @@ class TestBuildControl:
     def test_refuses_duplicate_labels(self, program_path):
         tree = parse_text(program_path("duplicate_label.tgl").read_text())
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop)
-        with pytest.raises(ValueError, match="L1"):
-            build_control(tree, stop)
+        build_back_arrows(tree, stop, classify(tree))
+        arrows = tree.graph.arrow_count
+        with pytest.raises(ValueError, match="L1 error nodes"):
+            build_control(tree, stop, classify(tree))
+        assert tree.graph.arrow_count == arrows
 
     def test_refuses_dangling_gotos(self, program_path):
         tree = parse_text(program_path("missing_target.tgl").read_text())
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop)
-        with pytest.raises(ValueError, match="L2"):
-            build_control(tree, stop)
+        build_back_arrows(tree, stop, classify(tree))
+        arrows = tree.graph.arrow_count
+        with pytest.raises(ValueError, match="L2 error node"):
+            build_control(tree, stop, classify(tree))
+        assert tree.graph.arrow_count == arrows
 
     def test_refuses_to_build_twice(self, built_increment):
         tree, stop, _ = built_increment
-        with pytest.raises(ValueError):
-            build_control(tree, stop)
+        arrows = tree.graph.arrow_count
+        with pytest.raises(ValueError, match="already built"):
+            build_control(tree, stop, classify(tree))
+        assert tree.graph.arrow_count == arrows
 
     def test_deterministic_rebuild(self, increment_text):
         first, _, _ = build_all(increment_text)
@@ -229,13 +239,13 @@ class TestBuildControl:
 class TestReachability:
     def test_increment_is_fully_reachable(self, built_increment):
         tree, _, _ = built_increment
-        assert check_reachability(tree) == []
+        assert check_reachability(tree, classify(tree)) == []
 
     def test_statement_after_goto_is_unreachable(self):
         tree, _, _ = build_all(
             "tape-alphabet is a;\ngo to x;\nprint 'a';\nx: print 'a'."
         )
-        findings = check_reachability(tree)
+        findings = check_reachability(tree, classify(tree))
         assert len(findings) == 1
         finding = findings[0]
         assert finding.code == "CW1"
@@ -257,6 +267,7 @@ class TestNextCycles:
         assert findings[0].code == "C2"
         assert findings[0].severity == "error"
         assert findings[0].nodes == (goto,)
+        assert findings[0].message == "'next' arrows cycle through 'go'"
 
     def test_two_gotos_cycling(self):
         tree, _, _ = build_all(
@@ -265,6 +276,22 @@ class TestNextCycles:
         first, second = statements(tree)
         findings = check_next_acyclic(tree)
         assert [f.nodes for f in findings] == [(first, second)]
+
+    def test_long_straight_line_checks_clean(self):
+        text = "tape-alphabet is a;\n" + ";\n".join(["print 'a'"] * 3000) + "."
+        assert check_program(text).diagnostics == []
+
+    def test_refuses_two_next_arrows(self, built_increment):
+        tree, _, _ = built_increment
+        first = statements(tree)[0]
+        tree.graph.add_arrow(first, NEXT, first, CONTROL)
+        with pytest.raises(ValueError, match="more than one 'next' arrow"):
+            check_next_acyclic(tree)
+
+    @given(st.dictionaries(st.integers(0, 12), st.integers(0, 12)))
+    def test_walk_equals_elementary_cycles(self, successor):
+        expected = elementary_cycles({n: {m} for n, m in successor.items()})
+        assert functional_cycles(successor) == expected
 
 
 class TestGeneratedPrograms:
@@ -277,11 +304,12 @@ class TestGeneratedPrograms:
                     schema, "P", word_source=random.Random(seed), node_budget=60
                 )
             )
-            if any(f.severity == "error" for f in check_labels(tree)):
+            classes = classify(tree)
+            if any(f.severity == "error" for f in check_labels(tree, classes)):
                 continue
             stop = add_stop_node(tree)
-            build_back_arrows(tree, stop)
-            build_control(tree, stop)
+            build_back_arrows(tree, stop, classes)
+            build_control(tree, stop, classes)
             g = tree.graph
             for node in statements(tree):
                 flow = [

@@ -1,11 +1,14 @@
 """Instruction installation, tape attachment, and graph-walking runs."""
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from wordtree import executor as executor_module
+from wordtree import semantics
 from wordtree import tape as tape_module
 from wordtree.control_flow import (
     NEXT,
@@ -55,7 +58,7 @@ from wordtree.graph import (
     Stop,
     check_uni_labeled,
 )
-from wordtree.pipeline import execute_program
+from wordtree.pipeline import CheckFailed, execute_program
 from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape
 
@@ -66,10 +69,11 @@ EXPECTED_RUNS = json.loads(
 
 def prepare(text: str):
     tree = parse_text(text)
+    classes = classify(tree)
     stop = add_stop_node(tree)
-    build_back_arrows(tree, stop)
-    build_control(tree, stop)
-    instructions = install_instructions(tree, stop)
+    build_back_arrows(tree, stop, classes)
+    build_control(tree, stop, classes)
+    instructions = install_instructions(tree, stop, classes)
     return tree, stop, instructions
 
 
@@ -156,7 +160,7 @@ class TestInstall:
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
         with pytest.raises(ValueError, match="control"):
-            install_instructions(tree, stop)
+            install_instructions(tree, stop, classify(tree))
 
 
 class TestInitialize:
@@ -202,15 +206,33 @@ class TestInitialize:
         with pytest.raises(ValueError, match="tape"):
             initialize(tree, parse_tape("one"), "first", instructions)
 
-    def test_refuses_label_errors(self, program_path):
-        tree = parse_text(program_path("duplicate_label.tgl").read_text())
-        with pytest.raises(ValueError, match="L1"):
-            initialize(tree, parse_tape("one"), "first", {})
 
-    def test_refuses_undeclared_words(self):
-        tree = parse_text("tape-alphabet is one;\nprint 'two'.")
-        with pytest.raises(ValueError, match="AW2"):
-            initialize(tree, parse_tape("one"), "first", {})
+class TestGate:
+    def test_label_errors_raise_check_failed(self, program_path):
+        with pytest.raises(CheckFailed, match="L1"):
+            execute_program(program_path("duplicate_label.tgl").read_text(), "one")
+
+    def test_undeclared_words_raise_check_failed(self):
+        with pytest.raises(CheckFailed, match="AW2") as failure:
+            execute_program("tape-alphabet is one;\nprint 'two'.", "one")
+        assert isinstance(failure.value, ValueError)
+        assert [d.code for d in failure.value.diagnostics] == ["AW2"]
+
+    def test_each_check_runs_once(self, increment_text, monkeypatch):
+        calls = Counter()
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "wordtree"]
+        for name in ("classify", "check_alphabet", "check_labels"):
+            original = getattr(semantics, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        execute_program(increment_text, "one one")
+        assert calls == {"classify": 1, "check_alphabet": 1, "check_labels": 1}
 
 
 class TestStep:

@@ -76,7 +76,7 @@ class TestClassify:
             "if the-tape-symbol is 'if' then print 'print'."
         )
         classes = classify(tree)
-        for node in w_declaration_points(tree) + w_usage_points(tree):
+        for node in w_declaration_points(tree) + w_usage_points(tree, classes):
             assert classes[node].kind == DATA
 
     def test_label_class_wins_over_data(self):
@@ -101,13 +101,13 @@ class TestWordPoints:
         ]
 
     def test_usage_points(self, increment):
-        assert words(increment, w_usage_points(increment)) == [
+        assert words(increment, w_usage_points(increment, classify(increment))) == [
             "point", "one", "zero", "one", "zero",
         ]
 
     def test_points_are_data_nodes(self, increment):
         classes = classify(increment)
-        for node in w_declaration_points(increment) + w_usage_points(increment):
+        for node in w_declaration_points(increment) + w_usage_points(increment, classes):
             assert classes[node].kind == DATA
 
     def test_declaration_points_need_the_root(self):
@@ -129,7 +129,7 @@ class TestWordPoints:
 
 class TestCheckAlphabet:
     def test_increment_has_one_unused_word(self, increment):
-        findings = check_alphabet(increment)
+        findings = check_alphabet(increment, classify(increment))
         assert len(findings) == 1
         finding = findings[0]
         assert finding.code == "AW3"
@@ -139,17 +139,17 @@ class TestCheckAlphabet:
 
     def test_duplicate_declaration(self):
         tree = parse_text("tape-alphabet is one, one;\nprint 'one'.")
-        findings = check_alphabet(tree)
+        findings = check_alphabet(tree, classify(tree))
         assert [f.code for f in findings] == ["AW1"]
         assert findings[0].nodes == tuple(w_declaration_points(tree))
 
     def test_undeclared_usage(self):
         tree = parse_text("tape-alphabet is one;\nprint 'two'.")
-        assert [f.code for f in check_alphabet(tree)] == ["AW2", "AW3"]
+        assert [f.code for f in check_alphabet(tree, classify(tree))] == ["AW2", "AW3"]
 
     def test_clean_program(self):
         tree = parse_text("tape-alphabet is one;\nprint 'one'.")
-        assert check_alphabet(tree) == []
+        assert check_alphabet(tree, classify(tree)) == []
 
 
 class TestDiagnostics:
@@ -178,14 +178,14 @@ class TestDiagnostics:
 
 class TestDeclarationLinks:
     def test_increment_gets_five_links(self, increment):
-        assert link_is_declared_at(increment) == 5
+        assert link_is_declared_at(increment, classify(increment)) == 5
         g = increment.graph
         links = [a for _, a in g.arrows() if a.kind == SEMANTIC]
         assert len(links) == 5
         assert all(a.label == DECLARED_AT for a in links)
 
     def test_links_join_equal_labels(self, increment):
-        link_is_declared_at(increment)
+        link_is_declared_at(increment, classify(increment))
         g = increment.graph
         declarations = set(w_declaration_points(increment))
         for _, arrow in g.arrows():
@@ -195,26 +195,30 @@ class TestDeclarationLinks:
             assert arrow.dst in declarations
 
     def test_linking_twice_adds_nothing(self, increment):
-        assert link_is_declared_at(increment) == 5
-        assert link_is_declared_at(increment) == 0
+        classes = classify(increment)
+        assert link_is_declared_at(increment, classes) == 5
+        assert link_is_declared_at(increment, classes) == 0
 
     def test_links_preserve_uni_labeledness(self, increment):
-        link_is_declared_at(increment)
+        link_is_declared_at(increment, classify(increment))
         assert check_uni_labeled(increment.graph) == []
 
     def test_syntactic_functions_ignore_links(self, increment):
-        before = w_usage_points(increment)
-        link_is_declared_at(increment)
-        assert w_usage_points(increment) == before
+        classes = classify(increment)
+        before = w_usage_points(increment, classes)
+        link_is_declared_at(increment, classes)
+        assert w_usage_points(increment, classes) == before
 
     def test_refuses_undeclared_words(self):
         tree = parse_text("tape-alphabet is one;\nprint 'two'.")
-        with pytest.raises(ValueError, match="AW2"):
-            link_is_declared_at(tree)
+        arrows = tree.graph.arrow_count
+        with pytest.raises(ValueError, match="AW2 warning node"):
+            link_is_declared_at(tree, classify(tree))
+        assert tree.graph.arrow_count == arrows
 
     def test_links_point_at_first_declaration(self):
         tree = parse_text("tape-alphabet is one, one;\nprint 'one'.")
-        link_is_declared_at(tree)
+        link_is_declared_at(tree, classify(tree))
         first = w_declaration_points(tree)[0]
         semantic = [a for _, a in tree.graph.arrows() if a.kind == SEMANTIC]
         assert [a.dst for a in semantic] == [first]
@@ -222,13 +226,13 @@ class TestDeclarationLinks:
 
 class TestLabelPoints:
     def test_increment_points(self, increment):
-        targets, usages = label_points(increment)
+        targets, usages = label_points(increment, classify(increment))
         assert words(increment, targets) == ["carry", "test", "realign"]
         assert words(increment, usages) == ["carry", "test", "realign"]
 
     def test_targets_are_label_class(self, increment):
         classes = classify(increment)
-        targets, usages = label_points(increment)
+        targets, usages = label_points(increment, classes)
         assert all(classes[n].kind == LABEL for n in targets)
         assert all(classes[n].kind == DATA for n in usages)
 
@@ -239,32 +243,33 @@ class TestLabelPoints:
         g.add_arrow(root, "is", word)
         stray = g.add_node("x")
         g.add_arrow(word, "to", stray)
-        targets, usages = label_points(Tree(g, root))
+        tree = Tree(g, root)
+        targets, usages = label_points(tree, classify(tree))
         assert targets == [] and usages == []
 
 
 class TestCheckLabels:
     def test_increment_is_clean(self, increment):
-        assert check_labels(increment) == []
+        assert check_labels(increment, classify(increment)) == []
 
     def test_duplicate_label(self, program_path):
         tree = parse_text(program_path("duplicate_label.tgl").read_text())
-        findings = check_labels(tree)
+        findings = check_labels(tree, classify(tree))
         assert [f.code for f in findings] == ["L1", "LW1", "LW1"]
         first = findings[0]
         assert first.severity == "error"
-        assert first.nodes == tuple(label_points(tree)[0])
+        assert first.nodes == tuple(label_points(tree, classify(tree))[0])
         assert "'x'" in first.message
 
     def test_missing_target(self, program_path):
         tree = parse_text(program_path("missing_target.tgl").read_text())
-        findings = check_labels(tree)
+        findings = check_labels(tree, classify(tree))
         assert [f.code for f in findings] == ["L2"]
         assert "nowhere" in findings[0].message
 
     def test_unused_label(self):
         tree = parse_text("tape-alphabet is one;\nx: print 'one'.")
-        findings = check_labels(tree)
+        findings = check_labels(tree, classify(tree))
         assert [f.code for f in findings] == ["LW1"]
         assert findings[0].severity == "warning"
 
@@ -280,9 +285,9 @@ class TestGeneratedPrograms:
             )
             classes = classify(tree)
             assert set(classes) == set(tree.graph.nodes())
-            for node in w_declaration_points(tree) + w_usage_points(tree):
+            for node in w_declaration_points(tree) + w_usage_points(tree, classes):
                 assert classes[node].kind == DATA
-            targets, _ = label_points(tree)
+            targets, _ = label_points(tree, classes)
             assert all(classes[n].kind == LABEL for n in targets)
-            for finding in check_alphabet(tree) + check_labels(tree):
+            for finding in check_alphabet(tree, classes) + check_labels(tree, classes):
                 assert finding.severity in ("warning", "error")

@@ -90,9 +90,11 @@ def test_render_round_trip():
         assert render_tape(parse_tape(text)) == text
 
 
+# Words of the grammar [a-z]+(-[a-z]+)*, built directly: 1-3 segments of 1-3 letters.
+segments = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3)
 cell_words = st.one_of(
     st.just(""),
-    st.from_regex(r"[a-z]+(-[a-z]+)*", fullmatch=True).filter(lambda w: len(w) <= 12),
+    st.lists(segments, min_size=1, max_size=3).map("-".join),
 )
 
 
