@@ -140,9 +140,10 @@ def sweep_generated(count, rng, max_steps, budget):
     collected = 0
     seed = 0
     rejected = 0
+    schema = turingol_schema()
     while collected < count:
         seed += 1
-        grown = generate_sytr(turingol_schema(), "P", random.Random(seed), node_budget=budget)
+        grown = generate_sytr(schema, "P", random.Random(seed), node_budget=budget)
         tree = to_canonical(grown)
         repair(tree, rng)
         result = check_program(render_program(tree))

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Full analysis report for a syntactic schema.
 
-Prints the exported grammar, every elementary cycle with the OR-bearing
-ones marked, the propagated label pairs per node, expansion counts, and
-the uni-labeled family verdict. Defaults to the built-in Turingol
-schema; pass --schema to analyze a schema stored as JSON.
+Prints the exported grammar, each node's class, every elementary cycle
+with the OR-bearing ones marked, the findings of `wordtree schema check`,
+the propagated label pairs per node, expansion counts, and the verdict.
+Defaults to the built-in Turingol schema; pass --schema to analyze a
+schema stored as JSON.
 """
 
 import argparse
@@ -12,17 +13,13 @@ import sys
 from pathlib import Path
 
 from wordtree.schema import (
-    check_and_condition,
-    check_and_cycle_condition,
+    analyze,
     elementary_cycles,
     expansions,
     export_grammar,
     or_bearing_cycles,
-    propagate_pairs,
     schema_from_json,
     turingol_schema,
-    uni_labeled_family,
-    validate,
 )
 
 
@@ -42,15 +39,11 @@ def main() -> int:
     print(export_grammar(schema))
     print()
 
-    report = validate(schema)
+    report = analyze(schema)
     print("structure")
     print("---------")
-    if report.ok:
-        for name in schema.names():
-            print(f"  {name}: {report.classes[name]}")
-    else:
-        for problem in report.errors:
-            print(f"  problem: {problem}")
+    for name in schema.names():
+        print(f"  {name}: {report.structure.classes[name]}")
     print()
 
     print("cycles")
@@ -63,24 +56,17 @@ def main() -> int:
 
     print("conditions")
     print("----------")
-    conflicts = check_and_condition(schema)
-    print(f"  AND condition: {'OK' if not conflicts else f'{len(conflicts)} conflicts'}")
-    stuck = check_and_cycle_condition(schema)
-    print(f"  AND-cycle condition: {'OK' if not stuck else f'{len(stuck)} stuck cycles'}")
-    if not stuck:
-        pairs = propagate_pairs(schema)
-        print(
-            "  sufficient condition: "
-            + ("OK" if pairs.ok else f"{len(pairs.conflicts)} clashes")
-        )
-        if pairs.ok:
-            print()
-            print("settled pairs per node")
-            for name in schema.names():
-                carried = sorted(
-                    f"({origin}, {spec.to_text()})" for origin, spec in pairs.pairs[name]
-                )
-                print(f"  {name}: {', '.join(carried) if carried else '(none)'}")
+    *findings, verdict = report.summary()
+    for line in findings:
+        print(f"  {line}")
+    if report.pairs is not None and report.pairs.ok:
+        print()
+        print("settled pairs per node")
+        for name in schema.names():
+            carried = sorted(
+                f"({origin}, {spec.to_text()})" for origin, spec in report.pairs.pairs[name]
+            )
+            print(f"  {name}: {', '.join(carried) if carried else '(none)'}")
     print()
 
     print("expansion counts")
@@ -89,9 +75,8 @@ def main() -> int:
         print(f"  {name}: {len(expansions(schema, name))}")
     print()
 
-    verdict = uni_labeled_family(schema)
-    print(f"verdict: {'uni-labeled family' if verdict else 'not guaranteed uni-labeled'}")
-    return 0 if verdict else 1
+    print(verdict)
+    return 0 if report.uni_labeled else 1
 
 
 if __name__ == "__main__":

@@ -24,16 +24,11 @@ from .graph import export
 from .pipeline import check_program, make_executable
 from .schema import (
     BudgetExceeded,
-    Schema,
-    check_and_condition,
-    check_and_cycle_condition,
+    analyze,
     export_grammar,
     generate_sytr,
-    propagate_pairs,
     schema_from_json,
     turingol_schema,
-    uni_labeled_family,
-    validate,
 )
 from .semantics import classify, link_is_declared_at
 from .tape import parse_tape
@@ -174,52 +169,6 @@ def _load_schema(args: argparse.Namespace):
         return _fail(f"bad schema file: {failure!r}")
 
 
-def _schema_check(schema: Schema) -> int:
-    report = validate(schema)
-    if not report.ok:
-        for problem in report.errors:
-            print(f"structure: {problem}")
-        print("verdict: not guaranteed uni-labeled")
-        return 1
-
-    conflicts = check_and_condition(schema)
-    if conflicts:
-        for conflict in conflicts:
-            print(
-                f"AND condition violated at {conflict.node}: "
-                f"{conflict.first.label.to_text()} overlaps {conflict.second.label.to_text()}"
-            )
-    else:
-        print("AND condition: OK")
-
-    cycles = check_and_cycle_condition(schema)
-    if cycles:
-        for cycle in cycles:
-            print("AND-cycle condition violated on cycle: " + " -> ".join(cycle))
-    else:
-        print("AND-cycle condition: OK")
-
-    if cycles:
-        print("sufficient condition: not checked (cycle condition failed)")
-    else:
-        pairs = propagate_pairs(schema)
-        if pairs.ok:
-            print("sufficient condition: OK")
-        else:
-            for clash in pairs.conflicts:
-                print(
-                    f"sufficient condition violated at {clash.node}: "
-                    f"({clash.first[0]}, {clash.first[1].to_text()}) overlaps "
-                    f"({clash.second[0]}, {clash.second[1].to_text()})"
-                )
-
-    if uni_labeled_family(schema):
-        print("verdict: uni-labeled family")
-        return 0
-    print("verdict: not guaranteed uni-labeled")
-    return 1
-
-
 def cmd_schema(args: argparse.Namespace) -> int:
     schema = _load_schema(args)
     if isinstance(schema, int):
@@ -228,7 +177,9 @@ def cmd_schema(args: argparse.Namespace) -> int:
         print(export_grammar(schema))
         return 0
     if args.action == "check":
-        return _schema_check(schema)
+        report = analyze(schema)
+        print("\n".join(report.summary()))
+        return 0 if report.uni_labeled else 1
     rng = random.Random(args.seed)
     try:
         grown = generate_sytr(schema, args.root, word_source=rng, node_budget=args.budget)

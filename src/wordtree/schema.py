@@ -17,7 +17,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .graph import LabeledGraph, Tree, is_mla_word
 from .graph import elementary_cycles as graph_cycles
@@ -156,6 +156,7 @@ class Schema:
         self._nodes: dict[str, SchemaNode] = {}
         self._and: list[AndArrow] = []
         self._or: list[OrArrow] = []
+        self._report: Optional[SchemaReport] = None
 
     def add_node(self, name: str, label: RegexSpec = Literal(""), number: Optional[int] = None) -> SchemaNode:
         if not is_mla_word(name):
@@ -164,6 +165,7 @@ class Schema:
             raise ValueError(f"duplicate schema name {name!r}")
         node = SchemaNode(name, label, number)
         self._nodes[name] = node
+        self._report = None
         return node
 
     def add_and_arrow(
@@ -179,6 +181,7 @@ class Schema:
         self._require(dst)
         arrow = AndArrow(src, dst, label, optional, order, suffix)
         self._and.append(arrow)
+        self._report = None
         return arrow
 
     def add_or_arrow(self, src: str, dst: str) -> OrArrow:
@@ -186,6 +189,7 @@ class Schema:
         self._require(dst)
         arrow = OrArrow(src, dst)
         self._or.append(arrow)
+        self._report = None
         return arrow
 
     def _require(self, name: str) -> None:
@@ -232,6 +236,7 @@ class Schema:
 class ValidationReport:
     errors: list[str]
     classes: dict[str, str]
+    sizes: dict[str, float]
 
     @property
     def ok(self) -> bool:
@@ -291,7 +296,7 @@ def validate(schema: Schema) -> ValidationReport:
     for name in schema.names():
         if math.isinf(sizes[name]):
             errors.append(f"node {name} is useless for finite trees")
-    return ValidationReport(errors, classes)
+    return ValidationReport(errors, classes, sizes)
 
 
 @dataclass(frozen=True)
@@ -346,13 +351,31 @@ def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
 
     Pairs pushed along OR arrows stop at AND nodes (no OR arrows leave
     them), so an empty result guarantees that pair propagation cannot
-    circulate forever.
+    circulate forever. Each offending OR arrow ``u -> v`` gets one witness:
+    a shortest path from ``v`` back to ``u`` avoiding AND nodes, closed by
+    the arrow and rotated to its least name. Witnesses are distinct and
+    sorted; one breadth-first search per OR target keeps this polynomial.
     """
-    return [
-        cycle
-        for cycle in or_bearing_cycles(schema)
-        if not any(schema.node_class(name) == AND_NODE for name in cycle)
-    ]
+    free = {name for name in schema.names() if schema.node_class(name) != AND_NODE}
+    succ = {name: sorted(dsts & free) for name, dsts in _successors(schema).items()}
+    witnesses: set[tuple[str, ...]] = set()
+    for target in sorted({o.dst for o in schema.or_arrows()} & free):
+        parent: dict[str, Optional[str]] = {target: None}
+        queue = [target]
+        for node in queue:
+            for nxt in succ[node]:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        for arrow in schema.or_arrows():
+            if arrow.dst == target and arrow.src in parent:
+                back = [arrow.src]
+                while back[-1] != target:
+                    back.append(parent[back[-1]])
+                cycle = back[::-1]
+                least = cycle.index(min(cycle))
+                witnesses.add(tuple(cycle[least:] + cycle[:least]))
+    return sorted(witnesses)
 
 
 Pair = tuple[str, RegexSpec]
@@ -377,6 +400,15 @@ class PairReport:
         return not self.conflicts
 
 
+class StuckCycles(ValueError):
+    """Pair propagation refused: these OR-bearing cycles avoid every AND node."""
+
+    def __init__(self, cycles: list[tuple[str, ...]]) -> None:
+        self.cycles = cycles
+        pretty = ", ".join("-".join(cycle) for cycle in cycles)
+        super().__init__(f"pair propagation would circulate forever around: {pretty}")
+
+
 def propagate_pairs(schema: Schema) -> PairReport:
     """Push (origin, label pattern) pairs along OR arrows and look for clashes.
 
@@ -384,12 +416,11 @@ def propagate_pairs(schema: Schema) -> PairReport:
     onward because a graft merges the refined node with the alternative's
     root, so both nodes' arrows end up on one tree node. A node where two
     accumulated pairs overlap could receive two equally labeled arrows.
-    No conflicts anywhere means the whole family is uni-labeled.
+    Raises StuckCycles when the AND-cycle condition fails.
     """
     stuck = check_and_cycle_condition(schema)
     if stuck:
-        pretty = ", ".join("-".join(cycle) for cycle in stuck)
-        raise ValueError(f"pair propagation would circulate forever around: {pretty}")
+        raise StuckCycles(stuck)
     pairs: dict[str, set[Pair]] = {name: set() for name in schema.names()}
     work: deque[tuple[str, Pair]] = deque()
     for arrow in schema.and_arrows():
@@ -412,19 +443,82 @@ def propagate_pairs(schema: Schema) -> PairReport:
     return PairReport(pairs, conflicts)
 
 
+class SchemaReport(NamedTuple):
+    """Every check's result for one schema state; ``pairs`` is None when
+    stuck cycles block pair propagation."""
+
+    structure: ValidationReport
+    and_conflicts: list[AndConflict]
+    stuck_cycles: list[tuple[str, ...]]
+    pairs: Optional[PairReport]
+
+    @property
+    def uni_labeled(self) -> bool:
+        """Whether the checks guarantee that every generated tree is uni-labeled."""
+        return (
+            self.structure.ok and not self.and_conflicts
+            and self.pairs is not None and self.pairs.ok
+        )
+
+    def summary(self) -> list[str]:
+        """The findings ``wordtree schema check`` prints, the verdict last."""
+        lines = [f"structure: {problem}" for problem in self.structure.errors]
+        if self.structure.ok:
+            lines += [
+                f"AND condition violated at {c.node}: "
+                f"{c.first.label.to_text()} overlaps {c.second.label.to_text()}"
+                for c in self.and_conflicts
+            ] or ["AND condition: OK"]
+            lines += [
+                "AND-cycle condition violated on cycle: " + " -> ".join(cycle)
+                for cycle in self.stuck_cycles
+            ] or ["AND-cycle condition: OK"]
+            if self.pairs is None:
+                lines.append("sufficient condition: not checked (cycle condition failed)")
+            else:
+                lines += [
+                    f"sufficient condition violated at {c.node}: "
+                    f"({c.first[0]}, {c.first[1].to_text()}) overlaps "
+                    f"({c.second[0]}, {c.second[1].to_text()})"
+                    for c in self.pairs.conflicts
+                ] or ["sufficient condition: OK"]
+        verdict = "uni-labeled family" if self.uni_labeled else "not guaranteed uni-labeled"
+        return lines + [f"verdict: {verdict}"]
+
+
+def analyze(schema: Schema) -> SchemaReport:
+    """Every check's result for the schema, computed once per schema state.
+
+    The schema keeps the report until its next ``add_*`` call; callers
+    share it and treat it as read-only.
+    """
+    if schema._report is None:
+        try:
+            pairs, stuck = propagate_pairs(schema), []
+        except StuckCycles as refusal:
+            pairs, stuck = None, refusal.cycles
+        schema._report = SchemaReport(validate(schema), check_and_condition(schema), stuck, pairs)
+    return schema._report
+
+
 def uni_labeled_family(schema: Schema) -> bool:
     """Whether the checks guarantee that every generated tree is uni-labeled."""
-    if not validate(schema).ok:
-        return False
-    if check_and_condition(schema):
-        return False
-    if check_and_cycle_condition(schema):
-        return False
-    return propagate_pairs(schema).ok
+    return analyze(schema).uni_labeled
 
 
 def _instantiate(spec: RegexSpec, rng: Optional[random.Random]) -> str:
     return spec.placeholder() if rng is None else spec.sample(rng)
+
+
+def _choices(schema: Schema, name: str) -> Iterator[tuple[Optional[str], list[AndArrow]]]:
+    """Each one-step expansion of ``name`` as (OR choice or None, AND arrows taken), in a
+    fixed order: generation draws from them by index, so a seed fixes the grown tree."""
+    ands = schema.and_arrows(src=name)
+    optional = [i for i, a in enumerate(ands) if a.optional]
+    for root_label in schema.or_targets(name) or [None]:
+        for mask in range(1 << len(optional)):
+            dropped = {i for bit, i in enumerate(optional) if not mask >> bit & 1}
+            yield root_label, [a for i, a in enumerate(ands) if i not in dropped]
 
 
 def expansions(schema: Schema, name: str, word_source: Optional[random.Random] = None) -> list[Tree]:
@@ -433,28 +527,14 @@ def expansions(schema: Schema, name: str, word_source: Optional[random.Random] =
     ``word_source`` when given and by fixed placeholder words otherwise,
     so the list's length counts structure, not wordings."""
     node = schema.node(name)
-    ands = schema.and_arrows(src=name)
-    optionals = [a for a in ands if a.optional]
-    targets = schema.or_targets(name)
     result = []
-    root_labels = targets if targets else [None]
-    for root_label in root_labels:
-        for mask in range(1 << len(optionals)):
-            g = LabeledGraph()
-            if root_label is None:
-                root = g.add_node(_instantiate(node.label, word_source))
-            else:
-                root = g.add_node(root_label)
-            opt_index = 0
-            for arrow in ands:
-                if arrow.optional:
-                    take = mask >> opt_index & 1
-                    opt_index += 1
-                    if not take:
-                        continue
-                child = g.add_node(arrow.dst)
-                g.add_arrow(root, _instantiate(arrow.label, word_source), child)
-            result.append(Tree(g, root))
+    for root_label, taken in _choices(schema, name):
+        g = LabeledGraph()
+        root = g.add_node(root_label or _instantiate(node.label, word_source))
+        for arrow in taken:
+            child = g.add_node(arrow.dst)
+            g.add_arrow(root, _instantiate(arrow.label, word_source), child)
+        result.append(Tree(g, root))
     return result
 
 
@@ -470,62 +550,45 @@ def generate_sytr(
     node is relabeled with the chosen alternative (or an instance of its
     own label pattern) and prescribed children are attached. Choices that
     could not be finished within ``node_budget`` nodes are never taken;
-    if no choice fits, BudgetExceeded is raised.
+    if no choice fits, BudgetExceeded is raised. A schema whose family is
+    not guaranteed uni-labeled is refused with ValueError.
     """
-    report = propagate_pairs(schema)
-    if report.conflicts:
-        raise ValueError("schema admits clashing arrow labels; refusing to generate")
+    report = analyze(schema)
+    if not report.uni_labeled:
+        raise ValueError("schema is not guaranteed uni-labeled; refusing to generate")
     rng = word_source if word_source is not None else random.Random(0)
-    sizes = _min_sizes(schema)
+    sizes = report.structure.sizes
     g = LabeledGraph()
     root = g.add_node(schema.node(root_name).name)
     pending: deque[int] = deque([root])
     reserve = sizes[root_name] - 1
+    growths: dict[str, list] = {}  # per name: each choice and the nodes it adds at least
     while pending:
         current = pending.popleft()
         name = g.node_label(current)
-        node = schema.node(name)
-        ands = schema.and_arrows(src=name)
-        optionals = [a for a in ands if a.optional]
-        mandatory_growth = sum(sizes[a.dst] for a in ands if not a.optional)
-        targets = schema.or_targets(name)
         reserve -= sizes[name] - 1
-        candidates = []
-        for root_label in (targets or [None]):
-            root_growth = sizes[root_label] - 1 if root_label is not None else 0
-            for mask in range(1 << len(optionals)):
-                optional_growth = sum(
-                    sizes[a.dst]
-                    for i, a in enumerate(optionals)
-                    if mask >> i & 1
-                )
-                projected = (
-                    g.node_count
-                    + reserve
-                    + root_growth
-                    + mandatory_growth
-                    + optional_growth
-                )
-                if projected <= node_budget:
-                    candidates.append((root_label, mask))
+        if name not in growths:
+            growths[name] = [
+                ((root_label, taken), sum(sizes[a.dst] for a in taken)
+                 + (sizes[root_label] - 1 if root_label is not None else 0))
+                for root_label, taken in _choices(schema, name)
+            ]
+        candidates = [
+            choice for choice, growth in growths[name]
+            if g.node_count + reserve + growth <= node_budget
+        ]
         if not candidates:
             raise BudgetExceeded(
                 f"no expansion of {name} fits within {node_budget} nodes"
             )
-        root_label, mask = rng.choice(candidates)
+        root_label, taken = rng.choice(candidates)
         if root_label is None:
-            g.set_node_label(current, node.label.sample(rng))
+            g.set_node_label(current, schema.node(name).label.sample(rng))
         else:
             g.set_node_label(current, root_label)
             pending.append(current)
             reserve += sizes[root_label] - 1
-        opt_index = 0
-        for arrow in ands:
-            if arrow.optional:
-                take = mask >> opt_index & 1
-                opt_index += 1
-                if not take:
-                    continue
+        for arrow in taken:
             child = g.add_node(arrow.dst)
             g.add_arrow(current, arrow.label.sample(rng), child)
             pending.append(child)

@@ -1,10 +1,13 @@
 """Exit codes and output shape of the command line interface."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from wordtree import cli as cli_module
+from wordtree import schema as schema_module
 from wordtree.cli import main
 from wordtree.executor import final_tape, initialize, run, trace_json, trace_text
 from wordtree.frontend import parse_text
@@ -291,6 +294,35 @@ class TestSchema:
             "sufficient condition: OK",
             "verdict: uni-labeled family",
         ]
+
+    def test_check_decides_cycles_once(self, capsys, monkeypatch):
+        calls = Counter()
+        original = schema_module.check_and_cycle_condition
+
+        def counted(schema):
+            calls["check_and_cycle_condition"] += 1
+            return original(schema)
+
+        for module in (schema_module, cli_module):
+            if getattr(module, "check_and_cycle_condition", None) is original:
+                monkeypatch.setattr(module, "check_and_cycle_condition", counted)
+        code, _, _ = invoke(capsys, "schema", "check")
+        assert code == 0
+        assert calls == {"check_and_cycle_condition": 1}
+
+    def test_gen_refuses_schema_not_uni_labeled(self, capsys, tmp_path):
+        merged = Schema()
+        merged.add_node("X", Literal("x"), number=1)
+        merged.add_node("Y", Literal("y"), number=1)
+        merged.add_node("Z", Literal("z"), number=1)
+        merged.add_and_arrow("X", "Y", Literal("a"), order=2)
+        merged.add_and_arrow("X", "Z", Literal("a"), order=3)
+        stored = tmp_path / "merged.json"
+        stored.write_text(schema_to_json(merged))
+        code, out, err = invoke(capsys, "schema", "gen", "--root", "X", "--schema", str(stored))
+        assert code == 1
+        assert out == ""
+        assert "not guaranteed uni-labeled" in err
 
     def test_gen_seed_reparses(self, capsys):
         code, out, _ = invoke(capsys, "schema", "gen", "--seed", "7")

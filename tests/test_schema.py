@@ -1,12 +1,17 @@
 """Schema analysis tests: label patterns, checks, expansion, generation, export."""
 
 import random
+import sys
+import time
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schema_report
+from wordtree import schema as schema_module
 from wordtree.graph import check_uni_labeled
 from wordtree.schema import (
     AND_NODE,
@@ -17,6 +22,7 @@ from wordtree.schema import (
     Literal,
     LowerWord,
     Schema,
+    analyze,
     check_and_condition,
     check_and_cycle_condition,
     disjoint,
@@ -174,6 +180,50 @@ def rotate_min(cycle):
     return tuple(cycle[k:] + cycle[:k])
 
 
+def cycle_steps(cycle):
+    return {(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))}
+
+
+def complete_or_schema(n):
+    """n empty-labeled nodes, each with an OR arrow to every other one and to a leaf."""
+    s = Schema()
+    s.add_node("LEAF", Literal("leaf"))
+    names = [f"N{i}" for i in range(n)]
+    for name in names:
+        s.add_node(name)
+    for src in names:
+        for dst in names:
+            if src != dst:
+                s.add_or_arrow(src, dst)
+        s.add_or_arrow(src, "LEAF")
+    return s
+
+
+def merged_label_schema():
+    """Two AND arrows from X with the same label: their pairs merge into one."""
+    s = Schema()
+    s.add_node("X", Literal("x"), number=1)
+    s.add_node("Y", Literal("y"), number=1)
+    s.add_node("Z", Literal("z"), number=1)
+    s.add_and_arrow("X", "Y", Literal("a"), order=2)
+    s.add_and_arrow("X", "Z", Literal("a"), order=3)
+    return s
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace each named function of ``module`` by a wrapper that counts its calls."""
+    calls = Counter()
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestCycles:
     def test_turingol_elementary_cycles(self):
         found = set(elementary_cycles(turingol_schema()))
@@ -202,6 +252,59 @@ class TestCycles:
         s.add_node("B", Literal("b"))
         s.add_or_arrow("A", "B")
         assert check_and_cycle_condition(s) == []
+
+    def test_mixed_node_cycle_through_and_arrow_reported(self):
+        s = Schema()
+        s.add_node("M")
+        s.add_node("N")
+        s.add_node("Z", Literal("z"))
+        s.add_and_arrow("M", "N", Literal("k"), optional=True)
+        s.add_or_arrow("M", "Z")
+        s.add_or_arrow("N", "M")
+        s.add_or_arrow("N", "Z")
+        assert check_and_cycle_condition(s) == [("M", "N")]
+
+    def test_complete_schema_gets_one_witness_per_or_arrow_pair(self):
+        s = complete_or_schema(12)
+        start = time.perf_counter()
+        report = analyze(s)
+        elapsed = time.perf_counter() - start
+        assert not report.uni_labeled
+        assert report.pairs is None
+        assert report.stuck_cycles == sorted(
+            rotate_min((f"N{i}", f"N{j}")) for i in range(12) for j in range(i + 1, 12)
+        )
+        assert elapsed < 1.0
+
+    @given(
+        st.integers(1, 6),
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_witnesses_match_elementary_cycle_definition(self, n, and_edges, or_edges):
+        s = Schema()
+        for i in range(n):
+            s.add_node(f"N{i}")
+        for a, b in sorted(and_edges):
+            if a < n and b < n:
+                s.add_and_arrow(f"N{a}", f"N{b}", Literal("e"), optional=True)
+        for a, b in sorted(or_edges):
+            if a < n and b < n:
+                s.add_or_arrow(f"N{a}", f"N{b}")
+        reference = [
+            cycle
+            for cycle in or_bearing_cycles(s)
+            if not any(s.node_class(name) == AND_NODE for name in cycle)
+        ]
+        witnesses = check_and_cycle_condition(s)
+        assert bool(witnesses) == bool(reference)
+        assert witnesses == sorted(set(witnesses))
+        assert set(witnesses) <= set(reference)
+        or_pairs = {(o.src, o.dst) for o in s.or_arrows()}
+        witnessed = set().union(*map(cycle_steps, witnesses))
+        for cycle in reference:
+            assert cycle_steps(cycle) & or_pairs <= witnessed
 
     def test_cycle_enumeration_matches_networkx_on_turingol(self):
         s = turingol_schema()
@@ -349,6 +452,13 @@ class TestGeneration:
             tree = generate_sytr(turingol_schema(), "P", random.Random(seed))
             assert check_uni_labeled(tree.graph) == []
 
+    def test_refuses_merged_and_labels(self):
+        s = merged_label_schema()
+        assert propagate_pairs(s).ok
+        assert not uni_labeled_family(s)
+        with pytest.raises(ValueError, match="not guaranteed uni-labeled"):
+            generate_sytr(s, "X", random.Random(0))
+
     def test_refuses_clashing_schema(self):
         s = Schema()
         s.add_node("X")
@@ -359,6 +469,61 @@ class TestGeneration:
         s.add_or_arrow("X", "Y")
         with pytest.raises(ValueError):
             generate_sytr(s, "X", random.Random(0))
+
+
+class TestAnalysis:
+    def test_report_matches_fresh_checks(self):
+        for s in (turingol_schema(), merged_label_schema(), complete_or_schema(3)):
+            report = analyze(s)
+            assert report.structure == validate(s)
+            assert report.and_conflicts == check_and_condition(s)
+            assert report.stuck_cycles == check_and_cycle_condition(s)
+            assert report.uni_labeled == uni_labeled_family(s)
+        assert analyze(turingol_schema()).pairs == propagate_pairs(turingol_schema())
+
+    def test_report_kept_until_the_schema_changes(self):
+        s = turingol_schema()
+        report = analyze(s)
+        assert analyze(s) is report and report.uni_labeled
+        s.add_node("T", Literal("t"), number=1)
+        assert analyze(s) is not report and analyze(s).uni_labeled
+        s.add_and_arrow("P", "T", Literal("is"), order=5)
+        assert analyze(s).and_conflicts and not uni_labeled_family(s)
+        fresh = turingol_schema()
+        uni_labeled_family(fresh)
+        fresh.add_or_arrow("S", "L")
+        assert analyze(fresh).stuck_cycles == [("L", "S")]
+
+    def test_analysis_runs_once_per_schema_state(self, monkeypatch):
+        calls = count_calls(monkeypatch, schema_module, ("_min_sizes", "propagate_pairs"))
+        s = turingol_schema()
+        for seed in range(100):
+            generate_sytr(s, "P", random.Random(seed))
+        assert calls == {"_min_sizes": 1, "propagate_pairs": 1}
+        s.add_node("T", Literal("t"), number=1)
+        generate_sytr(s, "P", random.Random(0))
+        assert calls == {"_min_sizes": 2, "propagate_pairs": 2}
+
+
+class TestReportScript:
+    def run_script(self, capsys, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["schema_report.py", *argv])
+        code = schema_report.main()
+        return code, capsys.readouterr().out
+
+    def test_builtin_schema_is_uni_labeled(self, capsys, monkeypatch):
+        code, out = self.run_script(capsys, monkeypatch)
+        assert code == 0
+        assert "  AND-cycle condition: OK" in out.splitlines()
+        assert out.splitlines()[-1] == "verdict: uni-labeled family"
+
+    def test_and_conflict_schema_fails(self, capsys, monkeypatch, tmp_path):
+        stored = tmp_path / "clash.json"
+        stored.write_text(schema_to_json(merged_label_schema()))
+        code, out = self.run_script(capsys, monkeypatch, "--schema", str(stored))
+        assert code == 1
+        assert "  AND condition violated at X: 'a' overlaps 'a'" in out.splitlines()
+        assert out.splitlines()[-1] == "verdict: not guaranteed uni-labeled"
 
 
 class TestGrammarExport:
