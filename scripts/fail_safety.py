@@ -83,19 +83,13 @@ def repair(tree, rng):
     for target in targets:
         walker = target
         while classes[walker].kind != STATEMENT:
-            walker = next(
-                a.src
-                for _, a in g.in_arrows(walker, kinds=(SYNTACTIC,))
-                if a.label == ":"
-            )
+            walker = g.ends(walker, "-", ":", (SYNTACTIC,))[0]
         rises[g.node_label(target)] = walker
 
     for usage in usages:
         if g.node_label(usage) in rises:
             continue
-        owner = next(
-            a.src for _, a in g.in_arrows(usage, kinds=(SYNTACTIC,)) if a.label == "to"
-        )
+        owner = g.ends(usage, "-", "to", (SYNTACTIC,))[0]
         if rises:
             forward = [w for w, stmt in rises.items() if stmt > owner]
             g.set_node_label(usage, rng.choice(sorted(forward) or sorted(rises)))

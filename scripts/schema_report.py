@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Full analysis report for a syntactic schema.
 
-Prints the exported grammar, each node's class, every elementary cycle
-with the OR-bearing ones marked, the findings of `wordtree schema check`,
-the propagated label pairs per node, expansion counts, and the verdict.
+Prints the exported grammar, each node's class, the findings of
+`wordtree schema check` (with one witness per stuck cycle), the
+propagated label pairs per node, each node's count of one-step
+expansions, and the verdict.
 Defaults to the built-in Turingol schema; pass --schema to analyze a
 schema stored as JSON.
 """
@@ -12,15 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from wordtree.schema import (
-    analyze,
-    elementary_cycles,
-    expansions,
-    export_grammar,
-    or_bearing_cycles,
-    schema_from_json,
-    turingol_schema,
-)
+from wordtree.schema import analyze, export_grammar, schema_from_json, turingol_schema
 
 
 def main() -> int:
@@ -46,14 +39,6 @@ def main() -> int:
         print(f"  {name}: {report.structure.classes[name]}")
     print()
 
-    print("cycles")
-    print("------")
-    bearing = set(or_bearing_cycles(schema))
-    for cycle in sorted(elementary_cycles(schema)):
-        mark = "  (OR-bearing)" if cycle in bearing else ""
-        print("  " + " -> ".join(cycle) + mark)
-    print()
-
     print("conditions")
     print("----------")
     *findings, verdict = report.summary()
@@ -72,7 +57,8 @@ def main() -> int:
     print("expansion counts")
     print("----------------")
     for name in schema.names():
-        print(f"  {name}: {len(expansions(schema, name))}")
+        optional = sum(1 for a in schema.and_arrows(src=name) if a.optional)
+        print(f"  {name}: {max(1, len(schema.or_targets(name))) << optional}")
     print()
 
     print(verdict)

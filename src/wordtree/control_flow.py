@@ -33,7 +33,7 @@ FLOW_LABELS = (NEXT, YES, NO)
 
 
 def _syntactic_dst(g, node: int, label: str) -> Optional[int]:
-    hits = [a.dst for _, a in g.out_arrows(node, kinds=(SYNTACTIC,)) if a.label == label]
+    hits = g.ends(node, "+", label, (SYNTACTIC,))
     if len(hits) > 1:
         raise ValueError(
             f"node {node} has several {display_word(label)} arrows; not a program tree"
@@ -86,17 +86,14 @@ def _subordinator(g, root: int, node: int, stop: int) -> int:
     """
     current = node
     for _ in range(g.node_count + 1):
-        incoming = g.in_arrows(current, kinds=(SYNTACTIC,))
-        semis = [a.src for _, a in incoming if a.label == ";"]
+        semis = g.ends(current, "-", ";", (SYNTACTIC,))
         if semis:
             current = semis[0]
             continue
-        thens = [a.src for _, a in incoming if a.label == "then"]
-        if thens:
-            return thens[0]
-        braces = [a.src for _, a in incoming if a.label == "}"]
-        if braces:
-            return braces[0]
+        for word in ("then", "}"):
+            owners = g.ends(current, "-", word, (SYNTACTIC,))
+            if owners:
+                return owners[0]
         return stop
     raise ValueError("';' arrows loop; not a program tree")
 
@@ -126,9 +123,7 @@ def _rise(g, node: int) -> int:
     """From a label node, walk ':' arrows backwards to the labeled statement."""
     current = node
     for _ in range(g.node_count + 1):
-        sources = [
-            a.src for _, a in g.in_arrows(current, kinds=(SYNTACTIC,)) if a.label == ":"
-        ]
+        sources = g.ends(current, "-", ":", (SYNTACTIC,))
         if not sources:
             return current
         current = sources[0]

@@ -171,16 +171,9 @@ def install_instructions(
     """
     g = tree.graph
 
-    def flow_arrows(node: int, label: str) -> int:
-        return sum(
-            1
-            for _, a in g.out_arrows(node, kinds=(CONTROL,))
-            if a.label == label
-        )
-
     def require_flow(node: int, *labels: str) -> None:
         for label in labels:
-            count = flow_arrows(node, label)
+            count = len(g.ends(node, "+", label, (CONTROL,)))
             if count != 1:
                 raise ValueError(
                     f"node {node} needs exactly one {display_word(label)} "

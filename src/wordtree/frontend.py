@@ -293,7 +293,7 @@ class _Renderer:
         return ValueError(f"not a canonical program tree: {message}")
 
     def only(self, node: int, label: str) -> Optional[int]:
-        hits = [a.dst for _, a in self.g.out_arrows(node) if a.label == label]
+        hits = self.g.ends(node, "+", label)
         if len(hits) > 1:
             raise self.fail(
                 f"node {node} has several {display_word(label)} arrows"

@@ -161,9 +161,6 @@ class LabeledGraph:
 
     # -- queries -----------------------------------------------------
 
-    def has_node(self, node: int) -> bool:
-        return node in self._nodes
-
     def node_label(self, node: int) -> str:
         return self._nodes[node]
 
@@ -181,6 +178,19 @@ class LabeledGraph:
 
     def in_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
         return self._adjacent(self._in, node, kinds)
+
+    def ends(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> list[int]:
+        """Far ends of the ``word`` arrows leaving ``node`` ("+") or entering it ("-").
+
+        Arrows of all kinds count unless ``kinds`` narrows them; ends come
+        in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
+        is the one place an arrow is followed by its label.
+        """
+        if sign == "+":
+            return [a.dst for _, a in self.out_arrows(node, kinds) if a.label == word]
+        if sign == "-":
+            return [a.src for _, a in self.in_arrows(node, kinds) if a.label == word]
+        raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
 
     def _adjacent(self, table, node, kinds):
         if node not in self._nodes:
@@ -339,10 +349,7 @@ def resolve(
             raise StartAmbiguous(formula.start, len(candidates))
         node = candidates[0]
     for index, (sign, word) in enumerate(formula.steps):
-        if sign == "+":
-            hits = [a.dst for _, a in g.out_arrows(node, kinds) if a.label == word]
-        else:
-            hits = [a.src for _, a in g.in_arrows(node, kinds) if a.label == word]
+        hits = g.ends(node, sign, word, kinds)
         if not hits:
             raise Inapplicable(formula, index, "none")
         if len(hits) > 1:
@@ -351,12 +358,7 @@ def resolve(
     return node
 
 
-def locate(
-    g: LabeledGraph,
-    formula: PathFormula,
-    current: Optional[int] = None,
-    kinds: Optional[Iterable[str]] = None,
-) -> int:
+def locate(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None) -> int:
     """Resolve a path formula as an executing direction does.
 
     Returns the node, or raises NormalConditionViolated saying why the
@@ -364,7 +366,7 @@ def locate(
     actions navigate.
     """
     try:
-        return resolve(g, formula, current, kinds)
+        return resolve(g, formula, current)
     except (StartAmbiguous, Inapplicable) as exc:
         raise NormalConditionViolated(f"path {formula} is not passable: {exc}") from exc
 
@@ -418,32 +420,27 @@ class PathPassable:
 Proposition = Union[LabelsEqual, NoArrowTo, NoArrowFrom, UniqueArrowExists, PathPassable]
 
 
-def eval_proposition(
-    g: LabeledGraph,
-    prop: Proposition,
-    current: Optional[int] = None,
-    kinds: Optional[Iterable[str]] = None,
-) -> bool:
+def eval_proposition(g: LabeledGraph, prop: Proposition, current: Optional[int] = None) -> bool:
     """Evaluate a proposition.
 
     Evaluation crashes with NormalConditionViolated, rather than
     returning False, when a referenced path is impassable. PathPassable
     and UniqueArrowExists are total and never crash.
     """
-    operands = _operands(g, prop, current, kinds)
+    operands = _operands(g, prop, current)
     match prop:
         case LabelsEqual():
             n1, n2 = operands
             return g.node_label(n1) == g.node_label(n2)
         case NoArrowTo(word):
-            return not any(a.label == word for _, a in g.in_arrows(operands[0]))
+            return not g.ends(operands[0], "-", word)
         case NoArrowFrom(word):
-            return not any(a.label == word for _, a in g.out_arrows(operands[0]))
+            return not g.ends(operands[0], "+", word)
         case UniqueArrowExists(word):
             return len(g.arrows_labeled(word)) == 1
         case PathPassable(path):
             try:
-                locate(g, path, current, kinds)
+                locate(g, path, current)
             except (NormalConditionViolated, ValueError):
                 return False
             return True
@@ -511,7 +508,7 @@ Action = Union[
 ]
 
 
-def _operands(g, item, current, kinds) -> tuple:
+def _operands(g, item, current) -> tuple:
     """Resolve what a proposition or action works on, or raise why it cannot.
 
     Paths come first, in field order, then arrow counts. These are all
@@ -520,16 +517,16 @@ def _operands(g, item, current, kinds) -> tuple:
     """
     match item:
         case LabelsEqual(p1, p2) | RelabelNode(p1, p2):
-            return locate(g, p1, current, kinds), locate(g, p2, current, kinds)
+            return locate(g, p1, current), locate(g, p2, current)
         case (
             NoArrowTo(_, path)
             | NoArrowFrom(_, path)
             | CreateNodeWithArrowToTarget(path)
             | CreateNodeWithArrowFromSource(path)
         ):
-            return (locate(g, path, current, kinds),)
+            return (locate(g, path, current),)
         case ReassignArrow(word, target):
-            node = locate(g, target, current, kinds)
+            node = locate(g, target, current)
             hits = g.arrows_labeled(word)
             if len(hits) != 1:
                 raise NormalConditionViolated(
@@ -539,7 +536,7 @@ def _operands(g, item, current, kinds) -> tuple:
         case FollowArrow(word):
             if current is None:
                 raise ValueError("follow requires a current node")
-            hits = [a.dst for _, a in g.out_arrows(current) if a.label == word]
+            hits = g.ends(current, "+", word)
             if not hits:
                 raise NormalConditionViolated(
                     f"there exists no {display_word(word)} arrow from the current node"
@@ -554,22 +551,16 @@ def _operands(g, item, current, kinds) -> tuple:
     raise TypeError(f"not a proposition or action: {item!r}")
 
 
-def apply_action(
-    g: LabeledGraph,
-    action: Action,
-    current: Optional[int] = None,
-    kinds: Optional[Iterable[str]] = None,
-    created_arrow_kind: str = TAPE,
-) -> Optional[int]:
+def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None) -> Optional[int]:
     """Apply an action and return the new current node (None after Stop).
 
     Created nodes and arrows are labeled by the empty word; created
-    arrows carry ``created_arrow_kind`` since the only creating
-    instructions in the system expand the tape. Raises
+    arrows are tape arrows, since the only creating instructions in the
+    system expand the tape. Raises
     NormalConditionViolated outside the action's normal-execution
     condition.
     """
-    operands = _operands(g, action, current, kinds)
+    operands = _operands(g, action, current)
     match action:
         case RelabelNode():
             target, source = operands
@@ -580,10 +571,10 @@ def apply_action(
             g.set_arrow_dst(arrow_id, target)
             return current
         case CreateNodeWithArrowToTarget():
-            g.add_arrow(g.add_node(""), "", operands[0], created_arrow_kind)
+            g.add_arrow(g.add_node(""), "", operands[0], TAPE)
             return current
         case CreateNodeWithArrowFromSource():
-            g.add_arrow(operands[0], "", g.add_node(""), created_arrow_kind)
+            g.add_arrow(operands[0], "", g.add_node(""), TAPE)
             return current
         case FollowArrow():
             return operands[0]
@@ -593,10 +584,7 @@ def apply_action(
 
 
 def normal_violation(
-    g: LabeledGraph,
-    item: Union[Proposition, Action],
-    current: Optional[int] = None,
-    kinds: Optional[Iterable[str]] = None,
+    g: LabeledGraph, item: Union[Proposition, Action], current: Optional[int] = None
 ) -> Optional[str]:
     """Describe the violated normal-execution condition, if any.
 
@@ -605,7 +593,7 @@ def normal_violation(
     is the verification step of a cautious executor.
     """
     try:
-        _operands(g, item, current, kinds)
+        _operands(g, item, current)
     except NormalConditionViolated as violation:
         return violation.detail
     return None
@@ -690,7 +678,7 @@ def functional_cycles(successor: dict) -> list[tuple]:
     return sorted(cycles)
 
 
-def canonical_form(g: LabeledGraph, root: int, kinds: Optional[Iterable[str]] = None):
+def canonical_form(g: LabeledGraph, root: int):
     """Order-independent fingerprint of a tree: nested (label, children) tuples.
 
     Children are sorted by (arrow label, child form), so two trees get
@@ -704,7 +692,7 @@ def canonical_form(g: LabeledGraph, root: int, kinds: Optional[Iterable[str]] = 
             raise ValueError(f"node {node} reached twice; not a tree")
         seen.add(node)
         children = []
-        for _, arrow in g.out_arrows(node, kinds):
+        for _, arrow in g.out_arrows(node):
             children.append((arrow.label, walk(arrow.dst)))
         return (g.node_label(node), tuple(sorted(children)))
 

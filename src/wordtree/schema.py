@@ -199,9 +199,6 @@ class Schema:
     def names(self) -> list[str]:
         return list(self._nodes)
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     def node(self, name: str) -> SchemaNode:
         self._require(name)
         return self._nodes[name]

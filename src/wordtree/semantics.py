@@ -124,11 +124,7 @@ def w_declaration_points(tree: Tree) -> list[int]:
     seen = {head}
     cursor = head
     while True:
-        hits = [
-            a.dst
-            for _, a in g.out_arrows(cursor, kinds=(SYNTACTIC,))
-            if a.label == ","
-        ]
+        hits = g.ends(cursor, "+", ",", (SYNTACTIC,))
         if not hits:
             return points
         if len(hits) > 1 or hits[0] in seen:
@@ -247,11 +243,7 @@ def link_is_declared_at(tree: Tree, classes: dict[int, NodeClass]) -> int:
 
     added = 0
     for usage in usages:
-        linked = any(
-            a.label == DECLARED_AT
-            for _, a in g.out_arrows(usage, kinds=(SEMANTIC,))
-        )
-        if linked:
+        if g.ends(usage, "+", DECLARED_AT, (SEMANTIC,)):
             continue
         g.add_arrow(usage, DECLARED_AT, first_decl[g.node_label(usage)], SEMANTIC)
         added += 1

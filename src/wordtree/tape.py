@@ -26,22 +26,11 @@ class Tape:
     root: int = 0  # leftmost cell
 
     def cells(self) -> list[int]:
-        """Node ids left to right."""
-        out = [self.root]
-        node = self.root
-        while True:
-            step = [a.dst for _, a in self.graph.out_arrows(node, kinds=(TAPE,)) if a.label == ""]
-            if not step:
-                return out
-            node = step[0]
-            out.append(node)
+        """Node ids left to right, ending where a cell would repeat."""
+        return _walk(self.graph, self.root, "+")
 
     def labels(self) -> list[str]:
         return [self.graph.node_label(n) for n in self.cells()]
-
-    @property
-    def last(self) -> int:
-        return self.cells()[-1]
 
 
 def parse_tape(text: str) -> Tape:
@@ -69,21 +58,6 @@ def parse_tape(text: str) -> Tape:
     return Tape(g, root)
 
 
-def expand_left(t: Tape) -> int:
-    """Grow the chain by one empty-labeled cell on the left; returns its id."""
-    node = t.graph.add_node("")
-    t.graph.add_arrow(node, "", t.root, kind=TAPE)
-    t.root = node
-    return node
-
-
-def expand_right(t: Tape) -> int:
-    """Grow the chain by one empty-labeled cell on the right; returns its id."""
-    node = t.graph.add_node("")
-    t.graph.add_arrow(t.last, "", node, kind=TAPE)
-    return node
-
-
 def render_tape(t: Tape) -> str:
     """Inverse of parse_tape: left-to-right tokens, empty labels as ``\"\"``."""
     return " ".join(label if label else EMPTY_TOKEN for label in t.labels())
@@ -97,21 +71,21 @@ def chain_text(g: LabeledGraph, cell: int) -> str:
     a cell would repeat, so a malformed cyclic chain prints every cell
     once instead of looping.
     """
-    node = cell
-    seen = {node}
-    while True:
-        back = [a.src for _, a in g.in_arrows(node, kinds=(TAPE,)) if a.label == ""]
-        if not back or back[0] in seen:
-            break
-        node = back[0]
-        seen.add(node)
-    labels = [g.node_label(node)]
-    seen = {node}
-    while True:
-        step = [a.dst for _, a in g.out_arrows(node, kinds=(TAPE,)) if a.label == ""]
-        if not step or step[0] in seen:
-            break
-        node = step[0]
-        seen.add(node)
-        labels.append(g.node_label(node))
+    head = _walk(g, cell, "-")[-1]
+    labels = [g.node_label(node) for node in _walk(g, head, "+")]
     return " ".join(label if label else EMPTY_TOKEN for label in labels)
+
+
+def _walk(g: LabeledGraph, cell: int, sign: str) -> list[int]:
+    """Cells from ``cell`` along empty-labeled tape arrows in direction ``sign``.
+
+    The walk ends where a cell would repeat.
+    """
+    out = [cell]
+    seen = {cell}
+    while True:
+        step = g.ends(out[-1], sign, "", (TAPE,))
+        if not step or step[0] in seen:
+            return out
+        out.append(step[0])
+        seen.add(step[0])

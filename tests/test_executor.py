@@ -60,7 +60,7 @@ from wordtree.graph import (
 )
 from wordtree.pipeline import CheckFailed, execute_program
 from wordtree.semantics import STATEMENT, classify
-from wordtree.tape import parse_tape
+from wordtree.tape import Tape, parse_tape
 
 EXPECTED_RUNS = json.loads(
     (Path(__file__).parent / "data" / "expected_runs.json").read_text()
@@ -199,6 +199,17 @@ class TestInitialize:
             initialize(tree, tape, -1, instructions)
         with pytest.raises(ValueError, match="start"):
             initialize(tree, tape, "middle", instructions)
+
+    def test_cyclic_tape_mounts(self, increment_parts):
+        tree, _, instructions = increment_parts
+        cells = LabeledGraph()
+        first, second = cells.add_node("one"), cells.add_node("zero")
+        cells.add_arrow(first, "", second, TAPE)
+        cells.add_arrow(second, "", first, TAPE)
+        state = initialize(tree, Tape(cells, first), "last", instructions)
+        (arrow,) = [a for _, a in tree.graph.arrows() if a.label == "tape"]
+        assert tree.graph.node_label(arrow.dst) == "zero"
+        assert state.last_tape == "one zero"
 
     def test_refuses_second_tape(self, increment_parts):
         tree, _, instructions = increment_parts

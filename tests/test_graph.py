@@ -1,7 +1,9 @@
 """Kernel tests: storage, path formulas, propositions, actions, checks, export."""
 
+import ast
 import json
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,12 @@ class TestPathFormulas:
         g.add_node("a")
         with pytest.raises(ValueError):
             resolve(g, parse_path("+x"))
+
+    def test_ends_rejects_unknown_sign(self):
+        g = LabeledGraph()
+        a = g.add_node("a")
+        with pytest.raises(ValueError):
+            g.ends(a, "*", "x")
 
     def test_resolve_kind_filter(self):
         g, root, cells = program_with_tape(["one"], 0)
@@ -391,6 +399,26 @@ def graphs_with_current(draw):
     return g, draw(st.sampled_from(nodes))
 
 
+@given(
+    graphs_with_current(),
+    st.sampled_from("+-"),
+    words,
+    st.one_of(st.none(), st.sets(st.sampled_from(G.ARROW_KINDS))),
+)
+@settings(deadline=None)
+def test_ends_equals_brute_force(graph_and_node, sign, word, kinds):
+    g, node = graph_and_node
+    near, far = ("src", "dst") if sign == "+" else ("dst", "src")
+    expected = [
+        getattr(a, far)
+        for _, a in g.arrows()
+        if getattr(a, near) == node
+        and a.label == word
+        and (kinds is None or a.kind in kinds)
+    ]
+    assert g.ends(node, sign, word, kinds) == expected
+
+
 paths = st.builds(
     PathFormula,
     st.sampled_from([None, "a", "b", "zz"]),
@@ -552,3 +580,56 @@ class TestPhrases:
         assert prop.phrase() == 'no "" arrow exists to the "tape-alphabet"+tape node'
         action = ReassignArrow("tape", parse_path('"tape-alphabet"+tape-""'))
         assert action.phrase() == "reassign the 'tape' arrow to the \"tape-alphabet\"+tape-\"\" node"
+
+
+def _label_lookups(path: Path) -> list[str]:
+    """Comprehensions that iterate ``out_arrows``/``in_arrows`` and test ``.label ==``.
+
+    A comprehension over a name counts too when the module binds that
+    name to such a call.
+    """
+
+    def adjacent_call(expr) -> bool:
+        return (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in ("out_arrows", "in_arrows")
+        )
+
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and adjacent_call(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for node in ast.walk(tree):
+        if not isinstance(node, comprehensions):
+            continue
+        adjacent = any(
+            adjacent_call(gen.iter) or (isinstance(gen.iter, ast.Name) and gen.iter.id in bound)
+            for gen in node.generators
+        )
+        label_test = any(
+            isinstance(sub, ast.Compare)
+            and isinstance(sub.left, ast.Attribute)
+            and sub.left.attr == "label"
+            and any(isinstance(op, ast.Eq) for op in sub.ops)
+            for sub in ast.walk(node)
+        )
+        if adjacent and label_test:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_arrows_are_followed_by_label_only_in_the_kernel():
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted((root / "src" / "wordtree").glob("*.py")) + sorted(
+        (root / "scripts").glob("*.py")
+    )
+    assert len(modules) > 10
+    found = [hit for path in modules if path.name != "graph.py" for hit in _label_lookups(path)]
+    assert found == [], f"use LabeledGraph.ends instead: {found}"

@@ -517,6 +517,22 @@ class TestReportScript:
         assert "  AND-cycle condition: OK" in out.splitlines()
         assert out.splitlines()[-1] == "verdict: uni-labeled family"
 
+    def test_dense_cycles_report_fast_with_exact_counts(self, capsys, monkeypatch, tmp_path):
+        stored = tmp_path / "complete.json"
+        stored.write_text(schema_to_json(complete_or_schema(9)))
+        began = time.perf_counter()
+        code, out = self.run_script(capsys, monkeypatch, "--schema", str(stored))
+        assert time.perf_counter() - began < 1.0
+        assert code == 1
+        assert len(out.splitlines()) < 200
+        assert "  N0: 9" in out.splitlines()
+
+        code, out = self.run_script(capsys, monkeypatch)
+        lines = out.splitlines()
+        counts = lines[lines.index("expansion counts") + 2 : lines.index("verdict: uni-labeled family") - 1]
+        s = turingol_schema()
+        assert counts == [f"  {name}: {len(expansions(s, name))}" for name in s.names()]
+
     def test_and_conflict_schema_fails(self, capsys, monkeypatch, tmp_path):
         stored = tmp_path / "clash.json"
         stored.write_text(schema_to_json(merged_label_schema()))

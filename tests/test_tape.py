@@ -1,11 +1,13 @@
-"""Tape parsing, expansion, and rendering tests."""
+"""Tape parsing, growth, and rendering tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordtree import graph as G
-from wordtree.tape import chain_text, expand_left, expand_right, parse_tape, render_tape
+from wordtree.executor import STOPPED, final_tape
+from wordtree.pipeline import execute_program
+from wordtree.tape import Tape, chain_text, parse_tape, render_tape
 
 
 def test_parse_single_cell():
@@ -52,26 +54,6 @@ def test_hyphenated_cells_allowed():
     assert t.labels() == ["tape-alphabet", "one-square"]
 
 
-def test_last_property():
-    t = parse_tape("one zero")
-    assert t.graph.node_label(t.last) == "zero"
-    assert t.graph.node_label(t.root) == "one"
-
-
-def test_expand_left():
-    t = parse_tape("one")
-    fresh = expand_left(t)
-    assert t.root == fresh
-    assert t.labels() == ["", "one"]
-
-
-def test_expand_right():
-    t = parse_tape("one")
-    fresh = expand_right(t)
-    assert t.last == fresh
-    assert t.labels() == ["one", ""]
-
-
 def test_chain_text_renders_long_chains_whole():
     text = " ".join(["zero"] * 1499 + ["blank"])
     t = parse_tape(text)
@@ -83,6 +65,16 @@ def test_chain_text_ends_on_a_cycle():
     first, second, third = t.cells()
     t.graph.add_arrow(third, "", first, kind=G.TAPE)
     assert chain_text(t.graph, second) == "three one two"
+
+
+def test_cells_end_on_a_cycle():
+    g = G.LabeledGraph()
+    first, second = g.add_node("one"), g.add_node("two")
+    g.add_arrow(first, "", second, kind=G.TAPE)
+    g.add_arrow(second, "", first, kind=G.TAPE)
+    t = Tape(g, first)
+    assert t.cells() == [first, second]
+    assert render_tape(t) == "one two"
 
 
 def test_render_round_trip():
@@ -107,18 +99,37 @@ def test_parse_render_inverse(labels):
     assert render_tape(t) == text
 
 
-@given(st.lists(cell_words, min_size=1, max_size=6), st.lists(st.booleans(), max_size=6))
+@given(
+    st.lists(cell_words, min_size=1, max_size=6),
+    st.lists(st.booleans(), min_size=1, max_size=6),
+    st.data(),
+)
 @settings(deadline=None)
-def test_chain_stays_linear_under_expansion(labels, sides):
+def test_chain_stays_linear_under_expansion(labels, sides, data):
+    """A program of moves grows the tape one empty cell per step off either end."""
     text = " ".join('""' if w == "" else w for w in labels)
-    t = parse_tape(text)
+    start = data.draw(st.integers(0, len(labels) - 1))
+    moves = ";\n".join(f"move {'left' if left else 'right'} one-square" for left in sides)
+    result = execute_program(f"tape-alphabet is one;\n{moves}.", text, start)
+    assert result.outcome == STOPPED
+
+    size, head, grown_left, grown_right = len(labels), start, 0, 0
     for left in sides:
-        if left:
-            expand_left(t)
+        if left and head == 0:
+            grown_left += 1
+        elif not left and head == size - 1:
+            grown_right += 1
+            head += 1
         else:
-            expand_right(t)
-    assert len(t.labels()) == len(labels) + len(sides)
-    assert t.graph.arrow_count == t.graph.node_count - 1
-    for node in t.graph.nodes():
-        assert len(t.graph.out_arrows(node, kinds=(G.TAPE,))) <= 1
-        assert len(t.graph.in_arrows(node, kinds=(G.TAPE,))) <= 1
+            head += -1 if left else 1
+        size = len(labels) + grown_left + grown_right
+    assert final_tape(result.state) == " ".join(
+        ['""'] * grown_left + [text] + ['""'] * grown_right
+    )
+
+    g = result.state.tree.graph
+    tape_arrows = [a for _, a in g.arrows() if a.kind == G.TAPE]
+    assert len(tape_arrows) == size - 1
+    for node in g.nodes():
+        assert len(g.out_arrows(node, kinds=(G.TAPE,))) <= 1
+        assert len(g.in_arrows(node, kinds=(G.TAPE,))) <= 1
