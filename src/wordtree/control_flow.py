@@ -224,10 +224,11 @@ def check_reachability(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagno
     work = [tree.root]
     while work:
         node = work.pop()
-        for _, arrow in g.out_arrows(node, kinds=(CONTROL,)):
-            if arrow.label in FLOW_LABELS and arrow.dst not in reached:
-                reached.add(arrow.dst)
-                work.append(arrow.dst)
+        for label in FLOW_LABELS:
+            for dst in g.ends(node, "+", label, (CONTROL,)):
+                if dst not in reached:
+                    reached.add(dst)
+                    work.append(dst)
     diagnostics = []
     for node in g.nodes():
         if classes.get(node) and classes[node].kind == STATEMENT and node not in reached:

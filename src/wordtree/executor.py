@@ -45,7 +45,7 @@ from .graph import (
     normal_violation,
     parse_path,
 )
-from .semantics import STATEMENT, NodeClass
+from .semantics import OTHER_NODE, PRINT_WORD_PATH, STATEMENT, SYMBOL_PATH, NodeClass
 from .tape import Tape, chain_text
 
 RUNNING = "running"
@@ -62,8 +62,6 @@ TAPE_ARROW = "tape"
 TAPE_PATH = parse_path('"tape-alphabet"+tape')
 LEFT_CELL_PATH = parse_path('"tape-alphabet"+tape-""')
 RIGHT_CELL_PATH = parse_path('"tape-alphabet"+tape+""')
-SYMBOL_PATH = parse_path('+""+is')
-PRINT_WORD_PATH = parse_path("+\"'\"")
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def install_instructions(
     instructions[stop] = Instruction((Act(Stop()),))
 
     for node in g.nodes():
-        if classes.get(node, NodeClass("other")).kind != STATEMENT:
+        if classes.get(node, OTHER_NODE).kind != STATEMENT:
             continue
         word = g.node_label(node)
         if word == "if":
@@ -206,9 +204,9 @@ def install_instructions(
         elif word == "move":
             require_flow(node, NEXT)
             sideways = [
-                a.label
-                for _, a in g.out_arrows(node, kinds=(SYNTACTIC,))
-                if a.label in ("left", "right")
+                word
+                for word in ("left", "right")
+                for _ in g.ends(node, "+", word, (SYNTACTIC,))
             ]
             if len(sideways) != 1:
                 raise ValueError(
@@ -299,12 +297,11 @@ def _crash(
     return state
 
 
-def _verify(state: ExecState, item: Union[Proposition, Action]) -> None:
-    """In cautious mode, crash on a violated condition before acting on it."""
-    if state.cautious:
-        problem = normal_violation(state.tree.graph, item, state.current)
-        if problem is not None:
-            raise NormalConditionViolated(problem)
+def _verify(g, item: Union[Proposition, Action], node: int) -> None:
+    """Crash on a violated condition before acting on it (cautious mode)."""
+    problem = normal_violation(g, item, node)
+    if problem is not None:
+        raise NormalConditionViolated(problem)
 
 
 def step(state: ExecState, on_step: OnStep = None) -> ExecState:
@@ -342,15 +339,20 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
             on_step,
         )
 
+    cautious = state.cautious
     for direction in instruction.directions:
-        condition = direction.condition if isinstance(direction, Guarded) else None
-        action = direction.then if isinstance(direction, Guarded) else direction.action
+        if type(direction) is Guarded:
+            condition, action = direction.condition, direction.then
+        else:
+            condition, action = None, direction.action
         try:
             if condition is not None:
-                _verify(state, condition)
+                if cautious:
+                    _verify(g, condition, node)
                 if not eval_proposition(g, condition, node):
                     continue
-            _verify(state, action)
+            if cautious:
+                _verify(g, action, node)
             destination = apply_action(g, action, node)
         except NormalConditionViolated as failure:
             return _crash(

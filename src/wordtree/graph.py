@@ -31,12 +31,12 @@ _BARE_TOKEN = re.compile(r"[a-z]+\Z")
 
 def is_pla_word(text: str) -> bool:
     """True if every character of ``text`` is in PLA (the empty word counts)."""
-    return all(c in PLA_CHARS for c in text)
+    return PLA_CHARS.issuperset(text)
 
 
 def is_mla_word(text: str) -> bool:
     """True if ``text`` is a non-empty word over MLA."""
-    return bool(text) and all(c in MLA_CHARS for c in text)
+    return bool(text) and MLA_CHARS.issuperset(text)
 
 
 class GraphError(Exception):
@@ -70,7 +70,7 @@ class NormalConditionViolated(GraphError):
         self.detail = detail
 
 
-@dataclass
+@dataclass(slots=True)
 class Arrow:
     """One labeled arrow. ``kind`` partitions arrows for filtered checks."""
 
@@ -95,6 +95,11 @@ class LabeledGraph:
     reused. Duplicate arrows (same endpoints, same label) are allowed at
     this level; uni-labeledness is a separate check so that violating
     graphs can be constructed and reported.
+
+    Out-arrows are indexed by (origin, label): the key holds the first
+    such arrow's id, and the overflow map holds the ids of any later
+    ones, which only a graph that is not uni-labeled has. Origins and
+    labels never change, so only ``add_arrow`` updates the index.
     """
 
     def __init__(self) -> None:
@@ -104,6 +109,8 @@ class LabeledGraph:
         self._in: dict[int, list[int]] = {}
         self._by_label: dict[str, set[int]] = {}
         self._arrows_by_label: dict[str, list[int]] = {}
+        self._out_first: dict[tuple[int, str], int] = {}
+        self._out_more: dict[tuple[int, str], list[int]] = {}
         self._next_node = 0
         self._next_arrow = 0
 
@@ -137,6 +144,8 @@ class LabeledGraph:
         self._out[src].append(arrow_id)
         self._in[dst].append(arrow_id)
         self._arrows_by_label.setdefault(label, []).append(arrow_id)
+        if self._out_first.setdefault((src, label), arrow_id) != arrow_id:
+            self._out_more.setdefault((src, label), []).append(arrow_id)
         return arrow_id
 
     # -- mutation ----------------------------------------------------
@@ -184,10 +193,23 @@ class LabeledGraph:
 
         Arrows of all kinds count unless ``kinds`` narrows them; ends come
         in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
-        is the one place an arrow is followed by its label.
+        is the one place an arrow is followed by its label. "+" is answered
+        from the (node, label) index in constant time; "-" scans the node's
+        in-arrows, which tape cells have at most two of.
         """
         if sign == "+":
-            return [a.dst for _, a in self.out_arrows(node, kinds) if a.label == word]
+            key = (node, word)
+            first = self._out_first.get(key)
+            if first is None:
+                if node not in self._nodes:
+                    raise ValueError(f"{node} is not a node of this graph")
+                return []
+            more = self._out_more.get(key) if self._out_more else None
+            if kinds is None and more is None:
+                return [self._arrows[first].dst]
+            wanted = None if kinds is None else set(kinds)
+            arrows = [self._arrows[arrow_id] for arrow_id in (first, *(more or ()))]
+            return [a.dst for a in arrows if wanted is None or a.kind in wanted]
         if sign == "-":
             return [a.src for _, a in self.in_arrows(node, kinds) if a.label == word]
         raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
@@ -228,6 +250,8 @@ class LabeledGraph:
         dup._in = {n: list(ids) for n, ids in self._in.items()}
         dup._by_label = {w: set(ns) for w, ns in self._by_label.items()}
         dup._arrows_by_label = {w: list(ids) for w, ids in self._arrows_by_label.items()}
+        dup._out_first = dict(self._out_first)
+        dup._out_more = {key: list(ids) for key, ids in self._out_more.items()}
         dup._next_node = self._next_node
         dup._next_arrow = self._next_arrow
         return dup
@@ -344,10 +368,10 @@ def resolve(
             raise ValueError("formula starts at the current node but no current node was given")
         node = current
     else:
-        candidates = g.nodes_labeled(formula.start)
+        candidates = g._by_label.get(formula.start, ())
         if len(candidates) != 1:
             raise StartAmbiguous(formula.start, len(candidates))
-        node = candidates[0]
+        (node,) = candidates
     for index, (sign, word) in enumerate(formula.steps):
         hits = g.ends(node, sign, word, kinds)
         if not hits:
@@ -515,40 +539,54 @@ def _operands(g, item, current) -> tuple:
     the normal-execution conditions of the algebra, so once this step
     succeeds, evaluating or applying the item cannot violate one.
     """
-    match item:
-        case LabelsEqual(p1, p2) | RelabelNode(p1, p2):
-            return locate(g, p1, current), locate(g, p2, current)
-        case (
-            NoArrowTo(_, path)
-            | NoArrowFrom(_, path)
-            | CreateNodeWithArrowToTarget(path)
-            | CreateNodeWithArrowFromSource(path)
-        ):
-            return (locate(g, path, current),)
-        case ReassignArrow(word, target):
-            node = locate(g, target, current)
-            hits = g.arrows_labeled(word)
-            if len(hits) != 1:
-                raise NormalConditionViolated(
-                    f"there exist {len(hits)} {display_word(word)} arrows, not a unique one"
-                )
-            return node, hits[0][0]
-        case FollowArrow(word):
-            if current is None:
-                raise ValueError("follow requires a current node")
-            hits = g.ends(current, "+", word)
-            if not hits:
-                raise NormalConditionViolated(
-                    f"there exists no {display_word(word)} arrow from the current node"
-                )
-            if len(hits) > 1:
-                raise NormalConditionViolated(
-                    f"there exist several {display_word(word)} arrows from the current node"
-                )
-            return (hits[0],)
-        case UniqueArrowExists() | PathPassable() | Stop():
-            return ()
-    raise TypeError(f"not a proposition or action: {item!r}")
+    find = _OPERANDS.get(type(item))
+    if find is None:
+        raise TypeError(f"not a proposition or action: {item!r}")
+    return find(g, item, current)
+
+
+def _unique_arrow(g, action, current) -> tuple:
+    node = locate(g, action.target, current)
+    hits = g.arrows_labeled(action.word)
+    if len(hits) != 1:
+        raise NormalConditionViolated(
+            f"there exist {len(hits)} {display_word(action.word)} arrows, not a unique one"
+        )
+    return node, hits[0][0]
+
+
+def _arrow_from_current(g, action, current) -> tuple:
+    if current is None:
+        raise ValueError("follow requires a current node")
+    hits = g.ends(current, "+", action.word)
+    if len(hits) == 1:
+        return (hits[0],)
+    if not hits:
+        raise NormalConditionViolated(
+            f"there exists no {display_word(action.word)} arrow from the current node"
+        )
+    raise NormalConditionViolated(
+        f"there exist several {display_word(action.word)} arrows from the current node"
+    )
+
+
+# What each proposition and action works on: one lookup by type.
+_OPERANDS = {
+    FollowArrow: _arrow_from_current,
+    LabelsEqual: lambda g, item, current: (locate(g, item.p1, current), locate(g, item.p2, current)),
+    RelabelNode: lambda g, item, current: (
+        locate(g, item.target, current),
+        locate(g, item.source, current),
+    ),
+    NoArrowTo: lambda g, item, current: (locate(g, item.path, current),),
+    NoArrowFrom: lambda g, item, current: (locate(g, item.path, current),),
+    CreateNodeWithArrowToTarget: lambda g, item, current: (locate(g, item.target, current),),
+    CreateNodeWithArrowFromSource: lambda g, item, current: (locate(g, item.source, current),),
+    ReassignArrow: _unique_arrow,
+    UniqueArrowExists: lambda g, item, current: (),
+    PathPassable: lambda g, item, current: (),
+    Stop: lambda g, item, current: (),
+}
 
 
 def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None) -> Optional[int]:
@@ -562,6 +600,8 @@ def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None)
     """
     operands = _operands(g, action, current)
     match action:
+        case FollowArrow():
+            return operands[0]
         case RelabelNode():
             target, source = operands
             g.set_node_label(target, g.node_label(source))
@@ -576,8 +616,6 @@ def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None)
         case CreateNodeWithArrowFromSource():
             g.add_arrow(operands[0], "", g.add_node(""), TAPE)
             return current
-        case FollowArrow():
-            return operands[0]
         case Stop():
             return None
     raise TypeError(f"not an action: {action!r}")

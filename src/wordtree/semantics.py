@@ -31,6 +31,12 @@ CONTROL_WORDS = frozenset({"go", "if", "{"})
 
 DECLARED_AT = "is-declared-at"
 
+# The declaration chain's head from the root, and from a statement node
+# the word a print writes and the word an if compares the tape symbol to.
+DECLARATIONS_PATH = parse_path('"tape-alphabet"+is')
+PRINT_WORD_PATH = parse_path("+\"'\"")
+SYMBOL_PATH = parse_path('+""+is')
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -65,6 +71,14 @@ def diagnostic(code: str, nodes, message: str) -> Diagnostic:
 class NodeClass:
     kind: str
     control: bool = False
+
+
+# The only classes a node can have; ``classify`` shares these instances.
+LABEL_NODE = NodeClass(LABEL)
+DATA_NODE = NodeClass(DATA)
+STATEMENT_NODE = NodeClass(STATEMENT)
+CONTROL_STATEMENT_NODE = NodeClass(STATEMENT, control=True)
+OTHER_NODE = NodeClass(OTHER)
 
 
 def classify(tree: Tree) -> dict[int, NodeClass]:
@@ -104,22 +118,24 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
 
     classes = {}
     for node in g.nodes():
+        word = g.node_label(node)
         if node in label_nodes:
-            classes[node] = NodeClass(LABEL)
+            classes[node] = LABEL_NODE
         elif node in data_nodes:
-            classes[node] = NodeClass(DATA)
-        elif g.node_label(node) in STATEMENT_WORDS:
-            word = g.node_label(node)
-            classes[node] = NodeClass(STATEMENT, control=word in CONTROL_WORDS)
+            classes[node] = DATA_NODE
+        elif word in CONTROL_WORDS:
+            classes[node] = CONTROL_STATEMENT_NODE
+        elif word in STATEMENT_WORDS:
+            classes[node] = STATEMENT_NODE
         else:
-            classes[node] = NodeClass(OTHER)
+            classes[node] = OTHER_NODE
     return classes
 
 
 def w_declaration_points(tree: Tree) -> list[int]:
     """Nodes declaring tape words: the ',' chain under the root's 'is' arrow."""
     g = tree.graph
-    head = resolve(g, parse_path('"tape-alphabet"+is'), kinds=(SYNTACTIC,))
+    head = resolve(g, DECLARATIONS_PATH, kinds=(SYNTACTIC,))
     points = [head]
     seen = {head}
     cursor = head
@@ -143,13 +159,9 @@ def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:
             continue
         word = g.node_label(node)
         if word == "print":
-            points.append(
-                resolve(g, parse_path("+\"'\""), current=node, kinds=(SYNTACTIC,))
-            )
+            points.append(resolve(g, PRINT_WORD_PATH, current=node, kinds=(SYNTACTIC,)))
         elif word == "if":
-            points.append(
-                resolve(g, parse_path('+""+is'), current=node, kinds=(SYNTACTIC,))
-            )
+            points.append(resolve(g, SYMBOL_PATH, current=node, kinds=(SYNTACTIC,)))
     return points
 
 

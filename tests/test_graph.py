@@ -1,7 +1,10 @@
 """Kernel tests: storage, path formulas, propositions, actions, checks, export."""
 
 import ast
+import gc
 import json
+import re
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from wordtree.graph import (
     parse_path,
     resolve,
 )
+from wordtree.pipeline import check_program
 
 
 def small_tape(labels):
@@ -399,8 +403,44 @@ def graphs_with_current(draw):
     return g, draw(st.sampled_from(nodes))
 
 
+@st.composite
+def indexed_graphs(draw):
+    """Graphs built every way the out-arrow index is kept, plus a node.
+
+    Arrows repeat a (node, label) pair that already has one, arrows are
+    moved by ``set_arrow_dst``, and the graph is used as built, as a
+    ``copy()`` whose original then grows, or ``merge``d into another.
+    """
+    g, node = draw(graphs_with_current())
+    nodes = g.nodes()
+
+    def some_arrows():
+        ids = range(g.arrow_count)
+        return draw(st.lists(st.sampled_from(ids), max_size=3)) if ids else []
+
+    for arrow_id in some_arrows():
+        arrow = g.arrow(arrow_id)
+        g.add_arrow(
+            arrow.src,
+            arrow.label,
+            draw(st.sampled_from(nodes)),
+            draw(st.sampled_from(G.ARROW_KINDS)),
+        )
+    for arrow_id in some_arrows():
+        g.set_arrow_dst(arrow_id, draw(st.sampled_from(nodes)))
+    how = draw(st.sampled_from(["built", "copy", "merge"]))
+    if how == "copy":
+        original, g = g, g.copy()
+        original.add_arrow(node, draw(words), node)
+    elif how == "merge":
+        host, _ = draw(graphs_with_current())
+        node = host.merge(g)[node]
+        g = host
+    return g, node
+
+
 @given(
-    graphs_with_current(),
+    indexed_graphs(),
     st.sampled_from("+-"),
     words,
     st.one_of(st.none(), st.sets(st.sampled_from(G.ARROW_KINDS))),
@@ -417,6 +457,28 @@ def test_ends_equals_brute_force(graph_and_node, sign, word, kinds):
         and (kinds is None or a.kind in kinds)
     ]
     assert g.ends(node, sign, word, kinds) == expected
+
+
+def test_forward_ends_scan_no_arrows(monkeypatch):
+    g = LabeledGraph()
+    a, b, c = g.add_node("a"), g.add_node("b"), g.add_node("c")
+    g.add_arrow(a, "x", b)
+    g.add_arrow(a, "", c, kind=G.TAPE)
+    g.add_arrow(b, "x", c, kind=G.CONTROL)
+    assert check_uni_labeled(g) == []
+
+    def scan(*args, **kwargs):
+        raise AssertionError("ends scanned the arrows")
+
+    monkeypatch.setattr(LabeledGraph, "out_arrows", scan)
+    monkeypatch.setattr(LabeledGraph, "arrows", scan)
+    assert g.ends(a, "+", "x") == [b]
+    assert g.ends(a, "+", "") == [c]
+    assert g.ends(a, "+", "", (G.TAPE,)) == [c]
+    assert g.ends(a, "+", "", (G.SYNTACTIC,)) == []
+    assert g.ends(b, "+", "x") == [c]
+    assert g.ends(c, "+", "x") == []
+    assert resolve(g, parse_path("a+x+x")) == c
 
 
 paths = st.builds(
@@ -455,6 +517,40 @@ def test_normal_violation_predicts_execution(graph_and_current, item):
         assert predicted == violation.detail
     else:
         assert predicted is None
+
+
+# Bytes a checked program kept alive per graph arrow before the out-arrow
+# index existed (CPython 3.11, 64-bit), on the program below.
+RETAINED_BYTES_PER_ARROW = 458
+
+
+def increment_copies(increment_text: str, copies: int) -> str:
+    """One alphabet line, then ``copies`` increment bodies with their own labels."""
+    alphabet, body = increment_text.rstrip().rstrip(".").split("\n", 1)
+    bodies = [
+        re.sub(r"\b(carry|test|realign)\b", lambda m: m.group() + "x" * (i + 1), body)
+        for i in range(copies)
+    ]
+    return alphabet + "\n" + ";\n".join(bodies) + ".\n"
+
+
+def test_checked_program_memory_per_arrow(increment_text):
+    """An index that grows a checked program by more than a tenth fails here."""
+    text = increment_copies(increment_text, 50)
+    check_program(text)  # fill every cache before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = check_program(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.runnable
+    arrows = result.tree.graph.arrow_count
+    assert arrows > 2000
+    assert retained / arrows <= RETAINED_BYTES_PER_ARROW * 1.10
 
 
 class TestUniLabeled:
@@ -583,10 +679,11 @@ class TestPhrases:
 
 
 def _label_lookups(path: Path) -> list[str]:
-    """Comprehensions that iterate ``out_arrows``/``in_arrows`` and test ``.label ==``.
+    """Loops and comprehensions over ``out_arrows``/``in_arrows`` that test ``.label``.
 
-    A comprehension over a name counts too when the module binds that
-    name to such a call.
+    A ``for`` loop or a comprehension counts when it iterates such a
+    call, or a name the module binds to one, and compares ``.label`` by
+    ``==``, ``!=``, ``in`` or ``not in`` anywhere inside.
     """
 
     def adjacent_call(expr) -> bool:
@@ -595,6 +692,9 @@ def _label_lookups(path: Path) -> list[str]:
             and isinstance(expr.func, ast.Attribute)
             and expr.func.attr in ("out_arrows", "in_arrows")
         )
+
+    def adjacent(expr) -> bool:
+        return adjacent_call(expr) or (isinstance(expr, ast.Name) and expr.id in bound)
 
     tree = ast.parse(path.read_text(), str(path))
     bound = {
@@ -606,21 +706,22 @@ def _label_lookups(path: Path) -> list[str]:
     }
     found = []
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    label_ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
     for node in ast.walk(tree):
-        if not isinstance(node, comprehensions):
+        if isinstance(node, comprehensions):
+            loops = any(adjacent(gen.iter) for gen in node.generators)
+        elif isinstance(node, ast.For):
+            loops = adjacent(node.iter)
+        else:
             continue
-        adjacent = any(
-            adjacent_call(gen.iter) or (isinstance(gen.iter, ast.Name) and gen.iter.id in bound)
-            for gen in node.generators
-        )
         label_test = any(
             isinstance(sub, ast.Compare)
             and isinstance(sub.left, ast.Attribute)
             and sub.left.attr == "label"
-            and any(isinstance(op, ast.Eq) for op in sub.ops)
+            and any(isinstance(op, label_ops) for op in sub.ops)
             for sub in ast.walk(node)
         )
-        if adjacent and label_test:
+        if loops and label_test:
             found.append(f"{path.name}:{node.lineno}")
     return found
 
