@@ -79,12 +79,10 @@ def repair(tree, rng):
             g.set_node_label(target, fresh_word(rng, words | seen))
         words.add(g.node_label(target))
 
-    rises = {}
-    for target in targets:
-        walker = target
-        while classes[walker].kind != STATEMENT:
-            walker = g.ends(walker, "-", ":", (SYNTACTIC,))[0]
-        rises[g.node_label(target)] = walker
+    rises = {
+        g.node_label(target): g.chain(target, "-", ":", (SYNTACTIC,))[-1]
+        for target in targets
+    }
 
     for usage in usages:
         if g.node_label(usage) in rises:

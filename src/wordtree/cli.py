@@ -34,38 +34,22 @@ from .semantics import classify, link_is_declared_at
 from .tape import parse_tape
 
 
-def _fail(message: object) -> int:
-    print(message, file=sys.stderr)
-    return 1
+class _Refusal(Exception):
+    """A problem with the input; ``main`` prints it to stderr and exits with 1.
+
+    ``main`` treats syntax errors in the program text the same way.
+    """
 
 
 def _read(path_text: str) -> str:
-    return Path(path_text).read_text()
-
-
-def _parsed_program(path_text: str):
-    """Program text from a file, or an exit code when that fails."""
     try:
-        return _read(path_text)
+        return Path(path_text).read_text()
     except OSError as failure:
-        return _fail(failure)
-
-
-def _checked(text: str):
-    """A CheckResult, or an exit code on syntax problems."""
-    try:
-        return check_program(text)
-    except (IllegalCharacter, ParseError) as failure:
-        return _fail(f"syntax error: {failure}")
+        raise _Refusal(failure) from failure
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    text = _parsed_program(args.program)
-    if isinstance(text, int):
-        return text
-    result = _checked(text)
-    if isinstance(result, int):
-        return result
+    result = check_program(_read(args.program))
     for finding in result.diagnostics:
         print(finding)
     print(f"{len(result.errors)} errors, {len(result.warnings)} warnings")
@@ -73,22 +57,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    text = _parsed_program(args.program)
-    if isinstance(text, int):
-        return text
+    text = _read(args.program)
     if (args.tape is None) == (args.tape_file is None):
-        return _fail("provide exactly one of --tape or --tape-file")
-    if args.tape is not None:
-        tape_text = args.tape
-    else:
-        try:
-            tape_text = _read(args.tape_file)
-        except OSError as failure:
-            return _fail(failure)
+        raise _Refusal("provide exactly one of --tape or --tape-file")
+    tape_text = args.tape if args.tape is not None else _read(args.tape_file)
 
-    result = _checked(text)
-    if isinstance(result, int):
-        return result
+    result = check_program(text)
     for warning in result.warnings:
         print(warning, file=sys.stderr)
     if not result.runnable:
@@ -101,7 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         tape = parse_tape(tape_text)
         state = initialize(result.tree, tape, args.start, instructions, args.cautious)
     except ValueError as failure:
-        return _fail(failure)
+        raise _Refusal(failure) from failure
 
     if args.trace == "text":
         outcome = run(state, args.max_steps, lambda entry: print(trace_line(entry)))
@@ -131,48 +105,38 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    text = _parsed_program(args.program)
-    if isinstance(text, int):
-        return text
+    text = _read(args.program)
     if args.stage == "flow":
-        result = _checked(text)
-        if isinstance(result, int):
-            return result
+        result = check_program(text)
         if not result.ok:
             for error in result.errors:
                 print(error, file=sys.stderr)
             return 1
         tree = result.tree
     else:
-        try:
-            tree = parse_text(text)
-            if args.stage == "linked":
+        tree = parse_text(text)
+        if args.stage == "linked":
+            try:
                 link_is_declared_at(tree, classify(tree))
-        except (IllegalCharacter, ParseError) as failure:
-            return _fail(f"syntax error: {failure}")
-        except ValueError as failure:
-            return _fail(failure)
+            except ValueError as failure:
+                raise _Refusal(failure) from failure
     out = export(tree.graph, args.format)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return 0
 
 
 def _load_schema(args: argparse.Namespace):
-    """The schema named by --schema, or the built-in one, or an exit code."""
+    """The schema named by --schema, or the built-in one."""
     if args.schema is None:
         return turingol_schema()
     try:
         return schema_from_json(_read(args.schema))
-    except OSError as failure:
-        return _fail(failure)
     except (ValueError, KeyError, TypeError) as failure:
-        return _fail(f"bad schema file: {failure!r}")
+        raise _Refusal(f"bad schema file: {failure!r}") from failure
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
     schema = _load_schema(args)
-    if isinstance(schema, int):
-        return schema
     if args.action == "grammar":
         print(export_grammar(schema))
         return 0
@@ -185,7 +149,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
         grown = generate_sytr(schema, args.root, word_source=rng, node_budget=args.budget)
         program = render_program(to_canonical(grown))
     except (BudgetExceeded, ValueError) as failure:
-        return _fail(failure)
+        raise _Refusal(failure) from failure
     print(program)
     return 0
 
@@ -289,7 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (IllegalCharacter, ParseError) as failure:
+        refusal = f"syntax error: {failure}"
+    except _Refusal as failure:
+        refusal = failure
+    print(refusal, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

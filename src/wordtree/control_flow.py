@@ -11,8 +11,6 @@ leave it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .graph import CONTROL, SYNTACTIC, Tree, display_word, functional_cycles
 from .semantics import (
     LABEL_FINDINGS,
@@ -32,17 +30,8 @@ NO = "no"
 FLOW_LABELS = (NEXT, YES, NO)
 
 
-def _syntactic_dst(g, node: int, label: str) -> Optional[int]:
-    hits = g.ends(node, "+", label, (SYNTACTIC,))
-    if len(hits) > 1:
-        raise ValueError(
-            f"node {node} has several {display_word(label)} arrows; not a program tree"
-        )
-    return hits[0] if hits else None
-
-
 def _required_dst(g, node: int, label: str) -> int:
-    dst = _syntactic_dst(g, node, label)
+    dst = g.follow(node, "+", label, (SYNTACTIC,))
     if dst is None:
         raise ValueError(
             f"{display_word(g.node_label(node))} node {node} lacks its "
@@ -64,9 +53,7 @@ def add_stop_node(tree: Tree) -> int:
     the syntactic tree and do not collide.
     """
     g = tree.graph
-    for node in g.nodes():
-        if g.node_label(node) != "stop":
-            continue
+    for node in g.nodes_labeled("stop"):
         attached = g.out_arrows(node, kinds=(SYNTACTIC,)) or g.in_arrows(
             node, kinds=(SYNTACTIC,)
         )
@@ -75,27 +62,24 @@ def add_stop_node(tree: Tree) -> int:
     return g.add_node("stop")
 
 
-def _subordinator(g, root: int, node: int, stop: int) -> int:
+def _subordinator(g, node: int, stop: int) -> int:
     """The statement a chain-ending statement returns control to.
 
     Walks backwards along ';' arrows to the head of the statement chain
     ``node`` ends, then looks at what the head hangs off: a 'then' arrow
     means the chain refines an if, a '}' arrow means it fills a pair of
     braces, and anything else means the chain is the program body, whose
-    end falls off into the stop node.
+    end falls off into the stop node. A program tree has one body, so
+    the test that the walk did not end on a loop runs once per tree.
     """
-    current = node
-    for _ in range(g.node_count + 1):
-        semis = g.ends(current, "-", ";", (SYNTACTIC,))
-        if semis:
-            current = semis[0]
-            continue
-        for word in ("then", "}"):
-            owners = g.ends(current, "-", word, (SYNTACTIC,))
-            if owners:
-                return owners[0]
-        return stop
-    raise ValueError("';' arrows loop; not a program tree")
+    head = g.chain(node, "-", ";", (SYNTACTIC,))[-1]
+    for word in ("then", "}"):
+        owner = g.follow(head, "-", word, (SYNTACTIC,))
+        if owner is not None:
+            return owner
+    if g.follow(head, "-", ";", (SYNTACTIC,)) is not None:
+        raise ValueError("';' arrows loop; not a program tree")
+    return stop
 
 
 def build_back_arrows(tree: Tree, stop: int, classes: dict[int, NodeClass]) -> int:
@@ -112,22 +96,11 @@ def build_back_arrows(tree: Tree, stop: int, classes: dict[int, NodeClass]) -> i
     for node in g.nodes():
         if node not in classes or classes[node].kind != STATEMENT:
             continue
-        if _syntactic_dst(g, node, ";") is not None:
+        if g.follow(node, "+", ";", (SYNTACTIC,)) is not None:
             continue
-        g.add_arrow(node, BACK, _subordinator(g, tree.root, node, stop), CONTROL)
+        g.add_arrow(node, BACK, _subordinator(g, node, stop), CONTROL)
         added += 1
     return added
-
-
-def _rise(g, node: int) -> int:
-    """From a label node, walk ':' arrows backwards to the labeled statement."""
-    current = node
-    for _ in range(g.node_count + 1):
-        sources = g.ends(current, "-", ":", (SYNTACTIC,))
-        if not sources:
-            return current
-        current = sources[0]
-    raise ValueError("':' arrows loop; not a program tree")
 
 
 def build_control(
@@ -165,18 +138,26 @@ def build_control(
         g.add_arrow(src, label, dst, CONTROL)
         counts[label] += 1
 
-    first = _syntactic_dst(g, tree.root, ";")
+    first = g.follow(tree.root, "+", ";", (SYNTACTIC,))
     if first is None:
         raise ValueError("the root has no ';' arrow to the first statement")
     put(tree.root, NEXT, first)
 
-    target_statement = {g.node_label(t): _rise(g, t) for t in targets}
+    # A goto jumps to the statement its label rises to along ':' arrows.
+    target_statement = {}
+    for target in targets:
+        risen = g.chain(target, "-", ":", (SYNTACTIC,))[-1]
+        if classes[risen].kind != STATEMENT:
+            raise ValueError(
+                f"label node {target} does not rise to a statement; not a program tree"
+            )
+        target_statement[g.node_label(target)] = risen
 
     for node in g.nodes():
         if node not in classes or classes[node].kind != STATEMENT:
             continue
         word = g.node_label(node)
-        semi = _syntactic_dst(g, node, ";")
+        semi = g.follow(node, "+", ";", (SYNTACTIC,))
         if word == "if":
             put(node, YES, _required_dst(g, node, "then"))
             if semi is not None:
@@ -193,15 +174,11 @@ def build_control(
     back_dst = {a.src: a.dst for a in _control_arrows(g, BACK)}
     back_targets = set(back_dst.values())
     for head in sorted(n for n in back_dst if n not in back_targets):
-        members = []
-        cursor = head
-        while cursor in back_dst:
-            members.append(cursor)
-            cursor = back_dst[cursor]
+        *members, cursor = g.chain(head, "+", BACK, (CONTROL,))
         if cursor == stop:
             continuation = stop
         else:
-            continuation = _syntactic_dst(g, cursor, ";")
+            continuation = g.follow(cursor, "+", ";", (SYNTACTIC,))
             if continuation is None:
                 raise ValueError(
                     f"back chain ends at node {cursor} which has no continuation"

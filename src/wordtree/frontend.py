@@ -283,25 +283,23 @@ class _Renderer:
     def __init__(self, tree: Sytr):
         self.g = tree.graph
         self.root = tree.root
+        # A tree enters each node once and its root never, so no chain
+        # the renderer walks can loop.
+        entered = {self.root}
         for _, arrow in self.g.arrows():
             if arrow.kind != SYNTACTIC:
                 raise ValueError(
                     f"cannot render a graph with {arrow.kind} arrows as program text"
                 )
+            if arrow.dst in entered:
+                raise self.fail(f"node {arrow.dst} is reached twice")
+            entered.add(arrow.dst)
 
     def fail(self, message: str) -> "ValueError":
         return ValueError(f"not a canonical program tree: {message}")
 
-    def only(self, node: int, label: str) -> Optional[int]:
-        hits = self.g.ends(node, "+", label)
-        if len(hits) > 1:
-            raise self.fail(
-                f"node {node} has several {display_word(label)} arrows"
-            )
-        return hits[0] if hits else None
-
     def need(self, node: int, label: str) -> int:
-        dst = self.only(node, label)
+        dst = self.g.follow(node, "+", label)
         if dst is None:
             raise self.fail(f"node {node} lacks a {display_word(label)} arrow")
         return dst
@@ -316,37 +314,21 @@ class _Renderer:
         if self.g.node_label(self.root) != "tape-alphabet":
             raise self.fail("root is not labeled 'tape-alphabet'")
         self.need(self.root, "")
-        words = []
-        cursor: Optional[int] = self.need(self.root, "is")
-        while cursor is not None:
-            words.append(self.plain_word(cursor, "declared word"))
-            cursor = self.only(cursor, ",")
+        declared = self.g.chain(self.need(self.root, "is"), "+", ",")
+        words = [self.plain_word(node, "declared word") for node in declared]
         lines = ["tape-alphabet is " + ", ".join(words) + ";"]
-        statements = self.chain(self.need(self.root, ";"))
+        statements = self.g.chain(self.need(self.root, ";"), "+", ";")
         for i, node in enumerate(statements):
             mark = "." if i == len(statements) - 1 else ";"
             lines.append(self.statement(node) + mark)
         return "\n".join(lines)
 
-    def chain(self, first: int) -> list[int]:
-        nodes = [first]
-        seen = {first}
-        cursor = self.only(first, ";")
-        while cursor is not None:
-            if cursor in seen:
-                raise self.fail("statement chain loops")
-            nodes.append(cursor)
-            seen.add(cursor)
-            cursor = self.only(cursor, ";")
-        return nodes
-
     def statement(self, node: int) -> str:
-        prefix = ""
-        cursor = self.only(node, ":")
-        while cursor is not None:
-            prefix += self.plain_word(cursor, "statement label") + ": "
-            cursor = self.only(cursor, ":")
-        return prefix + self.body(node)
+        first = self.g.follow(node, "+", ":")
+        if first is None:  # most statements carry no label: no chain to build
+            return self.body(node)
+        labels = [self.plain_word(n, "statement label") for n in self.g.chain(first, "+", ":")]
+        return ": ".join(labels) + ": " + self.body(node)
 
     def body(self, node: int) -> str:
         label = self.g.node_label(node)
@@ -365,14 +347,14 @@ class _Renderer:
             return f"if the-tape-symbol is '{word}' then {subordinate}"
         if label == "move":
             for direction in ("left", "right"):
-                square = self.only(node, direction)
+                square = self.g.follow(node, "+", direction)
                 if square is not None:
                     if self.g.node_label(square) != "one-square":
                         raise self.fail("'move' does not point at 'one-square'")
                     return f"move {direction} one-square"
             raise self.fail("'move' lacks a 'left' or 'right' arrow")
         if label == "{":
-            inner = [self.statement(n) for n in self.chain(self.need(node, "}"))]
+            inner = [self.statement(n) for n in self.g.chain(self.need(node, "}"), "+", ";")]
             return "{" + "; ".join(inner) + "}"
         if label == "":
             return ""
@@ -383,6 +365,8 @@ def render_program(tree: Sytr) -> str:
     """Inverse of parsing: canonical tree back to program text.
 
     The text reparses to an isomorphic tree; whitespace and statement
-    layout are normalized, one top-level statement per line.
+    layout are normalized, one top-level statement per line. A graph in
+    which some node is reached twice (a loop, or a shared node) is not
+    a tree and is refused with ValueError.
     """
     return _Renderer(tree).render()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -99,7 +100,9 @@ class LabeledGraph:
     Out-arrows are indexed by (origin, label): the key holds the first
     such arrow's id, and the overflow map holds the ids of any later
     ones, which only a graph that is not uni-labeled has. Origins and
-    labels never change, so only ``add_arrow`` updates the index.
+    labels never change, so only ``add_arrow`` updates the index. A
+    node's out-arrows and in-arrows are both listed in id order, also
+    after ``set_arrow_dst`` moves an arrow.
     """
 
     def __init__(self) -> None:
@@ -166,7 +169,7 @@ class LabeledGraph:
         arrow = self._arrows[arrow_id]
         self._in[arrow.dst].remove(arrow_id)
         arrow.dst = dst
-        self._in[dst].append(arrow_id)
+        insort(self._in[dst], arrow_id)
 
     # -- queries -----------------------------------------------------
 
@@ -193,9 +196,10 @@ class LabeledGraph:
 
         Arrows of all kinds count unless ``kinds`` narrows them; ends come
         in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
-        is the one place an arrow is followed by its label. "+" is answered
-        from the (node, label) index in constant time; "-" scans the node's
-        in-arrows, which tape cells have at most two of.
+        is the one place an arrow is followed by its label; ``follow`` and
+        ``chain`` build on it. "+" is answered from the (node, label) index
+        in constant time; "-" scans the node's in-arrows, which tape cells
+        have at most two of.
         """
         if sign == "+":
             key = (node, word)
@@ -205,14 +209,47 @@ class LabeledGraph:
                     raise ValueError(f"{node} is not a node of this graph")
                 return []
             more = self._out_more.get(key) if self._out_more else None
-            if kinds is None and more is None:
-                return [self._arrows[first].dst]
+            if more is None:
+                arrow = self._arrows[first]
+                return [arrow.dst] if kinds is None or arrow.kind in kinds else []
             wanted = None if kinds is None else set(kinds)
-            arrows = [self._arrows[arrow_id] for arrow_id in (first, *(more or ()))]
+            arrows = [self._arrows[arrow_id] for arrow_id in (first, *more)]
             return [a.dst for a in arrows if wanted is None or a.kind in wanted]
         if sign == "-":
             return [a.src for _, a in self.in_arrows(node, kinds) if a.label == word]
         raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
+
+    def follow(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> Optional[int]:
+        """The one far end of a ``word`` arrow at ``node``, or None when there is none.
+
+        ``sign`` and ``kinds`` are as for ``ends``. Raises ValueError
+        when several such arrows leave (or enter) the node.
+        """
+        hits = self.ends(node, sign, word, kinds)
+        if len(hits) == 1:
+            return hits[0]
+        if hits:
+            direction = "leaving" if sign == "+" else "entering"
+            raise ValueError(f"node {node} has several {display_word(word)} arrows {direction} it")
+        return None
+
+    def chain(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> list[int]:
+        """``node``, then what ``follow`` reaches from the last node, again and again.
+
+        The walk ends at a node with no such arrow, or where a node would
+        repeat; a caller that must refuse a loop follows the last node
+        once more. This is the one walk along a label chain: the ','
+        alphabet chain, the ';' statement chain, the ':' label chain and
+        the tape.
+        """
+        nodes = [node]
+        seen = {node}
+        step = self.follow(node, sign, word, kinds)
+        while step is not None and step not in seen:
+            nodes.append(step)
+            seen.add(step)
+            step = self.follow(step, sign, word, kinds)
+        return nodes
 
     def _adjacent(self, table, node, kinds):
         if node not in self._nodes:

@@ -136,18 +136,10 @@ def w_declaration_points(tree: Tree) -> list[int]:
     """Nodes declaring tape words: the ',' chain under the root's 'is' arrow."""
     g = tree.graph
     head = resolve(g, DECLARATIONS_PATH, kinds=(SYNTACTIC,))
-    points = [head]
-    seen = {head}
-    cursor = head
-    while True:
-        hits = g.ends(cursor, "+", ",", (SYNTACTIC,))
-        if not hits:
-            return points
-        if len(hits) > 1 or hits[0] in seen:
-            raise ValueError("the declaration chain does not run ',' by ',' to an end")
-        cursor = hits[0]
-        seen.add(cursor)
-        points.append(cursor)
+    points = g.chain(head, "+", ",", (SYNTACTIC,))
+    if g.follow(points[-1], "+", ",", (SYNTACTIC,)) is not None:
+        raise ValueError("the declaration chain does not run ',' by ',' to an end")
+    return points
 
 
 def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:

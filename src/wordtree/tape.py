@@ -26,8 +26,12 @@ class Tape:
     root: int = 0  # leftmost cell
 
     def cells(self) -> list[int]:
-        """Node ids left to right, ending where a cell would repeat."""
-        return _walk(self.graph, self.root, "+")
+        """Node ids left to right: ``LabeledGraph.chain`` along the tape arrows.
+
+        The walk ends where a cell would repeat, and refuses a cell with
+        several arrows to the right by raising ValueError.
+        """
+        return self.graph.chain(self.root, "+", "", (TAPE,))
 
     def labels(self) -> list[str]:
         return [self.graph.node_label(n) for n in self.cells()]
@@ -66,26 +70,11 @@ def render_tape(t: Tape) -> str:
 def chain_text(g: LabeledGraph, cell: int) -> str:
     """Render the chain containing ``cell`` inside a larger graph.
 
-    Follows empty-labeled tape-kind arrows from ``cell`` leftwards to
-    the chain head and then rightwards to the end. Each walk ends where
-    a cell would repeat, so a malformed cyclic chain prints every cell
-    once instead of looping.
+    Walks the empty-labeled tape-kind arrows with ``LabeledGraph.chain``
+    from ``cell`` leftwards to the chain head and then rightwards to the
+    end. Each walk ends where a cell would repeat, so a malformed cyclic
+    chain prints every cell once instead of looping.
     """
-    head = _walk(g, cell, "-")[-1]
-    labels = [g.node_label(node) for node in _walk(g, head, "+")]
+    head = g.chain(cell, "-", "", (TAPE,))[-1]
+    labels = [g.node_label(node) for node in g.chain(head, "+", "", (TAPE,))]
     return " ".join(label if label else EMPTY_TOKEN for label in labels)
-
-
-def _walk(g: LabeledGraph, cell: int, sign: str) -> list[int]:
-    """Cells from ``cell`` along empty-labeled tape arrows in direction ``sign``.
-
-    The walk ends where a cell would repeat.
-    """
-    out = [cell]
-    seen = {cell}
-    while True:
-        step = g.ends(out[-1], sign, "", (TAPE,))
-        if not step or step[0] in seen:
-            return out
-        out.append(step[0])
-        seen.add(step[0])

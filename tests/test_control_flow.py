@@ -74,6 +74,17 @@ class TestStopNode:
         with pytest.raises(ValueError):
             add_stop_node(tree)
 
+    def test_finds_stop_nodes_through_the_label_index(self, increment_text, monkeypatch):
+        tree = parse_text(increment_text)
+        add_stop_node(tree)
+
+        def no_scan():
+            raise AssertionError("scanned every node")
+
+        monkeypatch.setattr(tree.graph, "nodes", no_scan)
+        with pytest.raises(ValueError, match="already has a stop node"):
+            add_stop_node(tree)
+
 
 class TestBackArrows:
     def test_increment_back_arrows(self, increment_text):
@@ -108,6 +119,16 @@ class TestBackArrows:
         stop = add_stop_node(tree)
         build_back_arrows(tree, stop, classify(tree))
         with pytest.raises(ValueError):
+            build_back_arrows(tree, stop, classify(tree))
+
+    def test_refuses_a_semicolon_loop(self):
+        tree = parse_text("tape-alphabet is a;\nprint 'a';\nprint 'a'.")
+        g = tree.graph
+        other = g.add_node("x")
+        g.add_arrow(other, ";", tree.root)
+        g.add_arrow(tree.root, ";", other)
+        stop = add_stop_node(tree)
+        with pytest.raises(ValueError, match="';' arrows loop"):
             build_back_arrows(tree, stop, classify(tree))
 
 
@@ -170,6 +191,20 @@ class TestBuildControl:
         tree, _, _ = build_all("tape-alphabet is one;\ngo to b;\na: b: print 'one'.")
         goto, target = statements(tree)
         assert (goto, target) in control_pairs(tree, NEXT)
+
+    def test_refuses_a_label_that_rises_to_no_statement(self):
+        tree = parse_text("tape-alphabet is one;\ngo to a;\na: print 'one'.")
+        g = tree.graph
+        (statement,) = g.nodes_labeled("print")
+        (label,) = g.ends(statement, "+", ":")
+        loop = g.add_node("b")
+        g.add_arrow(label, ":", loop)
+        g.add_arrow(loop, ":", statement)
+        classes = classify(tree)
+        stop = add_stop_node(tree)
+        build_back_arrows(tree, stop, classes)
+        with pytest.raises(ValueError, match="does not rise to a statement"):
+            build_control(tree, stop, classes)
 
     def test_inner_chain_continues_after_braces(self):
         tree, stop, _ = build_all(

@@ -211,6 +211,15 @@ class TestInitialize:
         assert tree.graph.node_label(arrow.dst) == "zero"
         assert state.last_tape == "one zero"
 
+    def test_refuses_a_forked_tape(self, increment_parts):
+        tree, _, instructions = increment_parts
+        cells = LabeledGraph()
+        first = cells.add_node("one")
+        cells.add_arrow(first, "", cells.add_node("zero"), TAPE)
+        cells.add_arrow(first, "", cells.add_node("point"), TAPE)
+        with pytest.raises(ValueError, match="several"):
+            initialize(tree, Tape(cells, first), "last", instructions)
+
     def test_refuses_second_tape(self, increment_parts):
         tree, _, instructions = increment_parts
         initialize(tree, parse_tape("one"), "first", instructions)

@@ -1,6 +1,7 @@
 """Frontend tests: lexing, parsing, canonical encoding, rendering."""
 
 import random
+import signal
 
 import pytest
 
@@ -243,6 +244,58 @@ class TestRenderer:
         parsed.graph.set_node_label(go, "halt")
         with pytest.raises(ValueError):
             render_program(parsed)
+
+
+@pytest.fixture
+def one_second():
+    """Turn a render that never returns into a failure after one second."""
+
+    def expire(signum, frame):
+        raise TimeoutError("did not return within one second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestRendererRefusesNonTrees:
+    """A chain that loops, or a node reached twice, is not a program tree."""
+
+    def test_statement_chain(self, one_second):
+        tree = parse_text("tape-alphabet is one; print 'one'; go to a; a: .")
+        g = tree.graph
+        (last,) = g.nodes_labeled("")
+        g.add_arrow(last, ";", g.ends(tree.root, "+", ";")[0])
+        with pytest.raises(ValueError, match="reached twice"):
+            render_program(tree)
+
+    def test_label_chain(self, one_second):
+        tree = parse_text("tape-alphabet is one; a: print 'one'.")
+        (label,) = tree.graph.nodes_labeled("a")
+        tree.graph.add_arrow(label, ":", label)
+        with pytest.raises(ValueError, match="reached twice"):
+            render_program(tree)
+
+    def test_declaration_chain(self, one_second):
+        tree = parse_text("tape-alphabet is one, two; print 'one'.")
+        g = tree.graph
+        (first,) = g.ends(tree.root, "+", "is")
+        (second,) = g.ends(first, "+", ",")
+        g.add_arrow(second, ",", first)
+        with pytest.raises(ValueError, match="reached twice"):
+            render_program(tree)
+
+    def test_shared_node(self):
+        tree = parse_text("tape-alphabet is one; a: print 'one'; go to a.")
+        g = tree.graph
+        (go,) = g.nodes_labeled("go")
+        ((to_arrow, _),) = g.out_arrows(go)
+        (statement,) = g.nodes_labeled("print")
+        g.set_arrow_dst(to_arrow, g.ends(statement, "+", ":")[0])
+        with pytest.raises(ValueError, match="reached twice"):
+            render_program(tree)
 
 
 class TestCanonicalizer:

@@ -181,6 +181,36 @@ class TestPathFormulas:
         with pytest.raises(ValueError):
             g.ends(a, "*", "x")
 
+    def test_follow_finds_one_end_or_none(self):
+        g, cells = small_tape(["one", "zero"])
+        assert g.follow(cells[0], "+", "", (G.TAPE,)) == cells[1]
+        assert g.follow(cells[1], "-", "", (G.TAPE,)) == cells[0]
+        assert g.follow(cells[1], "+", "") is None
+        assert g.follow(cells[0], "+", "", (G.SYNTACTIC,)) is None
+
+    def test_follow_refuses_several(self):
+        g = LabeledGraph()
+        a, b, c = (g.add_node(w) for w in "abc")
+        g.add_arrow(a, "x", b)
+        g.add_arrow(a, "x", c)
+        g.add_arrow(b, "y", c)
+        g.add_arrow(a, "y", c)
+        with pytest.raises(ValueError, match="several 'x' arrows leaving"):
+            g.follow(a, "+", "x")
+        with pytest.raises(ValueError, match="several 'y' arrows entering"):
+            g.follow(c, "-", "y")
+
+    def test_chain_ends_where_a_node_would_repeat(self):
+        g = LabeledGraph()
+        a, b, c = (g.add_node(w) for w in "abc")
+        g.add_arrow(a, ",", b)
+        g.add_arrow(b, ",", c)
+        g.add_arrow(c, ",", b)
+        g.add_arrow(a, ":", a)
+        assert g.chain(a, "+", ",") == [a, b, c]
+        assert g.chain(a, "+", ":") == [a]
+        assert g.follow(c, "+", ",") == b  # how a caller tells a loop
+
     def test_resolve_kind_filter(self):
         g, root, cells = program_with_tape(["one"], 0)
         only_syntactic = resolve
@@ -459,6 +489,32 @@ def test_ends_equals_brute_force(graph_and_node, sign, word, kinds):
     assert g.ends(node, sign, word, kinds) == expected
 
 
+@given(
+    indexed_graphs(),
+    st.sampled_from("+-"),
+    words,
+    st.one_of(st.none(), st.sets(st.sampled_from(G.ARROW_KINDS))),
+)
+@settings(deadline=None)
+def test_chain_follows_the_one_arrow_until_it_ends_or_repeats(graph_and_node, sign, word, kinds):
+    g, node = graph_and_node
+    walked = [node]
+    try:
+        nodes = g.chain(node, sign, word, kinds)
+    except ValueError:
+        # Some node reached along the way has several such arrows.
+        while len(g.ends(walked[-1], sign, word, kinds)) == 1:
+            step = g.ends(walked[-1], sign, word, kinds)[0]
+            assert step not in walked
+            walked.append(step)
+        assert len(g.ends(walked[-1], sign, word, kinds)) > 1
+        return
+    assert len(set(nodes)) == len(nodes) and nodes[0] == node
+    for here, there in zip(nodes, nodes[1:]):
+        assert g.ends(here, sign, word, kinds) == [there]
+    assert g.ends(nodes[-1], sign, word, kinds) in ([], *([n] for n in nodes))
+
+
 def test_forward_ends_scan_no_arrows(monkeypatch):
     g = LabeledGraph()
     a, b, c = g.add_node("a"), g.add_node("b"), g.add_node("c")
@@ -726,11 +782,101 @@ def _label_lookups(path: Path) -> list[str]:
     return found
 
 
+def _hand_walks(path: Path) -> list[str]:
+    """Hand-written "one arrow or refuse several" steps and chain walks.
+
+    A step is an ``if`` whose test compares ``len(x) > 1``, where ``x``
+    is an ``ends(…)`` call or a name the module binds to one, and whose
+    body raises. A function holding such a step counts as a step of its
+    own wherever it is called. A walk is a ``while`` or ``for`` loop that
+    rebinds a name to (or appends to it) a step's result, or an element
+    of one, and passes that name back into a step inside the loop.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    steps = {"ends"}
+
+    def is_step(expr) -> bool:
+        if not isinstance(expr, ast.Call):
+            return False
+        func = expr.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in steps
+
+    def bound_to_steps() -> set:
+        return {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and is_step(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+
+    def from_step(expr, bound) -> bool:
+        while isinstance(expr, ast.Subscript):
+            expr = expr.value
+        return is_step(expr) or (isinstance(expr, ast.Name) and expr.id in bound)
+
+    def refusals(scope, bound) -> list:
+        return [
+            node
+            for node in ast.walk(scope)
+            if isinstance(node, ast.If)
+            and any(isinstance(sub, ast.Raise) for sub in node.body)
+            and any(
+                isinstance(cmp, ast.Compare)
+                and isinstance(cmp.left, ast.Call)
+                and getattr(cmp.left.func, "id", None) == "len"
+                and from_step(cmp.left.args[0], bound)
+                and isinstance(cmp.ops[0], ast.Gt)
+                and getattr(cmp.comparators[0], "value", None) == 1
+                for cmp in ast.walk(node.test)
+            )
+        ]
+
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    steps |= {f.name for f in functions if refusals(f, bound_to_steps())}
+    bound = bound_to_steps()
+    found = [f"{path.name}:{node.lineno}" for node in refusals(tree, bound)]
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.While, ast.For)):
+            continue
+        cursors = set()
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Assign) and from_step(node.value, bound):
+                cursors |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and isinstance(node.func.value, ast.Name)
+                and node.args
+                and from_step(node.args[0], bound)
+            ):
+                cursors.add(node.func.value.id)
+        fed_back = any(
+            is_step(node)
+            and node.args
+            and any(
+                isinstance(name, ast.Name) and name.id in cursors
+                for name in ast.walk(node.args[0])
+            )
+            for node in ast.walk(loop)
+        )
+        if fed_back:
+            found.append(f"{path.name}:{loop.lineno}")
+    return sorted(found)
+
+
 def test_arrows_are_followed_by_label_only_in_the_kernel():
     root = Path(__file__).resolve().parent.parent
     modules = sorted((root / "src" / "wordtree").glob("*.py")) + sorted(
         (root / "scripts").glob("*.py")
     )
     assert len(modules) > 10
-    found = [hit for path in modules if path.name != "graph.py" for hit in _label_lookups(path)]
+    outside = [path for path in modules if path.name != "graph.py"]
+    found = [hit for path in outside for hit in _label_lookups(path)]
     assert found == [], f"use LabeledGraph.ends instead: {found}"
+    walks = [hit for path in outside for hit in _hand_walks(path)]
+    assert walks == [], f"use LabeledGraph.follow or LabeledGraph.chain instead: {walks}"
