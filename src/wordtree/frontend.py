@@ -19,18 +19,20 @@ print nodes; the compared word of an 'if' sits directly after `is`.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import SYNTACTIC, LabeledGraph, Tree, display_word
+from .graph import BARE_WORD, SYNTACTIC, WORD, LabeledGraph, Tree, display_word
 
 Sytr = Tree
 
 PUNCT_CHARS = ";{}.:,'"
 STATEMENT_KEYWORDS = ("go", "if", "print", "move")
 
-_WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
-_PLAIN = re.compile(r"[a-z]+\Z")
+# Whitespace, then one token: a punctuation mark or a maximal word.
+_SCAN = re.compile(r"\s*([;{}.:,']|" + WORD.pattern + ")")
 
 
 class IllegalCharacter(Exception):
@@ -65,112 +67,149 @@ class Token:
     column: int
 
 
-def lex(text: str) -> list[Token]:
-    """Tokenize source text into maximal-munch words and punctuation marks."""
-    tokens: list[Token] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        i = 0
-        while i < len(line):
-            c = line[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in PUNCT_CHARS:
-                tokens.append(Token("punct", c, line_no, i + 1))
-                i += 1
-                continue
-            m = _WORD.match(line, i)
-            if m is None:
-                raise IllegalCharacter(c, line_no, i + 1)
-            tokens.append(Token("word", m.group(), line_no, i + 1))
-            i = m.end()
+class Tokens(Sequence[Token]):
+    """The tokens of one source text, as ``lex`` returns them.
+
+    ``texts`` holds each token's text and ``starts`` its offset in
+    ``source``; the parser reads these lists directly. Indexing and
+    iteration build each ``Token`` on demand. Its line and column come
+    from a binary search over the offsets at which lines start, which
+    are found once, on the first such request.
+    """
+
+    __slots__ = ("source", "texts", "starts", "_line_starts")
+
+    def __init__(self, source: str, texts: list[str], starts: list[int]):
+        self.source = source
+        self.texts = texts
+        self.starts = starts
+        self._line_starts: Optional[list[int]] = None
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index: int) -> Token:
+        text = self.texts[index]
+        line, column = self.position(self.starts[index])
+        return Token("punct" if text in PUNCT_CHARS else "word", text, line, column)
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """Line and column, both counted from 1, of an offset into ``source``."""
+        if self._line_starts is None:
+            starts = [0]
+            newline = self.source.find("\n")
+            while newline >= 0:
+                starts.append(newline + 1)
+                newline = self.source.find("\n", newline + 1)
+            self._line_starts = starts
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
+
+
+def lex(text: str) -> Tokens:
+    """Tokenize source text into maximal-munch words and punctuation marks.
+
+    One pass of one pattern: each match must start where the previous
+    one ended, so the first character no match covers, other than
+    whitespace, is illegal.
+    """
+    texts: list[str] = []
+    starts: list[int] = []
+    end = 0
+    for match in _SCAN.finditer(text):
+        if match.start() != end:
+            break
+        texts.append(match[1])
+        starts.append(match.start(1))
+        end = match.end()
+    tokens = Tokens(text, texts, starts)
+    rest = text[end:]
+    if rest and not rest.isspace():
+        offset = len(text) - len(rest.lstrip())
+        raise IllegalCharacter(text[offset], *tokens.position(offset))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over the token texts.
+
+    Punctuation marks and words are disjoint, so comparing a text with
+    a mark or a keyword also tests its kind, and a word is a text that
+    starts with a letter. Two empty texts past the end stand for the end
+    of the program: no token is empty, so they match nothing, and the
+    one-token lookahead for a statement label stays in range.
+    """
+
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
+        self.texts = tokens.texts + ["", ""]
         self.pos = 0
         self.g = LabeledGraph()
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        index = self.pos + ahead
-        return self.tokens[index] if index < len(self.tokens) else None
+    def found(self) -> Optional[Token]:
+        """The token at the parse position; None at the end of the program.
 
-    def take(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("more program text", None)
+        Built here, not through ``Tokens.__getitem__``, whose call from C
+        costs extra stack: a ParseError at the deepest nesting the
+        recursion limit allows must not become a RecursionError.
+        """
+        text = self.texts[self.pos]
+        if not text:
+            return None
+        line, column = self.tokens.position(self.tokens.starts[self.pos])
+        return Token("punct" if text in PUNCT_CHARS else "word", text, line, column)
+
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise ParseError(display_word(text), self.found())
         self.pos += 1
-        return token
-
-    def at_word(self, text: Optional[str] = None, ahead: int = 0) -> bool:
-        token = self.peek(ahead)
-        return (
-            token is not None
-            and token.kind == "word"
-            and (text is None or token.text == text)
-        )
-
-    def at_punct(self, char: str, ahead: int = 0) -> bool:
-        token = self.peek(ahead)
-        return token is not None and token.kind == "punct" and token.text == char
-
-    def expect_word(self, text: str) -> Token:
-        if not self.at_word(text):
-            raise ParseError(display_word(text), self.peek())
-        return self.take()
-
-    def expect_punct(self, char: str) -> Token:
-        if not self.at_punct(char):
-            raise ParseError(display_word(char), self.peek())
-        return self.take()
 
     def identifier(self) -> str:
-        token = self.peek()
-        if token is None or token.kind != "word":
-            raise ParseError("an identifier", token)
-        if not _PLAIN.match(token.text):
-            raise ParseError("an identifier without hyphens", token)
-        self.take()
-        return token.text
+        text = self.texts[self.pos]
+        if not text.isalpha():  # scanned words hold only a-z and hyphens
+            expected = "an identifier without hyphens" if text[:1].isalpha() else "an identifier"
+            raise ParseError(expected, self.found())
+        self.pos += 1
+        return text
 
     def program(self) -> int:
-        self.expect_word("tape-alphabet")
-        root = self.g.add_node("tape-alphabet")
-        self.expect_word("is")
-        prev = self.g.add_node(self.identifier())
-        self.g.add_arrow(root, "is", prev)
-        while self.at_punct(","):
-            self.take()
-            node = self.g.add_node(self.identifier())
-            self.g.add_arrow(prev, ",", node)
+        g = self.g
+        self.expect("tape-alphabet")
+        root = g.add_node("tape-alphabet")
+        self.expect("is")
+        prev = g.add_node(self.identifier())
+        g.add_arrow(root, "is", prev)
+        while self.texts[self.pos] == ",":
+            self.pos += 1
+            node = g.add_node(self.identifier())
+            g.add_arrow(prev, ",", node)
             prev = node
-        self.expect_punct(";")
+        self.expect(";")
         first = self.statement_list()
-        self.g.add_arrow(root, ";", first)
-        self.expect_punct(".")
-        dot = self.g.add_node(".")
-        self.g.add_arrow(root, "", dot)
-        if self.peek() is not None:
-            raise ParseError("end of program", self.peek())
+        g.add_arrow(root, ";", first)
+        self.expect(".")
+        dot = g.add_node(".")
+        g.add_arrow(root, "", dot)
+        if self.texts[self.pos]:
+            raise ParseError("end of program", self.found())
         return root
 
     def statement_list(self) -> int:
         first = self.statement()
         prev = first
-        while self.at_punct(";"):
-            self.take()
+        while self.texts[self.pos] == ";":
+            self.pos += 1
             node = self.statement()
             self.g.add_arrow(prev, ";", node)
             prev = node
         return first
 
     def statement(self) -> int:
+        texts = self.texts
         labels: list[str] = []
-        while self.at_word() and self.at_punct(":", ahead=1):
+        while texts[self.pos + 1] == ":" and texts[self.pos][:1].isalpha():
             labels.append(self.identifier())
-            self.take()
+            self.pos += 1
         node = self.simple_statement()
         prev = node
         for label in labels:
@@ -180,61 +219,63 @@ class _Parser:
         return node
 
     def simple_statement(self) -> int:
-        if self.at_word("go"):
-            self.take()
-            node = self.g.add_node("go")
-            self.expect_word("to")
-            target = self.g.add_node(self.identifier())
-            self.g.add_arrow(node, "to", target)
+        g = self.g
+        keyword = self.texts[self.pos]
+        if keyword == "go":
+            self.pos += 1
+            node = g.add_node("go")
+            self.expect("to")
+            target = g.add_node(self.identifier())
+            g.add_arrow(node, "to", target)
             return node
-        if self.at_word("print"):
-            self.take()
-            node = self.g.add_node("print")
-            word = self.g.add_node(self.string())
-            self.g.add_arrow(node, "'", word)
+        if keyword == "print":
+            self.pos += 1
+            node = g.add_node("print")
+            word = g.add_node(self.string())
+            g.add_arrow(node, "'", word)
             return node
-        if self.at_word("if"):
-            self.take()
-            node = self.g.add_node("if")
-            self.expect_word("the-tape-symbol")
-            symbol = self.g.add_node("the-tape-symbol")
-            self.g.add_arrow(node, "", symbol)
-            self.expect_word("is")
-            word = self.g.add_node(self.string())
-            self.g.add_arrow(symbol, "is", word)
-            self.expect_word("then")
+        if keyword == "if":
+            self.pos += 1
+            node = g.add_node("if")
+            self.expect("the-tape-symbol")
+            symbol = g.add_node("the-tape-symbol")
+            g.add_arrow(node, "", symbol)
+            self.expect("is")
+            word = g.add_node(self.string())
+            g.add_arrow(symbol, "is", word)
+            self.expect("then")
             subordinate = self.statement()
-            self.g.add_arrow(node, "then", subordinate)
+            g.add_arrow(node, "then", subordinate)
             return node
-        if self.at_word("move"):
-            self.take()
-            node = self.g.add_node("move")
-            if self.at_word("left") or self.at_word("right"):
-                direction = self.take().text
-            else:
-                raise ParseError("'left' or 'right'", self.peek())
-            self.expect_word("one-square")
-            square = self.g.add_node("one-square")
-            self.g.add_arrow(node, direction, square)
+        if keyword == "move":
+            self.pos += 1
+            node = g.add_node("move")
+            direction = self.texts[self.pos]
+            if direction != "left" and direction != "right":
+                raise ParseError("'left' or 'right'", self.found())
+            self.pos += 1
+            self.expect("one-square")
+            square = g.add_node("one-square")
+            g.add_arrow(node, direction, square)
             return node
-        if self.at_punct("{"):
-            self.take()
-            node = self.g.add_node("{")
+        if keyword == "{":
+            self.pos += 1
+            node = g.add_node("{")
             inner = self.statement_list()
-            self.expect_punct("}")
-            self.g.add_arrow(node, "}", inner)
+            self.expect("}")
+            g.add_arrow(node, "}", inner)
             return node
-        return self.g.add_node("")
+        return g.add_node("")
 
     def string(self) -> str:
-        self.expect_punct("'")
+        self.expect("'")
         word = self.identifier()
-        self.expect_punct("'")
+        self.expect("'")
         return word
 
 
-def parse_program(tokens: list[Token]) -> Sytr:
-    """Parse a token stream into a canonical program tree."""
+def parse_program(tokens: Tokens) -> Sytr:
+    """Parse the tokens ``lex`` returns into a canonical program tree."""
     parser = _Parser(tokens)
     root = parser.program()
     return Sytr(parser.g, root)
@@ -306,7 +347,7 @@ class _Renderer:
 
     def plain_word(self, node: int, role: str) -> str:
         word = self.g.node_label(node)
-        if not _PLAIN.match(word):
+        if not BARE_WORD.fullmatch(word):
             raise self.fail(f"{role} {display_word(word)} is not a plain identifier")
         return word
 

@@ -27,7 +27,11 @@ CONTROL = "control"
 TAPE = "tape"
 ARROW_KINDS = (SYNTACTIC, SEMANTIC, CONTROL, TAPE)
 
-_BARE_TOKEN = re.compile(r"[a-z]+\Z")
+# A word of program text or of a tape: lowercase letters, joined by single
+# hyphens. The frontend's scanner and ``parse_tape`` both use this pattern.
+WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
+# A word with no hyphen: bare in a path formula, a plain identifier in a program.
+BARE_WORD = re.compile(r"[a-z]+")
 
 
 def is_pla_word(text: str) -> bool:
@@ -198,8 +202,8 @@ class LabeledGraph:
         in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
         is the one place an arrow is followed by its label; ``follow`` and
         ``chain`` build on it. "+" is answered from the (node, label) index
-        in constant time; "-" scans the node's in-arrows, which tape cells
-        have at most two of.
+        in constant time; "-" scans the node's in-arrow ids in place, and
+        tape cells have at most two of them.
         """
         if sign == "+":
             key = (node, word)
@@ -216,7 +220,15 @@ class LabeledGraph:
             arrows = [self._arrows[arrow_id] for arrow_id in (first, *more)]
             return [a.dst for a in arrows if wanted is None or a.kind in wanted]
         if sign == "-":
-            return [a.src for _, a in self.in_arrows(node, kinds) if a.label == word]
+            ids = self._in.get(node)
+            if ids is None:
+                raise ValueError(f"{node} is not a node of this graph")
+            srcs = []
+            for arrow_id in ids:
+                arrow = self._arrows[arrow_id]
+                if arrow.label == word and (kinds is None or arrow.kind in kinds):
+                    srcs.append(arrow.src)
+            return srcs
         raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
 
     def follow(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> Optional[int]:
@@ -316,14 +328,14 @@ def word_token(word: str) -> str:
     punctuation, the empty word) is double-quoted, with backslash escapes
     for the quote and the backslash itself.
     """
-    if _BARE_TOKEN.match(word):
+    if BARE_WORD.fullmatch(word):
         return word
     return '"' + word.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def display_word(word: str) -> str:
     """Render a word for diagnostic and instruction phrases."""
-    if _BARE_TOKEN.match(word):
+    if BARE_WORD.fullmatch(word):
         return f"'{word}'"
     return word_token(word)
 
@@ -364,10 +376,10 @@ def parse_path(text: str) -> PathFormula:
                 raise ValueError(f"unterminated quote in path formula {text!r}")
             pos += 1
             return "".join(out)
-        match = re.match(r"[a-z]+", text[pos:])
+        match = BARE_WORD.match(text, pos)
         if not match:
             raise ValueError(f"expected a token at position {pos} in path formula {text!r}")
-        pos += match.end()
+        pos = match.end()
         return match.group()
 
     start: Optional[str]

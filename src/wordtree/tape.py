@@ -9,12 +9,10 @@ word (whitespace cannot carry an empty token).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .graph import TAPE, LabeledGraph
+from .graph import TAPE, WORD, LabeledGraph
 
-_CELL_TOKEN = re.compile(r"[a-z]+(-[a-z]+)*\Z")
 EMPTY_TOKEN = '""'
 
 
@@ -48,7 +46,7 @@ def parse_tape(text: str) -> Tape:
     for token in tokens:
         if token == EMPTY_TOKEN:
             word = ""
-        elif _CELL_TOKEN.match(token):
+        elif WORD.fullmatch(token):
             word = token
         else:
             raise ValueError(f"illegal tape token {token!r}")

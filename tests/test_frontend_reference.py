@@ -1,0 +1,212 @@
+"""The frontend against its character-loop reference, and pinned node ids.
+
+``reference_frontend`` holds the lexer and parser the one-pass frontend
+replaced. On random texts the two lexers must give the same tokens or
+the same illegal character, and on random token sequences the two
+parsers the same graph, node ids included, or the same ParseError.
+"""
+
+import pathlib
+import sys
+import traceback
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_frontend as reference
+from wordtree.frontend import IllegalCharacter, ParseError, lex, parse_text
+from wordtree.graph import export_json
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+WHITESPACE = " \t\r\x0b\x0c  \n"
+PUNCT = list(";{}.:,'")
+KEYWORDS = ["tape-alphabet", "is", "go", "to", "print", "if", "the-tape-symbol",
+            "then", "move", "left", "right", "one-square"]
+IDENTIFIERS = ["a", "b", "xy", "a-b"]
+
+
+def lexed(lex_text, text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in lex_text(text)]
+    except IllegalCharacter as error:
+        return ("illegal", error.char, error.line, error.column, str(error))
+
+
+def parsed(parse, text):
+    try:
+        return export_json(parse(text).graph)
+    except ParseError as error:
+        return ("ParseError", str(error))
+
+
+source_texts = st.lists(
+    st.one_of(
+        st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT),
+        st.text(alphabet="abcz-;{}.:,'" + WHITESPACE + "A7", max_size=6),
+    ),
+    max_size=20,
+).map("".join)
+
+
+@given(source_texts)
+@settings(deadline=None)
+@example("Go")
+@example("a--b")
+@example("-x")
+@example("go to\n  carry;\r\n  x-\n")
+@example("a  \n\x0c\n  7")
+def test_lex_matches_reference(text):
+    assert lexed(lex, text) == lexed(reference.lex, text)
+
+
+@given(source_texts)
+@settings(deadline=None, max_examples=50)
+def test_tokens_behave_as_a_sequence(text):
+    try:
+        expected = reference.lex(text)
+    except IllegalCharacter:
+        return
+    tokens = lex(text)
+    assert len(tokens) == len(expected)
+    assert list(tokens) == expected
+    if expected:
+        assert tokens[-1] == expected[-1]
+    with pytest.raises(IndexError):
+        tokens[len(expected)]
+
+
+@st.composite
+def statements(draw, depth=0):
+    """Token texts of one statement, labels included."""
+    out = []
+    for _ in range(draw(st.integers(0, 2))):
+        out += [draw(st.sampled_from(IDENTIFIERS)), ":"]
+    kinds = ["go", "print", "move", "empty"] + (["if", "{"] if depth < 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    word = st.sampled_from(IDENTIFIERS)
+    if kind == "go":
+        out += ["go", "to", draw(word)]
+    elif kind == "print":
+        out += ["print", "'", draw(word), "'"]
+    elif kind == "move":
+        out += ["move", draw(st.sampled_from(["left", "right"])), "one-square"]
+    elif kind == "if":
+        out += ["if", "the-tape-symbol", "is", "'", draw(word), "'", "then"]
+        out += draw(statements(depth + 1))
+    elif kind == "{":
+        out += ["{"] + draw(statement_lists(depth + 1)) + ["}"]
+    return out
+
+
+@st.composite
+def statement_lists(draw, depth=0):
+    out = draw(statements(depth))
+    for _ in range(draw(st.integers(0, 3))):
+        out += [";"] + draw(statements(depth))
+    return out
+
+
+@st.composite
+def programs(draw):
+    """Token texts of a program, then perhaps cut short, or with one token changed."""
+    words = [draw(st.sampled_from(IDENTIFIERS)) for _ in range(draw(st.integers(1, 3)))]
+    declared = [w for pair in zip([","] * len(words), words) for w in pair][1:]
+    tokens = ["tape-alphabet", "is", *declared, ";", *draw(statement_lists()), "."]
+    change = draw(st.sampled_from(["none", "cut", "replace", "insert", "delete"]))
+    any_token = st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT)
+    at = draw(st.integers(0, len(tokens) - 1))
+    if change == "cut":
+        tokens = tokens[:at]
+    elif change == "replace":
+        tokens[at] = draw(any_token)
+    elif change == "insert":
+        tokens.insert(at, draw(any_token))
+    elif change == "delete":
+        del tokens[at]
+    gaps = draw(st.lists(st.sampled_from([" ", "\n", "  "]), min_size=len(tokens),
+                         max_size=len(tokens)))
+    return "".join(gap + token for gap, token in zip(gaps, tokens))
+
+
+token_soups = st.lists(st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT), max_size=25).map(" ".join)
+
+
+@given(st.one_of(programs(), token_soups))
+@settings(deadline=None)
+@example("tape-alphabet is a;")
+@example("tape-alphabet is a; x")
+@example("tape-alphabet is a; x:")
+@example("tape-alphabet is a; move")
+@example("tape-alphabet is a; ;: print 'a'.")
+@example("tape-alphabet is a; {: go to a}.")
+@example("tape-alphabet is a; go to x.")
+@example("tape-alphabet")
+@example("")
+def test_parse_matches_reference(text):
+    assert parsed(parse_text, text) == parsed(reference.parse_text, text)
+
+
+def test_end_of_program_after_the_last_statement():
+    with pytest.raises(ParseError, match='expected ".", found end of program'):
+        parse_text("tape-alphabet is a;")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "programs").glob("*.tgl")), ids=lambda p: p.name)
+def test_program_node_ids_are_pinned(path):
+    """Node and arrow ids of each shipped program, as the parser hands them out."""
+    golden = (DATA / f"{path.stem}.sytr.json").read_text()
+    assert export_json(parse_text(path.read_text()).graph) == golden
+
+
+IF = "if the-tape-symbol is 'a' then "
+NESTED = {
+    "block": lambda n, leaf: "{" * n + leaf + "}" * n,
+    "if": lambda n, leaf: IF * n + leaf,
+}
+LEAVES = ["print 'a'", "x: y: go to x", "go x", "move up one-square", "print 'a-b'", "if a", "go to ;"]
+
+
+def outcome(parse, text):
+    try:
+        return parsed(parse, text)
+    except RecursionError:
+        return "RecursionError"
+
+
+def at_depth(frames, call):
+    return at_depth(frames - 1, call) if frames else call()
+
+
+def test_parser_needs_no_more_stack_than_reference():
+    """Near the recursion limit, whatever the reference parses, the frontend parses alike.
+
+    The limit is lowered so that programs nest only a few dozen levels.
+    For each shape and each of three call depths, which cover every
+    phase of the three frames a block level takes, the two deepest
+    nestings the reference still parses must give the same result.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 200)
+    try:
+        for nest in NESTED.values():
+            for leaf in LEAVES:
+                for frames in range(3):
+                    def run(parse, n):
+                        text = f"tape-alphabet is a;\n{nest(n, leaf)}."
+                        return at_depth(frames, lambda: outcome(parse, text))
+
+                    low, high = 1, 200  # the reference parses ``low`` levels, not ``high``
+                    assert run(reference.parse_text, high) == "RecursionError"
+                    while high - low > 1:
+                        middle = (low + high) // 2
+                        if run(reference.parse_text, middle) == "RecursionError":
+                            high = middle
+                        else:
+                            low = middle
+                    for n in (low - 1, low):
+                        assert run(parse_text, n) == run(reference.parse_text, n)
+    finally:
+        sys.setrecursionlimit(limit)

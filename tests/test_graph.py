@@ -537,6 +537,33 @@ def test_forward_ends_scan_no_arrows(monkeypatch):
     assert resolve(g, parse_path("a+x+x")) == c
 
 
+def test_backward_ends_build_no_adjacency_list(monkeypatch):
+    g = LabeledGraph()
+    a, b, c = g.add_node("a"), g.add_node("b"), g.add_node("c")
+    g.add_arrow(a, "x", b)
+    g.add_arrow(a, "", c, kind=G.TAPE)
+    g.add_arrow(b, "x", c, kind=G.CONTROL)
+    g.add_arrow(b, "y", c)
+    g.add_arrow(a, "y", c)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("ends built an adjacency list")
+
+    monkeypatch.setattr(LabeledGraph, "_adjacent", scan)
+    monkeypatch.setattr(LabeledGraph, "in_arrows", scan)
+    monkeypatch.setattr(LabeledGraph, "arrows", scan)
+    assert g.ends(b, "-", "x") == [a]
+    assert g.ends(c, "-", "") == [a]
+    assert g.ends(c, "-", "", (G.TAPE,)) == [a]
+    assert g.ends(c, "-", "", (G.SYNTACTIC,)) == []
+    assert g.ends(c, "-", "x") == [b]
+    assert g.ends(c, "-", "y") == [b, a]  # arrow id order
+    assert g.ends(a, "-", "x") == []
+    assert resolve(g, parse_path("c-x-x")) == a
+    with pytest.raises(ValueError):
+        g.ends(7, "-", "x")
+
+
 paths = st.builds(
     PathFormula,
     st.sampled_from([None, "a", "b", "zz"]),
