@@ -121,9 +121,7 @@ def build_control(
     """
     g = tree.graph
     targets, usages = label_points(tree, classes)
-    problems = [
-        d for d in _match(g, targets, usages, LABEL_FINDINGS) if d.severity == "error"
-    ]
+    problems = _match(g, targets, usages, LABEL_FINDINGS[:2])
     if problems:
         raise ValueError(
             "cannot build control arrows: " + "; ".join(str(d) for d in problems)

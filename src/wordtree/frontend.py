@@ -29,7 +29,6 @@ from .graph import BARE_WORD, SYNTACTIC, WORD, LabeledGraph, Tree, display_word
 Sytr = Tree
 
 PUNCT_CHARS = ";{}.:,'"
-STATEMENT_KEYWORDS = ("go", "if", "print", "move")
 
 # Whitespace, then one token: a punctuation mark or a maximal word.
 _SCAN = re.compile(r"\s*([;{}.:,']|" + WORD.pattern + ")")

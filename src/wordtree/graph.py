@@ -97,16 +97,21 @@ class LabeledGraph:
     """Mutable finite graph of word-labeled nodes and arrows.
 
     Identifiers are small integers handed out sequentially and never
-    reused. Duplicate arrows (same endpoints, same label) are allowed at
-    this level; uni-labeledness is a separate check so that violating
-    graphs can be constructed and reported.
+    reused, and nothing is deleted, so insertion order is id order:
+    ``nodes()`` and ``arrows()`` list it without sorting. A label is
+    validated when it first enters the graph, that is, when the label
+    index (nodes by label, arrows by label) has no key for it yet; later
+    uses of the same word are not checked again. Duplicate arrows (same
+    endpoints, same label) are allowed at this level; uni-labeledness is
+    a separate check so that violating graphs can be constructed and
+    reported.
 
     Out-arrows are indexed by (origin, label): the key holds the first
     such arrow's id, and the overflow map holds the ids of any later
     ones, which only a graph that is not uni-labeled has. Origins and
-    labels never change, so only ``add_arrow`` updates the index. A
-    node's out-arrows and in-arrows are both listed in id order, also
-    after ``set_arrow_dst`` moves an arrow.
+    labels never change, so only ``add_arrow`` and ``merge`` update the
+    index. A node's out-arrows and in-arrows are both listed in id
+    order, also after ``set_arrow_dst`` moves an arrow.
     """
 
     def __init__(self) -> None:
@@ -125,14 +130,17 @@ class LabeledGraph:
 
     def add_node(self, label: str) -> int:
         """Add a node labeled by a PLA word, or by an MLA word (auxiliary node)."""
-        if not (is_pla_word(label) or is_mla_word(label)):
-            raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
+        same_label = self._by_label.get(label)
+        if same_label is None:
+            if not (is_pla_word(label) or is_mla_word(label)):
+                raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
+            same_label = self._by_label[label] = set()
         node = self._next_node
         self._next_node += 1
         self._nodes[node] = label
         self._out[node] = []
         self._in[node] = []
-        self._by_label.setdefault(label, set()).add(node)
+        same_label.add(node)
         return node
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:
@@ -141,16 +149,19 @@ class LabeledGraph:
             raise ValueError(f"arrow origin {src} is not a node of this graph")
         if dst not in self._nodes:
             raise ValueError(f"arrow destination {dst} is not a node of this graph")
-        if not is_pla_word(label):
+        same_label = self._arrows_by_label.get(label)
+        if same_label is None and not is_pla_word(label):
             raise ValueError(f"arrow label {label!r} is not a PLA word")
         if kind not in ARROW_KINDS:
             raise ValueError(f"unknown arrow kind {kind!r}")
+        if same_label is None:
+            same_label = self._arrows_by_label[label] = []
         arrow_id = self._next_arrow
         self._next_arrow += 1
         self._arrows[arrow_id] = Arrow(src, label, dst, kind)
         self._out[src].append(arrow_id)
         self._in[dst].append(arrow_id)
-        self._arrows_by_label.setdefault(label, []).append(arrow_id)
+        same_label.append(arrow_id)
         if self._out_first.setdefault((src, label), arrow_id) != arrow_id:
             self._out_more.setdefault((src, label), []).append(arrow_id)
         return arrow_id
@@ -158,7 +169,7 @@ class LabeledGraph:
     # -- mutation ----------------------------------------------------
 
     def set_node_label(self, node: int, label: str) -> None:
-        if not (is_pla_word(label) or is_mla_word(label)):
+        if label not in self._by_label and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
         old = self._nodes[node]
         self._by_label[old].discard(node)
@@ -181,13 +192,13 @@ class LabeledGraph:
         return self._nodes[node]
 
     def nodes(self) -> list[int]:
-        return sorted(self._nodes)
+        return list(self._nodes)
 
     def arrow(self, arrow_id: int) -> Arrow:
         return self._arrows[arrow_id]
 
     def arrows(self) -> list[tuple[int, Arrow]]:
-        return sorted(self._arrows.items())
+        return list(self._arrows.items())
 
     def out_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
         return self._adjacent(self._out, node, kinds)
@@ -306,15 +317,38 @@ class LabeledGraph:
         return dup
 
     def merge(self, other: "LabeledGraph") -> dict[int, int]:
-        """Copy every node and arrow of ``other`` into this graph.
+        """Copy every node and arrow of ``other``, another graph, into this graph.
 
-        Returns the mapping from node ids of ``other`` to the new ids.
+        Returns the mapping from node ids of ``other`` to the new ids. The
+        copies get the ids that adding ``other``'s nodes and then its arrows
+        one by one, in id order, would hand out: since ids run from 0 with
+        no gaps, that is each id plus this graph's next id. Labels and
+        kinds were validated when ``other`` got them, so the storage is
+        copied as it is.
         """
-        mapping: dict[int, int] = {}
-        for node in other.nodes():
-            mapping[node] = self.add_node(other.node_label(node))
-        for _, arrow in other.arrows():
-            self.add_arrow(mapping[arrow.src], arrow.label, mapping[arrow.dst], arrow.kind)
+        node_base = self._next_node
+        arrow_base = self._next_arrow
+        mapping = {}
+        for node, label in other._nodes.items():
+            new = mapping[node] = node_base + node
+            self._nodes[new] = label
+            self._out[new] = [arrow_base + arrow_id for arrow_id in other._out[node]]
+            self._in[new] = [arrow_base + arrow_id for arrow_id in other._in[node]]
+        for label, nodes in other._by_label.items():
+            self._by_label.setdefault(label, set()).update(node_base + node for node in nodes)
+        for arrow_id, a in other._arrows.items():
+            self._arrows[arrow_base + arrow_id] = Arrow(
+                node_base + a.src, a.label, node_base + a.dst, a.kind
+            )
+        for label, ids in other._arrows_by_label.items():
+            same_label = self._arrows_by_label.setdefault(label, [])
+            same_label.extend(arrow_base + arrow_id for arrow_id in ids)
+        for (src, label), arrow_id in other._out_first.items():
+            self._out_first[(node_base + src, label)] = arrow_base + arrow_id
+        for (src, label), ids in other._out_more.items():
+            self._out_more[(node_base + src, label)] = [arrow_base + arrow_id for arrow_id in ids]
+        self._next_node += other._next_node
+        self._next_arrow += other._next_arrow
         return mapping
 
 

@@ -94,20 +94,12 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
     that steer control.
     """
     g = tree.graph
-    label_nodes = set()
-    seeds = []
-    for _, arrow in g.arrows():
-        if arrow.kind != SYNTACTIC:
-            continue
-        if arrow.label == ":":
-            label_nodes.add(arrow.dst)
-        elif arrow.label in ("to", "'", ""):
-            seeds.append(arrow.dst)
-        elif arrow.label == "is" and arrow.src == tree.root:
-            seeds.append(arrow.dst)
+    label_nodes = {a.dst for _, a in g.arrows_labeled(":") if a.kind == SYNTACTIC}
+    work = g.ends(tree.root, "+", "is", (SYNTACTIC,))
+    for word in ("to", "'", ""):
+        work.extend(a.dst for _, a in g.arrows_labeled(word) if a.kind == SYNTACTIC)
 
     data_nodes: set[int] = set()
-    work = list(seeds)
     while work:
         node = work.pop()
         if node in data_nodes:
@@ -174,10 +166,12 @@ def _match(g, definitions: list[int], usages: list[int], findings) -> list[Diagn
     """Compare defining nodes with using nodes by label.
 
     Reports each word defined twice (with its first definition), each
-    usage of an undefined word, and each definition no usage names, as
-    ``findings`` codes and words them, sorted by code and nodes.
+    usage of an undefined word, and, when ``findings`` has a third
+    entry, each definition no usage names, as ``findings`` codes and
+    words them, sorted by code and nodes. The first two are the ones
+    that can block linking or control flow.
     """
-    (twice, twice_text), (undefined, undefined_text), (unused, unused_text) = findings
+    (twice, twice_text), (undefined, undefined_text), *unused_findings = findings
     diagnostics = []
     first_seen: dict[str, int] = {}
     for node in definitions:
@@ -200,13 +194,14 @@ def _match(g, definitions: list[int], usages: list[int], findings) -> list[Diagn
                 diagnostic(undefined, (node,), undefined_text.format(display_word(word)))
             )
 
-    used = {g.node_label(n) for n in usages}
-    for node in definitions:
-        word = g.node_label(node)
-        if word not in used:
-            diagnostics.append(
-                diagnostic(unused, (node,), unused_text.format(display_word(word)))
-            )
+    for unused, unused_text in unused_findings:
+        used = {g.node_label(n) for n in usages}
+        for node in definitions:
+            word = g.node_label(node)
+            if word not in used:
+                diagnostics.append(
+                    diagnostic(unused, (node,), unused_text.format(display_word(word)))
+                )
 
     diagnostics.sort(key=lambda d: (d.code, d.nodes))
     return diagnostics
@@ -233,7 +228,7 @@ def link_is_declared_at(tree: Tree, classes: dict[int, NodeClass]) -> int:
     declarations = w_declaration_points(tree)
     usages = w_usage_points(tree, classes)
     undeclared = [
-        d for d in _match(g, declarations, usages, ALPHABET_FINDINGS) if d.code == "AW2"
+        d for d in _match(g, declarations, usages, ALPHABET_FINDINGS[:2]) if d.code == "AW2"
     ]
     if undeclared:
         raise ValueError(
@@ -264,18 +259,15 @@ def label_points(
     produce false points.
     """
     g = tree.graph
-    targets = []
-    usages = []
-    for _, arrow in g.arrows():
-        if arrow.kind != SYNTACTIC:
-            continue
-        if classes[arrow.src].kind not in (STATEMENT, LABEL):
-            continue
-        if arrow.label == ":":
-            targets.append(arrow.dst)
-        elif arrow.label == "to":
-            usages.append(arrow.dst)
-    return targets, usages
+
+    def points(word: str) -> list[int]:
+        return [
+            a.dst
+            for _, a in g.arrows_labeled(word)
+            if a.kind == SYNTACTIC and classes[a.src].kind in (STATEMENT, LABEL)
+        ]
+
+    return points(":"), points("to")
 
 
 def check_labels(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:

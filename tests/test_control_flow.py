@@ -250,6 +250,25 @@ class TestBuildControl:
             build_control(tree, stop, classify(tree))
         assert tree.graph.arrow_count == arrows
 
+    def test_refusal_lists_the_label_errors_check_labels_reports(self):
+        # Out of order along ':' arrows: b at 4 and 10, a at 7 and 13, b again at 18.
+        text = (
+            "tape-alphabet is one;\nb: print 'one';\na: print 'one';\nb: go to q;\n"
+            "a: go to z;\ngo to y;\nb: print 'one'."
+        )
+        tree = parse_text(text)
+        classes = classify(tree)
+        errors = [d for d in check_labels(tree, classes) if d.severity == "error"]
+        assert [(d.code, d.nodes) for d in errors] == [
+            ("L1", (4, 10)), ("L1", (4, 18)), ("L1", (7, 13)),
+            ("L2", (9,)), ("L2", (12,)), ("L2", (15,)),
+        ]
+        stop = add_stop_node(tree)
+        build_back_arrows(tree, stop, classes)
+        with pytest.raises(ValueError) as refusal:
+            build_control(tree, stop, classes)
+        assert str(refusal.value) == "cannot build control arrows: " + "; ".join(map(str, errors))
+
     def test_refuses_to_build_twice(self, built_increment):
         tree, stop, _ = built_increment
         arrows = tree.graph.arrow_count

@@ -1,9 +1,11 @@
 """Kernel tests: storage, path formulas, propositions, actions, checks, export."""
 
 import ast
+import copy
 import gc
 import json
 import re
+import sys
 import tracemalloc
 import typing
 from pathlib import Path
@@ -39,7 +41,10 @@ from wordtree.graph import (
     parse_path,
     resolve,
 )
+from wordtree.frontend import parse_text
 from wordtree.pipeline import check_program
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def small_tape(labels):
@@ -438,7 +443,8 @@ def indexed_graphs(draw):
     """Graphs built every way the out-arrow index is kept, plus a node.
 
     Arrows repeat a (node, label) pair that already has one, arrows are
-    moved by ``set_arrow_dst``, and the graph is used as built, as a
+    moved by ``set_arrow_dst``, nodes are relabeled by
+    ``set_node_label``, and the graph is used as built, as a
     ``copy()`` whose original then grows, or ``merge``d into another.
     """
     g, node = draw(graphs_with_current())
@@ -458,6 +464,8 @@ def indexed_graphs(draw):
         )
     for arrow_id in some_arrows():
         g.set_arrow_dst(arrow_id, draw(st.sampled_from(nodes)))
+    for relabeled in draw(st.lists(st.sampled_from(nodes), max_size=3)):
+        g.set_node_label(relabeled, draw(st.sampled_from(["a", "b", "", "c"])))
     how = draw(st.sampled_from(["built", "copy", "merge"]))
     if how == "copy":
         original, g = g, g.copy()
@@ -513,6 +521,141 @@ def test_chain_follows_the_one_arrow_until_it_ends_or_repeats(graph_and_node, si
     for here, there in zip(nodes, nodes[1:]):
         assert g.ends(here, sign, word, kinds) == [there]
     assert g.ends(nodes[-1], sign, word, kinds) in ([], *([n] for n in nodes))
+
+
+def add_loop_merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
+    """Reference ``merge``: add ``other``'s nodes, then its arrows, one by one in id order."""
+    mapping = {}
+    for node in sorted(other.nodes()):
+        mapping[node] = host.add_node(other.node_label(node))
+    for _, arrow in sorted(other.arrows(), key=lambda pair: pair[0]):
+        host.add_arrow(mapping[arrow.src], arrow.label, mapping[arrow.dst], arrow.kind)
+    return mapping
+
+
+@given(indexed_graphs(), indexed_graphs())
+@settings(deadline=None)
+def test_ids_are_in_order_and_merge_copies_as_adding_would(graph_and_node, host_and_node):
+    g, _ = graph_and_node
+    host, _ = host_and_node
+    for graph in (g, host):
+        assert graph.nodes() == sorted(graph.nodes())
+        assert graph.arrows() == sorted(graph.arrows(), key=lambda pair: pair[0])
+    merged, added = host.copy(), host.copy()
+    mapping = merged.merge(g)
+    assert mapping == add_loop_merge(added, g)
+    assert G.export_json(merged) == G.export_json(added)
+    assert merged.nodes() == sorted(merged.nodes())
+    assert merged.arrows() == sorted(merged.arrows(), key=lambda pair: pair[0])
+    labels = {a.label for _, a in added.arrows()} | {"x", "y", ""}
+    for node in added.nodes():
+        for sign in "+-":
+            for word in labels:
+                assert merged.ends(node, sign, word) == added.ends(node, sign, word)
+    for word in {added.node_label(n) for n in added.nodes()} | {"zz"}:
+        assert merged.nodes_labeled(word) == added.nodes_labeled(word)
+    for word in labels:
+        assert merged.arrows_labeled(word) == added.arrows_labeled(word)
+    # Both hand out the same ids next.
+    assert merged.add_node("a") == added.add_node("a")
+    assert merged.add_arrow(0, "x", 0) == added.add_arrow(0, "x", 0)
+
+
+# One program per finding code that blocks or ends a check, and a clean one.
+FINDING_PROGRAMS = {
+    "L1": "tape-alphabet is one;\nx: print 'one';\nx: go to x.",
+    "L2": "tape-alphabet is one;\nprint 'one';\ngo to nowhere.",
+    "AW2": "tape-alphabet is one;\nprint 'two';\nif the-tape-symbol is 'one' then print 'one'.",
+    "C2": "tape-alphabet is one;\nprint 'one';\nx: go to x.",
+    None: "tape-alphabet is one;\nx: print 'one';\nif the-tape-symbol is 'one' then go to x.",
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(p.read_text(), id=p.stem) for p in sorted(PROGRAMS.glob("*.tgl"))]
+    + [pytest.param(text, id=code or "clean") for code, text in FINDING_PROGRAMS.items()],
+)
+def test_check_program_scans_no_arrow_list(monkeypatch, text):
+    """``check_program`` reads the label index, never the list of every arrow."""
+    expected = check_program(text)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("check_program listed every arrow")
+
+    monkeypatch.setattr(LabeledGraph, "arrows", scan)
+    result = check_program(text)
+    assert [str(d) for d in result.diagnostics] == [str(d) for d in expected.diagnostics]
+    assert result.flow_counts == expected.flow_counts
+
+
+def test_finding_programs_carry_their_finding():
+    for code, text in FINDING_PROGRAMS.items():
+        codes = {d.code for d in check_program(text).diagnostics}
+        blocking = codes & {"L1", "L2", "AW2", "C2"}
+        assert blocking == ({code} if code else set())
+
+
+def test_parsing_validates_each_word_once_per_role(monkeypatch, increment_text):
+    """A word is checked once as a node label and once as an arrow label, then indexed."""
+    checked = []
+    real = G.is_pla_word
+
+    def counting(text):
+        checked.append((sys._getframe(1).f_code.co_name, text))
+        return real(text)
+
+    monkeypatch.setattr(G, "is_pla_word", counting)
+    g = parse_text(increment_text).graph
+    node_words = {g.node_label(n) for n in g.nodes()}
+    arrow_words = {a.label for _, a in g.arrows()}
+    assert sorted(text for caller, text in checked if caller == "add_node") == sorted(node_words)
+    assert sorted(text for caller, text in checked if caller == "add_arrow") == sorted(arrow_words)
+    assert {caller for caller, _ in checked} == {"add_node", "add_arrow"}
+
+
+def index_snapshot(g: LabeledGraph, words) -> tuple:
+    return (
+        g.node_count,
+        g.arrow_count,
+        [g.nodes_labeled(word) for word in words],
+        [g.arrows_labeled(word) for word in words],
+        G.export_json(g),
+        copy.deepcopy(vars(g)),
+    )
+
+
+@pytest.mark.parametrize("relabel_first", [False, True])
+def test_refusals_keep_their_text_and_change_nothing(monkeypatch, relabel_first):
+    g = LabeledGraph()
+    a, b = g.add_node("a"), g.add_node("b")
+    g.add_arrow(a, "x", b)
+    if relabel_first:
+        # The last node labeled "b" takes another label, so "b" leaves the index.
+        g.set_node_label(b, "a")
+        assert g.nodes_labeled("b") == []
+    words = ["a", "b", "x", "fresh", "Print", "LD"]
+    before = index_snapshot(g, words)
+    refusals = [
+        (lambda: g.add_node("Print"), "node label 'Print' is neither a PLA word nor an MLA word"),
+        (lambda: g.set_node_label(a, "Print"), "node label 'Print' is neither a PLA word nor an MLA word"),
+        (lambda: g.add_arrow(a, "LD", b), "arrow label 'LD' is not a PLA word"),
+        (lambda: g.add_arrow(a, "x", b, "bogus"), "unknown arrow kind 'bogus'"),
+        (lambda: g.add_arrow(a, "fresh", b, "bogus"), "unknown arrow kind 'bogus'"),
+        (lambda: g.add_arrow(a, "x", 99), "arrow destination 99 is not a node of this graph"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(ValueError) as refusal:
+            refuse()
+        assert str(refusal.value) == message
+        assert index_snapshot(g, words) == before
+    # A word that is not in the index is validated again when it comes back.
+    checked = []
+    real = G.is_pla_word
+    monkeypatch.setattr(G, "is_pla_word", lambda text: checked.append(text) or real(text))
+    g.add_node("b")
+    g.add_arrow(a, "fresh", b)
+    assert checked == (["b"] if relabel_first else []) + ["fresh"]
 
 
 def test_forward_ends_scan_no_arrows(monkeypatch):

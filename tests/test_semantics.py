@@ -216,6 +216,21 @@ class TestDeclarationLinks:
             link_is_declared_at(tree, classify(tree))
         assert tree.graph.arrow_count == arrows
 
+    def test_refusal_lists_the_aw2_findings_check_alphabet_reports(self):
+        text = (
+            "tape-alphabet is one, one;\nprint 'two';\n"
+            "if the-tape-symbol is 'three' then print 'two';\nprint 'four'."
+        )
+        tree = parse_text(text)
+        classes = classify(tree)
+        undeclared = [d for d in check_alphabet(tree, classes) if d.code == "AW2"]
+        assert len(undeclared) == 4
+        with pytest.raises(ValueError) as refusal:
+            link_is_declared_at(tree, classes)
+        assert str(refusal.value) == "cannot link usages to declarations: " + "; ".join(
+            map(str, undeclared)
+        )
+
     def test_links_point_at_first_declaration(self):
         tree = parse_text("tape-alphabet is one, one;\nprint 'one'.")
         link_is_declared_at(tree, classify(tree))
