@@ -5,13 +5,11 @@ A program that passes every check is claimed never to crash the
 executor, whatever tape it is connected to. This script attacks that
 claim from two sides: the binary increment program is run against many
 random tapes and start cells, and a batch of schema-generated programs
-is repaired until check-clean and then run on random tapes. Every run
-must end in a stop or in budget exhaustion; any crash fails the
-experiment.
-
-The one known caveat is deliberate: a tape cell labeled with the
-program root's own word makes the scanned-cell path ambiguous and
-crashes the run, so the random tape vocabulary avoids that word.
+is repaired until check-clean and then run on random tapes. Tape cells
+are drawn from the program's declared words and statement labels and
+from ``OTHER_TAPE_WORDS``, which holds the program root's own word.
+Every run must end in a stop or in budget exhaustion; any crash fails
+the experiment.
 """
 
 import argparse
@@ -37,6 +35,10 @@ from wordtree.tape import parse_tape
 
 INCREMENT = Path(__file__).resolve().parent.parent / "programs" / "increment.tgl"
 
+# Tape words drawn besides a program's own: the root's word, the stop
+# node's, two undeclared words and the empty word.
+OTHER_TAPE_WORDS = ("tape-alphabet", "stop", "a", "zz", '""')
+
 
 def fresh_word(rng, taken):
     while True:
@@ -45,9 +47,16 @@ def fresh_word(rng, taken):
             return word
 
 
-def declared_words(tree):
-    """Tape-alphabet words in declaration order."""
-    return [tree.graph.node_label(node) for node in w_declaration_points(tree)]
+def tape_vocabulary(result):
+    """Words for the cells of a checked program's random tapes, sorted.
+
+    The program's declared words and statement labels, and
+    ``OTHER_TAPE_WORDS``.
+    """
+    g = result.tree.graph
+    targets, _ = label_points(result.tree, result.classes)
+    words = {g.node_label(node) for node in w_declaration_points(result.tree) + targets}
+    return sorted(words | set(OTHER_TAPE_WORDS))
 
 
 def repair(tree, rng):
@@ -115,7 +124,7 @@ def random_start(rng, tape_text):
 def sweep_increment(runs, rng, max_steps):
     template = check_program(INCREMENT.read_text())
     instructions = make_executable(template)
-    vocabulary = ["one", "zero", "point", "blank", "a", "bb", "cog", '""']
+    vocabulary = tape_vocabulary(template)
     outcomes = Counter()
     for _ in range(runs):
         tape_text = random_tape(rng, vocabulary)
@@ -144,8 +153,7 @@ def sweep_generated(count, rng, max_steps, budget):
             continue
         collected += 1
         instructions = make_executable(result)
-        vocabulary = sorted(set(declared_words(result.tree)) | {"a", "zz", '""'})
-        tape_text = random_tape(rng, vocabulary)
+        tape_text = random_tape(rng, tape_vocabulary(result))
         state = initialize(
             result.tree, parse_tape(tape_text), random_start(rng, tape_text), instructions
         )

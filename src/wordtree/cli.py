@@ -30,7 +30,7 @@ from .schema import (
     schema_from_json,
     turingol_schema,
 )
-from .semantics import classify, link_is_declared_at
+from .semantics import classify, find_points, link_is_declared_at
 from .tape import parse_tape
 
 
@@ -117,7 +117,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         tree = parse_text(text)
         if args.stage == "linked":
             try:
-                link_is_declared_at(tree, classify(tree))
+                link_is_declared_at(tree, find_points(tree, classify(tree)))
             except ValueError as failure:
                 raise _Refusal(failure) from failure
     out = export(tree.graph, args.format)

@@ -12,15 +12,7 @@ leave it.
 from __future__ import annotations
 
 from .graph import CONTROL, SYNTACTIC, Tree, display_word, functional_cycles
-from .semantics import (
-    LABEL_FINDINGS,
-    STATEMENT,
-    Diagnostic,
-    NodeClass,
-    _match,
-    diagnostic,
-    label_points,
-)
+from .semantics import LABEL_FINDINGS, Diagnostic, Points, _match, diagnostic
 
 BACK = "back"
 NEXT = "next"
@@ -82,7 +74,7 @@ def _subordinator(g, node: int, stop: int) -> int:
     return stop
 
 
-def build_back_arrows(tree: Tree, stop: int, classes: dict[int, NodeClass]) -> int:
+def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     """Give every statement without a ';' successor a 'back' arrow.
 
     The arrow points at the statement's subordinator, or at the stop
@@ -93,9 +85,7 @@ def build_back_arrows(tree: Tree, stop: int, classes: dict[int, NodeClass]) -> i
     if _control_arrows(g, BACK):
         raise ValueError("'back' arrows are already built")
     added = 0
-    for node in g.nodes():
-        if node not in classes or classes[node].kind != STATEMENT:
-            continue
+    for node in points.statements:
         if g.follow(node, "+", ";", (SYNTACTIC,)) is not None:
             continue
         g.add_arrow(node, BACK, _subordinator(g, node, stop), CONTROL)
@@ -103,9 +93,7 @@ def build_back_arrows(tree: Tree, stop: int, classes: dict[int, NodeClass]) -> i
     return added
 
 
-def build_control(
-    tree: Tree, stop: int, classes: dict[int, NodeClass]
-) -> dict[str, int]:
+def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     """Build the 'next', 'yes', and 'no' arrows and return counts per label.
 
     Requires 'back' arrows to be in place and the label checks to be
@@ -120,8 +108,7 @@ def build_control(
     chain ends the program.
     """
     g = tree.graph
-    targets, usages = label_points(tree, classes)
-    problems = _match(g, targets, usages, LABEL_FINDINGS[:2])
+    problems = _match(g, points.targets, points.gotos, LABEL_FINDINGS[:2])
     if problems:
         raise ValueError(
             "cannot build control arrows: " + "; ".join(str(d) for d in problems)
@@ -142,18 +129,17 @@ def build_control(
     put(tree.root, NEXT, first)
 
     # A goto jumps to the statement its label rises to along ':' arrows.
+    statements = set(points.statements)
     target_statement = {}
-    for target in targets:
+    for target in points.targets:
         risen = g.chain(target, "-", ":", (SYNTACTIC,))[-1]
-        if classes[risen].kind != STATEMENT:
+        if risen not in statements:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"
             )
         target_statement[g.node_label(target)] = risen
 
-    for node in g.nodes():
-        if node not in classes or classes[node].kind != STATEMENT:
-            continue
+    for node in points.statements:
         word = g.node_label(node)
         semi = g.follow(node, "+", ";", (SYNTACTIC,))
         if word == "if":
@@ -192,7 +178,7 @@ def build_control(
     return counts
 
 
-def check_reachability(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:
+def check_reachability(tree: Tree, points: Points) -> list[Diagnostic]:
     """Warn about statements no flow path from the root reaches."""
     g = tree.graph
     reached = {tree.root}
@@ -205,8 +191,8 @@ def check_reachability(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagno
                     reached.add(dst)
                     work.append(dst)
     diagnostics = []
-    for node in g.nodes():
-        if classes.get(node) and classes[node].kind == STATEMENT and node not in reached:
+    for node in points.statements:
+        if node not in reached:
             word = display_word(g.node_label(node))
             diagnostics.append(
                 diagnostic(

@@ -242,9 +242,10 @@ def initialize(
 ) -> ExecState:
     """Attach a tape to the program tree and return the starting state.
 
-    Copies the tape chain into the program graph, points a single
-    semantic 'tape' arrow from the root at the chosen cell, and places
-    the executor at the root. ``start`` is 'first', 'last', or a
+    Mounts the tape chain in the program graph with ``merge``, so no
+    cell shadows a program word an absolute path starts from, points a
+    single semantic 'tape' arrow from the root at the chosen cell, and
+    places the executor at the root. ``start`` is 'first', 'last', or a
     zero-based cell index. Refuses graphs that already carry a 'tape'
     arrow and start positions off the tape. Whether the program may run
     is decided before ``instructions`` exist, by ``make_executable``.

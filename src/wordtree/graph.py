@@ -13,6 +13,7 @@ uni-labeledness check, and deterministic JSON/DOT export.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import insort
 from dataclasses import dataclass
@@ -112,6 +113,12 @@ class LabeledGraph:
     labels never change, so only ``add_arrow`` and ``merge`` update the
     index. A node's out-arrows and in-arrows are both listed in id
     order, also after ``set_arrow_dst`` moves an arrow.
+
+    The nodes a graph has before anything is merged into it are its
+    own; ``merge`` mounts the other graph's nodes after them, and nodes
+    added later grow what was mounted. An absolute path start names
+    one of the graph's own nodes, so a mounted tape never shadows a
+    program word.
     """
 
     def __init__(self) -> None:
@@ -125,6 +132,7 @@ class LabeledGraph:
         self._out_more: dict[tuple[int, str], list[int]] = {}
         self._next_node = 0
         self._next_arrow = 0
+        self._own_end = math.inf  # ids below it are the graph's own nodes
 
     # -- construction ------------------------------------------------
 
@@ -314,6 +322,7 @@ class LabeledGraph:
         dup._out_more = {key: list(ids) for key, ids in self._out_more.items()}
         dup._next_node = self._next_node
         dup._next_arrow = self._next_arrow
+        dup._own_end = self._own_end
         return dup
 
     def merge(self, other: "LabeledGraph") -> dict[int, int]:
@@ -324,10 +333,12 @@ class LabeledGraph:
         one by one, in id order, would hand out: since ids run from 0 with
         no gaps, that is each id plus this graph's next id. Labels and
         kinds were validated when ``other`` got them, so the storage is
-        copied as it is.
+        copied as it is. The copies are mounted, not this graph's own
+        nodes: no absolute path start names them.
         """
         node_base = self._next_node
         arrow_base = self._next_arrow
+        self._own_end = min(self._own_end, node_base)
         mapping = {}
         for node, label in other._nodes.items():
             new = mapping[node] = node_base + node
@@ -442,9 +453,9 @@ def resolve(
     """Resolve a path formula to a node id.
 
     Raises StartAmbiguous when an absolute start label names zero or
-    several nodes, and Inapplicable when a step has no arrow to follow
-    or more than one. Arrows of all kinds are eligible unless ``kinds``
-    narrows them.
+    several of the graph's own nodes (mounted ones do not count), and
+    Inapplicable when a step has no arrow to follow or more than one.
+    Arrows of all kinds are eligible unless ``kinds`` narrows them.
     """
     if formula.start is None:
         if current is None:
@@ -452,6 +463,8 @@ def resolve(
         node = current
     else:
         candidates = g._by_label.get(formula.start, ())
+        if len(candidates) != 1 or max(candidates) >= g._own_end:
+            candidates = [n for n in candidates if n < g._own_end]
         if len(candidates) != 1:
             raise StartAmbiguous(formula.start, len(candidates))
         (node,) = candidates

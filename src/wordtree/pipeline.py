@@ -35,6 +35,7 @@ from .semantics import (
     check_alphabet,
     check_labels,
     classify,
+    find_points,
     link_is_declared_at,
 )
 from .tape import parse_tape
@@ -92,27 +93,29 @@ def check_program(text: str) -> CheckResult:
     """Parse a program and run every requirement check over it.
 
     Stages, in dependency order: parse to the canonical tree, classify
-    nodes, alphabet checks, label checks, declaration links (when no
-    AW2 finding blocks them), stop node and back arrows and control
-    arrows (when no label error blocks them), then reachability and
-    next-cycle checks over the finished flow graph.
+    nodes, find the statements and points once, alphabet checks, label
+    checks, declaration links (when no AW2 finding blocks them), stop
+    node and back arrows and control arrows (when no label error blocks
+    them), then reachability and next-cycle checks over the finished
+    flow graph.
 
     Syntax problems raise (IllegalCharacter, ParseError); everything
     later is reported as diagnostics on the result.
     """
     tree = parse_text(text)
     classes = classify(tree)
-    diagnostics = list(check_alphabet(tree, classes))
-    diagnostics.extend(check_labels(tree, classes))
+    points = find_points(tree, classes)
+    diagnostics = list(check_alphabet(tree, points))
+    diagnostics.extend(check_labels(tree, points))
     result = CheckResult(tree, classes, diagnostics)
     if not any(d.code == "AW2" for d in diagnostics):
-        result.linked = link_is_declared_at(tree, classes)
+        result.linked = link_is_declared_at(tree, points)
     if not any(d.severity == "error" for d in diagnostics):
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classes)
-        result.flow_counts = build_control(tree, stop, classes)
+        build_back_arrows(tree, stop, points)
+        result.flow_counts = build_control(tree, stop, points)
         result.stop = stop
-        diagnostics.extend(check_reachability(tree, classes))
+        diagnostics.extend(check_reachability(tree, points))
         diagnostics.extend(check_next_acyclic(tree))
     return result
 

@@ -1,11 +1,13 @@
 """Requirement checks over program trees.
 
 Classifies the nodes of a canonical program tree into data, statement,
-label, and other; checks that tape words are declared before use and
-that goto labels name exactly one statement; and installs semantic
-``is-declared-at`` arrows from each tape-word usage to its declaration.
-All checks return Diagnostic records instead of raising, so callers can
-collect every finding in one pass.
+label, and other; finds, once per tree, the statements and the
+declaration and usage points of tape words and labels; checks that tape
+words are declared before use and that goto labels name exactly one
+statement; and installs semantic ``is-declared-at`` arrows from each
+tape-word usage to its declaration. All checks return Diagnostic
+records instead of raising, so callers can collect every finding in one
+pass.
 """
 
 from __future__ import annotations
@@ -134,19 +136,71 @@ def w_declaration_points(tree: Tree) -> list[int]:
     return points
 
 
+def _statements(g, classes: dict[int, NodeClass], words) -> list[int]:
+    """Statement nodes labeled by one of ``words``, in id order, read from the label index."""
+    return sorted(
+        node
+        for word in words
+        for node in g.nodes_labeled(word)
+        if classes[node].kind == STATEMENT
+    )
+
+
 def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:
     """Nodes using tape words: print operands and if comparison words."""
     g = tree.graph
     points = []
-    for node in g.nodes():
-        if classes[node].kind != STATEMENT:
-            continue
-        word = g.node_label(node)
-        if word == "print":
+    for node in _statements(g, classes, ("print", "if")):
+        if g.node_label(node) == "print":
             points.append(resolve(g, PRINT_WORD_PATH, current=node, kinds=(SYNTACTIC,)))
-        elif word == "if":
+        else:
             points.append(resolve(g, SYMBOL_PATH, current=node, kinds=(SYNTACTIC,)))
     return points
+
+
+def label_points(
+    tree: Tree, classes: dict[int, NodeClass]
+) -> tuple[list[int], list[int]]:
+    """Label targets (':' destinations) and label usages ('to' destinations).
+
+    Both lists follow arrow insertion order. Arrows leaving data nodes
+    are ignored, so words like 'to' inside the tape alphabet cannot
+    produce false points.
+    """
+    g = tree.graph
+
+    def points(word: str) -> list[int]:
+        return [
+            a.dst
+            for _, a in g.arrows_labeled(word)
+            if a.kind == SYNTACTIC and classes[a.src].kind in (STATEMENT, LABEL)
+        ]
+
+    return points(":"), points("to")
+
+
+@dataclass(frozen=True)
+class Points:
+    """What the checks and the control flow read of a classified tree.
+
+    The statement nodes in id order, and the points ``w_declaration_points``,
+    ``w_usage_points`` and ``label_points`` (targets, then gotos) list.
+    """
+
+    statements: tuple[int, ...]
+    declarations: tuple[int, ...]
+    usages: tuple[int, ...]
+    targets: tuple[int, ...]
+    gotos: tuple[int, ...]
+
+
+def find_points(tree: Tree, classes: dict[int, NodeClass]) -> Points:
+    """Find the statements and the points of tape words and labels, once per tree."""
+    declarations = tuple(w_declaration_points(tree))
+    usages = tuple(w_usage_points(tree, classes))
+    targets, gotos = label_points(tree, classes)
+    statements = tuple(_statements(tree.graph, classes, STATEMENT_WORDS))
+    return Points(statements, declarations, usages, tuple(targets), tuple(gotos))
 
 
 # Code and message of the duplicate, undefined and unused findings.
@@ -162,14 +216,16 @@ LABEL_FINDINGS = (
 )
 
 
-def _match(g, definitions: list[int], usages: list[int], findings) -> list[Diagnostic]:
+def _match(
+    g, definitions: tuple[int, ...], usages: tuple[int, ...], findings
+) -> list[Diagnostic]:
     """Compare defining nodes with using nodes by label.
 
     Reports each word defined twice (with its first definition), each
     usage of an undefined word, and, when ``findings`` has a third
     entry, each definition no usage names, as ``findings`` codes and
     words them, sorted by code and nodes. The first two are the ones
-    that can block linking or control flow.
+    that block control flow.
     """
     (twice, twice_text), (undefined, undefined_text), *unused_findings = findings
     diagnostics = []
@@ -207,28 +263,29 @@ def _match(g, definitions: list[int], usages: list[int], findings) -> list[Diagn
     return diagnostics
 
 
-def check_alphabet(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:
+def check_alphabet(tree: Tree, points: Points) -> list[Diagnostic]:
     """Alphabet checks: duplicate declarations, undeclared uses, unused words."""
-    return _match(
-        tree.graph,
-        w_declaration_points(tree),
-        w_usage_points(tree, classes),
-        ALPHABET_FINDINGS,
-    )
+    return _match(tree.graph, points.declarations, points.usages, ALPHABET_FINDINGS)
 
 
-def link_is_declared_at(tree: Tree, classes: dict[int, NodeClass]) -> int:
+def link_is_declared_at(tree: Tree, points: Points) -> int:
     """Add a semantic 'is-declared-at' arrow from each usage to its declaration.
 
     Points at the first declaration of the word, skips usages that are
     already linked, and returns the number of arrows added. Refuses,
-    before adding any arrow, while some usage has no declaration at all.
+    before adding any arrow, while some usage has no declaration at all,
+    listing the AW2 findings ``check_alphabet`` reports.
     """
     g = tree.graph
-    declarations = w_declaration_points(tree)
-    usages = w_usage_points(tree, classes)
+    first_decl: dict[str, int] = {}
+    for node in points.declarations:
+        first_decl.setdefault(g.node_label(node), node)
+
+    code, text = ALPHABET_FINDINGS[1]
     undeclared = [
-        d for d in _match(g, declarations, usages, ALPHABET_FINDINGS[:2]) if d.code == "AW2"
+        diagnostic(code, (usage,), text.format(display_word(g.node_label(usage))))
+        for usage in sorted(points.usages)
+        if g.node_label(usage) not in first_decl
     ]
     if undeclared:
         raise ValueError(
@@ -236,12 +293,8 @@ def link_is_declared_at(tree: Tree, classes: dict[int, NodeClass]) -> int:
             + "; ".join(str(d) for d in undeclared)
         )
 
-    first_decl: dict[str, int] = {}
-    for node in declarations:
-        first_decl.setdefault(g.node_label(node), node)
-
     added = 0
-    for usage in usages:
+    for usage in points.usages:
         if g.ends(usage, "+", DECLARED_AT, (SEMANTIC,)):
             continue
         g.add_arrow(usage, DECLARED_AT, first_decl[g.node_label(usage)], SEMANTIC)
@@ -249,27 +302,6 @@ def link_is_declared_at(tree: Tree, classes: dict[int, NodeClass]) -> int:
     return added
 
 
-def label_points(
-    tree: Tree, classes: dict[int, NodeClass]
-) -> tuple[list[int], list[int]]:
-    """Label targets (':' destinations) and label usages ('to' destinations).
-
-    Both lists follow arrow insertion order. Arrows leaving data nodes
-    are ignored, so words like 'to' inside the tape alphabet cannot
-    produce false points.
-    """
-    g = tree.graph
-
-    def points(word: str) -> list[int]:
-        return [
-            a.dst
-            for _, a in g.arrows_labeled(word)
-            if a.kind == SYNTACTIC and classes[a.src].kind in (STATEMENT, LABEL)
-        ]
-
-    return points(":"), points("to")
-
-
-def check_labels(tree: Tree, classes: dict[int, NodeClass]) -> list[Diagnostic]:
+def check_labels(tree: Tree, points: Points) -> list[Diagnostic]:
     """Label checks: duplicate targets, dangling gotos, unused labels."""
-    return _match(tree.graph, *label_points(tree, classes), LABEL_FINDINGS)
+    return _match(tree.graph, points.targets, points.gotos, LABEL_FINDINGS)

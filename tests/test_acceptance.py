@@ -1,6 +1,7 @@
-"""The ten gate checks, one test per numbered criterion.
+"""The ten gate checks, one test per numbered criterion, and a
+fail-safety property beside criterion 8.
 
-Each test name carries its criterion number; the terminal summary hook
+Each criterion test's name carries its number; the terminal summary hook
 in conftest prints one PASS or FAIL line per number after the run.
 """
 
@@ -11,6 +12,9 @@ import random
 import re
 import time
 from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordtree.control_flow import NEXT, NO, YES
 from wordtree.executor import (
@@ -40,7 +44,7 @@ from wordtree.schema import (
 from wordtree.semantics import STATEMENT
 from wordtree.tape import parse_tape
 
-from fail_safety import declared_words, random_start, random_tape, repair
+from fail_safety import random_start, random_tape, repair, tape_vocabulary
 
 ORACLE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "expected_runs.json").read_text()
@@ -213,7 +217,7 @@ def test_criterion_08_fail_safety(increment_text):
 
     template = check_program(increment_text)
     instructions = make_executable(template)
-    vocabulary = ["one", "zero", "point", "blank", "a", "bb", "cog", '""']
+    vocabulary = tape_vocabulary(template)
     for _ in range(1000):
         tape_text = random_tape(rng, vocabulary)
         tree = copy.deepcopy(template.tree)
@@ -225,8 +229,7 @@ def test_criterion_08_fail_safety(increment_text):
     for text in clean_generated_programs(200, rng):
         result = check_program(text)
         program_instructions = make_executable(result)
-        vocabulary = sorted(set(declared_words(result.tree)) | {"a", "zz", '""'})
-        tape_text = random_tape(rng, vocabulary)
+        tape_text = random_tape(rng, tape_vocabulary(result))
         state = initialize(
             result.tree,
             parse_tape(tape_text),
@@ -238,6 +241,41 @@ def test_criterion_08_fail_safety(increment_text):
     assert outcomes[CRASHED] == 0, outcomes
     assert set(outcomes) <= {STOPPED, BUDGET_EXHAUSTED}
     assert outcomes[STOPPED] > 0
+
+
+def clean_generated_program(seed):
+    """The first schema-grown program, from ``seed`` on, that is check-clean after repair."""
+    while True:
+        grown = generate_sytr(turingol_schema(), "P", random.Random(seed), node_budget=120)
+        tree = to_canonical(grown)
+        repair(tree, random.Random(seed))
+        text = render_program(tree)
+        if check_program(text).runnable:
+            return text
+        seed += 1
+
+
+# Any word the tape grammar allows (hyphen-joined runs of letters), or a blank.
+TAPE_TOKENS = st.lists(
+    st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=4), min_size=1, max_size=3
+).map("-".join) | st.just('""')
+
+
+@given(st.integers(0, 10**6), st.data())
+@settings(deadline=None, max_examples=50)
+def test_check_clean_programs_run_on_every_tape(seed, data):
+    """Fail-safety on any tape of legal tokens, from any start, in both modes."""
+    text = clean_generated_program(seed)
+    words = st.sampled_from(tape_vocabulary(check_program(text))) | TAPE_TOKENS
+    cells = data.draw(st.lists(words, min_size=1, max_size=8))
+    start = data.draw(st.sampled_from(["first", "last"]) | st.integers(0, len(cells) - 1))
+    for cautious in (False, True):
+        result = check_program(text)
+        state = initialize(
+            result.tree, parse_tape(" ".join(cells)), start, make_executable(result), cautious
+        )
+        outcome = run(state, 1_000).outcome
+        assert outcome in (STOPPED, BUDGET_EXHAUSTED), (cautious, state.situation)
 
 
 def snapshot(g):

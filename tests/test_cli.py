@@ -11,7 +11,7 @@ from wordtree import schema as schema_module
 from wordtree.cli import main
 from wordtree.executor import final_tape, initialize, run, trace_json, trace_text
 from wordtree.frontend import parse_text
-from wordtree.graph import SYNTACTIC
+from wordtree.graph import SEMANTIC, SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import Literal, Schema, schema_to_json, turingol_schema
 from wordtree.tape import parse_tape
@@ -26,7 +26,8 @@ def invoke(capsys, *argv):
 LOOPER = "tape-alphabet is one;\ntest: if the-tape-symbol is 'one' then go to test.\n"
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "expected_runs.json").read_text())
-# Every oracle run, plus a tape whose first cell crashes the run.
+# Every oracle run, plus a tape whose first cell carries the program
+# root's word; the cell must not shadow the root, so the run stops.
 TRACED_RUNS = [(c["tape"], c["start"]) for c in ORACLE["cases"]] + [
     ("tape-alphabet one", "last")
 ]
@@ -212,17 +213,30 @@ class TestRun:
         assert code == 3
         assert out.splitlines()[-1] == "budget_exhausted"
 
-    def test_crash_exit_code(self, capsys, program_path):
-        # A cell labeled with the program root's own word makes the
-        # scanned-cell path ambiguous, which is a crash, not an exception.
+    def test_crash_exit_code(self, capsys, program_path, monkeypatch):
+        # A second 'tape' arrow from the root makes the scanned-cell path
+        # ambiguous, which is a crash, not an exception.
+        def initialize_with_two_tape_arrows(tree, *args):
+            state = initialize(tree, *args)
+            tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
+            return state
+
+        monkeypatch.setattr(cli_module, "initialize", initialize_with_two_tape_arrows)
         code, out, err = invoke(
-            capsys,
-            "run", str(program_path("increment.tgl")),
-            "--tape", "tape-alphabet one",
+            capsys, "run", str(program_path("increment.tgl")), "--tape", "one"
         )
         assert code == 2
         assert out.splitlines()[-1] == "crashed"
         assert "NormalConditionViolated" in err
+
+    def test_tape_may_hold_the_root_word(self, capsys, program_path):
+        code, out, _ = invoke(
+            capsys,
+            "run", str(program_path("increment.tgl")),
+            "--tape", "tape-alphabet one",
+        )
+        assert code == 0
+        assert out.splitlines()[-2:] == ["one point", "stopped"]
 
     def test_start_out_of_range(self, capsys, program_path):
         code, _, err = invoke(

@@ -1,5 +1,7 @@
 """Stop node, back arrows, flow arrow construction, and flow checks."""
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -19,18 +21,37 @@ from wordtree.control_flow import (
     check_reachability,
 )
 from wordtree.frontend import parse_text, to_canonical
-from wordtree.graph import CONTROL, Tree, elementary_cycles, functional_cycles
+from wordtree.graph import (
+    CONTROL,
+    LabeledGraph,
+    Tree,
+    elementary_cycles,
+    export_json,
+    functional_cycles,
+)
 from wordtree.pipeline import check_program
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import STATEMENT, check_labels, classify
+from wordtree.semantics import (
+    STATEMENT,
+    Points,
+    check_alphabet,
+    check_labels,
+    classify,
+    find_points,
+    link_is_declared_at,
+)
+
+
+def points_of(tree: Tree) -> Points:
+    return find_points(tree, classify(tree))
 
 
 def build_all(text: str):
     tree = parse_text(text)
-    classes = classify(tree)
+    points = points_of(tree)
     stop = add_stop_node(tree)
-    build_back_arrows(tree, stop, classes)
-    counts = build_control(tree, stop, classes)
+    build_back_arrows(tree, stop, points)
+    counts = build_control(tree, stop, points)
     return tree, stop, counts
 
 
@@ -50,6 +71,47 @@ def control_pairs(tree: Tree, label: str) -> set[tuple[int, int]]:
 @pytest.fixture
 def built_increment(increment_text):
     return build_all(increment_text)
+
+
+PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def checked(text: str) -> dict:
+    """The diagnostics and the graph ``check_program`` leaves behind."""
+    result = check_program(text)
+    return {
+        "diagnostics": [d.as_dict() for d in result.diagnostics],
+        "graph": json.loads(export_json(result.tree.graph)),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.tgl")), ids=lambda p: p.name)
+def test_check_path_is_pinned(path):
+    """Each shipped program's findings, links and flow arrows, ids included."""
+    golden = json.loads((DATA / f"{path.stem}.flow.json").read_text())
+    assert checked(path.read_text()) == golden
+
+
+def test_stages_after_classify_list_no_nodes(monkeypatch, increment_text):
+    """The points carry the statements; no later stage lists every node."""
+    tree = parse_text(increment_text)
+    classes = classify(tree)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("listed every node")
+
+    monkeypatch.setattr(LabeledGraph, "nodes", scan)
+    points = find_points(tree, classes)
+    diagnostics = check_alphabet(tree, points) + check_labels(tree, points)
+    link_is_declared_at(tree, points)
+    stop = add_stop_node(tree)
+    build_back_arrows(tree, stop, points)
+    build_control(tree, stop, points)
+    diagnostics += check_reachability(tree, points) + check_next_acyclic(tree)
+    monkeypatch.undo()
+    assert {"diagnostics": [d.as_dict() for d in diagnostics],
+            "graph": json.loads(export_json(tree.graph))} == checked(increment_text)
 
 
 class TestStopNode:
@@ -90,7 +152,7 @@ class TestBackArrows:
     def test_increment_back_arrows(self, increment_text):
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
-        assert build_back_arrows(tree, stop, classify(tree)) == 4
+        assert build_back_arrows(tree, stop, points_of(tree)) == 4
         p1, g1, if1, sc1, p3, m1, g2, p2, m2, if2, g3 = statements(tree)
         assert control_pairs(tree, BACK) == {
             (sc1, if1),
@@ -106,7 +168,7 @@ class TestBackArrows:
             "then print 'a';\nprint 'a'."
         )
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classify(tree))
+        build_back_arrows(tree, stop, points_of(tree))
         outer_if, inner_if, inner_print, last_print = statements(tree)
         assert control_pairs(tree, BACK) == {
             (inner_print, inner_if),
@@ -117,9 +179,9 @@ class TestBackArrows:
     def test_refuses_to_build_twice(self, increment_text):
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classify(tree))
+        build_back_arrows(tree, stop, points_of(tree))
         with pytest.raises(ValueError):
-            build_back_arrows(tree, stop, classify(tree))
+            build_back_arrows(tree, stop, points_of(tree))
 
     def test_refuses_a_semicolon_loop(self):
         tree = parse_text("tape-alphabet is a;\nprint 'a';\nprint 'a'.")
@@ -129,7 +191,7 @@ class TestBackArrows:
         g.add_arrow(tree.root, ";", other)
         stop = add_stop_node(tree)
         with pytest.raises(ValueError, match="';' arrows loop"):
-            build_back_arrows(tree, stop, classify(tree))
+            build_back_arrows(tree, stop, points_of(tree))
 
 
 class TestBuildControl:
@@ -200,11 +262,11 @@ class TestBuildControl:
         loop = g.add_node("b")
         g.add_arrow(label, ":", loop)
         g.add_arrow(loop, ":", statement)
-        classes = classify(tree)
+        points = points_of(tree)
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classes)
+        build_back_arrows(tree, stop, points)
         with pytest.raises(ValueError, match="does not rise to a statement"):
-            build_control(tree, stop, classes)
+            build_control(tree, stop, points)
 
     def test_inner_chain_continues_after_braces(self):
         tree, stop, _ = build_all(
@@ -235,19 +297,19 @@ class TestBuildControl:
     def test_refuses_duplicate_labels(self, program_path):
         tree = parse_text(program_path("duplicate_label.tgl").read_text())
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classify(tree))
+        build_back_arrows(tree, stop, points_of(tree))
         arrows = tree.graph.arrow_count
         with pytest.raises(ValueError, match="L1 error nodes"):
-            build_control(tree, stop, classify(tree))
+            build_control(tree, stop, points_of(tree))
         assert tree.graph.arrow_count == arrows
 
     def test_refuses_dangling_gotos(self, program_path):
         tree = parse_text(program_path("missing_target.tgl").read_text())
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classify(tree))
+        build_back_arrows(tree, stop, points_of(tree))
         arrows = tree.graph.arrow_count
         with pytest.raises(ValueError, match="L2 error node"):
-            build_control(tree, stop, classify(tree))
+            build_control(tree, stop, points_of(tree))
         assert tree.graph.arrow_count == arrows
 
     def test_refusal_lists_the_label_errors_check_labels_reports(self):
@@ -257,23 +319,23 @@ class TestBuildControl:
             "a: go to z;\ngo to y;\nb: print 'one'."
         )
         tree = parse_text(text)
-        classes = classify(tree)
-        errors = [d for d in check_labels(tree, classes) if d.severity == "error"]
+        points = points_of(tree)
+        errors = [d for d in check_labels(tree, points) if d.severity == "error"]
         assert [(d.code, d.nodes) for d in errors] == [
             ("L1", (4, 10)), ("L1", (4, 18)), ("L1", (7, 13)),
             ("L2", (9,)), ("L2", (12,)), ("L2", (15,)),
         ]
         stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, classes)
+        build_back_arrows(tree, stop, points)
         with pytest.raises(ValueError) as refusal:
-            build_control(tree, stop, classes)
+            build_control(tree, stop, points)
         assert str(refusal.value) == "cannot build control arrows: " + "; ".join(map(str, errors))
 
     def test_refuses_to_build_twice(self, built_increment):
         tree, stop, _ = built_increment
         arrows = tree.graph.arrow_count
         with pytest.raises(ValueError, match="already built"):
-            build_control(tree, stop, classify(tree))
+            build_control(tree, stop, points_of(tree))
         assert tree.graph.arrow_count == arrows
 
     def test_deterministic_rebuild(self, increment_text):
@@ -293,13 +355,13 @@ class TestBuildControl:
 class TestReachability:
     def test_increment_is_fully_reachable(self, built_increment):
         tree, _, _ = built_increment
-        assert check_reachability(tree, classify(tree)) == []
+        assert check_reachability(tree, points_of(tree)) == []
 
     def test_statement_after_goto_is_unreachable(self):
         tree, _, _ = build_all(
             "tape-alphabet is a;\ngo to x;\nprint 'a';\nx: print 'a'."
         )
-        findings = check_reachability(tree, classify(tree))
+        findings = check_reachability(tree, points_of(tree))
         assert len(findings) == 1
         finding = findings[0]
         assert finding.code == "CW1"
@@ -358,12 +420,12 @@ class TestGeneratedPrograms:
                     schema, "P", word_source=random.Random(seed), node_budget=60
                 )
             )
-            classes = classify(tree)
-            if any(f.severity == "error" for f in check_labels(tree, classes)):
+            points = points_of(tree)
+            if any(f.severity == "error" for f in check_labels(tree, points)):
                 continue
             stop = add_stop_node(tree)
-            build_back_arrows(tree, stop, classes)
-            build_control(tree, stop, classes)
+            build_back_arrows(tree, stop, points)
+            build_control(tree, stop, points)
             g = tree.graph
             for node in statements(tree):
                 flow = [

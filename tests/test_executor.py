@@ -59,7 +59,7 @@ from wordtree.graph import (
     check_uni_labeled,
 )
 from wordtree.pipeline import CheckFailed, execute_program
-from wordtree.semantics import STATEMENT, classify
+from wordtree.semantics import STATEMENT, classify, find_points
 from wordtree.tape import Tape, parse_tape
 
 EXPECTED_RUNS = json.loads(
@@ -70,9 +70,10 @@ EXPECTED_RUNS = json.loads(
 def prepare(text: str):
     tree = parse_text(text)
     classes = classify(tree)
+    points = find_points(tree, classes)
     stop = add_stop_node(tree)
-    build_back_arrows(tree, stop, classes)
-    build_control(tree, stop, classes)
+    build_back_arrows(tree, stop, points)
+    build_control(tree, stop, points)
     instructions = install_instructions(tree, stop, classes)
     return tree, stop, instructions
 
@@ -421,9 +422,10 @@ class TestRunDiscipline:
                 assert trace[-1].label == "move"
 
 
-# Runs that crash: a tape cell that shadows the root's label, and a
-# second 'tape' arrow added after the tape is mounted.
-CRASHING_RUNS = [
+# Runs at the edge of a crash: a tape cell labeled with the program
+# root's word, which must not shadow the root (the run stops), and a
+# second 'tape' arrow added after the tape is mounted (the run crashes).
+EDGE_RUNS = [
     {"tape": "tape-alphabet one", "start": "last"},
     {"tape": "one", "start": "first", "second_tape_arrow": True, "id": "two tape arrows"},
 ]
@@ -432,7 +434,7 @@ CRASHING_RUNS = [
 class TestModes:
     @pytest.mark.parametrize(
         "case",
-        EXPECTED_RUNS["cases"][:3] + CRASHING_RUNS,
+        EXPECTED_RUNS["cases"][:3] + EDGE_RUNS,
         ids=lambda c: c.get("id", c["tape"]),
     )
     def test_cautious_runs_agree(self, increment_text, case):
@@ -477,7 +479,8 @@ class TestModes:
 class TestTracing:
     def test_trace_is_streamed_not_kept(self, increment_parts):
         tree, _, instructions = increment_parts
-        state = initialize(tree, parse_tape("tape-alphabet one"), "last", instructions)
+        state = initialize(tree, parse_tape("one"), "first", instructions)
+        tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
         entries = []
         result = run(state, on_step=entries.append)
         assert result.outcome == CRASHED

@@ -159,6 +159,22 @@ class TestPathFormulas:
         with pytest.raises(StartAmbiguous):
             resolve(g, parse_path("missing"))
 
+    def test_resolve_start_names_own_nodes_only(self):
+        g, root, (one,) = program_with_tape(["one"], 0)
+        g.add_node("four")
+        g.add_node("four")
+        tape, cells = small_tape(["tape-alphabet", "two", "one"])
+        mapping = g.merge(tape)
+        grown = g.add_node("three")
+        assert resolve(g, parse_path('"tape-alphabet"')) == root
+        assert resolve(g.copy(), parse_path('"tape-alphabet"')) == root
+        assert resolve(g, parse_path("one")) == one
+        for word, own in (("two", 0), ("three", 0), ("four", 2)):
+            with pytest.raises(StartAmbiguous, match=f"names {own} nodes"):
+                resolve(g, parse_path(word))
+        assert resolve(g, parse_path('+""'), current=mapping[cells[0]]) == mapping[cells[1]]
+        assert g.nodes_labeled("three") == [grown]
+
     def test_resolve_inapplicable_none(self):
         g, root, cells = program_with_tape(["one"], 0)
         with pytest.raises(Inapplicable) as exc:

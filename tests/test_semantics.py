@@ -1,8 +1,11 @@
 """Node classification, alphabet checks, declaration links, label checks."""
 
 import random
+from collections import Counter
 
 import pytest
+
+from wordtree import control_flow, pipeline, semantics
 
 from wordtree.frontend import parse_text, to_canonical
 from wordtree.graph import (
@@ -12,6 +15,7 @@ from wordtree.graph import (
     Tree,
     check_uni_labeled,
 )
+from wordtree.pipeline import check_program
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import (
     DATA,
@@ -23,6 +27,7 @@ from wordtree.semantics import (
     check_labels,
     classify,
     diagnostic,
+    find_points,
     label_points,
     link_is_declared_at,
     w_declaration_points,
@@ -32,6 +37,10 @@ from wordtree.semantics import (
 
 def words(tree: Tree, nodes) -> list[str]:
     return [tree.graph.node_label(n) for n in nodes]
+
+
+def points_of(tree: Tree):
+    return find_points(tree, classify(tree))
 
 
 def nodes_of_kind(tree: Tree, kind: str) -> list[int]:
@@ -129,7 +138,7 @@ class TestWordPoints:
 
 class TestCheckAlphabet:
     def test_increment_has_one_unused_word(self, increment):
-        findings = check_alphabet(increment, classify(increment))
+        findings = check_alphabet(increment, points_of(increment))
         assert len(findings) == 1
         finding = findings[0]
         assert finding.code == "AW3"
@@ -139,17 +148,17 @@ class TestCheckAlphabet:
 
     def test_duplicate_declaration(self):
         tree = parse_text("tape-alphabet is one, one;\nprint 'one'.")
-        findings = check_alphabet(tree, classify(tree))
+        findings = check_alphabet(tree, points_of(tree))
         assert [f.code for f in findings] == ["AW1"]
         assert findings[0].nodes == tuple(w_declaration_points(tree))
 
     def test_undeclared_usage(self):
         tree = parse_text("tape-alphabet is one;\nprint 'two'.")
-        assert [f.code for f in check_alphabet(tree, classify(tree))] == ["AW2", "AW3"]
+        assert [f.code for f in check_alphabet(tree, points_of(tree))] == ["AW2", "AW3"]
 
     def test_clean_program(self):
         tree = parse_text("tape-alphabet is one;\nprint 'one'.")
-        assert check_alphabet(tree, classify(tree)) == []
+        assert check_alphabet(tree, points_of(tree)) == []
 
 
 class TestDiagnostics:
@@ -178,14 +187,14 @@ class TestDiagnostics:
 
 class TestDeclarationLinks:
     def test_increment_gets_five_links(self, increment):
-        assert link_is_declared_at(increment, classify(increment)) == 5
+        assert link_is_declared_at(increment, points_of(increment)) == 5
         g = increment.graph
         links = [a for _, a in g.arrows() if a.kind == SEMANTIC]
         assert len(links) == 5
         assert all(a.label == DECLARED_AT for a in links)
 
     def test_links_join_equal_labels(self, increment):
-        link_is_declared_at(increment, classify(increment))
+        link_is_declared_at(increment, points_of(increment))
         g = increment.graph
         declarations = set(w_declaration_points(increment))
         for _, arrow in g.arrows():
@@ -195,25 +204,25 @@ class TestDeclarationLinks:
             assert arrow.dst in declarations
 
     def test_linking_twice_adds_nothing(self, increment):
-        classes = classify(increment)
-        assert link_is_declared_at(increment, classes) == 5
-        assert link_is_declared_at(increment, classes) == 0
+        points = points_of(increment)
+        assert link_is_declared_at(increment, points) == 5
+        assert link_is_declared_at(increment, points) == 0
 
     def test_links_preserve_uni_labeledness(self, increment):
-        link_is_declared_at(increment, classify(increment))
+        link_is_declared_at(increment, points_of(increment))
         assert check_uni_labeled(increment.graph) == []
 
     def test_syntactic_functions_ignore_links(self, increment):
         classes = classify(increment)
         before = w_usage_points(increment, classes)
-        link_is_declared_at(increment, classes)
+        link_is_declared_at(increment, points_of(increment))
         assert w_usage_points(increment, classes) == before
 
     def test_refuses_undeclared_words(self):
         tree = parse_text("tape-alphabet is one;\nprint 'two'.")
         arrows = tree.graph.arrow_count
         with pytest.raises(ValueError, match="AW2 warning node"):
-            link_is_declared_at(tree, classify(tree))
+            link_is_declared_at(tree, points_of(tree))
         assert tree.graph.arrow_count == arrows
 
     def test_refusal_lists_the_aw2_findings_check_alphabet_reports(self):
@@ -222,18 +231,18 @@ class TestDeclarationLinks:
             "if the-tape-symbol is 'three' then print 'two';\nprint 'four'."
         )
         tree = parse_text(text)
-        classes = classify(tree)
-        undeclared = [d for d in check_alphabet(tree, classes) if d.code == "AW2"]
+        points = points_of(tree)
+        undeclared = [d for d in check_alphabet(tree, points) if d.code == "AW2"]
         assert len(undeclared) == 4
         with pytest.raises(ValueError) as refusal:
-            link_is_declared_at(tree, classes)
+            link_is_declared_at(tree, points)
         assert str(refusal.value) == "cannot link usages to declarations: " + "; ".join(
             map(str, undeclared)
         )
 
     def test_links_point_at_first_declaration(self):
         tree = parse_text("tape-alphabet is one, one;\nprint 'one'.")
-        link_is_declared_at(tree, classify(tree))
+        link_is_declared_at(tree, points_of(tree))
         first = w_declaration_points(tree)[0]
         semantic = [a for _, a in tree.graph.arrows() if a.kind == SEMANTIC]
         assert [a.dst for a in semantic] == [first]
@@ -265,11 +274,11 @@ class TestLabelPoints:
 
 class TestCheckLabels:
     def test_increment_is_clean(self, increment):
-        assert check_labels(increment, classify(increment)) == []
+        assert check_labels(increment, points_of(increment)) == []
 
     def test_duplicate_label(self, program_path):
         tree = parse_text(program_path("duplicate_label.tgl").read_text())
-        findings = check_labels(tree, classify(tree))
+        findings = check_labels(tree, points_of(tree))
         assert [f.code for f in findings] == ["L1", "LW1", "LW1"]
         first = findings[0]
         assert first.severity == "error"
@@ -278,13 +287,13 @@ class TestCheckLabels:
 
     def test_missing_target(self, program_path):
         tree = parse_text(program_path("missing_target.tgl").read_text())
-        findings = check_labels(tree, classify(tree))
+        findings = check_labels(tree, points_of(tree))
         assert [f.code for f in findings] == ["L2"]
         assert "nowhere" in findings[0].message
 
     def test_unused_label(self):
         tree = parse_text("tape-alphabet is one;\nx: print 'one'.")
-        findings = check_labels(tree, classify(tree))
+        findings = check_labels(tree, points_of(tree))
         assert [f.code for f in findings] == ["LW1"]
         assert findings[0].severity == "warning"
 
@@ -304,5 +313,23 @@ class TestGeneratedPrograms:
                 assert classes[node].kind == DATA
             targets, _ = label_points(tree, classes)
             assert all(classes[n].kind == LABEL for n in targets)
-            for finding in check_alphabet(tree, classes) + check_labels(tree, classes):
+            points = find_points(tree, classes)
+            for finding in check_alphabet(tree, points) + check_labels(tree, points):
                 assert finding.severity in ("warning", "error")
+
+
+def test_one_check_finds_each_point_once(monkeypatch, increment_text):
+    """``check_program`` hands one set of points to every stage that reads them."""
+    calls = Counter()
+    for name in ("w_declaration_points", "w_usage_points", "label_points"):
+        original = getattr(semantics, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (semantics, control_flow, pipeline):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    check_program(increment_text)
+    assert calls == {"w_declaration_points": 1, "w_usage_points": 1, "label_points": 1}
