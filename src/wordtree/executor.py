@@ -11,6 +11,13 @@ crashed with a structured report. In cautious mode each direction is
 verified before it runs, and a violation crashes with the same report
 a normal run gives, before the direction can touch the graph.
 
+Every direction exposes a ``condition`` (None for ``Act``) and an
+``action``, and each item of the algebra resolves its own operands, so
+a step dispatches once per direction: through the item's own method,
+with no table or type test in between. Whether an action ends the step
+is its class's ``ends_step``. An untraced step reads the current node's
+label only to report a crash.
+
 A run keeps no trace. A caller that wants one passes ``on_step`` and
 receives each entry as it is produced; only then is the tape rendered.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .control_flow import NEXT, NO, YES
 from .graph import (
@@ -45,7 +52,7 @@ from .graph import (
     normal_violation,
     parse_path,
 )
-from .semantics import OTHER_NODE, PRINT_WORD_PATH, STATEMENT, SYMBOL_PATH, NodeClass
+from .semantics import PRINT_WORD_PATH, SYMBOL_PATH
 from .tape import Tape, chain_text
 
 RUNNING = "running"
@@ -69,6 +76,7 @@ class Act:
     """A direction that performs its action unconditionally."""
 
     action: Action
+    condition = None  # like Guarded's, so a step reads every direction alike
 
     def phrase(self) -> str:
         return self.action.phrase()
@@ -79,10 +87,10 @@ class Guarded:
     """A direction that performs its action only when the condition holds."""
 
     condition: Proposition
-    then: Action
+    action: Action
 
     def phrase(self) -> str:
-        return f"if {self.condition.phrase()}, then {self.then.phrase()}"
+        return f"if {self.condition.phrase()}, then {self.action.phrase()}"
 
 
 Direction = Union[Act, Guarded]
@@ -160,11 +168,12 @@ OnStep = Optional[Callable[[TraceEntry], None]]
 
 
 def install_instructions(
-    tree: Tree, stop: int, classes: dict[int, NodeClass]
+    tree: Tree, stop: int, statements: Iterable[int]
 ) -> dict[int, Instruction]:
     """Build the node-to-instruction map for an executable program tree.
 
-    Exactly the root, the stop node, and the statement nodes carry
+    Exactly the root, the stop node, and the ``statements`` (the
+    statement nodes ``find_points`` found, in id order) carry
     instructions.
     """
     g = tree.graph
@@ -184,9 +193,7 @@ def install_instructions(
     instructions[tree.root] = follow_next
     instructions[stop] = Instruction((Act(Stop()),))
 
-    for node in g.nodes():
-        if classes.get(node, OTHER_NODE).kind != STATEMENT:
-            continue
+    for node in statements:
         word = g.node_label(node)
         if word == "if":
             require_flow(node, YES, NO)
@@ -289,7 +296,7 @@ def _record(state: ExecState, node: int, label: str, phrase: str, on_step) -> No
 
 
 def _crash(
-    state: ExecState, situation: str, node: int, label: str, detail: str, on_step
+    state: ExecState, situation: str, node: int, label: Optional[str], detail: str, on_step
 ) -> ExecState:
     state.status = CRASHED
     state.situation = CrashReport(situation, node, detail)
@@ -310,8 +317,9 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
 
     Directions run in order. A guard that evaluates false falls through
     to the next direction; a guard that evaluates true performs its
-    action. The first FollowArrow or Stop performed ends the step, and
-    an instruction must end that way or the state crashes.
+    action. The first action performed whose ``ends_step`` is true
+    (FollowArrow or Stop) ends the step, and an instruction must end
+    that way or the state crashes.
 
     ``on_step``, when given, receives the step's trace entry, carrying
     the tape text when the step changed it; rendering that text costs
@@ -320,13 +328,14 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
     """
     if state.status != RUNNING:
         raise ValueError(f"cannot step a {state.status} state")
-    if on_step is None:
-        state._shown = _STALE
-    else:
-        _ = state.last_tape  # render the text this step is compared against
     g = state.tree.graph
     node = state.current
-    label = g.node_label(node)
+    if on_step is None:
+        state._shown = _STALE
+        label = None  # read only for a trace entry or a crash report
+    else:
+        _ = state.last_tape  # render the text this step is compared against
+        label = g.node_label(node)
     state.steps += 1
 
     instruction = state.instructions.get(node)
@@ -336,16 +345,14 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
             NO_INSTRUCTION,
             node,
             label,
-            f"the {display_word(label)} node holds no instruction",
+            f"the {display_word(g.node_label(node))} node holds no instruction",
             on_step,
         )
 
     cautious = state.cautious
     for direction in instruction.directions:
-        if type(direction) is Guarded:
-            condition, action = direction.condition, direction.then
-        else:
-            condition, action = None, direction.action
+        condition = direction.condition
+        action = direction.action
         try:
             if condition is not None:
                 if cautious:
@@ -359,7 +366,7 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
             return _crash(
                 state, NORMAL_CONDITION_VIOLATED, node, label, failure.detail, on_step
             )
-        if isinstance(action, (FollowArrow, Stop)):
+        if action.ends_step:
             if destination is None:
                 state.status = STOPPED
             else:

@@ -129,14 +129,25 @@ def lex(text: str) -> Tokens:
     return tokens
 
 
+# What the parser still owes a construct whose last statement or list it
+# is parsing: its labels, the 'then' arrow of an 'if', the '}' arrow of
+# a block, or the ';' arrows of a statement list.
+_LABELS, _IF, _BLOCK, _LIST = range(4)
+
+
 class _Parser:
-    """Recursive descent over the token texts.
+    """Descent over the token texts, with an explicit stack instead of recursion.
 
     Punctuation marks and words are disjoint, so comparing a text with
     a mark or a keyword also tests its kind, and a word is a text that
     starts with a letter. Two empty texts past the end stand for the end
     of the program: no token is empty, so they match nothing, and the
     one-token lookahead for a statement label stays in range.
+
+    Nodes and arrows are added in the order a recursive descent adds
+    them: a node when its construct starts, an arrow to a statement or
+    a statement list once that has been parsed. So nesting depth costs
+    heap, not stack.
     """
 
     def __init__(self, tokens: Tokens):
@@ -146,12 +157,7 @@ class _Parser:
         self.g = LabeledGraph()
 
     def found(self) -> Optional[Token]:
-        """The token at the parse position; None at the end of the program.
-
-        Built here, not through ``Tokens.__getitem__``, whose call from C
-        costs extra stack: a ParseError at the deepest nesting the
-        recursion limit allows must not become a RecursionError.
-        """
+        """The token at the parse position; None at the end of the program."""
         text = self.texts[self.pos]
         if not text:
             return None
@@ -194,32 +200,69 @@ class _Parser:
         return root
 
     def statement_list(self) -> int:
-        first = self.statement()
-        prev = first
-        while self.texts[self.pos] == ";":
-            self.pos += 1
-            node = self.statement()
-            self.g.add_arrow(prev, ";", node)
-            prev = node
-        return first
-
-    def statement(self) -> int:
-        texts = self.texts
-        labels: list[str] = []
-        while texts[self.pos + 1] == ":" and texts[self.pos][:1].isalpha():
-            labels.append(self.identifier())
-            self.pos += 1
-        node = self.simple_statement()
-        prev = node
-        for label in labels:
-            target = self.g.add_node(label)
-            self.g.add_arrow(prev, ":", target)
-            prev = target
-        return node
-
-    def simple_statement(self) -> int:
+        """Parse a statement list, nested ones included; return its first statement."""
         g = self.g
-        keyword = self.texts[self.pos]
+        texts = self.texts
+        pending: list[list] = [[_LIST, None, None]]  # a list: its first and last statement
+        while True:
+            labels: list[str] = []
+            while texts[self.pos + 1] == ":" and texts[self.pos][:1].isalpha():
+                labels.append(self.identifier())
+                self.pos += 1
+            pending.append([_LABELS, labels])
+            keyword = texts[self.pos]
+            if keyword == "if":
+                self.pos += 1
+                node = g.add_node("if")
+                self.expect("the-tape-symbol")
+                symbol = g.add_node("the-tape-symbol")
+                g.add_arrow(node, "", symbol)
+                self.expect("is")
+                word = g.add_node(self.string())
+                g.add_arrow(symbol, "is", word)
+                self.expect("then")
+                pending.append([_IF, node])
+                continue  # parse the subordinate statement
+            if keyword == "{":
+                self.pos += 1
+                pending.append([_BLOCK, g.add_node("{")])
+                pending.append([_LIST, None, None])
+                continue  # parse the inner statement list
+            done = self.simple_statement(keyword)
+            # Hand the parsed node to what waits for it, until a list goes on.
+            while True:
+                frame = pending.pop()
+                kind = frame[0]
+                if kind == _LABELS:
+                    prev = done
+                    for label in frame[1]:
+                        target = g.add_node(label)
+                        g.add_arrow(prev, ":", target)
+                        prev = target
+                elif kind == _IF:
+                    g.add_arrow(frame[1], "then", done)
+                    done = frame[1]
+                elif kind == _BLOCK:
+                    self.expect("}")
+                    g.add_arrow(frame[1], "}", done)
+                    done = frame[1]
+                else:
+                    if frame[1] is None:
+                        frame[1] = done
+                    else:
+                        g.add_arrow(frame[2], ";", done)
+                    frame[2] = done
+                    if texts[self.pos] == ";":
+                        self.pos += 1
+                        pending.append(frame)
+                        break  # parse the list's next statement
+                    done = frame[1]
+                    if not pending:
+                        return done
+
+    def simple_statement(self, keyword: str) -> int:
+        """A statement with no statement inside: go, print, move, or the empty one."""
+        g = self.g
         if keyword == "go":
             self.pos += 1
             node = g.add_node("go")
@@ -233,19 +276,6 @@ class _Parser:
             word = g.add_node(self.string())
             g.add_arrow(node, "'", word)
             return node
-        if keyword == "if":
-            self.pos += 1
-            node = g.add_node("if")
-            self.expect("the-tape-symbol")
-            symbol = g.add_node("the-tape-symbol")
-            g.add_arrow(node, "", symbol)
-            self.expect("is")
-            word = g.add_node(self.string())
-            g.add_arrow(symbol, "is", word)
-            self.expect("then")
-            subordinate = self.statement()
-            g.add_arrow(node, "then", subordinate)
-            return node
         if keyword == "move":
             self.pos += 1
             node = g.add_node("move")
@@ -256,13 +286,6 @@ class _Parser:
             self.expect("one-square")
             square = g.add_node("one-square")
             g.add_arrow(node, direction, square)
-            return node
-        if keyword == "{":
-            self.pos += 1
-            node = g.add_node("{")
-            inner = self.statement_list()
-            self.expect("}")
-            g.add_arrow(node, "}", inner)
             return node
         return g.add_node("")
 
@@ -290,7 +313,10 @@ def to_canonical(tree: Tree) -> Sytr:
 
     Trees grown directly from the schema keep printed and compared words
     wrapped in a quote node; the canonical encoding drops the wrapper.
-    The result is a fresh graph; the input is not modified.
+    The result is a fresh graph; the input is not modified. Nodes are
+    added before their children and each arrow after its child's
+    subtree, as a recursive walk would add them, but from an explicit
+    stack, so depth is not limited. A cycle is refused with ValueError.
     """
     source = tree.graph
     g = LabeledGraph()
@@ -303,20 +329,32 @@ def to_canonical(tree: Tree) -> Sytr:
             return None
         return out[0][1].dst
 
-    def walk(old: int) -> int:
-        new = g.add_node(source.node_label(old))
-        for _, arrow in source.out_arrows(old):
+    # Each frame: the old node and its copy, the old node's arrows not yet
+    # copied, and the node and label of the arrow that will enter the copy.
+    root = g.add_node(source.node_label(tree.root))
+    frames = [(tree.root, root, iter(source.out_arrows(tree.root)), None, None)]
+    on_path = {tree.root}
+    while frames:
+        old, new, arrows, parent, label = frames[-1]
+        for _, arrow in arrows:
             if arrow.kind != SYNTACTIC:
                 raise ValueError("canonical form covers syntactic arrows only")
-            wrapped = quote_target(arrow.dst)
+            child, child_label = arrow.dst, arrow.label
+            wrapped = quote_target(child)
             if wrapped is not None:
-                label = arrow.label if arrow.label else "'"
-                g.add_arrow(new, label, walk(wrapped))
-            else:
-                g.add_arrow(new, arrow.label, walk(arrow.dst))
-        return new
-
-    return Sytr(g, walk(tree.root))
+                child, child_label = wrapped, arrow.label if arrow.label else "'"
+            if child in on_path:
+                raise ValueError(f"node {child} lies on a cycle; not a tree")
+            on_path.add(child)
+            copy = g.add_node(source.node_label(child))
+            frames.append((child, copy, iter(source.out_arrows(child)), new, child_label))
+            break
+        else:
+            frames.pop()
+            on_path.discard(old)
+            if parent is not None:
+                g.add_arrow(parent, label, new)
+    return Sytr(g, root)
 
 
 class _Renderer:
@@ -364,41 +402,62 @@ class _Renderer:
         return "\n".join(lines)
 
     def statement(self, node: int) -> str:
-        first = self.g.follow(node, "+", ":")
-        if first is None:  # most statements carry no label: no chain to build
-            return self.body(node)
-        labels = [self.plain_word(n, "statement label") for n in self.g.chain(first, "+", ":")]
-        return ": ".join(labels) + ": " + self.body(node)
+        """A statement's text, nested statements included, walked from an explicit stack.
 
-    def body(self, node: int) -> str:
-        label = self.g.node_label(node)
-        if label == "go":
-            target = self.plain_word(self.need(node, "to"), "goto target")
-            return f"go to {target}"
-        if label == "print":
-            word = self.plain_word(self.need(node, "'"), "printed word")
-            return f"print '{word}'"
-        if label == "if":
-            symbol = self.need(node, "")
-            if self.g.node_label(symbol) != "the-tape-symbol":
-                raise self.fail("'if' does not point at 'the-tape-symbol'")
-            word = self.plain_word(self.need(symbol, "is"), "compared word")
-            subordinate = self.statement(self.need(node, "then"))
-            return f"if the-tape-symbol is '{word}' then {subordinate}"
-        if label == "move":
-            for direction in ("left", "right"):
-                square = self.g.follow(node, "+", direction)
-                if square is not None:
-                    if self.g.node_label(square) != "one-square":
-                        raise self.fail("'move' does not point at 'one-square'")
-                    return f"move {direction} one-square"
-            raise self.fail("'move' lacks a 'left' or 'right' arrow")
-        if label == "{":
-            inner = [self.statement(n) for n in self.g.chain(self.need(node, "}"), "+", ";")]
-            return "{" + "; ".join(inner) + "}"
-        if label == "":
-            return ""
-        raise self.fail(f"unknown statement label {display_word(label)}")
+        ``todo`` holds the text still to write, last piece first: a
+        string as it stands, a node as a statement to render. Each
+        statement's labels are checked before its body, and a body's
+        own parts before the statements inside it, as a recursive
+        walk would check them.
+        """
+        g = self.g
+        parts: list[str] = []
+        todo: list = [node]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            first = g.follow(item, "+", ":")
+            if first is not None:
+                labels = [self.plain_word(n, "statement label") for n in g.chain(first, "+", ":")]
+                parts.append(": ".join(labels) + ": ")
+            label = g.node_label(item)
+            if label == "go":
+                target = self.plain_word(self.need(item, "to"), "goto target")
+                parts.append(f"go to {target}")
+            elif label == "print":
+                word = self.plain_word(self.need(item, "'"), "printed word")
+                parts.append(f"print '{word}'")
+            elif label == "if":
+                symbol = self.need(item, "")
+                if g.node_label(symbol) != "the-tape-symbol":
+                    raise self.fail("'if' does not point at 'the-tape-symbol'")
+                word = self.plain_word(self.need(symbol, "is"), "compared word")
+                todo.append(self.need(item, "then"))
+                parts.append(f"if the-tape-symbol is '{word}' then ")
+            elif label == "move":
+                parts.append(self.move(item))
+            elif label == "{":
+                inner = g.chain(self.need(item, "}"), "+", ";")
+                pieces: list = [inner[0]]
+                for statement in inner[1:]:
+                    pieces += ["; ", statement]
+                todo.append("}")
+                todo.extend(reversed(pieces))
+                parts.append("{")
+            elif label != "":
+                raise self.fail(f"unknown statement label {display_word(label)}")
+        return "".join(parts)
+
+    def move(self, node: int) -> str:
+        for direction in ("left", "right"):
+            square = self.g.follow(node, "+", direction)
+            if square is not None:
+                if self.g.node_label(square) != "one-square":
+                    raise self.fail("'move' does not point at 'one-square'")
+                return f"move {direction} one-square"
+        raise self.fail("'move' lacks a 'left' or 'right' arrow")
 
 
 def render_program(tree: Sytr) -> str:

@@ -8,6 +8,14 @@ sentential trees. On top of the storage layer this module provides path
 formulas (textual navigation expressions with crash-on-ambiguity
 semantics), a small algebra of propositions and guarded actions, the
 uni-labeledness check, and deterministic JSON/DOT export.
+
+``LabeledGraph.follow`` is the one step along a labeled arrow: a "+"
+step reads the (origin, label) index once. ``resolve`` walks a path
+formula's steps through it. Each proposition and action class resolves
+its own ``operands``, which are its normal-execution conditions, and
+gives them meaning in its ``holds`` or ``apply``; ``eval_proposition``,
+``apply_action`` and ``normal_violation`` call those methods, so
+evaluating, applying and the cautious check share one resolve path.
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ class Inapplicable(GraphError):
         self.reason = reason  # "none" | "multiple"
 
 
+class SeveralArrows(ValueError):
+    """``LabeledGraph.follow`` found more than one arrow it could follow."""
+
+
 class NormalConditionViolated(GraphError):
     """A proposition or action was used outside its normal-execution condition."""
 
@@ -97,22 +109,26 @@ class Tree:
 class LabeledGraph:
     """Mutable finite graph of word-labeled nodes and arrows.
 
-    Identifiers are small integers handed out sequentially and never
-    reused, and nothing is deleted, so insertion order is id order:
-    ``nodes()`` and ``arrows()`` list it without sorting. A label is
-    validated when it first enters the graph, that is, when the label
-    index (nodes by label, arrows by label) has no key for it yet; later
-    uses of the same word are not checked again. Duplicate arrows (same
+    Identifiers are small integers handed out sequentially from 0 and
+    never reused, and nothing is deleted, so insertion order is id order:
+    ``nodes()`` and ``arrows()`` list it without sorting, and labels,
+    arrows and each node's arrow ids are kept in lists indexed by id.
+    A label is validated when it first enters the graph, that is, when
+    the label index (nodes by label, arrows by label) has no key for it
+    yet; later uses of the same word are not checked again. Duplicate arrows (same
     endpoints, same label) are allowed at this level; uni-labeledness is
     a separate check so that violating graphs can be constructed and
     reported.
 
-    Out-arrows are indexed by (origin, label): the key holds the first
-    such arrow's id, and the overflow map holds the ids of any later
-    ones, which only a graph that is not uni-labeled has. Origins and
-    labels never change, so only ``add_arrow`` and ``merge`` update the
-    index. A node's out-arrows and in-arrows are both listed in id
-    order, also after ``set_arrow_dst`` moves an arrow.
+    Out-arrows are indexed by (origin, label): each node keeps a dict
+    from label to the id of its first out-arrow with that label, and
+    the overflow map holds the ids of any later ones, which only a
+    graph that is not uni-labeled has. Each dict lists the node's
+    first arrows in id order, since labels enter it as their first
+    arrows are added. Origins and labels never change, so only
+    ``add_arrow`` and ``merge`` update the index. A node's out-arrows
+    and in-arrows are both listed in id order, also after
+    ``set_arrow_dst`` moves an arrow.
 
     The nodes a graph has before anything is merged into it are its
     own; ``merge`` mounts the other graph's nodes after them, and nodes
@@ -122,16 +138,13 @@ class LabeledGraph:
     """
 
     def __init__(self) -> None:
-        self._nodes: dict[int, str] = {}
-        self._arrows: dict[int, Arrow] = {}
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
+        self._nodes: list[str] = []  # label by node id
+        self._arrows: list[Arrow] = []  # arrow by arrow id
+        self._out: list[dict[str, int]] = []  # by node id: label -> first out-arrow id
+        self._in: list[list[int]] = []  # in-arrow ids by node id
         self._by_label: dict[str, set[int]] = {}
         self._arrows_by_label: dict[str, list[int]] = {}
-        self._out_first: dict[tuple[int, str], int] = {}
         self._out_more: dict[tuple[int, str], list[int]] = {}
-        self._next_node = 0
-        self._next_arrow = 0
         self._own_end = math.inf  # ids below it are the graph's own nodes
 
     # -- construction ------------------------------------------------
@@ -143,19 +156,19 @@ class LabeledGraph:
             if not (is_pla_word(label) or is_mla_word(label)):
                 raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
             same_label = self._by_label[label] = set()
-        node = self._next_node
-        self._next_node += 1
-        self._nodes[node] = label
-        self._out[node] = []
-        self._in[node] = []
+        node = len(self._nodes)
+        self._nodes.append(label)
+        self._out.append({})
+        self._in.append([])
         same_label.add(node)
         return node
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:
         """Add an arrow from ``src`` to ``dst``. The label must be a PLA word."""
-        if src not in self._nodes:
+        nodes = len(self._nodes)
+        if not 0 <= src < nodes:
             raise ValueError(f"arrow origin {src} is not a node of this graph")
-        if dst not in self._nodes:
+        if not 0 <= dst < nodes:
             raise ValueError(f"arrow destination {dst} is not a node of this graph")
         same_label = self._arrows_by_label.get(label)
         if same_label is None and not is_pla_word(label):
@@ -164,13 +177,11 @@ class LabeledGraph:
             raise ValueError(f"unknown arrow kind {kind!r}")
         if same_label is None:
             same_label = self._arrows_by_label[label] = []
-        arrow_id = self._next_arrow
-        self._next_arrow += 1
-        self._arrows[arrow_id] = Arrow(src, label, dst, kind)
-        self._out[src].append(arrow_id)
+        arrow_id = len(self._arrows)
+        self._arrows.append(Arrow(src, label, dst, kind))
         self._in[dst].append(arrow_id)
         same_label.append(arrow_id)
-        if self._out_first.setdefault((src, label), arrow_id) != arrow_id:
+        if self._out[src].setdefault(label, arrow_id) != arrow_id:
             self._out_more.setdefault((src, label), []).append(arrow_id)
         return arrow_id
 
@@ -179,7 +190,7 @@ class LabeledGraph:
     def set_node_label(self, node: int, label: str) -> None:
         if label not in self._by_label and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
-        old = self._nodes[node]
+        old = self.node_label(node)
         self._by_label[old].discard(node)
         if not self._by_label[old]:
             del self._by_label[old]
@@ -187,9 +198,9 @@ class LabeledGraph:
         self._by_label.setdefault(label, set()).add(node)
 
     def set_arrow_dst(self, arrow_id: int, dst: int) -> None:
-        if dst not in self._nodes:
+        if not 0 <= dst < len(self._nodes):
             raise ValueError(f"arrow destination {dst} is not a node of this graph")
-        arrow = self._arrows[arrow_id]
+        arrow = self.arrow(arrow_id)
         self._in[arrow.dst].remove(arrow_id)
         arrow.dst = dst
         insort(self._in[dst], arrow_id)
@@ -197,41 +208,54 @@ class LabeledGraph:
     # -- queries -----------------------------------------------------
 
     def node_label(self, node: int) -> str:
+        if node < 0:
+            raise IndexError(f"{node} is not a node of this graph")
         return self._nodes[node]
 
     def nodes(self) -> list[int]:
-        return list(self._nodes)
+        return list(range(len(self._nodes)))
 
     def arrow(self, arrow_id: int) -> Arrow:
+        if arrow_id < 0:
+            raise IndexError(f"{arrow_id} is not an arrow of this graph")
         return self._arrows[arrow_id]
 
     def arrows(self) -> list[tuple[int, Arrow]]:
-        return list(self._arrows.items())
+        return list(enumerate(self._arrows))
 
     def out_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
-        return self._adjacent(self._out, node, kinds)
+        return self._adjacent(node, self._out_ids, kinds)
 
     def in_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
-        return self._adjacent(self._in, node, kinds)
+        return self._adjacent(node, self._in.__getitem__, kinds)
+
+    def _out_ids(self, node: int):
+        """The ids of the arrows leaving ``node``, in id order."""
+        firsts = self._out[node]
+        if not self._out_more:
+            return firsts.values()
+        ids = list(firsts.values())
+        for label in firsts:
+            ids += self._out_more.get((node, label), ())
+        return sorted(ids)
 
     def ends(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> list[int]:
         """Far ends of the ``word`` arrows leaving ``node`` ("+") or entering it ("-").
 
         Arrows of all kinds count unless ``kinds`` narrows them; ends come
         in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
-        is the one place an arrow is followed by its label; ``follow`` and
-        ``chain`` build on it. "+" is answered from the (node, label) index
-        in constant time; "-" scans the node's in-arrow ids in place, and
-        tape cells have at most two of them.
+        and ``follow`` are the places an arrow is followed by its label;
+        ``chain`` and ``resolve`` build on ``follow``. "+" is answered from
+        the (node, label) index in constant time; "-" scans the node's
+        in-arrow ids in place, and tape cells have at most two of them.
         """
         if sign == "+":
-            key = (node, word)
-            first = self._out_first.get(key)
+            if not 0 <= node < len(self._nodes):
+                raise ValueError(f"{node} is not a node of this graph")
+            first = self._out[node].get(word)
             if first is None:
-                if node not in self._nodes:
-                    raise ValueError(f"{node} is not a node of this graph")
                 return []
-            more = self._out_more.get(key) if self._out_more else None
+            more = self._out_more.get((node, word)) if self._out_more else None
             if more is None:
                 arrow = self._arrows[first]
                 return [arrow.dst] if kinds is None or arrow.kind in kinds else []
@@ -239,11 +263,10 @@ class LabeledGraph:
             arrows = [self._arrows[arrow_id] for arrow_id in (first, *more)]
             return [a.dst for a in arrows if wanted is None or a.kind in wanted]
         if sign == "-":
-            ids = self._in.get(node)
-            if ids is None:
+            if not 0 <= node < len(self._nodes):
                 raise ValueError(f"{node} is not a node of this graph")
             srcs = []
-            for arrow_id in ids:
+            for arrow_id in self._in[node]:
                 arrow = self._arrows[arrow_id]
                 if arrow.label == word and (kinds is None or arrow.kind in kinds):
                     srcs.append(arrow.src)
@@ -253,15 +276,26 @@ class LabeledGraph:
     def follow(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> Optional[int]:
         """The one far end of a ``word`` arrow at ``node``, or None when there is none.
 
-        ``sign`` and ``kinds`` are as for ``ends``. Raises ValueError
-        when several such arrows leave (or enter) the node.
+        ``sign`` and ``kinds`` are as for ``ends``. Raises SeveralArrows,
+        a ValueError, when several such arrows leave (or enter) the node.
+        "+" reads the (node, label) index once and builds no list unless
+        the graph repeats that label at the node.
         """
+        if sign == "+":
+            if not 0 <= node < len(self._nodes):
+                raise ValueError(f"{node} is not a node of this graph")
+            first = self._out[node].get(word)
+            if first is None:
+                return None
+            if not self._out_more or (node, word) not in self._out_more:
+                arrow = self._arrows[first]
+                return arrow.dst if kinds is None or arrow.kind in kinds else None
         hits = self.ends(node, sign, word, kinds)
         if len(hits) == 1:
             return hits[0]
         if hits:
             direction = "leaving" if sign == "+" else "entering"
-            raise ValueError(f"node {node} has several {display_word(word)} arrows {direction} it")
+            raise SeveralArrows(f"node {node} has several {display_word(word)} arrows {direction} it")
         return None
 
     def chain(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> list[int]:
@@ -282,12 +316,12 @@ class LabeledGraph:
             step = self.follow(step, sign, word, kinds)
         return nodes
 
-    def _adjacent(self, table, node, kinds):
-        if node not in self._nodes:
+    def _adjacent(self, node, ids_of, kinds):
+        if not 0 <= node < len(self._nodes):
             raise ValueError(f"{node} is not a node of this graph")
         wanted = None if kinds is None else set(kinds)
         pairs = []
-        for arrow_id in table[node]:
+        for arrow_id in ids_of(node):
             arrow = self._arrows[arrow_id]
             if wanted is None or arrow.kind in wanted:
                 pairs.append((arrow_id, arrow))
@@ -312,16 +346,13 @@ class LabeledGraph:
 
     def copy(self) -> "LabeledGraph":
         dup = LabeledGraph()
-        dup._nodes = dict(self._nodes)
-        dup._arrows = {a: Arrow(v.src, v.label, v.dst, v.kind) for a, v in self._arrows.items()}
-        dup._out = {n: list(ids) for n, ids in self._out.items()}
-        dup._in = {n: list(ids) for n, ids in self._in.items()}
+        dup._nodes = list(self._nodes)
+        dup._arrows = [Arrow(a.src, a.label, a.dst, a.kind) for a in self._arrows]
+        dup._out = [dict(firsts) for firsts in self._out]
+        dup._in = [list(ids) for ids in self._in]
         dup._by_label = {w: set(ns) for w, ns in self._by_label.items()}
         dup._arrows_by_label = {w: list(ids) for w, ids in self._arrows_by_label.items()}
-        dup._out_first = dict(self._out_first)
         dup._out_more = {key: list(ids) for key, ids in self._out_more.items()}
-        dup._next_node = self._next_node
-        dup._next_arrow = self._next_arrow
         dup._own_end = self._own_end
         return dup
 
@@ -336,31 +367,26 @@ class LabeledGraph:
         copied as it is. The copies are mounted, not this graph's own
         nodes: no absolute path start names them.
         """
-        node_base = self._next_node
-        arrow_base = self._next_arrow
+        node_base = len(self._nodes)
+        arrow_base = len(self._arrows)
         self._own_end = min(self._own_end, node_base)
-        mapping = {}
-        for node, label in other._nodes.items():
-            new = mapping[node] = node_base + node
-            self._nodes[new] = label
-            self._out[new] = [arrow_base + arrow_id for arrow_id in other._out[node]]
-            self._in[new] = [arrow_base + arrow_id for arrow_id in other._in[node]]
+        self._nodes += other._nodes
+        self._out += [
+            {label: arrow_base + arrow_id for label, arrow_id in firsts.items()}
+            for firsts in other._out
+        ]
+        self._in += [[arrow_base + arrow_id for arrow_id in ids] for ids in other._in]
         for label, nodes in other._by_label.items():
             self._by_label.setdefault(label, set()).update(node_base + node for node in nodes)
-        for arrow_id, a in other._arrows.items():
-            self._arrows[arrow_base + arrow_id] = Arrow(
-                node_base + a.src, a.label, node_base + a.dst, a.kind
-            )
+        self._arrows += [
+            Arrow(node_base + a.src, a.label, node_base + a.dst, a.kind) for a in other._arrows
+        ]
         for label, ids in other._arrows_by_label.items():
             same_label = self._arrows_by_label.setdefault(label, [])
             same_label.extend(arrow_base + arrow_id for arrow_id in ids)
-        for (src, label), arrow_id in other._out_first.items():
-            self._out_first[(node_base + src, label)] = arrow_base + arrow_id
         for (src, label), ids in other._out_more.items():
             self._out_more[(node_base + src, label)] = [arrow_base + arrow_id for arrow_id in ids]
-        self._next_node += other._next_node
-        self._next_arrow += other._next_arrow
-        return mapping
+        return {node: node_base + node for node in range(len(other._nodes))}
 
 
 # -- path formulas ---------------------------------------------------
@@ -463,18 +489,25 @@ def resolve(
         node = current
     else:
         candidates = g._by_label.get(formula.start, ())
-        if len(candidates) != 1 or max(candidates) >= g._own_end:
-            candidates = [n for n in candidates if n < g._own_end]
-        if len(candidates) != 1:
-            raise StartAmbiguous(formula.start, len(candidates))
-        (node,) = candidates
-    for index, (sign, word) in enumerate(formula.steps):
-        hits = g.ends(node, sign, word, kinds)
-        if not hits:
+        if len(candidates) == 1:
+            (node,) = candidates
+            if node >= g._own_end:
+                raise StartAmbiguous(formula.start, 0)
+        else:
+            own = [n for n in candidates if n < g._own_end]
+            if len(own) != 1:
+                raise StartAmbiguous(formula.start, len(own))
+            (node,) = own
+    follow = g.follow
+    index = 0
+    for sign, word in formula.steps:
+        try:
+            node = follow(node, sign, word, kinds)
+        except SeveralArrows:
+            raise Inapplicable(formula, index, "multiple") from None
+        if node is None:
             raise Inapplicable(formula, index, "none")
-        if len(hits) > 1:
-            raise Inapplicable(formula, index, "multiple")
-        node = hits[0]
+        index += 1
     return node
 
 
@@ -491,131 +524,226 @@ def locate(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None)
         raise NormalConditionViolated(f"path {formula} is not passable: {exc}") from exc
 
 
-# -- propositions ----------------------------------------------------
+# -- propositions and actions ---------------------------------------
+
+
+class _Item:
+    """What every proposition and action of the algebra has.
+
+    ``operands`` resolves what the item works on, paths first in field
+    order and then arrow counts, or raises NormalConditionViolated
+    saying why it cannot. These are all the normal-execution conditions
+    of the algebra. ``holds`` and ``apply`` start from the same
+    operands, so once they resolve, evaluating or applying the item
+    cannot violate one, and a cautious run checks exactly what a normal
+    run relies on. An action whose ``ends_step`` is true ends an
+    executor step when it is performed.
+    """
+
+    ends_step = False
+
+    def operands(self, g: "LabeledGraph", current: Optional[int]) -> tuple:
+        return ()
+
+    def holds(self, g: "LabeledGraph", current: Optional[int]) -> bool:
+        self.operands(g, current)
+        raise TypeError(f"not a proposition: {self!r}")
+
+    def apply(self, g: "LabeledGraph", current: Optional[int]) -> Optional[int]:
+        self.operands(g, current)
+        raise TypeError(f"not an action: {self!r}")
+
+
+def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
+    try:
+        return g.follow(node, sign, word) is None
+    except SeveralArrows:
+        return False
 
 
 @dataclass(frozen=True)
-class LabelsEqual:
+class LabelsEqual(_Item):
     p1: PathFormula
     p2: PathFormula
 
     def phrase(self) -> str:
         return f"the {self.p1} node label equals the {self.p2} node label"
 
+    def operands(self, g, current):
+        return locate(g, self.p1, current), locate(g, self.p2, current)
+
+    def holds(self, g, current):
+        n1, n2 = self.operands(g, current)
+        return g.node_label(n1) == g.node_label(n2)
+
 
 @dataclass(frozen=True)
-class NoArrowTo:
+class NoArrowTo(_Item):
     word: str
     path: PathFormula
 
     def phrase(self) -> str:
         return f"no {display_word(self.word)} arrow exists to the {self.path} node"
 
+    def operands(self, g, current):
+        return (locate(g, self.path, current),)
+
+    def holds(self, g, current):
+        return _no_arrow(g, self.operands(g, current)[0], "-", self.word)
+
 
 @dataclass(frozen=True)
-class NoArrowFrom:
+class NoArrowFrom(_Item):
     word: str
     path: PathFormula
 
     def phrase(self) -> str:
         return f"no {display_word(self.word)} arrow exists from the {self.path} node"
 
+    def operands(self, g, current):
+        return (locate(g, self.path, current),)
+
+    def holds(self, g, current):
+        return _no_arrow(g, self.operands(g, current)[0], "+", self.word)
+
 
 @dataclass(frozen=True)
-class UniqueArrowExists:
+class UniqueArrowExists(_Item):
     word: str
 
     def phrase(self) -> str:
         return f"there exists a unique {display_word(self.word)} arrow"
 
+    def holds(self, g, current):
+        return len(g.arrows_labeled(self.word)) == 1
+
 
 @dataclass(frozen=True)
-class PathPassable:
+class PathPassable(_Item):
     path: PathFormula
 
     def phrase(self) -> str:
         return f"the {self.path} path is passable"
 
+    def holds(self, g, current):
+        try:
+            locate(g, self.path, current)
+        except (NormalConditionViolated, ValueError):
+            return False
+        return True
+
 
 Proposition = Union[LabelsEqual, NoArrowTo, NoArrowFrom, UniqueArrowExists, PathPassable]
 
 
-def eval_proposition(g: LabeledGraph, prop: Proposition, current: Optional[int] = None) -> bool:
-    """Evaluate a proposition.
-
-    Evaluation crashes with NormalConditionViolated, rather than
-    returning False, when a referenced path is impassable. PathPassable
-    and UniqueArrowExists are total and never crash.
-    """
-    operands = _operands(g, prop, current)
-    match prop:
-        case LabelsEqual():
-            n1, n2 = operands
-            return g.node_label(n1) == g.node_label(n2)
-        case NoArrowTo(word):
-            return not g.ends(operands[0], "-", word)
-        case NoArrowFrom(word):
-            return not g.ends(operands[0], "+", word)
-        case UniqueArrowExists(word):
-            return len(g.arrows_labeled(word)) == 1
-        case PathPassable(path):
-            try:
-                locate(g, path, current)
-            except (NormalConditionViolated, ValueError):
-                return False
-            return True
-    raise TypeError(f"not a proposition: {prop!r}")
-
-
-# -- actions ---------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class RelabelNode:
+class RelabelNode(_Item):
     target: PathFormula
     source: PathFormula
 
     def phrase(self) -> str:
         return f"label the {self.target} node by the {self.source} node label"
 
+    def operands(self, g, current):
+        return locate(g, self.target, current), locate(g, self.source, current)
+
+    def apply(self, g, current):
+        target, source = self.operands(g, current)
+        g.set_node_label(target, g.node_label(source))
+        return current
+
 
 @dataclass(frozen=True)
-class ReassignArrow:
+class ReassignArrow(_Item):
     word: str
     target: PathFormula
 
     def phrase(self) -> str:
         return f"reassign the {display_word(self.word)} arrow to the {self.target} node"
 
+    def operands(self, g, current):
+        node = locate(g, self.target, current)
+        hits = g.arrows_labeled(self.word)
+        if len(hits) != 1:
+            raise NormalConditionViolated(
+                f"there exist {len(hits)} {display_word(self.word)} arrows, not a unique one"
+            )
+        return node, hits[0][0]
+
+    def apply(self, g, current):
+        target, arrow_id = self.operands(g, current)
+        g.set_arrow_dst(arrow_id, target)
+        return current
+
 
 @dataclass(frozen=True)
-class CreateNodeWithArrowToTarget:
+class CreateNodeWithArrowToTarget(_Item):
     target: PathFormula
 
     def phrase(self) -> str:
         return f"create a node and an arrow from it to the {self.target} node"
 
+    def operands(self, g, current):
+        return (locate(g, self.target, current),)
+
+    def apply(self, g, current):
+        target = self.operands(g, current)[0]
+        g.add_arrow(g.add_node(""), "", target, TAPE)
+        return current
+
 
 @dataclass(frozen=True)
-class CreateNodeWithArrowFromSource:
+class CreateNodeWithArrowFromSource(_Item):
     source: PathFormula
 
     def phrase(self) -> str:
         return f"create a node and an arrow from the {self.source} node to it"
 
+    def operands(self, g, current):
+        return (locate(g, self.source, current),)
+
+    def apply(self, g, current):
+        source = self.operands(g, current)[0]
+        g.add_arrow(source, "", g.add_node(""), TAPE)
+        return current
+
 
 @dataclass(frozen=True)
-class FollowArrow:
+class FollowArrow(_Item):
     word: str
+    ends_step = True
 
     def phrase(self) -> str:
         return f"follow the {display_word(self.word)} arrow"
 
+    def operands(self, g, current):
+        if current is None:
+            raise ValueError("follow requires a current node")
+        try:
+            node = g.follow(current, "+", self.word)
+        except SeveralArrows:
+            raise NormalConditionViolated(
+                f"there exist several {display_word(self.word)} arrows from the current node"
+            ) from None
+        if node is None:
+            raise NormalConditionViolated(
+                f"there exists no {display_word(self.word)} arrow from the current node"
+            )
+        return (node,)
+
+    def apply(self, g, current):
+        return self.operands(g, current)[0]
+
 
 @dataclass(frozen=True)
-class Stop:
+class Stop(_Item):
+    ends_step = True
+
     def phrase(self) -> str:
         return "stop"
+
+    def apply(self, g, current):
+        return None
 
 
 Action = Union[
@@ -628,61 +756,24 @@ Action = Union[
 ]
 
 
-def _operands(g, item, current) -> tuple:
-    """Resolve what a proposition or action works on, or raise why it cannot.
+def _refuse_foreign(item) -> None:
+    """Raise TypeError unless ``item`` belongs to the algebra."""
+    if not isinstance(item, _Item):
+        raise TypeError(f"not a proposition or action: {item!r}") from None
 
-    Paths come first, in field order, then arrow counts. These are all
-    the normal-execution conditions of the algebra, so once this step
-    succeeds, evaluating or applying the item cannot violate one.
+
+def eval_proposition(g: LabeledGraph, prop: Proposition, current: Optional[int] = None) -> bool:
+    """Evaluate a proposition.
+
+    Evaluation crashes with NormalConditionViolated, rather than
+    returning False, when a referenced path is impassable. PathPassable
+    and UniqueArrowExists are total and never crash.
     """
-    find = _OPERANDS.get(type(item))
-    if find is None:
-        raise TypeError(f"not a proposition or action: {item!r}")
-    return find(g, item, current)
-
-
-def _unique_arrow(g, action, current) -> tuple:
-    node = locate(g, action.target, current)
-    hits = g.arrows_labeled(action.word)
-    if len(hits) != 1:
-        raise NormalConditionViolated(
-            f"there exist {len(hits)} {display_word(action.word)} arrows, not a unique one"
-        )
-    return node, hits[0][0]
-
-
-def _arrow_from_current(g, action, current) -> tuple:
-    if current is None:
-        raise ValueError("follow requires a current node")
-    hits = g.ends(current, "+", action.word)
-    if len(hits) == 1:
-        return (hits[0],)
-    if not hits:
-        raise NormalConditionViolated(
-            f"there exists no {display_word(action.word)} arrow from the current node"
-        )
-    raise NormalConditionViolated(
-        f"there exist several {display_word(action.word)} arrows from the current node"
-    )
-
-
-# What each proposition and action works on: one lookup by type.
-_OPERANDS = {
-    FollowArrow: _arrow_from_current,
-    LabelsEqual: lambda g, item, current: (locate(g, item.p1, current), locate(g, item.p2, current)),
-    RelabelNode: lambda g, item, current: (
-        locate(g, item.target, current),
-        locate(g, item.source, current),
-    ),
-    NoArrowTo: lambda g, item, current: (locate(g, item.path, current),),
-    NoArrowFrom: lambda g, item, current: (locate(g, item.path, current),),
-    CreateNodeWithArrowToTarget: lambda g, item, current: (locate(g, item.target, current),),
-    CreateNodeWithArrowFromSource: lambda g, item, current: (locate(g, item.source, current),),
-    ReassignArrow: _unique_arrow,
-    UniqueArrowExists: lambda g, item, current: (),
-    PathPassable: lambda g, item, current: (),
-    Stop: lambda g, item, current: (),
-}
+    try:
+        return prop.holds(g, current)
+    except AttributeError:
+        _refuse_foreign(prop)
+        raise
 
 
 def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None) -> Optional[int]:
@@ -694,27 +785,11 @@ def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None)
     NormalConditionViolated outside the action's normal-execution
     condition.
     """
-    operands = _operands(g, action, current)
-    match action:
-        case FollowArrow():
-            return operands[0]
-        case RelabelNode():
-            target, source = operands
-            g.set_node_label(target, g.node_label(source))
-            return current
-        case ReassignArrow():
-            target, arrow_id = operands
-            g.set_arrow_dst(arrow_id, target)
-            return current
-        case CreateNodeWithArrowToTarget():
-            g.add_arrow(g.add_node(""), "", operands[0], TAPE)
-            return current
-        case CreateNodeWithArrowFromSource():
-            g.add_arrow(operands[0], "", g.add_node(""), TAPE)
-            return current
-        case Stop():
-            return None
-    raise TypeError(f"not an action: {action!r}")
+    try:
+        return action.apply(g, current)
+    except AttributeError:
+        _refuse_foreign(action)
+        raise
 
 
 def normal_violation(
@@ -724,12 +799,16 @@ def normal_violation(
 
     Returns the detail that evaluating or applying ``item`` would raise
     as NormalConditionViolated, or None when it would raise none. This
-    is the verification step of a cautious executor.
+    is the verification step of a cautious executor: it resolves the
+    item's operands as evaluating or applying it would.
     """
     try:
-        _operands(g, item, current)
+        item.operands(g, current)
     except NormalConditionViolated as violation:
         return violation.detail
+    except AttributeError:
+        _refuse_foreign(item)
+        raise
     return None
 
 
@@ -810,27 +889,6 @@ def functional_cycles(successor: dict) -> list[tuple]:
             least = cycle.index(min(cycle))
             cycles.append(tuple(cycle[least:] + cycle[:least]))
     return sorted(cycles)
-
-
-def canonical_form(g: LabeledGraph, root: int):
-    """Order-independent fingerprint of a tree: nested (label, children) tuples.
-
-    Children are sorted by (arrow label, child form), so two trees get
-    equal forms exactly when they are isomorphic as labeled trees.
-    Raises ValueError if the reachable subgraph is not a tree.
-    """
-    seen: set[int] = set()
-
-    def walk(node: int):
-        if node in seen:
-            raise ValueError(f"node {node} reached twice; not a tree")
-        seen.add(node)
-        children = []
-        for _, arrow in g.out_arrows(node):
-            children.append((arrow.label, walk(arrow.dst)))
-        return (g.node_label(node), tuple(sorted(children)))
-
-    return walk(root)
 
 
 # -- export ----------------------------------------------------------

@@ -32,6 +32,7 @@ from .graph import Tree
 from .semantics import (
     Diagnostic,
     NodeClass,
+    Points,
     check_alphabet,
     check_labels,
     classify,
@@ -53,14 +54,17 @@ class CheckFailed(ValueError):
 class CheckResult:
     """Everything one pass over a program text produced.
 
-    ``stop`` and ``flow_counts`` are filled only when the label checks
-    found no errors, since control flow cannot be built over ambiguous
-    or dangling go to statements. ``linked`` counts declaration links,
+    ``points`` holds the statements and points ``find_points`` found,
+    which the later stages and ``make_executable`` read. ``stop`` and
+    ``flow_counts`` are filled only when the label checks found no
+    errors, since control flow cannot be built over ambiguous or
+    dangling go to statements. ``linked`` counts declaration links,
     added only when every used tape word is declared somewhere.
     """
 
     tree: Tree
     classes: dict[int, NodeClass]
+    points: Points
     diagnostics: list[Diagnostic]
     stop: Optional[int] = None
     linked: int = 0
@@ -107,7 +111,7 @@ def check_program(text: str) -> CheckResult:
     points = find_points(tree, classes)
     diagnostics = list(check_alphabet(tree, points))
     diagnostics.extend(check_labels(tree, points))
-    result = CheckResult(tree, classes, diagnostics)
+    result = CheckResult(tree, classes, points, diagnostics)
     if not any(d.code == "AW2" for d in diagnostics):
         result.linked = link_is_declared_at(tree, points)
     if not any(d.severity == "error" for d in diagnostics):
@@ -131,7 +135,7 @@ def make_executable(result: CheckResult) -> dict[int, Instruction]:
         raise CheckFailed(result.blocking)
     if result.stop is None:
         raise ValueError("control flow was not built")
-    return install_instructions(result.tree, result.stop, result.classes)
+    return install_instructions(result.tree, result.stop, result.points.statements)
 
 
 def execute_program(

@@ -40,17 +40,14 @@ def parse_tape(text: str) -> Tape:
     tokens = text.split()
     if not tokens:
         raise ValueError("a tape needs at least one cell")
+    for token in dict.fromkeys(tokens):  # each distinct token once, in order
+        if token != EMPTY_TOKEN and not WORD.fullmatch(token):
+            raise ValueError(f"illegal tape token {token!r}")
     g = LabeledGraph()
     previous = None
     root = None
     for token in tokens:
-        if token == EMPTY_TOKEN:
-            word = ""
-        elif WORD.fullmatch(token):
-            word = token
-        else:
-            raise ValueError(f"illegal tape token {token!r}")
-        node = g.add_node(word)
+        node = g.add_node("" if token == EMPTY_TOKEN else token)
         if previous is None:
             root = node
         else:

@@ -29,7 +29,7 @@ from wordtree.graph import (
     export_json,
     functional_cycles,
 )
-from wordtree.pipeline import check_program
+from wordtree.pipeline import CheckResult, check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import (
     STATEMENT,
@@ -94,7 +94,11 @@ def test_check_path_is_pinned(path):
 
 
 def test_stages_after_classify_list_no_nodes(monkeypatch, increment_text):
-    """The points carry the statements; no later stage lists every node."""
+    """The points carry the statements; no later stage lists every node.
+
+    That holds through ``make_executable``, which installs the
+    instructions in the statements the points carry.
+    """
     tree = parse_text(increment_text)
     classes = classify(tree)
 
@@ -109,9 +113,11 @@ def test_stages_after_classify_list_no_nodes(monkeypatch, increment_text):
     build_back_arrows(tree, stop, points)
     build_control(tree, stop, points)
     diagnostics += check_reachability(tree, points) + check_next_acyclic(tree)
+    instructions = make_executable(CheckResult(tree, classes, points, diagnostics, stop))
     monkeypatch.undo()
     assert {"diagnostics": [d.as_dict() for d in diagnostics],
             "graph": json.loads(export_json(tree.graph))} == checked(increment_text)
+    assert instructions == make_executable(check_program(increment_text))
 
 
 class TestStopNode:

@@ -74,7 +74,7 @@ def prepare(text: str):
     stop = add_stop_node(tree)
     build_back_arrows(tree, stop, points)
     build_control(tree, stop, points)
-    instructions = install_instructions(tree, stop, classes)
+    instructions = install_instructions(tree, stop, points.statements)
     return tree, stop, instructions
 
 
@@ -161,7 +161,7 @@ class TestInstall:
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
         with pytest.raises(ValueError, match="control"):
-            install_instructions(tree, stop, classify(tree))
+            install_instructions(tree, stop, find_points(tree, classify(tree)).statements)
 
 
 class TestInitialize:

@@ -15,8 +15,10 @@ from wordtree.frontend import (
     render_program,
     to_canonical,
 )
-from wordtree.graph import LabeledGraph, canonical_form, check_uni_labeled
+from wordtree.graph import LabeledGraph, check_uni_labeled
 from wordtree.schema import generate_sytr, turingol_schema
+
+from reference_graph import canonical_form
 
 
 def build_increment_tree() -> Sytr:

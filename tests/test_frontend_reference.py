@@ -15,8 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_frontend as reference
-from wordtree.frontend import IllegalCharacter, ParseError, lex, parse_text
+from wordtree.frontend import (
+    IllegalCharacter,
+    ParseError,
+    lex,
+    parse_text,
+    render_program,
+    to_canonical,
+)
 from wordtree.graph import export_json
+from wordtree.pipeline import check_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -210,3 +218,31 @@ def test_parser_needs_no_more_stack_than_reference():
                         assert run(parse_text, n) == run(reference.parse_text, n)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_ten_thousand_levels_check_render_and_round_trip(shape):
+    """Nesting costs no stack: 10 000 levels parse, check, render and round-trip."""
+    text = "tape-alphabet is a;\n" + NESTED[shape](10_000, "print 'a'") + "."
+    result = check_program(text)
+    assert result.diagnostics == [] and result.runnable
+    tree = parse_text(text)
+    assert render_program(tree) == text
+    assert export_json(parse_text(render_program(tree)).graph) == export_json(tree.graph)
+    assert render_program(to_canonical(tree)) == text
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_nesting_parses_alike_ids_and_errors(shape):
+    """Past any recursion limit the parser still hands out the reference's ids and errors.
+
+    The reference is run on a raised limit; the frontend on the default one.
+    """
+    texts = [f"tape-alphabet is a;\n{NESTED[shape](2_000, leaf)}." for leaf in LEAVES]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        expected = [parsed(reference.parse_text, text) for text in texts]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [parsed(parse_text, text) for text in texts] == expected

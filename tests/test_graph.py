@@ -33,7 +33,6 @@ from wordtree.graph import (
     Stop,
     UniqueArrowExists,
     apply_action,
-    canonical_form,
     check_uni_labeled,
     eval_proposition,
     export,
@@ -41,8 +40,13 @@ from wordtree.graph import (
     parse_path,
     resolve,
 )
+from wordtree.executor import initialize, run
 from wordtree.frontend import parse_text
-from wordtree.pipeline import check_program
+from wordtree.pipeline import check_program, make_executable
+from wordtree.tape import parse_tape
+
+import reference_algebra
+from reference_graph import canonical_form
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -759,6 +763,60 @@ def test_normal_violation_predicts_execution(graph_and_current, item):
         assert predicted == violation.detail
     else:
         assert predicted is None
+
+
+@given(
+    indexed_graphs(),
+    st.one_of(items, st.sampled_from([None, 42, "x", parse_path("a")])),
+    st.sampled_from(["node", "none", "foreign"]),
+)
+@settings(deadline=None)
+def test_algebra_agrees_with_the_reference_dispatch(graph_and_node, item, where):
+    """Each entry point gives what the type-table-and-match dispatch gave.
+
+    Compared: the return value, or the exception's type and text, and
+    the graph the call leaves behind, for every item type, for values
+    that are no item, and with the current node in the graph, absent,
+    or foreign to it.
+    """
+    g, node = graph_and_node
+    current = {"node": node, "none": None, "foreign": g.node_count + 7}[where]
+    for name in ("eval_proposition", "apply_action", "normal_violation"):
+        results = []
+        for module in (G, reference_algebra):
+            graph = g.copy()
+            try:
+                value = getattr(module, name)(graph, item, current)
+            except Exception as exc:  # the type and text are what is compared
+                value = (type(exc), str(exc))
+            results.append((value, export(graph, "json")))
+        assert results[0] == results[1], name
+
+
+@pytest.mark.parametrize("cautious", [False, True])
+def test_untraced_run_follows_no_arrow_through_a_list(monkeypatch, increment_text, cautious):
+    """A run's path steps and follow directions read the (node, label) index.
+
+    ``LabeledGraph.ends`` builds a list; a step never asks it for the
+    arrows leaving a node.
+    """
+    result = check_program(increment_text)
+    state = initialize(
+        result.tree, parse_tape("one zero one one blank"), "last", make_executable(result), cautious
+    )
+    plus_lookups = []
+    ends = LabeledGraph.ends
+
+    def counted(self, node, sign, word, kinds=None):
+        if sign == "+":
+            plus_lookups.append((node, word))
+        return ends(self, node, sign, word, kinds)
+
+    monkeypatch.setattr(LabeledGraph, "ends", counted)
+    outcome = run(state)
+    monkeypatch.undo()
+    assert (outcome.outcome, outcome.steps) == ("stopped", 26)
+    assert plus_lookups == []
 
 
 # Bytes a checked program kept alive per graph arrow before the out-arrow
