@@ -5,15 +5,16 @@ For every workload ``BENCHMARK.json`` declares, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once per seed, one run at a time, from the root of this checkout. It
-then writes ``BENCH_<pr>.json`` there: for each workload, each
+once per seed, one run at a time, from the root of this checkout, with
+``T`` the run length ``BENCHMARK.json`` names. It then writes
+``BENCH_<pr>.json`` in the current directory: for each workload, each
 end-to-end metric's median and quartiles over the seeds, and each
 seed's ``attempted`` and ``failed`` counts. The file also names the
 Python version and the processor, since the figures hold only for the
 machine that produced them.
 
     python3 scripts/bench_medians.py --pr 12
-    python3 scripts/bench_medians.py --pr 12 --seeds 1 2 --workload increment-run
+    python3 scripts/bench_medians.py --pr 12 --seeds 1 2 3
 """
 
 from __future__ import annotations
@@ -80,31 +81,26 @@ def summarize(workload: str, seeds: list[int], seconds: float, names: list[str])
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    declared = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description="benchmark medians and quartiles over seeds")
     parser.add_argument("--pr", type=int, required=True, help="number in the name BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--workload", action="append", choices=declared,
-                        help="run only this workload (repeatable); default all")
-    parser.add_argument("--out", type=Path, help="write here instead of BENCH_<pr>.json")
     args = parser.parse_args(argv)
 
+    seconds = spec["run_seconds"]
     names = [m["name"] for m in spec["end_to_end"]]
     report = {
         "pr": args.pr,
-        "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
         "seeds": args.seeds,
         "python": platform.python_version(),
         "processor": processor(),
         "cpus": os.cpu_count(),
         "workloads": {
-            workload: summarize(workload, args.seeds, args.seconds, names)
-            for workload in args.workload or declared
+            workload["name"]: summarize(workload["name"], args.seeds, seconds, names)
+            for workload in spec["workloads"]
         },
     }
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    Path(f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 

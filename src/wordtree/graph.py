@@ -246,21 +246,18 @@ class LabeledGraph:
         in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
         and ``follow`` are the places an arrow is followed by its label;
         ``chain`` and ``resolve`` build on ``follow``. "+" is answered from
-        the (node, label) index in constant time; "-" scans the node's
-        in-arrow ids in place, and tape cells have at most two of them.
+        the (node, label) index in constant time: ``follow`` reads it for a
+        label the node does not repeat, and only a repeated label is listed
+        here. "-" scans the node's in-arrow ids in place, and tape cells
+        have at most two of them.
         """
         if sign == "+":
-            if not 0 <= node < len(self._nodes):
-                raise ValueError(f"{node} is not a node of this graph")
-            first = self._out[node].get(word)
-            if first is None:
-                return []
             more = self._out_more.get((node, word)) if self._out_more else None
             if more is None:
-                arrow = self._arrows[first]
-                return [arrow.dst] if kinds is None or arrow.kind in kinds else []
+                end = self.follow(node, sign, word, kinds)
+                return [] if end is None else [end]
             wanted = None if kinds is None else set(kinds)
-            arrows = [self._arrows[arrow_id] for arrow_id in (first, *more)]
+            arrows = [self._arrows[arrow_id] for arrow_id in (self._out[node][word], *more)]
             return [a.dst for a in arrows if wanted is None or a.kind in wanted]
         if sign == "-":
             if not 0 <= node < len(self._nodes):
@@ -278,8 +275,8 @@ class LabeledGraph:
 
         ``sign`` and ``kinds`` are as for ``ends``. Raises SeveralArrows,
         a ValueError, when several such arrows leave (or enter) the node.
-        "+" reads the (node, label) index once and builds no list unless
-        the graph repeats that label at the node.
+        "+" reads the (node, label) index once and builds no list; only a
+        label the node repeats is handed to ``ends`` to list.
         """
         if sign == "+":
             if not 0 <= node < len(self._nodes):

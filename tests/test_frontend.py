@@ -326,6 +326,32 @@ class TestCanonicalizer:
         assert arrows[0][1].label == "is"
         assert out.graph.node_label(arrows[0][1].dst) == "one"
 
+    def test_refuses_a_cycle(self):
+        g = LabeledGraph()
+        root = g.add_node("tape-alphabet")
+        body = g.add_node("print")
+        quote = g.add_node("'")
+        g.add_arrow(root, ";", body)
+        g.add_arrow(body, "", quote)
+        g.add_arrow(quote, "'", body)
+        with pytest.raises(ValueError, match=f"node {body} lies on a cycle; not a tree"):
+            to_canonical(Sytr(g, root))
+        loop = LabeledGraph()
+        alone = loop.add_node("tape-alphabet")
+        loop.add_arrow(alone, "", alone)
+        with pytest.raises(ValueError, match=f"node {alone} lies on a cycle; not a tree"):
+            to_canonical(Sytr(loop, alone))
+
+    def test_copies_a_shared_subtree_once_per_parent(self):
+        g = LabeledGraph()
+        root = g.add_node("if")
+        shared = g.add_node("stop")
+        g.add_arrow(root, "yes", shared)
+        g.add_arrow(root, "no", shared)
+        out = to_canonical(Sytr(g, root))
+        assert out.graph.node_count == 3
+        assert [a.label for _, a in out.graph.out_arrows(out.root)] == ["yes", "no"]
+
     def test_fixed_point_on_parsed_trees(self, increment_text):
         parsed = parse_text(increment_text)
         again = to_canonical(parsed)

@@ -116,6 +116,36 @@ class TestStorage:
         with pytest.raises(ValueError):
             g.add_arrow(n, "LD", m)
 
+    def test_ids_outside_the_graph_are_refused(self):
+        g = LabeledGraph()
+        n, m = g.add_node("a"), g.add_node("b")
+        g.add_arrow(n, "x", m)
+        # A negative id must not index from the end of the storage lists.
+        for bad in (-1, 2):
+            with pytest.raises(IndexError):
+                g.node_label(bad)
+        for bad in (-1, 1):
+            with pytest.raises(IndexError):
+                g.arrow(bad)
+        for bad in (-1, 2):
+            for sign in ("+", "-"):
+                with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
+                    g.follow(bad, sign, "x")
+                with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
+                    g.ends(bad, sign, "x")
+            with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
+                g.out_arrows(bad)
+            with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
+                g.in_arrows(bad)
+
+    def test_node_ids_that_are_not_integers_are_refused(self):
+        g = LabeledGraph()
+        n = g.add_node("a")
+        with pytest.raises(TypeError):
+            g.follow("a", "+", "x")
+        with pytest.raises(TypeError):
+            g.add_arrow("a", "x", n)
+
     def test_merge_copies_everything(self):
         g, cells = small_tape(["one", "zero"])
         h = LabeledGraph()
