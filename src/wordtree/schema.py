@@ -63,18 +63,20 @@ class Alternation:
         object.__setattr__(self, "words", frozenset(self.words))
         if not self.words:
             raise ValueError("alternation needs at least one word")
+        # Not a field: equality, hashing and matching see ``words`` alone.
+        object.__setattr__(self, "_sorted", tuple(sorted(self.words)))
 
     def matches(self, word: str) -> bool:
         return word in self.words
 
     def sample(self, rng: random.Random) -> str:
-        return rng.choice(sorted(self.words))
+        return rng.choice(self._sorted)
 
     def placeholder(self) -> str:
-        return min(self.words)
+        return self._sorted[0]
 
     def to_text(self) -> str:
-        return "(" + " | ".join(f"'{w}'" for w in sorted(self.words)) + ")"
+        return "(" + " | ".join(f"'{w}'" for w in self._sorted) + ")"
 
 
 @dataclass(frozen=True)
@@ -440,14 +442,106 @@ def propagate_pairs(schema: Schema) -> PairReport:
     return PairReport(pairs, conflicts)
 
 
+class CountTable:
+    """How many one-step expansions of one name fit a budget, for drawing one by rank.
+
+    ``roots`` lists the OR choices of ``_choices``, or None for a name
+    without one, and ``growths`` the nodes each choice and the mandatory
+    AND arrows add at least. ``ands`` holds each AND arrow's target, label
+    pattern and the nodes it reserves beyond the child itself, and ``bits``
+    its optional arrow's mask bit, or -1 when it is mandatory. ``weights``
+    holds the least growth of each optional AND arrow, in declaration
+    order. ``rows[j][b]`` counts the
+    subsets of the first j optional arrows that add at most b nodes: 0
+    below 0, and 2**j from the row's total on. A row ends at its total or
+    at ``limit``, whichever is smaller, so it holds O(min(total, budget))
+    counts however large the least sizes are; ``cover`` extends the rows
+    when a larger budget asks for more.
+    """
+
+    def __init__(self, schema: Schema, name: str, sizes: dict[str, float]) -> None:
+        ands = schema.and_arrows(src=name)
+        mandatory = sum(sizes[a.dst] for a in ands if not a.optional)
+        self.label = schema.node(name).label
+        self.roots = schema.or_targets(name) or [None]
+        self.growths = [mandatory + (sizes[r] - 1 if r is not None else 0) for r in self.roots]
+        self.ands = [(a.dst, a.label, sizes[a.dst] - 1) for a in ands]
+        optional = itertools.count()
+        self.bits = [next(optional) if a.optional else -1 for a in ands]
+        self.weights = [sizes[a.dst] for a in ands if a.optional]
+        self.rows: list[list[int]] = []
+        self.limit = -1  # rows are exact up to this growth
+
+    def cover(self, budget: int) -> None:
+        """Make the rows exact for every growth up to ``budget``."""
+        if budget > self.limit:
+            self.rows = _subset_counts(self.weights, budget)
+            self.limit = budget if budget < sum(self.weights) else math.inf
+
+    def draw(self, rng: random.Random, room: int):
+        """The drawn expansion, with at most ``room`` nodes of growth, as (OR choice
+        or None, AND arrows taken); None when no expansion fits. The draw is one
+        ``rng.randrange`` over the fitting expansions in ``_choices`` order: the
+        choice is found by subtracting per-choice counts, and the optional arrows
+        taken by unranking the mask from its highest bit down."""
+        rows, weights = self.rows, self.weights
+        k = len(weights)
+        top, full = rows[k], 1 << k
+        counts = []
+        for growth in self.growths:
+            b = room - growth
+            counts.append(0 if b < 0 else top[b] if b < len(top) else full)
+        total = sum(counts)
+        if not total:
+            return None
+        rank = rng.randrange(total)
+        choice = 0
+        while rank >= counts[choice]:
+            rank -= counts[choice]
+            choice += 1
+        if not k:
+            return self.roots[choice], self.ands
+        b = room - self.growths[choice]
+        mask = 0
+        for j in range(k - 1, -1, -1):
+            row = rows[j]
+            below = row[b] if b < len(row) else 1 << j
+            if rank >= below:
+                rank -= below
+                mask |= 1 << j
+                b -= weights[j]
+        taken = [entry for entry, bit in zip(self.ands, self.bits) if bit < 0 or mask >> bit & 1]
+        return self.roots[choice], taken
+
+
+def _subset_counts(weights: list[int], limit: int) -> list[list[int]]:
+    """``rows[j][b]``: the subsets of ``weights[:j]`` summing to at most b, for b
+    from 0 to the smaller of ``sum(weights[:j])`` and ``limit``."""
+    limit = max(limit, 0)
+    rows = [[1]]
+    total = 0
+    for j, weight in enumerate(weights):
+        prev, full = rows[-1], 1 << j
+        total += weight
+        rows.append([
+            (prev[b] if b < len(prev) else full)
+            + (0 if b < weight else prev[b - weight] if b - weight < len(prev) else full)
+            for b in range(min(total, limit) + 1)
+        ])
+    return rows
+
+
 class SchemaReport(NamedTuple):
     """Every check's result for one schema state; ``pairs`` is None when
-    stuck cycles block pair propagation."""
+    stuck cycles block pair propagation. ``counts`` holds each name's
+    count table when every name admits a finite tree, and is empty
+    otherwise."""
 
     structure: ValidationReport
     and_conflicts: list[AndConflict]
     stuck_cycles: list[tuple[str, ...]]
     pairs: Optional[PairReport]
+    counts: dict[str, CountTable]
 
     @property
     def uni_labeled(self) -> bool:
@@ -487,14 +581,20 @@ def analyze(schema: Schema) -> SchemaReport:
     """Every check's result for the schema, computed once per schema state.
 
     The schema keeps the report until its next ``add_*`` call; callers
-    share it and treat it as read-only.
+    share it and treat it as read-only, except that ``generate_sytr``
+    extends the count tables' rows when a call's budget reaches past them.
     """
     if schema._report is None:
         try:
             pairs, stuck = propagate_pairs(schema), []
         except StuckCycles as refusal:
             pairs, stuck = None, refusal.cycles
-        schema._report = SchemaReport(validate(schema), check_and_condition(schema), stuck, pairs)
+        structure = validate(schema)
+        counts = (
+            {name: CountTable(schema, name, structure.sizes) for name in schema.names()}
+            if structure.ok else {}
+        )
+        schema._report = SchemaReport(structure, check_and_condition(schema), stuck, pairs, counts)
     return schema._report
 
 
@@ -509,7 +609,9 @@ def _instantiate(spec: RegexSpec, rng: Optional[random.Random]) -> str:
 
 def _choices(schema: Schema, name: str) -> Iterator[tuple[Optional[str], list[AndArrow]]]:
     """Each one-step expansion of ``name`` as (OR choice or None, AND arrows taken), in a
-    fixed order: generation draws from them by index, so a seed fixes the grown tree."""
+    fixed order: OR choices in declaration order, and per choice the masks over the
+    optional AND arrows counted up from 0. Generation draws by rank in this order
+    without listing it (``CountTable.draw``), so a seed fixes the grown tree."""
     ands = schema.and_arrows(src=name)
     optional = [i for i, a in enumerate(ands) if a.optional]
     for root_label in schema.or_targets(name) or [None]:
@@ -549,48 +651,55 @@ def generate_sytr(
     could not be finished within ``node_budget`` nodes are never taken;
     if no choice fits, BudgetExceeded is raised. A schema whose family is
     not guaranteed uni-labeled is refused with ValueError.
+
+    The expansion is drawn by rank from the name's count table in the
+    schema's report, so a name with k optional AND arrows costs O(k) per
+    draw, not 2**k; the draws are those of picking uniformly from the
+    list of fitting expansions in ``_choices`` order. Labels and arrows
+    are recorded in id order as they are drawn, and the graph is built,
+    and every label validated, once the tree is complete.
     """
     report = analyze(schema)
     if not report.uni_labeled:
         raise ValueError("schema is not guaranteed uni-labeled; refusing to generate")
     rng = word_source if word_source is not None else random.Random(0)
     sizes = report.structure.sizes
-    g = LabeledGraph()
-    root = g.add_node(schema.node(root_name).name)
-    pending: deque[int] = deque([root])
+    tables = report.counts
+    for table in tables.values():
+        table.cover(node_budget)
+    labels = [schema.node(root_name).name]  # by node id; a schema name until expanded
+    arrows: list[tuple[int, str, int]] = []
+    pending: deque[int] = deque([0])
     reserve = sizes[root_name] - 1
-    growths: dict[str, list] = {}  # per name: each choice and the nodes it adds at least
     while pending:
         current = pending.popleft()
-        name = g.node_label(current)
+        name = labels[current]
         reserve -= sizes[name] - 1
-        if name not in growths:
-            growths[name] = [
-                ((root_label, taken), sum(sizes[a.dst] for a in taken)
-                 + (sizes[root_label] - 1 if root_label is not None else 0))
-                for root_label, taken in _choices(schema, name)
-            ]
-        candidates = [
-            choice for choice, growth in growths[name]
-            if g.node_count + reserve + growth <= node_budget
-        ]
-        if not candidates:
+        table = tables[name]
+        drawn = table.draw(rng, node_budget - len(labels) - reserve)
+        if drawn is None:
             raise BudgetExceeded(
                 f"no expansion of {name} fits within {node_budget} nodes"
             )
-        root_label, taken = rng.choice(candidates)
+        root_label, taken = drawn
         if root_label is None:
-            g.set_node_label(current, schema.node(name).label.sample(rng))
+            labels[current] = table.label.sample(rng)
         else:
-            g.set_node_label(current, root_label)
+            labels[current] = root_label
             pending.append(current)
             reserve += sizes[root_label] - 1
-        for arrow in taken:
-            child = g.add_node(arrow.dst)
-            g.add_arrow(current, arrow.label.sample(rng), child)
+        for dst, label, reserved in taken:
+            child = len(labels)
+            labels.append(dst)
+            arrows.append((current, label.sample(rng), child))
             pending.append(child)
-            reserve += sizes[arrow.dst] - 1
-    return Tree(g, root)
+            reserve += reserved
+    g = LabeledGraph()
+    for label in labels:
+        g.add_node(label)
+    for src, label, dst in arrows:
+        g.add_arrow(src, label, dst)
+    return Tree(g, 0)
 
 
 def _production(schema: Schema, name: str) -> str:
@@ -650,7 +759,10 @@ def _spec_from_obj(obj: object) -> RegexSpec:
     if obj["kind"] == "literal":
         return Literal(obj["word"])
     if obj["kind"] == "one-of":
-        return Alternation(frozenset(obj["words"]))
+        words = obj["words"]
+        if not isinstance(words, list):
+            raise ValueError(f"one-of words must be a list, not {words!r}")
+        return Alternation(frozenset(words))
     if obj["kind"] == "lower-word":
         return LowerWord()
     raise ValueError(f"bad label pattern kind: {obj['kind']!r}")

@@ -376,6 +376,17 @@ class TestSchema:
         assert "AND condition violated" in out
         assert out.splitlines()[-1] == "verdict: not guaranteed uni-labeled"
 
+    @pytest.mark.parametrize("action", ["check", "grammar", "gen"])
+    def test_one_of_words_given_as_a_string_refused(self, capsys, tmp_path, action):
+        stored = tmp_path / "letters.json"
+        payload = json.loads(schema_to_json(turingol_schema()))
+        (arrow,) = [a for a in payload["and_arrows"] if a["label"]["kind"] == "one-of"]
+        arrow["label"]["words"] = "abc"
+        stored.write_text(json.dumps(payload))
+        code, out, err = invoke(capsys, "schema", action, "--schema", str(stored))
+        assert (code, out) == (1, "")
+        assert "bad schema file" in err and "one-of words must be a list" in err
+
     def test_unreadable_schema_file(self, capsys, tmp_path):
         stored = tmp_path / "broken.json"
         stored.write_text("{]")

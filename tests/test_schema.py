@@ -1,5 +1,7 @@
 """Schema analysis tests: label patterns, checks, expansion, generation, export."""
 
+import dataclasses
+import json
 import random
 import sys
 import time
@@ -75,6 +77,21 @@ class TestLabelPatterns:
         assert Literal("").to_text() == "''"
         assert Alternation({"right", "left"}).to_text() == "('left' | 'right')"
         assert LowerWord().to_text() == "[a-z]+"
+
+    def test_alternation_draws_from_its_sorted_words(self):
+        words = {"right", "left", "up", "down", "stay"}
+        pattern = Alternation(words)
+        drawn, listed = random.Random(3), random.Random(3)
+        assert [pattern.sample(drawn) for _ in range(50)] == [
+            listed.choice(sorted(words)) for _ in range(50)
+        ]
+        assert pattern == Alternation(frozenset(sorted(words))) and pattern != Alternation({"up"})
+        assert hash(pattern) == hash(Alternation(set(words)))
+        assert Alternation.__match_args__ == ("words",)
+        assert [field.name for field in dataclasses.fields(Alternation)] == ["words"]
+        assert repr(Alternation({"up"})) == "Alternation(words=frozenset({'up'}))"
+        assert pattern.placeholder() == "down"
+        assert pattern.to_text() == "('down' | 'left' | 'right' | 'stay' | 'up')"
 
     def test_samples_match_their_pattern(self):
         rng = random.Random(5)
@@ -495,14 +512,39 @@ class TestAnalysis:
         assert analyze(fresh).stuck_cycles == [("L", "S")]
 
     def test_analysis_runs_once_per_schema_state(self, monkeypatch):
-        calls = count_calls(monkeypatch, schema_module, ("_min_sizes", "propagate_pairs"))
+        calls = count_calls(
+            monkeypatch, schema_module, ("_min_sizes", "propagate_pairs", "CountTable", "_subset_counts")
+        )
         s = turingol_schema()
+        names = len(s.names())
         for seed in range(100):
             generate_sytr(s, "P", random.Random(seed))
-        assert calls == {"_min_sizes": 1, "propagate_pairs": 1}
+        assert calls == {"_min_sizes": 1, "propagate_pairs": 1, "CountTable": names, "_subset_counts": names}
+        # Every turingol row reaches its total within 500 nodes, so a larger budget adds nothing.
+        generate_sytr(s, "P", random.Random(0), node_budget=5000)
+        assert calls == {"_min_sizes": 1, "propagate_pairs": 1, "CountTable": names, "_subset_counts": names}
         s.add_node("T", Literal("t"), number=1)
         generate_sytr(s, "P", random.Random(0))
-        assert calls == {"_min_sizes": 2, "propagate_pairs": 2}
+        assert calls == {
+            "_min_sizes": 2, "propagate_pairs": 2, "CountTable": 2 * names + 1, "_subset_counts": 2 * names + 1
+        }
+
+    def test_count_rows_grow_only_for_a_larger_budget(self, monkeypatch):
+        calls = count_calls(monkeypatch, schema_module, ("_subset_counts",))
+        s = Schema()
+        s.add_node("P", Literal("p"), number=1)
+        s.add_node("N", Literal("n"), number=1)
+        for word in ("a", "b", "c", "d", "e"):
+            s.add_and_arrow("P", "N", Literal(word), optional=True)
+        generate_sytr(s, "P", random.Random(0), node_budget=3)
+        generate_sytr(s, "P", random.Random(1), node_budget=2)
+        assert calls == {"_subset_counts": 2}
+        assert [len(row) for row in analyze(s).counts["P"].rows] == [1, 2, 3, 4, 4, 4]
+        generate_sytr(s, "P", random.Random(0), node_budget=40)
+        assert calls == {"_subset_counts": 3}
+        assert [len(row) for row in analyze(s).counts["P"].rows] == [1, 2, 3, 4, 5, 6]
+        generate_sytr(s, "P", random.Random(0), node_budget=400)
+        assert calls == {"_subset_counts": 3}
 
 
 class TestReportScript:
@@ -581,6 +623,15 @@ class TestSerialization:
         assert restored.names() == s.names()
         assert export_grammar(restored) == export_grammar(s)
         assert set(elementary_cycles(restored)) == set(elementary_cycles(s))
+
+    def test_one_of_words_must_be_a_list(self):
+        stored = json.loads(schema_to_json(turingol_schema()))
+        assert {"kind": "one-of", "words": ["left", "right"]} in [a["label"] for a in stored["and_arrows"]]
+        text = '{"nodes": [{"name": "X", "label": {"kind": "one-of", "words": %s}, "number": 1}]}'
+        assert schema_from_json(text % '["abc"]').node("X").label == Alternation({"abc"})
+        for words in ('"abc"', '{"a": 1}', "7", "null"):
+            with pytest.raises(ValueError, match="one-of words must be a list"):
+                schema_from_json(text % words)
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):
