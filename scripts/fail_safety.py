@@ -89,14 +89,14 @@ def repair(tree, rng):
         words.add(g.node_label(target))
 
     rises = {
-        g.node_label(target): g.chain(target, "-", ":", (SYNTACTIC,))[-1]
+        g.node_label(target): g.chain(target, "-", ":")[-1]
         for target in targets
     }
 
     for usage in usages:
         if g.node_label(usage) in rises:
             continue
-        owner = g.ends(usage, "-", "to", (SYNTACTIC,))[0]
+        owner = g.ends(usage, "-", "to")[0]
         if rises:
             forward = [w for w, stmt in rises.items() if stmt > owner]
             g.set_node_label(usage, rng.choice(sorted(forward) or sorted(rises)))

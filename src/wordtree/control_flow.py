@@ -23,17 +23,13 @@ FLOW_LABELS = (NEXT, YES, NO)
 
 
 def _required_dst(g, node: int, label: str) -> int:
-    dst = g.follow(node, "+", label, (SYNTACTIC,))
+    dst = g.follow(node, "+", label)
     if dst is None:
         raise ValueError(
             f"{display_word(g.node_label(node))} node {node} lacks its "
             f"{display_word(label)} arrow"
         )
     return dst
-
-
-def _control_arrows(g, label: str) -> list:
-    return [a for _, a in g.arrows_labeled(label) if a.kind == CONTROL]
 
 
 def add_stop_node(tree: Tree) -> int:
@@ -64,12 +60,12 @@ def _subordinator(g, node: int, stop: int) -> int:
     end falls off into the stop node. A program tree has one body, so
     the test that the walk did not end on a loop runs once per tree.
     """
-    head = g.chain(node, "-", ";", (SYNTACTIC,))[-1]
+    head = g.chain(node, "-", ";")[-1]
     for word in ("then", "}"):
-        owner = g.follow(head, "-", word, (SYNTACTIC,))
+        owner = g.follow(head, "-", word)
         if owner is not None:
             return owner
-    if g.follow(head, "-", ";", (SYNTACTIC,)) is not None:
+    if g.follow(head, "-", ";") is not None:
         raise ValueError("';' arrows loop; not a program tree")
     return stop
 
@@ -82,11 +78,11 @@ def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     number of arrows added.
     """
     g = tree.graph
-    if _control_arrows(g, BACK):
+    if g.arrows_labeled(BACK):
         raise ValueError("'back' arrows are already built")
     added = 0
     for node in points.statements:
-        if g.follow(node, "+", ";", (SYNTACTIC,)) is not None:
+        if g.follow(node, "+", ";") is not None:
             continue
         g.add_arrow(node, BACK, _subordinator(g, node, stop), CONTROL)
         added += 1
@@ -113,7 +109,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
         raise ValueError(
             "cannot build control arrows: " + "; ".join(str(d) for d in problems)
         )
-    overlap = [label for label in FLOW_LABELS if _control_arrows(g, label)]
+    overlap = [label for label in FLOW_LABELS if g.arrows_labeled(label)]
     if overlap:
         raise ValueError(f"flow arrows are already built: {sorted(overlap)}")
 
@@ -123,7 +119,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
         g.add_arrow(src, label, dst, CONTROL)
         counts[label] += 1
 
-    first = g.follow(tree.root, "+", ";", (SYNTACTIC,))
+    first = g.follow(tree.root, "+", ";")
     if first is None:
         raise ValueError("the root has no ';' arrow to the first statement")
     put(tree.root, NEXT, first)
@@ -132,7 +128,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     statements = set(points.statements)
     target_statement = {}
     for target in points.targets:
-        risen = g.chain(target, "-", ":", (SYNTACTIC,))[-1]
+        risen = g.chain(target, "-", ":")[-1]
         if risen not in statements:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"
@@ -141,7 +137,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
 
     for node in points.statements:
         word = g.node_label(node)
-        semi = g.follow(node, "+", ";", (SYNTACTIC,))
+        semi = g.follow(node, "+", ";")
         if word == "if":
             put(node, YES, _required_dst(g, node, "then"))
             if semi is not None:
@@ -155,14 +151,14 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
             if semi is not None:
                 put(node, NEXT, semi)
 
-    back_dst = {a.src: a.dst for a in _control_arrows(g, BACK)}
+    back_dst = {a.src: a.dst for _, a in g.arrows_labeled(BACK)}
     back_targets = set(back_dst.values())
     for head in sorted(n for n in back_dst if n not in back_targets):
-        *members, cursor = g.chain(head, "+", BACK, (CONTROL,))
+        *members, cursor = g.chain(head, "+", BACK)
         if cursor == stop:
             continuation = stop
         else:
-            continuation = g.follow(cursor, "+", ";", (SYNTACTIC,))
+            continuation = g.follow(cursor, "+", ";")
             if continuation is None:
                 raise ValueError(
                     f"back chain ends at node {cursor} which has no continuation"
@@ -186,7 +182,7 @@ def check_reachability(tree: Tree, points: Points) -> list[Diagnostic]:
     while work:
         node = work.pop()
         for label in FLOW_LABELS:
-            for dst in g.ends(node, "+", label, (CONTROL,)):
+            for dst in g.ends(node, "+", label):
                 if dst not in reached:
                     reached.add(dst)
                     work.append(dst)
@@ -210,7 +206,7 @@ def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
     """
     g = tree.graph
     successor: dict[int, int] = {}
-    for arrow in _control_arrows(g, NEXT):
+    for _, arrow in g.arrows_labeled(NEXT):
         if arrow.src in successor:
             raise ValueError(f"node {arrow.src} has more than one 'next' arrow")
         successor[arrow.src] = arrow.dst

@@ -30,9 +30,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .control_flow import NEXT, NO, YES
 from .graph import (
-    CONTROL,
     SEMANTIC,
-    SYNTACTIC,
     Action,
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
@@ -180,7 +178,7 @@ def install_instructions(
 
     def require_flow(node: int, *labels: str) -> None:
         for label in labels:
-            count = len(g.ends(node, "+", label, (CONTROL,)))
+            count = len(g.ends(node, "+", label))
             if count != 1:
                 raise ValueError(
                     f"node {node} needs exactly one {display_word(label)} "
@@ -210,11 +208,7 @@ def install_instructions(
             )
         elif word == "move":
             require_flow(node, NEXT)
-            sideways = [
-                word
-                for word in ("left", "right")
-                for _ in g.ends(node, "+", word, (SYNTACTIC,))
-            ]
+            sideways = [w for w in ("left", "right") for _ in g.ends(node, "+", w)]
             if len(sideways) != 1:
                 raise ValueError(
                     f"move node {node} needs exactly one left or right arrow"

@@ -158,11 +158,7 @@ class _Parser:
 
     def found(self) -> Optional[Token]:
         """The token at the parse position; None at the end of the program."""
-        text = self.texts[self.pos]
-        if not text:
-            return None
-        line, column = self.tokens.position(self.tokens.starts[self.pos])
-        return Token("punct" if text in PUNCT_CHARS else "word", text, line, column)
+        return self.tokens[self.pos] if self.texts[self.pos] else None
 
     def expect(self, text: str) -> None:
         if self.texts[self.pos] != text:

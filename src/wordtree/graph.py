@@ -9,13 +9,15 @@ formulas (textual navigation expressions with crash-on-ambiguity
 semantics), a small algebra of propositions and guarded actions, the
 uni-labeledness check, and deterministic JSON/DOT export.
 
-``LabeledGraph.follow`` is the one step along a labeled arrow: a "+"
-step reads the (origin, label) index once. ``resolve`` walks a path
-formula's steps through it. Each proposition and action class resolves
-its own ``operands``, which are its normal-execution conditions, and
-gives them meaning in its ``holds`` or ``apply``; ``eval_proposition``,
-``apply_action`` and ``normal_violation`` call those methods, so
-evaluating, applying and the cautious check share one resolve path.
+Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
+along a labeled arrow, whatever its kind, and a "+" step reads the
+(origin, label) index once. ``resolve`` walks a path formula's steps
+through it; kinds serve listing and export. Each proposition and action
+class resolves its own ``operands``, which are its normal-execution
+conditions, and gives them meaning in its ``holds`` or ``apply``;
+``eval_proposition``, ``apply_action`` and ``normal_violation`` call
+those methods, so evaluating, applying and the cautious check share one
+resolve path.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class NormalConditionViolated(GraphError):
 
 @dataclass(slots=True)
 class Arrow:
-    """One labeled arrow. ``kind`` partitions arrows for filtered checks."""
+    """One labeled arrow. ``kind`` partitions arrows for listing and export."""
 
     src: int
     label: str
@@ -119,6 +121,11 @@ class LabeledGraph:
     endpoints, same label) are allowed at this level; uni-labeledness is
     a separate check so that violating graphs can be constructed and
     reported.
+
+    Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
+    alone, so a label a node repeats always means several arrows. Kinds
+    serve the listing calls ``out_arrows``, ``in_arrows`` and
+    ``check_uni_labeled``, and export.
 
     Out-arrows are indexed by (origin, label): each node keeps a dict
     from label to the id of its first out-arrow with that label, and
@@ -239,44 +246,43 @@ class LabeledGraph:
             ids += self._out_more.get((node, label), ())
         return sorted(ids)
 
-    def ends(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> list[int]:
+    def ends(self, node: int, sign: str, word: str) -> list[int]:
         """Far ends of the ``word`` arrows leaving ``node`` ("+") or entering it ("-").
 
-        Arrows of all kinds count unless ``kinds`` narrows them; ends come
-        in the order ``out_arrows`` or ``in_arrows`` lists the arrows. This
-        and ``follow`` are the places an arrow is followed by its label;
-        ``chain`` and ``resolve`` build on ``follow``. "+" is answered from
-        the (node, label) index in constant time: ``follow`` reads it for a
-        label the node does not repeat, and only a repeated label is listed
-        here. "-" scans the node's in-arrow ids in place, and tape cells
-        have at most two of them.
+        Arrows of every kind count; ends come in the order ``out_arrows``
+        or ``in_arrows`` lists the arrows. This and ``follow`` are the
+        places an arrow is followed by its label; ``chain`` and
+        ``resolve`` build on ``follow``. "+" reads the (node, label)
+        index: the first arrow, then any the node repeats the label on.
+        "-" scans the node's in-arrow ids in place, and tape cells have
+        at most two of them.
         """
+        if not 0 <= node < len(self._nodes):
+            raise ValueError(f"{node} is not a node of this graph")
         if sign == "+":
-            more = self._out_more.get((node, word)) if self._out_more else None
-            if more is None:
-                end = self.follow(node, sign, word, kinds)
-                return [] if end is None else [end]
-            wanted = None if kinds is None else set(kinds)
-            arrows = [self._arrows[arrow_id] for arrow_id in (self._out[node][word], *more)]
-            return [a.dst for a in arrows if wanted is None or a.kind in wanted]
+            first = self._out[node].get(word)
+            if first is None:
+                return []
+            dsts = [self._arrows[first].dst]
+            if self._out_more:
+                dsts += [self._arrows[i].dst for i in self._out_more.get((node, word), ())]
+            return dsts
         if sign == "-":
-            if not 0 <= node < len(self._nodes):
-                raise ValueError(f"{node} is not a node of this graph")
             srcs = []
             for arrow_id in self._in[node]:
                 arrow = self._arrows[arrow_id]
-                if arrow.label == word and (kinds is None or arrow.kind in kinds):
+                if arrow.label == word:
                     srcs.append(arrow.src)
             return srcs
         raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
 
-    def follow(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> Optional[int]:
+    def follow(self, node: int, sign: str, word: str) -> Optional[int]:
         """The one far end of a ``word`` arrow at ``node``, or None when there is none.
 
-        ``sign`` and ``kinds`` are as for ``ends``. Raises SeveralArrows,
-        a ValueError, when several such arrows leave (or enter) the node.
-        "+" reads the (node, label) index once and builds no list; only a
-        label the node repeats is handed to ``ends`` to list.
+        ``sign`` is as for ``ends``. Raises SeveralArrows, a ValueError,
+        when several such arrows leave (or enter) the node: a repeated
+        label always means several arrows. "+" reads the (node, label)
+        index once and builds no list.
         """
         if sign == "+":
             if not 0 <= node < len(self._nodes):
@@ -285,17 +291,16 @@ class LabeledGraph:
             if first is None:
                 return None
             if not self._out_more or (node, word) not in self._out_more:
-                arrow = self._arrows[first]
-                return arrow.dst if kinds is None or arrow.kind in kinds else None
-        hits = self.ends(node, sign, word, kinds)
-        if len(hits) == 1:
-            return hits[0]
-        if hits:
-            direction = "leaving" if sign == "+" else "entering"
-            raise SeveralArrows(f"node {node} has several {display_word(word)} arrows {direction} it")
-        return None
+                return self._arrows[first].dst
+            direction = "leaving"
+        else:
+            hits = self.ends(node, sign, word)
+            if len(hits) < 2:
+                return hits[0] if hits else None
+            direction = "entering"
+        raise SeveralArrows(f"node {node} has several {display_word(word)} arrows {direction} it")
 
-    def chain(self, node: int, sign: str, word: str, kinds: Optional[Iterable[str]] = None) -> list[int]:
+    def chain(self, node: int, sign: str, word: str) -> list[int]:
         """``node``, then what ``follow`` reaches from the last node, again and again.
 
         The walk ends at a node with no such arrow, or where a node would
@@ -306,11 +311,11 @@ class LabeledGraph:
         """
         nodes = [node]
         seen = {node}
-        step = self.follow(node, sign, word, kinds)
+        step = self.follow(node, sign, word)
         while step is not None and step not in seen:
             nodes.append(step)
             seen.add(step)
-            step = self.follow(step, sign, word, kinds)
+            step = self.follow(step, sign, word)
         return nodes
 
     def _adjacent(self, node, ids_of, kinds):
@@ -467,18 +472,13 @@ def parse_path(text: str) -> PathFormula:
     return PathFormula(start, tuple(steps))
 
 
-def resolve(
-    g: LabeledGraph,
-    formula: PathFormula,
-    current: Optional[int] = None,
-    kinds: Optional[Iterable[str]] = None,
-) -> int:
+def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None) -> int:
     """Resolve a path formula to a node id.
 
     Raises StartAmbiguous when an absolute start label names zero or
     several of the graph's own nodes (mounted ones do not count), and
     Inapplicable when a step has no arrow to follow or more than one.
-    Arrows of all kinds are eligible unless ``kinds`` narrows them.
+    Arrows of every kind are eligible: labels alone navigate.
     """
     if formula.start is None:
         if current is None:
@@ -499,7 +499,7 @@ def resolve(
     index = 0
     for sign, word in formula.steps:
         try:
-            node = follow(node, sign, word, kinds)
+            node = follow(node, sign, word)
         except SeveralArrows:
             raise Inapplicable(formula, index, "multiple") from None
         if node is None:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .graph import LabeledGraph, Tree, is_mla_word
+from .graph import LabeledGraph, Tree, is_mla_word, is_pla_word
 from .graph import elementary_cycles as graph_cycles
 
 ATOMIC = "atomic"
@@ -753,16 +753,23 @@ def _spec_to_obj(spec: RegexSpec) -> object:
     raise TypeError(f"not a label pattern: {spec!r}")
 
 
+def _word_from_obj(word: object) -> str:
+    """A literal or one-of word of a stored pattern, refused unless it can label a node."""
+    if not isinstance(word, str) or not (is_pla_word(word) or is_mla_word(word)):
+        raise ValueError(f"pattern word {word!r} is neither a PLA word nor an MLA word")
+    return word
+
+
 def _spec_from_obj(obj: object) -> RegexSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"bad label pattern object: {obj!r}")
     if obj["kind"] == "literal":
-        return Literal(obj["word"])
+        return Literal(_word_from_obj(obj["word"]))
     if obj["kind"] == "one-of":
         words = obj["words"]
         if not isinstance(words, list):
             raise ValueError(f"one-of words must be a list, not {words!r}")
-        return Alternation(frozenset(words))
+        return Alternation(frozenset(_word_from_obj(word) for word in words))
     if obj["kind"] == "lower-word":
         return LowerWord()
     raise ValueError(f"bad label pattern kind: {obj['kind']!r}")
@@ -796,8 +803,11 @@ def schema_to_json(schema: Schema) -> str:
 
 
 def schema_from_json(text: str) -> Schema:
-    """Inverse of :func:`schema_to_json`."""
-    payload = json.loads(text)
+    """Inverse of :func:`schema_to_json`; ValueError for JSON nested too deeply to read."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("schema JSON is nested too deeply") from None
     schema = Schema()
     for node in payload["nodes"]:
         schema.add_node(node["name"], _spec_from_obj(node["label"]), node.get("number"))

@@ -96,8 +96,8 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
     that steer control.
     """
     g = tree.graph
-    label_nodes = {a.dst for _, a in g.arrows_labeled(":") if a.kind == SYNTACTIC}
-    work = g.ends(tree.root, "+", "is", (SYNTACTIC,))
+    label_nodes = {a.dst for _, a in g.arrows_labeled(":")}
+    work = g.ends(tree.root, "+", "is")
     for word in ("to", "'", ""):
         work.extend(a.dst for _, a in g.arrows_labeled(word) if a.kind == SYNTACTIC)
 
@@ -129,9 +129,9 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
 def w_declaration_points(tree: Tree) -> list[int]:
     """Nodes declaring tape words: the ',' chain under the root's 'is' arrow."""
     g = tree.graph
-    head = resolve(g, DECLARATIONS_PATH, kinds=(SYNTACTIC,))
-    points = g.chain(head, "+", ",", (SYNTACTIC,))
-    if g.follow(points[-1], "+", ",", (SYNTACTIC,)) is not None:
+    head = resolve(g, DECLARATIONS_PATH)
+    points = g.chain(head, "+", ",")
+    if g.follow(points[-1], "+", ",") is not None:
         raise ValueError("the declaration chain does not run ',' by ',' to an end")
     return points
 
@@ -152,9 +152,9 @@ def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:
     points = []
     for node in _statements(g, classes, ("print", "if")):
         if g.node_label(node) == "print":
-            points.append(resolve(g, PRINT_WORD_PATH, current=node, kinds=(SYNTACTIC,)))
+            points.append(resolve(g, PRINT_WORD_PATH, current=node))
         else:
-            points.append(resolve(g, SYMBOL_PATH, current=node, kinds=(SYNTACTIC,)))
+            points.append(resolve(g, SYMBOL_PATH, current=node))
     return points
 
 
@@ -173,7 +173,7 @@ def label_points(
         return [
             a.dst
             for _, a in g.arrows_labeled(word)
-            if a.kind == SYNTACTIC and classes[a.src].kind in (STATEMENT, LABEL)
+            if classes[a.src].kind in (STATEMENT, LABEL)
         ]
 
     return points(":"), points("to")
@@ -295,7 +295,7 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
 
     added = 0
     for usage in points.usages:
-        if g.ends(usage, "+", DECLARED_AT, (SEMANTIC,)):
+        if g.ends(usage, "+", DECLARED_AT):
             continue
         g.add_arrow(usage, DECLARED_AT, first_decl[g.node_label(usage)], SEMANTIC)
         added += 1

@@ -29,7 +29,7 @@ class Tape:
         The walk ends where a cell would repeat, and refuses a cell with
         several arrows to the right by raising ValueError.
         """
-        return self.graph.chain(self.root, "+", "", (TAPE,))
+        return self.graph.chain(self.root, "+", "")
 
     def labels(self) -> list[str]:
         return [self.graph.node_label(n) for n in self.cells()]
@@ -65,11 +65,11 @@ def render_tape(t: Tape) -> str:
 def chain_text(g: LabeledGraph, cell: int) -> str:
     """Render the chain containing ``cell`` inside a larger graph.
 
-    Walks the empty-labeled tape-kind arrows with ``LabeledGraph.chain``
-    from ``cell`` leftwards to the chain head and then rightwards to the
-    end. Each walk ends where a cell would repeat, so a malformed cyclic
+    Walks the empty-labeled arrows with ``LabeledGraph.chain`` from
+    ``cell`` leftwards to the chain head and then rightwards to the end.
+    Each walk ends where a cell would repeat, so a malformed cyclic
     chain prints every cell once instead of looping.
     """
-    head = g.chain(cell, "-", "", (TAPE,))[-1]
-    labels = [g.node_label(node) for node in g.chain(head, "+", "", (TAPE,))]
+    head = g.chain(cell, "-", "")[-1]
+    labels = [g.node_label(node) for node in g.chain(head, "+", "")]
     return " ".join(label if label else EMPTY_TOKEN for label in labels)

@@ -291,6 +291,42 @@ class TestGraph:
         assert "L1" in err
 
 
+def relabeled_schema_json(old, new) -> str:
+    """The built-in schema's JSON, with the label pattern ``old`` replaced by ``new``."""
+    payload = json.loads(schema_to_json(turingol_schema()))
+    for item in payload["nodes"] + payload["and_arrows"]:
+        if item["label"] == old:
+            item["label"] = new
+    return json.dumps(payload)
+
+
+# Schema files that once passed a schema action unchecked or made it
+# print a traceback, and the reason each is refused with now.
+BAD_SCHEMA_FILES = [
+    pytest.param(
+        relabeled_schema_json({"kind": "literal", "word": "go"}, {"kind": "literal", "word": 7}),
+        "pattern word 7 is neither a PLA word nor an MLA word",
+        id="number-word",
+    ),
+    pytest.param(
+        relabeled_schema_json(
+            {"kind": "literal", "word": "go"}, {"kind": "literal", "word": "A B"}
+        ),
+        "pattern word 'A B' is neither a PLA word nor an MLA word",
+        id="spaced-word",
+    ),
+    pytest.param(
+        relabeled_schema_json(
+            {"kind": "one-of", "words": ["left", "right"]},
+            {"kind": "one-of", "words": ["left", "Right"]},
+        ),
+        "pattern word 'Right' is neither a PLA word nor an MLA word",
+        id="mixed-case-one-of-word",
+    ),
+    pytest.param("[" * 100_000, "schema JSON is nested too deeply", id="deep-nesting"),
+]
+
+
 class TestSchema:
     def test_grammar_lists_productions(self, capsys):
         code, out, _ = invoke(capsys, "schema", "grammar")
@@ -386,6 +422,15 @@ class TestSchema:
         code, out, err = invoke(capsys, "schema", action, "--schema", str(stored))
         assert (code, out) == (1, "")
         assert "bad schema file" in err and "one-of words must be a list" in err
+
+    @pytest.mark.parametrize("action", ["check", "grammar", "gen"])
+    @pytest.mark.parametrize("text, reason", BAD_SCHEMA_FILES)
+    def test_bad_words_and_deep_nesting_refused(self, capsys, tmp_path, text, reason, action):
+        stored = tmp_path / "bad.json"
+        stored.write_text(text)
+        code, out, err = invoke(capsys, "schema", action, "--schema", str(stored))
+        assert (code, out) == (1, "")
+        assert "bad schema file" in err and reason in err
 
     def test_unreadable_schema_file(self, capsys, tmp_path):
         stored = tmp_path / "broken.json"
