@@ -54,8 +54,8 @@ def tape_vocabulary(result):
     ``OTHER_TAPE_WORDS``.
     """
     g = result.tree.graph
-    targets, _ = label_points(result.tree, result.classes)
-    words = {g.node_label(node) for node in w_declaration_points(result.tree) + targets}
+    points = result.points
+    words = {g.node_label(node) for node in points.declarations + points.targets}
     return sorted(words | set(OTHER_TAPE_WORDS))
 
 

@@ -24,6 +24,7 @@ from .graph import export
 from .pipeline import check_program, make_executable
 from .schema import (
     BudgetExceeded,
+    SchemaFileError,
     analyze,
     export_grammar,
     generate_sytr,
@@ -131,14 +132,18 @@ def _load_schema(args: argparse.Namespace):
         return turingol_schema()
     try:
         return schema_from_json(_read(args.schema))
-    except (ValueError, KeyError, TypeError) as failure:
-        raise _Refusal(f"bad schema file: {failure!r}") from failure
+    except SchemaFileError as failure:
+        raise _Refusal(f"bad schema file: {failure}") from failure
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
     schema = _load_schema(args)
     if args.action == "grammar":
-        print(export_grammar(schema))
+        try:
+            grammar = export_grammar(schema)
+        except ValueError as failure:
+            raise _Refusal(failure) from failure
+        print(grammar)
         return 0
     if args.action == "check":
         report = analyze(schema)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .control_flow import NEXT, NO, YES
 from .graph import (
@@ -51,7 +51,7 @@ from .graph import (
     parse_path,
 )
 from .semantics import PRINT_WORD_PATH, SYMBOL_PATH
-from .tape import Tape, chain_text
+from .tape import add_cells, chain_text
 
 RUNNING = "running"
 STOPPED = "stopped"
@@ -236,39 +236,41 @@ def install_instructions(
 
 def initialize(
     tree: Tree,
-    tape: Tape,
+    tape: Sequence[str],
     start: Union[str, int],
     instructions: dict[int, Instruction],
     cautious: bool = False,
 ) -> ExecState:
     """Attach a tape to the program tree and return the starting state.
 
-    Mounts the tape chain in the program graph with ``merge``, so no
-    cell shadows a program word an absolute path starts from, points a
-    single semantic 'tape' arrow from the root at the chosen cell, and
-    places the executor at the root. ``start`` is 'first', 'last', or a
-    zero-based cell index. Refuses graphs that already carry a 'tape'
-    arrow and start positions off the tape. Whether the program may run
-    is decided before ``instructions`` exist, by ``make_executable``.
+    ``tape`` holds the cell words, as ``parse_tape`` returns them.
+    ``start`` is 'first', 'last', or a zero-based cell index. Refuses
+    graphs that already carry a 'tape' arrow and start positions off
+    the tape before touching the graph. Then adds the cells to the
+    program graph after its own nodes, so no cell shadows a program
+    word an absolute path starts from, points a single semantic 'tape'
+    arrow from the root at the chosen cell, and places the executor at
+    the root. Whether the program may run is decided before
+    ``instructions`` exist, by ``make_executable``.
     """
     g = tree.graph
     if g.arrows_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
 
-    cells = tape.cells()
     if start == "first":
         index = 0
     elif start == "last":
-        index = len(cells) - 1
+        index = len(tape) - 1
     elif isinstance(start, int) and not isinstance(start, bool):
         index = start
     else:
         raise ValueError(f"unknown start position {start!r}")
-    if not 0 <= index < len(cells):
-        raise ValueError(f"start index {index} outside the {len(cells)}-cell tape")
+    if not 0 <= index < len(tape):
+        raise ValueError(f"start index {index} outside the {len(tape)}-cell tape")
 
-    mapping = g.merge(tape.graph)
-    g.add_arrow(tree.root, TAPE_ARROW, mapping[cells[index]], SEMANTIC)
+    g.end_own_nodes()
+    cells = add_cells(g, tape)
+    g.add_arrow(tree.root, TAPE_ARROW, cells[index], SEMANTIC)
     return ExecState(tree, dict(instructions), tree.root, cautious)
 
 

@@ -133,15 +133,15 @@ class LabeledGraph:
     graph that is not uni-labeled has. Each dict lists the node's
     first arrows in id order, since labels enter it as their first
     arrows are added. Origins and labels never change, so only
-    ``add_arrow`` and ``merge`` update the index. A node's out-arrows
-    and in-arrows are both listed in id order, also after
-    ``set_arrow_dst`` moves an arrow.
+    ``add_arrow`` updates the index. A node's out-arrows and in-arrows
+    are both listed in id order, also after ``set_arrow_dst`` moves an
+    arrow.
 
-    The nodes a graph has before anything is merged into it are its
-    own; ``merge`` mounts the other graph's nodes after them, and nodes
-    added later grow what was mounted. An absolute path start names
-    one of the graph's own nodes, so a mounted tape never shadows a
-    program word.
+    The nodes a graph has before ``end_own_nodes`` is called are its
+    own; nodes added after that call are mounted, as a tape's cells
+    and the cells it grows are. An absolute path start names one of
+    the graph's own nodes, so a mounted tape never shadows a program
+    word.
     """
 
     def __init__(self) -> None:
@@ -358,37 +358,9 @@ class LabeledGraph:
         dup._own_end = self._own_end
         return dup
 
-    def merge(self, other: "LabeledGraph") -> dict[int, int]:
-        """Copy every node and arrow of ``other``, another graph, into this graph.
-
-        Returns the mapping from node ids of ``other`` to the new ids. The
-        copies get the ids that adding ``other``'s nodes and then its arrows
-        one by one, in id order, would hand out: since ids run from 0 with
-        no gaps, that is each id plus this graph's next id. Labels and
-        kinds were validated when ``other`` got them, so the storage is
-        copied as it is. The copies are mounted, not this graph's own
-        nodes: no absolute path start names them.
-        """
-        node_base = len(self._nodes)
-        arrow_base = len(self._arrows)
-        self._own_end = min(self._own_end, node_base)
-        self._nodes += other._nodes
-        self._out += [
-            {label: arrow_base + arrow_id for label, arrow_id in firsts.items()}
-            for firsts in other._out
-        ]
-        self._in += [[arrow_base + arrow_id for arrow_id in ids] for ids in other._in]
-        for label, nodes in other._by_label.items():
-            self._by_label.setdefault(label, set()).update(node_base + node for node in nodes)
-        self._arrows += [
-            Arrow(node_base + a.src, a.label, node_base + a.dst, a.kind) for a in other._arrows
-        ]
-        for label, ids in other._arrows_by_label.items():
-            same_label = self._arrows_by_label.setdefault(label, [])
-            same_label.extend(arrow_base + arrow_id for arrow_id in ids)
-        for (src, label), ids in other._out_more.items():
-            self._out_more[(node_base + src, label)] = [arrow_base + arrow_id for arrow_id in ids]
-        return {node: node_base + node for node in range(len(other._nodes))}
+    def end_own_nodes(self) -> None:
+        """Count the nodes added from now on as mounted, not as this graph's own."""
+        self._own_end = min(self._own_end, len(self._nodes))
 
 
 # -- path formulas ---------------------------------------------------
@@ -894,14 +866,13 @@ _DOT_STYLE = {SYNTACTIC: "solid", CONTROL: "bold", SEMANTIC: "dashed", TAPE: "do
 
 
 def export_json(g: LabeledGraph) -> str:
-    node_index = {node: i for i, node in enumerate(g.nodes())}
     payload = {
-        "nodes": [{"id": node_index[n], "label": g.node_label(n)} for n in g.nodes()],
+        "nodes": [{"id": n, "label": g.node_label(n)} for n in g.nodes()],
         "arrows": [
             {
-                "from": node_index[a.src],
+                "from": a.src,
                 "label": a.label,
-                "to": node_index[a.dst],
+                "to": a.dst,
                 "kind": a.kind,
             }
             for _, a in g.arrows()
@@ -915,15 +886,13 @@ def _dot_quote(text: str) -> str:
 
 
 def export_dot(g: LabeledGraph) -> str:
-    node_index = {node: i for i, node in enumerate(g.nodes())}
     lines = ["digraph G {"]
     for node in g.nodes():
-        lines.append(f"  n{node_index[node]} [label={_dot_quote(g.node_label(node))}];")
+        lines.append(f"  n{node} [label={_dot_quote(g.node_label(node))}];")
     for _, arrow in g.arrows():
         style = _DOT_STYLE[arrow.kind]
         lines.append(
-            f"  n{node_index[arrow.src]} -> n{node_index[arrow.dst]} "
-            f"[label={_dot_quote(arrow.label)}, style={style}];"
+            f"  n{arrow.src} -> n{arrow.dst} [label={_dot_quote(arrow.label)}, style={style}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -753,26 +753,86 @@ def _spec_to_obj(spec: RegexSpec) -> object:
     raise TypeError(f"not a label pattern: {spec!r}")
 
 
-def _word_from_obj(word: object) -> str:
+class SchemaFileError(ValueError):
+    """A stored schema ``schema_from_json`` refuses; the message starts with the JSON path."""
+
+
+# What a field of a stored schema must hold: how to say it, and the test.
+_OBJECT = ("an object", lambda value: isinstance(value, dict))
+_LIST = ("a list", lambda value: isinstance(value, list))
+_STRING = ("a string", lambda value: isinstance(value, str))
+_BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
+_INTEGER_OR_NULL = (
+    "an integer or null",
+    lambda value: value is None or (isinstance(value, int) and not isinstance(value, bool)),
+)
+_REQUIRED = object()
+
+
+def _shown(value: object) -> str:
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, dict):
+        return "an object"
+    return json.dumps(value)
+
+
+def _checked(value: object, path: str, shape) -> object:
+    expected, fits = shape
+    if not fits(value):
+        raise SchemaFileError(f"{path or 'top level'}: expected {expected}, got {_shown(value)}")
+    return value
+
+
+def _field(obj: dict, path: str, key: str, shape, default=_REQUIRED) -> object:
+    """``obj[key]`` checked against ``shape``; ``default`` when the key is absent."""
+    path = f"{path}.{key}" if path else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaFileError(f"{path}: missing")
+        return default
+    return _checked(obj[key], path, shape)
+
+
+def _objects(payload: dict, key: str, default=_REQUIRED) -> Iterator[tuple[str, dict]]:
+    """Each object of the top-level list ``key``, with its path."""
+    for index, item in enumerate(_field(payload, "", key, _LIST, default)):
+        path = f"{key}[{index}]"
+        yield path, _checked(item, path, _OBJECT)
+
+
+def _built(path: str, build, *args, **options):
+    """Call a pattern class or a ``Schema.add_*`` method; its refusal names the JSON path."""
+    try:
+        return build(*args, **options)
+    except ValueError as failure:
+        raise SchemaFileError(f"{path}: {failure}") from None
+
+
+def _word_from_obj(word: object, path: str) -> str:
     """A literal or one-of word of a stored pattern, refused unless it can label a node."""
     if not isinstance(word, str) or not (is_pla_word(word) or is_mla_word(word)):
-        raise ValueError(f"pattern word {word!r} is neither a PLA word nor an MLA word")
+        raise SchemaFileError(
+            f"{path}: pattern word {word!r} is neither a PLA word nor an MLA word"
+        )
     return word
 
 
-def _spec_from_obj(obj: object) -> RegexSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"bad label pattern object: {obj!r}")
-    if obj["kind"] == "literal":
-        return Literal(_word_from_obj(obj["word"]))
-    if obj["kind"] == "one-of":
-        words = obj["words"]
+def _spec_from_obj(obj: dict, path: str) -> RegexSpec:
+    kind = _field(obj, path, "kind", _STRING)
+    if kind == "literal":
+        return Literal(_word_from_obj(obj.get("word"), f"{path}.word"))
+    if kind == "one-of":
+        words = obj.get("words")
         if not isinstance(words, list):
-            raise ValueError(f"one-of words must be a list, not {words!r}")
-        return Alternation(frozenset(_word_from_obj(word) for word in words))
-    if obj["kind"] == "lower-word":
+            raise SchemaFileError(
+                f"{path}.words: one-of words must be a list, not {_shown(words)}"
+            )
+        words = frozenset(_word_from_obj(w, f"{path}.words[{i}]") for i, w in enumerate(words))
+        return _built(f"{path}.words", Alternation, words)
+    if kind == "lower-word":
         return LowerWord()
-    raise ValueError(f"bad label pattern kind: {obj['kind']!r}")
+    raise SchemaFileError(f"{path}.kind: bad label pattern kind {kind!r}")
 
 
 def schema_to_json(schema: Schema) -> str:
@@ -803,25 +863,40 @@ def schema_to_json(schema: Schema) -> str:
 
 
 def schema_from_json(text: str) -> Schema:
-    """Inverse of :func:`schema_to_json`; ValueError for JSON nested too deeply to read."""
+    """Inverse of :func:`schema_to_json`.
+
+    Raises SchemaFileError for text that is not JSON, is nested too
+    deeply to read, or does not have the shape ``schema_to_json``
+    writes, and for a schema ``Schema`` refuses to build; the message
+    names the JSON path of the fault.
+    """
     try:
         payload = json.loads(text)
     except RecursionError:
-        raise ValueError("schema JSON is nested too deeply") from None
+        raise SchemaFileError("schema JSON is nested too deeply") from None
+    except json.JSONDecodeError as failure:
+        raise SchemaFileError(f"not JSON: {failure}") from None
+    _checked(payload, "", _OBJECT)
     schema = Schema()
-    for node in payload["nodes"]:
-        schema.add_node(node["name"], _spec_from_obj(node["label"]), node.get("number"))
-    for a in payload.get("and_arrows", ()):
-        schema.add_and_arrow(
-            a["from"],
-            a["to"],
-            _spec_from_obj(a["label"]),
-            optional=a.get("optional", False),
-            order=a.get("order"),
-            suffix=a.get("suffix", False),
+    for path, node in _objects(payload, "nodes"):
+        name = _field(node, path, "name", _STRING)
+        label = _spec_from_obj(_field(node, path, "label", _OBJECT), f"{path}.label")
+        number = _field(node, path, "number", _INTEGER_OR_NULL, None)
+        _built(path, schema.add_node, name, label, number)
+    for path, a in _objects(payload, "and_arrows", ()):
+        _built(
+            path,
+            schema.add_and_arrow,
+            _field(a, path, "from", _STRING),
+            _field(a, path, "to", _STRING),
+            _spec_from_obj(_field(a, path, "label", _OBJECT), f"{path}.label"),
+            optional=_field(a, path, "optional", _BOOLEAN, False),
+            order=_field(a, path, "order", _INTEGER_OR_NULL, None),
+            suffix=_field(a, path, "suffix", _BOOLEAN, False),
         )
-    for o in payload.get("or_arrows", ()):
-        schema.add_or_arrow(o["from"], o["to"])
+    for path, o in _objects(payload, "or_arrows", ()):
+        src, dst = _field(o, path, "from", _STRING), _field(o, path, "to", _STRING)
+        _built(path, schema.add_or_arrow, src, dst)
     return schema
 
 

@@ -1,10 +1,15 @@
 """Exit codes and output shape of the command line interface."""
 
+import io
 import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordtree import cli as cli_module
 from wordtree import schema as schema_module
@@ -13,7 +18,14 @@ from wordtree.executor import final_tape, initialize, run, trace_json, trace_tex
 from wordtree.frontend import parse_text
 from wordtree.graph import SEMANTIC, SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
-from wordtree.schema import Literal, Schema, schema_to_json, turingol_schema
+from wordtree.schema import (
+    Literal,
+    Schema,
+    SchemaFileError,
+    schema_from_json,
+    schema_to_json,
+    turingol_schema,
+)
 from wordtree.tape import parse_tape
 
 
@@ -327,6 +339,113 @@ BAD_SCHEMA_FILES = [
 ]
 
 
+def changed_schema_json(change) -> str:
+    """The built-in schema's JSON after ``change`` edits its payload in place."""
+    payload = json.loads(schema_to_json(turingol_schema()))
+    change(payload)
+    return json.dumps(payload)
+
+
+# Schema files of the wrong shape, and the whole refusal each gets: the
+# JSON path of the fault first.
+MISSHAPEN_SCHEMA_FILES = [
+    pytest.param(
+        json.dumps(
+            {
+                "nodes": [
+                    {"name": "X", "label": {"kind": "literal", "word": "x"}, "number": "x"},
+                    {"name": "Y", "label": {"kind": "literal", "word": "y"}, "number": 1},
+                ],
+                "and_arrows": [
+                    {"from": "X", "to": "Y", "label": {"kind": "literal", "word": "a"}}
+                ],
+            }
+        ),
+        'nodes[0].number: expected an integer or null, got "x"',
+        id="number-string",
+    ),
+    pytest.param(
+        changed_schema_json(lambda payload: payload["and_arrows"][0].update(optional="no")),
+        'and_arrows[0].optional: expected true or false, got "no"',
+        id="optional-string",
+    ),
+    pytest.param('{"nodes": [1]}', "nodes[0]: expected an object, got 1", id="node-number"),
+    pytest.param("[]", "top level: expected an object, got a list", id="top-level-list"),
+    pytest.param(
+        changed_schema_json(lambda payload: payload["and_arrows"][3].pop("to")),
+        "and_arrows[3].to: missing",
+        id="missing-to",
+    ),
+    pytest.param(
+        changed_schema_json(lambda payload: payload["or_arrows"][1].update({"from": "Q"})),
+        "or_arrows[1]: unknown schema node 'Q'",
+        id="unknown-node",
+    ),
+    pytest.param(
+        changed_schema_json(lambda payload: payload["nodes"][2].update(number=True)),
+        "nodes[2].number: expected an integer or null, got true",
+        id="number-boolean",
+    ),
+    pytest.param(
+        changed_schema_json(
+            lambda payload: payload["and_arrows"][5].update(label={"kind": "one-of", "words": []})
+        ),
+        "and_arrows[5].label.words: alternation needs at least one word",
+        id="no-one-of-words",
+    ),
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def schema_files(draw):
+    """Any JSON value, or the built-in schema's JSON with fields deleted or retyped."""
+    if draw(st.integers(0, 3)) == 0:
+        return json.dumps(draw(json_values))
+    payload = json.loads(schema_to_json(turingol_schema()))
+    for _ in range(draw(st.integers(1, 3))):
+        item = draw(st.sampled_from(payload[draw(st.sampled_from(sorted(payload)))]))
+        if not item:
+            continue
+        key = draw(st.sampled_from(sorted(item)))
+        label = item[key]
+        if key == "label" and isinstance(label, dict) and label and draw(st.booleans()):
+            item, key = label, draw(st.sampled_from(sorted(label)))
+        if draw(st.booleans()):
+            del item[key]
+        else:
+            item[key] = draw(json_values | st.sampled_from(["A B", "Q", "LD", "Right", "-"]))
+    return json.dumps(payload)
+
+
+@given(schema_files())
+@settings(deadline=None, max_examples=150)
+def test_any_schema_file_is_read_or_refused_without_a_traceback(text):
+    try:
+        schema_from_json(text)
+        refused = False
+    except SchemaFileError:
+        refused = True
+    with tempfile.TemporaryDirectory() as folder:
+        stored = Path(folder) / "schema.json"
+        stored.write_text(text)
+        for action in ("check", "grammar", "gen"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main(["schema", action, "--schema", str(stored)])
+            assert code in (0, 1)
+            assert err.getvalue().startswith("bad schema file: ") == refused
+
+
 class TestSchema:
     def test_grammar_lists_productions(self, capsys):
         code, out, _ = invoke(capsys, "schema", "grammar")
@@ -431,6 +550,21 @@ class TestSchema:
         code, out, err = invoke(capsys, "schema", action, "--schema", str(stored))
         assert (code, out) == (1, "")
         assert "bad schema file" in err and reason in err
+
+    @pytest.mark.parametrize("action", ["check", "grammar", "gen"])
+    @pytest.mark.parametrize("text, reason", MISSHAPEN_SCHEMA_FILES)
+    def test_misshapen_schema_refused_at_its_path(self, capsys, tmp_path, text, reason, action):
+        stored = tmp_path / "bad.json"
+        stored.write_text(text)
+        code, out, err = invoke(capsys, "schema", action, "--schema", str(stored))
+        assert (code, out, err) == (1, "", f"bad schema file: {reason}\n")
+
+    def test_unnumbered_node_refused_by_grammar(self, capsys, tmp_path):
+        stored = tmp_path / "unnumbered.json"
+        unnumbered = changed_schema_json(lambda payload: payload["nodes"][4].update(number=None))
+        stored.write_text(unnumbered)
+        code, out, err = invoke(capsys, "schema", "grammar", "--schema", str(stored))
+        assert (code, out, err) == (1, "", "node DL: missing numbering\n")
 
     def test_unreadable_schema_file(self, capsys, tmp_path):
         stored = tmp_path / "broken.json"

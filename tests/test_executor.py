@@ -6,6 +6,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordtree import executor as executor_module
 from wordtree import semantics
@@ -49,18 +51,25 @@ from wordtree.graph import (
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
     FollowArrow,
+    Inapplicable,
     LabelsEqual,
     NoArrowFrom,
     NoArrowTo,
     ReassignArrow,
     RelabelNode,
     LabeledGraph,
+    StartAmbiguous,
     Stop,
+    Tree,
     check_uni_labeled,
+    export_json,
+    resolve,
 )
 from wordtree.pipeline import CheckFailed, execute_program
 from wordtree.semantics import STATEMENT, classify, find_points
-from wordtree.tape import Tape, parse_tape
+from wordtree.tape import parse_tape, render_tape
+
+import reference_tape
 
 EXPECTED_RUNS = json.loads(
     (Path(__file__).parent / "data" / "expected_runs.json").read_text()
@@ -76,6 +85,14 @@ def prepare(text: str):
     build_control(tree, stop, points)
     instructions = install_instructions(tree, stop, points.statements)
     return tree, stop, instructions
+
+
+def resolved(state, path):
+    """Where ``path`` resolves in the state's graph, or why it does not."""
+    try:
+        return resolve(state.tree.graph, path)
+    except (Inapplicable, StartAmbiguous) as failure:
+        return type(failure), str(failure)
 
 
 def statements(tree) -> list[int]:
@@ -194,38 +211,61 @@ class TestInitialize:
     def test_bad_start_positions(self, increment_parts):
         tree, _, instructions = increment_parts
         tape = parse_tape("one zero")
+        before = export_json(tree.graph)
         with pytest.raises(ValueError, match="outside"):
             initialize(tree, tape, 5, instructions)
         with pytest.raises(ValueError, match="outside"):
             initialize(tree, tape, -1, instructions)
         with pytest.raises(ValueError, match="start"):
             initialize(tree, tape, "middle", instructions)
-
-    def test_cyclic_tape_mounts(self, increment_parts):
-        tree, _, instructions = increment_parts
-        cells = LabeledGraph()
-        first, second = cells.add_node("one"), cells.add_node("zero")
-        cells.add_arrow(first, "", second, TAPE)
-        cells.add_arrow(second, "", first, TAPE)
-        state = initialize(tree, Tape(cells, first), "last", instructions)
-        (arrow,) = [a for _, a in tree.graph.arrows() if a.label == "tape"]
-        assert tree.graph.node_label(arrow.dst) == "zero"
-        assert state.last_tape == "one zero"
-
-    def test_refuses_a_forked_tape(self, increment_parts):
-        tree, _, instructions = increment_parts
-        cells = LabeledGraph()
-        first = cells.add_node("one")
-        cells.add_arrow(first, "", cells.add_node("zero"), TAPE)
-        cells.add_arrow(first, "", cells.add_node("point"), TAPE)
-        with pytest.raises(ValueError, match="several"):
-            initialize(tree, Tape(cells, first), "last", instructions)
+        assert export_json(tree.graph) == before
 
     def test_refuses_second_tape(self, increment_parts):
         tree, _, instructions = increment_parts
         initialize(tree, parse_tape("one"), "first", instructions)
         with pytest.raises(ValueError, match="tape"):
             initialize(tree, parse_tape("one"), "first", instructions)
+
+    @pytest.mark.parametrize("cells", [1, 2, 7, 300])
+    def test_mount_adds_each_cell_and_arrow_once(self, monkeypatch, increment_parts, cells):
+        """n cells take n add_node and n add_arrow calls: n - 1 chain arrows plus 'tape'."""
+        tree, _, instructions = increment_parts
+        calls = Counter()
+        for name in ("add_node", "add_arrow", "chain", "follow", "ends"):
+
+            def counted(self, *args, _name=name, _original=getattr(LabeledGraph, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(LabeledGraph, name, counted)
+        initialize(tree, parse_tape(" ".join(["one"] * cells)), "last", instructions)
+        monkeypatch.undo()
+        assert calls == Counter(add_node=cells, add_arrow=cells)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_mount_matches_the_merged_mount(self, increment_text, data):
+        """Cells added straight to the program graph match the parse-then-merge mount."""
+        template, _, instructions = prepare(increment_text)
+        g = template.graph
+        declared = [g.node_label(n) for n in semantics.w_declaration_points(template)]
+        cell_words = st.one_of(
+            st.sampled_from(["", "tape-alphabet", "stop", *declared]),
+            st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=4),
+        )
+        words = data.draw(st.lists(cell_words, min_size=1, max_size=12))
+        start = data.draw(st.sampled_from(["first", "last", *range(len(words))]))
+        text = render_tape(words)
+        state = initialize(
+            Tree(g.copy(), template.root), parse_tape(text), start, instructions
+        )
+        expected = reference_tape.initialize(
+            Tree(g.copy(), template.root), reference_tape.parse_tape(text), start, instructions
+        )
+        assert export_json(state.tree.graph) == export_json(expected.tree.graph)
+        assert final_tape(state) == final_tape(expected) == text
+        for path in (TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH):
+            assert resolved(state, path) == resolved(expected, path)
 
 
 class TestGate:

@@ -45,7 +45,7 @@ from wordtree.executor import initialize, run
 from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.tape import parse_tape
+from wordtree.tape import add_cells, parse_tape
 
 import reference_algebra
 from fail_safety import repair
@@ -149,15 +149,6 @@ class TestStorage:
         with pytest.raises(TypeError):
             g.add_arrow("a", "x", n)
 
-    def test_merge_copies_everything(self):
-        g, cells = small_tape(["one", "zero"])
-        h = LabeledGraph()
-        h.add_node("stop")
-        mapping = h.merge(g)
-        assert h.node_count == 3
-        assert h.arrow_count == 1
-        assert h.node_label(mapping[cells[0]]) == "one"
-
 
 class TestPathFormulas:
     def test_str_quoting(self):
@@ -200,16 +191,17 @@ class TestPathFormulas:
         g, root, (one,) = program_with_tape(["one"], 0)
         g.add_node("four")
         g.add_node("four")
-        tape, cells = small_tape(["tape-alphabet", "two", "one"])
-        mapping = g.merge(tape)
+        g.end_own_nodes()
+        cells = add_cells(g, ["tape-alphabet", "two", "one"])
         grown = g.add_node("three")
+        g.end_own_nodes()  # a second boundary does not move the first
         assert resolve(g, parse_path('"tape-alphabet"')) == root
         assert resolve(g.copy(), parse_path('"tape-alphabet"')) == root
         assert resolve(g, parse_path("one")) == one
         for word, own in (("two", 0), ("three", 0), ("four", 2)):
             with pytest.raises(StartAmbiguous, match=f"names {own} nodes"):
                 resolve(g, parse_path(word))
-        assert resolve(g, parse_path('+""'), current=mapping[cells[0]]) == mapping[cells[1]]
+        assert resolve(g, parse_path('+""'), current=cells[0]) == cells[1]
         assert g.nodes_labeled("three") == [grown]
 
     def test_resolve_inapplicable_none(self):
@@ -484,6 +476,17 @@ def graphs_with_current(draw):
     return g, draw(st.sampled_from(nodes))
 
 
+def add_after_own_nodes(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
+    """End ``host``'s own nodes, then add ``other``'s nodes and arrows one by one in id order."""
+    host.end_own_nodes()
+    mapping = {}
+    for node in sorted(other.nodes()):
+        mapping[node] = host.add_node(other.node_label(node))
+    for _, arrow in sorted(other.arrows(), key=lambda pair: pair[0]):
+        host.add_arrow(mapping[arrow.src], arrow.label, mapping[arrow.dst], arrow.kind)
+    return mapping
+
+
 @st.composite
 def indexed_graphs(draw):
     """Graphs built every way the out-arrow index is kept, plus a node.
@@ -491,7 +494,8 @@ def indexed_graphs(draw):
     Arrows repeat a (node, label) pair that already has one, arrows are
     moved by ``set_arrow_dst``, nodes are relabeled by
     ``set_node_label``, and the graph is used as built, as a
-    ``copy()`` whose original then grows, or ``merge``d into another.
+    ``copy()`` whose original then grows, or added node by node and
+    arrow by arrow to another graph after its own nodes end.
     """
     g, node = draw(graphs_with_current())
     nodes = g.nodes()
@@ -512,13 +516,13 @@ def indexed_graphs(draw):
         g.set_arrow_dst(arrow_id, draw(st.sampled_from(nodes)))
     for relabeled in draw(st.lists(st.sampled_from(nodes), max_size=3)):
         g.set_node_label(relabeled, draw(st.sampled_from(["a", "b", "", "c"])))
-    how = draw(st.sampled_from(["built", "copy", "merge"]))
+    how = draw(st.sampled_from(["built", "copy", "mounted"]))
     if how == "copy":
         original, g = g, g.copy()
         original.add_arrow(node, draw(words), node)
-    elif how == "merge":
+    elif how == "mounted":
         host, _ = draw(graphs_with_current())
-        node = host.merge(g)[node]
+        node = add_after_own_nodes(host, g)[node]
         g = host
     return g, node
 
@@ -555,42 +559,15 @@ def test_chain_follows_the_one_arrow_until_it_ends_or_repeats(graph_and_node, si
     assert g.ends(nodes[-1], sign, word) in ([], *([n] for n in nodes))
 
 
-def add_loop_merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
-    """Reference ``merge``: add ``other``'s nodes, then its arrows, one by one in id order."""
-    mapping = {}
-    for node in sorted(other.nodes()):
-        mapping[node] = host.add_node(other.node_label(node))
-    for _, arrow in sorted(other.arrows(), key=lambda pair: pair[0]):
-        host.add_arrow(mapping[arrow.src], arrow.label, mapping[arrow.dst], arrow.kind)
-    return mapping
-
-
-@given(indexed_graphs(), indexed_graphs())
+@given(indexed_graphs())
 @settings(deadline=None)
-def test_ids_are_in_order_and_merge_copies_as_adding_would(graph_and_node, host_and_node):
+def test_ids_are_in_order(graph_and_node):
+    """Ids run from 0 with no gaps, in the order nodes and arrows were added."""
     g, _ = graph_and_node
-    host, _ = host_and_node
-    for graph in (g, host):
-        assert graph.nodes() == sorted(graph.nodes())
-        assert graph.arrows() == sorted(graph.arrows(), key=lambda pair: pair[0])
-    merged, added = host.copy(), host.copy()
-    mapping = merged.merge(g)
-    assert mapping == add_loop_merge(added, g)
-    assert G.export_json(merged) == G.export_json(added)
-    assert merged.nodes() == sorted(merged.nodes())
-    assert merged.arrows() == sorted(merged.arrows(), key=lambda pair: pair[0])
-    labels = {a.label for _, a in added.arrows()} | {"x", "y", ""}
-    for node in added.nodes():
-        for sign in "+-":
-            for word in labels:
-                assert merged.ends(node, sign, word) == added.ends(node, sign, word)
-    for word in {added.node_label(n) for n in added.nodes()} | {"zz"}:
-        assert merged.nodes_labeled(word) == added.nodes_labeled(word)
-    for word in labels:
-        assert merged.arrows_labeled(word) == added.arrows_labeled(word)
-    # Both hand out the same ids next.
-    assert merged.add_node("a") == added.add_node("a")
-    assert merged.add_arrow(0, "x", 0) == added.add_arrow(0, "x", 0)
+    assert g.nodes() == list(range(g.node_count))
+    assert [arrow_id for arrow_id, _ in g.arrows()] == list(range(g.arrow_count))
+    assert g.add_node("a") == g.node_count - 1
+    assert g.add_arrow(0, "x", 0) == g.arrow_count - 1
 
 
 # One program per finding code that blocks or ends a check, and a clean one.

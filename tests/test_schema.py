@@ -624,6 +624,13 @@ class TestSerialization:
         assert export_grammar(restored) == export_grammar(s)
         assert set(elementary_cycles(restored)) == set(elementary_cycles(s))
 
+    def test_round_trip_keeps_every_field(self):
+        for s in (turingol_schema(), merged_label_schema(), complete_or_schema(3)):
+            restored = schema_from_json(schema_to_json(s))
+            assert [restored.node(n) for n in restored.names()] == [s.node(n) for n in s.names()]
+            assert restored.and_arrows() == s.and_arrows()
+            assert restored.or_arrows() == s.or_arrows()
+
     def test_one_of_words_must_be_a_list(self):
         stored = json.loads(schema_to_json(turingol_schema()))
         assert {"kind": "one-of", "words": ["left", "right"]} in [a["label"] for a in stored["and_arrows"]]

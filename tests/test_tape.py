@@ -7,33 +7,32 @@ from hypothesis import strategies as st
 from wordtree import graph as G
 from wordtree.executor import STOPPED, final_tape
 from wordtree.pipeline import execute_program
-from wordtree.tape import Tape, chain_text, parse_tape, render_tape
+from wordtree.tape import add_cells, chain_text, parse_tape, render_tape
 
 
 def test_parse_single_cell():
-    t = parse_tape("one")
-    assert t.labels() == ["one"]
-    assert t.graph.node_count == 1
-    assert t.graph.arrow_count == 0
+    g = G.LabeledGraph()
+    assert add_cells(g, parse_tape("one")) == [0]
+    assert g.node_count == 1
+    assert g.arrow_count == 0
 
 
 def test_parse_chain():
-    t = parse_tape("one zero point")
-    assert t.labels() == ["one", "zero", "point"]
-    assert t.graph.arrow_count == 2
-    for _, arrow in t.graph.arrows():
+    g = G.LabeledGraph()
+    assert add_cells(g, parse_tape("one zero point")) == [0, 1, 2]
+    assert [g.node_label(n) for n in g.nodes()] == ["one", "zero", "point"]
+    assert g.arrow_count == 2
+    for _, arrow in g.arrows():
         assert arrow.label == ""
         assert arrow.kind == G.TAPE
 
 
 def test_parse_empty_cell_token():
-    t = parse_tape('one "" zero')
-    assert t.labels() == ["one", "", "zero"]
+    assert parse_tape('one "" zero') == ("one", "", "zero")
 
 
 def test_parse_whitespace_flexible():
-    t = parse_tape("  one\t zero \n point ")
-    assert t.labels() == ["one", "zero", "point"]
+    assert parse_tape("  one\t zero \n point ") == ("one", "zero", "point")
 
 
 def test_parse_rejects_empty_input():
@@ -50,31 +49,22 @@ def test_parse_rejects_bad_tokens():
 
 
 def test_hyphenated_cells_allowed():
-    t = parse_tape("tape-alphabet one-square")
-    assert t.labels() == ["tape-alphabet", "one-square"]
+    assert parse_tape("tape-alphabet one-square") == ("tape-alphabet", "one-square")
 
 
 def test_chain_text_renders_long_chains_whole():
     text = " ".join(["zero"] * 1499 + ["blank"])
-    t = parse_tape(text)
-    assert chain_text(t.graph, t.cells()[700]) == text
+    g = G.LabeledGraph()
+    cells = add_cells(g, parse_tape(text))
+    assert chain_text(g, cells[700]) == text
 
 
 def test_chain_text_ends_on_a_cycle():
-    t = parse_tape("one two three")
-    first, second, third = t.cells()
-    t.graph.add_arrow(third, "", first, kind=G.TAPE)
-    assert chain_text(t.graph, second) == "three one two"
-
-
-def test_cells_end_on_a_cycle():
     g = G.LabeledGraph()
-    first, second = g.add_node("one"), g.add_node("two")
-    g.add_arrow(first, "", second, kind=G.TAPE)
-    g.add_arrow(second, "", first, kind=G.TAPE)
-    t = Tape(g, first)
-    assert t.cells() == [first, second]
-    assert render_tape(t) == "one two"
+    first, second, third = g.add_node("one"), g.add_node("two"), g.add_node("three")
+    for left, right in ((first, second), (second, third), (third, first)):
+        g.add_arrow(left, "", right, kind=G.TAPE)
+    assert chain_text(g, second) == "three one two"
 
 
 def test_render_round_trip():
@@ -94,9 +84,9 @@ cell_words = st.one_of(
 @settings(deadline=None)
 def test_parse_render_inverse(labels):
     text = " ".join('""' if w == "" else w for w in labels)
-    t = parse_tape(text)
-    assert t.labels() == labels
-    assert render_tape(t) == text
+    words = parse_tape(text)
+    assert words == tuple(labels)
+    assert render_tape(words) == text
 
 
 @given(
