@@ -44,9 +44,13 @@ class _Refusal(Exception):
 
 def _read(path_text: str) -> str:
     try:
-        return Path(path_text).read_text()
+        return Path(path_text).read_text(encoding="utf-8")
     except OSError as failure:
         raise _Refusal(failure) from failure
+    except UnicodeDecodeError as failure:
+        raise _Refusal(
+            f"{path_text}: not UTF-8 text ({failure.reason} at byte {failure.start})"
+        ) from failure
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--cautious",
         action="store_true",
-        help="verify each direction is safe before performing it",
+        help="accepted and selects nothing: every run verifies each direction first",
     )
     run_p.add_argument(
         "--trace",

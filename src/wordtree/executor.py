@@ -7,9 +7,10 @@ performs the instruction found at every node reached. Crashes are
 states, not exceptions: reaching a node without an instruction, running
 an instruction out of directions without following an arrow, and
 violating an action's normal-execution condition all mark the state
-crashed with a structured report. In cautious mode each direction is
-verified before it runs, and a violation crashes with the same report
-a normal run gives, before the direction can touch the graph.
+crashed with a structured report. Every run is cautious: an item of the
+algebra resolves all its operands before its first graph write, so a
+violation crashes before the direction touches the graph. The
+``cautious`` flag of ``initialize`` and ``ExecState`` selects nothing.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``, and each item of the algebra resolves its own operands, so
@@ -47,7 +48,6 @@ from .graph import (
     apply_action,
     display_word,
     eval_proposition,
-    normal_violation,
     parse_path,
 )
 from .semantics import PRINT_WORD_PATH, SYMBOL_PATH
@@ -132,7 +132,7 @@ class ExecState:
     tree: Tree
     instructions: dict[int, Instruction]
     current: int
-    cautious: bool = False
+    cautious: bool = False  # selects nothing: every run is cautious
     steps: int = 0
     status: str = RUNNING
     situation: Optional[CrashReport] = None
@@ -243,16 +243,21 @@ def initialize(
 ) -> ExecState:
     """Attach a tape to the program tree and return the starting state.
 
-    ``tape`` holds the cell words, as ``parse_tape`` returns them.
-    ``start`` is 'first', 'last', or a zero-based cell index. Refuses
-    graphs that already carry a 'tape' arrow and start positions off
-    the tape before touching the graph. Then adds the cells to the
-    program graph after its own nodes, so no cell shadows a program
-    word an absolute path starts from, points a single semantic 'tape'
-    arrow from the root at the chosen cell, and places the executor at
-    the root. Whether the program may run is decided before
-    ``instructions`` exist, by ``make_executable``.
+    ``tape`` holds the cell words, as ``parse_tape`` returns them; a
+    plain string is refused, not mounted one letter per cell. ``start``
+    is 'first', 'last', or a zero-based cell index. Refuses graphs that
+    already carry a 'tape' arrow, start positions off the tape and
+    illegal cell words before touching the graph. Then ``add_cells``
+    adds the cells to the program graph after its own nodes, so no cell
+    shadows a program word an absolute path starts from; a single
+    semantic 'tape' arrow points from the root at the chosen cell, and
+    the executor is placed at the root. Whether the program may run is
+    decided before ``instructions`` exist, by ``make_executable``.
+    ``cautious`` is accepted and selects nothing: every run verifies
+    each direction before it writes.
     """
+    if isinstance(tape, str):
+        raise ValueError("a tape is a sequence of cell words, not a string")
     g = tree.graph
     if g.arrows_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
@@ -268,7 +273,6 @@ def initialize(
     if not 0 <= index < len(tape):
         raise ValueError(f"start index {index} outside the {len(tape)}-cell tape")
 
-    g.end_own_nodes()
     cells = add_cells(g, tape)
     g.add_arrow(tree.root, TAPE_ARROW, cells[index], SEMANTIC)
     return ExecState(tree, dict(instructions), tree.root, cautious)
@@ -299,13 +303,6 @@ def _crash(
     if on_step is not None:
         on_step(TraceEntry(state.steps, node, label, f"crash {situation}: {detail}"))
     return state
-
-
-def _verify(g, item: Union[Proposition, Action], node: int) -> None:
-    """Crash on a violated condition before acting on it (cautious mode)."""
-    problem = normal_violation(g, item, node)
-    if problem is not None:
-        raise NormalConditionViolated(problem)
 
 
 def step(state: ExecState, on_step: OnStep = None) -> ExecState:
@@ -345,18 +342,12 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
             on_step,
         )
 
-    cautious = state.cautious
     for direction in instruction.directions:
         condition = direction.condition
         action = direction.action
         try:
-            if condition is not None:
-                if cautious:
-                    _verify(g, condition, node)
-                if not eval_proposition(g, condition, node):
-                    continue
-            if cautious:
-                _verify(g, action, node)
+            if condition is not None and not eval_proposition(g, condition, node):
+                continue
             destination = apply_action(g, action, node)
         except NormalConditionViolated as failure:
             return _crash(

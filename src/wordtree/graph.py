@@ -15,9 +15,9 @@ along a labeled arrow, whatever its kind, and a "+" step reads the
 through it; kinds serve listing and export. Each proposition and action
 class resolves its own ``operands``, which are its normal-execution
 conditions, and gives them meaning in its ``holds`` or ``apply``;
-``eval_proposition``, ``apply_action`` and ``normal_violation`` call
-those methods, so evaluating, applying and the cautious check share one
-resolve path.
+``eval_proposition`` and ``apply_action`` call those methods, which
+resolve every operand before the first write, so a violation leaves the
+graph as it was; ``normal_violation`` predicts it without acting.
 """
 
 from __future__ import annotations
@@ -504,9 +504,10 @@ class _Item:
     saying why it cannot. These are all the normal-execution conditions
     of the algebra. ``holds`` and ``apply`` start from the same
     operands, so once they resolve, evaluating or applying the item
-    cannot violate one, and a cautious run checks exactly what a normal
-    run relies on. An action whose ``ends_step`` is true ends an
-    executor step when it is performed.
+    cannot violate one. ``holds`` writes nothing and ``apply`` writes
+    only after they resolve, so a violation leaves the graph untouched.
+    An action whose ``ends_step`` is true ends an executor step when it
+    is performed.
     """
 
     ends_step = False
@@ -767,9 +768,10 @@ def normal_violation(
     """Describe the violated normal-execution condition, if any.
 
     Returns the detail that evaluating or applying ``item`` would raise
-    as NormalConditionViolated, or None when it would raise none. This
-    is the verification step of a cautious executor: it resolves the
-    item's operands as evaluating or applying it would.
+    as NormalConditionViolated, or None when it would raise none. It
+    resolves the item's operands as evaluating or applying it would,
+    without acting; the executor needs no such check, since the item
+    resolves them itself before its first write.
     """
     try:
         item.operands(g, current)

@@ -148,8 +148,8 @@ def execute_program(
 ) -> RunResult:
     """Check a program, mount a tape, and run it to an outcome.
 
-    ``on_step`` receives each trace entry as the run produces it.
-    Raises CheckFailed when the program may not run (see
+    ``on_step`` receives each trace entry as the run produces it;
+    ``cautious`` selects nothing (see ``initialize``). Raises CheckFailed when the program may not run (see
     ``make_executable``); tape or start problems raise ValueError from
     initialization.
     """

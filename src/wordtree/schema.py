@@ -99,6 +99,16 @@ class LowerWord:
 RegexSpec = Union[Literal, Alternation, LowerWord]
 
 
+def _pattern_words(spec: RegexSpec) -> tuple[str, ...]:
+    """The words a literal or one-of pattern names, sorted; none for ``LowerWord``."""
+    match spec:
+        case Literal(word):
+            return (word,)
+        case Alternation():
+            return spec._sorted
+    return ()
+
+
 def disjoint(a: RegexSpec, b: RegexSpec) -> bool:
     """Whether two label patterns denote non-overlapping word sets."""
     match (a, b):
@@ -161,10 +171,14 @@ class Schema:
         self._report: Optional[SchemaReport] = None
 
     def add_node(self, name: str, label: RegexSpec = Literal(""), number: Optional[int] = None) -> SchemaNode:
+        """Add a named node; its literal or one-of words must be able to label a graph node."""
         if not is_mla_word(name):
             raise ValueError(f"schema name {name!r} must be uppercase letters and digits")
         if name in self._nodes:
             raise ValueError(f"duplicate schema name {name!r}")
+        for word in _pattern_words(label):
+            if not (is_pla_word(word) or is_mla_word(word)):
+                raise ValueError(f"node label {word!r} is neither a PLA word nor an MLA word")
         node = SchemaNode(name, label, number)
         self._nodes[name] = node
         self._report = None
@@ -179,8 +193,12 @@ class Schema:
         order: Optional[int] = None,
         suffix: bool = False,
     ) -> AndArrow:
+        """Add a child prescription; its literal or one-of words must be PLA words."""
         self._require(src)
         self._require(dst)
+        for word in _pattern_words(label):
+            if not is_pla_word(word):
+                raise ValueError(f"arrow label {word!r} is not a PLA word")
         arrow = AndArrow(src, dst, label, optional, order, suffix)
         self._and.append(arrow)
         self._report = None

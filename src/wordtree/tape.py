@@ -19,15 +19,21 @@ from .graph import TAPE, WORD, LabeledGraph
 EMPTY_TOKEN = '""'
 
 
+def _require_words(words: Sequence[str], what: str) -> None:
+    """Refuse the first distinct word that is neither a ``WORD`` nor empty."""
+    for word in dict.fromkeys(words):  # each distinct word once, in order
+        if word != "" and not (isinstance(word, str) and WORD.fullmatch(word)):
+            raise ValueError(f"illegal tape {what} {word!r}")
+
+
 def parse_tape(text: str) -> tuple[str, ...]:
     """The cell words of whitespace-separated tokens, leftmost first."""
     tokens = text.split()
     if not tokens:
         raise ValueError("a tape needs at least one cell")
-    for token in dict.fromkeys(tokens):  # each distinct token once, in order
-        if token != EMPTY_TOKEN and not WORD.fullmatch(token):
-            raise ValueError(f"illegal tape token {token!r}")
-    return tuple("" if token == EMPTY_TOKEN else token for token in tokens)
+    words = tuple("" if token == EMPTY_TOKEN else token for token in tokens)
+    _require_words(words, "token")  # an illegal token is its own word
+    return words
 
 
 def render_tape(words: Sequence[str]) -> str:
@@ -38,9 +44,14 @@ def render_tape(words: Sequence[str]) -> str:
 def add_cells(g: LabeledGraph, words: Sequence[str]) -> list[int]:
     """Add a cell node per word and a tape arrow from each cell to the next.
 
-    Returns the cells left to right. Nodes and arrows get the next ids
-    of ``g`` in the order the words come.
+    Refuses a word that is neither a ``WORD`` nor empty before touching
+    ``g``. Then ends ``g``'s own nodes (``LabeledGraph.end_own_nodes``),
+    so the cells count as mounted. Returns the cells left to right.
+    Nodes and arrows get the next ids of ``g`` in the order the words
+    come.
     """
+    _require_words(words, "word")
+    g.end_own_nodes()
     cells = [g.add_node(word) for word in words]
     for left, right in zip(cells, cells[1:]):
         g.add_arrow(left, "", right, TAPE)

@@ -303,6 +303,26 @@ class TestGraph:
         assert "L1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{file}"],
+        ["graph", "{file}"],
+        ["run", "{program}", "--tape-file", "{file}"],
+        ["schema", "check", "--schema", "{file}"],
+    ],
+    ids=["check", "graph", "run-tape-file", "schema-check"],
+)
+def test_non_utf8_file_refused_naming_its_path(capsys, tmp_path, program_path, argv):
+    stored = tmp_path / "latin.txt"
+    stored.write_bytes(b"\xff\xfe bad")
+    paths = {"file": str(stored), "program": str(program_path("increment.tgl"))}
+    code, out, err = invoke(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == f"{stored}: not UTF-8 text (invalid start byte at byte 0)\n"
+    assert "Traceback" not in err
+
+
 def relabeled_schema_json(old, new) -> str:
     """The built-in schema's JSON, with the label pattern ``old`` replaced by ``new``."""
     payload = json.loads(schema_to_json(turingol_schema()))
@@ -392,6 +412,13 @@ MISSHAPEN_SCHEMA_FILES = [
         ),
         "and_arrows[5].label.words: alternation needs at least one word",
         id="no-one-of-words",
+    ),
+    pytest.param(
+        changed_schema_json(
+            lambda payload: payload["and_arrows"][0].update(label={"kind": "literal", "word": "AB"})
+        ),
+        "and_arrows[0]: arrow label 'AB' is not a PLA word",
+        id="metalanguage-arrow-word",
     ),
 ]
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordtree import executor as executor_module
+from wordtree import graph as graph_module
 from wordtree import semantics
 from wordtree import tape as tape_module
 from wordtree.control_flow import (
@@ -225,6 +226,31 @@ class TestInitialize:
         initialize(tree, parse_tape("one"), "first", instructions)
         with pytest.raises(ValueError, match="tape"):
             initialize(tree, parse_tape("one"), "first", instructions)
+
+    @pytest.mark.parametrize(
+        "tape, message",
+        [
+            (("one", "One"), "illegal tape word 'One'"),
+            (("one", ";"), "illegal tape word ';'"),
+            ("one", "a tape is a sequence of cell words, not a string"),
+        ],
+    )
+    def test_illegal_words_refused_before_the_mount(self, increment_text, tape, message):
+        """The refused mount leaves no trace: a later mount matches one on a fresh copy."""
+        tree, _, instructions = prepare(increment_text)
+        fresh = Tree(tree.graph.copy(), tree.root)
+        before = export_json(tree.graph)
+        with pytest.raises(ValueError) as refusal:
+            initialize(tree, tape, "last", instructions)
+        assert str(refusal.value) == message
+        assert export_json(tree.graph) == before
+        assert tree.graph.arrows_labeled("tape") == []
+        state = initialize(tree, parse_tape("tape-alphabet one"), "first", instructions)
+        expected = initialize(fresh, parse_tape("tape-alphabet one"), "first", instructions)
+        assert export_json(state.tree.graph) == export_json(expected.tree.graph)
+        for path in (TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH):
+            assert resolved(state, path) == resolved(expected, path)
+        assert run(state).outcome == run(expected).outcome == STOPPED
 
     @pytest.mark.parametrize("cells", [1, 2, 7, 300])
     def test_mount_adds_each_cell_and_arrow_once(self, monkeypatch, increment_parts, cells):
@@ -494,6 +520,23 @@ class TestModes:
         assert careful.steps == plain.steps
         assert careful_trace == plain_trace
         assert careful.state.situation == plain.state.situation
+
+    def test_cautious_runs_resolve_as_often_as_normal_ones(self, increment_text, monkeypatch):
+        """increment.tgl on 'one' x 50 'blank' from the last cell: 410 steps, 513 resolves each."""
+        calls = Counter()
+        original = graph_module.resolve
+
+        def counted(*args, **kwargs):
+            calls[cautious] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "resolve", counted)
+        for cautious in (False, True):
+            tree, _, instructions = prepare(increment_text)
+            tape = parse_tape(" ".join(["one"] * 50 + ["blank"]))
+            state = initialize(tree, tape, "last", instructions, cautious)
+            assert run(state).steps == 410
+        assert calls == {False: 513, True: 513}
 
     def test_crashes_are_states_not_exceptions(self, increment_parts):
         tree, _, instructions = increment_parts

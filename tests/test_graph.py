@@ -747,6 +747,7 @@ def test_normal_violation_predicts_execution(graph_and_current, item):
             apply_action(g, item, current)
     except NormalConditionViolated as violation:
         assert predicted == violation.detail
+        assert export(g, "json") == before  # the violation was found before any write
     else:
         assert predicted is None
 

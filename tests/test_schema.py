@@ -119,6 +119,24 @@ class TestSchemaStructure:
         with pytest.raises(ValueError):
             s.add_and_arrow("X", "Y")
 
+    def test_words_the_graph_refuses_are_refused_when_built(self):
+        """A node's pattern words must be PLA or MLA words, an AND arrow's PLA words."""
+        s = Schema()
+        s.add_node("X", Literal("AB"))  # an auxiliary node's metalanguage word
+        s.add_node("Y", Alternation({"go", "to"}))
+        for label, word in ((Literal("w1"), "w1"), (Alternation({"go", "w1"}), "w1"), (Literal("a b"), "a b")):
+            with pytest.raises(ValueError) as refusal:
+                s.add_node("L", label)
+            assert str(refusal.value) == f"node label {word!r} is neither a PLA word nor an MLA word"
+        for label, word in ((Literal("AB"), "AB"), (Alternation({"left", "Right"}), "Right")):
+            with pytest.raises(ValueError) as refusal:
+                s.add_and_arrow("X", "Y", label)
+            assert str(refusal.value) == f"arrow label {word!r} is not a PLA word"
+        assert s.names() == ["X", "Y"] and s.and_arrows() == []
+        s.add_and_arrow("X", "Y", LowerWord())
+        s.add_and_arrow("X", "Y", Alternation({"left", "right"}))
+        assert len(s.and_arrows()) == 2
+
     def test_turingol_inventory(self):
         s = turingol_schema()
         assert len(s.names()) == 16

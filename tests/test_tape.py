@@ -48,6 +48,28 @@ def test_parse_rejects_bad_tokens():
             parse_tape(bad)
 
 
+def test_parse_refusal_texts():
+    for text, message in [
+        ("", "a tape needs at least one cell"),
+        ('one "" One a_b One', "illegal tape token 'One'"),
+        ("one '", "illegal tape token \"'\""),
+    ]:
+        with pytest.raises(ValueError) as refusal:
+            parse_tape(text)
+        assert str(refusal.value) == message
+
+
+def test_add_cells_checks_every_word_before_adding_any():
+    g = G.LabeledGraph()
+    g.add_node("tape-alphabet")
+    for words in (("one", "One"), ("one", ";"), ("", "Zero"), ("one", None)):
+        with pytest.raises(ValueError, match="illegal tape word"):
+            add_cells(g, words)
+        assert (g.node_count, g.arrow_count) == (1, 0)
+    own = g.add_node("stop")  # no refused mount ended the graph's own nodes
+    assert G.resolve(g, G.parse_path("stop")) == own
+
+
 def test_hyphenated_cells_allowed():
     assert parse_tape("tape-alphabet one-square") == ("tape-alphabet", "one-square")
 
