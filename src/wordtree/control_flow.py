@@ -74,19 +74,17 @@ def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     """Give every statement without a ';' successor a 'back' arrow.
 
     The arrow points at the statement's subordinator, or at the stop
-    node for the final statement of the program body. Returns the
-    number of arrows added.
+    node for the final statement of the program body. The arrows are
+    added by one ``LabeledGraph.extend`` call once every subordinator is
+    found, so a refusal adds none. Returns the number of arrows added.
     """
     g = tree.graph
     if g.arrows_labeled(BACK):
         raise ValueError("'back' arrows are already built")
-    added = 0
-    for node in points.statements:
-        if g.follow(node, "+", ";") is not None:
-            continue
-        g.add_arrow(node, BACK, _subordinator(g, node, stop), CONTROL)
-        added += 1
-    return added
+    srcs = [node for node in points.statements if g.follow(node, "+", ";") is None]
+    dsts = [_subordinator(g, node, stop) for node in srcs]
+    g.extend((), srcs, [BACK] * len(srcs), dsts, CONTROL)
+    return len(srcs)
 
 
 def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
@@ -101,7 +99,8 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     goto jumps to the statement risen to from its target label.
     Statements on a back chain send their outgoing flow to the
     continuation after the chain's subordinator, or to stop when the
-    chain ends the program.
+    chain ends the program. The arrows are staged and added by one
+    ``LabeledGraph.extend`` call at the end, so a refusal adds none.
     """
     g = tree.graph
     problems = _match(g, points.targets, points.gotos, LABEL_FINDINGS[:2])
@@ -113,11 +112,14 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     if overlap:
         raise ValueError(f"flow arrows are already built: {sorted(overlap)}")
 
-    counts = {NEXT: 0, YES: 0, NO: 0}
+    srcs: list[int] = []
+    words: list[str] = []
+    dsts: list[int] = []
 
     def put(src: int, label: str, dst: int) -> None:
-        g.add_arrow(src, label, dst, CONTROL)
-        counts[label] += 1
+        srcs.append(src)
+        words.append(label)
+        dsts.append(dst)
 
     first = g.follow(tree.root, "+", ";")
     if first is None:
@@ -171,7 +173,8 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
                 continue
             else:
                 put(member, NEXT, continuation)
-    return counts
+    g.extend((), srcs, words, dsts, CONTROL)
+    return {label: words.count(label) for label in (NEXT, YES, NO)}
 
 
 def check_reachability(tree: Tree, points: Points) -> list[Diagnostic]:

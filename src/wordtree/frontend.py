@@ -30,8 +30,27 @@ Sytr = Tree
 
 PUNCT_CHARS = ";{}.:,'"
 
-# Whitespace, then one token: a punctuation mark or a maximal word.
-_SCAN = re.compile(r"\s*([;{}.:,']|" + WORD.pattern + ")")
+# One token: a punctuation mark or a maximal word.
+_TOKEN = re.compile(r"[;{}.:,']|" + WORD.pattern)
+# Whitespace, then one token, whose offset is the group's start.
+_SCAN = re.compile(r"\s*(" + _TOKEN.pattern + ")")
+
+
+def _scan(text: str) -> tuple[list[int], int]:
+    """The offsets of the tokens that follow each other from the start of ``text``.
+
+    Each match must start where the previous one ended, so the scan
+    stops at the first character that is neither whitespace nor part of
+    a token. Returns the offsets and the end of the last match.
+    """
+    starts: list[int] = []
+    end = 0
+    for match in _SCAN.finditer(text):
+        if match.start() != end:
+            break
+        starts.append(match.start(1))
+        end = match.end()
+    return starts, end
 
 
 class IllegalCharacter(Exception):
@@ -69,20 +88,27 @@ class Token:
 class Tokens(Sequence[Token]):
     """The tokens of one source text, as ``lex`` returns them.
 
-    ``texts`` holds each token's text and ``starts`` its offset in
-    ``source``; the parser reads these lists directly. Indexing and
-    iteration build each ``Token`` on demand. Its line and column come
-    from a binary search over the offsets at which lines start, which
-    are found once, on the first such request.
+    ``texts`` holds each token's text; the parser reads it directly.
+    ``starts``, each token's offset in ``source``, is scanned on the
+    first request, so a text that parses finds no offsets at all.
+    Indexing and iteration build each ``Token`` on demand. Its line and
+    column come from a binary search over the offsets at which lines
+    start, which are found once, on the first such request.
     """
 
-    __slots__ = ("source", "texts", "starts", "_line_starts")
+    __slots__ = ("source", "texts", "_starts", "_line_starts")
 
-    def __init__(self, source: str, texts: list[str], starts: list[int]):
+    def __init__(self, source: str, texts: list[str]):
         self.source = source
         self.texts = texts
-        self.starts = starts
+        self._starts: Optional[list[int]] = None
         self._line_starts: Optional[list[int]] = None
+
+    @property
+    def starts(self) -> list[int]:
+        if self._starts is None:
+            self._starts = _scan(self.source)[0]
+        return self._starts
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -108,25 +134,20 @@ class Tokens(Sequence[Token]):
 def lex(text: str) -> Tokens:
     """Tokenize source text into maximal-munch words and punctuation marks.
 
-    One pass of one pattern: each match must start where the previous
-    one ended, so the first character no match covers, other than
-    whitespace, is illegal.
+    One ``findall`` of one pattern finds the tokens. It skips what no
+    token covers, so the text is legal exactly when the tokens' lengths
+    add up to the number of its characters other than whitespace
+    (tokens hold none, and ``str.split`` and the scan's ``\\s`` agree on
+    what whitespace is). Otherwise the offset scan behind
+    ``Tokens.starts`` finds the first character that is neither
+    whitespace nor part of a token, which is illegal.
     """
-    texts: list[str] = []
-    starts: list[int] = []
-    end = 0
-    for match in _SCAN.finditer(text):
-        if match.start() != end:
-            break
-        texts.append(match[1])
-        starts.append(match.start(1))
-        end = match.end()
-    tokens = Tokens(text, texts, starts)
-    rest = text[end:]
-    if rest and not rest.isspace():
-        offset = len(text) - len(rest.lstrip())
-        raise IllegalCharacter(text[offset], *tokens.position(offset))
-    return tokens
+    texts = _TOKEN.findall(text)
+    if sum(map(len, texts)) != sum(map(len, text.split())):
+        end = _scan(text)[1]
+        offset = len(text) - len(text[end:].lstrip())
+        raise IllegalCharacter(text[offset], *Tokens(text, texts).position(offset))
+    return Tokens(text, texts)
 
 
 # What the parser still owes a construct whose last statement or list it
@@ -144,17 +165,31 @@ class _Parser:
     of the program: no token is empty, so they match nothing, and the
     one-token lookahead for a statement label stays in range.
 
-    Nodes and arrows are added in the order a recursive descent adds
+    Nodes and arrows are staged in the order a recursive descent adds
     them: a node when its construct starts, an arrow to a statement or
     a statement list once that has been parsed. So nesting depth costs
-    heap, not stack.
+    heap, not stack. A node's id is its index in ``labels``, and
+    ``srcs``, ``words`` and ``dsts`` are the arrow columns that
+    ``LabeledGraph.extend`` takes once the program has parsed.
     """
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.texts = tokens.texts + ["", ""]
         self.pos = 0
-        self.g = LabeledGraph()
+        self.labels: list[str] = []
+        self.srcs: list[int] = []
+        self.words: list[str] = []
+        self.dsts: list[int] = []
+
+    def node(self, label: str) -> int:
+        self.labels.append(label)
+        return len(self.labels) - 1
+
+    def arrow(self, src: int, word: str, dst: int) -> None:
+        self.srcs.append(src)
+        self.words.append(word)
+        self.dsts.append(dst)
 
     def found(self) -> Optional[Token]:
         """The token at the parse position; None at the end of the program."""
@@ -174,30 +209,28 @@ class _Parser:
         return text
 
     def program(self) -> int:
-        g = self.g
         self.expect("tape-alphabet")
-        root = g.add_node("tape-alphabet")
+        root = self.node("tape-alphabet")
         self.expect("is")
-        prev = g.add_node(self.identifier())
-        g.add_arrow(root, "is", prev)
+        prev = self.node(self.identifier())
+        self.arrow(root, "is", prev)
         while self.texts[self.pos] == ",":
             self.pos += 1
-            node = g.add_node(self.identifier())
-            g.add_arrow(prev, ",", node)
+            node = self.node(self.identifier())
+            self.arrow(prev, ",", node)
             prev = node
         self.expect(";")
         first = self.statement_list()
-        g.add_arrow(root, ";", first)
+        self.arrow(root, ";", first)
         self.expect(".")
-        dot = g.add_node(".")
-        g.add_arrow(root, "", dot)
+        dot = self.node(".")
+        self.arrow(root, "", dot)
         if self.texts[self.pos]:
             raise ParseError("end of program", self.found())
         return root
 
     def statement_list(self) -> int:
         """Parse a statement list, nested ones included; return its first statement."""
-        g = self.g
         texts = self.texts
         pending: list[list] = [[_LIST, None, None]]  # a list: its first and last statement
         while True:
@@ -209,19 +242,19 @@ class _Parser:
             keyword = texts[self.pos]
             if keyword == "if":
                 self.pos += 1
-                node = g.add_node("if")
+                node = self.node("if")
                 self.expect("the-tape-symbol")
-                symbol = g.add_node("the-tape-symbol")
-                g.add_arrow(node, "", symbol)
+                symbol = self.node("the-tape-symbol")
+                self.arrow(node, "", symbol)
                 self.expect("is")
-                word = g.add_node(self.string())
-                g.add_arrow(symbol, "is", word)
+                word = self.node(self.string())
+                self.arrow(symbol, "is", word)
                 self.expect("then")
                 pending.append([_IF, node])
                 continue  # parse the subordinate statement
             if keyword == "{":
                 self.pos += 1
-                pending.append([_BLOCK, g.add_node("{")])
+                pending.append([_BLOCK, self.node("{")])
                 pending.append([_LIST, None, None])
                 continue  # parse the inner statement list
             done = self.simple_statement(keyword)
@@ -232,21 +265,21 @@ class _Parser:
                 if kind == _LABELS:
                     prev = done
                     for label in frame[1]:
-                        target = g.add_node(label)
-                        g.add_arrow(prev, ":", target)
+                        target = self.node(label)
+                        self.arrow(prev, ":", target)
                         prev = target
                 elif kind == _IF:
-                    g.add_arrow(frame[1], "then", done)
+                    self.arrow(frame[1], "then", done)
                     done = frame[1]
                 elif kind == _BLOCK:
                     self.expect("}")
-                    g.add_arrow(frame[1], "}", done)
+                    self.arrow(frame[1], "}", done)
                     done = frame[1]
                 else:
                     if frame[1] is None:
                         frame[1] = done
                     else:
-                        g.add_arrow(frame[2], ";", done)
+                        self.arrow(frame[2], ";", done)
                     frame[2] = done
                     if texts[self.pos] == ";":
                         self.pos += 1
@@ -258,32 +291,31 @@ class _Parser:
 
     def simple_statement(self, keyword: str) -> int:
         """A statement with no statement inside: go, print, move, or the empty one."""
-        g = self.g
         if keyword == "go":
             self.pos += 1
-            node = g.add_node("go")
+            node = self.node("go")
             self.expect("to")
-            target = g.add_node(self.identifier())
-            g.add_arrow(node, "to", target)
+            target = self.node(self.identifier())
+            self.arrow(node, "to", target)
             return node
         if keyword == "print":
             self.pos += 1
-            node = g.add_node("print")
-            word = g.add_node(self.string())
-            g.add_arrow(node, "'", word)
+            node = self.node("print")
+            word = self.node(self.string())
+            self.arrow(node, "'", word)
             return node
         if keyword == "move":
             self.pos += 1
-            node = g.add_node("move")
+            node = self.node("move")
             direction = self.texts[self.pos]
             if direction != "left" and direction != "right":
                 raise ParseError("'left' or 'right'", self.found())
             self.pos += 1
             self.expect("one-square")
-            square = g.add_node("one-square")
-            g.add_arrow(node, direction, square)
+            square = self.node("one-square")
+            self.arrow(node, direction, square)
             return node
-        return g.add_node("")
+        return self.node("")
 
     def string(self) -> str:
         self.expect("'")
@@ -296,7 +328,9 @@ def parse_program(tokens: Tokens) -> Sytr:
     """Parse the tokens ``lex`` returns into a canonical program tree."""
     parser = _Parser(tokens)
     root = parser.program()
-    return Sytr(parser.g, root)
+    g = LabeledGraph()
+    g.extend(parser.labels, parser.srcs, parser.words, parser.dsts)
+    return Sytr(g, root)
 
 
 def parse_text(text: str) -> Sytr:
@@ -309,13 +343,17 @@ def to_canonical(tree: Tree) -> Sytr:
 
     Trees grown directly from the schema keep printed and compared words
     wrapped in a quote node; the canonical encoding drops the wrapper.
-    The result is a fresh graph; the input is not modified. Nodes are
-    added before their children and each arrow after its child's
-    subtree, as a recursive walk would add them, but from an explicit
-    stack, so depth is not limited. A cycle is refused with ValueError.
+    The result is a fresh graph, built by one ``LabeledGraph.extend``
+    call; the input is not modified. Nodes are numbered before their
+    children and each arrow after its child's subtree, as a recursive
+    walk would add them, but from an explicit stack, so depth is not
+    limited. A cycle is refused with ValueError.
     """
     source = tree.graph
-    g = LabeledGraph()
+    labels: list[str] = []
+    srcs: list[int] = []
+    words: list[str] = []
+    dsts: list[int] = []
 
     def quote_target(node: int) -> Optional[int]:
         if source.node_label(node) != "'":
@@ -327,8 +365,8 @@ def to_canonical(tree: Tree) -> Sytr:
 
     # Each frame: the old node and its copy, the old node's arrows not yet
     # copied, and the node and label of the arrow that will enter the copy.
-    root = g.add_node(source.node_label(tree.root))
-    frames = [(tree.root, root, iter(source.out_arrows(tree.root)), None, None)]
+    labels.append(source.node_label(tree.root))
+    frames = [(tree.root, 0, iter(source.out_arrows(tree.root)), None, None)]
     on_path = {tree.root}
     while frames:
         old, new, arrows, parent, label = frames[-1]
@@ -342,15 +380,19 @@ def to_canonical(tree: Tree) -> Sytr:
             if child in on_path:
                 raise ValueError(f"node {child} lies on a cycle; not a tree")
             on_path.add(child)
-            copy = g.add_node(source.node_label(child))
-            frames.append((child, copy, iter(source.out_arrows(child)), new, child_label))
+            frames.append((child, len(labels), iter(source.out_arrows(child)), new, child_label))
+            labels.append(source.node_label(child))
             break
         else:
             frames.pop()
             on_path.discard(old)
             if parent is not None:
-                g.add_arrow(parent, label, new)
-    return Sytr(g, root)
+                srcs.append(parent)
+                words.append(label)
+                dsts.append(new)
+    g = LabeledGraph()
+    g.extend(labels, srcs, words, dsts)
+    return Sytr(g, 0)
 
 
 class _Renderer:

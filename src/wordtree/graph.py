@@ -9,6 +9,15 @@ formulas (textual navigation expressions with crash-on-ambiguity
 semantics), a small algebra of propositions and guarded actions, the
 uni-labeledness check, and deterministic JSON/DOT export.
 
+A graph is built by ``LabeledGraph.extend``, which takes a whole build
+as parallel columns: node labels, then the origins, labels and
+destinations of the arrows. It validates each distinct word once per
+build, refuses a bad build before touching the graph, and then fills
+each index in one loop. ``add_node`` and ``add_arrow`` are its
+one-element calls; the builders that know their graph up front (the
+parser, ``to_canonical``, the schema generator, the control-flow and
+declaration links, the tape) stage columns and call it once.
+
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
 (origin, label) index once. ``resolve`` walks a path formula's steps
@@ -27,7 +36,8 @@ import math
 import re
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from itertools import repeat
+from typing import Iterable, Optional, Sequence, Union
 
 PLA_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz-;{}.:,'")
 MLA_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
@@ -43,6 +53,9 @@ ARROW_KINDS = (SYNTACTIC, SEMANTIC, CONTROL, TAPE)
 WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
 # A word with no hyphen: bare in a path formula, a plain identifier in a program.
 BARE_WORD = re.compile(r"[a-z]+")
+
+# The out-arrow index of every node that no arrow leaves; never written.
+_NO_OUT: dict[str, int] = {}
 
 
 def is_pla_word(text: str) -> bool:
@@ -117,10 +130,11 @@ class LabeledGraph:
     arrows and each node's arrow ids are kept in lists indexed by id.
     A label is validated when it first enters the graph, that is, when
     the label index (nodes by label, arrows by label) has no key for it
-    yet; later uses of the same word are not checked again. Duplicate arrows (same
-    endpoints, same label) are allowed at this level; uni-labeledness is
-    a separate check so that violating graphs can be constructed and
-    reported.
+    yet; later uses of the same word are not checked again, and within
+    one ``extend`` each distinct word is checked once. A refused build
+    leaves the graph untouched. Duplicate arrows (same endpoints, same
+    label) are allowed at this level; uni-labeledness is a separate
+    check so that violating graphs can be constructed and reported.
 
     Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
     alone, so a label a node repeats always means several arrows. Kinds
@@ -132,8 +146,9 @@ class LabeledGraph:
     the overflow map holds the ids of any later ones, which only a
     graph that is not uni-labeled has. Each dict lists the node's
     first arrows in id order, since labels enter it as their first
-    arrows are added. Origins and labels never change, so only
-    ``add_arrow`` updates the index. A node's out-arrows and in-arrows
+    arrows are added; all nodes that no arrow leaves share one empty
+    dict, which is never written. Origins and labels never change, so
+    only ``extend`` updates the index. A node's out-arrows and in-arrows
     are both listed in id order, also after ``set_arrow_dst`` moves an
     arrow.
 
@@ -156,40 +171,96 @@ class LabeledGraph:
 
     # -- construction ------------------------------------------------
 
+    def extend(
+        self,
+        labels: Sequence[str],
+        srcs: Sequence[int] = (),
+        words: Sequence[str] = (),
+        dsts: Sequence[int] = (),
+        kind: str = SYNTACTIC,
+    ) -> None:
+        """Add a node per label, then an arrow per column entry, all of ``kind``.
+
+        The arrow columns ``srcs``, ``words`` and ``dsts`` are parallel.
+        Nodes get the next ids in the order of ``labels``, then arrows
+        in column order, so an arrow may end at a node of the same call.
+        Each distinct word the label index does not hold yet is
+        validated once, and the end ranges are checked by their least
+        and greatest ids. A refused build raises the ValueError that
+        adding its elements one at a time would raise first, nodes
+        before arrows, and leaves the graph untouched.
+        """
+        if not len(srcs) == len(words) == len(dsts):
+            raise ValueError("the arrow columns differ in length")
+        nodes = self._nodes
+        first_node = len(nodes)
+        node_count = first_node + len(labels)
+        if labels:
+            by_label = self._by_label
+            new_labels = set(labels).difference(by_label)
+            bad = [w for w in new_labels if not (is_pla_word(w) or is_mla_word(w))]
+            if bad:
+                first_bad = next(w for w in labels if w in bad)
+                raise ValueError(
+                    f"node label {first_bad!r} is neither a PLA word nor an MLA word"
+                )
+        if words:
+            new_words = set(words).difference(self._arrows_by_label)
+            bad = [w for w in new_words if not is_pla_word(w)]
+            if (
+                bad
+                or kind not in ARROW_KINDS
+                or not 0 <= min(srcs) <= max(srcs) < node_count
+                or not 0 <= min(dsts) <= max(dsts) < node_count
+            ):
+                for src, word, dst in zip(srcs, words, dsts):
+                    if not 0 <= src < node_count:
+                        raise ValueError(f"arrow origin {src} is not a node of this graph")
+                    if not 0 <= dst < node_count:
+                        raise ValueError(f"arrow destination {dst} is not a node of this graph")
+                    if word in bad:
+                        raise ValueError(f"arrow label {word!r} is not a PLA word")
+                    if kind not in ARROW_KINDS:
+                        raise ValueError(f"unknown arrow kind {kind!r}")
+
+        if labels:
+            nodes += labels
+            self._in += [[] for _ in labels]
+            self._out += [_NO_OUT] * len(labels)
+            for word in new_labels:
+                by_label[word] = set()
+            for node, label in zip(range(first_node, node_count), labels):
+                by_label[label].add(node)
+        if words:
+            arrows = self._arrows
+            # One int object per id, shared by every index that holds the id.
+            arrow_ids = list(range(len(arrows), len(arrows) + len(words)))
+            arrows += map(Arrow, srcs, words, dsts, repeat(kind))
+            ins = self._in
+            outs = self._out
+            by_word = self._arrows_by_label
+            for word in new_words:
+                by_word[word] = []
+            more = self._out_more
+            for arrow_id, src, word, dst in zip(arrow_ids, srcs, words, dsts):
+                ins[dst].append(arrow_id)
+                by_word[word].append(arrow_id)
+                firsts = outs[src]
+                if firsts is _NO_OUT:
+                    firsts = outs[src] = {}
+                if firsts.setdefault(word, arrow_id) != arrow_id:
+                    more.setdefault((src, word), []).append(arrow_id)
+
     def add_node(self, label: str) -> int:
         """Add a node labeled by a PLA word, or by an MLA word (auxiliary node)."""
-        same_label = self._by_label.get(label)
-        if same_label is None:
-            if not (is_pla_word(label) or is_mla_word(label)):
-                raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
-            same_label = self._by_label[label] = set()
         node = len(self._nodes)
-        self._nodes.append(label)
-        self._out.append({})
-        self._in.append([])
-        same_label.add(node)
+        self.extend((label,))
         return node
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:
         """Add an arrow from ``src`` to ``dst``. The label must be a PLA word."""
-        nodes = len(self._nodes)
-        if not 0 <= src < nodes:
-            raise ValueError(f"arrow origin {src} is not a node of this graph")
-        if not 0 <= dst < nodes:
-            raise ValueError(f"arrow destination {dst} is not a node of this graph")
-        same_label = self._arrows_by_label.get(label)
-        if same_label is None and not is_pla_word(label):
-            raise ValueError(f"arrow label {label!r} is not a PLA word")
-        if kind not in ARROW_KINDS:
-            raise ValueError(f"unknown arrow kind {kind!r}")
-        if same_label is None:
-            same_label = self._arrows_by_label[label] = []
         arrow_id = len(self._arrows)
-        self._arrows.append(Arrow(src, label, dst, kind))
-        self._in[dst].append(arrow_id)
-        same_label.append(arrow_id)
-        if self._out[src].setdefault(label, arrow_id) != arrow_id:
-            self._out_more.setdefault((src, label), []).append(arrow_id)
+        self.extend((), (src,), (label,), (dst,), kind)
         return arrow_id
 
     # -- mutation ----------------------------------------------------
@@ -350,7 +421,7 @@ class LabeledGraph:
         dup = LabeledGraph()
         dup._nodes = list(self._nodes)
         dup._arrows = [Arrow(a.src, a.label, a.dst, a.kind) for a in self._arrows]
-        dup._out = [dict(firsts) for firsts in self._out]
+        dup._out = [dict(firsts) if firsts else _NO_OUT for firsts in self._out]
         dup._in = [list(ids) for ids in self._in]
         dup._by_label = {w: set(ns) for w, ns in self._by_label.items()}
         dup._arrows_by_label = {w: list(ids) for w, ids in self._arrows_by_label.items()}

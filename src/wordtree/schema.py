@@ -646,12 +646,16 @@ def expansions(schema: Schema, name: str, word_source: Optional[random.Random] =
     node = schema.node(name)
     result = []
     for root_label, taken in _choices(schema, name):
+        root_word = root_label or _instantiate(node.label, word_source)
+        words = [_instantiate(arrow.label, word_source) for arrow in taken]
         g = LabeledGraph()
-        root = g.add_node(root_label or _instantiate(node.label, word_source))
-        for arrow in taken:
-            child = g.add_node(arrow.dst)
-            g.add_arrow(root, _instantiate(arrow.label, word_source), child)
-        result.append(Tree(g, root))
+        g.extend(
+            [root_word] + [arrow.dst for arrow in taken],
+            [0] * len(taken),
+            words,
+            range(1, len(taken) + 1),
+        )
+        result.append(Tree(g, 0))
     return result
 
 
@@ -673,9 +677,10 @@ def generate_sytr(
     The expansion is drawn by rank from the name's count table in the
     schema's report, so a name with k optional AND arrows costs O(k) per
     draw, not 2**k; the draws are those of picking uniformly from the
-    list of fitting expansions in ``_choices`` order. Labels and arrows
-    are recorded in id order as they are drawn, and the graph is built,
-    and every label validated, once the tree is complete.
+    list of fitting expansions in ``_choices`` order. Labels and the
+    arrow columns are recorded in id order as they are drawn, and one
+    ``LabeledGraph.extend`` call builds the graph, validating each
+    distinct word once, when the tree is complete.
     """
     report = analyze(schema)
     if not report.uni_labeled:
@@ -686,7 +691,9 @@ def generate_sytr(
     for table in tables.values():
         table.cover(node_budget)
     labels = [schema.node(root_name).name]  # by node id; a schema name until expanded
-    arrows: list[tuple[int, str, int]] = []
+    srcs: list[int] = []
+    words: list[str] = []
+    dsts: list[int] = []
     pending: deque[int] = deque([0])
     reserve = sizes[root_name] - 1
     while pending:
@@ -709,14 +716,13 @@ def generate_sytr(
         for dst, label, reserved in taken:
             child = len(labels)
             labels.append(dst)
-            arrows.append((current, label.sample(rng), child))
+            srcs.append(current)
+            words.append(label.sample(rng))
+            dsts.append(child)
             pending.append(child)
             reserve += reserved
     g = LabeledGraph()
-    for label in labels:
-        g.add_node(label)
-    for src, label, dst in arrows:
-        g.add_arrow(src, label, dst)
+    g.extend(labels, srcs, words, dsts)
     return Tree(g, 0)
 
 

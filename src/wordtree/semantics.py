@@ -272,7 +272,8 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
     """Add a semantic 'is-declared-at' arrow from each usage to its declaration.
 
     Points at the first declaration of the word, skips usages that are
-    already linked, and returns the number of arrows added. Refuses,
+    already linked, adds the arrows with one ``LabeledGraph.extend``
+    call, and returns the number of arrows added. Refuses,
     before adding any arrow, while some usage has no declaration at all,
     listing the AW2 findings ``check_alphabet`` reports.
     """
@@ -293,13 +294,12 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
             + "; ".join(str(d) for d in undeclared)
         )
 
-    added = 0
-    for usage in points.usages:
-        if g.ends(usage, "+", DECLARED_AT):
-            continue
-        g.add_arrow(usage, DECLARED_AT, first_decl[g.node_label(usage)], SEMANTIC)
-        added += 1
-    return added
+    srcs = [
+        usage for usage in dict.fromkeys(points.usages) if not g.ends(usage, "+", DECLARED_AT)
+    ]
+    dsts = [first_decl[g.node_label(usage)] for usage in srcs]
+    g.extend((), srcs, [DECLARED_AT] * len(srcs), dsts, SEMANTIC)
+    return len(srcs)
 
 
 def check_labels(tree: Tree, points: Points) -> list[Diagnostic]:

@@ -47,14 +47,14 @@ def add_cells(g: LabeledGraph, words: Sequence[str]) -> list[int]:
     Refuses a word that is neither a ``WORD`` nor empty before touching
     ``g``. Then ends ``g``'s own nodes (``LabeledGraph.end_own_nodes``),
     so the cells count as mounted. Returns the cells left to right.
-    Nodes and arrows get the next ids of ``g`` in the order the words
-    come.
+    One ``LabeledGraph.extend`` call adds them, so nodes and arrows get
+    the next ids of ``g`` in the order the words come.
     """
     _require_words(words, "word")
     g.end_own_nodes()
-    cells = [g.add_node(word) for word in words]
-    for left, right in zip(cells, cells[1:]):
-        g.add_arrow(left, "", right, TAPE)
+    first = g.node_count
+    cells = list(range(first, first + len(words)))
+    g.extend(words, cells[:-1], [""] * (len(cells) - 1), cells[1:], TAPE)
     return cells
 
 

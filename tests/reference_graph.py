@@ -1,13 +1,61 @@
-"""Reference fingerprint of a labeled tree, for tests that compare trees.
+"""Reference graph code for the kernel tests.
 
-``canonical_form`` once lived in ``wordtree.graph``; nothing in the
-library calls it, so it is kept here, where the tests that compare
-trees up to isomorphism use it.
+``canonical_form``, a fingerprint of a labeled tree, once lived in
+``wordtree.graph``; nothing in the library calls it, so it is kept
+here, where the tests that compare trees up to isomorphism use it.
+
+``PerCallGraph`` keeps the validated one-element ``add_node`` and
+``add_arrow`` that ``LabeledGraph.extend`` replaced, as the oracle the
+bulk build is compared with.
 """
 
 from __future__ import annotations
 
-from wordtree.graph import LabeledGraph
+from wordtree.graph import ARROW_KINDS, SYNTACTIC, Arrow, LabeledGraph, is_mla_word, is_pla_word
+
+
+class PerCallGraph(LabeledGraph):
+    """A labeled graph built one validated node or arrow per call."""
+
+    def add_node(self, label: str) -> int:
+        same_label = self._by_label.get(label)
+        if same_label is None:
+            if not (is_pla_word(label) or is_mla_word(label)):
+                raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
+            same_label = self._by_label[label] = set()
+        node = len(self._nodes)
+        self._nodes.append(label)
+        self._out.append({})
+        self._in.append([])
+        same_label.add(node)
+        return node
+
+    def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:
+        nodes = len(self._nodes)
+        if not 0 <= src < nodes:
+            raise ValueError(f"arrow origin {src} is not a node of this graph")
+        if not 0 <= dst < nodes:
+            raise ValueError(f"arrow destination {dst} is not a node of this graph")
+        same_label = self._arrows_by_label.get(label)
+        if same_label is None and not is_pla_word(label):
+            raise ValueError(f"arrow label {label!r} is not a PLA word")
+        if kind not in ARROW_KINDS:
+            raise ValueError(f"unknown arrow kind {kind!r}")
+        if same_label is None:
+            same_label = self._arrows_by_label[label] = []
+        arrow_id = len(self._arrows)
+        self._arrows.append(Arrow(src, label, dst, kind))
+        self._in[dst].append(arrow_id)
+        same_label.append(arrow_id)
+        if self._out[src].setdefault(label, arrow_id) != arrow_id:
+            self._out_more.setdefault((src, label), []).append(arrow_id)
+        return arrow_id
+
+    def extend(self, labels, srcs=(), words=(), dsts=(), kind=SYNTACTIC) -> None:
+        for label in labels:
+            self.add_node(label)
+        for src, word, dst in zip(srcs, words, dsts):
+            self.add_arrow(src, word, dst, kind)
 
 
 def canonical_form(g: LabeledGraph, root: int):

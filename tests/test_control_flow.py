@@ -1,5 +1,6 @@
 """Stop node, back arrows, flow arrow construction, and flow checks."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -20,7 +21,7 @@ from wordtree.control_flow import (
     check_next_acyclic,
     check_reachability,
 )
-from wordtree.frontend import parse_text, to_canonical
+from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.graph import (
     CONTROL,
     LabeledGraph,
@@ -445,3 +446,26 @@ class TestGeneratedPrograms:
                     assert flow == [NEXT]
             built += 1
         assert built >= 10
+
+
+# For seeds 0 to 49, the program ``generate_sytr`` grows from P, rendered
+# to text: the node and arrow counts of its checked graph and the sha256
+# of that graph's ``export_json``, as the builders that added one node
+# or arrow per call produced them.
+SCHEMA_FLOWS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "schema_flows.json").read_text()
+)
+
+
+def test_checked_schema_programs_match_their_golden_graphs():
+    schema = turingol_schema()
+    found = {}
+    for seed in range(50):
+        text = render_program(to_canonical(generate_sytr(schema, "P", random.Random(seed))))
+        g = check_program(text).tree.graph
+        found[str(seed)] = {
+            "nodes": g.node_count,
+            "arrows": g.arrow_count,
+            "sha256": hashlib.sha256(export_json(g).encode()).hexdigest(),
+        }
+    assert found == SCHEMA_FLOWS

@@ -254,19 +254,32 @@ class TestInitialize:
 
     @pytest.mark.parametrize("cells", [1, 2, 7, 300])
     def test_mount_adds_each_cell_and_arrow_once(self, monkeypatch, increment_parts, cells):
-        """n cells take n add_node and n add_arrow calls: n - 1 chain arrows plus 'tape'."""
+        """n cells add n nodes and n arrows, n - 1 chain arrows plus 'tape', and walk nothing.
+
+        Every node and arrow enters a graph through ``extend``; the cells
+        and their chain take one call and the 'tape' arrow another.
+        """
         tree, _, instructions = increment_parts
         calls = Counter()
-        for name in ("add_node", "add_arrow", "chain", "follow", "ends"):
+        for name in ("chain", "follow", "ends"):
 
             def counted(self, *args, _name=name, _original=getattr(LabeledGraph, name)):
                 calls[_name] += 1
                 return _original(self, *args)
 
             monkeypatch.setattr(LabeledGraph, name, counted)
+        extend = LabeledGraph.extend
+
+        def counted_extend(self, labels, srcs=(), words=(), dsts=(), kind=SYNTACTIC):
+            calls["extend"] += 1
+            calls["nodes"] += len(labels)
+            calls["arrows"] += len(words)
+            return extend(self, labels, srcs, words, dsts, kind)
+
+        monkeypatch.setattr(LabeledGraph, "extend", counted_extend)
         initialize(tree, parse_tape(" ".join(["one"] * cells)), "last", instructions)
         monkeypatch.undo()
-        assert calls == Counter(add_node=cells, add_arrow=cells)
+        assert calls == Counter(extend=2, nodes=cells, arrows=cells)
 
     @given(st.data())
     @settings(deadline=None)

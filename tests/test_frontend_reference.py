@@ -29,7 +29,10 @@ from wordtree.pipeline import check_program
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
-WHITESPACE = " \t\r\x0b\x0c  \n"
+# Whitespace as ``str.isspace`` and the pattern ``\s`` agree on it: the
+# no-break space, the line separator, the information separators, NEL
+# and the ideographic space count.
+WHITESPACE = " \t\r\x0b\x0c\xa0\u2028\n\x1c\x1d\x1e\x1f\x85\u3000"
 PUNCT = list(";{}.:,'")
 KEYWORDS = ["tape-alphabet", "is", "go", "to", "print", "if", "the-tape-symbol",
             "then", "move", "left", "right", "one-square"]
@@ -53,7 +56,8 @@ def parsed(parse, text):
 source_texts = st.lists(
     st.one_of(
         st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT),
-        st.text(alphabet="abcz-;{}.:,'" + WHITESPACE + "A7", max_size=6),
+        st.text(alphabet="abcz-;{}.:,'" + WHITESPACE + "A7\x00", max_size=6),
+        st.text(alphabet="-", min_size=1, max_size=3),
     ),
     max_size=20,
 ).map("".join)
@@ -66,6 +70,10 @@ source_texts = st.lists(
 @example("-x")
 @example("go to\n  carry;\r\n  x-\n")
 @example("a  \n\x0c\n  7")
+@example("a-")
+@example("-a")
+@example("go to x;  \t\n\x85 \u3000\n  $")
+@example("print\x1c'a'\x1f\x00")
 def test_lex_matches_reference(text):
     assert lexed(lex, text) == lexed(reference.lex, text)
 
@@ -154,6 +162,18 @@ token_soups = st.lists(st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT), max_size
 @example("tape-alphabet")
 @example("")
 def test_parse_matches_reference(text):
+    assert parsed(parse_text, text) == parsed(reference.parse_text, text)
+
+
+def test_parse_error_on_line_two_thousand():
+    """A long text that lexes cleanly has its ParseError placed as the reference places it."""
+    text = "tape-alphabet is a;\n" + "print 'a';\n" * 1998 + "  go   carry.\n"
+    with pytest.raises(ParseError) as refusal:
+        parse_text(text)
+    token = refusal.value.token
+    expected = reference.lex(text)[-2]
+    assert (token.text, token.line, token.column) == (expected.text, expected.line, expected.column)
+    assert (token.line, token.column) == (2000, 8)
     assert parsed(parse_text, text) == parsed(reference.parse_text, text)
 
 
