@@ -24,13 +24,7 @@ from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import (
-    STATEMENT,
-    classify,
-    label_points,
-    w_declaration_points,
-    w_usage_points,
-)
+from wordtree.semantics import STATEMENT, classify, find_points
 from wordtree.tape import parse_tape
 
 INCREMENT = Path(__file__).resolve().parent.parent / "programs" / "increment.tgl"
@@ -69,31 +63,32 @@ def repair(tree, rng):
     """
     g = tree.graph
     classes = classify(tree)
+    # The relabels below change labels, not structure, so the points hold.
+    points = find_points(tree, classes)
 
     seen = set()
-    for node in w_declaration_points(tree):
+    for node in points.declarations:
         if g.node_label(node) in seen:
             g.set_node_label(node, fresh_word(rng, seen))
         seen.add(g.node_label(node))
     declared = sorted(seen)
 
-    for usage in w_usage_points(tree, classes):
+    for usage in points.usages:
         if g.node_label(usage) not in declared:
             g.set_node_label(usage, rng.choice(declared))
 
-    targets, usages = label_points(tree, classes)
     words = set()
-    for target in targets:
+    for target in points.targets:
         if g.node_label(target) in words:
             g.set_node_label(target, fresh_word(rng, words | seen))
         words.add(g.node_label(target))
 
     rises = {
         g.node_label(target): g.chain(target, "-", ":")[-1]
-        for target in targets
+        for target in points.targets
     }
 
-    for usage in usages:
+    for usage in points.gotos:
         if g.node_label(usage) in rises:
             continue
         owner = g.ends(usage, "-", "to")[0]

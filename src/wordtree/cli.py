@@ -85,7 +85,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace == "text":
         outcome = run(state, args.max_steps, lambda entry: print(trace_line(entry)))
     elif args.trace == "json":
-        # Rows stream out as they come; the output equals trace_json's.
+        # Rows stream out as they come and form one JSON list;
+        # tests/test_cli.py TestRun.test_streamed_trace_matches_collected pins it.
         opening = "["
 
         def print_row(entry) -> None:

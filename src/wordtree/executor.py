@@ -25,7 +25,6 @@ receives each entry as it is produced; only then is the tape rendered.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -144,7 +143,7 @@ class ExecState:
     def last_tape(self) -> Optional[str]:
         """The tape text the next traced step compares its tape against."""
         if self._shown is _STALE:
-            self._shown = _tape_text(self.tree.graph)
+            self._shown = final_tape(self)
         return self._shown
 
 
@@ -278,17 +277,10 @@ def initialize(
     return ExecState(tree, dict(instructions), tree.root, cautious)
 
 
-def _tape_text(g) -> Optional[str]:
-    hits = g.arrows_labeled(TAPE_ARROW)
-    if len(hits) != 1:
-        return None
-    return chain_text(g, hits[0][1].dst)
-
-
 def _record(state: ExecState, node: int, label: str, phrase: str, on_step) -> None:
     """Hand the step's entry over, with the tape text if the step changed it."""
     snapshot = None
-    text = _tape_text(state.tree.graph)
+    text = final_tape(state)
     if text is not None and text != state.last_tape:
         snapshot = text
         state._shown = text
@@ -390,7 +382,11 @@ def run(state: ExecState, max_steps: int = 10_000, on_step: OnStep = None) -> Ru
 
 def final_tape(state: ExecState) -> Optional[str]:
     """The tape text after a run, or None if no tape arrow survives."""
-    return _tape_text(state.tree.graph)
+    g = state.tree.graph
+    hits = g.arrows_labeled(TAPE_ARROW)
+    if len(hits) != 1:
+        return None
+    return chain_text(g, hits[0][1].dst)
 
 
 def trace_line(entry: TraceEntry) -> str:
@@ -407,12 +403,3 @@ def trace_row(entry: TraceEntry) -> dict:
         "direction": entry.direction,
         "tape": entry.tape,
     }
-
-
-def trace_text(trace: list[TraceEntry]) -> str:
-    """Line-oriented trace: step number, node label, direction phrase."""
-    return "\n".join(trace_line(entry) for entry in trace)
-
-
-def trace_json(trace: list[TraceEntry]) -> str:
-    return json.dumps([trace_row(entry) for entry in trace])

@@ -880,43 +880,12 @@ def check_uni_labeled(
     return violations
 
 
-def elementary_cycles(successors: dict) -> list[tuple]:
-    """All elementary directed cycles of a finite successor map.
-
-    Nodes must be mutually comparable; each cycle is emitted exactly
-    once, rotated to start at its least node, in lexicographic order.
-    """
-    nodes = set(successors)
-    for dsts in successors.values():
-        nodes.update(dsts)
-    order = sorted(nodes)
-    rank = {node: i for i, node in enumerate(order)}
-    cycles: list[tuple] = []
-
-    def search(start, node, path: list, on_path: set) -> None:
-        for nxt in sorted(successors.get(node, ())):
-            if rank[nxt] < rank[start] or nxt in on_path:
-                continue
-            if nxt == start:
-                cycles.append(tuple(path))
-                continue
-            on_path.add(nxt)
-            path.append(nxt)
-            search(start, nxt, path, on_path)
-            path.pop()
-            on_path.remove(nxt)
-
-    for start in order:
-        search(start, start, [start], set())
-    return cycles
-
-
 def functional_cycles(successor: dict) -> list[tuple]:
     """The cycles of a successor map in which each node has at most one successor.
 
-    Gives what ``elementary_cycles`` gives for ``{n: {successor[n]}}``,
-    in time linear in the map's size, since each node is walked once:
-    cycles rotated to start at their least node, in sorted order.
+    Each node is walked once, so this takes time linear in the map's size.
+    The cycles come rotated to start at their least node, in sorted order:
+    the elementary cycles of ``{n: {successor[n]}}``.
     """
     walk_of: dict = {}
     cycles: list[tuple] = []

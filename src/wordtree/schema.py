@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .graph import LabeledGraph, Tree, is_mla_word, is_pla_word
-from .graph import elementary_cycles as graph_cycles
 
 ATOMIC = "atomic"
 AND_NODE = "and"
@@ -344,25 +343,6 @@ def _successors(schema: Schema) -> dict[str, set[str]]:
     return succ
 
 
-def elementary_cycles(schema: Schema) -> list[tuple[str, ...]]:
-    """All elementary directed cycles, each rotated to start at its least name."""
-    return graph_cycles(_successors(schema))
-
-
-def _cycle_steps(cycle: tuple[str, ...]) -> list[tuple[str, str]]:
-    return [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-
-
-def or_bearing_cycles(schema: Schema) -> list[tuple[str, ...]]:
-    """Elementary cycles that traverse at least one OR arrow."""
-    or_pairs = {(o.src, o.dst) for o in schema.or_arrows()}
-    return [
-        cycle
-        for cycle in elementary_cycles(schema)
-        if any(step in or_pairs for step in _cycle_steps(cycle))
-    ]
-
-
 def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
     """AND-cycle condition: every OR-bearing cycle passes through an AND node.
 
@@ -463,7 +443,10 @@ def propagate_pairs(schema: Schema) -> PairReport:
 class CountTable:
     """How many one-step expansions of one name fit a budget, for drawing one by rank.
 
-    ``roots`` lists the OR choices of ``_choices``, or None for a name
+    The expansions are ranked in a fixed order: OR choices in declaration
+    order, and per choice the masks over the optional AND arrows counted
+    up from 0. ``_choices`` in ``tests/reference_schema.py`` lists them in
+    that order. ``roots`` lists the OR choices, or None for a name
     without one, and ``growths`` the nodes each choice and the mandatory
     AND arrows add at least. ``ands`` holds each AND arrow's target, label
     pattern and the nodes it reserves beyond the child itself, and ``bits``
@@ -499,7 +482,7 @@ class CountTable:
     def draw(self, rng: random.Random, room: int):
         """The drawn expansion, with at most ``room`` nodes of growth, as (OR choice
         or None, AND arrows taken); None when no expansion fits. The draw is one
-        ``rng.randrange`` over the fitting expansions in ``_choices`` order: the
+        ``rng.randrange`` over the fitting expansions in the rank order: the
         choice is found by subtracting per-choice counts, and the optional arrows
         taken by unranking the mask from its highest bit down."""
         rows, weights = self.rows, self.weights
@@ -621,44 +604,6 @@ def uni_labeled_family(schema: Schema) -> bool:
     return analyze(schema).uni_labeled
 
 
-def _instantiate(spec: RegexSpec, rng: Optional[random.Random]) -> str:
-    return spec.placeholder() if rng is None else spec.sample(rng)
-
-
-def _choices(schema: Schema, name: str) -> Iterator[tuple[Optional[str], list[AndArrow]]]:
-    """Each one-step expansion of ``name`` as (OR choice or None, AND arrows taken), in a
-    fixed order: OR choices in declaration order, and per choice the masks over the
-    optional AND arrows counted up from 0. Generation draws by rank in this order
-    without listing it (``CountTable.draw``), so a seed fixes the grown tree."""
-    ands = schema.and_arrows(src=name)
-    optional = [i for i, a in enumerate(ands) if a.optional]
-    for root_label in schema.or_targets(name) or [None]:
-        for mask in range(1 << len(optional)):
-            dropped = {i for bit, i in enumerate(optional) if not mask >> bit & 1}
-            yield root_label, [a for i, a in enumerate(ands) if i not in dropped]
-
-
-def expansions(schema: Schema, name: str, word_source: Optional[random.Random] = None) -> list[Tree]:
-    """All one-step expansions of ``name``: each OR choice crossed with
-    each subset of optional AND arrows. Open label patterns are filled by
-    ``word_source`` when given and by fixed placeholder words otherwise,
-    so the list's length counts structure, not wordings."""
-    node = schema.node(name)
-    result = []
-    for root_label, taken in _choices(schema, name):
-        root_word = root_label or _instantiate(node.label, word_source)
-        words = [_instantiate(arrow.label, word_source) for arrow in taken]
-        g = LabeledGraph()
-        g.extend(
-            [root_word] + [arrow.dst for arrow in taken],
-            [0] * len(taken),
-            words,
-            range(1, len(taken) + 1),
-        )
-        result.append(Tree(g, 0))
-    return result
-
-
 def generate_sytr(
     schema: Schema,
     root_name: str,
@@ -677,7 +622,8 @@ def generate_sytr(
     The expansion is drawn by rank from the name's count table in the
     schema's report, so a name with k optional AND arrows costs O(k) per
     draw, not 2**k; the draws are those of picking uniformly from the
-    list of fitting expansions in ``_choices`` order. Labels and the
+    list of fitting expansions in the order of ``CountTable``, which the
+    reference generator in ``tests/reference_schema.py`` lists. Labels and the
     arrow columns are recorded in id order as they are drawn, and one
     ``LabeledGraph.extend`` call builds the graph, validating each
     distinct word once, when the tree is complete.

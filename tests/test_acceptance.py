@@ -33,10 +33,8 @@ from wordtree.pipeline import check_program, execute_program, make_executable
 from wordtree.schema import (
     Literal,
     check_and_condition,
-    expansions,
     export_grammar,
     generate_sytr,
-    or_bearing_cycles,
     propagate_pairs,
     turingol_schema,
     uni_labeled_family,
@@ -45,6 +43,7 @@ from wordtree.semantics import STATEMENT
 from wordtree.tape import parse_tape
 
 from fail_safety import random_start, random_tape, repair, tape_vocabulary
+from reference_schema import expansions, or_bearing_cycles
 
 ORACLE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "expected_runs.json").read_text()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wordtree import cli as cli_module
 from wordtree import schema as schema_module
 from wordtree.cli import main
-from wordtree.executor import final_tape, initialize, run, trace_json, trace_text
+from wordtree.executor import final_tape, initialize, run, trace_line, trace_row
 from wordtree.frontend import parse_text
 from wordtree.graph import SEMANTIC, SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
@@ -53,8 +53,10 @@ def collected_output(program_text, tape, start, cautious, trace_format) -> str:
     )
     entries = []
     outcome = run(state, on_step=entries.append)
-    render = trace_text if trace_format == "text" else trace_json
-    lines = [render(entries)]
+    if trace_format == "text":
+        lines = ["\n".join(map(trace_line, entries))]
+    else:
+        lines = [json.dumps(list(map(trace_row, entries)))]
     tape_line = final_tape(state)
     if tape_line is not None:
         lines.append(tape_line)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_schema import elementary_cycles
 from wordtree.control_flow import (
     BACK,
     FLOW_LABELS,
@@ -26,7 +27,6 @@ from wordtree.graph import (
     CONTROL,
     LabeledGraph,
     Tree,
-    elementary_cycles,
     export_json,
     functional_cycles,
 )

@@ -40,8 +40,8 @@ from wordtree.executor import (
     install_instructions,
     run,
     step,
-    trace_json,
-    trace_text,
+    trace_line,
+    trace_row,
 )
 from wordtree.frontend import parse_text
 from wordtree.graph import (
@@ -646,14 +646,14 @@ class TestTracing:
 class TestTraceFormats:
     def test_text_lines(self, increment_text):
         _, trace, _, _, _ = execute(increment_text, "one one", "last")
-        lines = trace_text(trace).split("\n")
+        lines = [trace_line(entry) for entry in trace]
         assert len(lines) == 18
         assert lines[0] == "1 \"tape-alphabet\" follow the 'next' arrow"
         assert lines[-1] == "18 'stop' stop"
 
     def test_json_round_trip(self, increment_text):
         result, trace, _, _, _ = execute(increment_text, "zero", "last")
-        rows = json.loads(trace_json(trace))
+        rows = json.loads(json.dumps(list(map(trace_row, trace))))
         assert len(rows) == result.steps
         assert rows[0]["label"] == "tape-alphabet"
         assert rows[0]["tape"] is None

