@@ -6,14 +6,16 @@ Prints the exported grammar, each node's class, the findings of
 propagated label pairs per node, each node's count of one-step
 expansions, and the verdict.
 Defaults to the built-in Turingol schema; pass --schema to analyze a
-schema stored as JSON.
+schema stored as JSON. A file that cannot be read, a refused one and a
+schema without numbering print the one-line refusal that
+`wordtree schema grammar` prints, and the script exits with 1.
 """
 
 import argparse
 import sys
-from pathlib import Path
 
-from wordtree.schema import analyze, export_grammar, schema_from_json, turingol_schema
+from wordtree.cli import Refusal, grammar_text, load_schema
+from wordtree.schema import analyze
 
 
 def main() -> int:
@@ -21,15 +23,16 @@ def main() -> int:
     parser.add_argument("--schema", help="path to a schema JSON file")
     args = parser.parse_args()
 
-    schema = (
-        schema_from_json(Path(args.schema).read_text())
-        if args.schema
-        else turingol_schema()
-    )
+    try:
+        schema = load_schema(args.schema)
+        grammar = grammar_text(schema)
+    except Refusal as refusal:
+        print(refusal, file=sys.stderr)
+        return 1
 
     print("grammar")
     print("-------")
-    print(export_grammar(schema))
+    print(grammar)
     print()
 
     report = analyze(schema)

@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_line, trace_row
 from .frontend import IllegalCharacter, ParseError, parse_text, render_program, to_canonical
@@ -24,6 +25,7 @@ from .graph import export
 from .pipeline import check_program, make_executable
 from .schema import (
     BudgetExceeded,
+    Schema,
     SchemaFileError,
     analyze,
     export_grammar,
@@ -35,10 +37,12 @@ from .semantics import classify, find_points, link_is_declared_at
 from .tape import parse_tape
 
 
-class _Refusal(Exception):
+class Refusal(Exception):
     """A problem with the input; ``main`` prints it to stderr and exits with 1.
 
-    ``main`` treats syntax errors in the program text the same way.
+    ``main`` treats syntax errors in the program text the same way, and
+    ``scripts/schema_report.py`` prints the refusals of ``load_schema``
+    and ``grammar_text`` as ``main`` does.
     """
 
 
@@ -46,9 +50,9 @@ def _read(path_text: str) -> str:
     try:
         return Path(path_text).read_text(encoding="utf-8")
     except OSError as failure:
-        raise _Refusal(failure) from failure
+        raise Refusal(failure) from failure
     except UnicodeDecodeError as failure:
-        raise _Refusal(
+        raise Refusal(
             f"{path_text}: not UTF-8 text ({failure.reason} at byte {failure.start})"
         ) from failure
 
@@ -64,7 +68,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     text = _read(args.program)
     if (args.tape is None) == (args.tape_file is None):
-        raise _Refusal("provide exactly one of --tape or --tape-file")
+        raise Refusal("provide exactly one of --tape or --tape-file")
     tape_text = args.tape if args.tape is not None else _read(args.tape_file)
 
     result = check_program(text)
@@ -80,7 +84,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         tape = parse_tape(tape_text)
         state = initialize(result.tree, tape, args.start, instructions, args.cautious)
     except ValueError as failure:
-        raise _Refusal(failure) from failure
+        raise Refusal(failure) from failure
 
     if args.trace == "text":
         outcome = run(state, args.max_steps, lambda entry: print(trace_line(entry)))
@@ -125,30 +129,37 @@ def cmd_graph(args: argparse.Namespace) -> int:
             try:
                 link_is_declared_at(tree, find_points(tree, classify(tree)))
             except ValueError as failure:
-                raise _Refusal(failure) from failure
+                raise Refusal(failure) from failure
     out = export(tree.graph, args.format)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return 0
 
 
-def _load_schema(args: argparse.Namespace):
-    """The schema named by --schema, or the built-in one."""
-    if args.schema is None:
+def load_schema(path_text: Optional[str]) -> Schema:
+    """The schema stored at ``path_text``, or the built-in one when it is None.
+
+    An unreadable or refused file raises Refusal with its one-line reason.
+    """
+    if path_text is None:
         return turingol_schema()
     try:
-        return schema_from_json(_read(args.schema))
+        return schema_from_json(_read(path_text))
     except SchemaFileError as failure:
-        raise _Refusal(f"bad schema file: {failure}") from failure
+        raise Refusal(f"bad schema file: {failure}") from failure
+
+
+def grammar_text(schema: Schema) -> str:
+    """The schema's EBNF productions; a schema without numbering raises Refusal."""
+    try:
+        return export_grammar(schema)
+    except ValueError as failure:
+        raise Refusal(failure) from failure
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
-    schema = _load_schema(args)
+    schema = load_schema(args.schema)
     if args.action == "grammar":
-        try:
-            grammar = export_grammar(schema)
-        except ValueError as failure:
-            raise _Refusal(failure) from failure
-        print(grammar)
+        print(grammar_text(schema))
         return 0
     if args.action == "check":
         report = analyze(schema)
@@ -159,7 +170,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
         grown = generate_sytr(schema, args.root, word_source=rng, node_budget=args.budget)
         program = render_program(to_canonical(grown))
     except (BudgetExceeded, ValueError) as failure:
-        raise _Refusal(failure) from failure
+        raise Refusal(failure) from failure
     print(program)
     return 0
 
@@ -267,7 +278,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (IllegalCharacter, ParseError) as failure:
         refusal = f"syntax error: {failure}"
-    except _Refusal as failure:
+    except Refusal as failure:
         refusal = failure
     print(refusal, file=sys.stderr)
     return 1

@@ -42,9 +42,7 @@ def add_stop_node(tree: Tree) -> int:
     """
     g = tree.graph
     for node in g.nodes_labeled("stop"):
-        attached = g.out_arrows(node, kinds=(SYNTACTIC,)) or g.in_arrows(
-            node, kinds=(SYNTACTIC,)
-        )
+        attached = g.ends_of_kind(node, "+", SYNTACTIC) or g.ends_of_kind(node, "-", SYNTACTIC)
         if not attached:
             raise ValueError("the tree already has a stop node")
     return g.add_node("stop")
@@ -79,7 +77,7 @@ def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     found, so a refusal adds none. Returns the number of arrows added.
     """
     g = tree.graph
-    if g.arrows_labeled(BACK):
+    if g.pairs_labeled(BACK):
         raise ValueError("'back' arrows are already built")
     srcs = [node for node in points.statements if g.follow(node, "+", ";") is None]
     dsts = [_subordinator(g, node, stop) for node in srcs]
@@ -108,7 +106,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
         raise ValueError(
             "cannot build control arrows: " + "; ".join(str(d) for d in problems)
         )
-    overlap = [label for label in FLOW_LABELS if g.arrows_labeled(label)]
+    overlap = [label for label in FLOW_LABELS if g.pairs_labeled(label)]
     if overlap:
         raise ValueError(f"flow arrows are already built: {sorted(overlap)}")
 
@@ -153,7 +151,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
             if semi is not None:
                 put(node, NEXT, semi)
 
-    back_dst = {a.src: a.dst for _, a in g.arrows_labeled(BACK)}
+    back_dst = dict(g.pairs_labeled(BACK))
     back_targets = set(back_dst.values())
     for head in sorted(n for n in back_dst if n not in back_targets):
         *members, cursor = g.chain(head, "+", BACK)
@@ -209,10 +207,10 @@ def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
     """
     g = tree.graph
     successor: dict[int, int] = {}
-    for _, arrow in g.arrows_labeled(NEXT):
-        if arrow.src in successor:
-            raise ValueError(f"node {arrow.src} has more than one 'next' arrow")
-        successor[arrow.src] = arrow.dst
+    for src, dst in g.pairs_labeled(NEXT):
+        if src in successor:
+            raise ValueError(f"node {src} has more than one 'next' arrow")
+        successor[src] = dst
     diagnostics = []
     for cycle in functional_cycles(successor):
         words = " ".join(display_word(g.node_label(n)) for n in cycle)

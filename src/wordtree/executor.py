@@ -258,7 +258,7 @@ def initialize(
     if isinstance(tape, str):
         raise ValueError("a tape is a sequence of cell words, not a string")
     g = tree.graph
-    if g.arrows_labeled(TAPE_ARROW):
+    if g.pairs_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
 
     if start == "first":
@@ -383,10 +383,10 @@ def run(state: ExecState, max_steps: int = 10_000, on_step: OnStep = None) -> Ru
 def final_tape(state: ExecState) -> Optional[str]:
     """The tape text after a run, or None if no tape arrow survives."""
     g = state.tree.graph
-    hits = g.arrows_labeled(TAPE_ARROW)
+    hits = g.pairs_labeled(TAPE_ARROW)
     if len(hits) != 1:
         return None
-    return chain_text(g, hits[0][1].dst)
+    return chain_text(g, hits[0][1])
 
 
 def trace_line(entry: TraceEntry) -> str:

@@ -12,11 +12,20 @@ uni-labeledness check, and deterministic JSON/DOT export.
 A graph is built by ``LabeledGraph.extend``, which takes a whole build
 as parallel columns: node labels, then the origins, labels and
 destinations of the arrows. It validates each distinct word once per
-build, refuses a bad build before touching the graph, and then fills
-each index in one loop. ``add_node`` and ``add_arrow`` are its
-one-element calls; the builders that know their graph up front (the
-parser, ``to_canonical``, the schema generator, the control-flow and
-declaration links, the tape) stage columns and call it once.
+build, refuses a bad build before touching the graph, appends the
+arrows to the graph's own columns and then fills each index in one
+loop. ``add_node`` and ``add_arrow`` are its one-element calls; the
+builders that know their graph up front (the parser, ``to_canonical``,
+the schema generator, the control-flow and declaration links, the tape)
+stage columns and call it once.
+
+Arrows are stored as four parallel columns (origin, label, destination,
+kind), not as one object each: an arrow adds list entries, but no
+object the cyclic garbage collector has to track. The listings (``arrow``,
+``arrows``, ``out_arrows``, ``in_arrows``, ``arrows_labeled``) build
+read-only ``Arrow`` records on demand. The check path builds none: it
+reads the columns through ``pairs_labeled``, ``ends_of_kind`` and the
+navigation calls.
 
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
@@ -37,6 +46,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 PLA_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz-;{}.:,'")
@@ -103,14 +113,26 @@ class NormalConditionViolated(GraphError):
         self.detail = detail
 
 
-@dataclass(slots=True)
-class Arrow:
-    """One labeled arrow. ``kind`` partitions arrows for listing and export."""
+class Arrow(tuple):
+    """One labeled arrow, ``Arrow((src, label, dst, kind))``, as a listing reads it.
 
-    src: int
-    label: str
-    dst: int
-    kind: str
+    The graph keeps no arrow objects: each listing builds its records
+    from the graph's columns, so a record is a snapshot. It is a tuple
+    and cannot be changed, and a record fetched before ``set_arrow_dst``
+    keeps the old destination. Building one is a single call into the
+    tuple type, which keeps listings cheap. ``kind`` partitions arrows
+    for listing and export.
+    """
+
+    __slots__ = ()
+
+    src = property(itemgetter(0), doc="The origin node.")
+    label = property(itemgetter(1), doc="The arrow's word.")
+    dst = property(itemgetter(2), doc="The destination node.")
+    kind = property(itemgetter(3), doc="One of ARROW_KINDS.")
+
+    def __repr__(self) -> str:
+        return "Arrow(src=%r, label=%r, dst=%r, kind=%r)" % self
 
 
 @dataclass
@@ -126,8 +148,16 @@ class LabeledGraph:
 
     Identifiers are small integers handed out sequentially from 0 and
     never reused, and nothing is deleted, so insertion order is id order:
-    ``nodes()`` and ``arrows()`` list it without sorting, and labels,
-    arrows and each node's arrow ids are kept in lists indexed by id.
+    ``nodes()`` and ``arrows()`` list it without sorting, and node
+    labels, arrows and each node's arrow ids are kept in lists indexed
+    by id. An arrow is stored as one entry in each of four parallel
+    columns, its origin, label, destination and kind; no object stands
+    for it. ``arrow``, ``arrows``, ``out_arrows``, ``in_arrows`` and
+    ``arrows_labeled`` build ``Arrow`` records from the columns when
+    they are called. ``pairs_labeled`` and ``ends_of_kind`` read the
+    columns and build none, and so do ``follow``, ``ends``, ``chain``
+    and ``resolve``.
+
     A label is validated when it first enters the graph, that is, when
     the label index (nodes by label, arrows by label) has no key for it
     yet; later uses of the same word are not checked again, and within
@@ -138,7 +168,7 @@ class LabeledGraph:
 
     Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
     alone, so a label a node repeats always means several arrows. Kinds
-    serve the listing calls ``out_arrows``, ``in_arrows`` and
+    serve the listing calls, ``pairs_labeled``, ``ends_of_kind`` and
     ``check_uni_labeled``, and export.
 
     Out-arrows are indexed by (origin, label): each node keeps a dict
@@ -161,7 +191,11 @@ class LabeledGraph:
 
     def __init__(self) -> None:
         self._nodes: list[str] = []  # label by node id
-        self._arrows: list[Arrow] = []  # arrow by arrow id
+        # The arrow columns, by arrow id.
+        self._src: list[int] = []
+        self._label: list[str] = []
+        self._dst: list[int] = []
+        self._kind: list[str] = []
         self._out: list[dict[str, int]] = []  # by node id: label -> first out-arrow id
         self._in: list[list[int]] = []  # in-arrow ids by node id
         self._by_label: dict[str, set[int]] = {}
@@ -190,7 +224,8 @@ class LabeledGraph:
         adding its elements one at a time would raise first, nodes
         before arrows, and leaves the graph untouched.
         """
-        if not len(srcs) == len(words) == len(dsts):
+        arrow_count = len(words)
+        if not len(srcs) == arrow_count == len(dsts):
             raise ValueError("the arrow columns differ in length")
         nodes = self._nodes
         first_node = len(nodes)
@@ -198,15 +233,16 @@ class LabeledGraph:
         if labels:
             by_label = self._by_label
             new_labels = set(labels).difference(by_label)
-            bad = [w for w in new_labels if not (is_pla_word(w) or is_mla_word(w))]
+            bad = new_labels and {w for w in new_labels if not (is_pla_word(w) or is_mla_word(w))}
             if bad:
                 first_bad = next(w for w in labels if w in bad)
                 raise ValueError(
                     f"node label {first_bad!r} is neither a PLA word nor an MLA word"
                 )
-        if words:
-            new_words = set(words).difference(self._arrows_by_label)
-            bad = [w for w in new_words if not is_pla_word(w)]
+        if arrow_count:
+            by_word = self._arrows_by_label
+            new_words = set(words).difference(by_word)
+            bad = new_words and {w for w in new_words if not is_pla_word(w)}
             if (
                 bad
                 or kind not in ARROW_KINDS
@@ -229,16 +265,18 @@ class LabeledGraph:
             self._out += [_NO_OUT] * len(labels)
             for word in new_labels:
                 by_label[word] = set()
-            for node, label in zip(range(first_node, node_count), labels):
+            for node, label in enumerate(labels, first_node):
                 by_label[label].add(node)
-        if words:
-            arrows = self._arrows
+        if arrow_count:
+            first_arrow = len(self._src)
             # One int object per id, shared by every index that holds the id.
-            arrow_ids = list(range(len(arrows), len(arrows) + len(words)))
-            arrows += map(Arrow, srcs, words, dsts, repeat(kind))
+            arrow_ids = range(first_arrow, first_arrow + arrow_count)
+            self._src += srcs
+            self._label += words
+            self._dst += dsts
+            self._kind += repeat(kind, arrow_count)
             ins = self._in
             outs = self._out
-            by_word = self._arrows_by_label
             for word in new_words:
                 by_word[word] = []
             more = self._out_more
@@ -259,7 +297,7 @@ class LabeledGraph:
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:
         """Add an arrow from ``src`` to ``dst``. The label must be a PLA word."""
-        arrow_id = len(self._arrows)
+        arrow_id = len(self._src)
         self.extend((), (src,), (label,), (dst,), kind)
         return arrow_id
 
@@ -278,9 +316,10 @@ class LabeledGraph:
     def set_arrow_dst(self, arrow_id: int, dst: int) -> None:
         if not 0 <= dst < len(self._nodes):
             raise ValueError(f"arrow destination {dst} is not a node of this graph")
-        arrow = self.arrow(arrow_id)
-        self._in[arrow.dst].remove(arrow_id)
-        arrow.dst = dst
+        if arrow_id < 0:
+            raise IndexError(f"{arrow_id} is not an arrow of this graph")
+        self._in[self._dst[arrow_id]].remove(arrow_id)
+        self._dst[arrow_id] = dst
         insort(self._in[dst], arrow_id)
 
     # -- queries -----------------------------------------------------
@@ -296,10 +335,12 @@ class LabeledGraph:
     def arrow(self, arrow_id: int) -> Arrow:
         if arrow_id < 0:
             raise IndexError(f"{arrow_id} is not an arrow of this graph")
-        return self._arrows[arrow_id]
+        return Arrow(
+            (self._src[arrow_id], self._label[arrow_id], self._dst[arrow_id], self._kind[arrow_id])
+        )
 
     def arrows(self) -> list[tuple[int, Arrow]]:
-        return list(enumerate(self._arrows))
+        return list(enumerate(map(Arrow, zip(self._src, self._label, self._dst, self._kind))))
 
     def out_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
         return self._adjacent(node, self._out_ids, kinds)
@@ -334,18 +375,41 @@ class LabeledGraph:
             first = self._out[node].get(word)
             if first is None:
                 return []
-            dsts = [self._arrows[first].dst]
+            dst = self._dst
+            dsts = [dst[first]]
             if self._out_more:
-                dsts += [self._arrows[i].dst for i in self._out_more.get((node, word), ())]
+                dsts += [dst[i] for i in self._out_more.get((node, word), ())]
             return dsts
         if sign == "-":
-            srcs = []
+            labels, srcs = self._label, self._src
+            ends = []
             for arrow_id in self._in[node]:
-                arrow = self._arrows[arrow_id]
-                if arrow.label == word:
-                    srcs.append(arrow.src)
-            return srcs
+                if labels[arrow_id] == word:
+                    ends.append(srcs[arrow_id])
+            return ends
         raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
+
+    def ends_of_kind(self, node: int, sign: str, kind: str) -> list[int]:
+        """Far ends of the ``kind`` arrows leaving ``node`` ("+") or entering it ("-").
+
+        Whatever their labels; ends come in the order ``out_arrows`` or
+        ``in_arrows`` lists the arrows. Reads the columns and builds no
+        Arrow record.
+        """
+        if not 0 <= node < len(self._nodes):
+            raise ValueError(f"{node} is not a node of this graph")
+        if sign == "+":
+            ids, far = self._out_ids(node), self._dst
+        elif sign == "-":
+            ids, far = self._in[node], self._src
+        else:
+            raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
+        kinds = self._kind
+        ends = []
+        for arrow_id in ids:
+            if kinds[arrow_id] == kind:
+                ends.append(far[arrow_id])
+        return ends
 
     def follow(self, node: int, sign: str, word: str) -> Optional[int]:
         """The one far end of a ``word`` arrow at ``node``, or None when there is none.
@@ -362,7 +426,7 @@ class LabeledGraph:
             if first is None:
                 return None
             if not self._out_more or (node, word) not in self._out_more:
-                return self._arrows[first].dst
+                return self._dst[first]
             direction = "leaving"
         else:
             hits = self.ends(node, sign, word)
@@ -392,12 +456,18 @@ class LabeledGraph:
     def _adjacent(self, node, ids_of, kinds):
         if not 0 <= node < len(self._nodes):
             raise ValueError(f"{node} is not a node of this graph")
-        wanted = None if kinds is None else set(kinds)
-        pairs = []
-        for arrow_id in ids_of(node):
-            arrow = self._arrows[arrow_id]
-            if wanted is None or arrow.kind in wanted:
-                pairs.append((arrow_id, arrow))
+        ids = ids_of(node)
+        if kinds is not None:
+            wanted = set(kinds)
+            ids = [i for i in ids if self._kind[i] in wanted]
+        return self._records(ids)
+
+    def _records(self, ids) -> list[tuple[int, Arrow]]:
+        """An (id, Arrow) pair per id in ``ids``, each record read from the columns."""
+        src, label, dst, kind = self._src, self._label, self._dst, self._kind
+        pairs = []  # a loop, since most lists are a node's one or two arrows
+        for i in ids:
+            pairs.append((i, Arrow((src[i], label[i], dst[i], kind[i]))))
         return pairs
 
     def nodes_labeled(self, word: str) -> list[int]:
@@ -406,8 +476,20 @@ class LabeledGraph:
     def arrows_labeled(self, word: str) -> list[tuple[int, Arrow]]:
         # Ids are handed out in increasing order and labels never change,
         # so each index list is already sorted.
+        return self._records(self._arrows_by_label.get(word, ()))
+
+    def pairs_labeled(self, word: str, kind: Optional[str] = None) -> list[tuple[int, int]]:
+        """The (origin, destination) of each ``word`` arrow, of ``kind`` alone if given.
+
+        In id order, as ``arrows_labeled`` lists the arrows. Reads the
+        label index and the columns and builds no Arrow record.
+        """
         ids = self._arrows_by_label.get(word, ())
-        return [(arrow_id, self._arrows[arrow_id]) for arrow_id in ids]
+        src, dst = self._src, self._dst
+        if kind is None:
+            return [(src[i], dst[i]) for i in ids]
+        kinds = self._kind
+        return [(src[i], dst[i]) for i in ids if kinds[i] == kind]
 
     @property
     def node_count(self) -> int:
@@ -415,12 +497,15 @@ class LabeledGraph:
 
     @property
     def arrow_count(self) -> int:
-        return len(self._arrows)
+        return len(self._src)
 
     def copy(self) -> "LabeledGraph":
         dup = LabeledGraph()
         dup._nodes = list(self._nodes)
-        dup._arrows = [Arrow(a.src, a.label, a.dst, a.kind) for a in self._arrows]
+        dup._src = list(self._src)
+        dup._label = list(self._label)
+        dup._dst = list(self._dst)
+        dup._kind = list(self._kind)
         dup._out = [dict(firsts) if firsts else _NO_OUT for firsts in self._out]
         dup._in = [list(ids) for ids in self._in]
         dup._by_label = {w: set(ns) for w, ns in self._by_label.items()}
@@ -656,7 +741,7 @@ class UniqueArrowExists(_Item):
         return f"there exists a unique {display_word(self.word)} arrow"
 
     def holds(self, g, current):
-        return len(g.arrows_labeled(self.word)) == 1
+        return len(g._arrows_by_label.get(self.word, ())) == 1
 
 
 @dataclass(frozen=True)
@@ -704,12 +789,12 @@ class ReassignArrow(_Item):
 
     def operands(self, g, current):
         node = locate(g, self.target, current)
-        hits = g.arrows_labeled(self.word)
-        if len(hits) != 1:
+        ids = g._arrows_by_label.get(self.word, ())
+        if len(ids) != 1:
             raise NormalConditionViolated(
-                f"there exist {len(hits)} {display_word(self.word)} arrows, not a unique one"
+                f"there exist {len(ids)} {display_word(self.word)} arrows, not a unique one"
             )
-        return node, hits[0][0]
+        return node, ids[0]
 
     def apply(self, g, current):
         target, arrow_id = self.operands(g, current)

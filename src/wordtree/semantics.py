@@ -96,10 +96,10 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
     that steer control.
     """
     g = tree.graph
-    label_nodes = {a.dst for _, a in g.arrows_labeled(":")}
+    label_nodes = {dst for _, dst in g.pairs_labeled(":")}
     work = g.ends(tree.root, "+", "is")
     for word in ("to", "'", ""):
-        work.extend(a.dst for _, a in g.arrows_labeled(word) if a.kind == SYNTACTIC)
+        work.extend(dst for _, dst in g.pairs_labeled(word, SYNTACTIC))
 
     data_nodes: set[int] = set()
     while work:
@@ -107,8 +107,7 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
         if node in data_nodes:
             continue
         data_nodes.add(node)
-        for _, arrow in g.out_arrows(node, kinds=(SYNTACTIC,)):
-            work.append(arrow.dst)
+        work += g.ends_of_kind(node, "+", SYNTACTIC)
 
     classes = {}
     for node in g.nodes():
@@ -171,9 +170,9 @@ def label_points(
 
     def points(word: str) -> list[int]:
         return [
-            a.dst
-            for _, a in g.arrows_labeled(word)
-            if classes[a.src].kind in (STATEMENT, LABEL)
+            dst
+            for src, dst in g.pairs_labeled(word)
+            if classes[src].kind in (STATEMENT, LABEL)
         ]
 
     return points(":"), points("to")

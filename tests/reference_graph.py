@@ -11,7 +11,7 @@ bulk build is compared with.
 
 from __future__ import annotations
 
-from wordtree.graph import ARROW_KINDS, SYNTACTIC, Arrow, LabeledGraph, is_mla_word, is_pla_word
+from wordtree.graph import ARROW_KINDS, SYNTACTIC, LabeledGraph, is_mla_word, is_pla_word
 
 
 class PerCallGraph(LabeledGraph):
@@ -43,8 +43,11 @@ class PerCallGraph(LabeledGraph):
             raise ValueError(f"unknown arrow kind {kind!r}")
         if same_label is None:
             same_label = self._arrows_by_label[label] = []
-        arrow_id = len(self._arrows)
-        self._arrows.append(Arrow(src, label, dst, kind))
+        arrow_id = len(self._src)
+        self._src.append(src)
+        self._label.append(label)
+        self._dst.append(dst)
+        self._kind.append(kind)
         self._in[dst].append(arrow_id)
         same_label.append(arrow_id)
         if self._out[src].setdefault(label, arrow_id) != arrow_id:

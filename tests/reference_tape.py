@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from wordtree.executor import TAPE_ARROW, ExecState, Instruction
-from wordtree.graph import SEMANTIC, TAPE, WORD, Arrow, LabeledGraph, Tree
+from wordtree.graph import SEMANTIC, TAPE, WORD, LabeledGraph, Tree
 
 EMPTY_TOKEN = '""'
 
@@ -51,7 +51,7 @@ def parse_tape(text: str) -> Tape:
 def merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
     """Copy ``other``'s storage into ``host`` as mounted nodes; map old ids to new."""
     node_base = len(host._nodes)
-    arrow_base = len(host._arrows)
+    arrow_base = len(host._src)
     host._own_end = min(host._own_end, node_base)
     host._nodes += other._nodes
     host._out += [
@@ -61,9 +61,10 @@ def merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
     host._in += [[arrow_base + arrow_id for arrow_id in ids] for ids in other._in]
     for label, nodes in other._by_label.items():
         host._by_label.setdefault(label, set()).update(node_base + node for node in nodes)
-    host._arrows += [
-        Arrow(node_base + a.src, a.label, node_base + a.dst, a.kind) for a in other._arrows
-    ]
+    host._src += [node_base + src for src in other._src]
+    host._label += other._label
+    host._dst += [node_base + dst for dst in other._dst]
+    host._kind += other._kind
     for label, ids in other._arrows_by_label.items():
         host._arrows_by_label.setdefault(label, []).extend(arrow_base + i for i in ids)
     for (src, label), ids in other._out_more.items():

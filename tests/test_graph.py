@@ -136,6 +136,8 @@ class TestStorage:
                     g.follow(bad, sign, "x")
                 with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
                     g.ends(bad, sign, "x")
+                with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
+                    g.ends_of_kind(bad, sign, G.SYNTACTIC)
             with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
                 g.out_arrows(bad)
             with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
@@ -598,6 +600,53 @@ def test_check_program_scans_no_arrow_list(monkeypatch, text):
     assert result.flow_counts == expected.flow_counts
 
 
+def counted_arrows(monkeypatch) -> list:
+    """Swap ``Arrow`` for a subclass that records each record built; return the record list."""
+    made = []
+
+    class CountedArrow(G.Arrow):
+        __slots__ = ()
+
+        def __new__(cls, fields):
+            made.append(fields)
+            return super().__new__(cls, fields)
+
+    monkeypatch.setattr(G, "Arrow", CountedArrow)
+    return made
+
+
+@pytest.mark.parametrize("copies", [1, 50], ids=["increment", "550-statements"])
+def test_check_program_builds_no_arrow_record(monkeypatch, increment_text, copies):
+    """The check path reads the arrow columns; only listings build ``Arrow`` records.
+
+    ``increment.tgl`` itself, and 50 copies of its body with their own labels.
+    """
+    text = increment_text if copies == 1 else increment_copies(increment_text, copies)
+    made = counted_arrows(monkeypatch)
+    result = check_program(text)
+    assert len(result.points.statements) == 11 * copies
+    assert result.runnable and result.flow_counts
+    assert made == []
+    g = result.tree.graph
+    assert len(g.arrows()) == len(made) == g.arrow_count  # the count sees listings
+
+
+def test_arrow_records_are_read_only_snapshots():
+    g = LabeledGraph()
+    a, b, c = g.add_node("a"), g.add_node("b"), g.add_node("c")
+    arrow_id = g.add_arrow(a, "x", b)
+    before = g.arrow(arrow_id)
+    (listed,) = [arrow for _, arrow in g.arrows()]
+    for field, value in (("src", c), ("label", "y"), ("dst", c), ("kind", G.TAPE)):
+        with pytest.raises(AttributeError):
+            setattr(before, field, value)
+    g.set_arrow_dst(arrow_id, c)
+    assert (before.dst, listed.dst) == (b, b)
+    assert g.arrow(arrow_id) == G.Arrow((a, "x", c, G.SYNTACTIC))
+    assert (g.arrow(arrow_id).dst, g.ends(a, "+", "x"), g.in_arrows(b)) == (c, [c], [])
+    assert repr(g.arrow(arrow_id)) == "Arrow(src=0, label='x', dst=2, kind='syntactic')"
+
+
 def test_finding_programs_carry_their_finding():
     for code, text in FINDING_PROGRAMS.items():
         codes = {d.code for d in check_program(text).diagnostics}
@@ -960,9 +1009,9 @@ def test_labels_alone_navigate_checked_and_run_programs():
     assert runs > 150
 
 
-# Bytes a checked program keeps alive per graph arrow with one-shot graph
-# builds (CPython 3.11.7, 64-bit), on the program below: 374.8.
-RETAINED_BYTES_PER_ARROW = 375
+# Bytes a checked program keeps alive per graph arrow with the arrows kept
+# as columns (CPython 3.11.7, 64-bit), on the program below: 334.2.
+RETAINED_BYTES_PER_ARROW = 335
 
 
 def increment_copies(increment_text: str, copies: int) -> str:
@@ -1265,3 +1314,10 @@ def test_arrows_are_followed_by_label_only_in_the_kernel():
     assert found == [], f"use LabeledGraph.ends instead: {found}"
     walks = [hit for path in outside for hit in _hand_walks(path)]
     assert walks == [], f"use LabeledGraph.follow or LabeledGraph.chain instead: {walks}"
+    columns = [
+        f"{path.name}:{node.lineno}"
+        for path in outside
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("_src", "_label", "_dst", "_kind")
+    ]
+    assert columns == [], f"use LabeledGraph.pairs_labeled or ends_of_kind instead: {columns}"

@@ -20,6 +20,7 @@ from reference_schema import (
     rotate_min,
 )
 from wordtree import schema as schema_module
+from wordtree.cli import main as cli_main
 from wordtree.graph import check_uni_labeled
 from wordtree.schema import (
     AND_NODE,
@@ -569,6 +570,44 @@ class TestReportScript:
         assert code == 1
         assert "  AND condition violated at X: 'a' overlaps 'a'" in out.splitlines()
         assert out.splitlines()[-1] == "verdict: not guaranteed uni-labeled"
+
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            pytest.param(None, "node DL: missing numbering", id="unnumbered"),
+            pytest.param('{"nodes": [1]}', "bad schema file: nodes[0]: ", id="misshapen"),
+            pytest.param("{]", "bad schema file: ", id="unreadable-json"),
+            pytest.param(b"\xff", "not UTF-8 text", id="not-utf8"),
+        ],
+    )
+    def test_bad_schema_file_gets_the_grammar_refusal(
+        self, capsys, monkeypatch, tmp_path, text, refusal
+    ):
+        """The script prints what ``wordtree schema grammar`` prints, with no traceback."""
+        if text is None:
+            payload = json.loads(schema_to_json(turingol_schema()))
+            payload["nodes"][4]["number"] = None
+            text = json.dumps(payload)
+        stored = tmp_path / "bad.json"
+        if isinstance(text, bytes):
+            stored.write_bytes(text)
+        else:
+            stored.write_text(text)
+        monkeypatch.setattr(sys, "argv", ["schema_report.py", "--schema", str(stored)])
+        script = (schema_report.main(), *capsys.readouterr())
+        command = (cli_main(["schema", "grammar", "--schema", str(stored)]), *capsys.readouterr())
+        assert script == command
+        code, out, err = script
+        assert (code, out) == (1, "")
+        assert refusal in err and len(err.splitlines()) == 1
+
+    def test_missing_schema_file_gets_the_grammar_refusal(self, capsys, monkeypatch, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        monkeypatch.setattr(sys, "argv", ["schema_report.py", "--schema", absent])
+        script = (schema_report.main(), *capsys.readouterr())
+        command = (cli_main(["schema", "grammar", "--schema", absent]), *capsys.readouterr())
+        assert script == command
+        assert script[:2] == (1, "") and "No such file or directory" in script[2]
 
 
 class TestGrammarExport:
