@@ -6,13 +6,15 @@ walks: 'next' for unconditional succession, 'yes' and 'no' for the two
 outcomes of an if. Two checks inspect the finished flow graph: every
 statement should be reachable from the root, and 'next' arrows alone
 must not form a cycle, because a program caught in one could never
-leave it.
+leave it. Their CW1 and C2 findings, like the L1 and L2 findings that
+keep control arrows from being built, are worded by
+``semantics.FINDINGS``.
 """
 
 from __future__ import annotations
 
 from .graph import CONTROL, SYNTACTIC, Tree, display_word, functional_cycles
-from .semantics import LABEL_FINDINGS, Diagnostic, Points, _match, diagnostic
+from .semantics import Diagnostic, Points, _match
 
 BACK = "back"
 NEXT = "next"
@@ -101,7 +103,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     ``LabeledGraph.extend`` call at the end, so a refusal adds none.
     """
     g = tree.graph
-    problems = _match(g, points.targets, points.gotos, LABEL_FINDINGS[:2])
+    problems = _match(g, points.targets, points.gotos, ("L1", "L2"))
     if problems:
         raise ValueError(
             "cannot build control arrows: " + "; ".join(str(d) for d in problems)
@@ -187,16 +189,11 @@ def check_reachability(tree: Tree, points: Points) -> list[Diagnostic]:
                 if dst not in reached:
                     reached.add(dst)
                     work.append(dst)
-    diagnostics = []
-    for node in points.statements:
-        if node not in reached:
-            word = display_word(g.node_label(node))
-            diagnostics.append(
-                diagnostic(
-                    "CW1", (node,), f"no flow path reaches the {word} statement"
-                )
-            )
-    return diagnostics
+    return [
+        Diagnostic("CW1", (node,), (g.node_label(node),))
+        for node in points.statements
+        if node not in reached
+    ]
 
 
 def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
@@ -211,10 +208,7 @@ def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
         if src in successor:
             raise ValueError(f"node {src} has more than one 'next' arrow")
         successor[src] = dst
-    diagnostics = []
-    for cycle in functional_cycles(successor):
-        words = " ".join(display_word(g.node_label(n)) for n in cycle)
-        diagnostics.append(
-            diagnostic("C2", cycle, f"'next' arrows cycle through {words}")
-        )
-    return diagnostics
+    return [
+        Diagnostic("C2", cycle, tuple(map(g.node_label, cycle)))
+        for cycle in functional_cycles(successor)
+    ]

@@ -30,12 +30,13 @@ navigation calls.
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
 (origin, label) index once. ``resolve`` walks a path formula's steps
-through it; kinds serve listing and export. Each proposition and action
-class resolves its own ``operands``, which are its normal-execution
-conditions, and gives them meaning in its ``holds`` or ``apply``;
-``eval_proposition`` and ``apply_action`` call those methods, which
-resolve every operand before the first write, so a violation leaves the
-graph as it was; ``normal_violation`` predicts it without acting.
+through it; kinds serve the column readers, the uni-labeledness check
+and export. Each proposition and action class resolves its own
+``operands``, which are its normal-execution conditions, and gives them
+meaning in its ``holds`` or ``apply``; ``eval_proposition`` and
+``apply_action`` call those methods, which resolve every operand before
+the first write, so a violation leaves the graph as it was;
+``normal_violation`` predicts it without acting.
 """
 
 from __future__ import annotations
@@ -342,11 +343,15 @@ class LabeledGraph:
     def arrows(self) -> list[tuple[int, Arrow]]:
         return list(enumerate(map(Arrow, zip(self._src, self._label, self._dst, self._kind))))
 
-    def out_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
-        return self._adjacent(node, self._out_ids, kinds)
+    def out_arrows(self, node: int) -> list[tuple[int, Arrow]]:
+        if not 0 <= node < len(self._nodes):
+            raise ValueError(f"{node} is not a node of this graph")
+        return self._records(self._out_ids(node))
 
-    def in_arrows(self, node: int, kinds: Optional[Iterable[str]] = None) -> list[tuple[int, Arrow]]:
-        return self._adjacent(node, self._in.__getitem__, kinds)
+    def in_arrows(self, node: int) -> list[tuple[int, Arrow]]:
+        if not 0 <= node < len(self._nodes):
+            raise ValueError(f"{node} is not a node of this graph")
+        return self._records(self._in[node])
 
     def _out_ids(self, node: int):
         """The ids of the arrows leaving ``node``, in id order."""
@@ -452,15 +457,6 @@ class LabeledGraph:
             seen.add(step)
             step = self.follow(step, sign, word)
         return nodes
-
-    def _adjacent(self, node, ids_of, kinds):
-        if not 0 <= node < len(self._nodes):
-            raise ValueError(f"{node} is not a node of this graph")
-        ids = ids_of(node)
-        if kinds is not None:
-            wanted = set(kinds)
-            ids = [i for i in ids if self._kind[i] in wanted]
-        return self._records(ids)
 
     def _records(self, ids) -> list[tuple[int, Arrow]]:
         """An (id, Arrow) pair per id in ``ids``, each record read from the columns."""
@@ -952,16 +948,21 @@ class UniLabelViolation:
 def check_uni_labeled(
     g: LabeledGraph, kinds: Optional[Iterable[str]] = None
 ) -> list[UniLabelViolation]:
-    """Find nodes whose outgoing arrows (of the given kinds) share a label."""
+    """Find nodes whose outgoing arrows (of the given kinds) share a label.
+
+    Reads the overflow map of the (origin, label) index, which holds each
+    (node, label) a node repeats, so it builds no Arrow record. The
+    violations come in (node, label) order, each with its arrow ids in
+    id order.
+    """
+    wanted = None if kinds is None else set(kinds)
     violations = []
-    for node in g.nodes():
-        groups: dict[str, list[int]] = {}
-        for arrow_id, arrow in g.out_arrows(node, kinds):
-            groups.setdefault(arrow.label, []).append(arrow_id)
-        for label in sorted(groups):
-            ids = groups[label]
-            if len(ids) > 1:
-                violations.append(UniLabelViolation(node, label, tuple(ids)))
+    for (node, label), more in sorted(g._out_more.items()):
+        ids = [g._out[node][label], *more]
+        if wanted is not None:
+            ids = [i for i in ids if g._kind[i] in wanted]
+        if len(ids) > 1:
+            violations.append(UniLabelViolation(node, label, tuple(ids)))
     return violations
 
 

@@ -31,7 +31,6 @@ from .frontend import parse_text
 from .graph import Tree
 from .semantics import (
     Diagnostic,
-    NodeClass,
     Points,
     check_alphabet,
     check_labels,
@@ -63,7 +62,7 @@ class CheckResult:
     """
 
     tree: Tree
-    classes: dict[int, NodeClass]
+    classes: dict[int, str]
     points: Points
     diagnostics: list[Diagnostic]
     stop: Optional[int] = None

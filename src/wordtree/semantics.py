@@ -7,12 +7,15 @@ words are declared before use and that goto labels name exactly one
 statement; and installs semantic ``is-declared-at`` arrows from each
 tape-word usage to its declaration. All checks return Diagnostic
 records instead of raising, so callers can collect every finding in one
-pass.
+pass. A record holds a finding's code, nodes and words; ``FINDINGS``
+maps each code of this module and of ``control_flow`` to the text that
+words it, and a record is worded only when its message is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     SEMANTIC,
@@ -29,7 +32,6 @@ LABEL = "label"
 OTHER = "other"
 
 STATEMENT_WORDS = frozenset({"go", "if", "print", "move", "", "{"})
-CONTROL_WORDS = frozenset({"go", "if", "{"})
 
 DECLARED_AT = "is-declared-at"
 
@@ -39,15 +41,39 @@ DECLARATIONS_PATH = parse_path('"tape-alphabet"+is')
 PRINT_WORD_PATH = parse_path("+\"'\"")
 SYMBOL_PATH = parse_path('+""+is')
 
+# The text of each finding code; its {} takes the finding's words.
+FINDINGS = {
+    "AW1": "tape word {} is declared more than once",
+    "AW2": "tape word {} is used but never declared",
+    "AW3": "declared tape word {} is never used",
+    "L1": "label {} marks more than one statement",
+    "L2": "go to names {} but no statement is labeled so",
+    "LW1": "label {} is never the target of a go to",
+    "CW1": "no flow path reaches the {} statement",
+    "C2": "'next' arrows cycle through {}",
+}
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One finding of a requirement check, tied to the nodes involved."""
+
+class Diagnostic(NamedTuple):
+    """One finding of a requirement check: its code, the nodes involved, the words it names.
+
+    ``words`` is the one tape word, label or statement word of most
+    findings, and the labels around the cycle of a C2. Codes containing
+    W are warnings, the rest errors. The message fills the code's
+    ``FINDINGS`` text with the words as ``display_word`` shows them.
+    """
 
     code: str
-    severity: str
     nodes: tuple[int, ...]
-    message: str
+    words: tuple[str, ...]
+
+    @property
+    def severity(self) -> str:
+        return "warning" if "W" in self.code else "error"
+
+    @property
+    def message(self) -> str:
+        return FINDINGS[self.code].format(" ".join(map(display_word, self.words)))
 
     def __str__(self) -> str:
         noun = "node" if len(self.nodes) == 1 else "nodes"
@@ -63,28 +89,8 @@ class Diagnostic:
         }
 
 
-def diagnostic(code: str, nodes, message: str) -> Diagnostic:
-    """Build a Diagnostic; codes containing W are warnings, the rest errors."""
-    severity = "warning" if "W" in code else "error"
-    return Diagnostic(code, severity, tuple(nodes), message)
-
-
-@dataclass(frozen=True)
-class NodeClass:
-    kind: str
-    control: bool = False
-
-
-# The only classes a node can have; ``classify`` shares these instances.
-LABEL_NODE = NodeClass(LABEL)
-DATA_NODE = NodeClass(DATA)
-STATEMENT_NODE = NodeClass(STATEMENT)
-CONTROL_STATEMENT_NODE = NodeClass(STATEMENT, control=True)
-OTHER_NODE = NodeClass(OTHER)
-
-
-def classify(tree: Tree) -> dict[int, NodeClass]:
-    """Assign every node a class: data, statement, label, or other.
+def classify(tree: Tree) -> dict[int, str]:
+    """Assign every node a class: DATA, STATEMENT, LABEL or OTHER.
 
     Data nodes are those in syntactic subtrees hanging off the arrows
     that carry program data: the alphabet chain under the root's 'is'
@@ -92,8 +98,7 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
     arrow), and the empty-labeled arrows to the tape-symbol wrapper and
     the final '.' node. Label nodes are the destinations of ':' arrows
     and win over data when both apply. Statement nodes are the rest
-    whose label is a statement word; 'go', 'if', and '{' are the ones
-    that steer control.
+    whose label is a statement word.
     """
     g = tree.graph
     label_nodes = {dst for _, dst in g.pairs_labeled(":")}
@@ -111,17 +116,14 @@ def classify(tree: Tree) -> dict[int, NodeClass]:
 
     classes = {}
     for node in g.nodes():
-        word = g.node_label(node)
         if node in label_nodes:
-            classes[node] = LABEL_NODE
+            classes[node] = LABEL
         elif node in data_nodes:
-            classes[node] = DATA_NODE
-        elif word in CONTROL_WORDS:
-            classes[node] = CONTROL_STATEMENT_NODE
-        elif word in STATEMENT_WORDS:
-            classes[node] = STATEMENT_NODE
+            classes[node] = DATA
+        elif g.node_label(node) in STATEMENT_WORDS:
+            classes[node] = STATEMENT
         else:
-            classes[node] = OTHER_NODE
+            classes[node] = OTHER
     return classes
 
 
@@ -135,17 +137,17 @@ def w_declaration_points(tree: Tree) -> list[int]:
     return points
 
 
-def _statements(g, classes: dict[int, NodeClass], words) -> list[int]:
+def _statements(g, classes: dict[int, str], words) -> list[int]:
     """Statement nodes labeled by one of ``words``, in id order, read from the label index."""
     return sorted(
         node
         for word in words
         for node in g.nodes_labeled(word)
-        if classes[node].kind == STATEMENT
+        if classes[node] == STATEMENT
     )
 
 
-def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:
+def w_usage_points(tree: Tree, classes: dict[int, str]) -> list[int]:
     """Nodes using tape words: print operands and if comparison words."""
     g = tree.graph
     points = []
@@ -158,7 +160,7 @@ def w_usage_points(tree: Tree, classes: dict[int, NodeClass]) -> list[int]:
 
 
 def label_points(
-    tree: Tree, classes: dict[int, NodeClass]
+    tree: Tree, classes: dict[int, str]
 ) -> tuple[list[int], list[int]]:
     """Label targets (':' destinations) and label usages ('to' destinations).
 
@@ -172,7 +174,7 @@ def label_points(
         return [
             dst
             for src, dst in g.pairs_labeled(word)
-            if classes[src].kind in (STATEMENT, LABEL)
+            if classes[src] in (STATEMENT, LABEL)
         ]
 
     return points(":"), points("to")
@@ -193,7 +195,7 @@ class Points:
     gotos: tuple[int, ...]
 
 
-def find_points(tree: Tree, classes: dict[int, NodeClass]) -> Points:
+def find_points(tree: Tree, classes: dict[int, str]) -> Points:
     """Find the statements and the points of tape words and labels, once per tree."""
     declarations = tuple(w_declaration_points(tree))
     usages = tuple(w_usage_points(tree, classes))
@@ -202,69 +204,45 @@ def find_points(tree: Tree, classes: dict[int, NodeClass]) -> Points:
     return Points(statements, declarations, usages, tuple(targets), tuple(gotos))
 
 
-# Code and message of the duplicate, undefined and unused findings.
-ALPHABET_FINDINGS = (
-    ("AW1", "tape word {} is declared more than once"),
-    ("AW2", "tape word {} is used but never declared"),
-    ("AW3", "declared tape word {} is never used"),
-)
-LABEL_FINDINGS = (
-    ("L1", "label {} marks more than one statement"),
-    ("L2", "go to names {} but no statement is labeled so"),
-    ("LW1", "label {} is never the target of a go to"),
-)
-
-
 def _match(
-    g, definitions: tuple[int, ...], usages: tuple[int, ...], findings
+    g, definitions: tuple[int, ...], usages: tuple[int, ...], codes: tuple[str, ...]
 ) -> list[Diagnostic]:
     """Compare defining nodes with using nodes by label.
 
     Reports each word defined twice (with its first definition), each
-    usage of an undefined word, and, when ``findings`` has a third
-    entry, each definition no usage names, as ``findings`` codes and
-    words them, sorted by code and nodes. The first two are the ones
-    that block control flow.
+    usage of an undefined word, and, when ``codes`` has a third entry,
+    each definition no usage names, under those ``codes`` and sorted by
+    code and nodes. The first two are the ones that block control flow.
     """
-    (twice, twice_text), (undefined, undefined_text), *unused_findings = findings
+    twice, undefined, *unused_codes = codes
     diagnostics = []
     first_seen: dict[str, int] = {}
     for node in definitions:
         word = g.node_label(node)
         if word in first_seen:
-            diagnostics.append(
-                diagnostic(
-                    twice,
-                    (first_seen[word], node),
-                    twice_text.format(display_word(word)),
-                )
-            )
+            diagnostics.append(Diagnostic(twice, (first_seen[word], node), (word,)))
         else:
             first_seen[word] = node
 
     for node in usages:
         word = g.node_label(node)
         if word not in first_seen:
-            diagnostics.append(
-                diagnostic(undefined, (node,), undefined_text.format(display_word(word)))
-            )
+            diagnostics.append(Diagnostic(undefined, (node,), (word,)))
 
-    for unused, unused_text in unused_findings:
+    for unused in unused_codes:
         used = {g.node_label(n) for n in usages}
         for node in definitions:
             word = g.node_label(node)
             if word not in used:
-                diagnostics.append(
-                    diagnostic(unused, (node,), unused_text.format(display_word(word)))
-                )
+                diagnostics.append(Diagnostic(unused, (node,), (word,)))
 
-    diagnostics.sort(key=lambda d: (d.code, d.nodes))
+    diagnostics.sort()
     return diagnostics
 
 
 def check_alphabet(tree: Tree, points: Points) -> list[Diagnostic]:
     """Alphabet checks: duplicate declarations, undeclared uses, unused words."""
-    return _match(tree.graph, points.declarations, points.usages, ALPHABET_FINDINGS)
+    return _match(tree.graph, points.declarations, points.usages, ("AW1", "AW2", "AW3"))
 
 
 def link_is_declared_at(tree: Tree, points: Points) -> int:
@@ -281,9 +259,8 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
     for node in points.declarations:
         first_decl.setdefault(g.node_label(node), node)
 
-    code, text = ALPHABET_FINDINGS[1]
     undeclared = [
-        diagnostic(code, (usage,), text.format(display_word(g.node_label(usage))))
+        Diagnostic("AW2", (usage,), (g.node_label(usage),))
         for usage in sorted(points.usages)
         if g.node_label(usage) not in first_decl
     ]
@@ -303,4 +280,4 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
 
 def check_labels(tree: Tree, points: Points) -> list[Diagnostic]:
     """Label checks: duplicate targets, dangling gotos, unused labels."""
-    return _match(tree.graph, points.targets, points.gotos, LABEL_FINDINGS)
+    return _match(tree.graph, points.targets, points.gotos, ("L1", "L2", "LW1"))

@@ -7,11 +7,22 @@ here, where the tests that compare trees up to isomorphism use it.
 ``PerCallGraph`` keeps the validated one-element ``add_node`` and
 ``add_arrow`` that ``LabeledGraph.extend`` replaced, as the oracle the
 bulk build is compared with.
+
+``uni_label_violations`` keeps the uni-labeledness check that grouped
+every node's listed out-arrows by label, as the oracle
+``check_uni_labeled`` is compared with.
 """
 
 from __future__ import annotations
 
-from wordtree.graph import ARROW_KINDS, SYNTACTIC, LabeledGraph, is_mla_word, is_pla_word
+from wordtree.graph import (
+    ARROW_KINDS,
+    SYNTACTIC,
+    LabeledGraph,
+    UniLabelViolation,
+    is_mla_word,
+    is_pla_word,
+)
 
 
 class PerCallGraph(LabeledGraph):
@@ -80,3 +91,18 @@ def canonical_form(g: LabeledGraph, root: int):
         return (g.node_label(node), tuple(sorted(children)))
 
     return walk(root)
+
+
+def uni_label_violations(g: LabeledGraph, kinds=None) -> list[UniLabelViolation]:
+    """Group each node's listed out-arrows (of the given kinds) by label."""
+    violations = []
+    for node in g.nodes():
+        groups: dict[str, list[int]] = {}
+        for arrow_id, arrow in g.out_arrows(node):
+            if kinds is None or arrow.kind in kinds:
+                groups.setdefault(arrow.label, []).append(arrow_id)
+        for label in sorted(groups):
+            ids = groups[label]
+            if len(ids) > 1:
+                violations.append(UniLabelViolation(node, label, tuple(ids)))
+    return violations

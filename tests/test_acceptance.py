@@ -131,8 +131,8 @@ def test_criterion_04_grammar_export():
 def flow_out(g, node):
     """Labels of outgoing control arrows, with multiplicities."""
     counts = Counter()
-    for _, arrow in g.out_arrows(node, kinds=(CONTROL,)):
-        if arrow.label in FLOW:
+    for _, arrow in g.out_arrows(node):
+        if arrow.kind == CONTROL and arrow.label in FLOW:
             counts[arrow.label] += 1
     return counts
 
@@ -142,7 +142,7 @@ def test_criterion_05_control_flow_contract(increment_text):
     assert result.ok
     g = result.tree.graph
 
-    statements = [n for n, c in result.classes.items() if c.kind == STATEMENT]
+    statements = [n for n, c in result.classes.items() if c == STATEMENT]
     assert flow_out(g, result.tree.root) == {NEXT: 1}
     for node in statements:
         if g.node_label(node) == "if":
@@ -155,9 +155,9 @@ def test_criterion_05_control_flow_contract(increment_text):
     # arrow must point at the very same destination.
     first = min(n for n in statements if g.node_label(n) == "if")
     semicolon = [
-        a.dst for _, a in g.out_arrows(first, kinds=(SYNTACTIC,)) if a.label == ";"
+        a.dst for _, a in g.out_arrows(first) if a.kind == SYNTACTIC and a.label == ";"
     ]
-    no = [a.dst for _, a in g.out_arrows(first, kinds=(CONTROL,)) if a.label == NO]
+    no = [a.dst for _, a in g.out_arrows(first) if a.kind == CONTROL and a.label == NO]
     assert semicolon and semicolon == no
 
     codes = {d.code for d in result.diagnostics}

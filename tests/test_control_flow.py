@@ -58,7 +58,7 @@ def build_all(text: str):
 
 def statements(tree: Tree) -> list[int]:
     classes = classify(tree)
-    return [n for n in tree.graph.nodes() if classes[n].kind == STATEMENT]
+    return [n for n in tree.graph.nodes() if classes[n] == STATEMENT]
 
 
 def control_pairs(tree: Tree, label: str) -> set[tuple[int, int]]:
@@ -228,8 +228,8 @@ class TestBuildControl:
         flow_out = {
             node: sorted(
                 a.label
-                for _, a in g.out_arrows(node, kinds=(CONTROL,))
-                if a.label in FLOW_LABELS
+                for _, a in g.out_arrows(node)
+                if a.kind == CONTROL and a.label in FLOW_LABELS
             )
             for node in g.nodes()
         }
@@ -437,8 +437,8 @@ class TestGeneratedPrograms:
             for node in statements(tree):
                 flow = [
                     a.label
-                    for _, a in g.out_arrows(node, kinds=(CONTROL,))
-                    if a.label in FLOW_LABELS
+                    for _, a in g.out_arrows(node)
+                    if a.kind == CONTROL and a.label in FLOW_LABELS
                 ]
                 if g.node_label(node) == "if":
                     assert sorted(flow) == [NO, YES]

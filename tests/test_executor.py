@@ -98,7 +98,7 @@ def resolved(state, path):
 
 def statements(tree) -> list[int]:
     classes = classify(tree)
-    return [n for n in tree.graph.nodes() if classes[n].kind == STATEMENT]
+    return [n for n in tree.graph.nodes() if classes[n] == STATEMENT]
 
 
 def execute(text: str, tape_text: str, start):
@@ -191,7 +191,7 @@ class TestInitialize:
         assert len(tapes) == 1
         arrow = tapes[0]
         assert arrow.src == tree.root and arrow.kind == SEMANTIC
-        assert g.out_arrows(arrow.dst, kinds=(TAPE,)) == []
+        assert [a for _, a in g.out_arrows(arrow.dst) if a.kind == TAPE] == []
 
     def test_state_starts_at_root(self, increment_parts):
         tree, _, instructions = increment_parts
@@ -207,7 +207,7 @@ class TestInitialize:
             initialize(tree, parse_tape("one zero"), start, instructions)
             g = tree.graph
             cell = [a.dst for _, a in g.arrows() if a.label == "tape"][0]
-            assert g.in_arrows(cell, kinds=(TAPE,)) == []
+            assert [a for _, a in g.in_arrows(cell) if a.kind == TAPE] == []
 
     def test_bad_start_positions(self, increment_parts):
         tree, _, instructions = increment_parts
@@ -617,8 +617,8 @@ class TestTracing:
         monkeypatch.setattr(executor_module, "chain_text", counted_chain_text)
         for name in ("out_arrows", "in_arrows"):
 
-            def counted(self, *args, _adjacent=getattr(LabeledGraph, name), **kwargs):
-                pairs = _adjacent(self, *args, **kwargs)
+            def counted(self, *args, listing=getattr(LabeledGraph, name), **kwargs):
+                pairs = listing(self, *args, **kwargs)
                 scanned[0] += len(pairs)
                 return pairs
 

@@ -45,11 +45,12 @@ from wordtree.executor import initialize, run
 from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
+from wordtree.semantics import FINDINGS
 from wordtree.tape import add_cells, parse_tape
 
 import reference_algebra
 from fail_safety import repair
-from reference_graph import PerCallGraph, canonical_form
+from reference_graph import PerCallGraph, canonical_form, uni_label_violations
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -654,6 +655,17 @@ def test_finding_programs_carry_their_finding():
         assert blocking == ({code} if code else set())
 
 
+def test_every_emitted_code_has_a_findings_text():
+    """Each finding reported on the programs and the finding programs is worded by the table."""
+    texts = [p.read_text() for p in sorted(PROGRAMS.glob("*.tgl"))] + list(FINDING_PROGRAMS.values())
+    texts.append("tape-alphabet is one;\nx: print 'one';\ngo to x;\nprint 'one'.")  # CW1
+    diagnostics = [d for text in texts for d in check_program(text).diagnostics]
+    assert {d.code for d in diagnostics} >= {"L1", "L2", "AW2", "C2", "CW1", "LW1", "AW3"}
+    for d in diagnostics:
+        assert d.code in FINDINGS, d
+        assert d.words and all(G.display_word(word) in d.message for word in d.words), d
+
+
 def test_parsing_validates_each_word_once_per_role(monkeypatch, increment_text):
     """A word is checked once as a node label and once as an arrow label, then indexed.
 
@@ -859,9 +871,8 @@ def test_backward_ends_build_no_adjacency_list(monkeypatch):
     def scan(*args, **kwargs):
         raise AssertionError("ends built an adjacency list")
 
-    monkeypatch.setattr(LabeledGraph, "_adjacent", scan)
-    monkeypatch.setattr(LabeledGraph, "in_arrows", scan)
-    monkeypatch.setattr(LabeledGraph, "arrows", scan)
+    for listing in ("out_arrows", "in_arrows", "arrows", "arrows_labeled"):
+        monkeypatch.setattr(LabeledGraph, listing, scan)
     assert g.ends(b, "-", "x") == [a]
     assert g.ends(c, "-", "") == [a]
     assert g.ends(c, "-", "x") == [b]
@@ -1080,6 +1091,40 @@ class TestUniLabeled:
             g.add_arrow(ids[src], label, ids[dst])
         found = {(v.node, v.label) for v in check_uni_labeled(g)}
         assert found == {(ids["a"], ";"), (ids["b"], "x")}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["", "x", ";"]),
+                st.integers(0, 3),
+                st.sampled_from(G.ARROW_KINDS),
+            ),
+            max_size=24,
+        ),
+        st.one_of(st.none(), st.sets(st.sampled_from(G.ARROW_KINDS)).map(tuple)),
+    )
+    @settings(deadline=None)
+    def test_matches_listing_reference(self, arrows, kinds):
+        """The overflow map finds what grouping every node's listing finds, in the same order."""
+        g = LabeledGraph()
+        g.extend(("a", "b", "c", "d"))
+        for src, label, dst, kind in arrows:
+            g.add_arrow(src, label, dst, kind)
+        assert check_uni_labeled(g, kinds) == uni_label_violations(g, kinds)
+        assert check_uni_labeled(g) == uni_label_violations(g)
+
+    def test_reads_no_listing(self, monkeypatch):
+        g = LabeledGraph()
+        a, b = g.add_node("a"), g.add_node("b")
+        g.extend((), (a, a, b, a), ("x", "x", "y", "x"), (b, a, a, b), G.CONTROL)
+
+        def scan(*args, **kwargs):
+            raise AssertionError("check_uni_labeled built an Arrow record")
+
+        monkeypatch.setattr(LabeledGraph, "out_arrows", scan)
+        monkeypatch.setattr(LabeledGraph, "_records", scan)
+        assert check_uni_labeled(g) == [G.UniLabelViolation(a, "x", (0, 1, 3))]
 
 
 class TestCanonicalForm:

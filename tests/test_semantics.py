@@ -1,11 +1,14 @@
 """Node classification, alphabet checks, declaration links, label checks."""
 
+import importlib.util
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from wordtree import control_flow, pipeline, semantics
+from wordtree import control_flow, frontend, graph, pipeline, semantics
 
 from wordtree.frontend import parse_text, to_canonical
 from wordtree.graph import (
@@ -20,19 +23,22 @@ from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import (
     DATA,
     DECLARED_AT,
+    FINDINGS,
     LABEL,
     OTHER,
     STATEMENT,
+    Diagnostic,
     check_alphabet,
     check_labels,
     classify,
-    diagnostic,
     find_points,
     label_points,
     link_is_declared_at,
     w_declaration_points,
     w_usage_points,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def words(tree: Tree, nodes) -> list[str]:
@@ -45,7 +51,7 @@ def points_of(tree: Tree):
 
 def nodes_of_kind(tree: Tree, kind: str) -> list[int]:
     classes = classify(tree)
-    return [n for n in tree.graph.nodes() if classes[n].kind == kind]
+    return [n for n in tree.graph.nodes() if classes[n] == kind]
 
 
 @pytest.fixture
@@ -55,10 +61,7 @@ def increment(increment_text):
 
 class TestClassify:
     def test_increment_counts(self, increment):
-        classes = classify(increment)
-        counts = {}
-        for cls in classes.values():
-            counts[cls.kind] = counts.get(cls.kind, 0) + 1
+        counts = Counter(classify(increment).values())
         assert counts == {STATEMENT: 11, DATA: 15, LABEL: 3, OTHER: 3}
 
     def test_increment_statement_sequence(self, increment):
@@ -67,12 +70,6 @@ class TestClassify:
             "print", "go", "if", "{", "print", "move",
             "go", "print", "move", "if", "go",
         ]
-
-    def test_control_statements(self, increment):
-        classes = classify(increment)
-        for node in nodes_of_kind(increment, STATEMENT):
-            word = increment.graph.node_label(node)
-            assert classes[node].control == (word in ("go", "if", "{"))
 
     def test_root_and_squares_are_other(self, increment):
         other = words(increment, nodes_of_kind(increment, OTHER))
@@ -86,13 +83,13 @@ class TestClassify:
         )
         classes = classify(tree)
         for node in w_declaration_points(tree) + w_usage_points(tree, classes):
-            assert classes[node].kind == DATA
+            assert classes[node] == DATA
 
     def test_label_class_wins_over_data(self):
         tree = parse_text("tape-alphabet is one;\nx: go to x.")
         classes = classify(tree)
         kinds = sorted(
-            classes[n].kind
+            classes[n]
             for n in tree.graph.nodes()
             if tree.graph.node_label(n) == "x"
         )
@@ -117,7 +114,7 @@ class TestWordPoints:
     def test_points_are_data_nodes(self, increment):
         classes = classify(increment)
         for node in w_declaration_points(increment) + w_usage_points(increment, classes):
-            assert classes[node].kind == DATA
+            assert classes[node] == DATA
 
     def test_declaration_points_need_the_root(self):
         g = LabeledGraph()
@@ -163,26 +160,60 @@ class TestCheckAlphabet:
 
 class TestDiagnostics:
     def test_severity_follows_code(self):
-        assert diagnostic("AW1", (1,), "m").severity == "warning"
-        assert diagnostic("LW1", (1,), "m").severity == "warning"
-        assert diagnostic("CW1", (1,), "m").severity == "warning"
-        assert diagnostic("L1", (1, 2), "m").severity == "error"
-        assert diagnostic("C2", (1,), "m").severity == "error"
+        assert Diagnostic("AW1", (1,), ("m",)).severity == "warning"
+        assert Diagnostic("LW1", (1,), ("m",)).severity == "warning"
+        assert Diagnostic("CW1", (1,), ("m",)).severity == "warning"
+        assert Diagnostic("L1", (1, 2), ("m",)).severity == "error"
+        assert Diagnostic("C2", (1,), ("m",)).severity == "error"
 
     def test_text_form(self):
-        d = diagnostic("L1", (3, 7), "label 'x' marks more than one statement")
+        d = Diagnostic("L1", (3, 7), ("x",))
         assert str(d) == "L1 error nodes 3,7: label 'x' marks more than one statement"
-        single = diagnostic("AW3", (1,), "declared tape word 'blank' is never used")
+        single = Diagnostic("AW3", (1,), ("blank",))
         assert str(single).startswith("AW3 warning node 1:")
 
     def test_dict_form(self):
-        d = diagnostic("AW2", (4,), "m")
+        d = Diagnostic("AW2", (4,), ("m",))
         assert d.as_dict() == {
             "code": "AW2",
             "severity": "warning",
             "nodes": [4],
-            "message": "m",
+            "message": "tape word 'm' is used but never declared",
         }
+
+    def test_cycle_names_every_word(self):
+        d = Diagnostic("C2", (2, 5), ("go", ""))
+        assert d.message == "'next' arrows cycle through 'go' \"\""
+
+    def test_every_text_takes_the_words_once(self):
+        for code, text in FINDINGS.items():
+            assert text.count("{") == text.count("}") == text.count("{}") == 1, code
+
+    def test_findings_are_worded_only_when_read(self, monkeypatch):
+        """``check_program`` words no finding; reading one words each of its words once."""
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        rng = random.Random(1)
+        texts = [
+            workloads.make_program(rng, 60, defect).text
+            for defect in (None, *workloads.DEFECT_CODES)
+        ]
+        calls = [0]
+
+        def counted(word, _display_word=graph.display_word):
+            calls[0] += 1
+            return _display_word(word)
+
+        for module in (graph, frontend, semantics, control_flow):
+            monkeypatch.setattr(module, "display_word", counted)
+        diagnostics = [d for text in texts for d in check_program(text).diagnostics]
+        assert calls[0] == 0
+        assert {d.code for d in diagnostics} >= set(workloads.DEFECT_CODES)
+        for d in diagnostics:
+            str(d)
+        assert calls[0] == sum(len(d.words) for d in diagnostics)
 
 
 class TestDeclarationLinks:
@@ -257,8 +288,8 @@ class TestLabelPoints:
     def test_targets_are_label_class(self, increment):
         classes = classify(increment)
         targets, usages = label_points(increment, classes)
-        assert all(classes[n].kind == LABEL for n in targets)
-        assert all(classes[n].kind == DATA for n in usages)
+        assert all(classes[n] == LABEL for n in targets)
+        assert all(classes[n] == DATA for n in usages)
 
     def test_arrows_from_data_nodes_are_ignored(self):
         g = LabeledGraph()
@@ -310,9 +341,9 @@ class TestGeneratedPrograms:
             classes = classify(tree)
             assert set(classes) == set(tree.graph.nodes())
             for node in w_declaration_points(tree) + w_usage_points(tree, classes):
-                assert classes[node].kind == DATA
+                assert classes[node] == DATA
             targets, _ = label_points(tree, classes)
-            assert all(classes[n].kind == LABEL for n in targets)
+            assert all(classes[n] == LABEL for n in targets)
             points = find_points(tree, classes)
             for finding in check_alphabet(tree, points) + check_labels(tree, points):
                 assert finding.severity in ("warning", "error")
