@@ -14,4 +14,23 @@ __version__ = "0.1.0"
 from .graph import LabeledGraph, Tree  # noqa: F401
 from .frontend import parse_text, render_program  # noqa: F401
 from .pipeline import CheckResult, check_program, execute_program  # noqa: F401
-from .schema import generate_sytr, turingol_schema, uni_labeled_family  # noqa: F401
+
+# Schema code loads on first use: no check or run needs it.
+_SCHEMA_NAMES = frozenset({"generate_sytr", "turingol_schema", "uni_labeled_family"})
+
+
+def __getattr__(name: str):
+    """Forward the schema names to ``wordtree.schema``, imported on demand.
+
+    Nothing is cached here, so a name always reads what the schema module
+    holds at that moment.
+    """
+    if name in _SCHEMA_NAMES:
+        from . import schema
+
+        return getattr(schema, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(_SCHEMA_NAMES.union(globals()))

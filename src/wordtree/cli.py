@@ -3,7 +3,8 @@
 Four commands: ``check`` runs every requirement check over a program,
 ``run`` executes one on a tape, ``graph`` exports a program graph at a
 chosen construction stage, and ``schema`` analyzes the schema itself,
-prints its grammar, or generates a random program from it.
+prints its grammar, or generates a random program from it. Only the
+schema commands import ``wordtree.schema``, so the others start without it.
 
 Exit codes: 0 on success, 1 for check errors and usage or file
 problems; ``run`` additionally uses 2 for a crashed execution and 3
@@ -14,27 +15,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_line, trace_row
 from .frontend import IllegalCharacter, ParseError, parse_text, render_program, to_canonical
 from .graph import export
 from .pipeline import check_program, make_executable
-from .schema import (
-    BudgetExceeded,
-    Schema,
-    SchemaFileError,
-    analyze,
-    export_grammar,
-    generate_sytr,
-    schema_from_json,
-    turingol_schema,
-)
 from .semantics import classify, find_points, link_is_declared_at
 from .tape import parse_tape
+
+if TYPE_CHECKING:
+    from .schema import Schema
 
 
 class Refusal(Exception):
@@ -140,6 +133,8 @@ def load_schema(path_text: Optional[str]) -> Schema:
 
     An unreadable or refused file raises Refusal with its one-line reason.
     """
+    from .schema import SchemaFileError, schema_from_json, turingol_schema
+
     if path_text is None:
         return turingol_schema()
     try:
@@ -150,6 +145,8 @@ def load_schema(path_text: Optional[str]) -> Schema:
 
 def grammar_text(schema: Schema) -> str:
     """The schema's EBNF productions; a schema without numbering raises Refusal."""
+    from .schema import export_grammar
+
     try:
         return export_grammar(schema)
     except ValueError as failure:
@@ -157,6 +154,10 @@ def grammar_text(schema: Schema) -> str:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
+    import random
+
+    from .schema import BudgetExceeded, analyze, generate_sytr
+
     schema = load_schema(args.schema)
     if args.action == "grammar":
         print(grammar_text(schema))

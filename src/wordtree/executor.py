@@ -25,8 +25,7 @@ receives each entry as it is produced; only then is the tape rendered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .control_flow import NEXT, NO, YES
 from .graph import (
@@ -68,8 +67,7 @@ LEFT_CELL_PATH = parse_path('"tape-alphabet"+tape-""')
 RIGHT_CELL_PATH = parse_path('"tape-alphabet"+tape+""')
 
 
-@dataclass(frozen=True)
-class Act:
+class Act(NamedTuple):
     """A direction that performs its action unconditionally."""
 
     action: Action
@@ -79,8 +77,7 @@ class Act:
         return self.action.phrase()
 
 
-@dataclass(frozen=True)
-class Guarded:
+class Guarded(NamedTuple):
     """A direction that performs its action only when the condition holds."""
 
     condition: Proposition
@@ -93,16 +90,14 @@ class Guarded:
 Direction = Union[Act, Guarded]
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     directions: tuple[Direction, ...]
 
     def phrases(self) -> list[str]:
         return [d.phrase() for d in self.directions]
 
 
-@dataclass(frozen=True)
-class CrashReport:
+class CrashReport(NamedTuple):
     situation: str
     node: int
     detail: str
@@ -114,8 +109,7 @@ class CrashReport:
         return {"situation": self.situation, "node": self.node, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step: int
     node: int
     label: str
@@ -126,18 +120,36 @@ class TraceEntry:
 _STALE = object()
 
 
-@dataclass
 class ExecState:
-    tree: Tree
-    instructions: dict[int, Instruction]
-    current: int
-    cautious: bool = False  # selects nothing: every run is cautious
-    steps: int = 0
-    status: str = RUNNING
-    situation: Optional[CrashReport] = None
-    # The tape text a trace last showed, or _STALE once an untraced step
-    # has run since; last_tape renders it again on demand.
-    _shown: object = field(default=_STALE, init=False, repr=False, compare=False)
+    """Where a run is: the program, its instructions, the current node, steps and status.
+
+    ``situation`` holds the crash report of a crashed run.
+    """
+
+    __slots__ = (
+        "tree", "instructions", "current", "cautious", "steps", "status", "situation", "_shown"
+    )
+
+    def __init__(
+        self,
+        tree: Tree,
+        instructions: dict[int, Instruction],
+        current: int,
+        cautious: bool = False,  # selects nothing: every run is cautious
+        steps: int = 0,
+        status: str = RUNNING,
+        situation: Optional[CrashReport] = None,
+    ) -> None:
+        self.tree = tree
+        self.instructions = instructions
+        self.current = current
+        self.cautious = cautious
+        self.steps = steps
+        self.status = status
+        self.situation = situation
+        # The tape text a trace last showed, or _STALE once an untraced step
+        # has run since; last_tape renders it again on demand.
+        self._shown: object = _STALE
 
     @property
     def last_tape(self) -> Optional[str]:
@@ -147,8 +159,7 @@ class ExecState:
         return self._shown
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """How a run ended.
 
     ``trace`` is always empty: a run keeps no trace. Pass ``on_step`` to
@@ -163,6 +174,29 @@ class RunResult:
 
 OnStep = Optional[Callable[[TraceEntry], None]]
 
+# The six instruction shapes. Instructions are immutable, so every node of
+# a shape holds the same object.
+FOLLOW_NEXT = Instruction((Act(FollowArrow(NEXT)),))
+STOP = Instruction((Act(Stop()),))
+IF_SYMBOL = Instruction(
+    (Guarded(LabelsEqual(TAPE_PATH, SYMBOL_PATH), FollowArrow(YES)), Act(FollowArrow(NO)))
+)
+PRINT_WORD = Instruction((Act(RelabelNode(TAPE_PATH, PRINT_WORD_PATH)), Act(FollowArrow(NEXT))))
+MOVE_LEFT = Instruction(
+    (
+        Guarded(NoArrowTo("", TAPE_PATH), CreateNodeWithArrowToTarget(TAPE_PATH)),
+        Act(ReassignArrow(TAPE_ARROW, LEFT_CELL_PATH)),
+        Act(FollowArrow(NEXT)),
+    )
+)
+MOVE_RIGHT = Instruction(
+    (
+        Guarded(NoArrowFrom("", TAPE_PATH), CreateNodeWithArrowFromSource(TAPE_PATH)),
+        Act(ReassignArrow(TAPE_ARROW, RIGHT_CELL_PATH)),
+        Act(FollowArrow(NEXT)),
+    )
+)
+
 
 def install_instructions(
     tree: Tree, stop: int, statements: Iterable[int]
@@ -171,7 +205,7 @@ def install_instructions(
 
     Exactly the root, the stop node, and the ``statements`` (the
     statement nodes ``find_points`` found, in id order) carry
-    instructions.
+    instructions; all nodes of one shape share its instruction object.
     """
     g = tree.graph
 
@@ -184,27 +218,19 @@ def install_instructions(
                     f"arrow but has {count}; build control flow first"
                 )
 
-    follow_next = Instruction((Act(FollowArrow(NEXT)),))
     instructions: dict[int, Instruction] = {}
     require_flow(tree.root, NEXT)
-    instructions[tree.root] = follow_next
-    instructions[stop] = Instruction((Act(Stop()),))
+    instructions[tree.root] = FOLLOW_NEXT
+    instructions[stop] = STOP
 
     for node in statements:
         word = g.node_label(node)
         if word == "if":
             require_flow(node, YES, NO)
-            instructions[node] = Instruction(
-                (
-                    Guarded(LabelsEqual(TAPE_PATH, SYMBOL_PATH), FollowArrow(YES)),
-                    Act(FollowArrow(NO)),
-                )
-            )
+            instructions[node] = IF_SYMBOL
         elif word == "print":
             require_flow(node, NEXT)
-            instructions[node] = Instruction(
-                (Act(RelabelNode(TAPE_PATH, PRINT_WORD_PATH)), Act(FollowArrow(NEXT)))
-            )
+            instructions[node] = PRINT_WORD
         elif word == "move":
             require_flow(node, NEXT)
             sideways = [w for w in ("left", "right") for _ in g.ends(node, "+", w)]
@@ -212,24 +238,10 @@ def install_instructions(
                 raise ValueError(
                     f"move node {node} needs exactly one left or right arrow"
                 )
-            if sideways[0] == "left":
-                expand = Guarded(
-                    NoArrowTo("", TAPE_PATH),
-                    CreateNodeWithArrowToTarget(TAPE_PATH),
-                )
-                reassign = ReassignArrow(TAPE_ARROW, LEFT_CELL_PATH)
-            else:
-                expand = Guarded(
-                    NoArrowFrom("", TAPE_PATH),
-                    CreateNodeWithArrowFromSource(TAPE_PATH),
-                )
-                reassign = ReassignArrow(TAPE_ARROW, RIGHT_CELL_PATH)
-            instructions[node] = Instruction(
-                (expand, Act(reassign), Act(FollowArrow(NEXT)))
-            )
+            instructions[node] = MOVE_LEFT if sideways[0] == "left" else MOVE_RIGHT
         else:
             require_flow(node, NEXT)
-            instructions[node] = follow_next
+            instructions[node] = FOLLOW_NEXT
     return instructions
 
 

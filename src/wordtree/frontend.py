@@ -21,8 +21,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import BARE_WORD, SYNTACTIC, WORD, LabeledGraph, Tree, display_word
 
@@ -77,8 +76,7 @@ class ParseError(Exception):
         self.token = token
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "word" | "punct"
     text: str
     line: int

@@ -41,14 +41,12 @@ the first write, so a violation leaves the graph as it was;
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import insort
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 PLA_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz-;{}.:,'")
 MLA_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
@@ -136,8 +134,7 @@ class Arrow(tuple):
         return "Arrow(src=%r, label=%r, dst=%r, kind=%r)" % self
 
 
-@dataclass
-class Tree:
+class Tree(NamedTuple):
     """A labeled graph together with a distinguished root node."""
 
     graph: "LabeledGraph"
@@ -159,13 +156,13 @@ class LabeledGraph:
     columns and build none, and so do ``follow``, ``ends``, ``chain``
     and ``resolve``.
 
-    A label is validated when it first enters the graph, that is, when
-    the label index (nodes by label, arrows by label) has no key for it
-    yet; later uses of the same word are not checked again, and within
-    one ``extend`` each distinct word is checked once. A refused build
-    leaves the graph untouched. Duplicate arrows (same endpoints, same
-    label) are allowed at this level; uni-labeledness is a separate
-    check so that violating graphs can be constructed and reported.
+    A label is validated when the label index (own nodes by label,
+    arrows by label) has no key for it yet; later uses of a word the
+    index holds are not checked again, and within one ``extend`` each
+    distinct word is checked once. A refused build leaves the graph
+    untouched. Duplicate arrows (same endpoints, same label) are
+    allowed at this level; uni-labeledness is a separate check so that
+    violating graphs can be constructed and reported.
 
     Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
     alone, so a label a node repeats always means several arrows. Kinds
@@ -187,7 +184,10 @@ class LabeledGraph:
     own; nodes added after that call are mounted, as a tape's cells
     and the cells it grows are. An absolute path start names one of
     the graph's own nodes, so a mounted tape never shadows a program
-    word.
+    word. The node label index holds own nodes only: ``extend`` and
+    ``set_node_label`` leave it untouched for a mounted node, so
+    ``resolve`` finds an absolute start in one lookup whatever words
+    the cells carry, and ``nodes_labeled`` lists no mounted node.
     """
 
     def __init__(self) -> None:
@@ -264,10 +264,11 @@ class LabeledGraph:
             nodes += labels
             self._in += [[] for _ in labels]
             self._out += [_NO_OUT] * len(labels)
-            for word in new_labels:
-                by_label[word] = set()
-            for node, label in enumerate(labels, first_node):
-                by_label[label].add(node)
+            if first_node < self._own_end:  # mounted nodes stay out of the index
+                for word in new_labels:
+                    by_label[word] = set()
+                for node, label in enumerate(labels, first_node):
+                    by_label[label].add(node)
         if arrow_count:
             first_arrow = len(self._src)
             # One int object per id, shared by every index that holds the id.
@@ -305,14 +306,16 @@ class LabeledGraph:
     # -- mutation ----------------------------------------------------
 
     def set_node_label(self, node: int, label: str) -> None:
-        if label not in self._by_label and not (is_pla_word(label) or is_mla_word(label)):
+        by_label = self._by_label
+        if label not in by_label and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
         old = self.node_label(node)
-        self._by_label[old].discard(node)
-        if not self._by_label[old]:
-            del self._by_label[old]
         self._nodes[node] = label
-        self._by_label.setdefault(label, set()).add(node)
+        if node < self._own_end:
+            by_label[old].discard(node)
+            if not by_label[old]:
+                del by_label[old]
+            by_label.setdefault(label, set()).add(node)
 
     def set_arrow_dst(self, arrow_id: int, dst: int) -> None:
         if not 0 <= dst < len(self._nodes):
@@ -467,6 +470,7 @@ class LabeledGraph:
         return pairs
 
     def nodes_labeled(self, word: str) -> list[int]:
+        """The graph's own nodes labeled ``word``, in id order; mounted nodes are not listed."""
         return sorted(self._by_label.get(word, ()))
 
     def arrows_labeled(self, word: str) -> list[tuple[int, Arrow]]:
@@ -537,8 +541,7 @@ def display_word(word: str) -> str:
     return word_token(word)
 
 
-@dataclass(frozen=True)
-class PathFormula:
+class PathFormula(NamedTuple):
     """Navigation expression: a start plus forward/backward label steps.
 
     ``start`` is either a word (the label that must identify exactly one
@@ -609,16 +612,10 @@ def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
             raise ValueError("formula starts at the current node but no current node was given")
         node = current
     else:
-        candidates = g._by_label.get(formula.start, ())
-        if len(candidates) == 1:
-            (node,) = candidates
-            if node >= g._own_end:
-                raise StartAmbiguous(formula.start, 0)
-        else:
-            own = [n for n in candidates if n < g._own_end]
-            if len(own) != 1:
-                raise StartAmbiguous(formula.start, len(own))
-            (node,) = own
+        candidates = g._by_label.get(formula.start, ())  # own nodes only
+        if len(candidates) != 1:
+            raise StartAmbiguous(formula.start, len(candidates))
+        (node,) = candidates
     follow = g.follow
     index = 0
     for sign, word in formula.steps:
@@ -660,9 +657,50 @@ class _Item:
     only after they resolve, so a violation leaves the graph untouched.
     An action whose ``ends_step`` is true ends an executor step when it
     is performed.
+
+    An item is an immutable value. Each class names its fields in
+    ``__slots__``; this base takes them positionally or by keyword,
+    refuses assignment, matches class patterns positionally and
+    compares and hashes them together with the class, so two items of
+    different classes are never equal, even when their fields are.
     """
 
+    __slots__ = ()
     ends_step = False
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values, **named) -> None:
+        fields = self.__slots__
+        values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if len(values) != len(fields) or named:
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable item")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def operands(self, g: "LabeledGraph", current: Optional[int]) -> tuple:
         return ()
@@ -683,8 +721,8 @@ def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
         return False
 
 
-@dataclass(frozen=True)
 class LabelsEqual(_Item):
+    __slots__ = ("p1", "p2")
     p1: PathFormula
     p2: PathFormula
 
@@ -699,8 +737,8 @@ class LabelsEqual(_Item):
         return g.node_label(n1) == g.node_label(n2)
 
 
-@dataclass(frozen=True)
 class NoArrowTo(_Item):
+    __slots__ = ("word", "path")
     word: str
     path: PathFormula
 
@@ -714,8 +752,8 @@ class NoArrowTo(_Item):
         return _no_arrow(g, self.operands(g, current)[0], "-", self.word)
 
 
-@dataclass(frozen=True)
 class NoArrowFrom(_Item):
+    __slots__ = ("word", "path")
     word: str
     path: PathFormula
 
@@ -729,8 +767,8 @@ class NoArrowFrom(_Item):
         return _no_arrow(g, self.operands(g, current)[0], "+", self.word)
 
 
-@dataclass(frozen=True)
 class UniqueArrowExists(_Item):
+    __slots__ = ("word",)
     word: str
 
     def phrase(self) -> str:
@@ -740,8 +778,8 @@ class UniqueArrowExists(_Item):
         return len(g._arrows_by_label.get(self.word, ())) == 1
 
 
-@dataclass(frozen=True)
 class PathPassable(_Item):
+    __slots__ = ("path",)
     path: PathFormula
 
     def phrase(self) -> str:
@@ -758,8 +796,8 @@ class PathPassable(_Item):
 Proposition = Union[LabelsEqual, NoArrowTo, NoArrowFrom, UniqueArrowExists, PathPassable]
 
 
-@dataclass(frozen=True)
 class RelabelNode(_Item):
+    __slots__ = ("target", "source")
     target: PathFormula
     source: PathFormula
 
@@ -775,8 +813,8 @@ class RelabelNode(_Item):
         return current
 
 
-@dataclass(frozen=True)
 class ReassignArrow(_Item):
+    __slots__ = ("word", "target")
     word: str
     target: PathFormula
 
@@ -798,8 +836,8 @@ class ReassignArrow(_Item):
         return current
 
 
-@dataclass(frozen=True)
 class CreateNodeWithArrowToTarget(_Item):
+    __slots__ = ("target",)
     target: PathFormula
 
     def phrase(self) -> str:
@@ -814,8 +852,8 @@ class CreateNodeWithArrowToTarget(_Item):
         return current
 
 
-@dataclass(frozen=True)
 class CreateNodeWithArrowFromSource(_Item):
+    __slots__ = ("source",)
     source: PathFormula
 
     def phrase(self) -> str:
@@ -830,8 +868,8 @@ class CreateNodeWithArrowFromSource(_Item):
         return current
 
 
-@dataclass(frozen=True)
 class FollowArrow(_Item):
+    __slots__ = ("word",)
     word: str
     ends_step = True
 
@@ -857,8 +895,8 @@ class FollowArrow(_Item):
         return self.operands(g, current)[0]
 
 
-@dataclass(frozen=True)
 class Stop(_Item):
+    __slots__ = ()
     ends_step = True
 
     def phrase(self) -> str:
@@ -938,8 +976,7 @@ def normal_violation(
 # -- checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniLabelViolation:
+class UniLabelViolation(NamedTuple):
     node: int
     label: str
     arrow_ids: tuple[int, ...]
@@ -994,6 +1031,8 @@ _DOT_STYLE = {SYNTACTIC: "solid", CONTROL: "bold", SEMANTIC: "dashed", TAPE: "do
 
 
 def export_json(g: LabeledGraph) -> str:
+    import json  # only an export needs it, so ``import wordtree`` does not load it
+
     payload = {
         "nodes": [{"id": n, "label": g.node_label(n)} for n in g.nodes()],
         "arrows": [

@@ -9,7 +9,6 @@ a single entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .control_flow import (
@@ -49,7 +48,6 @@ class CheckFailed(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass
 class CheckResult:
     """Everything one pass over a program text produced.
 
@@ -61,13 +59,25 @@ class CheckResult:
     added only when every used tape word is declared somewhere.
     """
 
-    tree: Tree
-    classes: dict[int, str]
-    points: Points
-    diagnostics: list[Diagnostic]
-    stop: Optional[int] = None
-    linked: int = 0
-    flow_counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("tree", "classes", "points", "diagnostics", "stop", "linked", "flow_counts")
+
+    def __init__(
+        self,
+        tree: Tree,
+        classes: dict[int, str],
+        points: Points,
+        diagnostics: list[Diagnostic],
+        stop: Optional[int] = None,
+        linked: int = 0,
+        flow_counts: Optional[dict[str, int]] = None,
+    ) -> None:
+        self.tree = tree
+        self.classes = classes
+        self.points = points
+        self.diagnostics = diagnostics
+        self.stop = stop
+        self.linked = linked
+        self.flow_counts = {} if flow_counts is None else flow_counts
 
     @property
     def errors(self) -> list[Diagnostic]:

@@ -14,7 +14,6 @@ words it, and a record is worded only when its message is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import (
@@ -180,8 +179,7 @@ def label_points(
     return points(":"), points("to")
 
 
-@dataclass(frozen=True)
-class Points:
+class Points(NamedTuple):
     """What the checks and the control flow read of a classified tree.
 
     The statement nodes in id order, and the points ``w_declaration_points``,

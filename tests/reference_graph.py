@@ -29,16 +29,14 @@ class PerCallGraph(LabeledGraph):
     """A labeled graph built one validated node or arrow per call."""
 
     def add_node(self, label: str) -> int:
-        same_label = self._by_label.get(label)
-        if same_label is None:
-            if not (is_pla_word(label) or is_mla_word(label)):
-                raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
-            same_label = self._by_label[label] = set()
+        if label not in self._by_label and not (is_pla_word(label) or is_mla_word(label)):
+            raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
         node = len(self._nodes)
         self._nodes.append(label)
         self._out.append({})
         self._in.append([])
-        same_label.add(node)
+        if node < self._own_end:  # mounted nodes stay out of the index
+            self._by_label.setdefault(label, set()).add(node)
         return node
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:

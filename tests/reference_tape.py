@@ -49,7 +49,11 @@ def parse_tape(text: str) -> Tape:
 
 
 def merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
-    """Copy ``other``'s storage into ``host`` as mounted nodes; map old ids to new."""
+    """Copy ``other``'s storage into ``host`` as mounted nodes; map old ids to new.
+
+    Mounted nodes stay out of the host's node label index, as they do
+    when ``LabeledGraph.extend`` adds them.
+    """
     node_base = len(host._nodes)
     arrow_base = len(host._src)
     host._own_end = min(host._own_end, node_base)
@@ -59,8 +63,6 @@ def merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
         for firsts in other._out
     ]
     host._in += [[arrow_base + arrow_id for arrow_id in ids] for ids in other._in]
-    for label, nodes in other._by_label.items():
-        host._by_label.setdefault(label, set()).update(node_base + node for node in nodes)
     host._src += [node_base + src for src in other._src]
     host._label += other._label
     host._dst += [node_base + dst for dst in other._dst]

@@ -66,7 +66,7 @@ from wordtree.graph import (
     export_json,
     resolve,
 )
-from wordtree.pipeline import CheckFailed, execute_program
+from wordtree.pipeline import CheckFailed, check_program, execute_program, make_executable
 from wordtree.semantics import STATEMENT, classify, find_points
 from wordtree.tape import parse_tape, render_tape
 
@@ -168,6 +168,19 @@ class TestInstall:
         for node in (tree.root, names[1], names[3], names[6], names[10]):
             assert instructions[node] == follow
         assert instructions[stop] == Instruction((Act(Stop()),))
+
+    def test_nodes_of_a_shape_share_one_instruction(self, increment_text):
+        shapes = {
+            id(executor_module.FOLLOW_NEXT): 5,
+            id(executor_module.STOP): 1,
+            id(executor_module.IF_SYMBOL): 2,
+            id(executor_module.PRINT_WORD): 3,
+            id(executor_module.MOVE_LEFT): 1,
+            id(executor_module.MOVE_RIGHT): 1,
+        }
+        for _ in range(2):  # a second program gets the same objects
+            _, _, instructions = prepare(increment_text)
+            assert Counter(map(id, instructions.values())) == shapes
 
     def test_empty_statement_follows_next(self):
         tree, stop, instructions = prepare("tape-alphabet is a;\n.")
@@ -280,6 +293,32 @@ class TestInitialize:
         initialize(tree, parse_tape(" ".join(["one"] * cells)), "last", instructions)
         monkeypatch.undo()
         assert calls == Counter(extend=2, nodes=cells, arrows=cells)
+
+    def test_cells_stay_out_of_the_node_label_index(self, increment_text):
+        """Cells carrying the root's word leave one node under it in the index.
+
+        So ``resolve`` finds the absolute start of the tape paths in one
+        lookup, however many cells say ``tape-alphabet``, and the run ends
+        as it ends with any other cell words there.
+        """
+        cells = 100_000
+        filler = ["tape-alphabet"] * cells
+        result = check_program(increment_text)
+        root = result.tree.root
+        state = initialize(
+            result.tree, filler + ["one", "zero", "one", "one", "blank"], "last",
+            make_executable(result),
+        )
+        g = state.tree.graph
+        assert g._by_label["tape-alphabet"] == {root}
+        g.set_node_label(g.node_count - 2, "tape-alphabet")
+        g.set_node_label(g.node_count - 2, "one")
+        assert g._by_label["tape-alphabet"] == {root}
+        assert g.nodes_labeled("tape-alphabet") == [root]
+        outcome = run(state)
+        assert (outcome.outcome, outcome.steps) == (STOPPED, 26)
+        assert final_tape(state) == " ".join(filler + ["one", "one", "zero", "zero", "point"])
+        assert g._by_label["tape-alphabet"] == {root}
 
     @given(st.data())
     @settings(deadline=None)

@@ -205,7 +205,10 @@ class TestPathFormulas:
             with pytest.raises(StartAmbiguous, match=f"names {own} nodes"):
                 resolve(g, parse_path(word))
         assert resolve(g, parse_path('+""'), current=cells[0]) == cells[1]
-        assert g.nodes_labeled("three") == [grown]
+        # The label index lists own nodes only.
+        assert g.nodes_labeled("three") == []
+        assert g.nodes_labeled("one") == [one]
+        assert g.node_label(grown) == "three"
 
     def test_resolve_inapplicable_none(self):
         g, root, cells = program_with_tape(["one"], 0)
