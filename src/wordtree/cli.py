@@ -75,7 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     instructions = make_executable(result)
     try:
         tape = parse_tape(tape_text)
-        state = initialize(result.tree, tape, args.start, instructions, args.cautious)
+        state = initialize(result.tree, tape, args.start, instructions)
     except ValueError as failure:
         raise Refusal(failure) from failure
 
@@ -84,11 +84,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif args.trace == "json":
         # Rows stream out as they come and form one JSON list;
         # tests/test_cli.py TestRun.test_streamed_trace_matches_collected pins it.
+        # A row shows the tape after a step that is not a crash, when
+        # that text differs from the text last shown (at first, the mount's).
         opening = "["
+        shown = final_tape(state)
 
         def print_row(entry) -> None:
-            nonlocal opening
-            sys.stdout.write(opening + json.dumps(trace_row(entry)))
+            nonlocal opening, shown
+            snapshot = None
+            if state.status != CRASHED:
+                text = final_tape(state)
+                if text is not None and text != shown:
+                    snapshot = shown = text
+            sys.stdout.write(opening + json.dumps(trace_row(entry, snapshot)))
             opening = ", "
 
         outcome = run(state, args.max_steps, print_row)
@@ -223,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=10_000,
         help="step budget before the run is cut off (default 10000)",
-    )
-    run_p.add_argument(
-        "--cautious",
-        action="store_true",
-        help="accepted and selects nothing: every run verifies each direction first",
     )
     run_p.add_argument(
         "--trace",

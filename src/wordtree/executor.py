@@ -9,8 +9,7 @@ an instruction out of directions without following an arrow, and
 violating an action's normal-execution condition all mark the state
 crashed with a structured report. Every run is cautious: an item of the
 algebra resolves all its operands before its first graph write, so a
-violation crashes before the direction touches the graph. The
-``cautious`` flag of ``initialize`` and ``ExecState`` selects nothing.
+violation crashes before the direction touches the graph.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``, and each item of the algebra resolves its own operands, so
@@ -19,8 +18,10 @@ with no table or type test in between. Whether an action ends the step
 is its class's ``ends_step``. An untraced step reads the current node's
 label only to report a crash.
 
-A run keeps no trace. A caller that wants one passes ``on_step`` and
-receives each entry as it is produced; only then is the tape rendered.
+A run keeps no trace and renders no tape. A caller that wants a trace
+passes ``on_step`` and receives each entry as it is produced; a traced
+step costs what an untraced one does. A caller that wants the tape at
+some step renders it with ``final_tape``.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class TraceEntry(NamedTuple):
     node: int
     label: str
     direction: str
-    tape: Optional[str] = None
-
-
-_STALE = object()
 
 
 class ExecState:
@@ -126,16 +123,13 @@ class ExecState:
     ``situation`` holds the crash report of a crashed run.
     """
 
-    __slots__ = (
-        "tree", "instructions", "current", "cautious", "steps", "status", "situation", "_shown"
-    )
+    __slots__ = ("tree", "instructions", "current", "steps", "status", "situation")
 
     def __init__(
         self,
         tree: Tree,
         instructions: dict[int, Instruction],
         current: int,
-        cautious: bool = False,  # selects nothing: every run is cautious
         steps: int = 0,
         status: str = RUNNING,
         situation: Optional[CrashReport] = None,
@@ -143,20 +137,9 @@ class ExecState:
         self.tree = tree
         self.instructions = instructions
         self.current = current
-        self.cautious = cautious
         self.steps = steps
         self.status = status
         self.situation = situation
-        # The tape text a trace last showed, or _STALE once an untraced step
-        # has run since; last_tape renders it again on demand.
-        self._shown: object = _STALE
-
-    @property
-    def last_tape(self) -> Optional[str]:
-        """The tape text the next traced step compares its tape against."""
-        if self._shown is _STALE:
-            self._shown = final_tape(self)
-        return self._shown
 
 
 class RunResult(NamedTuple):
@@ -264,8 +247,8 @@ def initialize(
     semantic 'tape' arrow points from the root at the chosen cell, and
     the executor is placed at the root. Whether the program may run is
     decided before ``instructions`` exist, by ``make_executable``.
-    ``cautious`` is accepted and selects nothing: every run verifies
-    each direction before it writes.
+    ``cautious`` is accepted and ignored, for callers that still pass
+    it: every run verifies each direction before it writes.
     """
     if isinstance(tape, str):
         raise ValueError("a tape is a sequence of cell words, not a string")
@@ -286,17 +269,7 @@ def initialize(
 
     cells = add_cells(g, tape)
     g.add_arrow(tree.root, TAPE_ARROW, cells[index], SEMANTIC)
-    return ExecState(tree, dict(instructions), tree.root, cautious)
-
-
-def _record(state: ExecState, node: int, label: str, phrase: str, on_step) -> None:
-    """Hand the step's entry over, with the tape text if the step changed it."""
-    snapshot = None
-    text = final_tape(state)
-    if text is not None and text != state.last_tape:
-        snapshot = text
-        state._shown = text
-    on_step(TraceEntry(state.steps, node, label, phrase, snapshot))
+    return ExecState(tree, dict(instructions), tree.root)
 
 
 def _crash(
@@ -318,21 +291,16 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
     (FollowArrow or Stop) ends the step, and an instruction must end
     that way or the state crashes.
 
-    ``on_step``, when given, receives the step's trace entry, carrying
-    the tape text when the step changed it; rendering that text costs
-    time proportional to the tape. Without it the step renders nothing
-    and its cost does not depend on the tape's length.
+    ``on_step``, when given, receives the step's trace entry. Traced or
+    not, the step renders nothing, and its cost does not depend on the
+    tape's length.
     """
     if state.status != RUNNING:
         raise ValueError(f"cannot step a {state.status} state")
     g = state.tree.graph
     node = state.current
-    if on_step is None:
-        state._shown = _STALE
-        label = None  # read only for a trace entry or a crash report
-    else:
-        _ = state.last_tape  # render the text this step is compared against
-        label = g.node_label(node)
+    # read only for a trace entry or a crash report
+    label = None if on_step is None else g.node_label(node)
     state.steps += 1
 
     instruction = state.instructions.get(node)
@@ -363,7 +331,7 @@ def step(state: ExecState, on_step: OnStep = None) -> ExecState:
             else:
                 state.current = destination
             if on_step is not None:
-                _record(state, node, label, direction.phrase(), on_step)
+                on_step(TraceEntry(state.steps, node, label, direction.phrase()))
             return state
     return _crash(
         state,
@@ -406,12 +374,12 @@ def trace_line(entry: TraceEntry) -> str:
     return f"{entry.step} {display_word(entry.label)} {entry.direction}"
 
 
-def trace_row(entry: TraceEntry) -> dict:
-    """One element of the JSON trace."""
+def trace_row(entry: TraceEntry, tape: Optional[str]) -> dict:
+    """One element of the JSON trace; ``tape`` is the snapshot it shows, or None."""
     return {
         "step": entry.step,
         "node": entry.node,
         "label": entry.label,
         "direction": entry.direction,
-        "tape": entry.tape,
+        "tape": tape,
     }

@@ -152,18 +152,17 @@ def execute_program(
     tape_text: str,
     start: Union[str, int] = "last",
     max_steps: int = 10_000,
-    cautious: bool = False,
     on_step: OnStep = None,
 ) -> RunResult:
     """Check a program, mount a tape, and run it to an outcome.
 
-    ``on_step`` receives each trace entry as the run produces it;
-    ``cautious`` selects nothing (see ``initialize``). Raises CheckFailed when the program may not run (see
-    ``make_executable``); tape or start problems raise ValueError from
-    initialization.
+    ``on_step`` receives each trace entry as the run produces it; the
+    run renders no tape for it. Raises CheckFailed when the program may
+    not run (see ``make_executable``); tape or start problems raise
+    ValueError from initialization.
     """
     result = check_program(text)
     instructions = make_executable(result)
     tape = parse_tape(tape_text)
-    state = initialize(result.tree, tape, start, instructions, cautious)
+    state = initialize(result.tree, tape, start, instructions)
     return run(state, max_steps, on_step)

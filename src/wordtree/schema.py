@@ -739,7 +739,7 @@ _INTEGER_OR_NULL = (
 _REQUIRED = object()
 
 
-def _shown(value: object) -> str:
+def _described(value: object) -> str:
     if isinstance(value, list):
         return "a list"
     if isinstance(value, dict):
@@ -750,7 +750,9 @@ def _shown(value: object) -> str:
 def _checked(value: object, path: str, shape) -> object:
     expected, fits = shape
     if not fits(value):
-        raise SchemaFileError(f"{path or 'top level'}: expected {expected}, got {_shown(value)}")
+        raise SchemaFileError(
+            f"{path or 'top level'}: expected {expected}, got {_described(value)}"
+        )
     return value
 
 
@@ -796,7 +798,7 @@ def _spec_from_obj(obj: dict, path: str) -> RegexSpec:
         words = obj.get("words")
         if not isinstance(words, list):
             raise SchemaFileError(
-                f"{path}.words: one-of words must be a list, not {_shown(words)}"
+                f"{path}.words: one-of words must be a list, not {_described(words)}"
             )
         words = frozenset(_word_from_obj(w, f"{path}.words[{i}]") for i, w in enumerate(words))
         return _built(f"{path}.words", Alternation, words)

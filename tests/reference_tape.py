@@ -6,14 +6,19 @@ module keeps the earlier two-stage mount: ``parse_tape`` built a
 storage into the program graph behind the program's own nodes, and
 ``initialize`` walked the tape's cells to find the start cell. Tests
 mount the same tape both ways and compare the results.
+
+``snapshot_trace`` keeps the rule by which the executor once chose the
+tape text of a trace entry, and by which ``wordtree run --trace json``
+still chooses it: after every entry that is not a crash entry, render
+the tape, and show the text when it differs from the text last shown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Optional, Union
 
-from wordtree.executor import TAPE_ARROW, ExecState, Instruction
+from wordtree.executor import CRASHED, TAPE_ARROW, ExecState, Instruction, TraceEntry, final_tape
 from wordtree.graph import SEMANTIC, TAPE, WORD, LabeledGraph, Tree
 
 EMPTY_TOKEN = '""'
@@ -79,7 +84,6 @@ def initialize(
     tape: Tape,
     start: Union[str, int],
     instructions: dict[int, Instruction],
-    cautious: bool = False,
 ) -> ExecState:
     """Merge the tape graph into the program graph and aim 'tape' at the start cell."""
     g = tree.graph
@@ -98,4 +102,25 @@ def initialize(
         raise ValueError(f"start index {index} outside the {len(cells)}-cell tape")
     mapping = merge(g, tape.graph)
     g.add_arrow(tree.root, TAPE_ARROW, mapping[cells[index]], SEMANTIC)
-    return ExecState(tree, dict(instructions), tree.root, cautious)
+    return ExecState(tree, dict(instructions), tree.root)
+
+
+def snapshot_trace(
+    state: ExecState, pairs: list[tuple[TraceEntry, Optional[str]]]
+) -> Callable[[TraceEntry], None]:
+    """An ``on_step`` that appends (entry, tape text shown with it or None) to ``pairs``.
+
+    Make it right after the mount: the mounted tape is the first text shown.
+    """
+    shown = final_tape(state)
+
+    def record(entry: TraceEntry) -> None:
+        nonlocal shown
+        text = None if state.status == CRASHED else final_tape(state)
+        if text is not None and text != shown:
+            shown = text
+        else:
+            text = None
+        pairs.append((entry, text))
+
+    return record

@@ -263,18 +263,17 @@ TAPE_TOKENS = st.lists(
 @given(st.integers(0, 10**6), st.data())
 @settings(deadline=None, max_examples=50)
 def test_check_clean_programs_run_on_every_tape(seed, data):
-    """Fail-safety on any tape of legal tokens, from any start, in both modes."""
+    """Fail-safety on any tape of legal tokens, from any start."""
     text = clean_generated_program(seed)
-    words = st.sampled_from(tape_vocabulary(check_program(text))) | TAPE_TOKENS
+    result = check_program(text)
+    words = st.sampled_from(tape_vocabulary(result)) | TAPE_TOKENS
     cells = data.draw(st.lists(words, min_size=1, max_size=8))
     start = data.draw(st.sampled_from(["first", "last"]) | st.integers(0, len(cells) - 1))
-    for cautious in (False, True):
-        result = check_program(text)
-        state = initialize(
-            result.tree, parse_tape(" ".join(cells)), start, make_executable(result), cautious
-        )
-        outcome = run(state, 1_000).outcome
-        assert outcome in (STOPPED, BUDGET_EXHAUSTED), (cautious, state.situation)
+    state = initialize(
+        result.tree, parse_tape(" ".join(cells)), start, make_executable(result)
+    )
+    outcome = run(state, 1_000).outcome
+    assert outcome in (STOPPED, BUDGET_EXHAUSTED), state.situation
 
 
 def snapshot(g):

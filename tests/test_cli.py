@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,18 +16,22 @@ from wordtree import cli as cli_module
 from wordtree import schema as schema_module
 from wordtree.cli import main
 from wordtree.executor import final_tape, initialize, run, trace_line, trace_row
-from wordtree.frontend import parse_text
+from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.graph import SEMANTIC, SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import (
     Literal,
     Schema,
     SchemaFileError,
+    generate_sytr,
     schema_from_json,
     schema_to_json,
     turingol_schema,
 )
 from wordtree.tape import parse_tape
+
+import reference_tape
+from fail_safety import random_start, random_tape, tape_vocabulary
 
 
 def invoke(capsys, *argv):
@@ -45,18 +50,22 @@ TRACED_RUNS = [(c["tape"], c["start"]) for c in ORACLE["cases"]] + [
 ]
 
 
-def collected_output(program_text, tape, start, cautious, trace_format) -> str:
-    """What ``run --trace`` prints, rendered from the whole collected trace."""
+def collected_output(program_text, tape, start, trace_format, cautious=False) -> str:
+    """What ``run --trace`` prints, rendered from the whole collected trace.
+
+    The JSON rows carry the tape texts ``reference_tape.snapshot_trace``
+    chooses. ``cautious`` goes to ``initialize``, which ignores it.
+    """
     result = check_program(program_text)
     state = initialize(
-        result.tree, parse_tape(tape), start, make_executable(result), cautious
+        result.tree, parse_tape(tape), start, make_executable(result), cautious=cautious
     )
-    entries = []
-    outcome = run(state, on_step=entries.append)
+    pairs = []
+    outcome = run(state, on_step=reference_tape.snapshot_trace(state, pairs))
     if trace_format == "text":
-        lines = ["\n".join(map(trace_line, entries))]
+        lines = ["\n".join(trace_line(entry) for entry, _ in pairs)]
     else:
-        lines = [json.dumps(list(map(trace_row, entries)))]
+        lines = [json.dumps([trace_row(entry, text) for entry, text in pairs])]
     tape_line = final_tape(state)
     if tape_line is not None:
         lines.append(tape_line)
@@ -162,16 +171,52 @@ class TestRun:
     def test_streamed_trace_matches_collected(
         self, capsys, program_path, tape, start, cautious, trace_format
     ):
+        """The CLI takes no --cautious; the 'cautious' cases collect the
+        expected output through ``initialize(..., cautious=True)``, which
+        is accepted and ignored."""
         path = program_path("increment.tgl")
-        mode = ["--cautious"] if cautious else []
         _, out, _ = invoke(
             capsys,
             "run", str(path), "--tape", tape, "--start", str(start),
-            "--trace", trace_format, *mode,
+            "--trace", trace_format,
         )
-        assert out == collected_output(
-            path.read_text(), tape, start, cautious, trace_format
-        )
+        assert out == collected_output(path.read_text(), tape, start, trace_format, cautious)
+
+    @pytest.mark.parametrize("cells", [301, 1500])
+    def test_json_trace_on_long_tapes_matches_reference(self, capsys, program_path, cells):
+        path = program_path("increment.tgl")
+        tape = " ".join(["zero"] * (cells - 51) + ["one"] * 50 + ["blank"])
+        _, out, _ = invoke(capsys, "run", str(path), "--tape", tape, "--trace", "json")
+        assert out == collected_output(path.read_text(), tape, "last", "json")
+
+    def test_json_trace_on_grown_programs_matches_reference(self, capsys, tmp_path):
+        """Every runnable program ``generate_sytr`` grows for seeds 0-99, on one random tape."""
+        runnable = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            text = render_program(to_canonical(generate_sytr(turingol_schema(), "P", rng)))
+            result = check_program(text)
+            if not result.runnable:
+                continue
+            runnable += 1
+            tape = random_tape(rng, tape_vocabulary(result))
+            start = random_start(rng, tape)
+            path = tmp_path / f"grown{seed}.tgl"
+            path.write_text(text)
+            _, out, _ = invoke(
+                capsys,
+                "run", str(path), "--tape", tape, "--start", str(start), "--trace", "json",
+            )
+            assert out == collected_output(text, tape, start, "json"), seed
+        assert runnable == 15
+
+    def test_cautious_option_refused(self, capsys, program_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(program_path("increment.tgl")), "--tape", "one", "--cautious"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cautious" in captured.err
 
     def test_long_tape_is_printed_whole(self, capsys, program_path):
         tape = " ".join(["zero"] * 1499 + ["blank"])

@@ -114,6 +114,14 @@ def execute(text: str, tape_text: str, start):
     return run(state, on_step=trace.append), trace, tree, stop, s_nodes
 
 
+def snapshot_run(text: str, tape_text: str, start):
+    """Run with ``reference_tape.snapshot_trace``; the result and its (entry, snapshot) pairs."""
+    tree, _, instructions = prepare(text)
+    state = initialize(tree, parse_tape(tape_text), start, instructions)
+    pairs = []
+    return run(state, on_step=reference_tape.snapshot_trace(state, pairs)), pairs
+
+
 @pytest.fixture
 def increment_parts(increment_text):
     return prepare(increment_text)
@@ -212,7 +220,7 @@ class TestInitialize:
         assert state.current == tree.root
         assert state.steps == 0
         assert state.status == RUNNING
-        assert state.last_tape == "one"
+        assert final_tape(state) == "one"
 
     def test_index_zero_is_first(self, increment_text):
         for start in ("first", 0):
@@ -438,13 +446,13 @@ class TestStep:
 class TestRuns:
     @pytest.mark.parametrize("case", EXPECTED_RUNS["cases"], ids=lambda c: c["tape"])
     def test_expected_runs(self, increment_text, case):
-        result, trace, _, _, _ = execute(increment_text, case["tape"], case["start"])
+        result, pairs = snapshot_run(increment_text, case["tape"], case["start"])
         assert result.outcome == case["outcome"]
         assert result.steps == case["steps"]
         assert final_tape(result.state) == case["final_tape"]
-        assert [e.label for e in trace] == case["trace_labels"]
+        assert [e.label for e, _ in pairs] == case["trace_labels"]
         if "snapshots" in case:
-            changes = [[e.step, e.tape] for e in trace if e.tape is not None]
+            changes = [[e.step, text] for e, text in pairs if text is not None]
             assert changes == case["snapshots"]
 
     def test_trace_steps_count_up(self, increment_text):
@@ -550,6 +558,8 @@ EDGE_RUNS = [
 
 
 class TestModes:
+    """``initialize`` accepts ``cautious`` and ignores it: every run is cautious."""
+
     @pytest.mark.parametrize(
         "case",
         EXPECTED_RUNS["cases"][:3] + EDGE_RUNS,
@@ -560,7 +570,7 @@ class TestModes:
         for cautious in (False, True):
             tree, _, instructions = prepare(increment_text)
             state = initialize(
-                tree, parse_tape(case["tape"]), case["start"], instructions, cautious
+                tree, parse_tape(case["tape"]), case["start"], instructions, cautious=cautious
             )
             if case.get("second_tape_arrow"):
                 tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
@@ -586,7 +596,7 @@ class TestModes:
         for cautious in (False, True):
             tree, _, instructions = prepare(increment_text)
             tape = parse_tape(" ".join(["one"] * 50 + ["blank"]))
-            state = initialize(tree, tape, "last", instructions, cautious)
+            state = initialize(tree, tape, "last", instructions, cautious=cautious)
             assert run(state).steps == 410
         assert calls == {False: 513, True: 513}
 
@@ -600,8 +610,7 @@ class TestModes:
 
     def test_cautious_crash_is_structured(self, increment_parts):
         tree, _, instructions = increment_parts
-        state = initialize(tree, parse_tape("one"), "first", instructions)
-        state.cautious = True
+        state = initialize(tree, parse_tape("one"), "first", instructions, cautious=True)
         tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
         result = run(state)
         assert result.outcome == CRASHED
@@ -639,47 +648,63 @@ class TestTracing:
         """No step renders the tape or lists every arrow, and each program
         node's step scans as many arrows on a 1 000-cell tape as on a
         10-cell one."""
-        calls = {"arrows": 0, "chain_text": 0}
-        scanned = [0]
-        arrows, chain_text = LabeledGraph.arrows, tape_module.chain_text
+        assert_step_cost_is_flat(increment_text, monkeypatch, on_step=None)
 
-        def counted_arrows(self):
-            calls["arrows"] += 1
-            return arrows(self)
+    def test_traced_step_cost_does_not_grow_with_the_tape(self, increment_text, monkeypatch):
+        """A traced step renders nothing either: the entry is the node, its
+        label and the direction taken, whatever the tape's length."""
+        entries = []
+        assert_step_cost_is_flat(increment_text, monkeypatch, on_step=entries.append)
+        assert len(entries) == (8 * 10 + 2) + (8 * 1000 + 2)
 
-        def counted_chain_text(g, cell):
-            calls["chain_text"] += 1
-            return chain_text(g, cell)
 
-        monkeypatch.setattr(LabeledGraph, "arrows", counted_arrows)
-        monkeypatch.setattr(tape_module, "chain_text", counted_chain_text)
-        monkeypatch.setattr(executor_module, "chain_text", counted_chain_text)
-        for name in ("out_arrows", "in_arrows"):
+def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
+    """Run increment.tgl on 10 and 1 000 'one' cells, stepping with ``on_step``.
 
-            def counted(self, *args, listing=getattr(LabeledGraph, name), **kwargs):
-                pairs = listing(self, *args, **kwargs)
-                scanned[0] += len(pairs)
-                return pairs
+    No step may render the tape or list every arrow, and each program
+    node's step must scan as many arrows on the long tape as on the short.
+    """
+    calls = {"arrows": 0, "chain_text": 0}
+    scanned = [0]
+    arrows, chain_text = LabeledGraph.arrows, tape_module.chain_text
 
-            monkeypatch.setattr(LabeledGraph, name, counted)
+    def counted_arrows(self):
+        calls["arrows"] += 1
+        return arrows(self)
 
-        def scans_by_node(cells: int) -> dict[int, set[int]]:
-            tree, _, instructions = prepare(increment_text)
-            tape = parse_tape(" ".join(["one"] * cells))
-            state = initialize(tree, tape, "last", instructions)
-            calls.update(arrows=0, chain_text=0)
-            by_node: dict[int, set[int]] = {}
-            while state.status == RUNNING:
-                node = state.current
-                scanned[0] = 0
-                step(state)
-                by_node.setdefault(node, set()).add(scanned[0])
-            assert calls == {"arrows": 0, "chain_text": 0}
-            assert state.status == STOPPED
-            assert state.steps == 8 * cells + 2
-            return by_node
+    def counted_chain_text(g, cell):
+        calls["chain_text"] += 1
+        return chain_text(g, cell)
 
-        assert scans_by_node(10) == scans_by_node(1000)
+    monkeypatch.setattr(LabeledGraph, "arrows", counted_arrows)
+    monkeypatch.setattr(tape_module, "chain_text", counted_chain_text)
+    monkeypatch.setattr(executor_module, "chain_text", counted_chain_text)
+    for name in ("out_arrows", "in_arrows"):
+
+        def counted(self, *args, listing=getattr(LabeledGraph, name), **kwargs):
+            pairs = listing(self, *args, **kwargs)
+            scanned[0] += len(pairs)
+            return pairs
+
+        monkeypatch.setattr(LabeledGraph, name, counted)
+
+    def scans_by_node(cells: int) -> dict[int, set[int]]:
+        tree, _, instructions = prepare(increment_text)
+        tape = parse_tape(" ".join(["one"] * cells))
+        state = initialize(tree, tape, "last", instructions)
+        calls.update(arrows=0, chain_text=0)
+        by_node: dict[int, set[int]] = {}
+        while state.status == RUNNING:
+            node = state.current
+            scanned[0] = 0
+            step(state, on_step)
+            by_node.setdefault(node, set()).add(scanned[0])
+        assert calls == {"arrows": 0, "chain_text": 0}
+        assert state.status == STOPPED
+        assert state.steps == 8 * cells + 2
+        return by_node
+
+    assert scans_by_node(10) == scans_by_node(1000)
 
 
 class TestTraceFormats:
@@ -691,8 +716,8 @@ class TestTraceFormats:
         assert lines[-1] == "18 'stop' stop"
 
     def test_json_round_trip(self, increment_text):
-        result, trace, _, _, _ = execute(increment_text, "zero", "last")
-        rows = json.loads(json.dumps(list(map(trace_row, trace))))
+        result, pairs = snapshot_run(increment_text, "zero", "last")
+        rows = json.loads(json.dumps([trace_row(entry, text) for entry, text in pairs]))
         assert len(rows) == result.steps
         assert rows[0]["label"] == "tape-alphabet"
         assert rows[0]["tape"] is None

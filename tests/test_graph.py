@@ -958,11 +958,15 @@ def test_untraced_run_follows_no_arrow_through_a_list(monkeypatch, increment_tex
     """A run's path steps and follow directions read the (node, label) index.
 
     ``LabeledGraph.ends`` builds a list; a step never asks it for the
-    arrows leaving a node.
+    arrows leaving a node. ``initialize`` ignores ``cautious``.
     """
     result = check_program(increment_text)
     state = initialize(
-        result.tree, parse_tape("one zero one one blank"), "last", make_executable(result), cautious
+        result.tree,
+        parse_tape("one zero one one blank"),
+        "last",
+        make_executable(result),
+        cautious=cautious,
     )
     plus_lookups = []
     ends = LabeledGraph.ends

@@ -61,7 +61,7 @@ RECORDS = [
     ),
     (UniLabelViolation, {"node": 0, "label": "x", "arrow_ids": (0, 1)}),
     (CrashReport, {"situation": "NoInstruction", "node": 3, "detail": "none"}),
-    (TraceEntry, {"step": 1, "node": 2, "label": "if", "direction": "stop", "tape": "one"}),
+    (TraceEntry, {"step": 1, "node": 2, "label": "if", "direction": "stop"}),
     (RunResult, {"outcome": "stopped", "steps": 3, "trace": [], "state": STATE}),
     (Act, {"action": Stop()}),
     (Guarded, {"condition": PathPassable(P), "action": FollowArrow("next")}),
@@ -85,7 +85,6 @@ MUTABLE = [
             "tree": TREE,
             "instructions": {},
             "current": 0,
-            "cautious": False,
             "steps": 0,
             "status": "running",
             "situation": None,
