@@ -30,10 +30,10 @@ navigation calls.
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
 (origin, label) index once. ``resolve`` walks a path formula's steps
-through it; kinds serve the column readers, the uni-labeledness check
-and export. Each proposition and action class resolves its own
-``operands``, which are its normal-execution conditions, and gives them
-meaning in its ``holds`` or ``apply``; ``eval_proposition`` and
+through it; kinds serve the column readers and export. Each
+proposition and action class resolves its own ``operands``, which are
+its normal-execution conditions, and gives them meaning in its
+``holds`` or ``apply``; ``eval_proposition`` and
 ``apply_action`` call those methods, which resolve every operand before
 the first write, so a violation leaves the graph as it was;
 ``normal_violation`` predicts it without acting.
@@ -46,7 +46,7 @@ import re
 from bisect import insort
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 PLA_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz-;{}.:,'")
 MLA_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
@@ -165,9 +165,9 @@ class LabeledGraph:
     violating graphs can be constructed and reported.
 
     Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
-    alone, so a label a node repeats always means several arrows. Kinds
-    serve the listing calls, ``pairs_labeled``, ``ends_of_kind`` and
-    ``check_uni_labeled``, and export.
+    alone, so a label a node repeats always means several arrows, and
+    ``check_uni_labeled`` counts every arrow too. Kinds serve the listing
+    calls, ``pairs_labeled``, ``ends_of_kind`` and export.
 
     Out-arrows are indexed by (origin, label): each node keeps a dict
     from label to the id of its first out-arrow with that label, and
@@ -175,7 +175,8 @@ class LabeledGraph:
     graph that is not uni-labeled has. Each dict lists the node's
     first arrows in id order, since labels enter it as their first
     arrows are added; all nodes that no arrow leaves share one empty
-    dict, which is never written. Origins and labels never change, so
+    dict, which is never written and which a deep copy or unpickled
+    graph shares again. Origins and labels never change, so
     only ``extend`` updates the index. A node's out-arrows and in-arrows
     are both listed in id order, also after ``set_arrow_dst`` moves an
     arrow.
@@ -499,20 +500,15 @@ class LabeledGraph:
     def arrow_count(self) -> int:
         return len(self._src)
 
-    def copy(self) -> "LabeledGraph":
-        dup = LabeledGraph()
-        dup._nodes = list(self._nodes)
-        dup._src = list(self._src)
-        dup._label = list(self._label)
-        dup._dst = list(self._dst)
-        dup._kind = list(self._kind)
-        dup._out = [dict(firsts) if firsts else _NO_OUT for firsts in self._out]
-        dup._in = [list(ids) for ids in self._in]
-        dup._by_label = {w: set(ns) for w, ns in self._by_label.items()}
-        dup._arrows_by_label = {w: list(ids) for w, ids in self._arrows_by_label.items()}
-        dup._out_more = {key: list(ids) for key, ids in self._out_more.items()}
-        dup._own_end = self._own_end
-        return dup
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild from ``copy.deepcopy`` or ``pickle``, sharing ``_NO_OUT`` again.
+
+        The copied state holds one ordinary empty dict in place of the
+        sentinel; left shared, an arrow added from one arrowless node
+        would show up on all of them.
+        """
+        self.__dict__.update(state)
+        self._out = [firsts or _NO_OUT for firsts in self._out]
 
     def end_own_nodes(self) -> None:
         """Count the nodes added from now on as mounted, not as this graph's own."""
@@ -982,25 +978,18 @@ class UniLabelViolation(NamedTuple):
     arrow_ids: tuple[int, ...]
 
 
-def check_uni_labeled(
-    g: LabeledGraph, kinds: Optional[Iterable[str]] = None
-) -> list[UniLabelViolation]:
-    """Find nodes whose outgoing arrows (of the given kinds) share a label.
+def check_uni_labeled(g: LabeledGraph) -> list[UniLabelViolation]:
+    """Find nodes whose outgoing arrows share a label, whatever their kinds.
 
     Reads the overflow map of the (origin, label) index, which holds each
     (node, label) a node repeats, so it builds no Arrow record. The
     violations come in (node, label) order, each with its arrow ids in
     id order.
     """
-    wanted = None if kinds is None else set(kinds)
-    violations = []
-    for (node, label), more in sorted(g._out_more.items()):
-        ids = [g._out[node][label], *more]
-        if wanted is not None:
-            ids = [i for i in ids if g._kind[i] in wanted]
-        if len(ids) > 1:
-            violations.append(UniLabelViolation(node, label, tuple(ids)))
-    return violations
+    return [
+        UniLabelViolation(node, label, (g._out[node][label], *more))
+        for (node, label), more in sorted(g._out_more.items())
+    ]
 
 
 def functional_cycles(successor: dict) -> list[tuple]:

@@ -161,12 +161,21 @@ class OrArrow:
 
 class Schema:
     """Named nodes plus AND/OR arrows. Declaration order is significant:
-    it fixes production order in exports and choice order in generation."""
+    it fixes production order in exports and choice order in generation.
+
+    ``_and`` and ``_or`` hold every arrow in declaration order, for the
+    whole-schema listings and ``schema_to_json``. ``_and_from[name]`` and
+    ``_or_from[name]`` hold the arrows that leave ``name``, appended as
+    they are added, so they keep declaration order too; every per-name
+    query reads the name's own lists and scans no other arrow.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[str, SchemaNode] = {}
         self._and: list[AndArrow] = []
         self._or: list[OrArrow] = []
+        self._and_from: dict[str, list[AndArrow]] = {}
+        self._or_from: dict[str, list[OrArrow]] = {}
         self._report: Optional[SchemaReport] = None
 
     def add_node(self, name: str, label: RegexSpec = Literal(""), number: Optional[int] = None) -> SchemaNode:
@@ -180,6 +189,8 @@ class Schema:
                 raise ValueError(f"node label {word!r} is neither a PLA word nor an MLA word")
         node = SchemaNode(name, label, number)
         self._nodes[name] = node
+        self._and_from[name] = []
+        self._or_from[name] = []
         self._report = None
         return node
 
@@ -200,6 +211,7 @@ class Schema:
                 raise ValueError(f"arrow label {word!r} is not a PLA word")
         arrow = AndArrow(src, dst, label, optional, order, suffix)
         self._and.append(arrow)
+        self._and_from[src].append(arrow)
         self._report = None
         return arrow
 
@@ -208,6 +220,7 @@ class Schema:
         self._require(dst)
         arrow = OrArrow(src, dst)
         self._or.append(arrow)
+        self._or_from[src].append(arrow)
         self._report = None
         return arrow
 
@@ -223,22 +236,17 @@ class Schema:
         return self._nodes[name]
 
     def and_arrows(self, src: Optional[str] = None) -> list[AndArrow]:
-        if src is None:
-            return list(self._and)
-        return [a for a in self._and if a.src == src]
+        return list(self._and if src is None else self._and_from.get(src, ()))
 
     def or_arrows(self, src: Optional[str] = None) -> list[OrArrow]:
-        if src is None:
-            return list(self._or)
-        return [a for a in self._or if a.src == src]
+        return list(self._or if src is None else self._or_from.get(src, ()))
 
     def or_targets(self, name: str) -> list[str]:
-        return [a.dst for a in self._or if a.src == name]
+        return [a.dst for a in self._or_from.get(name, ())]
 
     def node_class(self, name: str) -> str:
         self._require(name)
-        has_and = any(a.src == name for a in self._and)
-        has_or = any(a.src == name for a in self._or)
+        has_and, has_or = bool(self._and_from[name]), bool(self._or_from[name])
         if has_and and has_or:
             return MIXED
         if has_and:
@@ -334,15 +342,6 @@ def check_and_condition(schema: Schema) -> list[AndConflict]:
     return conflicts
 
 
-def _successors(schema: Schema) -> dict[str, set[str]]:
-    succ: dict[str, set[str]] = {name: set() for name in schema.names()}
-    for a in schema.and_arrows():
-        succ[a.src].add(a.dst)
-    for o in schema.or_arrows():
-        succ[o.src].add(o.dst)
-    return succ
-
-
 def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
     """AND-cycle condition: every OR-bearing cycle passes through an AND node.
 
@@ -354,7 +353,12 @@ def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
     sorted; one breadth-first search per OR target keeps this polynomial.
     """
     free = {name for name in schema.names() if schema.node_class(name) != AND_NODE}
-    succ = {name: sorted(dsts & free) for name, dsts in _successors(schema).items()}
+    succ = {
+        name: sorted(free.intersection(
+            [a.dst for a in schema.and_arrows(name)] + schema.or_targets(name)
+        ))
+        for name in free
+    }
     witnesses: set[tuple[str, ...]] = set()
     for target in sorted({o.dst for o in schema.or_arrows()} & free):
         parent: dict[str, Optional[str]] = {target: None}
@@ -364,9 +368,9 @@ def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
                 if nxt not in parent:
                     parent[nxt] = node
                     queue.append(nxt)
-        for arrow in schema.or_arrows():
-            if arrow.dst == target and arrow.src in parent:
-                back = [arrow.src]
+        for src in queue:
+            if target in schema.or_targets(src):
+                back = [src]
                 while back[-1] != target:
                     back.append(parent[back[-1]])
                 cycle = back[::-1]

@@ -59,6 +59,8 @@ class PerCallGraph(LabeledGraph):
         self._kind.append(kind)
         self._in[dst].append(arrow_id)
         same_label.append(arrow_id)
+        if not self._out[src]:  # a deep copy's arrowless nodes share the library's empty dict
+            self._out[src] = {}
         if self._out[src].setdefault(label, arrow_id) != arrow_id:
             self._out_more.setdefault((src, label), []).append(arrow_id)
         return arrow_id
@@ -91,14 +93,13 @@ def canonical_form(g: LabeledGraph, root: int):
     return walk(root)
 
 
-def uni_label_violations(g: LabeledGraph, kinds=None) -> list[UniLabelViolation]:
-    """Group each node's listed out-arrows (of the given kinds) by label."""
+def uni_label_violations(g: LabeledGraph) -> list[UniLabelViolation]:
+    """Group each node's listed out-arrows by label."""
     violations = []
     for node in g.nodes():
         groups: dict[str, list[int]] = {}
         for arrow_id, arrow in g.out_arrows(node):
-            if kinds is None or arrow.kind in kinds:
-                groups.setdefault(arrow.label, []).append(arrow_id)
+            groups.setdefault(arrow.label, []).append(arrow_id)
         for label in sorted(groups):
             ids = groups[label]
             if len(ids) > 1:

@@ -37,7 +37,6 @@ from wordtree.schema import (
     BudgetExceeded,
     RegexSpec,
     Schema,
-    _successors,
     analyze,
 )
 
@@ -55,7 +54,9 @@ def elementary_cycles(successors) -> list[tuple]:
     """All elementary cycles of a successor map, or of a schema's arrows,
     each rotated to start at its least node, in sorted order."""
     if isinstance(successors, Schema):
-        successors = _successors(successors)
+        schema, successors = successors, {name: set() for name in successors.names()}
+        for arrow in schema.and_arrows() + schema.or_arrows():
+            successors[arrow.src].add(arrow.dst)
     g = nx.DiGraph()
     g.add_nodes_from(successors)
     g.add_edges_from((n, m) for n, dsts in successors.items() for m in dsts)

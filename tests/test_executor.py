@@ -1,5 +1,6 @@
 """Instruction installation, tape attachment, and graph-walking runs."""
 
+import copy
 import json
 import sys
 from collections import Counter
@@ -259,7 +260,7 @@ class TestInitialize:
     def test_illegal_words_refused_before_the_mount(self, increment_text, tape, message):
         """The refused mount leaves no trace: a later mount matches one on a fresh copy."""
         tree, _, instructions = prepare(increment_text)
-        fresh = Tree(tree.graph.copy(), tree.root)
+        fresh = Tree(copy.deepcopy(tree.graph), tree.root)
         before = export_json(tree.graph)
         with pytest.raises(ValueError) as refusal:
             initialize(tree, tape, "last", instructions)
@@ -343,10 +344,10 @@ class TestInitialize:
         start = data.draw(st.sampled_from(["first", "last", *range(len(words))]))
         text = render_tape(words)
         state = initialize(
-            Tree(g.copy(), template.root), parse_tape(text), start, instructions
+            Tree(copy.deepcopy(g), template.root), parse_tape(text), start, instructions
         )
         expected = reference_tape.initialize(
-            Tree(g.copy(), template.root), reference_tape.parse_tape(text), start, instructions
+            Tree(copy.deepcopy(g), template.root), reference_tape.parse_tape(text), start, instructions
         )
         assert export_json(state.tree.graph) == export_json(expected.tree.graph)
         assert final_tape(state) == final_tape(expected) == text

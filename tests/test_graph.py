@@ -4,6 +4,7 @@ import ast
 import copy
 import gc
 import json
+import pickle
 import random
 import re
 import sys
@@ -144,6 +145,19 @@ class TestStorage:
             with pytest.raises(ValueError, match=f"{bad} is not a node of this graph"):
                 g.in_arrows(bad)
 
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_keep_arrowless_nodes_apart(self, clone):
+        """A copied graph's arrowless nodes do not share the out-arrow dict the first arrow fills."""
+        g = LabeledGraph()
+        a, b = g.add_node("a"), g.add_node("b")
+        dup = clone(g)
+        dup.add_arrow(a, "x", b)
+        assert [arrow.dst for _, arrow in dup.out_arrows(a)] == [b]
+        assert dup.out_arrows(b) == [] and dup.ends(b, "+", "x") == []
+        assert g.out_arrows(a) == g.out_arrows(b) == []
+
     def test_node_ids_that_are_not_integers_are_refused(self):
         g = LabeledGraph()
         n = g.add_node("a")
@@ -199,7 +213,7 @@ class TestPathFormulas:
         grown = g.add_node("three")
         g.end_own_nodes()  # a second boundary does not move the first
         assert resolve(g, parse_path('"tape-alphabet"')) == root
-        assert resolve(g.copy(), parse_path('"tape-alphabet"')) == root
+        assert resolve(copy.deepcopy(g), parse_path('"tape-alphabet"')) == root
         assert resolve(g, parse_path("one")) == one
         for word, own in (("two", 0), ("three", 0), ("four", 2)):
             with pytest.raises(StartAmbiguous, match=f"names {own} nodes"):
@@ -500,7 +514,7 @@ def indexed_graphs(draw):
     Arrows repeat a (node, label) pair that already has one, arrows are
     moved by ``set_arrow_dst``, nodes are relabeled by
     ``set_node_label``, and the graph is used as built, as a
-    ``copy()`` whose original then grows, or added node by node and
+    deep copy whose original then grows, or added node by node and
     arrow by arrow to another graph after its own nodes end.
     """
     g, node = draw(graphs_with_current())
@@ -524,7 +538,7 @@ def indexed_graphs(draw):
         g.set_node_label(relabeled, draw(st.sampled_from(["a", "b", "", "c"])))
     how = draw(st.sampled_from(["built", "copy", "mounted"]))
     if how == "copy":
-        original, g = g, g.copy()
+        original, g = g, copy.deepcopy(g)
         original.add_arrow(node, draw(words), node)
     elif how == "mounted":
         host, _ = draw(graphs_with_current())
@@ -944,7 +958,7 @@ def test_algebra_agrees_with_the_reference_dispatch(graph_and_node, item, where)
     for name in ("eval_proposition", "apply_action", "normal_violation"):
         results = []
         for module in (G, reference_algebra):
-            graph = g.copy()
+            graph = copy.deepcopy(g)
             try:
                 value = getattr(module, name)(graph, item, current)
             except Exception as exc:  # the type and text are what is compared
@@ -1078,14 +1092,6 @@ class TestUniLabeled:
         assert violations[0].label == ";"
         assert set(violations[0].arrow_ids) == {first, second}
 
-    def test_kind_filter(self):
-        g = LabeledGraph()
-        a, b, c = g.add_node("a"), g.add_node("b"), g.add_node("c")
-        g.add_arrow(a, "x", b, kind=G.SYNTACTIC)
-        g.add_arrow(a, "x", c, kind=G.CONTROL)
-        assert check_uni_labeled(g) != []
-        assert check_uni_labeled(g, kinds=(G.SYNTACTIC,)) == []
-
     @given(st.permutations(range(6)))
     @settings(deadline=None)
     def test_order_independent(self, order):
@@ -1109,16 +1115,14 @@ class TestUniLabeled:
             ),
             max_size=24,
         ),
-        st.one_of(st.none(), st.sets(st.sampled_from(G.ARROW_KINDS)).map(tuple)),
     )
     @settings(deadline=None)
-    def test_matches_listing_reference(self, arrows, kinds):
+    def test_matches_listing_reference(self, arrows):
         """The overflow map finds what grouping every node's listing finds, in the same order."""
         g = LabeledGraph()
         g.extend(("a", "b", "c", "d"))
         for src, label, dst, kind in arrows:
             g.add_arrow(src, label, dst, kind)
-        assert check_uni_labeled(g, kinds) == uni_label_violations(g, kinds)
         assert check_uni_labeled(g) == uni_label_violations(g)
 
     def test_reads_no_listing(self, monkeypatch):

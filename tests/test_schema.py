@@ -141,6 +141,29 @@ class TestSchemaStructure:
         s.add_and_arrow("X", "Y", Alternation({"left", "right"}))
         assert len(s.and_arrows()) == 2
 
+    def test_per_name_queries_scan_no_other_arrow(self):
+        """Per-name questions read the name's own arrows, so the lists of every
+        arrow may refuse iteration and each answer stays the same."""
+        s = turingol_schema()
+
+        def answers():
+            return [
+                (s.and_arrows(name), s.or_arrows(name), s.or_targets(name), s.node_class(name))
+                for name in s.names()
+            ], export_grammar(s)
+
+        before = answers()
+
+        class Unlisted(list):
+            def __iter__(self):
+                raise AssertionError("a per-name query scanned every arrow of the schema")
+
+        s._and, s._or = Unlisted(s._and), Unlisted(s._or)
+        assert answers() == before
+        assert s.and_arrows("Q") == s.or_arrows("Q") == s.or_targets("Q") == []
+        with pytest.raises(ValueError, match="unknown schema node 'Q'"):
+            s.node_class("Q")
+
     def test_turingol_inventory(self):
         s = turingol_schema()
         assert len(s.names()) == 16
