@@ -13,7 +13,6 @@ the experiment.
 """
 
 import argparse
-import copy
 import random
 import sys
 from collections import Counter
@@ -22,7 +21,7 @@ from pathlib import Path
 from wordtree.executor import CRASHED, initialize, run
 from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import SYNTACTIC
-from wordtree.pipeline import check_program, make_executable
+from wordtree.pipeline import check_program, execute_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, classify, find_points
 from wordtree.tape import parse_tape
@@ -115,17 +114,13 @@ def random_start(rng, tape_text):
 
 
 def sweep_increment(runs, rng, max_steps):
-    template = check_program(INCREMENT.read_text())
-    instructions = make_executable(template)
-    vocabulary = tape_vocabulary(template)
+    text = INCREMENT.read_text()
+    vocabulary = tape_vocabulary(check_program(text))
     outcomes = Counter()
     for _ in range(runs):
         tape_text = random_tape(rng, vocabulary)
-        tree = copy.deepcopy(template.tree)
-        state = initialize(
-            tree, parse_tape(tape_text), random_start(rng, tape_text), instructions
-        )
-        outcomes[run(state, max_steps).outcome] += 1
+        start = random_start(rng, tape_text)
+        outcomes[execute_program(text, tape_text, start, max_steps).outcome] += 1
     return outcomes
 
 

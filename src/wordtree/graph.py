@@ -176,10 +176,15 @@ class LabeledGraph:
     first arrows in id order, since labels enter it as their first
     arrows are added; all nodes that no arrow leaves share one empty
     dict, which is never written and which a deep copy or unpickled
-    graph shares again. Origins and labels never change, so
-    only ``extend`` updates the index. A node's out-arrows and in-arrows
-    are both listed in id order, also after ``set_arrow_dst`` moves an
+    graph shares again. Origins and labels never change, so only
+    ``extend`` updates the index. A node's out-arrows and in-arrows are
+    both listed in id order, also after ``set_arrow_dst`` moves an
     arrow.
+
+    ``copy.deepcopy`` copies the columns and indexes list by list
+    (``__deepcopy__``) and shares the words and ids they hold, so a
+    copy costs a few list copies per node rather than a walk over
+    every object; ``execute_program`` mounts each tape on one.
 
     The nodes a graph has before ``end_own_nodes`` is called are its
     own; nodes added after that call are mounted, as a tape's cells
@@ -500,14 +505,40 @@ class LabeledGraph:
     def arrow_count(self) -> int:
         return len(self._src)
 
-    def __setstate__(self, state: dict) -> None:
-        """Rebuild from ``copy.deepcopy`` or ``pickle``, sharing ``_NO_OUT`` again.
+    def __deepcopy__(self, memo: dict) -> "LabeledGraph":
+        """A graph of the same class that shares no column or index with this one.
 
-        The copied state holds one ordinary empty dict in place of the
-        sentinel; left shared, an arrow added from one arrowless node
-        would show up on all of them.
+        Each column and index is copied one level down; the words and
+        ids in them are immutable and stay shared, and so does
+        ``_NO_OUT``. Attributes a subclass adds are not copied.
         """
-        self.__dict__.update(state)
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        # Set in ``__init__``'s order, never through ``__dict__``, so the
+        # copy keeps the attribute layout that makes reading it fast.
+        clone._nodes = self._nodes[:]
+        clone._src = self._src[:]
+        clone._label = self._label[:]
+        clone._dst = self._dst[:]
+        clone._kind = self._kind[:]
+        clone._out = [firsts.copy() if firsts else _NO_OUT for firsts in self._out]
+        clone._in = list(map(list.copy, self._in))
+        clone._by_label = {word: nodes.copy() for word, nodes in self._by_label.items()}
+        clone._arrows_by_label = {word: ids[:] for word, ids in self._arrows_by_label.items()}
+        clone._out_more = {key: ids[:] for key, ids in self._out_more.items()}
+        clone._own_end = self._own_end
+        return clone
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild from ``pickle``, sharing ``_NO_OUT`` again.
+
+        The pickled state holds one ordinary empty dict in place of the
+        sentinel; left shared, an arrow added from one arrowless node
+        would show up on all of them. Each attribute is set on its own,
+        as in ``__deepcopy__``, so the graph reads as fast as a built one.
+        """
+        for name, value in state.items():
+            setattr(self, name, value)
         self._out = [firsts or _NO_OUT for firsts in self._out]
 
     def end_own_nodes(self) -> None:

@@ -9,6 +9,7 @@ a single entry point.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Union
 
 from .control_flow import (
@@ -147,6 +148,17 @@ def make_executable(result: CheckResult) -> dict[int, Instruction]:
     return install_instructions(result.tree, result.stop, result.points.statements)
 
 
+@lru_cache(maxsize=1)
+def _executable(text: str) -> tuple[Tree, dict[int, Instruction]]:
+    """The checked tree of ``text`` and its instructions, for the last text asked.
+
+    The tree is never mounted or changed; each run gets a copy. A
+    refusal is raised, not kept, so it is raised again on every call.
+    """
+    result = check_program(text)
+    return result.tree, make_executable(result)
+
+
 def execute_program(
     text: str,
     tape_text: str,
@@ -156,13 +168,23 @@ def execute_program(
 ) -> RunResult:
     """Check a program, mount a tape, and run it to an outcome.
 
+    The last program checked is kept, so calls that run one text on
+    many tapes check it on the first call only; a text is checked
+    again after a call with another text. The kept program costs the
+    memory of one checked tree. Each run mounts its tape on a deep
+    copy of that tree, so the result's ``state`` holds a graph of its
+    own.
+
     ``on_step`` receives each trace entry as the run produces it; the
     run renders no tape for it. Raises CheckFailed when the program may
-    not run (see ``make_executable``); tape or start problems raise
+    not run (see ``make_executable``), and IllegalCharacter or ParseError
+    on bad syntax, on every call; tape or start problems raise
     ValueError from initialization.
     """
-    result = check_program(text)
-    instructions = make_executable(result)
+    import copy  # only a run needs it, so ``import wordtree`` does not load it
+
+    tree, instructions = _executable(text)
     tape = parse_tape(tape_text)
-    state = initialize(result.tree, tape, start, instructions)
+    tree = Tree(copy.deepcopy(tree.graph), tree.root)
+    state = initialize(tree, tape, start, instructions)
     return run(state, max_steps, on_step)

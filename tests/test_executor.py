@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from wordtree import executor as executor_module
 from wordtree import graph as graph_module
-from wordtree import semantics
+from wordtree import pipeline, semantics
 from wordtree import tape as tape_module
 from wordtree.control_flow import (
     NEXT,
@@ -44,7 +44,7 @@ from wordtree.executor import (
     trace_line,
     trace_row,
 )
-from wordtree.frontend import parse_text
+from wordtree.frontend import ParseError, parse_text
 from wordtree.graph import (
     CONTROL,
     SEMANTIC,
@@ -367,6 +367,7 @@ class TestGate:
         assert [d.code for d in failure.value.diagnostics] == ["AW2"]
 
     def test_each_check_runs_once(self, increment_text, monkeypatch):
+        """Each check runs once per distinct text, however many tapes it runs on."""
         calls = Counter()
         modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "wordtree"]
         for name in ("classify", "check_alphabet", "check_labels"):
@@ -379,8 +380,66 @@ class TestGate:
             for module in modules:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        execute_program(increment_text, "one one")
+        pipeline._executable.cache_clear()
+        for tape in ("one one", "one", "blank one"):
+            execute_program(increment_text, tape)
         assert calls == {"classify": 1, "check_alphabet": 1, "check_labels": 1}
+        execute_program("tape-alphabet is one;\nprint 'one'.", "one")
+        assert calls == {"classify": 2, "check_alphabet": 2, "check_labels": 2}
+
+
+class TestKeptProgram:
+    """``execute_program`` keeps the last checked program and runs each tape on a copy."""
+
+    def test_runs_leave_the_kept_program_as_checked(self, increment_text):
+        pipeline._executable.cache_clear()
+        printing = "tape-alphabet is one, two;\nprint 'two'."
+        growing = (
+            "tape-alphabet is one;\n"
+            "move left one-square; move right one-square; move right one-square."
+        )
+        looping = (
+            "tape-alphabet is one;\nx: print 'one'; move right one-square;\n"
+            "move left one-square; if the-tape-symbol is 'one' then go to x."
+        )
+        for text, tape, start, max_steps, outcome in [
+            (increment_text, "one one blank", "last", 10_000, STOPPED),
+            (increment_text, "one one one", "last", 5, BUDGET_EXHAUSTED),
+            (printing, "one one", "first", 10_000, STOPPED),
+            (growing, "one", "first", 10_000, STOPPED),
+            (looping, '""', "first", 50, BUDGET_EXHAUSTED),
+        ]:
+            for _ in range(2):
+                result = execute_program(text, tape, start, max_steps)
+                assert result.outcome == outcome
+            kept, _ = pipeline._executable(text)
+            assert export_json(kept.graph) == export_json(check_program(text).tree.graph)
+
+    def test_runs_of_one_text_hold_their_own_graphs(self, increment_text):
+        first = execute_program(increment_text, "one one blank")
+        second = execute_program(increment_text, "blank")
+        kept, _ = pipeline._executable(increment_text)
+        graphs = [first.state.tree.graph, second.state.tree.graph, kept.graph]
+        assert len({id(g) for g in graphs}) == 3
+        assert first.state.tree.root == second.state.tree.root == kept.root
+        assert final_tape(first.state) == "one zero zero point"
+        assert final_tape(second.state) == "one point"
+        assert kept.graph.pairs_labeled("tape") == []
+
+    def test_refusals_are_raised_on_every_call(self, increment_text, program_path):
+        duplicate = program_path("duplicate_label.tgl").read_text()
+        for _ in range(2):
+            with pytest.raises(CheckFailed, match="L1"):
+                execute_program(duplicate, "one")
+            with pytest.raises(ParseError):
+                execute_program("tape-alphabet is one;\nprint", "one")
+        execute_program(increment_text, "one")
+        for bad_tape, start in [("one Two", "first"), ("one", 3), ("  ", "last")]:
+            with pytest.raises(ValueError):
+                execute_program(increment_text, bad_tape, start)
+            result = execute_program(increment_text, "one one blank")
+            assert result.outcome == STOPPED
+            assert final_tape(result.state) == "one zero zero point"
 
 
 class TestStep:

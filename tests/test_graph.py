@@ -558,6 +558,56 @@ def test_ends_equals_brute_force(graph_and_node, sign, word):
     assert g.ends(node, sign, word) == expected
 
 
+def containers(g: LabeledGraph) -> dict[int, object]:
+    """Every list, dict and set in ``vars(g)`` and one level into them, by id."""
+    found = {}
+    for value in vars(g).values():
+        if isinstance(value, (list, dict, set)):
+            found[id(value)] = value
+            for item in value.values() if isinstance(value, dict) else value:
+                if isinstance(item, (list, dict, set)):
+                    found[id(item)] = item
+    return found
+
+
+@given(
+    indexed_graphs(),
+    st.booleans(),
+    st.sampled_from(["add_arrow", "set_node_label", "set_arrow_dst", "add_cells"]),
+    words,
+)
+@settings(deadline=None)
+def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, per_call, change, word):
+    """A copy has the same state, its own class, and no list, dict or set but ``_NO_OUT`` in common."""
+    g, node = graph_and_node
+    if per_call:
+        oracle = PerCallGraph()
+        oracle.extend([g.node_label(n) for n in g.nodes()])
+        for _, arrow in g.arrows():
+            oracle.add_arrow(*arrow)
+        g = oracle
+    before = copy.deepcopy(vars(g))
+    dup = copy.deepcopy(g)
+    assert type(dup) is type(g)
+    assert vars(dup) == vars(g)
+    assert all(firsts is G._NO_OUT for firsts in dup._out if not firsts)
+    assert set(containers(dup)) & set(containers(g)) <= {id(G._NO_OUT)}
+    if change == "add_arrow":
+        dup.add_arrow(node, word, node)
+        assert dup.ends(node, "+", word)[-1] == node
+    elif change == "set_node_label":
+        dup.set_node_label(node, "c")
+        assert dup.node_label(node) == "c"
+    elif change == "set_arrow_dst" and dup.arrow_count:
+        dup.set_arrow_dst(0, node)
+        assert dup.arrow(0).dst == node
+    else:
+        cells = add_cells(dup, ["a", ""])
+        assert dup.node_count == g.node_count + len(cells)
+    assert vars(g) == before
+    assert G._NO_OUT == {}
+
+
 @given(indexed_graphs(), st.sampled_from("+-"), words)
 @settings(deadline=None)
 def test_chain_follows_the_one_arrow_until_it_ends_or_repeats(graph_and_node, sign, word):

@@ -1,8 +1,9 @@
 """What ``import wordtree`` loads, checked in fresh interpreters.
 
-The check and run path needs no dataclass machinery, no JSON and no
-schema code, so importing the package loads none of them; the schema
-names still resolve through the package, imported on first use.
+The check and run path needs no dataclass machinery, no JSON, no
+``copy`` module and no schema code, so importing the package loads
+none of them; the schema names still resolve through the package,
+imported on first use.
 """
 
 import subprocess
@@ -34,7 +35,7 @@ def fresh(code: str) -> str:
 def test_import_loads_no_dataclasses_json_or_schema_code():
     out = fresh(
         "import wordtree, wordtree.executor\n"
-        "unwanted = ('dataclasses', 'inspect', 'json', 'wordtree.schema')\n"
+        "unwanted = ('copy', 'dataclasses', 'inspect', 'json', 'wordtree.schema')\n"
         "print([name for name in unwanted if name in sys.modules])\n"
         "print(type(wordtree.turingol_schema()).__name__)\n"
         "from wordtree import generate_sytr\n"
