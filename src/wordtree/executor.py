@@ -13,10 +13,14 @@ violation crashes before the direction touches the graph.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``, and each item of the algebra resolves its own operands, so
-a step dispatches once per direction: through the item's own method,
-with no table or type test in between. Whether an action ends the step
-is its class's ``ends_step``. An untraced step reads the current node's
-label only to report a crash.
+a direction calls the item's own method directly:
+``condition.holds(g, node)`` and ``action.apply(g, node)``, with no
+table, type test or ``eval_proposition``/``apply_action`` frame in
+between. Whether an action ends the step is its class's ``ends_step``.
+``run`` and ``step`` share one loop, which keeps the node and the step
+count in locals and writes them to the state whenever a caller can see
+it. An untraced step reads the current node's label only to report a
+crash.
 
 A run keeps no trace and renders no tape. A caller that wants a trace
 passes ``on_step`` and receives each entry as it is produced; a traced
@@ -44,9 +48,8 @@ from .graph import (
     RelabelNode,
     Stop,
     Tree,
-    apply_action,
+    _refuse_foreign,
     display_word,
-    eval_proposition,
     parse_path,
 )
 from .semantics import PRINT_WORD_PATH, SYMBOL_PATH
@@ -273,84 +276,128 @@ def initialize(
 
 
 def _crash(
-    state: ExecState, situation: str, node: int, label: Optional[str], detail: str, on_step
-) -> ExecState:
+    state: ExecState,
+    steps: int,
+    node: int,
+    label: Optional[str],
+    situation: str,
+    detail: str,
+    on_step: OnStep,
+) -> None:
+    """Mark ``state`` crashed at ``node`` in step ``steps``, then report the crash entry."""
+    state.steps, state.current = steps, node
     state.status = CRASHED
     state.situation = CrashReport(situation, node, detail)
     if on_step is not None:
-        on_step(TraceEntry(state.steps, node, label, f"crash {situation}: {detail}"))
-    return state
+        on_step(TraceEntry(steps, node, label, f"crash {situation}: {detail}"))
+
+
+def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
+    """Step a running ``state`` until it stops, crashes or has taken ``max_steps`` steps.
+
+    The one step loop of ``step`` and ``run``. The graph, the
+    instruction map, the node and the step count live in locals; the
+    node and the count are written back to ``state`` before each call
+    of ``on_step`` and when the loop ends, however it ends.
+    """
+    g = state.tree.graph
+    instructions = state.instructions
+    node = state.current
+    steps = state.steps
+    try:
+        while steps < max_steps:
+            # read only for a trace entry or a crash report
+            label = None if on_step is None else g.node_label(node)
+            steps += 1
+            instruction = instructions.get(node)
+            if instruction is None:
+                _crash(
+                    state,
+                    steps,
+                    node,
+                    label,
+                    NO_INSTRUCTION,
+                    f"the {display_word(g.node_label(node))} node holds no instruction",
+                    on_step,
+                )
+                return
+            for direction in instruction.directions:
+                condition = direction.condition
+                action = direction.action
+                try:
+                    if condition is not None and not condition.holds(g, node):
+                        continue
+                    destination = action.apply(g, node)
+                except NormalConditionViolated as failure:
+                    detail = failure.detail
+                    _crash(state, steps, node, label, NORMAL_CONDITION_VIOLATED, detail, on_step)
+                    return
+                except AttributeError:
+                    # as eval_proposition and apply_action refuse an item
+                    if condition is not None:
+                        _refuse_foreign(condition)
+                    _refuse_foreign(action)
+                    raise
+                if action.ends_step:
+                    break
+            else:
+                _crash(
+                    state,
+                    steps,
+                    node,
+                    label,
+                    DIRECTIONS_EXHAUSTED,
+                    "the instruction ran out of directions without following an arrow",
+                    on_step,
+                )
+                return
+            if destination is None:
+                state.status = STOPPED
+                if on_step is not None:
+                    state.steps, state.current = steps, node
+                    on_step(TraceEntry(steps, node, label, direction.phrase()))
+                return
+            here, node = node, destination
+            if on_step is not None:
+                state.steps, state.current = steps, node
+                on_step(TraceEntry(steps, here, label, direction.phrase()))
+    finally:
+        state.steps, state.current = steps, node
 
 
 def step(state: ExecState, on_step: OnStep = None) -> ExecState:
     """Execute the instruction at the current node; one step of a run.
 
-    Directions run in order. A guard that evaluates false falls through
-    to the next direction; a guard that evaluates true performs its
-    action. The first action performed whose ``ends_step`` is true
-    (FollowArrow or Stop) ends the step, and an instruction must end
-    that way or the state crashes.
+    Directions run in order, each calling its item's own ``holds`` or
+    ``apply``. A guard that evaluates false falls through to the next
+    direction; a guard that evaluates true performs its action. The
+    first action performed whose ``ends_step`` is true (FollowArrow or
+    Stop) ends the step, and an instruction must end that way or the
+    state crashes. A direction that holds no item of the algebra raises
+    TypeError, as ``eval_proposition`` and ``apply_action`` do.
 
-    ``on_step``, when given, receives the step's trace entry. Traced or
-    not, the step renders nothing, and its cost does not depend on the
-    tape's length.
+    This is ``run``'s loop, run for one step. ``on_step``, when given,
+    receives the step's trace entry, and ``state`` is then already past
+    the step. Traced or not, the step renders nothing, and its cost
+    does not depend on the tape's length.
     """
     if state.status != RUNNING:
         raise ValueError(f"cannot step a {state.status} state")
-    g = state.tree.graph
-    node = state.current
-    # read only for a trace entry or a crash report
-    label = None if on_step is None else g.node_label(node)
-    state.steps += 1
-
-    instruction = state.instructions.get(node)
-    if instruction is None:
-        return _crash(
-            state,
-            NO_INSTRUCTION,
-            node,
-            label,
-            f"the {display_word(g.node_label(node))} node holds no instruction",
-            on_step,
-        )
-
-    for direction in instruction.directions:
-        condition = direction.condition
-        action = direction.action
-        try:
-            if condition is not None and not eval_proposition(g, condition, node):
-                continue
-            destination = apply_action(g, action, node)
-        except NormalConditionViolated as failure:
-            return _crash(
-                state, NORMAL_CONDITION_VIOLATED, node, label, failure.detail, on_step
-            )
-        if action.ends_step:
-            if destination is None:
-                state.status = STOPPED
-            else:
-                state.current = destination
-            if on_step is not None:
-                on_step(TraceEntry(state.steps, node, label, direction.phrase()))
-            return state
-    return _crash(
-        state,
-        DIRECTIONS_EXHAUSTED,
-        node,
-        label,
-        "the instruction ran out of directions without following an arrow",
-        on_step,
-    )
+    _advance(state, state.steps + 1, on_step)
+    return state
 
 
 def run(state: ExecState, max_steps: int = 10_000, on_step: OnStep = None) -> RunResult:
     """Step until the state stops, crashes, or exhausts the step budget.
 
-    ``on_step`` receives every trace entry as it is produced, the crash
-    entry included; the run itself keeps none.
+    ``step`` runs the same loop for one step, so a run equals the
+    ``step`` calls it stands for. ``on_step`` receives every trace entry
+    as it is produced, the crash entry included, and sees ``state`` as
+    of that entry's step; the run itself keeps none. A state that is
+    not running, or has taken ``max_steps`` steps, is returned unstepped.
     """
-    while state.status == RUNNING and state.steps < max_steps:
-        step(state, on_step)
+    if state.status == RUNNING:
+        _advance(state, max_steps, on_step)
     if state.status == STOPPED:
         outcome = STOPPED
     elif state.status == CRASHED:

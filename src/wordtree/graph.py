@@ -29,14 +29,16 @@ navigation calls.
 
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
-(origin, label) index once. ``resolve`` walks a path formula's steps
-through it; kinds serve the column readers and export. Each
+(origin, label) index once. ``resolve`` walks a path formula's steps,
+reading that index itself for a "+" step and going through ``follow``
+for a "-" one; kinds serve the column readers and export. Each
 proposition and action class resolves its own ``operands``, which are
 its normal-execution conditions, and gives them meaning in its
-``holds`` or ``apply``; ``eval_proposition`` and
-``apply_action`` call those methods, which resolve every operand before
-the first write, so a violation leaves the graph as it was;
-``normal_violation`` predicts it without acting.
+``holds`` or ``apply``; ``eval_proposition`` and ``apply_action`` call
+those methods for one item, and the executor's step loop calls them
+directly. They resolve every operand before the first write, so a
+violation leaves the graph as it was; ``normal_violation`` predicts it
+without acting.
 """
 
 from __future__ import annotations
@@ -376,12 +378,12 @@ class LabeledGraph:
         """Far ends of the ``word`` arrows leaving ``node`` ("+") or entering it ("-").
 
         Arrows of every kind count; ends come in the order ``out_arrows``
-        or ``in_arrows`` lists the arrows. This and ``follow`` are the
-        places an arrow is followed by its label; ``chain`` and
-        ``resolve`` build on ``follow``. "+" reads the (node, label)
-        index: the first arrow, then any the node repeats the label on.
-        "-" scans the node's in-arrow ids in place, and tape cells have
-        at most two of them.
+        or ``in_arrows`` lists the arrows. This, ``follow`` and the "+"
+        steps of ``resolve`` are the places an arrow is followed by its
+        label; ``chain`` and the "-" steps of ``resolve`` build on
+        ``follow``. "+" reads the (node, label) index: the first arrow,
+        then any the node repeats the label on. "-" scans the node's
+        in-arrow ids in place, and tape cells have at most two of them.
         """
         if not 0 <= node < len(self._nodes):
             raise ValueError(f"{node} is not a node of this graph")
@@ -633,6 +635,11 @@ def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
     several of the graph's own nodes (mounted ones do not count), and
     Inapplicable when a step has no arrow to follow or more than one.
     Arrows of every kind are eligible: labels alone navigate.
+
+    A "+" step from a node of the graph reads the (origin, label) index
+    itself, as ``follow`` does: the first arrow, and the overflow map
+    for a repeat. A "-" step, or one from an id that is no node, goes
+    through ``follow``, which scans the in-arrows or refuses the id.
     """
     if formula.start is None:
         if current is None:
@@ -643,15 +650,24 @@ def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
         if len(candidates) != 1:
             raise StartAmbiguous(formula.start, len(candidates))
         (node,) = candidates
-    follow = g.follow
+    outs, dsts, more = g._out, g._dst, g._out_more
+    node_count = len(g._nodes)
     index = 0
     for sign, word in formula.steps:
-        try:
-            node = follow(node, sign, word)
-        except SeveralArrows:
-            raise Inapplicable(formula, index, "multiple") from None
-        if node is None:
-            raise Inapplicable(formula, index, "none")
+        if sign == "+" and 0 <= node < node_count:
+            first = outs[node].get(word)
+            if first is None:
+                raise Inapplicable(formula, index, "none")
+            if more and (node, word) in more:
+                raise Inapplicable(formula, index, "multiple")
+            node = dsts[first]
+        else:
+            try:
+                node = g.follow(node, sign, word)
+            except SeveralArrows:
+                raise Inapplicable(formula, index, "multiple") from None
+            if node is None:
+                raise Inapplicable(formula, index, "none")
         index += 1
     return node
 

@@ -1,7 +1,9 @@
 """Instruction installation, tape attachment, and graph-walking runs."""
 
 import copy
+import functools
 import json
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -44,7 +46,7 @@ from wordtree.executor import (
     trace_line,
     trace_row,
 )
-from wordtree.frontend import ParseError, parse_text
+from wordtree.frontend import ParseError, parse_text, render_program, to_canonical
 from wordtree.graph import (
     CONTROL,
     SEMANTIC,
@@ -68,6 +70,7 @@ from wordtree.graph import (
     resolve,
 )
 from wordtree.pipeline import CheckFailed, check_program, execute_program, make_executable
+from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, classify, find_points
 from wordtree.tape import parse_tape, render_tape
 
@@ -503,6 +506,93 @@ class TestStep:
             step(result.state)
 
 
+@functools.cache
+def grown_runnable_texts() -> tuple[str, ...]:
+    """The runnable programs ``generate_sytr`` grows for seeds 0-99, as criterion 10 grows them."""
+    texts = []
+    for seed in range(100):
+        grown = generate_sytr(turingol_schema(), "P", random.Random(seed))
+        text = render_program(to_canonical(grown))
+        if check_program(text).runnable:
+            texts.append(text)
+    return tuple(texts)
+
+
+# A fault planted in the mounted state, so that runs end in each kind of crash too.
+FAULTS = (None, "two tape arrows", NO_INSTRUCTION, DIRECTIONS_EXHAUSTED)
+
+
+class TestOneLoop:
+    """``run`` and ``step`` share one loop: stepping equals running."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_stepping_equals_running(self, data):
+        text = data.draw(st.sampled_from(grown_runnable_texts()))
+        result = check_program(text)
+        instructions = make_executable(result)
+        g = result.tree.graph
+        declared = sorted({g.node_label(node) for node in result.points.declarations})
+        cells = data.draw(
+            st.lists(st.sampled_from(declared + ["", "tape-alphabet"]), min_size=1, max_size=8)
+        )
+        start = data.draw(st.sampled_from(["first", "last"]) | st.integers(0, len(cells) - 1))
+        budget = data.draw(st.integers(0, 60))
+        fault = data.draw(st.sampled_from(FAULTS))
+        faulty = data.draw(st.sampled_from(sorted(instructions)))
+
+        def mounted():
+            """A fresh state, its ``on_step``, and the entries and states that callback saw."""
+            state = initialize(copy.deepcopy(result.tree), cells, start, instructions)
+            if fault == "two tape arrows":
+                state.tree.graph.add_arrow(state.tree.root, "tape", state.tree.root, SEMANTIC)
+            elif fault == NO_INSTRUCTION:
+                del state.instructions[faulty]
+            elif fault == DIRECTIONS_EXHAUSTED:
+                state.instructions[faulty] = Instruction(())
+            entries, seen = [], []
+
+            def on_step(entry):
+                entries.append(entry)
+                seen.append((state.steps, state.current, state.status))
+
+            return state, on_step, entries, seen
+
+        def ending(state) -> tuple:
+            return state.steps, state.current, state.status, state.situation, final_tape(state)
+
+        stepped, on_step, stepped_entries, stepped_seen = mounted()
+        while stepped.status == RUNNING and stepped.steps < budget:
+            step(stepped, on_step)
+        ran, on_step, ran_entries, ran_seen = mounted()
+        outcome = run(ran, budget, on_step)
+        assert ending(stepped) == ending(ran)
+        assert stepped_entries == ran_entries
+        assert stepped_seen == ran_seen
+        assert [steps for steps, _, _ in ran_seen] == [e.step for e in ran_entries]
+        quiet, _, _, _ = mounted()
+        assert run(quiet, budget)[:3] == outcome[:3]
+        assert ending(quiet) == ending(ran)
+
+        # A finished state, or one at its budget, is returned unstepped.
+        before = ending(stepped)
+        again = run(stepped, budget, on_step=stepped_entries.append)
+        assert again[:3] == outcome[:3] and again.state is stepped
+        assert ending(stepped) == before
+        assert stepped_entries == ran_entries
+
+    @pytest.mark.parametrize(
+        "direction", [Act("x"), Guarded("x", FollowArrow(NEXT))], ids=["act", "guarded"]
+    )
+    @pytest.mark.parametrize("advance", [step, run])
+    def test_a_foreign_item_is_refused(self, increment_parts, direction, advance):
+        tree, _, instructions = increment_parts
+        state = initialize(tree, parse_tape("one"), "first", instructions)
+        state.instructions[tree.root] = Instruction((direction,))
+        with pytest.raises(TypeError, match="not a proposition or action: 'x'"):
+            advance(state)
+
+
 class TestRuns:
     @pytest.mark.parametrize("case", EXPECTED_RUNS["cases"], ids=lambda c: c["tape"])
     def test_expected_runs(self, increment_text, case):
@@ -706,7 +796,7 @@ class TestTracing:
         self, increment_text, monkeypatch
     ):
         """No step renders the tape or lists every arrow, and each program
-        node's step scans as many arrows on a 1 000-cell tape as on a
+        node's step reads as many arrow ids on a 1 000-cell tape as on a
         10-cell one."""
         assert_step_cost_is_flat(increment_text, monkeypatch, on_step=None)
 
@@ -722,10 +812,12 @@ def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
     """Run increment.tgl on 10 and 1 000 'one' cells, stepping with ``on_step``.
 
     No step may render the tape or list every arrow, and each program
-    node's step must scan as many arrows on the long tape as on the short.
+    node's step must read as much on the long tape as on the short: the
+    entries of every list a listing or navigation call returns, and the
+    in-arrow ids each "-" step of ``ends`` scans.
     """
     calls = {"arrows": 0, "chain_text": 0}
-    scanned = [0]
+    read = [0]
     arrows, chain_text = LabeledGraph.arrows, tape_module.chain_text
 
     def counted_arrows(self):
@@ -739,16 +831,34 @@ def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
     monkeypatch.setattr(LabeledGraph, "arrows", counted_arrows)
     monkeypatch.setattr(tape_module, "chain_text", counted_chain_text)
     monkeypatch.setattr(executor_module, "chain_text", counted_chain_text)
-    for name in ("out_arrows", "in_arrows"):
+    listings = (
+        "out_arrows",
+        "in_arrows",
+        "ends",
+        "ends_of_kind",
+        "pairs_labeled",
+        "arrows_labeled",
+        "nodes_labeled",
+    )
+    for name in listings:
 
         def counted(self, *args, listing=getattr(LabeledGraph, name), **kwargs):
-            pairs = listing(self, *args, **kwargs)
-            scanned[0] += len(pairs)
-            return pairs
+            found = listing(self, *args, **kwargs)
+            read[0] += len(found)
+            return found
 
         monkeypatch.setattr(LabeledGraph, name, counted)
+    ends = LabeledGraph.ends
 
-    def scans_by_node(cells: int) -> dict[int, set[int]]:
+    def counted_ends(self, node, sign, word):
+        found = ends(self, node, sign, word)
+        if sign == "-":
+            read[0] += len(self._in[node])
+        return found
+
+    monkeypatch.setattr(LabeledGraph, "ends", counted_ends)
+
+    def reads_by_node(cells: int) -> dict[int, set[int]]:
         tree, _, instructions = prepare(increment_text)
         tape = parse_tape(" ".join(["one"] * cells))
         state = initialize(tree, tape, "last", instructions)
@@ -756,15 +866,17 @@ def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
         by_node: dict[int, set[int]] = {}
         while state.status == RUNNING:
             node = state.current
-            scanned[0] = 0
+            read[0] = 0
             step(state, on_step)
-            by_node.setdefault(node, set()).add(scanned[0])
+            by_node.setdefault(node, set()).add(read[0])
         assert calls == {"arrows": 0, "chain_text": 0}
         assert state.status == STOPPED
         assert state.steps == 8 * cells + 2
         return by_node
 
-    assert scans_by_node(10) == scans_by_node(1000)
+    short = reads_by_node(10)
+    assert short == reads_by_node(1000)
+    assert any(count for counts in short.values() for count in counts)
 
 
 class TestTraceFormats:

@@ -558,6 +558,48 @@ def test_ends_equals_brute_force(graph_and_node, sign, word):
     assert g.ends(node, sign, word) == expected
 
 
+path_formulas = st.builds(
+    PathFormula,
+    st.none() | st.sampled_from(["a", "b", "", "c"]),
+    st.lists(st.tuples(st.sampled_from("+-"), words), max_size=3).map(tuple),
+)
+
+
+def looped_node() -> tuple[LabeledGraph, int]:
+    """A graph of one node with an 'x' arrow to itself, and that node."""
+    g = LabeledGraph()
+    node = g.add_node("a")
+    g.add_arrow(node, "x", node)
+    return g, node
+
+
+@given(indexed_graphs(), path_formulas, st.sampled_from(["in range", "negative", "foreign", None]))
+@example(looped_node(), PathFormula(None, (("+", "x"),)), "negative")
+@example(looped_node(), PathFormula(None, (("+", "x"),)), "foreign")
+@settings(deadline=None)
+def test_resolve_equals_reference(graph_and_node, formula, where):
+    """``resolve`` reaches the reference's node, or raises its exception with its text.
+
+    The current node is the drawn one, a negative id, an id past the
+    last node, or none at all.
+    """
+    g, node = graph_and_node
+    current = {
+        "in range": node,
+        "negative": -1 - node,
+        "foreign": g.node_count + node,
+        None: None,
+    }[where]
+
+    def outcome(resolver):
+        try:
+            return resolver(g, formula, current)
+        except (G.GraphError, ValueError) as failure:
+            return type(failure), str(failure)
+
+    assert outcome(resolve) == outcome(reference_algebra.resolve)
+
+
 def containers(g: LabeledGraph) -> dict[int, object]:
     """Every list, dict and set in ``vars(g)`` and one level into them, by id."""
     found = {}
