@@ -15,6 +15,19 @@ machine that produced them.
 
     python3 scripts/bench_medians.py --pr 12
     python3 scripts/bench_medians.py --pr 12 --seeds 1 2 3
+
+With ``--against REV`` it compares two checkouts instead: ``git
+archive`` exports ``REV``, and the files of the working tree that git
+tracks or would track are copied, each into a temporary directory of
+its own, neither holding a ``__pycache__``. For each workload and seed
+it runs the benchmark once in each, with ``PYTHONDONTWRITEBYTECODE=1``
+so that neither side gains a bytecode cache, and the side that goes
+first alternates from seed to seed. ``BENCH_<pr>.json`` then holds each
+seed's pair of runs and, per metric, each side's median and quartiles
+and the number of pairs each side won, by the direction
+``BENCHMARK.json`` gives the metric (a tie counts for neither).
+
+    python3 scripts/bench_medians.py --pr 27 --against main
 """
 
 from __future__ import annotations
@@ -23,13 +36,15 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "perfbench" / "run.py"
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -40,11 +55,19 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object on the last line of one untraced benchmark run."""
-    argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+def run_once(workload: str, seed: int, seconds: float, root: Optional[Path] = None) -> dict:
+    """The JSON object on the last line of one untraced benchmark run.
+
+    The run is this checkout's, or, given ``root``, that checkout's,
+    run there without writing bytecode.
+    """
+    env = None
+    if root is not None:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    root = ROOT if root is None else root
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         command = " ".join(argv[1:])
         raise SystemExit(f"bench_medians: {command} exited {done.returncode}:\n{done.stderr}")
@@ -79,15 +102,63 @@ def summarize(workload: str, seeds: list[int], seconds: float, names: list[str])
     return {"metrics": metrics, "per_seed": per_seed}
 
 
+def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, **kwargs)
+
+
+def export(rev: Optional[str], dest: Path) -> None:
+    """Write ``rev``'s files, or the working tree's, to ``dest``; no ``__pycache__`` goes along."""
+    dest.mkdir()
+    if rev is not None:
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", rev).stdout, check=True)
+        return
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").stdout
+    for name in listed.decode().split("\0"):
+        source = ROOT / name
+        if name and "__pycache__" not in Path(name).parts and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def compare(workload: str, seeds: list[int], seconds: float, metrics: list[dict],
+            roots: dict[str, Path]) -> dict:
+    """Pairs of runs of ``workload``, one per seed, and each metric's spread and wins per side."""
+    pairs = []
+    for index, seed in enumerate(seeds):
+        order = list(roots) if index % 2 == 0 else list(reversed(roots))
+        runs = {side: run_once(workload, seed, seconds, roots[side]) for side in order}
+        pairs.append({"seed": seed, "first": order[0], **runs})
+        print(f"{workload} seed {seed}: ops_per_s " + " ".join(
+            f"{side} {runs[side]['metrics']['ops_per_s']['value']:.4g}" for side in roots
+        ), file=sys.stderr)
+    summary = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in roots}
+        base, change = values.values()
+        summary[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            **{side: spread(values[side]) for side in roots},
+            "won": {
+                "base": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
+                "change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            },
+        }
+    return {"metrics": summary, "pairs": pairs}
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description="benchmark medians and quartiles over seeds")
     parser.add_argument("--pr", type=int, required=True, help="number in the name BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    parser.add_argument("--against", metavar="REV",
+                        help="compare the working tree against this git revision")
     args = parser.parse_args(argv)
 
     seconds = spec["run_seconds"]
-    names = [m["name"] for m in spec["end_to_end"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     report = {
         "pr": args.pr,
         "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
@@ -95,11 +166,23 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "processor": processor(),
         "cpus": os.cpu_count(),
-        "workloads": {
-            workload["name"]: summarize(workload["name"], args.seeds, seconds, names)
-            for workload in spec["workloads"]
-        },
     }
+    if args.against is None:
+        names = [m["name"] for m in spec["end_to_end"]]
+        report["workloads"] = {
+            workload: summarize(workload, args.seeds, seconds, names) for workload in workloads
+        }
+    else:
+        commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}", text=True).stdout
+        report["against"] = {"rev": args.against, "commit": commit.strip()}
+        with tempfile.TemporaryDirectory(prefix="bench_medians_") as scratch:
+            roots = {"base": Path(scratch) / "base", "change": Path(scratch) / "change"}
+            export(args.against, roots["base"])
+            export(None, roots["change"])
+            report["workloads"] = {
+                workload: compare(workload, args.seeds, seconds, spec["end_to_end"], roots)
+                for workload in workloads
+            }
     Path(f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -11,6 +11,13 @@ crashed with a structured report. Every run is cautious: an item of the
 algebra resolves all its operands before its first graph write, so a
 violation crashes before the direction touches the graph.
 
+Each flow node holds an instruction of its own, built by
+``install_instructions`` with the node's program side settled once: its
+follows carry their targets (``FollowArrowTo``), and its paths are
+``settle``d up to the tape, so a step resolves only the tape side of
+each path, '+tape' and the cells beyond it. That holds because a run
+writes only the tape.
+
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``, and each item of the algebra resolves its own operands, so
 a direction calls the item's own method directly:
@@ -30,7 +37,7 @@ some step renders it with ``final_tape``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .control_flow import NEXT, NO, YES
 from .graph import (
@@ -38,7 +45,7 @@ from .graph import (
     Action,
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
-    FollowArrow,
+    FollowArrowTo,
     LabelsEqual,
     NoArrowFrom,
     NoArrowTo,
@@ -46,13 +53,15 @@ from .graph import (
     Proposition,
     ReassignArrow,
     RelabelNode,
+    Settled,
     Stop,
     Tree,
     _refuse_foreign,
     display_word,
     parse_path,
+    settle,
 )
-from .semantics import PRINT_WORD_PATH, SYMBOL_PATH
+from .semantics import PRINT_WORD_PATH, SYMBOL_PATH, Points
 from .tape import add_cells, chain_text
 
 RUNNING = "running"
@@ -160,74 +169,93 @@ class RunResult(NamedTuple):
 
 OnStep = Optional[Callable[[TraceEntry], None]]
 
-# The six instruction shapes. Instructions are immutable, so every node of
-# a shape holds the same object.
-FOLLOW_NEXT = Instruction((Act(FollowArrow(NEXT)),))
-STOP = Instruction((Act(Stop()),))
-IF_SYMBOL = Instruction(
-    (Guarded(LabelsEqual(TAPE_PATH, SYMBOL_PATH), FollowArrow(YES)), Act(FollowArrow(NO)))
-)
-PRINT_WORD = Instruction((Act(RelabelNode(TAPE_PATH, PRINT_WORD_PATH)), Act(FollowArrow(NEXT))))
-MOVE_LEFT = Instruction(
-    (
-        Guarded(NoArrowTo("", TAPE_PATH), CreateNodeWithArrowToTarget(TAPE_PATH)),
-        Act(ReassignArrow(TAPE_ARROW, LEFT_CELL_PATH)),
-        Act(FollowArrow(NEXT)),
-    )
-)
-MOVE_RIGHT = Instruction(
-    (
-        Guarded(NoArrowFrom("", TAPE_PATH), CreateNodeWithArrowFromSource(TAPE_PATH)),
-        Act(ReassignArrow(TAPE_ARROW, RIGHT_CELL_PATH)),
-        Act(FollowArrow(NEXT)),
-    )
-)
+
+def _move_directions(g, side: str, tape) -> tuple[Direction, Direction]:
+    """What a move to ``side`` does before it follows 'next', with ``tape`` the settled tape path.
+
+    Grow a cell on that side if the tape ends at the head, then put the
+    head on the cell beside it. These depend on the tape alone, so the
+    moves to one side share them.
+    """
+    if side == "left":
+        grow = Guarded(NoArrowTo("", tape), CreateNodeWithArrowToTarget(tape))
+        beside = LEFT_CELL_PATH
+    else:
+        grow = Guarded(NoArrowFrom("", tape), CreateNodeWithArrowFromSource(tape))
+        beside = RIGHT_CELL_PATH
+    return grow, Act(ReassignArrow(TAPE_ARROW, settle(g, beside)))
 
 
-def install_instructions(
-    tree: Tree, stop: int, statements: Iterable[int]
-) -> dict[int, Instruction]:
+def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Instruction]:
     """Build the node-to-instruction map for an executable program tree.
 
-    Exactly the root, the stop node, and the ``statements`` (the
-    statement nodes ``find_points`` found, in id order) carry
-    instructions; all nodes of one shape share its instruction object.
+    Exactly the root, the stop node, and the statements of ``points``
+    carry instructions; ``points`` is what ``find_points`` found for
+    this tree. Each flow node gets an instruction of its own, in one of
+    six shapes (follow 'next', stop, if, print, move left, move right),
+    with its program side settled here once:
+
+    - each follow is a ``FollowArrowTo`` of the one end the node's
+      ``next``, ``yes`` or ``no`` arrow has, which is checked here;
+    - the compared and printed word paths are ``Settled`` at the word
+      nodes ``find_points`` resolved them to, ``points.usages`` in
+      statement order. The checks after it add 'is-declared-at',
+      'back' and flow arrows, none of which those paths follow, so the
+      usages are still where the paths lead;
+    - the tape paths start at the own node ``settle`` finds once for
+      their start word.
+
+    So a step resolves only the tape side of its paths, '+tape' and the
+    cells beyond. A settled path prints as its formula, so phrases and
+    crash reports read as the unsettled shapes' do.
     """
     g = tree.graph
 
-    def require_flow(node: int, *labels: str) -> None:
-        for label in labels:
-            count = len(g.ends(node, "+", label))
-            if count != 1:
-                raise ValueError(
-                    f"node {node} needs exactly one {display_word(label)} "
-                    f"arrow but has {count}; build control flow first"
-                )
+    def flow(node: int, label: str) -> FollowArrowTo:
+        ends = g.ends(node, "+", label)
+        if len(ends) != 1:
+            raise ValueError(
+                f"node {node} needs exactly one {display_word(label)} "
+                f"arrow but has {len(ends)}; build control flow first"
+            )
+        return FollowArrowTo(label, ends[0])
 
-    instructions: dict[int, Instruction] = {}
-    require_flow(tree.root, NEXT)
-    instructions[tree.root] = FOLLOW_NEXT
-    instructions[stop] = STOP
+    usages = iter(points.usages)
 
-    for node in statements:
+    def settled_word(node: int, path) -> Settled:
+        usage = next(usages, None)
+        if usage is None:
+            raise ValueError(f"the points hold no usage for statement node {node}")
+        return Settled(path, usage, len(path.steps), ())
+
+    tape = settle(g, TAPE_PATH)
+    moves: dict[str, tuple[Direction, Direction]] = {}  # by side, built at its first move
+    instructions = {tree.root: Instruction((Act(flow(tree.root, NEXT)),))}
+    instructions[stop] = Instruction((Act(Stop()),))
+
+    for node in points.statements:
         word = g.node_label(node)
         if word == "if":
-            require_flow(node, YES, NO)
-            instructions[node] = IF_SYMBOL
+            yes, no = flow(node, YES), flow(node, NO)
+            compared = LabelsEqual(tape, settled_word(node, SYMBOL_PATH))
+            instructions[node] = Instruction((Guarded(compared, yes), Act(no)))
         elif word == "print":
-            require_flow(node, NEXT)
-            instructions[node] = PRINT_WORD
+            onward = flow(node, NEXT)
+            printed = settled_word(node, PRINT_WORD_PATH)
+            instructions[node] = Instruction((Act(RelabelNode(tape, printed)), Act(onward)))
         elif word == "move":
-            require_flow(node, NEXT)
+            onward = flow(node, NEXT)
             sideways = [w for w in ("left", "right") for _ in g.ends(node, "+", w)]
             if len(sideways) != 1:
                 raise ValueError(
                     f"move node {node} needs exactly one left or right arrow"
                 )
-            instructions[node] = MOVE_LEFT if sideways[0] == "left" else MOVE_RIGHT
+            side = sideways[0]
+            if side not in moves:
+                moves[side] = _move_directions(g, side, tape)
+            instructions[node] = Instruction((*moves[side], Act(onward)))
         else:
-            require_flow(node, NEXT)
-            instructions[node] = FOLLOW_NEXT
+            instructions[node] = Instruction((Act(flow(node, NEXT)),))
     return instructions
 
 

@@ -38,7 +38,10 @@ its normal-execution conditions, and gives them meaning in its
 those methods for one item, and the executor's step loop calls them
 directly. They resolve every operand before the first write, so a
 violation leaves the graph as it was; ``normal_violation`` predicts it
-without acting.
+without acting. ``settle`` resolves the program side of a path formula
+once, into a ``Settled`` record that ``resolve`` continues from, and
+``FollowArrowTo`` is a follow bound to its target: the executor builds
+both at install, for the parts of a step a run never changes.
 """
 
 from __future__ import annotations
@@ -628,7 +631,74 @@ def parse_path(text: str) -> PathFormula:
     return PathFormula(start, tuple(steps))
 
 
-def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None) -> int:
+class Settled(NamedTuple):
+    """A path formula whose program-side prefix ``settle`` resolved once.
+
+    The first ``taken`` steps of ``formula`` lead to ``node`` (its start
+    node when ``taken`` is 0); ``rest`` holds the steps after them,
+    which ``resolve`` and ``locate`` take from ``node`` on every call.
+    Its text is the formula's, so a phrase or a report that shows it
+    reads as the formula's does.
+    """
+
+    formula: PathFormula
+    node: int
+    taken: int
+    rest: tuple[tuple[str, str], ...]
+
+    def __str__(self) -> str:
+        return str(self.formula)
+
+
+def settle(
+    g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
+) -> Union[PathFormula, Settled]:
+    """Resolve the program side of ``formula`` once: its start and its steps among own nodes.
+
+    Walks from the start (the own node an absolute start names, else
+    ``current``) while each step follows the one arrow its word names to
+    an own node, and returns the ``Settled`` record of where it stopped.
+    It stops before a step that reaches a mounted node, so "+tape" is
+    never settled, and before a step with no arrow or several, which
+    each call then takes again. It returns ``formula`` itself when
+    nothing settles: an absolute start that names no own node or
+    several, or a relative one not at an own node or taking no step. A
+    settled relative formula resolves from ``current`` wherever it is
+    resolved, so it serves the item of that node alone.
+
+    This is sound because a run writes only the tape: an own node keeps
+    its label and its arrows, apart from the root's one 'tape' arrow
+    that the mount adds, so a settled step reaches at every call the
+    node it reached here (``test_a_run_writes_only_the_tape`` pins it).
+    """
+    own_end = min(g._own_end, len(g._nodes))
+    if formula.start is None:
+        if current is None or not 0 <= current < own_end:
+            return formula
+        node = current
+    else:
+        candidates = g._by_label.get(formula.start, ())  # own nodes only
+        if len(candidates) != 1:
+            return formula
+        (node,) = candidates
+    taken = 0
+    for sign, word in formula.steps:
+        try:
+            reached = g.follow(node, sign, word)
+        except SeveralArrows:
+            break
+        if reached is None or reached >= own_end:
+            break
+        node = reached
+        taken += 1
+    if formula.start is None and not taken:
+        return formula
+    return Settled(formula, node, taken, formula.steps[taken:])
+
+
+def resolve(
+    g: LabeledGraph, formula: Union[PathFormula, Settled], current: Optional[int] = None
+) -> int:
     """Resolve a path formula to a node id.
 
     Raises StartAmbiguous when an absolute start label names zero or
@@ -636,24 +706,36 @@ def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
     Inapplicable when a step has no arrow to follow or more than one.
     Arrows of every kind are eligible: labels alone navigate.
 
+    A ``Settled`` formula starts at its settled node and takes only
+    the steps left, and a failure names the whole formula and the
+    step's index in it; one with no step left is its node.
+
     A "+" step from a node of the graph reads the (origin, label) index
     itself, as ``follow`` does: the first arrow, and the overflow map
     for a repeat. A "-" step, or one from an id that is no node, goes
     through ``follow``, which scans the in-arrows or refuses the id.
     """
-    if formula.start is None:
-        if current is None:
-            raise ValueError("formula starts at the current node but no current node was given")
-        node = current
+    if type(formula) is Settled:
+        node, index, steps = formula.node, formula.taken, formula.rest
+        if not steps:
+            return node
+        formula = formula.formula
     else:
-        candidates = g._by_label.get(formula.start, ())  # own nodes only
-        if len(candidates) != 1:
-            raise StartAmbiguous(formula.start, len(candidates))
-        (node,) = candidates
+        if formula.start is None:
+            if current is None:
+                raise ValueError(
+                    "formula starts at the current node but no current node was given"
+                )
+            node = current
+        else:
+            candidates = g._by_label.get(formula.start, ())  # own nodes only
+            if len(candidates) != 1:
+                raise StartAmbiguous(formula.start, len(candidates))
+            (node,) = candidates
+        index, steps = 0, formula.steps
     outs, dsts, more = g._out, g._dst, g._out_more
     node_count = len(g._nodes)
-    index = 0
-    for sign, word in formula.steps:
+    for sign, word in steps:
         if sign == "+" and 0 <= node < node_count:
             first = outs[node].get(word)
             if first is None:
@@ -672,8 +754,10 @@ def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
     return node
 
 
-def locate(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None) -> int:
-    """Resolve a path formula as an executing direction does.
+def locate(
+    g: LabeledGraph, formula: Union[PathFormula, Settled], current: Optional[int] = None
+) -> int:
+    """Resolve a path formula, or a ``Settled`` one, as an executing direction does.
 
     Returns the node, or raises NormalConditionViolated saying why the
     path is not passable. This is the only way propositions and
@@ -701,29 +785,33 @@ class _Item:
     An action whose ``ends_step`` is true ends an executor step when it
     is performed.
 
-    An item is an immutable value. Each class names its fields in
-    ``__slots__``; this base takes them positionally or by keyword,
-    refuses assignment, matches class patterns positionally and
-    compares and hashes them together with the class, so two items of
-    different classes are never equal, even when their fields are.
+    An item is an immutable value. Each class names the fields it adds
+    in ``__slots__``, and its ``_fields`` are its base's followed by
+    those; this base takes them positionally or by keyword, refuses
+    assignment, matches class patterns positionally and compares and
+    hashes them together with the class, so two items of different
+    classes are never equal, even when their fields are.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     ends_step = False
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        cls.__match_args__ = cls._fields
 
     def __init__(self, *values, **named) -> None:
-        fields = self.__slots__
-        values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
-        if len(values) != len(fields) or named:
-            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+            if len(values) != len(fields) or named:
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable item")
@@ -739,7 +827,7 @@ class _Item:
         return hash((type(self), self._values()))
 
     def __repr__(self) -> str:
-        shown = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        shown = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({', '.join(shown)})"
 
     def __reduce__(self):
@@ -935,7 +1023,33 @@ class FollowArrow(_Item):
         return (node,)
 
     def apply(self, g, current):
+        # The (node, label) index read that resolve's "+" steps make;
+        # operands finds the same node, or refuses, the long way round.
+        if current is not None and 0 <= current < len(g._nodes):
+            first = g._out[current].get(self.word)
+            if first is not None and not (g._out_more and (current, self.word) in g._out_more):
+                return g._dst[first]
         return self.operands(g, current)[0]
+
+
+class FollowArrowTo(FollowArrow):
+    """``FollowArrow`` bound to one node: its one ``word`` arrow goes to ``target``.
+
+    ``install_instructions`` builds one for each flow arrow of a node,
+    from the one end it found for the arrow's word. A run leaves the
+    program's arrows as they are (see ``settle``), so at that node the
+    item goes to ``target`` without reading the graph. Its phrase is
+    ``FollowArrow``'s, and it is never equal to a ``FollowArrow``.
+    """
+
+    __slots__ = ("target",)
+    target: int
+
+    def operands(self, g, current):
+        return (self.target,)
+
+    def apply(self, g, current):
+        return self.target
 
 
 class Stop(_Item):

@@ -145,7 +145,7 @@ def make_executable(result: CheckResult) -> dict[int, Instruction]:
         raise CheckFailed(result.blocking)
     if result.stop is None:
         raise ValueError("control flow was not built")
-    return install_instructions(result.tree, result.stop, result.points.statements)
+    return install_instructions(result.tree, result.stop, result.points)
 
 
 @lru_cache(maxsize=1)

@@ -1,8 +1,10 @@
-"""Smoke test of the benchmark driver: one short run of one workload on one seed."""
+"""Smoke tests of the benchmark driver: one short real run stands in for every run it asks for."""
 
 import importlib.util
 import json
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,3 +41,73 @@ def test_one_seed_one_workload(tmp_path, monkeypatch):
         assert metric["q1"] == metric["median"] == metric["q3"] == result["metrics"][name]["value"] > 0
     (run,) = workload["per_seed"]
     assert run["seed"] == 3 and run["attempted"] >= 1 and run["failed"] == 0 and run["correct"]
+
+
+def test_against_head_runs_each_seed_on_both_exports(tmp_path, monkeypatch):
+    """``--against HEAD``: both exports run each seed, first in turn; one real run stands in for all.
+
+    The real run is a short increment-run, from the export that the
+    first run asked for, which is ``HEAD``'s.
+    """
+    driver = load_driver()
+    asked, real = [], {}
+    run_once = driver.run_once
+
+    def run_in_export(workload, seed, seconds, root):
+        assert not list(root.rglob("__pycache__"))
+        asked.append((workload, seed, root.name))
+        if not real:
+            base, change = root.parent / "base", root.parent / "change"
+            for name in ("src/wordtree/graph.py", "perfbench/run.py"):
+                committed = driver.git("show", f"HEAD:{name}").stdout
+                assert (base / name).read_bytes() == committed
+                assert (change / name).read_bytes() == (ROOT / name).read_bytes()
+            real.update(run_once("increment-run", seed, 0.1, root))
+        return real
+
+    monkeypatch.setattr(driver, "run_once", run_in_export)
+    monkeypatch.chdir(tmp_path)
+    assert driver.main(["--pr", "0", "--seeds", "3", "4", "--against", "HEAD"]) == 0
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = [w["name"] for w in spec["workloads"]]
+    assert asked == [
+        (name, seed, side)
+        for name in declared
+        for seed, order in ((3, ("base", "change")), (4, ("change", "base")))
+        for side in order
+    ]
+    report = json.loads((tmp_path / "BENCH_0.json").read_text())
+    head = driver.git("rev-parse", "HEAD", text=True).stdout.strip()
+    assert report["against"] == {"rev": "HEAD", "commit": head}
+    assert list(report["workloads"]) == declared
+    workload = report["workloads"]["increment-run"]
+    assert [(p["seed"], p["first"]) for p in workload["pairs"]] == [(3, "base"), (4, "change")]
+    assert all(p["base"] == p["change"] == real for p in workload["pairs"])
+    assert list(workload["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+    for name, metric in workload["metrics"].items():
+        value = real["metrics"][name]["value"]
+        for side in ("base", "change"):
+            assert metric[side] == {"median": value, "q1": value, "q3": value}
+        assert metric["won"] == {"base": 0, "change": 0}  # ties count for neither side
+    assert real["failed"] == 0 and real["correct"]
+
+
+def test_pairs_are_won_by_the_better_side_of_each_metric(monkeypatch):
+    driver = load_driver()
+    values = {"base": 1.0, "change": 2.0}
+
+    def canned(workload, seed, seconds, root):
+        value = values[root.name] + seed / 100
+        return {"metrics": {m: {"value": value} for m in ("ops_per_s", "latency_p50_ms")}}
+
+    monkeypatch.setattr(driver, "run_once", canned)
+    metrics = [
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "latency_p50_ms", "unit": "ms", "better": "lower"},
+    ]
+    roots = {side: pathlib.Path(side) for side in ("base", "change")}
+    summary = driver.compare("w", [1, 2, 3], 1.0, metrics, roots)["metrics"]
+    assert summary["ops_per_s"]["won"] == {"base": 0, "change": 3}
+    assert summary["latency_p50_ms"]["won"] == {"base": 3, "change": 0}
+    assert summary["ops_per_s"]["change"] == pytest.approx({"median": 2.02, "q1": 2.015, "q3": 2.025})

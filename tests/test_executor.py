@@ -34,6 +34,7 @@ from wordtree.executor import (
     RUNNING,
     STOPPED,
     SYMBOL_PATH,
+    TAPE_ARROW,
     TAPE_PATH,
     Act,
     Guarded,
@@ -55,6 +56,7 @@ from wordtree.graph import (
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
     FollowArrow,
+    FollowArrowTo,
     Inapplicable,
     LabelsEqual,
     NoArrowFrom,
@@ -62,8 +64,8 @@ from wordtree.graph import (
     ReassignArrow,
     RelabelNode,
     LabeledGraph,
+    Settled,
     StartAmbiguous,
-    Stop,
     Tree,
     check_uni_labeled,
     export_json,
@@ -74,7 +76,9 @@ from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, classify, find_points
 from wordtree.tape import parse_tape, render_tape
 
+import reference_executor as reference
 import reference_tape
+from reference_executor import unsettled
 
 EXPECTED_RUNS = json.loads(
     (Path(__file__).parent / "data" / "expected_runs.json").read_text()
@@ -88,7 +92,7 @@ def prepare(text: str):
     stop = add_stop_node(tree)
     build_back_arrows(tree, stop, points)
     build_control(tree, stop, points)
-    instructions = install_instructions(tree, stop, points.statements)
+    instructions = install_instructions(tree, stop, points)
     return tree, stop, instructions
 
 
@@ -139,72 +143,102 @@ class TestInstall:
 
     def test_if_instruction(self, increment_parts):
         tree, _, instructions = increment_parts
+        g = tree.graph
         if1 = statements(tree)[2]
-        assert instructions[if1].directions == (
-            Guarded(LabelsEqual(TAPE_PATH, SYMBOL_PATH), FollowArrow("yes")),
-            Act(FollowArrow("no")),
-        )
+        assert unsettled(instructions[if1]) == reference.IF_SYMBOL
         assert instructions[if1].phrases() == [
             'if the "tape-alphabet"+tape node label equals the +""+is '
             "node label, then follow the 'yes' arrow",
             "follow the 'no' arrow",
         ]
+        guarded, otherwise = instructions[if1].directions
+        assert guarded.condition == LabelsEqual(
+            Settled(TAPE_PATH, tree.root, 0, TAPE_PATH.steps),
+            Settled(SYMBOL_PATH, resolve(g, SYMBOL_PATH, if1), 2, ()),
+        )
+        assert guarded.action == FollowArrowTo("yes", g.follow(if1, "+", "yes"))
+        assert otherwise.action == FollowArrowTo("no", g.follow(if1, "+", "no"))
 
     def test_print_instruction(self, increment_parts):
         tree, _, instructions = increment_parts
+        g = tree.graph
         p1 = statements(tree)[0]
+        assert unsettled(instructions[p1]) == reference.PRINT_WORD
         assert instructions[p1].directions == (
-            Act(RelabelNode(TAPE_PATH, PRINT_WORD_PATH)),
-            Act(FollowArrow(NEXT)),
+            Act(
+                RelabelNode(
+                    Settled(TAPE_PATH, tree.root, 0, TAPE_PATH.steps),
+                    Settled(PRINT_WORD_PATH, resolve(g, PRINT_WORD_PATH, p1), 1, ()),
+                )
+            ),
+            Act(FollowArrowTo(NEXT, g.follow(p1, "+", NEXT))),
         )
 
     def test_move_instructions_mirror(self, increment_parts):
         tree, _, instructions = increment_parts
         m1, m2 = statements(tree)[5], statements(tree)[8]
-        left = instructions[m1].directions
+        left = unsettled(instructions[m1]).directions
         assert left[0] == Guarded(
             NoArrowTo("", TAPE_PATH), CreateNodeWithArrowToTarget(TAPE_PATH)
         )
         assert left[1] == Act(ReassignArrow("tape", LEFT_CELL_PATH))
         assert left[2] == Act(FollowArrow(NEXT))
-        right = instructions[m2].directions
+        right = unsettled(instructions[m2]).directions
         assert right[0] == Guarded(
             NoArrowFrom("", TAPE_PATH), CreateNodeWithArrowFromSource(TAPE_PATH)
         )
         assert right[1] == Act(ReassignArrow("tape", RIGHT_CELL_PATH))
+        # Only the start of a cell path is program side.
+        for node, path in ((m1, LEFT_CELL_PATH), (m2, RIGHT_CELL_PATH)):
+            shift = instructions[node].directions[1].action
+            assert shift.target == Settled(path, tree.root, 0, path.steps)
 
     def test_plain_nodes_follow_next(self, increment_parts):
         tree, stop, instructions = increment_parts
-        follow = Instruction((Act(FollowArrow(NEXT)),))
         names = statements(tree)
         for node in (tree.root, names[1], names[3], names[6], names[10]):
-            assert instructions[node] == follow
-        assert instructions[stop] == Instruction((Act(Stop()),))
+            assert unsettled(instructions[node]) == reference.FOLLOW_NEXT
+            (direction,) = instructions[node].directions
+            assert direction == Act(FollowArrowTo(NEXT, tree.graph.follow(node, "+", NEXT)))
+        assert instructions[stop] == reference.STOP
 
-    def test_nodes_of_a_shape_share_one_instruction(self, increment_text):
-        shapes = {
-            id(executor_module.FOLLOW_NEXT): 5,
-            id(executor_module.STOP): 1,
-            id(executor_module.IF_SYMBOL): 2,
-            id(executor_module.PRINT_WORD): 3,
-            id(executor_module.MOVE_LEFT): 1,
-            id(executor_module.MOVE_RIGHT): 1,
+    def test_each_nodes_phrases_equal_its_shapes(self, increment_text):
+        """Each flow node holds an instruction of its own, worded as its shape is."""
+        tree, stop, instructions = prepare(increment_text)
+        shapes = reference.install_instructions(tree, stop, statements(tree))
+        assert instructions.keys() == shapes.keys()
+        for node, instruction in instructions.items():
+            assert instruction.phrases() == shapes[node].phrases()
+            assert unsettled(instruction) == shapes[node]
+        assert Counter(reference.SHAPES.index(shape) for shape in shapes.values()) == {
+            0: 5,  # follow 'next'
+            1: 1,  # stop
+            2: 2,  # if
+            3: 3,  # print
+            4: 1,  # move left
+            5: 1,  # move right
         }
-        for _ in range(2):  # a second program gets the same objects
-            _, _, instructions = prepare(increment_text)
-            assert Counter(map(id, instructions.values())) == shapes
+        assert len(set(map(id, instructions.values()))) == len(instructions)
 
     def test_empty_statement_follows_next(self):
         tree, stop, instructions = prepare("tape-alphabet is a;\n.")
         empty = statements(tree)[0]
         assert tree.graph.node_label(empty) == ""
-        assert instructions[empty] == Instruction((Act(FollowArrow(NEXT)),))
+        assert unsettled(instructions[empty]) == reference.FOLLOW_NEXT
+
+    def test_requires_a_usage_for_each_compared_or_printed_word(self, increment_text):
+        result = check_program(increment_text)
+        g = result.tree.graph
+        last = max(n for n in result.points.statements if g.node_label(n) in ("if", "print"))
+        short = result.points._replace(usages=result.points.usages[:-1])
+        with pytest.raises(ValueError, match=f"no usage for statement node {last}$"):
+            install_instructions(result.tree, result.stop, short)
 
     def test_requires_control_arrows(self, increment_text):
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
         with pytest.raises(ValueError, match="control"):
-            install_instructions(tree, stop, find_points(tree, classify(tree)).statements)
+            install_instructions(tree, stop, find_points(tree, classify(tree)))
 
 
 class TestInitialize:
@@ -657,6 +691,131 @@ class TestRuns:
             assert check_uni_labeled(tree.graph) == []
 
 
+def own_parts(g, nodes: int, arrows: int) -> dict:
+    """What a run may not write: the first ``nodes`` nodes' labels and index entries,
+    the label index, and the columns of the first ``arrows`` arrows."""
+    return {
+        "labels": g._nodes[:nodes],
+        "by_label": {word: set(members) for word, members in g._by_label.items()},
+        "columns": (g._src[:arrows], g._label[:arrows], g._dst[:arrows], g._kind[:arrows]),
+        "out": [dict(firsts) for firsts in g._out[:nodes]],
+        "out_more": {key: ids[:] for key, ids in g._out_more.items() if key[0] < nodes},
+        "in": [ids[:] for ids in g._in[:nodes]],
+    }
+
+
+@st.composite
+def mounted_runs(draw):
+    """A checked runnable program, cells over its words, a start and a budget.
+
+    Half the programs are increment.tgl, whose compared and printed words
+    differ from statement to statement; the rest are grown.
+    """
+    increment = (Path(__file__).resolve().parent.parent / "programs" / "increment.tgl").read_text()
+    result = check_program(draw(st.just(increment) | st.sampled_from(grown_runnable_texts())))
+    g = result.tree.graph
+    declared = sorted({g.node_label(node) for node in result.points.declarations})
+    cells = draw(
+        st.lists(
+            st.sampled_from(declared + ["", "tape-alphabet", "stop", "fresh"]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    start = draw(st.sampled_from(["first", "last"]) | st.integers(0, len(cells) - 1))
+    return result, cells, start, draw(st.integers(0, 200))
+
+
+class TestSettled:
+    """Each flow node's program side is settled at install; a run resolves the tape side."""
+
+    @given(mounted_runs())
+    @settings(deadline=None, max_examples=80)
+    def test_a_run_writes_only_the_tape(self, drawn):
+        """What the settled prefixes rest on: a run leaves the program as the mount found it.
+
+        The own nodes keep their labels, their out- and in-arrow entries
+        and their place in the label index, and every arrow the program
+        had keeps its origin, label, destination and kind. The one entry
+        the mount adds among them is the root's 'tape' arrow.
+        """
+        result, cells, start, budget = drawn
+        tree = copy.deepcopy(result.tree)
+        g = tree.graph
+        nodes, arrows = g.node_count, g.arrow_count
+        before = own_parts(g, nodes, arrows)
+        state = initialize(tree, cells, start, make_executable(result))
+        run(state, budget)
+        after = own_parts(g, nodes, arrows)
+        assert after["out"][tree.root].pop(TAPE_ARROW) >= arrows
+        assert after == before
+
+    @given(mounted_runs(), st.sampled_from(FAULTS), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_bound_runs_equal_shared_shape_runs(self, drawn, fault, data):
+        """Bound instructions run as the unspecialised shapes do, faults planted or not.
+
+        Compared: the outcome, the steps, the final tape, every trace
+        entry, and the state's node, status and crash report.
+        """
+        result, cells, start, budget = drawn
+        bound = make_executable(result)
+        shared = reference.install_instructions(result.tree, result.stop, result.points.statements)
+        faulty = data.draw(st.sampled_from(sorted(bound)))
+        assert ran(result.tree, bound, cells, start, budget, fault, faulty) == ran(
+            result.tree, shared, cells, start, budget, fault, faulty
+        )
+
+    @pytest.mark.parametrize("start_word", ["named twice", "named by none"])
+    def test_a_start_that_names_no_single_node_is_left_unsettled(self, increment_text, start_word):
+        """The tape paths keep their formulas, and the run crashes as the shared shapes' does."""
+        result = check_program(increment_text)
+        tree = copy.deepcopy(result.tree)
+        if start_word == "named twice":
+            tree.graph.add_node("tape-alphabet")
+        else:
+            tree.graph.set_node_label(tree.root, "tape-alphabets")
+        bound = install_instructions(tree, result.stop, result.points)
+        first_print = result.points.statements[0]
+        relabel = bound[first_print].directions[0].action
+        assert relabel.target is TAPE_PATH
+        assert isinstance(relabel.source, Settled)
+        shared = reference.install_instructions(tree, result.stop, result.points.statements)
+        outcomes = [
+            ran(tree, instructions, ["one", "blank"], "last", 100, None, None)
+            for instructions in (bound, shared)
+        ]
+        assert outcomes[0] == outcomes[1]
+        (outcome, _), _, entries, (_, status, situation) = outcomes[0]
+        assert (outcome, status) == (CRASHED, CRASHED)
+        assert situation.situation == NORMAL_CONDITION_VIOLATED
+        count = 2 if start_word == "named twice" else 0
+        assert situation.detail == (
+            'path "tape-alphabet"+tape is not passable: '
+            f'start label "tape-alphabet" names {count} nodes'
+        )
+        assert entries[-1].direction == f"crash {NORMAL_CONDITION_VIOLATED}: {situation.detail}"
+
+
+def ran(tree, instructions, cells, start, budget, fault, faulty) -> tuple:
+    """Run ``instructions`` on a copy of ``tree`` with ``fault`` planted; what the run showed."""
+    state = initialize(copy.deepcopy(tree), cells, start, instructions)
+    if fault == "two tape arrows":
+        state.tree.graph.add_arrow(state.tree.root, "tape", state.tree.root, SEMANTIC)
+    elif fault == NO_INSTRUCTION:
+        del state.instructions[faulty]
+    elif fault == DIRECTIONS_EXHAUSTED:
+        state.instructions[faulty] = Instruction(())
+    entries = []
+    outcome = run(state, budget, entries.append)
+    return (
+        outcome[:2],
+        final_tape(state),
+        entries,
+        (state.current, state.status, state.situation),
+    )
+
+
 class TestRunDiscipline:
     def test_program_nodes_never_relabeled(self, increment_text):
         tree, stop, instructions = prepare(increment_text)
@@ -734,7 +893,14 @@ class TestModes:
         assert careful.state.situation == plain.state.situation
 
     def test_cautious_runs_resolve_as_often_as_normal_ones(self, increment_text, monkeypatch):
-        """increment.tgl on 'one' x 50 'blank' from the last cell: 410 steps, 513 resolves each."""
+        """increment.tgl on 'one' x 50 'blank' from the last cell: 410 steps, 513 resolves each.
+
+        Still 513 with each node's program side settled at install: every
+        path operand of a step goes through ``resolve`` as before, and a
+        settled path with no step left returns its node there. What
+        settling saves is inside the calls: the start lookup and the
+        program-side steps.
+        """
         calls = Counter()
         original = graph_module.resolve
 

@@ -41,6 +41,7 @@ from wordtree.graph import (
     normal_violation,
     parse_path,
     resolve,
+    settle,
 )
 from wordtree.executor import initialize, run
 from wordtree.frontend import parse_text, render_program, to_canonical
@@ -598,6 +599,90 @@ def test_resolve_equals_reference(graph_and_node, formula, where):
             return type(failure), str(failure)
 
     assert outcome(resolve) == outcome(reference_algebra.resolve)
+
+
+@given(
+    indexed_graphs(),
+    path_formulas,
+    st.lists(st.sampled_from(["a", "b", ""]), max_size=3),
+    words,
+    st.booleans(),
+)
+@example(looped_node(), PathFormula(None, (("+", "y"),)), ["a"], "y", True)
+@settings(deadline=None)
+def test_a_settled_formula_resolves_as_its_formula(
+    graph_and_node, formula, cells, word, mount_first
+):
+    """``settle`` changes nothing ``resolve`` gives: the node, or the exception and its text.
+
+    A tape of ``cells`` is mounted before or after settling, as a run
+    mounts one: its cells are mounted nodes, and its one arrow from an
+    own node leaves the drawn node by a ``word`` that node had no arrow
+    for. No settled step reaches a mounted node, and a settled formula
+    prints as the formula.
+    """
+    g, node = graph_and_node
+
+    def mount() -> None:
+        if cells and node < min(g._own_end, g.node_count) and not g.ends(node, "+", word):
+            g.add_arrow(node, word, add_cells(g, cells)[0], G.SEMANTIC)
+
+    def outcome(path):
+        try:
+            return resolve(g, path, node)
+        except (G.GraphError, ValueError) as failure:
+            return type(failure), str(failure)
+
+    if mount_first:
+        mount()
+    settled = settle(g, formula, node)
+    if not mount_first:
+        mount()
+    assert str(settled) == str(formula)
+    if settled is not formula:
+        assert settled.formula is formula
+        assert settled.rest == formula.steps[settled.taken:]
+        assert 0 <= settled.node < min(g._own_end, g.node_count)
+        assert settled.taken or formula.start is not None
+    assert outcome(settled) == outcome(formula)
+
+
+def test_settle_stops_before_a_mounted_node_and_a_missing_arrow():
+    g = LabeledGraph()
+    root, word = g.add_node("tape-alphabet"), g.add_node("a")
+    g.add_arrow(root, "is", word)
+    path = parse_path('"tape-alphabet"+is+x')
+    assert settle(g, path) == G.Settled(path, word, 1, (("+", "x"),))
+    (cell,) = add_cells(g, ["a"])
+    g.add_arrow(word, "x", cell, G.SEMANTIC)
+    assert resolve(g, settle(g, path)) == cell
+    assert settle(g, path) == G.Settled(path, word, 1, (("+", "x"),))
+    for unsettled, current in [
+        (parse_path("+x"), cell),  # not at an own node
+        (parse_path("+y"), word),  # takes no step
+        (parse_path('"b"+is'), None),  # names no node
+    ]:
+        assert settle(g, unsettled, current) is unsettled
+
+
+def test_follow_arrow_reads_the_index(monkeypatch):
+    """An unbound follow reads the (node, label) index; it calls no ``follow`` to get there."""
+    g = LabeledGraph()
+    a, b = g.add_node("a"), g.add_node("b")
+    g.add_arrow(a, "next", b)
+
+    def refuse(*args):
+        raise AssertionError("follow was called")
+
+    monkeypatch.setattr(LabeledGraph, "follow", refuse)
+    assert FollowArrow("next").apply(g, a) == b
+    assert G.FollowArrowTo("next", b).apply(g, a) == b
+    monkeypatch.undo()
+    g.add_arrow(a, "next", a)
+    with pytest.raises(NormalConditionViolated, match="several 'next' arrows"):
+        FollowArrow("next").apply(g, a)
+    with pytest.raises(NormalConditionViolated, match="no 'next' arrow"):
+        FollowArrow("next").apply(g, b)
 
 
 def containers(g: LabeledGraph) -> dict[int, object]:

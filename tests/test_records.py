@@ -27,6 +27,7 @@ from wordtree.graph import (
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
     FollowArrow,
+    FollowArrowTo,
     LabeledGraph,
     LabelsEqual,
     NoArrowFrom,
@@ -35,6 +36,7 @@ from wordtree.graph import (
     PathPassable,
     ReassignArrow,
     RelabelNode,
+    Settled,
     Stop,
     Tree,
     UniLabelViolation,
@@ -55,6 +57,7 @@ RECORDS = [
     (Tree, {"graph": TREE.graph, "root": 0}),
     (Token, {"kind": "word", "text": "go", "line": 1, "column": 2}),
     (PathFormula, {"start": "tape-alphabet", "steps": (("+", "tape"),)}),
+    (Settled, {"formula": P, "node": 0, "taken": 0, "rest": P.steps}),
     (
         Points,
         {"statements": (1, 4), "declarations": (2,), "usages": (3,), "targets": (), "gotos": ()},
@@ -76,6 +79,7 @@ RECORDS = [
     (CreateNodeWithArrowToTarget, {"target": P}),
     (CreateNodeWithArrowFromSource, {"source": P}),
     (FollowArrow, {"word": "next"}),
+    (FollowArrowTo, {"word": "next", "target": 3}),
     (Stop, {}),
 ]
 MUTABLE = [
@@ -140,13 +144,14 @@ def test_record_semantics(cls, fields):
 
 def test_items_of_different_classes_are_never_equal():
     items = [cls(**fields) for cls, fields in RECORDS if issubclass(cls, _Item)]
-    assert len(items) == 11
+    assert len(items) == 12
     for i, one in enumerate(items):
         for other in items[i + 1:]:
             assert one != other
     assert NoArrowTo("", P) != NoArrowFrom("", P)
     assert hash(NoArrowTo("", P)) != hash(NoArrowFrom("", P))
     assert Act(Stop()) != Act(FollowArrow("next"))
+    assert FollowArrowTo("next", 3) != FollowArrow("next")
     assert Stop() == Stop() and hash(Stop()) == hash(Stop())
     assert repr(Stop()) == "Stop()"
 
