@@ -19,10 +19,13 @@ machine that produced them.
 With ``--against REV`` it compares two checkouts instead: ``git
 archive`` exports ``REV``, and the files of the working tree that git
 tracks or would track are copied, each into a temporary directory of
-its own, neither holding a ``__pycache__``. For each workload and seed
-it runs the benchmark once in each, with ``PYTHONDONTWRITEBYTECODE=1``
-so that neither side gains a bytecode cache, and the side that goes
-first alternates from seed to seed. ``BENCH_<pr>.json`` then holds each
+its own, neither holding a ``__pycache__``. Each is then compiled once
+(``python -m compileall`` of its ``src/`` and ``perfbench/``), so that
+``setup_s`` times reading the bytecode on both sides rather than
+compiling the source, which would charge every added line to the
+change. For each workload and seed it runs the benchmark once in each,
+with ``PYTHONDONTWRITEBYTECODE=1`` so that no run adds to either
+cache, and the side that goes first alternates from seed to seed. ``BENCH_<pr>.json`` then holds each
 seed's pair of runs and, per metric, each side's median and quartiles
 and the number of pairs each side won, by the direction
 ``BENCHMARK.json`` gives the metric (a tie counts for neither).
@@ -120,6 +123,11 @@ def export(rev: Optional[str], dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
+def compile_export(root: Path) -> None:
+    """Write the bytecode of ``root``'s library and benchmark, before any run there."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=root, check=True)
+
+
 def compare(workload: str, seeds: list[int], seconds: float, metrics: list[dict],
             roots: dict[str, Path]) -> dict:
     """Pairs of runs of ``workload``, one per seed, and each metric's spread and wins per side."""
@@ -179,6 +187,8 @@ def main(argv=None) -> int:
             roots = {"base": Path(scratch) / "base", "change": Path(scratch) / "change"}
             export(args.against, roots["base"])
             export(None, roots["change"])
+            for root in roots.values():
+                compile_export(root)
             report["workloads"] = {
                 workload: compare(workload, args.seeds, seconds, spec["end_to_end"], roots)
                 for workload in workloads

@@ -19,15 +19,20 @@ each path, '+tape' and the cells beyond it. That holds because a run
 writes only the tape.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
-``action``, and each item of the algebra resolves its own operands, so
-a direction calls the item's own method directly:
-``condition.holds(g, node)`` and ``action.apply(g, node)``, with no
-table, type test or ``eval_proposition``/``apply_action`` frame in
-between. Whether an action ends the step is its class's ``ends_step``.
-``run`` and ``step`` share one loop, which keeps the node and the step
-count in locals and writes them to the state whenever a caller can see
-it. An untraced step reads the current node's label only to report a
-crash.
+``action``. An instruction is bound once, the first time a step reaches
+it: each direction becomes the condition's bound ``holds``, the
+action's bound ``apply`` (see ``graph._Item``), whether the action
+ends the step, and the direction, and ``Instruction.bound`` keeps them
+on the instruction object. A step then calls one function per
+direction's condition and one per its action, with no method lookup,
+operand tuple or ``resolve`` call in between; a tape path's reader
+reads the graph's index in place and calls ``locate`` only to report a
+path that is not passable. The kept program of ``execute_program``
+binds each node once for all its runs, and a node a run never reaches
+is never bound. ``run`` and ``step`` share one loop, which keeps the
+node and the step count in locals and writes them to the state
+whenever a caller can see it. An untraced step reads the current
+node's label only to report a crash.
 
 A run keeps no trace and renders no tape. A caller that wants a trace
 passes ``on_step`` and receives each entry as it is produced; a traced
@@ -37,6 +42,7 @@ some step renders it with ``final_tape``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .control_flow import NEXT, NO, YES
@@ -56,6 +62,7 @@ from .graph import (
     Settled,
     Stop,
     Tree,
+    _Item,
     _refuse_foreign,
     display_word,
     parse_path,
@@ -103,11 +110,55 @@ class Guarded(NamedTuple):
 Direction = Union[Act, Guarded]
 
 
-class Instruction(NamedTuple):
+class _Directions(NamedTuple):
     directions: tuple[Direction, ...]
+
+
+class Instruction(_Directions):
+    """The directions a flow node holds, in order.
+
+    An instruction is data: it compares, hashes, prints, pickles and
+    copies as the tuple of its directions. ``bound`` is what a step
+    runs, one entry per direction: the condition's bound ``holds`` (None
+    for ``Act``), the action's bound ``apply``, whether the action ends
+    the step, and the direction itself, for its phrase. It is built
+    from the directions the first time a step reads it and kept on this
+    object, so every run that reuses the object reuses it, and a node a
+    run never reaches is never bound. It is not state: a pickled or
+    copied instruction holds only its directions and binds afresh. A
+    value that is no item of the algebra binds to a function that
+    refuses it when the step reaches it.
+    """
 
     def phrases(self) -> list[str]:
         return [d.phrase() for d in self.directions]
+
+    @cached_property
+    def bound(self) -> tuple[tuple[Optional[Callable], Callable, bool, Direction], ...]:
+        return tuple(map(_bind, self.directions))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an instruction")
+
+    def __reduce__(self):
+        return type(self), (self.directions,)
+
+
+def _bind(direction: Direction) -> tuple[Optional[Callable], Callable, bool, Direction]:
+    condition, action = direction.condition, direction.action
+    holds = None if condition is None else _bound(condition, "bind_holds")
+    return holds, _bound(action, "bind_apply"), getattr(action, "ends_step", False), direction
+
+
+def _bound(item, form: str) -> Callable:
+    """``item``'s bound form ``form``; for a value that is no item, a function refusing it."""
+    if isinstance(item, _Item):
+        return getattr(item, form)()
+
+    def refuse(g, node):
+        _refuse_foreign(item)
+
+    return refuse
 
 
 class CrashReport(NamedTuple):
@@ -349,24 +400,16 @@ def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
                     on_step,
                 )
                 return
-            for direction in instruction.directions:
-                condition = direction.condition
-                action = direction.action
+            for holds, apply, ends_step, direction in instruction.bound:
                 try:
-                    if condition is not None and not condition.holds(g, node):
+                    if holds is not None and not holds(g, node):
                         continue
-                    destination = action.apply(g, node)
+                    destination = apply(g, node)
                 except NormalConditionViolated as failure:
                     detail = failure.detail
                     _crash(state, steps, node, label, NORMAL_CONDITION_VIOLATED, detail, on_step)
                     return
-                except AttributeError:
-                    # as eval_proposition and apply_action refuse an item
-                    if condition is not None:
-                        _refuse_foreign(condition)
-                    _refuse_foreign(action)
-                    raise
-                if action.ends_step:
+                if ends_step:
                     break
             else:
                 _crash(
@@ -396,9 +439,10 @@ def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
 def step(state: ExecState, on_step: OnStep = None) -> ExecState:
     """Execute the instruction at the current node; one step of a run.
 
-    Directions run in order, each calling its item's own ``holds`` or
-    ``apply``. A guard that evaluates false falls through to the next
-    direction; a guard that evaluates true performs its action. The
+    Directions run in order, each calling its items' bound ``holds``
+    and ``apply`` (``Instruction.bound``). A guard that evaluates false
+    falls through to the next direction; a guard that evaluates true
+    performs its action. The
     first action performed whose ``ends_step`` is true (FollowArrow or
     Stop) ends the step, and an instruction must end that way or the
     state crashes. A direction that holds no item of the algebra raises

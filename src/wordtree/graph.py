@@ -29,19 +29,27 @@ navigation calls.
 
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
-(origin, label) index once. ``resolve`` walks a path formula's steps,
-reading that index itself for a "+" step and going through ``follow``
-for a "-" one; kinds serve the column readers and export. Each
-proposition and action class resolves its own ``operands``, which are
-its normal-execution conditions, and gives them meaning in its
-``holds`` or ``apply``; ``eval_proposition`` and ``apply_action`` call
-those methods for one item, and the executor's step loop calls them
-directly. They resolve every operand before the first write, so a
-violation leaves the graph as it was; ``normal_violation`` predicts it
-without acting. ``settle`` resolves the program side of a path formula
-once, into a ``Settled`` record that ``resolve`` continues from, and
-``FollowArrowTo`` is a follow bound to its target: the executor builds
-both at install, for the parts of a step a run never changes.
+(origin, label) index once. ``_walk`` takes a path's steps where each
+has one arrow, reading that index for a "+" step and the node's
+in-arrow ids in place for a "-" one; ``resolve`` walks through it and
+takes the steps again through ``follow`` only to say which one failed.
+Kinds serve the column readers and export.
+
+Each proposition and action class resolves its own ``operands``, which
+are its normal-execution conditions, and has one bound form, its
+``bind_holds`` or ``bind_apply``: a function (g, current) built once
+from the item's fields, with each path turned into a ``reader``. A
+reader of a ``Settled`` path walks the path's remaining steps through
+``_walk`` and defers to ``locate`` where a step has no arrow or
+several, so every failure reads as it would through ``resolve``.
+``holds`` and ``apply`` call the bound form, as ``eval_proposition``
+and ``apply_action`` do; the executor binds each instruction once and
+calls the bound forms directly. They resolve every operand before the
+first write, so a violation leaves the graph as it was;
+``normal_violation`` predicts it without acting. ``settle`` resolves
+the program side of a path formula once, into a ``Settled`` record,
+and ``FollowArrowTo`` is a follow bound to its target: the executor
+builds both at install, for the parts of a step a run never changes.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import re
 from bisect import insort
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 PLA_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz-;{}.:,'")
 MLA_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
@@ -381,10 +389,10 @@ class LabeledGraph:
         """Far ends of the ``word`` arrows leaving ``node`` ("+") or entering it ("-").
 
         Arrows of every kind count; ends come in the order ``out_arrows``
-        or ``in_arrows`` lists the arrows. This, ``follow`` and the "+"
-        steps of ``resolve`` are the places an arrow is followed by its
-        label; ``chain`` and the "-" steps of ``resolve`` build on
-        ``follow``. "+" reads the (node, label) index: the first arrow,
+        or ``in_arrows`` lists the arrows. This, ``follow`` and
+        ``_walk`` are the places an arrow is followed by its label;
+        ``chain`` and the steps ``resolve`` takes again to name a failure
+        build on ``follow``. "+" reads the (node, label) index: the first arrow,
         then any the node repeats the label on. "-" scans the node's
         in-arrow ids in place, and tape cells have at most two of them.
         """
@@ -636,7 +644,8 @@ class Settled(NamedTuple):
 
     The first ``taken`` steps of ``formula`` lead to ``node`` (its start
     node when ``taken`` is 0); ``rest`` holds the steps after them,
-    which ``resolve`` and ``locate`` take from ``node`` on every call.
+    which ``resolve``, ``locate`` and its ``reader`` take from ``node``
+    on every call.
     Its text is the formula's, so a phrase or a report that shows it
     reads as the formula's does.
     """
@@ -696,6 +705,40 @@ def settle(
     return Settled(formula, node, taken, formula.steps[taken:])
 
 
+def _walk(g: LabeledGraph, node: int, steps) -> Optional[int]:
+    """Where ``steps`` lead from ``node`` when each has one arrow; None when one has not.
+
+    The regular case of every walk along a path: ``resolve`` and each
+    ``reader`` take their steps here. A "+" step reads the (origin,
+    label) index: the first arrow, and the overflow map for a repeat. A
+    "-" step scans the node's in-arrow ids in place, and tape cells have
+    at most two. A step with no arrow, several arrows or no sign gives
+    None, and the caller takes the steps again to say which failed.
+    ``node`` must be a node of ``g``.
+    """
+    outs, dsts, more = g._out, g._dst, g._out_more
+    for sign, word in steps:
+        if sign == "+":
+            first = outs[node].get(word)
+            if first is None or (more and (node, word) in more):
+                return None
+            node = dsts[first]
+        elif sign == "-":
+            labels = g._label
+            found = None
+            for arrow_id in g._in[node]:
+                if labels[arrow_id] == word:
+                    if found is not None:
+                        return None
+                    found = arrow_id
+            if found is None:
+                return None
+            node = g._src[found]
+        else:
+            return None
+    return node
+
+
 def resolve(
     g: LabeledGraph, formula: Union[PathFormula, Settled], current: Optional[int] = None
 ) -> int:
@@ -710,15 +753,13 @@ def resolve(
     the steps left, and a failure names the whole formula and the
     step's index in it; one with no step left is its node.
 
-    A "+" step from a node of the graph reads the (origin, label) index
-    itself, as ``follow`` does: the first arrow, and the overflow map
-    for a repeat. A "-" step, or one from an id that is no node, goes
-    through ``follow``, which scans the in-arrows or refuses the id.
+    The steps go through ``_walk``. When it finds no single arrow for a
+    step, or the start is an id that is no node, they are taken again
+    through ``follow``, which names the step that failed or refuses the
+    id.
     """
     if type(formula) is Settled:
         node, index, steps = formula.node, formula.taken, formula.rest
-        if not steps:
-            return node
         formula = formula.formula
     else:
         if formula.start is None:
@@ -733,23 +774,19 @@ def resolve(
                 raise StartAmbiguous(formula.start, len(candidates))
             (node,) = candidates
         index, steps = 0, formula.steps
-    outs, dsts, more = g._out, g._dst, g._out_more
-    node_count = len(g._nodes)
+    if not steps:
+        return node
+    if 0 <= node < len(g._nodes):
+        reached = _walk(g, node, steps)
+        if reached is not None:
+            return reached
     for sign, word in steps:
-        if sign == "+" and 0 <= node < node_count:
-            first = outs[node].get(word)
-            if first is None:
-                raise Inapplicable(formula, index, "none")
-            if more and (node, word) in more:
-                raise Inapplicable(formula, index, "multiple")
-            node = dsts[first]
-        else:
-            try:
-                node = g.follow(node, sign, word)
-            except SeveralArrows:
-                raise Inapplicable(formula, index, "multiple") from None
-            if node is None:
-                raise Inapplicable(formula, index, "none")
+        try:
+            node = g.follow(node, sign, word)
+        except SeveralArrows:
+            raise Inapplicable(formula, index, "multiple") from None
+        if node is None:
+            raise Inapplicable(formula, index, "none")
         index += 1
     return node
 
@@ -760,13 +797,36 @@ def locate(
     """Resolve a path formula, or a ``Settled`` one, as an executing direction does.
 
     Returns the node, or raises NormalConditionViolated saying why the
-    path is not passable. This is the only way propositions and
-    actions navigate.
+    path is not passable. Propositions and actions navigate through it,
+    and through the readers that defer to it.
     """
     try:
         return resolve(g, formula, current)
     except (StartAmbiguous, Inapplicable) as exc:
         raise NormalConditionViolated(f"path {formula} is not passable: {exc}") from exc
+
+
+def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optional[int]], int]:
+    """``locate`` of ``path`` as a function (g, current), built once for the path.
+
+    A ``Settled`` path's reader takes the path's ``rest`` from its
+    settled node through ``_walk``, and one with no step left is its
+    node. Where a step has no arrow or several, and for a formula that
+    is not settled, the reader calls ``locate``, so it returns what
+    ``locate`` returns and raises what ``locate`` raises, with the same
+    text.
+    """
+    if type(path) is not Settled:
+        return lambda g, current: locate(g, path, current)
+    node, rest = path.node, path.rest
+    if not rest:
+        return lambda g, current: node
+
+    def read(g: LabeledGraph, current: Optional[int]) -> int:
+        reached = _walk(g, node, rest)
+        return locate(g, path, current) if reached is None else reached
+
+    return read
 
 
 # -- propositions and actions ---------------------------------------
@@ -778,19 +838,24 @@ class _Item:
     ``operands`` resolves what the item works on, paths first in field
     order and then arrow counts, or raises NormalConditionViolated
     saying why it cannot. These are all the normal-execution conditions
-    of the algebra. ``holds`` and ``apply`` start from the same
-    operands, so once they resolve, evaluating or applying the item
-    cannot violate one. ``holds`` writes nothing and ``apply`` writes
-    only after they resolve, so a violation leaves the graph untouched.
-    An action whose ``ends_step`` is true ends an executor step when it
-    is performed.
+    of the algebra. A proposition's meaning is its ``bind_holds``, an
+    action's its ``bind_apply``: built once from the item's fields, with
+    each path turned into its ``reader``, it is a function (g, current)
+    that finds the same operands and then evaluates or applies the
+    item. So once the operands resolve, evaluating or applying the item
+    cannot violate a condition. It writes only after they resolve, so a
+    violation leaves the graph untouched. ``holds`` and ``apply`` bind
+    and call it; an item asked for the form it does not have resolves
+    its operands and raises TypeError. An action whose ``ends_step`` is
+    true ends an executor step when it is performed.
 
     An item is an immutable value. Each class names the fields it adds
     in ``__slots__``, and its ``_fields`` are its base's followed by
     those; this base takes them positionally or by keyword, refuses
     assignment, matches class patterns positionally and compares and
     hashes them together with the class, so two items of different
-    classes are never equal, even when their fields are.
+    classes are never equal, even when their fields are. A bound form
+    is not kept on the item.
     """
 
     __slots__ = ()
@@ -836,20 +901,49 @@ class _Item:
     def operands(self, g: "LabeledGraph", current: Optional[int]) -> tuple:
         return ()
 
+    def bind_holds(self) -> Callable[[LabeledGraph, Optional[int]], bool]:
+        return self._refusal("a proposition")
+
+    def bind_apply(self) -> Callable[[LabeledGraph, Optional[int]], Optional[int]]:
+        return self._refusal("an action")
+
+    def _refusal(self, kind: str) -> Callable:
+        operands = self.operands
+
+        def refuse(g: LabeledGraph, current: Optional[int]):
+            operands(g, current)
+            raise TypeError(f"not {kind}: {self!r}")
+
+        return refuse
+
     def holds(self, g: "LabeledGraph", current: Optional[int]) -> bool:
-        self.operands(g, current)
-        raise TypeError(f"not a proposition: {self!r}")
+        return self.bind_holds()(g, current)
 
     def apply(self, g: "LabeledGraph", current: Optional[int]) -> Optional[int]:
-        self.operands(g, current)
-        raise TypeError(f"not an action: {self!r}")
+        return self.bind_apply()(g, current)
 
 
 def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
-    try:
-        return g.follow(node, sign, word) is None
-    except SeveralArrows:
-        return False
+    """True when no ``word`` arrow leaves ``node`` ("+") or enters it ("-"); reads in place."""
+    if not 0 <= node < len(g._nodes):
+        raise ValueError(f"{node} is not a node of this graph")
+    if sign == "+":
+        return word not in g._out[node]
+    labels = g._label
+    for arrow_id in g._in[node]:
+        if labels[arrow_id] == word:
+            return False
+    return True
+
+
+def _unique_arrow(g: LabeledGraph, word: str) -> int:
+    """The id of the one ``word`` arrow of ``g``, or NormalConditionViolated."""
+    ids = g._arrows_by_label.get(word, ())
+    if len(ids) != 1:
+        raise NormalConditionViolated(
+            f"there exist {len(ids)} {display_word(word)} arrows, not a unique one"
+        )
+    return ids[0]
 
 
 class LabelsEqual(_Item):
@@ -861,11 +955,16 @@ class LabelsEqual(_Item):
         return f"the {self.p1} node label equals the {self.p2} node label"
 
     def operands(self, g, current):
-        return locate(g, self.p1, current), locate(g, self.p2, current)
+        return reader(self.p1)(g, current), reader(self.p2)(g, current)
 
-    def holds(self, g, current):
-        n1, n2 = self.operands(g, current)
-        return g.node_label(n1) == g.node_label(n2)
+    def bind_holds(self):
+        first, second = reader(self.p1), reader(self.p2)
+
+        def holds(g, current):
+            n1, n2 = first(g, current), second(g, current)
+            return g.node_label(n1) == g.node_label(n2)
+
+        return holds
 
 
 class NoArrowTo(_Item):
@@ -877,10 +976,11 @@ class NoArrowTo(_Item):
         return f"no {display_word(self.word)} arrow exists to the {self.path} node"
 
     def operands(self, g, current):
-        return (locate(g, self.path, current),)
+        return (reader(self.path)(g, current),)
 
-    def holds(self, g, current):
-        return _no_arrow(g, self.operands(g, current)[0], "-", self.word)
+    def bind_holds(self):
+        read, word = reader(self.path), self.word
+        return lambda g, current: _no_arrow(g, read(g, current), "-", word)
 
 
 class NoArrowFrom(_Item):
@@ -892,10 +992,11 @@ class NoArrowFrom(_Item):
         return f"no {display_word(self.word)} arrow exists from the {self.path} node"
 
     def operands(self, g, current):
-        return (locate(g, self.path, current),)
+        return (reader(self.path)(g, current),)
 
-    def holds(self, g, current):
-        return _no_arrow(g, self.operands(g, current)[0], "+", self.word)
+    def bind_holds(self):
+        read, word = reader(self.path), self.word
+        return lambda g, current: _no_arrow(g, read(g, current), "+", word)
 
 
 class UniqueArrowExists(_Item):
@@ -905,8 +1006,9 @@ class UniqueArrowExists(_Item):
     def phrase(self) -> str:
         return f"there exists a unique {display_word(self.word)} arrow"
 
-    def holds(self, g, current):
-        return len(g._arrows_by_label.get(self.word, ())) == 1
+    def bind_holds(self):
+        word = self.word
+        return lambda g, current: len(g._arrows_by_label.get(word, ())) == 1
 
 
 class PathPassable(_Item):
@@ -916,12 +1018,17 @@ class PathPassable(_Item):
     def phrase(self) -> str:
         return f"the {self.path} path is passable"
 
-    def holds(self, g, current):
-        try:
-            locate(g, self.path, current)
-        except (NormalConditionViolated, ValueError):
-            return False
-        return True
+    def bind_holds(self):
+        read = reader(self.path)
+
+        def holds(g, current):
+            try:
+                read(g, current)
+            except (NormalConditionViolated, ValueError):
+                return False
+            return True
+
+        return holds
 
 
 Proposition = Union[LabelsEqual, NoArrowTo, NoArrowFrom, UniqueArrowExists, PathPassable]
@@ -936,12 +1043,17 @@ class RelabelNode(_Item):
         return f"label the {self.target} node by the {self.source} node label"
 
     def operands(self, g, current):
-        return locate(g, self.target, current), locate(g, self.source, current)
+        return reader(self.target)(g, current), reader(self.source)(g, current)
 
-    def apply(self, g, current):
-        target, source = self.operands(g, current)
-        g.set_node_label(target, g.node_label(source))
-        return current
+    def bind_apply(self):
+        target, source = reader(self.target), reader(self.source)
+
+        def apply(g, current):
+            node, origin = target(g, current), source(g, current)
+            g.set_node_label(node, g.node_label(origin))
+            return current
+
+        return apply
 
 
 class ReassignArrow(_Item):
@@ -953,18 +1065,17 @@ class ReassignArrow(_Item):
         return f"reassign the {display_word(self.word)} arrow to the {self.target} node"
 
     def operands(self, g, current):
-        node = locate(g, self.target, current)
-        ids = g._arrows_by_label.get(self.word, ())
-        if len(ids) != 1:
-            raise NormalConditionViolated(
-                f"there exist {len(ids)} {display_word(self.word)} arrows, not a unique one"
-            )
-        return node, ids[0]
+        return reader(self.target)(g, current), _unique_arrow(g, self.word)
 
-    def apply(self, g, current):
-        target, arrow_id = self.operands(g, current)
-        g.set_arrow_dst(arrow_id, target)
-        return current
+    def bind_apply(self):
+        target, word = reader(self.target), self.word
+
+        def apply(g, current):
+            node = target(g, current)
+            g.set_arrow_dst(_unique_arrow(g, word), node)
+            return current
+
+        return apply
 
 
 class CreateNodeWithArrowToTarget(_Item):
@@ -975,12 +1086,17 @@ class CreateNodeWithArrowToTarget(_Item):
         return f"create a node and an arrow from it to the {self.target} node"
 
     def operands(self, g, current):
-        return (locate(g, self.target, current),)
+        return (reader(self.target)(g, current),)
 
-    def apply(self, g, current):
-        target = self.operands(g, current)[0]
-        g.add_arrow(g.add_node(""), "", target, TAPE)
-        return current
+    def bind_apply(self):
+        target = reader(self.target)
+
+        def apply(g, current):
+            node = target(g, current)
+            g.add_arrow(g.add_node(""), "", node, TAPE)
+            return current
+
+        return apply
 
 
 class CreateNodeWithArrowFromSource(_Item):
@@ -991,12 +1107,17 @@ class CreateNodeWithArrowFromSource(_Item):
         return f"create a node and an arrow from the {self.source} node to it"
 
     def operands(self, g, current):
-        return (locate(g, self.source, current),)
+        return (reader(self.source)(g, current),)
 
-    def apply(self, g, current):
-        source = self.operands(g, current)[0]
-        g.add_arrow(source, "", g.add_node(""), TAPE)
-        return current
+    def bind_apply(self):
+        source = reader(self.source)
+
+        def apply(g, current):
+            node = source(g, current)
+            g.add_arrow(node, "", g.add_node(""), TAPE)
+            return current
+
+        return apply
 
 
 class FollowArrow(_Item):
@@ -1022,14 +1143,19 @@ class FollowArrow(_Item):
             )
         return (node,)
 
-    def apply(self, g, current):
-        # The (node, label) index read that resolve's "+" steps make;
-        # operands finds the same node, or refuses, the long way round.
-        if current is not None and 0 <= current < len(g._nodes):
-            first = g._out[current].get(self.word)
-            if first is not None and not (g._out_more and (current, self.word) in g._out_more):
-                return g._dst[first]
-        return self.operands(g, current)[0]
+    def bind_apply(self):
+        # The one-step walk of a "+" path; operands finds the same node,
+        # or refuses, the long way round.
+        steps, operands = (("+", self.word),), self.operands
+
+        def apply(g, current):
+            if current is not None and 0 <= current < len(g._nodes):
+                node = _walk(g, current, steps)
+                if node is not None:
+                    return node
+            return operands(g, current)[0]
+
+        return apply
 
 
 class FollowArrowTo(FollowArrow):
@@ -1048,8 +1174,9 @@ class FollowArrowTo(FollowArrow):
     def operands(self, g, current):
         return (self.target,)
 
-    def apply(self, g, current):
-        return self.target
+    def bind_apply(self):
+        target = self.target
+        return lambda g, current: target
 
 
 class Stop(_Item):
@@ -1059,8 +1186,8 @@ class Stop(_Item):
     def phrase(self) -> str:
         return "stop"
 
-    def apply(self, g, current):
-        return None
+    def bind_apply(self):
+        return lambda g, current: None
 
 
 Action = Union[

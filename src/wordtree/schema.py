@@ -11,6 +11,7 @@ uni-labeled, and the exporter prints the schema as EBNF productions.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -273,24 +274,49 @@ def _min_sizes(schema: Schema) -> dict[str, float]:
     Infinity means the name admits no finite tree at all. With a graft
     expansion the expanded node and the root of the chosen alternative
     are one and the same node, so an OR choice adds no node of its own.
+
+    A name's size is the sum of its mandatory AND children's sizes,
+    plus the least size among its OR targets, or plus 1 when it has
+    none. That is never less than any size it is made of, so the names
+    can be settled in order of size, as in Knuth's generalization of
+    Dijkstra's algorithm ("A generalization of Dijkstra's algorithm",
+    1977): a heap holds each name whose parts are settled, keyed by its
+    size, and the least is settled next. A name enters the heap once,
+    when its last mandatory child is settled and it has an OR target
+    settled or none; the first OR target settled is its least. So each
+    name and arrow is handled once.
     """
     size: dict[str, float] = {name: math.inf for name in schema.names()}
-    for _ in range(len(size) + 1):
-        changed = False
-        for name in schema.names():
-            mandatory = sum(
-                size[a.dst] for a in schema.and_arrows(src=name) if not a.optional
-            )
-            targets = schema.or_targets(name)
-            if targets:
-                candidate = mandatory + min(size[t] for t in targets)
-            else:
-                candidate = mandatory + 1
-            if candidate < size[name]:
-                size[name] = candidate
-                changed = True
-        if not changed:
-            break
+    waiting = dict.fromkeys(size, 0)  # mandatory AND arrows to names not settled yet
+    mandatory = dict.fromkeys(size, 0)  # the sizes of those settled, summed
+    choice: dict[str, float] = {}  # the least OR target size, once one is settled
+    parents: dict[str, list[str]] = {name: [] for name in size}
+    choosers: dict[str, list[str]] = {name: [] for name in size}
+    for arrow in schema.and_arrows():
+        if not arrow.optional:
+            waiting[arrow.src] += 1
+            parents[arrow.dst].append(arrow.src)
+    for arrow in schema.or_arrows():
+        choosers[arrow.dst].append(arrow.src)
+    heap = [(1, name) for name in size if not waiting[name] and not schema.or_targets(name)]
+    heapq.heapify(heap)
+
+    def ready(name: str) -> None:
+        if not waiting[name] and (name in choice or not schema.or_targets(name)):
+            heapq.heappush(heap, (mandatory[name] + choice.get(name, 1), name))
+
+    while heap:
+        value, name = heapq.heappop(heap)
+        size[name] = value
+        for parent in parents[name]:
+            mandatory[parent] += value
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready(parent)
+        for chooser in choosers[name]:
+            if chooser not in choice:
+                choice[chooser] = value
+                ready(chooser)
     return size
 
 

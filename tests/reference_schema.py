@@ -18,6 +18,11 @@
   relabeled when it is expanded. The library generator must grow the
   same tree from the same seed, leave the generator in the same state,
   and refuse with the same text.
+- ``min_sizes`` is the round-by-round fixed point that
+  ``wordtree.schema._min_sizes`` replaced: each round recomputes every
+  name's least tree size from the others' until no size falls, so a
+  mandatory chain declared in forward order takes a round per name.
+  The library's worklist must give the same sizes.
 
 Listing the cycles or the expansions is exponential, and one name with
 k optional AND arrows costs 2**k here, so keep the inputs small.
@@ -25,6 +30,7 @@ k optional AND arrows costs 2**k here, so keep the inputs small.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from typing import Iterator, Optional
@@ -152,3 +158,25 @@ def generate_sytr(
             pending.append(child)
             reserve += sizes[arrow.dst] - 1
     return Tree(g, root)
+
+
+def min_sizes(schema: Schema) -> dict[str, float]:
+    """Smallest node count of a fully expanded tree rooted at each name, by rounds."""
+    size: dict[str, float] = {name: math.inf for name in schema.names()}
+    for _ in range(len(size) + 1):
+        changed = False
+        for name in schema.names():
+            mandatory = sum(
+                size[a.dst] for a in schema.and_arrows(src=name) if not a.optional
+            )
+            targets = schema.or_targets(name)
+            if targets:
+                candidate = mandatory + min(size[t] for t in targets)
+            else:
+                candidate = mandatory + 1
+            if candidate < size[name]:
+                size[name] = candidate
+                changed = True
+        if not changed:
+            break
+    return size

@@ -47,14 +47,19 @@ def test_against_head_runs_each_seed_on_both_exports(tmp_path, monkeypatch):
     """``--against HEAD``: both exports run each seed, first in turn; one real run stands in for all.
 
     The real run is a short increment-run, from the export that the
-    first run asked for, which is ``HEAD``'s.
+    first run asked for, which is ``HEAD``'s. Each export holds the
+    bytecode of every module of its library and benchmark, compiled
+    from its own sources, and none of the tests or scripts.
     """
     driver = load_driver()
     asked, real = [], {}
     run_once = driver.run_once
 
     def run_in_export(workload, seed, seconds, root):
-        assert not list(root.rglob("__pycache__"))
+        for source in [*root.glob("src/wordtree/*.py"), *root.glob("perfbench/*.py")]:
+            compiled = pathlib.Path(importlib.util.cache_from_source(str(source))).read_bytes()
+            assert int.from_bytes(compiled[12:16], "little") == source.stat().st_size  # this file
+        assert not list(root.glob("tests/__pycache__")) + list(root.glob("scripts/__pycache__"))
         asked.append((workload, seed, root.name))
         if not real:
             base, change = root.parent / "base", root.parent / "change"

@@ -893,28 +893,47 @@ class TestModes:
         assert careful.state.situation == plain.state.situation
 
     def test_cautious_runs_resolve_as_often_as_normal_ones(self, increment_text, monkeypatch):
-        """increment.tgl on 'one' x 50 'blank' from the last cell: 410 steps, 513 resolves each.
+        """Bound steps walk their paths as often, and defer to ``locate`` as often, either way.
 
-        Still 513 with each node's program side settled at install: every
-        path operand of a step goes through ``resolve`` as before, and a
-        settled path with no step left returns its node there. What
-        settling saves is inside the calls: the start lookup and the
-        program-side steps.
+        increment.tgl on 'one' x 50 'blank' from the last cell takes 410
+        steps, whose readers take 359 regular walks and defer to
+        ``locate`` (and so to ``resolve``) never. Run on 'one' with a
+        second 'tape' arrow, it crashes at its first print: that step's
+        reader finds two 'tape' arrows and defers once, and ``resolve``
+        walks again to say which step failed.
         """
         calls = Counter()
-        original = graph_module.resolve
+        running = []  # the (cautious, run) being counted, while ``run`` runs
+        for name in ("_walk", "locate", "resolve"):
 
-        def counted(*args, **kwargs):
-            calls[cautious] += 1
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=getattr(graph_module, name)):
+                if running:
+                    calls[(*running[0], _name)] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(graph_module, "resolve", counted)
+            monkeypatch.setattr(graph_module, name, counted)
         for cautious in (False, True):
-            tree, _, instructions = prepare(increment_text)
-            tape = parse_tape(" ".join(["one"] * 50 + ["blank"]))
-            state = initialize(tree, tape, "last", instructions, cautious=cautious)
-            assert run(state).steps == 410
-        assert calls == {False: 513, True: 513}
+            for run_name, cells, second_tape_arrow in [
+                ("410 steps", ["one"] * 50 + ["blank"], False),
+                ("two tape arrows", ["one"], True),
+            ]:
+                tree, _, instructions = prepare(increment_text)
+                state = initialize(tree, cells, "last", instructions, cautious=cautious)
+                if second_tape_arrow:
+                    tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
+                running.append((cautious, run_name))
+                outcome = run(state)
+                running.clear()
+                assert (outcome.outcome, outcome.steps) == (
+                    (CRASHED, 2) if second_tape_arrow else (STOPPED, 410)
+                )
+        for cautious in (False, True):
+            assert calls[cautious, "410 steps", "_walk"] == 359
+            assert calls[cautious, "410 steps", "locate"] == 0
+            assert calls[cautious, "410 steps", "resolve"] == 0
+            assert calls[cautious, "two tape arrows", "_walk"] == 2
+            assert calls[cautious, "two tape arrows", "locate"] == 1
+            assert calls[cautious, "two tape arrows", "resolve"] == 1
 
     def test_crashes_are_states_not_exceptions(self, increment_parts):
         tree, _, instructions = increment_parts
@@ -974,13 +993,43 @@ class TestTracing:
         assert len(entries) == (8 * 10 + 2) + (8 * 1000 + 2)
 
 
+class Counted(list):
+    """A graph container that adds the weight of every entry it hands out to ``read[0]``."""
+
+    def __init__(self, entries, read: list, weight) -> None:
+        super().__init__(entries)
+        self.read, self.weight = read, weight
+
+    def __getitem__(self, index):
+        found = super().__getitem__(index)
+        self.read[0] += sum(map(self.weight, found)) if type(index) is slice else self.weight(found)
+        return found
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.read[0] += self.weight(entry)
+            yield entry
+
+
+def count_graph_reads(g: LabeledGraph, read: list) -> None:
+    """Swap ``g``'s columns and per-node indexes for containers that count what is read.
+
+    A label, an arrow end, or a node's out-arrow index counts 1; a
+    node's in-arrow id list counts the ids a scan of it may read.
+    """
+    for name in ("_nodes", "_src", "_label", "_dst", "_out"):
+        setattr(g, name, Counted(getattr(g, name), read, lambda entry: 1))
+    g._in = Counted(g._in, read, len)
+
+
 def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
     """Run increment.tgl on 10 and 1 000 'one' cells, stepping with ``on_step``.
 
     No step may render the tape or list every arrow, and each program
-    node's step must read as much on the long tape as on the short: the
-    entries of every list a listing or navigation call returns, and the
-    in-arrow ids each "-" step of ``ends`` scans.
+    node's step must read as much on the long tape as on the short:
+    what the bound steps read of the graph's columns and per-node
+    indexes, which are swapped for counting ones after the mount, and
+    the entries of every list a listing or navigation call returns.
     """
     calls = {"arrows": 0, "chain_text": 0}
     read = [0]
@@ -1014,20 +1063,12 @@ def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
             return found
 
         monkeypatch.setattr(LabeledGraph, name, counted)
-    ends = LabeledGraph.ends
-
-    def counted_ends(self, node, sign, word):
-        found = ends(self, node, sign, word)
-        if sign == "-":
-            read[0] += len(self._in[node])
-        return found
-
-    monkeypatch.setattr(LabeledGraph, "ends", counted_ends)
 
     def reads_by_node(cells: int) -> dict[int, set[int]]:
         tree, _, instructions = prepare(increment_text)
         tape = parse_tape(" ".join(["one"] * cells))
         state = initialize(tree, tape, "last", instructions)
+        count_graph_reads(tree.graph, read)
         calls.update(arrows=0, chain_text=0)
         by_node: dict[int, set[int]] = {}
         while state.status == RUNNING:

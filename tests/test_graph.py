@@ -1144,6 +1144,156 @@ def test_algebra_agrees_with_the_reference_dispatch(graph_and_node, item, where)
         assert results[0] == results[1], name
 
 
+# The irregular tape reads a mounted program can meet, each planted at the mount.
+IRREGULAR_TAPES = (
+    None,
+    "two tape arrows",
+    "two in-arrows",
+    "two out-arrows",
+    "root relabelled",
+    "root named twice",
+)
+TAPE_PATHS = [
+    parse_path(text)
+    for text in (
+        '"tape-alphabet"+tape',
+        '"tape-alphabet"+tape-""',
+        '"tape-alphabet"+tape+""',
+        '"tape-alphabet"+tape+""+""',
+        '"tape-alphabet"+tape-""-""',
+        '"tape-alphabet"+is',
+        '"tape-alphabet"+is+tape',
+        "+is",
+        "-is",
+        "+is-is",
+        '"one"-is+tape',
+    )
+]
+
+
+@st.composite
+def mounted_programs(draw):
+    """A 'tape-alphabet' root with word nodes, a mounted tape, and one irregularity or none.
+
+    The root has an 'is' arrow to each word node. The tape's cells are
+    mounted after the program's own nodes, with a 'tape' arrow from the
+    root to one cell. The irregularity is a second 'tape' arrow, a cell
+    with two '""' in-arrows or two '""' out-arrows, or a root that
+    "tape-alphabet" no longer names or names with another node; the
+    relabelling is a change to the program, so it precedes settling.
+    Returns the graph, a function that mounts the tape, a current own
+    node, and the irregularity.
+    """
+    g = LabeledGraph()
+    root = g.add_node("tape-alphabet")
+    for word in draw(st.lists(st.sampled_from(["one", "zero", ""]), max_size=3)):
+        g.add_arrow(root, "is", g.add_node(word))
+    irregular = draw(st.sampled_from(IRREGULAR_TAPES))
+    if irregular == "root relabelled":
+        g.set_node_label(root, "point")
+    elif irregular == "root named twice":
+        g.add_node("tape-alphabet")
+    own = g.node_count
+    cells = draw(st.lists(st.sampled_from(["one", "zero", "", "tape-alphabet"]), min_size=1, max_size=4))
+    head = draw(st.integers(0, len(cells) - 1))
+    twice = draw(st.integers(0, len(cells) - 1))
+
+    def mount() -> None:
+        placed = add_cells(g, cells)
+        g.add_arrow(root, "tape", placed[head], G.SEMANTIC)
+        if irregular == "two tape arrows":
+            g.add_arrow(root, "tape", placed[twice], G.SEMANTIC)
+        elif irregular == "two in-arrows":
+            g.add_arrow(g.add_node(""), "", placed[twice], G.TAPE)
+        elif irregular == "two out-arrows":
+            g.add_arrow(placed[twice], "", g.add_node(""), G.TAPE)
+
+    return g, mount, draw(st.integers(0, own - 1)), irregular
+
+
+def unsettled(item):
+    """``item`` with each ``Settled`` field given back as its formula."""
+    return type(item)(*(v.formula if isinstance(v, G.Settled) else v for v in item._values()))
+
+
+@given(mounted_programs(), st.booleans(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_bound_items_on_settled_paths_agree_with_the_reference_dispatch(drawn, mount_first, data):
+    """The bound form of an item whose paths are settled gives what the reference gives unsettled.
+
+    The paths are settled at the drawn current node, before or after
+    the tape is mounted, and the items are evaluated or applied there.
+    Compared, as in the property above: the return value, or the
+    exception's type and text, and the graph the call leaves behind. A
+    refusal's text shows the item it was given, so the two items'
+    reprs are left out of it.
+    """
+    g, mount, current, _ = drawn
+    if mount_first:
+        mount()
+    settled = {path: settle(g, path, current) for path in TAPE_PATHS}
+    if not mount_first:
+        mount()
+    paths = st.sampled_from(TAPE_PATHS).map(settled.get)
+    item = data.draw(
+        st.one_of(
+            st.builds(LabelsEqual, paths, paths),
+            st.builds(NoArrowTo, words, paths),
+            st.builds(NoArrowFrom, words, paths),
+            st.builds(PathPassable, paths),
+            st.builds(RelabelNode, paths, paths),
+            st.builds(ReassignArrow, st.sampled_from(["tape", ""]), paths),
+            st.builds(CreateNodeWithArrowToTarget, paths),
+            st.builds(CreateNodeWithArrowFromSource, paths),
+            st.builds(FollowArrow, st.sampled_from(["is", "tape", ""])),
+        )
+    )
+    for name in ("eval_proposition", "apply_action", "normal_violation"):
+        results = []
+        for module, given_item in ((G, item), (reference_algebra, unsettled(item))):
+            graph = copy.deepcopy(g)
+            try:
+                value = getattr(module, name)(graph, given_item, current)
+            except Exception as exc:  # the type and text, up to the item's repr
+                value = (type(exc), str(exc).replace(repr(given_item), "<item>"))
+            results.append((value, export(graph, "json")))
+        assert results[0] == results[1], name
+
+
+def test_each_irregular_tape_read_crashes_as_the_reference_does():
+    """Each irregularity makes a settled tape read defer to ``locate``, which names the failure."""
+    for irregular, detail in [
+        ("two tape arrows", 'inapplicable at step 0: multiple arrows'),
+        ("two in-arrows", 'inapplicable at step 2: multiple arrows'),
+        ("two out-arrows", 'inapplicable at step 1: multiple arrows'),
+        ("root relabelled", 'start label "tape-alphabet" names 0 nodes'),
+        ("root named twice", 'start label "tape-alphabet" names 2 nodes'),
+    ]:
+        g = LabeledGraph()
+        root = g.add_node("tape-alphabet")
+        if irregular == "root relabelled":
+            g.set_node_label(root, "point")
+        elif irregular == "root named twice":
+            g.add_node("tape-alphabet")
+        cells = add_cells(g, ["one", "zero"])
+        g.add_arrow(root, "tape", cells[0], G.SEMANTIC)
+        if irregular == "two tape arrows":
+            g.add_arrow(root, "tape", cells[1], G.SEMANTIC)
+        elif irregular == "two in-arrows":
+            g.add_arrow(g.add_node(""), "", cells[1], G.TAPE)
+        elif irregular == "two out-arrows":
+            g.add_arrow(cells[0], "", g.add_node(""), G.TAPE)
+        path = parse_path('"tape-alphabet"+tape+""-""' if "in" in irregular else '"tape-alphabet"+tape+""')
+        item = LabelsEqual(settle(g, path), settle(g, path))
+        expected = f"path {path} is not passable: "
+        expected += detail if "root" in irregular else f"formula {path} {detail}"
+        with pytest.raises(NormalConditionViolated) as bound:
+            eval_proposition(g, item, None)
+        with pytest.raises(NormalConditionViolated) as oracle:
+            reference_algebra.eval_proposition(g, unsettled(item), None)
+        assert str(bound.value) == str(oracle.value) == expected, irregular
+
+
 @pytest.mark.parametrize("cautious", [False, True])
 def test_untraced_run_follows_no_arrow_through_a_list(monkeypatch, increment_text, cautious):
     """A run's path steps and follow directions read the (node, label) index.

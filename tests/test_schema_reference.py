@@ -1,13 +1,17 @@
-"""The counting generator against the listing one it replaced, and its cost.
+"""The counting generator and the least sizes against what they replaced, and their cost.
 
 ``generate_sytr`` draws each expansion by rank from a count table, where
 ``reference_schema.generate_sytr`` lists every expansion and filters the
 list. On every schema both must grow the same tree from the same seed,
 refuse with the same text, and leave the generator in the same state.
+``_min_sizes`` settles each name once where ``reference_schema.min_sizes``
+repeats rounds; both must give every name the same size.
 """
 
+import gc
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -24,6 +28,7 @@ from wordtree.schema import (
     Literal,
     LowerWord,
     Schema,
+    _min_sizes,
     _subset_counts,
     analyze,
     generate_sytr,
@@ -166,3 +171,71 @@ def test_rows_stop_at_the_budget_when_least_sizes_are_huge():
     assert tree.graph.node_count == 1
     rows = analyze(s).counts["P"].rows
     assert [len(row) for row in rows] == [1, 101, 101, 101]
+
+
+@st.composite
+def any_schemas(draw):
+    """Up to 6 names with AND arrows, mandatory or optional, and OR arrows between any two.
+
+    Self-loops, cycles, parallel arrows and names with no finite tree
+    all occur; labels play no part in the sizes.
+    """
+    names = [f"N{i}" for i in range(draw(st.integers(1, 6)))]
+    s = Schema()
+    for name in names:
+        s.add_node(name)
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    for (src, dst), optional in draw(st.lists(st.tuples(pairs, st.booleans()), max_size=10)):
+        s.add_and_arrow(src, dst, optional=optional)
+    for src, dst in draw(st.lists(pairs, max_size=8)):
+        s.add_or_arrow(src, dst)
+    return s
+
+
+@given(any_schemas() | small_schemas().map(lambda drawn: drawn[0]))
+@settings(deadline=None, max_examples=200)
+def test_least_sizes_equal_the_round_by_round_fixed_point(schema):
+    assert _min_sizes(schema) == reference_schema.min_sizes(schema)
+
+
+def test_least_sizes_of_the_builtin_schema_equal_the_fixed_point():
+    schema = turingol_schema()
+    sizes = _min_sizes(schema)
+    assert sizes == reference_schema.min_sizes(schema)
+    assert all(type(size) is int for size in sizes.values())
+
+
+def mandatory_chain(n: int) -> Schema:
+    """n names, each with one mandatory AND arrow to the next, declared in forward order."""
+    s = Schema()
+    names = [f"N{i}" for i in range(n)]
+    for name in names[:-1]:
+        s.add_node(name, Literal("n"))
+    s.add_node(names[-1], Literal("z"))
+    for src, dst in zip(names, names[1:]):
+        s.add_and_arrow(src, dst, Literal("x"))
+    return s
+
+
+def test_analyze_time_per_name_is_flat_on_a_forward_mandatory_chain():
+    """Within 2x from 250 to 8 000 names, best of 3 with the collector off."""
+
+    def per_name(n: int) -> float:
+        best = math.inf
+        for _ in range(3):
+            schema = mandatory_chain(n)
+            began = time.perf_counter()
+            report = analyze(schema)
+            best = min(best, time.perf_counter() - began)
+        assert report.structure.sizes["N0"] == n
+        return best / n
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        small = per_name(250)
+        for n in (1000, 8000):  # a quadratic analysis fails at 1 000, before 8 000 takes minutes
+            assert per_name(n) < 2 * small, n
+    finally:
+        if enabled:
+            gc.enable()
