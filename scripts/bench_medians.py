@@ -25,10 +25,13 @@ its own, neither holding a ``__pycache__``. Each is then compiled once
 compiling the source, which would charge every added line to the
 change. For each workload and seed it runs the benchmark once in each,
 with ``PYTHONDONTWRITEBYTECODE=1`` so that no run adds to either
-cache, and the side that goes first alternates from seed to seed. ``BENCH_<pr>.json`` then holds each
-seed's pair of runs and, per metric, each side's median and quartiles
-and the number of pairs each side won, by the direction
-``BENCHMARK.json`` gives the metric (a tie counts for neither).
+cache, and the side that goes first alternates from seed to seed.
+``BENCH_<pr>.json`` then holds each seed's pair of runs and, per
+metric, each side's median and quartiles, the number of pairs each
+side won, by the direction ``BENCHMARK.json`` gives the metric (a tie
+counts for neither), and ``sign_p``, the exact two-sided sign-test p
+of that split with the ties dropped: the chance of a split at least as
+uneven if either side were as likely to win.
 
     python3 scripts/bench_medians.py --pr 27 --against main
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -56,6 +60,13 @@ def spread(values: list[float]) -> dict[str, float]:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p of ``wins`` against ``losses``, ties already dropped."""
+    pairs = wins + losses
+    tail = sum(math.comb(pairs, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**pairs)
 
 
 def run_once(workload: str, seed: int, seconds: float, root: Optional[Path] = None) -> dict:
@@ -144,14 +155,16 @@ def compare(workload: str, seeds: list[int], seconds: float, metrics: list[dict]
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in roots}
         base, change = values.values()
+        won = {
+            "base": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
+            "change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+        }
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             **{side: spread(values[side]) for side in roots},
-            "won": {
-                "base": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
-                "change": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
-            },
+            "won": won,
+            "sign_p": sign_test_p(won["base"], won["change"]),
         }
     return {"metrics": summary, "pairs": pairs}
 

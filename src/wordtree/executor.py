@@ -20,19 +20,24 @@ writes only the tape.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``. An instruction is bound once, the first time a step reaches
-it: each direction becomes the condition's bound ``holds``, the
-action's bound ``apply`` (see ``graph._Item``), whether the action
-ends the step, and the direction, and ``Instruction.bound`` keeps them
-on the instruction object. A step then calls one function per
-direction's condition and one per its action, with no method lookup,
-operand tuple or ``resolve`` call in between; a tape path's reader
-reads the graph's index in place and calls ``locate`` only to report a
-path that is not passable. The kept program of ``execute_program``
-binds each node once for all its runs, and a node a run never reaches
-is never bound. ``run`` and ``step`` share one loop, which keeps the
-node and the step count in locals and writes them to the state
-whenever a caller can see it. An untraced step reads the current
-node's label only to report a crash.
+it: its directions are folded, from the last to the first, into one
+function (g, node) that returns the step's destination (``_fold``).
+Each link of the fold calls the condition's bound ``holds`` and the
+action's bound ``apply`` (see ``graph._Item``) and then, unless the
+action ended the step, the links after it; a follow to a fixed target
+is returned, not called. ``Instruction.bound`` keeps the fold on the
+instruction object, so a step makes one call, with no loop over
+directions, method lookup, operand tuple or ``resolve`` call in
+between; a tape path's reader reads the graph's index in place and
+calls ``locate`` only to report a path that is not passable. A traced
+step runs ``Instruction.traced``, the same fold whose ending link also
+returns the direction, for the trace entry's phrase; it is built only
+when a traced step reaches the node. The kept program of
+``execute_program`` binds each node once for all its runs, and a node
+a run never reaches is never bound. ``run`` and ``step`` share one
+loop, which keeps the node and the step count in locals and writes
+them to the state whenever a caller can see it. An untraced step reads
+the current node's label only to report a crash.
 
 A run keeps no trace and renders no tape. A caller that wants a trace
 passes ``on_step`` and receives each entry as it is produced; a traced
@@ -52,6 +57,7 @@ from .graph import (
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
     FollowArrowTo,
+    LabeledGraph,
     LabelsEqual,
     NoArrowFrom,
     NoArrowTo,
@@ -91,7 +97,7 @@ class Act(NamedTuple):
     """A direction that performs its action unconditionally."""
 
     action: Action
-    condition = None  # like Guarded's, so a step reads every direction alike
+    condition = None  # like Guarded's, so the fold reads every direction alike
 
     def phrase(self) -> str:
         return self.action.phrase()
@@ -119,23 +125,30 @@ class Instruction(_Directions):
 
     An instruction is data: it compares, hashes, prints, pickles and
     copies as the tuple of its directions. ``bound`` is what a step
-    runs, one entry per direction: the condition's bound ``holds`` (None
-    for ``Act``), the action's bound ``apply``, whether the action ends
-    the step, and the direction itself, for its phrase. It is built
-    from the directions the first time a step reads it and kept on this
-    object, so every run that reuses the object reuses it, and a node a
-    run never reaches is never bound. It is not state: a pickled or
-    copied instruction holds only its directions and binds afresh. A
-    value that is no item of the algebra binds to a function that
-    refuses it when the step reaches it.
+    runs: the directions folded into one function (g, node) that
+    returns the step's destination, None after a stop (see ``_fold``).
+    ``traced`` is the same fold for a traced step, whose ending link
+    returns the destination and the direction that ended the step, for
+    its phrase. Each is built from the directions the first time a step
+    of its kind reads it and kept on this object, so every run that
+    reuses the object reuses it, a node a run never reaches is never
+    bound, and an untraced run never builds ``traced``. Neither is
+    state: both depend on the directions alone, and a pickled or copied
+    instruction holds only its directions and binds afresh. A value
+    that is no item of the algebra binds to a function that refuses it
+    when the step reaches it.
     """
 
     def phrases(self) -> list[str]:
         return [d.phrase() for d in self.directions]
 
     @cached_property
-    def bound(self) -> tuple[tuple[Optional[Callable], Callable, bool, Direction], ...]:
-        return tuple(map(_bind, self.directions))
+    def bound(self) -> Callable[[LabeledGraph, int], Optional[int]]:
+        return _fold(self.directions, traced=False)
+
+    @cached_property
+    def traced(self) -> Callable[[LabeledGraph, int], tuple[Optional[int], Direction]]:
+        return _fold(self.directions, traced=True)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r} of an instruction")
@@ -144,10 +157,106 @@ class Instruction(_Directions):
         return type(self), (self.directions,)
 
 
-def _bind(direction: Direction) -> tuple[Optional[Callable], Callable, bool, Direction]:
-    condition, action = direction.condition, direction.action
-    holds = None if condition is None else _bound(condition, "bind_holds")
-    return holds, _bound(action, "bind_apply"), getattr(action, "ends_step", False), direction
+class DirectionsExhausted(Exception):
+    """A folded instruction ran all its directions without ending the step."""
+
+
+def _exhausted(g, node):
+    raise DirectionsExhausted
+
+
+def _fold(directions: Sequence[Direction], traced: bool) -> Callable:
+    """``directions`` as one function (g, node), folded from the last direction to the first.
+
+    A guard is the condition's bound ``holds``, an action its bound
+    ``apply`` (see ``graph._Item``), and ``rest`` the function folded
+    from the directions after this one:
+
+    - an ending ``Act`` is its ``apply``;
+    - a non-ending ``Act`` applies, then calls the rest;
+    - an ending ``Guarded`` applies when its guard holds and calls the
+      rest otherwise;
+    - a non-ending ``Guarded`` applies when its guard holds, then calls
+      the rest;
+    - the rest of the last direction raises DirectionsExhausted.
+
+    A ``FollowArrowTo`` goes to its target whatever the graph holds, so
+    its link returns the target without a call, and so does a link
+    whose rest is such a follow: ``then`` is what the rest returns
+    without reading the graph, or ``_CALL`` when it must be called.
+    With ``traced``, an ending link returns its destination together
+    with its direction.
+    """
+    rest, then = _exhausted, _CALL
+    for direction in reversed(directions):
+        condition, action = direction.condition, direction.action
+        holds = None if condition is None else _bound(condition, "bind_holds")
+        ends_step = getattr(action, "ends_step", False)
+        fixed = _CALL
+        if type(action) is FollowArrowTo:
+            fixed = (action.target, direction) if traced else action.target
+            apply = _returning(fixed)
+        else:
+            apply = _bound(action, "bind_apply")
+            if ends_step and traced:
+                apply = _with_direction(apply, direction)
+        if ends_step and holds is None:
+            rest, then = apply, fixed
+        elif ends_step and fixed is not _CALL and then is not _CALL:
+            rest, then = _choose(holds, fixed, then), _CALL
+        elif ends_step:
+            rest, then = _either(holds, apply, rest), _CALL
+        elif holds is not None:
+            rest, then = _guarded(holds, apply, rest), _CALL
+        elif then is _CALL:
+            rest = _act(apply, rest)
+        else:
+            rest, then = _act_then(apply, then), _CALL
+    return rest
+
+
+_CALL = object()  # the fixed value of a link that reads the graph: it must be called
+
+
+def _returning(value):
+    return lambda g, node: value
+
+
+def _act(apply, rest):
+    def link(g, node):
+        apply(g, node)
+        return rest(g, node)
+
+    return link
+
+
+def _act_then(apply, then):
+    def link(g, node):
+        apply(g, node)
+        return then
+
+    return link
+
+
+def _guarded(holds, apply, rest):
+    def link(g, node):
+        if holds(g, node):
+            apply(g, node)
+        return rest(g, node)
+
+    return link
+
+
+def _either(holds, apply, rest):
+    return lambda g, node: apply(g, node) if holds(g, node) else rest(g, node)
+
+
+def _choose(holds, yes, no):
+    return lambda g, node: yes if holds(g, node) else no
+
+
+def _with_direction(apply, direction):
+    return lambda g, node: (apply(g, node), direction)
 
 
 def _bound(item, form: str) -> Callable:
@@ -377,41 +486,46 @@ def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
     The one step loop of ``step`` and ``run``. The graph, the
     instruction map, the node and the step count live in locals; the
     node and the count are written back to ``state`` before each call
-    of ``on_step`` and when the loop ends, however it ends.
+    of ``on_step`` and when the loop ends, however it ends. The loop
+    reads a node's instruction from the map the first time it reaches
+    the node and keeps the instruction's fold in a local map, so a step
+    at a node already reached makes one lookup and one call.
     """
     g = state.tree.graph
     instructions = state.instructions
     node = state.current
     steps = state.steps
+    folds = {}  # by node: the fold of its instruction this loop runs, untraced or traced
     try:
         while steps < max_steps:
             # read only for a trace entry or a crash report
             label = None if on_step is None else g.node_label(node)
             steps += 1
-            instruction = instructions.get(node)
-            if instruction is None:
-                _crash(
-                    state,
-                    steps,
-                    node,
-                    label,
-                    NO_INSTRUCTION,
-                    f"the {display_word(g.node_label(node))} node holds no instruction",
-                    on_step,
-                )
-                return
-            for holds, apply, ends_step, direction in instruction.bound:
-                try:
-                    if holds is not None and not holds(g, node):
-                        continue
-                    destination = apply(g, node)
-                except NormalConditionViolated as failure:
-                    detail = failure.detail
-                    _crash(state, steps, node, label, NORMAL_CONDITION_VIOLATED, detail, on_step)
+            fold = folds.get(node)
+            if fold is None:
+                instruction = instructions.get(node)
+                if instruction is None:
+                    _crash(
+                        state,
+                        steps,
+                        node,
+                        label,
+                        NO_INSTRUCTION,
+                        f"the {display_word(g.node_label(node))} node holds no instruction",
+                        on_step,
+                    )
                     return
-                if ends_step:
-                    break
-            else:
+                fold = folds[node] = instruction.bound if on_step is None else instruction.traced
+            try:
+                if on_step is None:
+                    destination = fold(g, node)
+                else:
+                    destination, direction = fold(g, node)
+            except NormalConditionViolated as failure:
+                detail = failure.detail
+                _crash(state, steps, node, label, NORMAL_CONDITION_VIOLATED, detail, on_step)
+                return
+            except DirectionsExhausted:
                 _crash(
                     state,
                     steps,
@@ -439,14 +553,15 @@ def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
 def step(state: ExecState, on_step: OnStep = None) -> ExecState:
     """Execute the instruction at the current node; one step of a run.
 
-    Directions run in order, each calling its items' bound ``holds``
-    and ``apply`` (``Instruction.bound``). A guard that evaluates false
-    falls through to the next direction; a guard that evaluates true
-    performs its action. The
-    first action performed whose ``ends_step`` is true (FollowArrow or
-    Stop) ends the step, and an instruction must end that way or the
-    state crashes. A direction that holds no item of the algebra raises
-    TypeError, as ``eval_proposition`` and ``apply_action`` do.
+    The step calls the instruction's fold (``Instruction.bound``), in
+    which directions run in order, each calling its items' bound
+    ``holds`` and ``apply``. A guard that evaluates false falls through
+    to the next direction; a guard that evaluates true performs its
+    action. The first action performed whose ``ends_step`` is true
+    (FollowArrow or Stop) ends the step, and an instruction must end
+    that way or the state crashes. A direction that holds no item of
+    the algebra raises TypeError, as ``eval_proposition`` and
+    ``apply_action`` do.
 
     This is ``run``'s loop, run for one step. ``on_step``, when given,
     receives the step's trace entry, and ``state`` is then already past

@@ -39,17 +39,18 @@ Each proposition and action class resolves its own ``operands``, which
 are its normal-execution conditions, and has one bound form, its
 ``bind_holds`` or ``bind_apply``: a function (g, current) built once
 from the item's fields, with each path turned into a ``reader``. A
-reader of a ``Settled`` path walks the path's remaining steps through
-``_walk`` and defers to ``locate`` where a step has no arrow or
-several, so every failure reads as it would through ``resolve``.
-``holds`` and ``apply`` call the bound form, as ``eval_proposition``
-and ``apply_action`` do; the executor binds each instruction once and
-calls the bound forms directly. They resolve every operand before the
-first write, so a violation leaves the graph as it was;
-``normal_violation`` predicts it without acting. ``settle`` resolves
-the program side of a path formula once, into a ``Settled`` record,
-and ``FollowArrowTo`` is a follow bound to its target: the executor
-builds both at install, for the parts of a step a run never changes.
+reader of a ``Settled`` path reads a single remaining "+" step from
+the index in place, walks longer rests through ``_walk``, and defers
+to ``locate`` where a step has no arrow or several, so every failure
+reads as it would through ``resolve``. ``holds`` and ``apply`` call
+the bound form, as ``eval_proposition`` and ``apply_action`` do; the
+executor folds each instruction's bound forms into one function, once,
+and calls that. They resolve every operand before the first write, so
+a violation leaves the graph as it was; ``normal_violation`` predicts
+it without acting. ``settle`` resolves the program side of a path
+formula once, into a ``Settled`` record, and ``FollowArrowTo`` is a
+follow bound to its target: the executor builds both at install, for
+the parts of a step a run never changes.
 """
 
 from __future__ import annotations
@@ -389,12 +390,13 @@ class LabeledGraph:
         """Far ends of the ``word`` arrows leaving ``node`` ("+") or entering it ("-").
 
         Arrows of every kind count; ends come in the order ``out_arrows``
-        or ``in_arrows`` lists the arrows. This, ``follow`` and
-        ``_walk`` are the places an arrow is followed by its label;
-        ``chain`` and the steps ``resolve`` takes again to name a failure
-        build on ``follow``. "+" reads the (node, label) index: the first arrow,
-        then any the node repeats the label on. "-" scans the node's
-        in-arrow ids in place, and tape cells have at most two of them.
+        or ``in_arrows`` lists the arrows. This, ``follow``, ``_walk``
+        and the one-step ``reader`` are the places an arrow is followed
+        by its label; ``chain`` and the steps ``resolve`` takes again to
+        name a failure build on ``follow``. "+" reads the (node, label)
+        index: the first arrow, then any the node repeats the label on.
+        "-" scans the node's in-arrow ids in place, and tape cells have
+        at most two of them.
         """
         if not 0 <= node < len(self._nodes):
             raise ValueError(f"{node} is not a node of this graph")
@@ -709,10 +711,10 @@ def _walk(g: LabeledGraph, node: int, steps) -> Optional[int]:
     """Where ``steps`` lead from ``node`` when each has one arrow; None when one has not.
 
     The regular case of every walk along a path: ``resolve`` and each
-    ``reader`` take their steps here. A "+" step reads the (origin,
-    label) index: the first arrow, and the overflow map for a repeat. A
-    "-" step scans the node's in-arrow ids in place, and tape cells have
-    at most two. A step with no arrow, several arrows or no sign gives
+    ``reader`` whose rest is not a single "+" step take their steps
+    here. A "+" step reads the (origin, label) index: the first arrow,
+    and the overflow map for a repeat. A "-" step scans the node's
+    in-arrow ids in place, and tape cells have at most two. A step with no arrow, several arrows or no sign gives
     None, and the caller takes the steps again to say which failed.
     ``node`` must be a node of ``g``.
     """
@@ -810,17 +812,28 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
     """``locate`` of ``path`` as a function (g, current), built once for the path.
 
     A ``Settled`` path's reader takes the path's ``rest`` from its
-    settled node through ``_walk``, and one with no step left is its
-    node. Where a step has no arrow or several, and for a formula that
-    is not settled, the reader calls ``locate``, so it returns what
-    ``locate`` returns and raises what ``locate`` raises, with the same
-    text.
+    settled node: one with no step left is its node, one whose rest is
+    a single "+" step reads the (node, label) index in place, as the
+    tape path's '+tape' does, and any other walks through ``_walk``.
+    Where a step has no arrow or several, and for a formula that is not
+    settled, the reader calls ``locate``, so it returns what ``locate``
+    returns and raises what ``locate`` raises, with the same text.
     """
     if type(path) is not Settled:
         return lambda g, current: locate(g, path, current)
     node, rest = path.node, path.rest
     if not rest:
         return lambda g, current: node
+    if len(rest) == 1 and rest[0][0] == "+":
+        word = rest[0][1]
+
+        def read_one(g: LabeledGraph, current: Optional[int]) -> int:
+            first = g._out[node].get(word)
+            if first is None or (g._out_more and (node, word) in g._out_more):
+                return locate(g, path, current)
+            return g._dst[first]
+
+        return read_one
 
     def read(g: LabeledGraph, current: Optional[int]) -> int:
         reached = _walk(g, node, rest)

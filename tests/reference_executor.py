@@ -1,4 +1,4 @@
-"""The unspecialised instructions: one shared object per shape, nothing settled.
+"""The unspecialised instructions and the unfolded step loop.
 
 Before ``install_instructions`` settled each flow node's program side,
 every node of a shape held the same instruction: its paths resolved from
@@ -6,23 +6,38 @@ their start at every step, and its follows read the graph at every
 step. Those six shapes and that install are kept here as the reference
 the bound instructions are compared against, together with
 ``unsettled``, which turns a bound instruction back into its shape.
+
+Before each instruction was folded into one function, a step ran its
+directions one by one. ``run_directions`` keeps that loop, through the
+unbound dispatch of ``eval_proposition`` and ``apply_action``, as the
+reference the folded runs are compared against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 from wordtree.control_flow import NEXT, NO, YES
 from wordtree.executor import (
+    BUDGET_EXHAUSTED,
+    CRASHED,
+    DIRECTIONS_EXHAUSTED,
     LEFT_CELL_PATH,
+    NO_INSTRUCTION,
+    NORMAL_CONDITION_VIOLATED,
     PRINT_WORD_PATH,
     RIGHT_CELL_PATH,
+    RUNNING,
+    STOPPED,
     SYMBOL_PATH,
     TAPE_ARROW,
     TAPE_PATH,
     Act,
+    CrashReport,
+    ExecState,
     Guarded,
     Instruction,
+    TraceEntry,
 )
 from wordtree.graph import (
     CreateNodeWithArrowFromSource,
@@ -32,12 +47,15 @@ from wordtree.graph import (
     LabelsEqual,
     NoArrowFrom,
     NoArrowTo,
+    NormalConditionViolated,
     ReassignArrow,
     RelabelNode,
     Settled,
     Stop,
     Tree,
+    apply_action,
     display_word,
+    eval_proposition,
 )
 
 FOLLOW_NEXT = Instruction((Act(FollowArrow(NEXT)),))
@@ -118,3 +136,63 @@ def unsettled(instruction: Instruction) -> Instruction:
             for d in instruction.directions
         )
     )
+
+
+def run_directions(
+    state: ExecState, max_steps: int, on_step: Optional[Callable[[TraceEntry], None]] = None
+) -> tuple[str, int]:
+    """Run ``state`` as ``executor.run`` does, one direction at a time; the outcome and steps.
+
+    Each step reads the current node's instruction and runs its
+    directions in order: a guard that does not hold passes to the next
+    direction, and the first action performed that ends the step ends
+    it. The state and the trace entries come out as ``executor.run``
+    leaves and reports them, crashes and refusals included.
+    """
+    g = state.tree.graph
+    node, steps = state.current, state.steps
+
+    def crash(situation: str, detail: str) -> None:
+        state.status = CRASHED
+        state.situation = CrashReport(situation, node, detail)
+        if on_step is not None:
+            on_step(TraceEntry(steps, node, label, f"crash {situation}: {detail}"))
+
+    try:
+        while state.status == RUNNING and steps < max_steps:
+            label = g.node_label(node) if on_step is not None else None
+            steps += 1
+            state.steps = steps
+            instruction = state.instructions.get(node)
+            if instruction is None:
+                word = display_word(g.node_label(node))
+                crash(NO_INSTRUCTION, f"the {word} node holds no instruction")
+                break
+            destination = ended = None
+            try:
+                for direction in instruction.directions:
+                    if direction.condition is None or eval_proposition(g, direction.condition, node):
+                        destination = apply_action(g, direction.action, node)
+                        if getattr(direction.action, "ends_step", False):
+                            ended = direction
+                            break
+            except NormalConditionViolated as failure:
+                crash(NORMAL_CONDITION_VIOLATED, failure.detail)
+                break
+            if ended is None:
+                crash(
+                    DIRECTIONS_EXHAUSTED,
+                    "the instruction ran out of directions without following an arrow",
+                )
+                break
+            here = node
+            if destination is None:
+                state.status = STOPPED
+            else:
+                node = state.current = destination
+            if on_step is not None:
+                on_step(TraceEntry(steps, here, label, ended.phrase()))
+    finally:
+        state.steps, state.current = steps, node
+    outcome = state.status if state.status in (STOPPED, CRASHED) else BUDGET_EXHAUSTED
+    return outcome, steps

@@ -95,6 +95,7 @@ def test_against_head_runs_each_seed_on_both_exports(tmp_path, monkeypatch):
         for side in ("base", "change"):
             assert metric[side] == {"median": value, "q1": value, "q3": value}
         assert metric["won"] == {"base": 0, "change": 0}  # ties count for neither side
+        assert metric["sign_p"] == 1.0
     assert real["failed"] == 0 and real["correct"]
 
 
@@ -115,4 +116,14 @@ def test_pairs_are_won_by_the_better_side_of_each_metric(monkeypatch):
     summary = driver.compare("w", [1, 2, 3], 1.0, metrics, roots)["metrics"]
     assert summary["ops_per_s"]["won"] == {"base": 0, "change": 3}
     assert summary["latency_p50_ms"]["won"] == {"base": 3, "change": 0}
+    assert summary["ops_per_s"]["sign_p"] == summary["latency_p50_ms"]["sign_p"] == 2 / 8
     assert summary["ops_per_s"]["change"] == pytest.approx({"median": 2.02, "q1": 2.015, "q3": 2.025})
+
+
+@pytest.mark.parametrize(
+    "wins, losses, p",
+    [(10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024), (5, 5, 1.0), (0, 0, 1.0)],
+    ids=["10-0", "0-10", "9-1", "5-5", "all ties"],
+)
+def test_sign_test_p_is_exact_and_two_sided(wins, losses, p):
+    assert load_driver().sign_test_p(wins, losses) == p

@@ -67,6 +67,7 @@ from wordtree.graph import (
     Settled,
     StartAmbiguous,
     Tree,
+    UniqueArrowExists,
     check_uni_labeled,
     export_json,
     resolve,
@@ -554,6 +555,32 @@ def grown_runnable_texts() -> tuple[str, ...]:
 
 # A fault planted in the mounted state, so that runs end in each kind of crash too.
 FAULTS = (None, "two tape arrows", NO_INSTRUCTION, DIRECTIONS_EXHAUSTED)
+# And three that meet the kinds of link an instruction folds into: a direction after
+# an ending one, which must never run; a last direction whose guard never holds, so the
+# step runs out of directions; and a value that is no item of the algebra, refused.
+AFTER_THE_END = "a direction after the end"
+FALSE_LAST_GUARD = "a false last guard"
+FOREIGN = "a foreign item"
+FOLD_FAULTS = FAULTS + (AFTER_THE_END, FALSE_LAST_GUARD, FOREIGN)
+
+
+def plant(state, fault, faulty: int) -> None:
+    """Plant ``fault`` in a mounted state; an instruction fault goes in node ``faulty``."""
+    instructions = state.instructions
+    if fault == "two tape arrows":
+        state.tree.graph.add_arrow(state.tree.root, "tape", state.tree.root, SEMANTIC)
+    elif fault == NO_INSTRUCTION:
+        del instructions[faulty]
+    elif fault == DIRECTIONS_EXHAUSTED:
+        instructions[faulty] = Instruction(())
+    elif fault is not None:
+        *first, (last,) = instructions[faulty].directions  # every last direction is an Act
+        planted = {
+            AFTER_THE_END: (*first, Act(last), Act("never run")),
+            FALSE_LAST_GUARD: (*first, Guarded(UniqueArrowExists("never"), last)),
+            FOREIGN: (Act("x"), *first, Act(last)),
+        }
+        instructions[faulty] = Instruction(planted[fault])
 
 
 class TestOneLoop:
@@ -614,6 +641,41 @@ class TestOneLoop:
         assert again[:3] == outcome[:3] and again.state is stepped
         assert ending(stepped) == before
         assert stepped_entries == ran_entries
+
+    def test_shared_instructions_carry_no_run_state(self, increment_text):
+        """Two runs of one instruction map, stepped in turn, trace as each run alone does.
+
+        The map's instruction objects are shared by both runs, as the
+        kept program's are by every run of ``execute_program``. An
+        untraced run binds each instruction it reaches and never builds
+        its traced form.
+        """
+        result = check_program(increment_text)
+        instructions = make_executable(result)
+        tapes = [["one", "one", "zero", "blank"], ["zero", "one", "one", "one", "blank"]]
+
+        def mounted(cells):
+            return initialize(copy.deepcopy(result.tree), cells, "last", instructions)
+
+        for cells in tapes:
+            assert run(mounted(cells)).outcome == STOPPED
+        assert all("traced" not in vars(instruction) for instruction in instructions.values())
+        bound = [node for node, instruction in instructions.items() if "bound" in vars(instruction)]
+        assert sorted(bound) == sorted(instructions)  # both runs reach every node
+
+        alone = []
+        for cells in tapes:
+            entries = []
+            run(mounted(cells), on_step=entries.append)
+            alone.append(entries)
+        states = [mounted(cells) for cells in tapes]
+        together = [[] for _ in tapes]
+        while any(state.status == RUNNING for state in states):
+            for state, entries in zip(states, together):
+                if state.status == RUNNING:
+                    step(state, entries.append)
+        assert together == alone
+        assert len(alone[0]) != len(alone[1])
 
     @pytest.mark.parametrize(
         "direction", [Act("x"), Guarded("x", FollowArrow(NEXT))], ids=["act", "guarded"]
@@ -750,21 +812,36 @@ class TestSettled:
         assert after["out"][tree.root].pop(TAPE_ARROW) >= arrows
         assert after == before
 
-    @given(mounted_runs(), st.sampled_from(FAULTS), st.data())
+    @given(mounted_runs(), st.sampled_from(FOLD_FAULTS), st.data())
     @settings(deadline=None, max_examples=80)
     def test_bound_runs_equal_shared_shape_runs(self, drawn, fault, data):
         """Bound instructions run as the unspecialised shapes do, faults planted or not.
 
-        Compared: the outcome, the steps, the final tape, every trace
-        entry, and the state's node, status and crash report.
+        Each map runs untraced and traced, and traced through the
+        reference loop, which runs each direction in turn instead of
+        the fold. Compared across the six runs: the outcome and the
+        steps, or the refusal, the final tape, and the state's node,
+        status and crash report; and between the traced runs, every
+        trace entry. A direction after an ending one never runs, so it
+        leaves every run as it was without it.
         """
         result, cells, start, budget = drawn
         bound = make_executable(result)
         shared = reference.install_instructions(result.tree, result.stop, result.points.statements)
         faulty = data.draw(st.sampled_from(sorted(bound)))
-        assert ran(result.tree, bound, cells, start, budget, fault, faulty) == ran(
-            result.tree, shared, cells, start, budget, fault, faulty
-        )
+
+        def runs(fault, faulty) -> list:
+            return [
+                ran(result.tree, instructions, cells, start, budget, fault, faulty, traced, runner)
+                for instructions in (bound, shared)
+                for traced, runner in ((False, run), (True, run), (True, reference.run_directions))
+            ]
+
+        shown = runs(fault, faulty)
+        assert all(each[:2] + each[3:] == shown[0][:2] + shown[0][3:] for each in shown)
+        assert all(each[2] == shown[1][2] for each in shown if each[2] is not None)
+        if fault == AFTER_THE_END:
+            assert shown == runs(None, None)
 
     @pytest.mark.parametrize("start_word", ["named twice", "named by none"])
     def test_a_start_that_names_no_single_node_is_left_unsettled(self, increment_text, start_word):
@@ -797,23 +874,22 @@ class TestSettled:
         assert entries[-1].direction == f"crash {NORMAL_CONDITION_VIOLATED}: {situation.detail}"
 
 
-def ran(tree, instructions, cells, start, budget, fault, faulty) -> tuple:
-    """Run ``instructions`` on a copy of ``tree`` with ``fault`` planted; what the run showed."""
+def ran(tree, instructions, cells, start, budget, fault, faulty, traced=True, runner=run) -> tuple:
+    """Run ``instructions`` on a copy of ``tree`` with ``fault`` planted; what the run showed.
+
+    That is the outcome and the steps, or the text of the TypeError that
+    refused the run, the final tape, the trace entries (None for an
+    untraced run), and the state's node, status and crash report.
+    ``runner`` is ``run`` or the reference loop.
+    """
     state = initialize(copy.deepcopy(tree), cells, start, instructions)
-    if fault == "two tape arrows":
-        state.tree.graph.add_arrow(state.tree.root, "tape", state.tree.root, SEMANTIC)
-    elif fault == NO_INSTRUCTION:
-        del state.instructions[faulty]
-    elif fault == DIRECTIONS_EXHAUSTED:
-        state.instructions[faulty] = Instruction(())
-    entries = []
-    outcome = run(state, budget, entries.append)
-    return (
-        outcome[:2],
-        final_tape(state),
-        entries,
-        (state.current, state.status, state.situation),
-    )
+    plant(state, fault, faulty)
+    entries = [] if traced else None
+    try:
+        shown = runner(state, budget, entries.append if traced else None)[:2]
+    except TypeError as refused:
+        shown = str(refused)
+    return shown, final_tape(state), entries, (state.current, state.status, state.situation)
 
 
 class TestRunDiscipline:
@@ -896,11 +972,14 @@ class TestModes:
         """Bound steps walk their paths as often, and defer to ``locate`` as often, either way.
 
         increment.tgl on 'one' x 50 'blank' from the last cell takes 410
-        steps, whose readers take 359 regular walks and defer to
-        ``locate`` (and so to ``resolve``) never. Run on 'one' with a
-        second 'tape' arrow, it crashes at its first print: that step's
-        reader finds two 'tape' arrows and defers once, and ``resolve``
-        walks again to say which step failed.
+        steps, whose readers take 359 regular reads and defer to
+        ``locate`` (and so to ``resolve``) never. 257 of the reads are
+        of '"tape-alphabet"+tape', whose one-step reader reads the index
+        in place; the 102 reads of a cell beside the head walk through
+        ``_walk``. Run on 'one' with a second 'tape' arrow, it crashes
+        at its first print: that step's one-step reader finds two 'tape'
+        arrows and defers once, and ``resolve`` walks to say which step
+        failed.
         """
         calls = Counter()
         running = []  # the (cautious, run) being counted, while ``run`` runs
@@ -928,10 +1007,10 @@ class TestModes:
                     (CRASHED, 2) if second_tape_arrow else (STOPPED, 410)
                 )
         for cautious in (False, True):
-            assert calls[cautious, "410 steps", "_walk"] == 359
+            assert calls[cautious, "410 steps", "_walk"] == 102
             assert calls[cautious, "410 steps", "locate"] == 0
             assert calls[cautious, "410 steps", "resolve"] == 0
-            assert calls[cautious, "two tape arrows", "_walk"] == 2
+            assert calls[cautious, "two tape arrows", "_walk"] == 1
             assert calls[cautious, "two tape arrows", "locate"] == 1
             assert calls[cautious, "two tape arrows", "resolve"] == 1
 

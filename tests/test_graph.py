@@ -1163,6 +1163,8 @@ TAPE_PATHS = [
         '"tape-alphabet"+tape-""-""',
         '"tape-alphabet"+is',
         '"tape-alphabet"+is+tape',
+        '"tape-alphabet"+is+is',
+        '"tape-alphabet"-tape',
         "+is",
         "-is",
         "+is-is",
@@ -1223,7 +1225,9 @@ def test_bound_items_on_settled_paths_agree_with_the_reference_dispatch(drawn, m
 
     The paths are settled at the drawn current node, before or after
     the tape is mounted, and the items are evaluated or applied there.
-    Compared, as in the property above: the return value, or the
+    Some settle with one step left, which their readers take in place
+    or defer to ``locate``: '+tape' or '-tape' at the root, and '+is'
+    at a word node, which has none. Compared, as in the property above: the return value, or the
     exception's type and text, and the graph the call leaves behind. A
     refusal's text shows the item it was given, so the two items'
     reprs are left out of it.
@@ -1292,6 +1296,51 @@ def test_each_irregular_tape_read_crashes_as_the_reference_does():
         with pytest.raises(NormalConditionViolated) as oracle:
             reference_algebra.eval_proposition(g, unsettled(item), None)
         assert str(bound.value) == str(oracle.value) == expected, irregular
+
+
+@pytest.mark.parametrize(
+    "tape_arrows, expected",
+    [
+        (0, "inapplicable at step 0: none arrows"),
+        (1, None),
+        (2, "inapplicable at step 0: multiple arrows"),
+    ],
+    ids=["none", "one", "two"],
+)
+def test_a_one_step_settled_read_is_what_locate_gives(monkeypatch, tape_arrows, expected):
+    """'"tape-alphabet"+tape' settles at its root with one "+" step left, read in place.
+
+    With one 'tape' arrow the reader returns its cell and walks nothing
+    through ``_walk``. With none, or two (the overflow map's case), it
+    defers to ``locate``, and raises what ``locate`` raises, with the
+    same text, for the settled path and for its formula.
+    """
+    g = LabeledGraph()
+    root = g.add_node("tape-alphabet")
+    formula = parse_path('"tape-alphabet"+tape')
+    settled = settle(g, formula)
+    assert (settled.node, settled.rest) == (root, (("+", "tape"),))
+    read = G.reader(settled)
+    cells = add_cells(g, ["one", "zero"])
+    for cell in cells[:tape_arrows]:
+        g.add_arrow(root, "tape", cell, G.SEMANTIC)
+    walks = []
+    walk = G._walk
+    monkeypatch.setattr(G, "_walk", lambda *args: walks.append(args) or walk(*args))
+
+    outcomes = []
+    for call in (read, lambda g, current: G.locate(g, settled, current), G.reader(formula)):
+        try:
+            outcomes.append(call(g, None))
+        except NormalConditionViolated as failure:
+            outcomes.append(str(failure))
+    if expected is None:
+        assert outcomes == [cells[0]] * 3
+        # The two ``locate`` calls walk; the reader reads the index in place.
+        assert walks == [(g, root, settled.rest), (g, root, formula.steps)]
+    else:
+        text = f"path {formula} is not passable: formula {formula} {expected}"
+        assert outcomes == [text] * 3
 
 
 @pytest.mark.parametrize("cautious", [False, True])
