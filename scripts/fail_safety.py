@@ -23,7 +23,7 @@ from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import SYNTACTIC
 from wordtree.pipeline import check_program, execute_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import STATEMENT, classify, find_points
+from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape
 
 INCREMENT = Path(__file__).resolve().parent.parent / "programs" / "increment.tgl"
@@ -61,9 +61,8 @@ def repair(tree, rng):
     statements so the jump goes forward and cannot close a cycle.
     """
     g = tree.graph
-    classes = classify(tree)
     # The relabels below change labels, not structure, so the points hold.
-    points = find_points(tree, classes)
+    points = classify(tree)
 
     seen = set()
     for node in points.declarations:
@@ -95,7 +94,7 @@ def repair(tree, rng):
             forward = [w for w, stmt in rises.items() if stmt > owner]
             g.set_node_label(usage, rng.choice(sorted(forward) or sorted(rises)))
         else:
-            hosts = [n for n, c in classes.items() if c == STATEMENT and n != owner] or [owner]
+            hosts = [n for n, c in points.classes.items() if c == STATEMENT and n != owner] or [owner]
             host = rng.choice(hosts)
             word = fresh_word(rng, set(rises) | seen)
             label = g.add_node(word)

@@ -23,7 +23,7 @@ from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_line,
 from .frontend import IllegalCharacter, ParseError, parse_text, render_program, to_canonical
 from .graph import export
 from .pipeline import check_program, make_executable
-from .semantics import classify, find_points, link_is_declared_at
+from .semantics import classify, link_is_declared_at
 from .tape import parse_tape
 
 if TYPE_CHECKING:
@@ -128,7 +128,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         tree = parse_text(text)
         if args.stage == "linked":
             try:
-                link_is_declared_at(tree, find_points(tree, classify(tree)))
+                link_is_declared_at(tree, classify(tree))
             except ValueError as failure:
                 raise Refusal(failure) from failure
     out = export(tree.graph, args.format)

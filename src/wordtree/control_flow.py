@@ -3,18 +3,19 @@
 Adds a stop node, 'back' arrows from statements that end a chain to the
 statement they are subordinate to, and the flow arrows an executor
 walks: 'next' for unconditional succession, 'yes' and 'no' for the two
-outcomes of an if. Two checks inspect the finished flow graph: every
-statement should be reachable from the root, and 'next' arrows alone
-must not form a cycle, because a program caught in one could never
-leave it. Their CW1 and C2 findings, like the L1 and L2 findings that
-keep control arrows from being built, are worded by
+outcomes of an if. The builders walk no tree; they read the chain table
+of ``semantics.classify``. Two checks inspect the finished flow graph:
+every statement should be reachable from the root, and 'next' arrows
+alone must not form a cycle, because a program caught in one could
+never leave it. Their CW1 and C2 findings, like the L1 and L2 findings
+that keep control arrows from being built, are worded by
 ``semantics.FINDINGS``.
 """
 
 from __future__ import annotations
 
-from .graph import CONTROL, SYNTACTIC, Tree, display_word, functional_cycles
-from .semantics import Diagnostic, Points, _match
+from .graph import CONTROL, SYNTACTIC, Tree, check_uni_labeled, display_word, functional_cycles
+from .semantics import STATEMENT, Chains, Diagnostic, Points, _match
 
 BACK = "back"
 NEXT = "next"
@@ -50,39 +51,27 @@ def add_stop_node(tree: Tree) -> int:
     return g.add_node("stop")
 
 
-def _subordinator(g, node: int, stop: int) -> int:
-    """The statement a chain-ending statement returns control to.
-
-    Walks backwards along ';' arrows to the head of the statement chain
-    ``node`` ends, then looks at what the head hangs off: a 'then' arrow
-    means the chain refines an if, a '}' arrow means it fills a pair of
-    braces, and anything else means the chain is the program body, whose
-    end falls off into the stop node. A program tree has one body, so
-    the test that the walk did not end on a loop runs once per tree.
-    """
-    head = g.chain(node, "-", ";")[-1]
-    for word in ("then", "}"):
-        owner = g.follow(head, "-", word)
-        if owner is not None:
-            return owner
-    if g.follow(head, "-", ";") is not None:
-        raise ValueError("';' arrows loop; not a program tree")
-    return stop
+def _chains(points: Points) -> Chains:
+    """The chain table of ``points``; refuses one whose chains are no program tree."""
+    if points.chains.defect is not None:
+        raise ValueError(points.chains.defect)
+    return points.chains
 
 
 def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     """Give every statement without a ';' successor a 'back' arrow.
 
-    The arrow points at the statement's subordinator, or at the stop
-    node for the final statement of the program body. The arrows are
-    added by one ``LabeledGraph.extend`` call once every subordinator is
-    found, so a refusal adds none. Returns the number of arrows added.
+    The arrow points at the 'if' or '{' whose chain the statement ends,
+    or at the stop node for the end of the program body, as the chain
+    table has them. The arrows are added by one ``LabeledGraph.extend``
+    call, and a refusal adds none. Returns the number of arrows added.
     """
     g = tree.graph
     if g.pairs_labeled(BACK):
         raise ValueError("'back' arrows are already built")
-    srcs = [node for node in points.statements if g.follow(node, "+", ";") is None]
-    dsts = [_subordinator(g, node, stop) for node in srcs]
+    ends = _chains(points).ends
+    srcs = sorted(ends)
+    dsts = [stop if ends[node] is None else ends[node] for node in srcs]
     g.extend((), srcs, [BACK] * len(srcs), dsts, CONTROL)
     return len(srcs)
 
@@ -96,11 +85,11 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     findings before adding any arrow. Direct succession runs in
     parallel with ';' arrows, an if branches along 'yes' (parallel to
     'then') and 'no', a brace pair steps inside itself along '}', and a
-    goto jumps to the statement risen to from its target label.
-    Statements on a back chain send their outgoing flow to the
-    continuation after the chain's subordinator, or to stop when the
-    chain ends the program. The arrows are staged and added by one
-    ``LabeledGraph.extend`` call at the end, so a refusal adds none.
+    goto jumps to the statement risen to from its target label. Then
+    each chain end, innermost first and out along the owners that end
+    chains too, sends its flow to the chain's continuation, or to stop.
+    The arrows are staged and added by one ``LabeledGraph.extend`` call
+    at the end, so a refusal adds none.
     """
     g = tree.graph
     problems = _match(g, points.targets, points.gotos, ("L1", "L2"))
@@ -111,89 +100,75 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     overlap = [label for label in FLOW_LABELS if g.pairs_labeled(label)]
     if overlap:
         raise ValueError(f"flow arrows are already built: {sorted(overlap)}")
-
-    srcs: list[int] = []
-    words: list[str] = []
-    dsts: list[int] = []
-
-    def put(src: int, label: str, dst: int) -> None:
-        srcs.append(src)
-        words.append(label)
-        dsts.append(dst)
-
     first = g.follow(tree.root, "+", ";")
     if first is None:
         raise ValueError("the root has no ';' arrow to the first statement")
-    put(tree.root, NEXT, first)
 
     # A goto jumps to the statement its label rises to along ':' arrows.
-    statements = set(points.statements)
+    words, classes = g._nodes, points.classes
     target_statement = {}
     for target in points.targets:
         risen = g.chain(target, "-", ":")[-1]
-        if risen not in statements:
+        if classes.get(risen) is not STATEMENT:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"
             )
-        target_statement[g.node_label(target)] = risen
+        target_statement[words[target]] = risen
 
+    chains = _chains(points)
+    successors, ends, after = chains.successors, chains.ends, chains.continuations
+    uni = not check_uni_labeled(g)  # else ``_required_dst`` names a repeated arrow
+    thens, braces, jumps = (g.ends_labeled(word) if uni else {} for word in ("then", "}", "to"))
+    arrows = [tree.root, NEXT, first]  # flat: origin, label, end of each arrow in turn
     for node in points.statements:
-        word = g.node_label(node)
-        semi = g.follow(node, "+", ";")
+        word = words[node]
         if word == "if":
-            put(node, YES, _required_dst(g, node, "then"))
-            if semi is not None:
-                put(node, NO, semi)
+            arrows += node, YES, thens.get(node) or _required_dst(g, node, "then")
+            if node in successors:
+                arrows += node, NO, successors[node]
         elif word == "{":
-            put(node, NEXT, _required_dst(g, node, "}"))
+            arrows += node, NEXT, braces.get(node) or _required_dst(g, node, "}")
         elif word == "go":
-            target_word = g.node_label(_required_dst(g, node, "to"))
-            put(node, NEXT, target_statement[target_word])
-        else:
-            if semi is not None:
-                put(node, NEXT, semi)
+            jump = jumps.get(node) or _required_dst(g, node, "to")
+            arrows += node, NEXT, target_statement[words[jump]]
+        elif node in successors:
+            arrows += node, NEXT, successors[node]
 
-    back_dst = dict(g.pairs_labeled(BACK))
-    back_targets = set(back_dst.values())
-    for head in sorted(n for n in back_dst if n not in back_targets):
-        *members, cursor = g.chain(head, "+", BACK)
-        if cursor == stop:
-            continuation = stop
-        else:
-            continuation = g.follow(cursor, "+", ";")
-            if continuation is None:
-                raise ValueError(
-                    f"back chain ends at node {cursor} which has no continuation"
-                )
-        for member in members:
-            word = g.node_label(member)
+    owners = set(ends.values())
+    for member in sorted(node for node in ends if node not in owners):
+        onward = stop if after[member] is None else after[member]
+        while member in ends:
+            word = words[member]
             if word == "if":
-                put(member, NO, continuation)
-            elif word in ("go", "{"):
-                continue
-            else:
-                put(member, NEXT, continuation)
-    g.extend((), srcs, words, dsts, CONTROL)
-    return {label: words.count(label) for label in (NEXT, YES, NO)}
+                arrows += member, NO, onward
+            elif word != "go" and word != "{":
+                arrows += member, NEXT, onward
+            member = ends[member]
+    srcs, labels, dsts = arrows[0::3], arrows[1::3], arrows[2::3]
+    g.extend((), srcs, labels, dsts, CONTROL)
+    return {label: labels.count(label) for label in (NEXT, YES, NO)}
 
 
 def check_reachability(tree: Tree, points: Points) -> list[Diagnostic]:
-    """Warn about statements no flow path from the root reaches."""
+    """Warn about statements no flow path from the root reaches, following every flow arrow."""
     g = tree.graph
+    nexts, yeses, nos = map(g.ends_labeled, FLOW_LABELS)
+    several = {v.node for v in check_uni_labeled(g) if v.label in FLOW_LABELS}
     reached = {tree.root}
     work = [tree.root]
     while work:
         node = work.pop()
-        for label in FLOW_LABELS:
-            for dst in g.ends(node, "+", label):
-                if dst not in reached:
-                    reached.add(dst)
-                    work.append(dst)
-    return [
-        Diagnostic("CW1", (node,), (g.node_label(node),))
-        for node in points.statements
-        if node not in reached
-    ]
+        if node in several:
+            onward = [dst for label in FLOW_LABELS for dst in g.ends(node, "+", label)]
+        else:
+            onward = (nexts.get(node), yeses.get(node), nos.get(node))
+        for dst in onward:
+            if dst not in reached and dst is not None:
+                reached.add(dst)
+                work.append(dst)
+    words = g._nodes
+    unreached = [node for node in points.statements if node not in reached]
+    return [Diagnostic("CW1", (node,), (words[node],)) for node in unreached]
 
 
 def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
@@ -203,11 +178,10 @@ def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
     the number of nodes; a node with two raises ValueError.
     """
     g = tree.graph
-    successor: dict[int, int] = {}
-    for src, dst in g.pairs_labeled(NEXT):
-        if src in successor:
-            raise ValueError(f"node {src} has more than one 'next' arrow")
-        successor[src] = dst
+    twice = sorted((v.arrow_ids[1], v.node) for v in check_uni_labeled(g) if v.label == NEXT)
+    if twice:
+        raise ValueError(f"node {twice[0][1]} has more than one 'next' arrow")
+    successor = g.ends_labeled(NEXT)
     return [
         Diagnostic("C2", cycle, tuple(map(g.node_label, cycle)))
         for cycle in functional_cycles(successor)

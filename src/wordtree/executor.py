@@ -350,18 +350,18 @@ def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Ins
     """Build the node-to-instruction map for an executable program tree.
 
     Exactly the root, the stop node, and the statements of ``points``
-    carry instructions; ``points`` is what ``find_points`` found for
-    this tree. Each flow node gets an instruction of its own, in one of
+    carry instructions; ``points`` is what ``classify`` found for this
+    tree. Each flow node gets an instruction of its own, in one of
     six shapes (follow 'next', stop, if, print, move left, move right),
     with its program side settled here once:
 
     - each follow is a ``FollowArrowTo`` of the one end the node's
       ``next``, ``yes`` or ``no`` arrow has, which is checked here;
     - the compared and printed word paths are ``Settled`` at the word
-      nodes ``find_points`` resolved them to, ``points.usages`` in
-      statement order. The checks after it add 'is-declared-at',
-      'back' and flow arrows, none of which those paths follow, so the
-      usages are still where the paths lead;
+      nodes ``classify`` found them to lead to, ``points.usages`` in
+      statement order. The checks after it add 'is-declared-at', 'back'
+      and flow arrows, none of which those paths follow, so the usages
+      are still where the paths lead;
     - the tape paths start at the own node ``settle`` finds once for
       their start word.
 

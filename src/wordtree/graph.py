@@ -24,8 +24,8 @@ kind), not as one object each: an arrow adds list entries, but no
 object the cyclic garbage collector has to track. The listings (``arrow``,
 ``arrows``, ``out_arrows``, ``in_arrows``, ``arrows_labeled``) build
 read-only ``Arrow`` records on demand. The check path builds none: it
-reads the columns through ``pairs_labeled``, ``ends_of_kind`` and the
-navigation calls.
+reads the columns through ``ends_labeled``, ``pairs_labeled``,
+``ends_of_kind`` and the navigation calls.
 
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
 along a labeled arrow, whatever its kind, and a "+" step reads the
@@ -166,9 +166,9 @@ class LabeledGraph:
     columns, its origin, label, destination and kind; no object stands
     for it. ``arrow``, ``arrows``, ``out_arrows``, ``in_arrows`` and
     ``arrows_labeled`` build ``Arrow`` records from the columns when
-    they are called. ``pairs_labeled`` and ``ends_of_kind`` read the
-    columns and build none, and so do ``follow``, ``ends``, ``chain``
-    and ``resolve``.
+    they are called. ``pairs_labeled``, ``ends_labeled`` and
+    ``ends_of_kind`` read the columns and build none, and so do
+    ``follow``, ``ends``, ``chain`` and ``resolve``.
 
     A label is validated when the label index (own nodes by label,
     arrows by label) has no key for it yet; later uses of a word the
@@ -181,7 +181,7 @@ class LabeledGraph:
     Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
     alone, so a label a node repeats always means several arrows, and
     ``check_uni_labeled`` counts every arrow too. Kinds serve the listing
-    calls, ``pairs_labeled``, ``ends_of_kind`` and export.
+    calls, ``ends_of_kind`` and export.
 
     Out-arrows are indexed by (origin, label): each node keeps a dict
     from label to the id of its first out-arrow with that label, and
@@ -499,18 +499,19 @@ class LabeledGraph:
         # so each index list is already sorted.
         return self._records(self._arrows_by_label.get(word, ()))
 
-    def pairs_labeled(self, word: str, kind: Optional[str] = None) -> list[tuple[int, int]]:
-        """The (origin, destination) of each ``word`` arrow, of ``kind`` alone if given.
+    def pairs_labeled(self, word: str) -> list[tuple[int, int]]:
+        """The (origin, destination) of each ``word`` arrow, in id order.
 
-        In id order, as ``arrows_labeled`` lists the arrows. Reads the
-        label index and the columns and builds no Arrow record.
+        As ``arrows_labeled`` lists the arrows, read from the label
+        index and the columns without building an Arrow record.
         """
-        ids = self._arrows_by_label.get(word, ())
         src, dst = self._src, self._dst
-        if kind is None:
-            return [(src[i], dst[i]) for i in ids]
-        kinds = self._kind
-        return [(src[i], dst[i]) for i in ids if kinds[i] == kind]
+        return [(src[i], dst[i]) for i in self._arrows_by_label.get(word, ())]
+
+    def ends_labeled(self, word: str) -> dict[int, int]:
+        """The end of each node's first ``word`` arrow, by node: where ``follow`` goes."""
+        src, dst = self._src, self._dst
+        return {src[i]: dst[i] for i in reversed(self._arrows_by_label.get(word, ()))}
 
     @property
     def node_count(self) -> int:

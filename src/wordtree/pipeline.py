@@ -35,7 +35,6 @@ from .semantics import (
     check_alphabet,
     check_labels,
     classify,
-    find_points,
     link_is_declared_at,
 )
 from .tape import parse_tape
@@ -52,7 +51,7 @@ class CheckFailed(ValueError):
 class CheckResult:
     """Everything one pass over a program text produced.
 
-    ``points`` holds the statements and points ``find_points`` found,
+    ``points`` holds what ``classify`` found, less its chain table,
     which the later stages and ``make_executable`` read. ``stop`` and
     ``flow_counts`` are filled only when the label checks found no
     errors, since control flow cannot be built over ambiguous or
@@ -106,22 +105,21 @@ class CheckResult:
 def check_program(text: str) -> CheckResult:
     """Parse a program and run every requirement check over it.
 
-    Stages, in dependency order: parse to the canonical tree, classify
-    nodes, find the statements and points once, alphabet checks, label
-    checks, declaration links (when no AW2 finding blocks them), stop
-    node and back arrows and control arrows (when no label error blocks
-    them), then reachability and next-cycle checks over the finished
-    flow graph.
+    Stages, in dependency order: parse to the canonical tree, walk its
+    statement chains once (``classify``), alphabet checks, label checks,
+    declaration links (when no AW2 finding blocks them), stop node and
+    back arrows and control arrows read off the walk's chain table
+    (when no label error blocks them), then reachability and next-cycle
+    checks over the finished flow graph.
 
     Syntax problems raise (IllegalCharacter, ParseError); everything
     later is reported as diagnostics on the result.
     """
     tree = parse_text(text)
-    classes = classify(tree)
-    points = find_points(tree, classes)
-    diagnostics = list(check_alphabet(tree, points))
-    diagnostics.extend(check_labels(tree, points))
-    result = CheckResult(tree, classes, points, diagnostics)
+    points = classify(tree)
+    diagnostics = check_alphabet(tree, points)
+    diagnostics += check_labels(tree, points)
+    result = CheckResult(tree, points.classes, points._replace(chains=None), diagnostics)
     if not any(d.code == "AW2" for d in diagnostics):
         result.linked = link_is_declared_at(tree, points)
     if not any(d.severity == "error" for d in diagnostics):
@@ -129,8 +127,9 @@ def check_program(text: str) -> CheckResult:
         build_back_arrows(tree, stop, points)
         result.flow_counts = build_control(tree, stop, points)
         result.stop = stop
-        diagnostics.extend(check_reachability(tree, points))
-        diagnostics.extend(check_next_acyclic(tree))
+        del points  # frees the chain table before the checks that need none
+        diagnostics += check_reachability(tree, result.points)
+        diagnostics += check_next_acyclic(tree)
     return result
 
 

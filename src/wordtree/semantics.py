@@ -1,25 +1,26 @@
 """Requirement checks over program trees.
 
-Classifies the nodes of a canonical program tree into data, statement,
-label, and other; finds, once per tree, the statements and the
-declaration and usage points of tape words and labels; checks that tape
-words are declared before use and that goto labels name exactly one
-statement; and installs semantic ``is-declared-at`` arrows from each
-tape-word usage to its declaration. All checks return Diagnostic
-records instead of raising, so callers can collect every finding in one
-pass. A record holds a finding's code, nodes and words; ``FINDINGS``
-maps each code of this module and of ``control_flow`` to the text that
-words it, and a record is worded only when its message is read.
+``classify`` walks a program tree's statement chains once and returns
+its ``Points``: each node's class (data, statement, label or other),
+the points of tape words and labels, and the chain table the control
+flow is built from. The checks read them: tape words are declared
+before use, goto labels name exactly one statement, and semantic
+``is-declared-at`` arrows join each usage to its declaration. Checks
+return Diagnostic records instead of raising, so callers can collect
+every finding in one pass. A record holds a finding's code, nodes and
+words; ``FINDINGS`` maps each code of this module and of
+``control_flow`` to its text, worded only when a message is read.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .graph import (
     SEMANTIC,
     SYNTACTIC,
     Tree,
+    check_uni_labeled,
     display_word,
     parse_path,
     resolve,
@@ -88,42 +89,130 @@ class Diagnostic(NamedTuple):
         }
 
 
-def classify(tree: Tree) -> dict[int, str]:
-    """Assign every node a class: DATA, STATEMENT, LABEL or OTHER.
+class Chains(NamedTuple):
+    """The statement chains as ``classify`` walked them, for the control flow.
 
-    Data nodes are those in syntactic subtrees hanging off the arrows
-    that carry program data: the alphabet chain under the root's 'is'
-    arrow, goto targets under 'to', printed words under ' (the quote
-    arrow), and the empty-labeled arrows to the tape-symbol wrapper and
-    the final '.' node. Label nodes are the destinations of ':' arrows
-    and win over data when both apply. Statement nodes are the rest
-    whose label is a statement word.
+    ``successors`` maps a node to its ';' successor. ``ends`` maps a
+    statement without one to the 'if' or '{' whose chain it ends (None:
+    the body), ``continuations`` to where flow goes after that chain:
+    the owner's successor, else the owner's continuation (None: stop).
+    ``defect`` is why the chains are no program tree, or None.
+    """
+
+    successors: dict[int, int]
+    ends: dict[int, Optional[int]]
+    continuations: dict[int, Optional[int]]
+    defect: Optional[str]
+
+
+class Points(NamedTuple):
+    """What the checks and the control flow read of a tree, found in one walk.
+
+    The statements in id order; the ',' chain of declarations; the word
+    each print writes or if compares, in statement order; the label
+    targets (':' ends) and goto words ('to' ends) of statements and
+    labels, in arrow order. ``classes`` maps every node to its class;
+    ``check_program`` drops the ``chains`` once control flow is built.
+    """
+
+    statements: tuple[int, ...]
+    declarations: tuple[int, ...]
+    usages: tuple[int, ...]
+    targets: tuple[int, ...]
+    gotos: tuple[int, ...]
+    classes: Optional[dict[int, str]] = None
+    chains: Optional[Chains] = None
+
+
+def classify(tree: Tree) -> Points:
+    """Class every node and find the points and chains, in one walk of the statement chains.
+
+    The walk starts at the root's ';' arrow and keeps the chains it has
+    still to finish on a stack. It reads the label index as one map per
+    arrow label, not node by node. A statement is a node on a chain
+    (reached along ';', 'then' or '}') labeled by a statement word;
+    label nodes (':' destinations) win over every other class. Data
+    hangs off the arrows that carry program data: the alphabet under
+    the root's 'is', the final '.', each printed word, each if's
+    tape-symbol wrapper and word, and each goto target, with whatever
+    hangs below them along syntactic arrows. The rest is other. A usage
+    the maps do not give is resolved, which names the missing arrow. A
+    statement with several ';' arrows, or a ';' arrow into the root, is
+    the table's ``defect``; a chain that meets a walked statement ends.
     """
     g = tree.graph
-    label_nodes = {dst for _, dst in g.pairs_labeled(":")}
-    work = g.ends(tree.root, "+", "is")
-    for word in ("to", "'", ""):
-        work.extend(dst for _, dst in g.pairs_labeled(word, SYNTACTIC))
+    words, repeats = g._nodes, check_uni_labeled(g)
+    successors, thens, braces, quotes, symbols, compared, jumps = map(
+        g.ends_labeled, (";", "then", "}", "'", "", "is", "to")
+    )
+    colons = g.pairs_labeled(":")
+    classes = [OTHER] * len(words)
+    for _, label in colons:
+        classes[label] = LABEL
+    declarations = w_declaration_points(tree)
+    data = g.ends(tree.root, "+", "is") + g.ends(tree.root, "+", "")
 
-    data_nodes: set[int] = set()
-    while work:
-        node = work.pop()
-        if node in data_nodes:
-            continue
-        data_nodes.add(node)
-        work += g.ends_of_kind(node, "+", SYNTACTIC)
-
-    classes = {}
-    for node in g.nodes():
-        if node in label_nodes:
-            classes[node] = LABEL
-        elif node in data_nodes:
-            classes[node] = DATA
-        elif g.node_label(node) in STATEMENT_WORDS:
+    statements: list[int] = []
+    usage_of: dict[int, int] = {}
+    ends: dict[int, Optional[int]] = {}
+    continuations: dict[int, Optional[int]] = {}
+    stack = [(successors[tree.root], None, None)] if tree.root in successors else []
+    while stack:
+        node, owner, after = stack.pop()
+        while classes[node] is OTHER and words[node] in STATEMENT_WORDS:
+            word = words[node]
             classes[node] = STATEMENT
-        else:
-            classes[node] = OTHER
-    return classes
+            statements.append(node)
+            nxt = successors.get(node)
+            if nxt is None:
+                ends[node], continuations[node] = owner, after
+            inner = None
+            if word == "print":
+                used = quotes.get(node)
+                if used is None or repeats:
+                    used = resolve(g, PRINT_WORD_PATH, node)
+                usage_of[node] = used
+                data.append(used)
+            elif word == "if":
+                used = compared.get(symbols.get(node))
+                if used is None or repeats:
+                    used = resolve(g, SYMBOL_PATH, node)
+                usage_of[node] = used
+                data.append(symbols[node])
+                inner = thens.get(node)
+            elif word == "{":
+                inner = braces.get(node)
+            elif word == "go" and node in jumps:
+                data.append(jumps[node])
+            if inner is not None:  # the inner chain first, then the rest of this one
+                if nxt is not None:
+                    stack.append((nxt, owner, after))
+                    after = nxt
+                owner, nxt = node, inner
+            elif nxt is None:
+                break
+            node = nxt
+
+    while data:
+        node = data.pop()
+        if classes[node] is OTHER:
+            classes[node] = DATA
+            data += g.ends_of_kind(node, "+", SYNTACTIC) if g._out[node] else ()
+
+    forks = [v.node for v in repeats if v.label == ";" and classes[v.node] is STATEMENT]
+    if forks:
+        defect = f"node {forks[0]} has several {display_word(';')} arrows leaving it"
+    else:
+        defect = "';' arrows loop; not a program tree" if g.ends(tree.root, "-", ";") else None
+    statements.sort()
+    usages = tuple(usage_of[node] for node in statements if node in usage_of)
+    targets, gotos = (
+        tuple(end for origin, end in pairs if classes[origin] in (STATEMENT, LABEL))
+        for pairs in (colons, g.pairs_labeled("to"))
+    )
+    chains = Chains(successors, ends, continuations, defect)
+    classes = dict(enumerate(classes))
+    return Points(tuple(statements), tuple(declarations), usages, targets, gotos, classes, chains)
 
 
 def w_declaration_points(tree: Tree) -> list[int]:
@@ -134,72 +223,6 @@ def w_declaration_points(tree: Tree) -> list[int]:
     if g.follow(points[-1], "+", ",") is not None:
         raise ValueError("the declaration chain does not run ',' by ',' to an end")
     return points
-
-
-def _statements(g, classes: dict[int, str], words) -> list[int]:
-    """Statement nodes labeled by one of ``words``, in id order, read from the label index."""
-    return sorted(
-        node
-        for word in words
-        for node in g.nodes_labeled(word)
-        if classes[node] == STATEMENT
-    )
-
-
-def w_usage_points(tree: Tree, classes: dict[int, str]) -> list[int]:
-    """Nodes using tape words: print operands and if comparison words."""
-    g = tree.graph
-    points = []
-    for node in _statements(g, classes, ("print", "if")):
-        if g.node_label(node) == "print":
-            points.append(resolve(g, PRINT_WORD_PATH, current=node))
-        else:
-            points.append(resolve(g, SYMBOL_PATH, current=node))
-    return points
-
-
-def label_points(
-    tree: Tree, classes: dict[int, str]
-) -> tuple[list[int], list[int]]:
-    """Label targets (':' destinations) and label usages ('to' destinations).
-
-    Both lists follow arrow insertion order. Arrows leaving data nodes
-    are ignored, so words like 'to' inside the tape alphabet cannot
-    produce false points.
-    """
-    g = tree.graph
-
-    def points(word: str) -> list[int]:
-        return [
-            dst
-            for src, dst in g.pairs_labeled(word)
-            if classes[src] in (STATEMENT, LABEL)
-        ]
-
-    return points(":"), points("to")
-
-
-class Points(NamedTuple):
-    """What the checks and the control flow read of a classified tree.
-
-    The statement nodes in id order, and the points ``w_declaration_points``,
-    ``w_usage_points`` and ``label_points`` (targets, then gotos) list.
-    """
-
-    statements: tuple[int, ...]
-    declarations: tuple[int, ...]
-    usages: tuple[int, ...]
-    targets: tuple[int, ...]
-    gotos: tuple[int, ...]
-
-
-def find_points(tree: Tree, classes: dict[int, str]) -> Points:
-    """Find the statements and the points of tape words and labels, once per tree."""
-    declarations = tuple(w_declaration_points(tree))
-    usages = tuple(w_usage_points(tree, classes))
-    targets, gotos = label_points(tree, classes)
-    statements = tuple(_statements(tree.graph, classes, STATEMENT_WORDS))
-    return Points(statements, declarations, usages, tuple(targets), tuple(gotos))
 
 
 def _match(
@@ -213,24 +236,25 @@ def _match(
     code and nodes. The first two are the ones that block control flow.
     """
     twice, undefined, *unused_codes = codes
+    words = g._nodes
     diagnostics = []
     first_seen: dict[str, int] = {}
     for node in definitions:
-        word = g.node_label(node)
+        word = words[node]
         if word in first_seen:
             diagnostics.append(Diagnostic(twice, (first_seen[word], node), (word,)))
         else:
             first_seen[word] = node
 
     for node in usages:
-        word = g.node_label(node)
+        word = words[node]
         if word not in first_seen:
             diagnostics.append(Diagnostic(undefined, (node,), (word,)))
 
     for unused in unused_codes:
-        used = {g.node_label(n) for n in usages}
+        used = {words[n] for n in usages}
         for node in definitions:
-            word = g.node_label(node)
+            word = words[node]
             if word not in used:
                 diagnostics.append(Diagnostic(unused, (node,), (word,)))
 
@@ -247,20 +271,22 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
     """Add a semantic 'is-declared-at' arrow from each usage to its declaration.
 
     Points at the first declaration of the word, skips usages that are
-    already linked, adds the arrows with one ``LabeledGraph.extend``
-    call, and returns the number of arrows added. Refuses,
-    before adding any arrow, while some usage has no declaration at all,
-    listing the AW2 findings ``check_alphabet`` reports.
+    already linked (none are while the graph has no such arrow), adds
+    the arrows with one ``LabeledGraph.extend`` call, and returns the
+    number of arrows added. Refuses, before adding any arrow, while
+    some usage has no declaration at all, listing the AW2 findings
+    ``check_alphabet`` reports.
     """
     g = tree.graph
+    words = g._nodes
     first_decl: dict[str, int] = {}
     for node in points.declarations:
-        first_decl.setdefault(g.node_label(node), node)
+        first_decl.setdefault(words[node], node)
 
     undeclared = [
-        Diagnostic("AW2", (usage,), (g.node_label(usage),))
+        Diagnostic("AW2", (usage,), (words[usage],))
         for usage in sorted(points.usages)
-        if g.node_label(usage) not in first_decl
+        if words[usage] not in first_decl
     ]
     if undeclared:
         raise ValueError(
@@ -268,10 +294,10 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
             + "; ".join(str(d) for d in undeclared)
         )
 
-    srcs = [
-        usage for usage in dict.fromkeys(points.usages) if not g.ends(usage, "+", DECLARED_AT)
-    ]
-    dsts = [first_decl[g.node_label(usage)] for usage in srcs]
+    srcs = list(dict.fromkeys(points.usages))
+    if g.pairs_labeled(DECLARED_AT):
+        srcs = [usage for usage in srcs if not g.ends(usage, "+", DECLARED_AT)]
+    dsts = [first_decl[words[usage]] for usage in srcs]
     g.extend((), srcs, [DECLARED_AT] * len(srcs), dsts, SEMANTIC)
     return len(srcs)
 

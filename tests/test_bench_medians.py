@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -43,15 +45,29 @@ def test_one_seed_one_workload(tmp_path, monkeypatch):
     assert run["seed"] == 3 and run["attempted"] >= 1 and run["failed"] == 0 and run["correct"]
 
 
+def one_commit_repository(dest: pathlib.Path) -> pathlib.Path:
+    """A git repository at ``dest`` whose one commit holds this tree's library, benchmark and programs."""
+    for name in ("src", "perfbench", "programs", "scripts"):
+        shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "BENCHMARK.json", dest)
+    author = ["-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], [*author, "commit", "-q", "-m", "tree"]):
+        subprocess.run(["git", *args], cwd=dest, check=True, capture_output=True)
+    return dest
+
+
 def test_against_head_runs_each_seed_on_both_exports(tmp_path, monkeypatch):
     """``--against HEAD``: both exports run each seed, first in turn; one real run stands in for all.
 
     The real run is a short increment-run, from the export that the
     first run asked for, which is ``HEAD``'s. Each export holds the
     bytecode of every module of its library and benchmark, compiled
-    from its own sources, and none of the tests or scripts.
+    from its own sources, and none of the tests or scripts. The driver
+    runs in a repository of its own, one commit of this tree, so the
+    test needs no git checkout around it.
     """
     driver = load_driver()
+    monkeypatch.setattr(driver, "ROOT", one_commit_repository(tmp_path / "repo"))
     asked, real = [], {}
     run_once = driver.run_once
 

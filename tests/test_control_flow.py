@@ -38,13 +38,12 @@ from wordtree.semantics import (
     check_alphabet,
     check_labels,
     classify,
-    find_points,
     link_is_declared_at,
 )
 
 
 def points_of(tree: Tree) -> Points:
-    return find_points(tree, classify(tree))
+    return classify(tree)
 
 
 def build_all(text: str):
@@ -57,7 +56,7 @@ def build_all(text: str):
 
 
 def statements(tree: Tree) -> list[int]:
-    classes = classify(tree)
+    classes = classify(tree).classes
     return [n for n in tree.graph.nodes() if classes[n] == STATEMENT]
 
 
@@ -101,13 +100,13 @@ def test_stages_after_classify_list_no_nodes(monkeypatch, increment_text):
     instructions in the statements the points carry.
     """
     tree = parse_text(increment_text)
-    classes = classify(tree)
 
     def scan(*args, **kwargs):
         raise AssertionError("listed every node")
 
     monkeypatch.setattr(LabeledGraph, "nodes", scan)
-    points = find_points(tree, classes)
+    points = classify(tree)
+    classes = points.classes
     diagnostics = check_alphabet(tree, points) + check_labels(tree, points)
     link_is_declared_at(tree, points)
     stop = add_stop_node(tree)

@@ -74,7 +74,7 @@ from wordtree.graph import (
 )
 from wordtree.pipeline import CheckFailed, check_program, execute_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import STATEMENT, classify, find_points
+from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape, render_tape
 
 import reference_executor as reference
@@ -88,8 +88,7 @@ EXPECTED_RUNS = json.loads(
 
 def prepare(text: str):
     tree = parse_text(text)
-    classes = classify(tree)
-    points = find_points(tree, classes)
+    points = classify(tree)
     stop = add_stop_node(tree)
     build_back_arrows(tree, stop, points)
     build_control(tree, stop, points)
@@ -106,7 +105,7 @@ def resolved(state, path):
 
 
 def statements(tree) -> list[int]:
-    classes = classify(tree)
+    classes = classify(tree).classes
     return [n for n in tree.graph.nodes() if classes[n] == STATEMENT]
 
 
@@ -239,7 +238,7 @@ class TestInstall:
         tree = parse_text(increment_text)
         stop = add_stop_node(tree)
         with pytest.raises(ValueError, match="control"):
-            install_instructions(tree, stop, find_points(tree, classify(tree)))
+            install_instructions(tree, stop, classify(tree))
 
 
 class TestInitialize:

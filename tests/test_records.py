@@ -45,7 +45,7 @@ from wordtree.graph import (
     parse_path,
 )
 from wordtree.pipeline import CheckResult
-from wordtree.semantics import Points
+from wordtree.semantics import Chains, Points
 
 P = parse_path('"tape-alphabet"+tape')
 Q = parse_path('+""+is')
@@ -60,7 +60,19 @@ RECORDS = [
     (Settled, {"formula": P, "node": 0, "taken": 0, "rest": P.steps}),
     (
         Points,
-        {"statements": (1, 4), "declarations": (2,), "usages": (3,), "targets": (), "gotos": ()},
+        {
+            "statements": (1, 4),
+            "declarations": (2,),
+            "usages": (3,),
+            "targets": (),
+            "gotos": (),
+            "classes": None,
+            "chains": None,
+        },
+    ),
+    (
+        Chains,
+        {"successors": {1: 4}, "ends": {4: None}, "continuations": {4: None}, "defect": None},
     ),
     (UniLabelViolation, {"node": 0, "label": "x", "arrow_ids": (0, 1)}),
     (CrashReport, {"situation": "NoInstruction", "node": 3, "detail": "none"}),
@@ -131,7 +143,7 @@ def test_record_semantics(cls, fields):
     assert record == cls(*fields.values())
     twin = copy.copy(record)
     assert twin == record and twin is not record
-    if cls is not RunResult:  # its trace is a list
+    if cls not in (RunResult, Chains):  # a trace is a list, a chain table holds dicts
         assert hash(twin) == hash(record)
     for name in fields:
         assert cls(**{**fields, name: object()}) != record

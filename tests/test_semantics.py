@@ -31,11 +31,8 @@ from wordtree.semantics import (
     check_alphabet,
     check_labels,
     classify,
-    find_points,
-    label_points,
     link_is_declared_at,
     w_declaration_points,
-    w_usage_points,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,11 +43,24 @@ def words(tree: Tree, nodes) -> list[str]:
 
 
 def points_of(tree: Tree):
-    return find_points(tree, classify(tree))
+    return classify(tree)
+
+
+def classes_of(tree: Tree) -> dict[int, str]:
+    return classify(tree).classes
+
+
+def usages_of(tree: Tree) -> list[int]:
+    return list(classify(tree).usages)
+
+
+def label_points(tree: Tree) -> tuple[list[int], list[int]]:
+    points = classify(tree)
+    return list(points.targets), list(points.gotos)
 
 
 def nodes_of_kind(tree: Tree, kind: str) -> list[int]:
-    classes = classify(tree)
+    classes = classes_of(tree)
     return [n for n in tree.graph.nodes() if classes[n] == kind]
 
 
@@ -61,7 +71,7 @@ def increment(increment_text):
 
 class TestClassify:
     def test_increment_counts(self, increment):
-        counts = Counter(classify(increment).values())
+        counts = Counter(classes_of(increment).values())
         assert counts == {STATEMENT: 11, DATA: 15, LABEL: 3, OTHER: 3}
 
     def test_increment_statement_sequence(self, increment):
@@ -81,13 +91,13 @@ class TestClassify:
             "print 'go';\n"
             "if the-tape-symbol is 'if' then print 'print'."
         )
-        classes = classify(tree)
-        for node in w_declaration_points(tree) + w_usage_points(tree, classes):
+        classes = classes_of(tree)
+        for node in w_declaration_points(tree) + usages_of(tree):
             assert classes[node] == DATA
 
     def test_label_class_wins_over_data(self):
         tree = parse_text("tape-alphabet is one;\nx: go to x.")
-        classes = classify(tree)
+        classes = classes_of(tree)
         kinds = sorted(
             classes[n]
             for n in tree.graph.nodes()
@@ -96,7 +106,7 @@ class TestClassify:
         assert kinds == [DATA, LABEL]
 
     def test_every_node_is_classified(self, increment):
-        classes = classify(increment)
+        classes = classes_of(increment)
         assert set(classes) == set(increment.graph.nodes())
 
 
@@ -107,13 +117,13 @@ class TestWordPoints:
         ]
 
     def test_usage_points(self, increment):
-        assert words(increment, w_usage_points(increment, classify(increment))) == [
+        assert words(increment, usages_of(increment)) == [
             "point", "one", "zero", "one", "zero",
         ]
 
     def test_points_are_data_nodes(self, increment):
-        classes = classify(increment)
-        for node in w_declaration_points(increment) + w_usage_points(increment, classes):
+        classes = classes_of(increment)
+        for node in w_declaration_points(increment) + usages_of(increment):
             assert classes[node] == DATA
 
     def test_declaration_points_need_the_root(self):
@@ -244,10 +254,9 @@ class TestDeclarationLinks:
         assert check_uni_labeled(increment.graph) == []
 
     def test_syntactic_functions_ignore_links(self, increment):
-        classes = classify(increment)
-        before = w_usage_points(increment, classes)
+        before = usages_of(increment)
         link_is_declared_at(increment, points_of(increment))
-        assert w_usage_points(increment, classes) == before
+        assert usages_of(increment) == before
 
     def test_refuses_undeclared_words(self):
         tree = parse_text("tape-alphabet is one;\nprint 'two'.")
@@ -281,13 +290,13 @@ class TestDeclarationLinks:
 
 class TestLabelPoints:
     def test_increment_points(self, increment):
-        targets, usages = label_points(increment, classify(increment))
+        targets, usages = label_points(increment)
         assert words(increment, targets) == ["carry", "test", "realign"]
         assert words(increment, usages) == ["carry", "test", "realign"]
 
     def test_targets_are_label_class(self, increment):
-        classes = classify(increment)
-        targets, usages = label_points(increment, classes)
+        classes = classes_of(increment)
+        targets, usages = label_points(increment)
         assert all(classes[n] == LABEL for n in targets)
         assert all(classes[n] == DATA for n in usages)
 
@@ -299,7 +308,7 @@ class TestLabelPoints:
         stray = g.add_node("x")
         g.add_arrow(word, "to", stray)
         tree = Tree(g, root)
-        targets, usages = label_points(tree, classify(tree))
+        targets, usages = label_points(tree)
         assert targets == [] and usages == []
 
 
@@ -313,7 +322,7 @@ class TestCheckLabels:
         assert [f.code for f in findings] == ["L1", "LW1", "LW1"]
         first = findings[0]
         assert first.severity == "error"
-        assert first.nodes == tuple(label_points(tree, classify(tree))[0])
+        assert first.nodes == tuple(label_points(tree)[0])
         assert "'x'" in first.message
 
     def test_missing_target(self, program_path):
@@ -338,29 +347,29 @@ class TestGeneratedPrograms:
                     schema, "P", word_source=random.Random(seed), node_budget=60
                 )
             )
-            classes = classify(tree)
+            points = classify(tree)
+            classes = points.classes
             assert set(classes) == set(tree.graph.nodes())
-            for node in w_declaration_points(tree) + w_usage_points(tree, classes):
+            for node in w_declaration_points(tree) + list(points.usages):
                 assert classes[node] == DATA
-            targets, _ = label_points(tree, classes)
+            targets = points.targets
             assert all(classes[n] == LABEL for n in targets)
-            points = find_points(tree, classes)
             for finding in check_alphabet(tree, points) + check_labels(tree, points):
                 assert finding.severity in ("warning", "error")
 
 
-def test_one_check_finds_each_point_once(monkeypatch, increment_text):
-    """``check_program`` hands one set of points to every stage that reads them."""
+def test_one_check_walks_the_tree_once(monkeypatch, increment_text):
+    """``check_program`` walks the tree once and resolves one path, the declarations' head."""
     calls = Counter()
-    for name in ("w_declaration_points", "w_usage_points", "label_points"):
-        original = getattr(semantics, name)
+    for module, name in ((semantics, "classify"), (semantics, "w_declaration_points"), (graph, "resolve")):
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        for module in (semantics, control_flow, pipeline):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        for holder in (graph, semantics, control_flow, pipeline):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted)
     check_program(increment_text)
-    assert calls == {"w_declaration_points": 1, "w_usage_points": 1, "label_points": 1}
+    assert calls == {"classify": 1, "w_declaration_points": 1, "resolve": 1}
