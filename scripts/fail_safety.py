@@ -94,7 +94,7 @@ def repair(tree, rng):
             forward = [w for w, stmt in rises.items() if stmt > owner]
             g.set_node_label(usage, rng.choice(sorted(forward) or sorted(rises)))
         else:
-            hosts = [n for n, c in points.classes.items() if c == STATEMENT and n != owner] or [owner]
+            hosts = [n for n, c in enumerate(points.classes) if c == STATEMENT and n != owner] or [owner]
             host = rng.choice(hosts)
             word = fresh_word(rng, set(rises) | seen)
             label = g.add_node(word)

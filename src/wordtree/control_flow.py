@@ -109,7 +109,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     target_statement = {}
     for target in points.targets:
         risen = g.chain(target, "-", ":")[-1]
-        if classes.get(risen) is not STATEMENT:
+        if classes[risen] is not STATEMENT:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"
             )

@@ -35,22 +35,21 @@ in-arrow ids in place for a "-" one; ``resolve`` walks through it and
 takes the steps again through ``follow`` only to say which one failed.
 Kinds serve the column readers and export.
 
-Each proposition and action class resolves its own ``operands``, which
-are its normal-execution conditions, and has one bound form, its
-``bind_holds`` or ``bind_apply``: a function (g, current) built once
-from the item's fields, with each path turned into a ``reader``. A
+An item's ``operands``, its normal-execution conditions, are its path
+fields, each read through its ``reader``, unless the item says
+otherwise; its one bound form, ``bind_holds`` or ``bind_apply``, is a
+function (g, current) built once from the same fields and readers. A
 reader of a ``Settled`` path reads a single remaining "+" step from
 the index in place, walks longer rests through ``_walk``, and defers
 to ``locate`` where a step has no arrow or several, so every failure
 reads as it would through ``resolve``. ``holds`` and ``apply`` call
-the bound form, as ``eval_proposition`` and ``apply_action`` do; the
-executor folds each instruction's bound forms into one function, once,
-and calls that. They resolve every operand before the first write, so
-a violation leaves the graph as it was; ``normal_violation`` predicts
-it without acting. ``settle`` resolves the program side of a path
-formula once, into a ``Settled`` record, and ``FollowArrowTo`` is a
-follow bound to its target: the executor builds both at install, for
-the parts of a step a run never changes.
+the bound form, and the executor folds each instruction's bound forms
+into one function, once. A bound form resolves every operand before
+its first write, so a violation leaves the graph as it was;
+``normal_violation`` predicts it without acting. ``settle`` resolves the program side of a
+path formula once, into a ``Settled`` record, and ``FollowArrowTo`` is
+a follow bound to its target: the executor builds both at install,
+for the parts of a step a run never changes.
 """
 
 from __future__ import annotations
@@ -849,15 +848,16 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
 class _Item:
     """What every proposition and action of the algebra has.
 
-    ``operands`` resolves what the item works on, paths first in field
-    order and then arrow counts, or raises NormalConditionViolated
-    saying why it cannot. These are all the normal-execution conditions
-    of the algebra. A proposition's meaning is its ``bind_holds``, an
-    action's its ``bind_apply``: built once from the item's fields, with
-    each path turned into its ``reader``, it is a function (g, current)
-    that finds the same operands and then evaluates or applies the
-    item. So once the operands resolve, evaluating or applying the item
-    cannot violate a condition. It writes only after they resolve, so a
+    ``operands`` resolves what the item works on, or raises
+    NormalConditionViolated saying why it cannot. These are its
+    normal-execution conditions: its path fields (annotated
+    ``PathFormula``, found once per class) in field order, each read
+    through its ``reader``, unless the item says otherwise. A
+    proposition's meaning is its ``bind_holds``, an action's its
+    ``bind_apply``: a function (g, current) built once from the same
+    fields and readers, which finds the same operands and then
+    evaluates or applies the item. So once they resolve, it cannot
+    violate a condition, and it writes only after they resolve, so a
     violation leaves the graph untouched. ``holds`` and ``apply`` bind
     and call it; an item asked for the form it does not have resolves
     its operands and raises TypeError. An action whose ``ends_step`` is
@@ -874,10 +874,14 @@ class _Item:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _paths: tuple[str, ...] = ()
     ends_step = False
 
     def __init_subclass__(cls) -> None:
-        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        own = cls.__dict__.get("__slots__", ())
+        kinds = cls.__dict__.get("__annotations__", {})
+        cls._fields = cls._fields + own
+        cls._paths = cls._paths + tuple(name for name in own if kinds.get(name) == "PathFormula")
         cls.__match_args__ = cls._fields
 
     def __init__(self, *values, **named) -> None:
@@ -913,7 +917,7 @@ class _Item:
         return type(self), self._values()
 
     def operands(self, g: "LabeledGraph", current: Optional[int]) -> tuple:
-        return ()
+        return tuple(reader(getattr(self, name))(g, current) for name in self._paths)
 
     def bind_holds(self) -> Callable[[LabeledGraph, Optional[int]], bool]:
         return self._refusal("a proposition")
@@ -968,9 +972,6 @@ class LabelsEqual(_Item):
     def phrase(self) -> str:
         return f"the {self.p1} node label equals the {self.p2} node label"
 
-    def operands(self, g, current):
-        return reader(self.p1)(g, current), reader(self.p2)(g, current)
-
     def bind_holds(self):
         first, second = reader(self.p1), reader(self.p2)
 
@@ -989,9 +990,6 @@ class NoArrowTo(_Item):
     def phrase(self) -> str:
         return f"no {display_word(self.word)} arrow exists to the {self.path} node"
 
-    def operands(self, g, current):
-        return (reader(self.path)(g, current),)
-
     def bind_holds(self):
         read, word = reader(self.path), self.word
         return lambda g, current: _no_arrow(g, read(g, current), "-", word)
@@ -1004,9 +1002,6 @@ class NoArrowFrom(_Item):
 
     def phrase(self) -> str:
         return f"no {display_word(self.word)} arrow exists from the {self.path} node"
-
-    def operands(self, g, current):
-        return (reader(self.path)(g, current),)
 
     def bind_holds(self):
         read, word = reader(self.path), self.word
@@ -1032,6 +1027,9 @@ class PathPassable(_Item):
     def phrase(self) -> str:
         return f"the {self.path} path is passable"
 
+    def operands(self, g, current):
+        return ()  # total: passability is what it tests
+
     def bind_holds(self):
         read = reader(self.path)
 
@@ -1056,9 +1054,6 @@ class RelabelNode(_Item):
     def phrase(self) -> str:
         return f"label the {self.target} node by the {self.source} node label"
 
-    def operands(self, g, current):
-        return reader(self.target)(g, current), reader(self.source)(g, current)
-
     def bind_apply(self):
         target, source = reader(self.target), reader(self.source)
 
@@ -1079,7 +1074,7 @@ class ReassignArrow(_Item):
         return f"reassign the {display_word(self.word)} arrow to the {self.target} node"
 
     def operands(self, g, current):
-        return reader(self.target)(g, current), _unique_arrow(g, self.word)
+        return super().operands(g, current) + (_unique_arrow(g, self.word),)
 
     def bind_apply(self):
         target, word = reader(self.target), self.word
@@ -1099,9 +1094,6 @@ class CreateNodeWithArrowToTarget(_Item):
     def phrase(self) -> str:
         return f"create a node and an arrow from it to the {self.target} node"
 
-    def operands(self, g, current):
-        return (reader(self.target)(g, current),)
-
     def bind_apply(self):
         target = reader(self.target)
 
@@ -1119,9 +1111,6 @@ class CreateNodeWithArrowFromSource(_Item):
 
     def phrase(self) -> str:
         return f"create a node and an arrow from the {self.source} node to it"
-
-    def operands(self, g, current):
-        return (reader(self.source)(g, current),)
 
     def bind_apply(self):
         source = reader(self.source)
@@ -1145,6 +1134,10 @@ class FollowArrow(_Item):
     def operands(self, g, current):
         if current is None:
             raise ValueError("follow requires a current node")
+        if 0 <= current < len(g._nodes):
+            node = _walk(g, current, (("+", self.word),))
+            if node is not None:
+                return (node,)
         try:
             node = g.follow(current, "+", self.word)
         except SeveralArrows:
@@ -1158,18 +1151,8 @@ class FollowArrow(_Item):
         return (node,)
 
     def bind_apply(self):
-        # The one-step walk of a "+" path; operands finds the same node,
-        # or refuses, the long way round.
-        steps, operands = (("+", self.word),), self.operands
-
-        def apply(g, current):
-            if current is not None and 0 <= current < len(g._nodes):
-                node = _walk(g, current, steps)
-                if node is not None:
-                    return node
-            return operands(g, current)[0]
-
-        return apply
+        operands = self.operands
+        return lambda g, current: operands(g, current)[0]
 
 
 class FollowArrowTo(FollowArrow):
@@ -1217,7 +1200,7 @@ Action = Union[
 def _refuse_foreign(item) -> None:
     """Raise TypeError unless ``item`` belongs to the algebra."""
     if not isinstance(item, _Item):
-        raise TypeError(f"not a proposition or action: {item!r}") from None
+        raise TypeError(f"not a proposition or action: {item!r}")
 
 
 def eval_proposition(g: LabeledGraph, prop: Proposition, current: Optional[int] = None) -> bool:
@@ -1227,11 +1210,8 @@ def eval_proposition(g: LabeledGraph, prop: Proposition, current: Optional[int] 
     returning False, when a referenced path is impassable. PathPassable
     and UniqueArrowExists are total and never crash.
     """
-    try:
-        return prop.holds(g, current)
-    except AttributeError:
-        _refuse_foreign(prop)
-        raise
+    _refuse_foreign(prop)
+    return prop.holds(g, current)
 
 
 def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None) -> Optional[int]:
@@ -1243,11 +1223,8 @@ def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None)
     NormalConditionViolated outside the action's normal-execution
     condition.
     """
-    try:
-        return action.apply(g, current)
-    except AttributeError:
-        _refuse_foreign(action)
-        raise
+    _refuse_foreign(action)
+    return action.apply(g, current)
 
 
 def normal_violation(
@@ -1261,13 +1238,11 @@ def normal_violation(
     without acting; the executor needs no such check, since the item
     resolves them itself before its first write.
     """
+    _refuse_foreign(item)
     try:
         item.operands(g, current)
     except NormalConditionViolated as violation:
         return violation.detail
-    except AttributeError:
-        _refuse_foreign(item)
-        raise
     return None
 
 

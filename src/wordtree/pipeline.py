@@ -64,7 +64,7 @@ class CheckResult:
     def __init__(
         self,
         tree: Tree,
-        classes: dict[int, str],
+        classes: tuple[str, ...],
         points: Points,
         diagnostics: list[Diagnostic],
         stop: Optional[int] = None,

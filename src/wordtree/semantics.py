@@ -111,8 +111,8 @@ class Points(NamedTuple):
     The statements in id order; the ',' chain of declarations; the word
     each print writes or if compares, in statement order; the label
     targets (':' ends) and goto words ('to' ends) of statements and
-    labels, in arrow order. ``classes`` maps every node to its class;
-    ``check_program`` drops the ``chains`` once control flow is built.
+    labels, in arrow order. ``classes`` holds every node's class by node
+    id; ``check_program`` drops the ``chains`` once control flow is built.
     """
 
     statements: tuple[int, ...]
@@ -120,7 +120,7 @@ class Points(NamedTuple):
     usages: tuple[int, ...]
     targets: tuple[int, ...]
     gotos: tuple[int, ...]
-    classes: Optional[dict[int, str]] = None
+    classes: Optional[tuple[str, ...]] = None
     chains: Optional[Chains] = None
 
 
@@ -211,7 +211,7 @@ def classify(tree: Tree) -> Points:
         for pairs in (colons, g.pairs_labeled("to"))
     )
     chains = Chains(successors, ends, continuations, defect)
-    classes = dict(enumerate(classes))
+    classes = tuple(classes)
     return Points(tuple(statements), tuple(declarations), usages, targets, gotos, classes, chains)
 
 

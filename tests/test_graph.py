@@ -1121,6 +1121,7 @@ def test_normal_violation_predicts_execution(graph_and_current, item):
     st.one_of(items, st.sampled_from([None, 42, "x", parse_path("a")])),
     st.sampled_from(["node", "none", "foreign"]),
 )
+@example(looped_node(), ReassignArrow("y", PathFormula(None)), "node")
 @settings(deadline=None)
 def test_algebra_agrees_with_the_reference_dispatch(graph_and_node, item, where):
     """Each entry point gives what the type-table-and-match dispatch gave.
@@ -1128,16 +1129,27 @@ def test_algebra_agrees_with_the_reference_dispatch(graph_and_node, item, where)
     Compared: the return value, or the exception's type and text, and
     the graph the call leaves behind, for every item type, for values
     that are no item, and with the current node in the graph, absent,
-    or foreign to it.
+    or foreign to it. ``operands`` is compared with the reference's
+    type table; a value that is no item is refused before it is asked.
     """
     g, node = graph_and_node
     current = {"node": node, "none": None, "foreign": g.node_count + 7}[where]
-    for name in ("eval_proposition", "apply_action", "normal_violation"):
+
+    def operands(graph, item, current):
+        G._refuse_foreign(item)
+        return item.operands(graph, current)
+
+    for name, kernel, reference in (
+        ("eval_proposition", G.eval_proposition, reference_algebra.eval_proposition),
+        ("apply_action", G.apply_action, reference_algebra.apply_action),
+        ("normal_violation", G.normal_violation, reference_algebra.normal_violation),
+        ("operands", operands, reference_algebra._operands),
+    ):
         results = []
-        for module in (G, reference_algebra):
+        for call in (kernel, reference):
             graph = copy.deepcopy(g)
             try:
-                value = getattr(module, name)(graph, item, current)
+                value = call(graph, item, current)
             except Exception as exc:  # the type and text are what is compared
                 value = (type(exc), str(exc))
             results.append((value, export(graph, "json")))
@@ -1733,6 +1745,18 @@ def _hand_walks(path: Path) -> list[str]:
         if fed_back:
             found.append(f"{path.name}:{loop.lineno}")
     return sorted(found)
+
+
+def test_operands_are_the_path_fields_unless_an_item_says_otherwise():
+    """Only the items whose operands are not their path fields state their own."""
+    items = [
+        value
+        for value in vars(G).values()
+        if isinstance(value, type) and issubclass(value, G._Item) and value is not G._Item
+    ]
+    assert len(items) == 12
+    own = sorted(item.__name__ for item in items if "operands" in item.__dict__)
+    assert own == ["FollowArrow", "FollowArrowTo", "PathPassable", "ReassignArrow"]
 
 
 def test_arrows_are_followed_by_label_only_in_the_kernel():

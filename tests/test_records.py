@@ -110,7 +110,7 @@ MUTABLE = [
         CheckResult,
         {
             "tree": TREE,
-            "classes": {},
+            "classes": (),
             "points": Points((), (), (), (), ()),
             "diagnostics": [],
             "stop": None,

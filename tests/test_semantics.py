@@ -46,7 +46,7 @@ def points_of(tree: Tree):
     return classify(tree)
 
 
-def classes_of(tree: Tree) -> dict[int, str]:
+def classes_of(tree: Tree) -> tuple[str, ...]:
     return classify(tree).classes
 
 
@@ -71,7 +71,7 @@ def increment(increment_text):
 
 class TestClassify:
     def test_increment_counts(self, increment):
-        counts = Counter(classes_of(increment).values())
+        counts = Counter(classes_of(increment))
         assert counts == {STATEMENT: 11, DATA: 15, LABEL: 3, OTHER: 3}
 
     def test_increment_statement_sequence(self, increment):
@@ -107,7 +107,7 @@ class TestClassify:
 
     def test_every_node_is_classified(self, increment):
         classes = classes_of(increment)
-        assert set(classes) == set(increment.graph.nodes())
+        assert len(classes) == increment.graph.node_count
 
 
 class TestWordPoints:
@@ -349,7 +349,7 @@ class TestGeneratedPrograms:
             )
             points = classify(tree)
             classes = points.classes
-            assert set(classes) == set(tree.graph.nodes())
+            assert len(classes) == tree.graph.node_count
             for node in w_declaration_points(tree) + list(points.usages):
                 assert classes[node] == DATA
             targets = points.targets

@@ -60,7 +60,7 @@ def stages(tree: Tree, walk: bool) -> list:
     try:
         if walk:
             points = classify(tree)
-            found, statements = (points.classes, points[:5]), points
+            found, statements = (dict(enumerate(points.classes)), points[:5]), points
         else:
             classes = reference.classify(tree)
             found = (classes, reference.find_points(tree, classes))
