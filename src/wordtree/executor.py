@@ -4,12 +4,12 @@ Instructions are data, not host code: each is a sequence of directions
 over the path-formula proposition and action algebra, stored in a map
 keyed by node id. Execution walks the flow graph from the root node and
 performs the instruction found at every node reached. Crashes are
-states, not exceptions: reaching a node without an instruction, running
-an instruction out of directions without following an arrow, and
-violating an action's normal-execution condition all mark the state
-crashed with a structured report. Every run is cautious: an item of the
-algebra resolves all its operands before its first graph write, so a
-violation crashes before the direction touches the graph.
+states, not exceptions: a node without an instruction, an instruction
+out of directions and a violated normal-execution condition each raise
+in the step, and the loop marks the state crashed, named by the class.
+Every run is cautious: an item of the algebra resolves all its operands
+before its first graph write, so a violation crashes before the
+direction touches the graph.
 
 Each flow node holds an instruction of its own, built by
 ``install_instructions`` with the node's program side settled once: its
@@ -37,7 +37,7 @@ when a traced step reaches the node. The kept program of
 a run never reaches is never bound. ``run`` and ``step`` share one
 loop, which keeps the node and the step count in locals and writes
 them to the state whenever a caller can see it. An untraced step reads
-the current node's label only to report a crash.
+the current node's label only to report that it holds no instruction.
 
 A run keeps no trace and renders no tape. A caller that wants a trace
 passes ``on_step`` and receives each entry as it is produced; a traced
@@ -160,9 +160,23 @@ class Instruction(_Directions):
 class DirectionsExhausted(Exception):
     """A folded instruction ran all its directions without ending the step."""
 
+    detail = "the instruction ran out of directions without following an arrow"
+
+
+class NoInstruction(Exception):
+    """A step reached a node that holds no instruction."""
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.detail = detail
+
 
 def _exhausted(g, node):
     raise DirectionsExhausted
+
+
+def _no_instruction(g, node):
+    raise NoInstruction(f"the {display_word(g.node_label(node))} node holds no instruction")
 
 
 def _fold(directions: Sequence[Direction], traced: bool) -> Callable:
@@ -463,23 +477,6 @@ def initialize(
     return ExecState(tree, dict(instructions), tree.root)
 
 
-def _crash(
-    state: ExecState,
-    steps: int,
-    node: int,
-    label: Optional[str],
-    situation: str,
-    detail: str,
-    on_step: OnStep,
-) -> None:
-    """Mark ``state`` crashed at ``node`` in step ``steps``, then report the crash entry."""
-    state.steps, state.current = steps, node
-    state.status = CRASHED
-    state.situation = CrashReport(situation, node, detail)
-    if on_step is not None:
-        on_step(TraceEntry(steps, node, label, f"crash {situation}: {detail}"))
-
-
 def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
     """Step a running ``state`` until it stops, crashes or has taken ``max_steps`` steps.
 
@@ -489,7 +486,9 @@ def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
     of ``on_step`` and when the loop ends, however it ends. The loop
     reads a node's instruction from the map the first time it reaches
     the node and keeps the instruction's fold in a local map, so a step
-    at a node already reached makes one lookup and one call.
+    at a node already reached makes one lookup and one call. A node with
+    no instruction gets a fold that raises NoInstruction, so one
+    ``except`` reports every crash, its situation the exception's class.
     """
     g = state.tree.graph
     instructions = state.instructions
@@ -498,43 +497,28 @@ def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:
     folds = {}  # by node: the fold of its instruction this loop runs, untraced or traced
     try:
         while steps < max_steps:
-            # read only for a trace entry or a crash report
-            label = None if on_step is None else g.node_label(node)
+            label = None if on_step is None else g.node_label(node)  # for a trace entry
             steps += 1
             fold = folds.get(node)
             if fold is None:
                 instruction = instructions.get(node)
                 if instruction is None:
-                    _crash(
-                        state,
-                        steps,
-                        node,
-                        label,
-                        NO_INSTRUCTION,
-                        f"the {display_word(g.node_label(node))} node holds no instruction",
-                        on_step,
-                    )
-                    return
-                fold = folds[node] = instruction.bound if on_step is None else instruction.traced
+                    fold = _no_instruction
+                else:
+                    fold = instruction.bound if on_step is None else instruction.traced
+                folds[node] = fold
             try:
                 if on_step is None:
                     destination = fold(g, node)
                 else:
                     destination, direction = fold(g, node)
-            except NormalConditionViolated as failure:
-                detail = failure.detail
-                _crash(state, steps, node, label, NORMAL_CONDITION_VIOLATED, detail, on_step)
-                return
-            except DirectionsExhausted:
-                _crash(
-                    state,
-                    steps,
-                    node,
-                    label,
-                    DIRECTIONS_EXHAUSTED,
-                    "the instruction ran out of directions without following an arrow",
-                    on_step,
-                )
+            except (NoInstruction, DirectionsExhausted, NormalConditionViolated) as crash:
+                situation, detail = type(crash).__name__, crash.detail
+                state.status = CRASHED
+                state.situation = CrashReport(situation, node, detail)
+                if on_step is not None:
+                    state.steps, state.current = steps, node
+                    on_step(TraceEntry(steps, node, label, f"crash {situation}: {detail}"))
                 return
             if destination is None:
                 state.status = STOPPED
@@ -585,12 +569,7 @@ def run(state: ExecState, max_steps: int = 10_000, on_step: OnStep = None) -> Ru
     """
     if state.status == RUNNING:
         _advance(state, max_steps, on_step)
-    if state.status == STOPPED:
-        outcome = STOPPED
-    elif state.status == CRASHED:
-        outcome = CRASHED
-    else:
-        outcome = BUDGET_EXHAUSTED
+    outcome = state.status if state.status in (STOPPED, CRASHED) else BUDGET_EXHAUSTED
     return RunResult(outcome, state.steps, [], state)
 
 

@@ -28,25 +28,25 @@ reads the columns through ``ends_labeled``, ``pairs_labeled``,
 ``ends_of_kind`` and the navigation calls.
 
 Navigation goes by label alone: ``LabeledGraph.follow`` is the one step
-along a labeled arrow, whatever its kind, and a "+" step reads the
-(origin, label) index once. ``_walk`` takes a path's steps where each
-has one arrow, reading that index for a "+" step and the node's
-in-arrow ids in place for a "-" one; ``resolve`` walks through it and
-takes the steps again through ``follow`` only to say which one failed.
-Kinds serve the column readers and export.
+along a labeled arrow, whatever its kind. ``_walk`` takes a path's steps
+where each has one arrow, reading the (origin, label) index for a "+"
+step and the node's in-arrow ids in place for a "-" one; ``resolve``,
+``settle``, the readers and ``FollowArrow`` step through it, and where
+it fails, ``_failed_step`` takes the steps again through ``follow`` to
+name the failing one. Kinds serve the column readers and export.
 
 An item's ``operands``, its normal-execution conditions, are its path
 fields, each read through its ``reader``, unless the item says
 otherwise; its one bound form, ``bind_holds`` or ``bind_apply``, is a
-function (g, current) built once from the same fields and readers. A
-reader of a ``Settled`` path reads a single remaining "+" step from
-the index in place, walks longer rests through ``_walk``, and defers
-to ``locate`` where a step has no arrow or several, so every failure
-reads as it would through ``resolve``. ``holds`` and ``apply`` call
-the bound form, and the executor folds each instruction's bound forms
-into one function, once. A bound form resolves every operand before
-its first write, so a violation leaves the graph as it was;
-``normal_violation`` predicts it without acting. ``settle`` resolves the program side of a
+function (g, current) built once from the same fields and readers,
+which ``eval_proposition`` and ``apply_action`` call and the executor
+folds into one function per instruction. A reader of a ``Settled``
+path reads a single remaining "+" step from the index in place, walks
+longer rests through ``_walk``, and defers to ``locate`` where a step
+has no arrow or several, so every failure reads as it would through
+``resolve``. A bound form resolves every operand before its first
+write, so a violation leaves the graph as it was; ``normal_violation``
+predicts it without acting. ``settle`` resolves the program side of a
 path formula once, into a ``Settled`` record, and ``FollowArrowTo`` is
 a follow bound to its target: the executor builds both at install,
 for the parts of a step a run never changes.
@@ -177,10 +177,10 @@ class LabeledGraph:
     allowed at this level; uni-labeledness is a separate check so that
     violating graphs can be constructed and reported.
 
-    Navigation (``follow``, ``ends``, ``chain``, ``resolve``) goes by label
-    alone, so a label a node repeats always means several arrows, and
-    ``check_uni_labeled`` counts every arrow too. Kinds serve the listing
-    calls, ``ends_of_kind`` and export.
+    Navigation (``follow``, ``ends``, ``chain``, and ``_walk`` for paths)
+    goes by label alone, so a label a node repeats always means several
+    arrows, and ``check_uni_labeled`` counts every arrow too. Kinds serve
+    the listing calls, ``ends_of_kind`` and export.
 
     Out-arrows are indexed by (origin, label): each node keeps a dict
     from label to the id of its first out-arrow with that label, and
@@ -391,9 +391,9 @@ class LabeledGraph:
         Arrows of every kind count; ends come in the order ``out_arrows``
         or ``in_arrows`` lists the arrows. This, ``follow``, ``_walk``
         and the one-step ``reader`` are the places an arrow is followed
-        by its label; ``chain`` and the steps ``resolve`` takes again to
-        name a failure build on ``follow``. "+" reads the (node, label)
-        index: the first arrow, then any the node repeats the label on.
+        by its label; ``chain`` and ``_failed_step`` build on ``follow``.
+        "+" reads the (node, label) index: the first arrow, then any the
+        node repeats the label on.
         "-" scans the node's in-arrow ids in place, and tape cells have
         at most two of them.
         """
@@ -646,10 +646,9 @@ class Settled(NamedTuple):
 
     The first ``taken`` steps of ``formula`` lead to ``node`` (its start
     node when ``taken`` is 0); ``rest`` holds the steps after them,
-    which ``resolve``, ``locate`` and its ``reader`` take from ``node``
-    on every call.
-    Its text is the formula's, so a phrase or a report that shows it
-    reads as the formula's does.
+    which ``resolve`` and its ``reader`` take from ``node`` through
+    ``_walk`` on every call. Its text is the formula's, so a phrase or
+    a report that shows it reads as the formula's does.
     """
 
     formula: PathFormula
@@ -667,11 +666,11 @@ def settle(
     """Resolve the program side of ``formula`` once: its start and its steps among own nodes.
 
     Walks from the start (the own node an absolute start names, else
-    ``current``) while each step follows the one arrow its word names to
+    ``current``) a step at a time through ``_walk``, while each reaches
     an own node, and returns the ``Settled`` record of where it stopped.
     It stops before a step that reaches a mounted node, so "+tape" is
-    never settled, and before a step with no arrow or several, which
-    each call then takes again. It returns ``formula`` itself when
+    never settled, and before one ``_walk`` cannot take, which each call
+    then takes again. It returns ``formula`` itself when
     nothing settles: an absolute start that names no own node or
     several, or a relative one not at an own node or taking no step. A
     settled relative formula resolves from ``current`` wherever it is
@@ -693,11 +692,8 @@ def settle(
             return formula
         (node,) = candidates
     taken = 0
-    for sign, word in formula.steps:
-        try:
-            reached = g.follow(node, sign, word)
-        except SeveralArrows:
-            break
+    for step in formula.steps:
+        reached = _walk(g, node, (step,))
         if reached is None or reached >= own_end:
             break
         node = reached
@@ -710,13 +706,13 @@ def settle(
 def _walk(g: LabeledGraph, node: int, steps) -> Optional[int]:
     """Where ``steps`` lead from ``node`` when each has one arrow; None when one has not.
 
-    The regular case of every walk along a path: ``resolve`` and each
-    ``reader`` whose rest is not a single "+" step take their steps
-    here. A "+" step reads the (origin, label) index: the first arrow,
-    and the overflow map for a repeat. A "-" step scans the node's
-    in-arrow ids in place, and tape cells have at most two. A step with no arrow, several arrows or no sign gives
-    None, and the caller takes the steps again to say which failed.
-    ``node`` must be a node of ``g``.
+    Every path read steps here: ``resolve``, ``settle``, ``FollowArrow``
+    and each ``reader`` whose rest is not a single "+" step. A "+" step
+    reads the (origin, label) index: the first arrow, and the overflow
+    map for a repeat. A "-" step scans the node's in-arrow ids in place,
+    and tape cells have at most two. A step with no arrow, several arrows
+    or no sign gives None, and ``_failed_step`` names it. ``node`` must
+    be a node of ``g``.
     """
     outs, dsts, more = g._out, g._dst, g._out_more
     for sign, word in steps:
@@ -741,6 +737,21 @@ def _walk(g: LabeledGraph, node: int, steps) -> Optional[int]:
     return node
 
 
+def _failed_step(g: LabeledGraph, node: int, steps) -> tuple[int, str]:
+    """Where and why ``_walk`` failed: the step's index, and "none" or "multiple" arrows.
+
+    The one path-layer call of ``follow``, which refuses an id that is no node.
+    """
+    for index, (sign, word) in enumerate(steps):
+        try:
+            node = g.follow(node, sign, word)
+        except SeveralArrows:
+            return index, "multiple"
+        if node is None:
+            return index, "none"
+    raise AssertionError("_walk failed where every step has one arrow")
+
+
 def resolve(
     g: LabeledGraph, formula: Union[PathFormula, Settled], current: Optional[int] = None
 ) -> int:
@@ -756,9 +767,8 @@ def resolve(
     step's index in it; one with no step left is its node.
 
     The steps go through ``_walk``. When it finds no single arrow for a
-    step, or the start is an id that is no node, they are taken again
-    through ``follow``, which names the step that failed or refuses the
-    id.
+    step, or the start is an id that is no node, ``_failed_step`` names
+    the step that failed or refuses the id.
     """
     if type(formula) is Settled:
         node, index, steps = formula.node, formula.taken, formula.rest
@@ -782,15 +792,8 @@ def resolve(
         reached = _walk(g, node, steps)
         if reached is not None:
             return reached
-    for sign, word in steps:
-        try:
-            node = g.follow(node, sign, word)
-        except SeveralArrows:
-            raise Inapplicable(formula, index, "multiple") from None
-        if node is None:
-            raise Inapplicable(formula, index, "none")
-        index += 1
-    return node
+    failed, reason = _failed_step(g, node, steps)
+    raise Inapplicable(formula, index + failed, reason)
 
 
 def locate(
@@ -858,10 +861,10 @@ class _Item:
     fields and readers, which finds the same operands and then
     evaluates or applies the item. So once they resolve, it cannot
     violate a condition, and it writes only after they resolve, so a
-    violation leaves the graph untouched. ``holds`` and ``apply`` bind
-    and call it; an item asked for the form it does not have resolves
-    its operands and raises TypeError. An action whose ``ends_step`` is
-    true ends an executor step when it is performed.
+    violation leaves the graph untouched. ``eval_proposition`` and
+    ``apply_action`` call it; an item asked for the form it does not
+    have resolves its operands and raises TypeError. An action whose
+    ``ends_step`` is true ends an executor step when it is performed.
 
     An item is an immutable value. Each class names the fields it adds
     in ``__slots__``, and its ``_fields`` are its base's followed by
@@ -933,12 +936,6 @@ class _Item:
             raise TypeError(f"not {kind}: {self!r}")
 
         return refuse
-
-    def holds(self, g: "LabeledGraph", current: Optional[int]) -> bool:
-        return self.bind_holds()(g, current)
-
-    def apply(self, g: "LabeledGraph", current: Optional[int]) -> Optional[int]:
-        return self.bind_apply()(g, current)
 
 
 def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
@@ -1124,6 +1121,11 @@ class CreateNodeWithArrowFromSource(_Item):
 
 
 class FollowArrow(_Item):
+    """Follow the current node's one ``word`` arrow: a "+" step through ``_walk``.
+
+    A refusal says "no" or "several" as ``_failed_step`` found.
+    """
+
     __slots__ = ("word",)
     word: str
     ends_step = True
@@ -1134,21 +1136,15 @@ class FollowArrow(_Item):
     def operands(self, g, current):
         if current is None:
             raise ValueError("follow requires a current node")
+        steps = (("+", self.word),)
         if 0 <= current < len(g._nodes):
-            node = _walk(g, current, (("+", self.word),))
+            node = _walk(g, current, steps)
             if node is not None:
                 return (node,)
-        try:
-            node = g.follow(current, "+", self.word)
-        except SeveralArrows:
-            raise NormalConditionViolated(
-                f"there exist several {display_word(self.word)} arrows from the current node"
-            ) from None
-        if node is None:
-            raise NormalConditionViolated(
-                f"there exists no {display_word(self.word)} arrow from the current node"
-            )
-        return (node,)
+        _, reason = _failed_step(g, current, steps)
+        word = display_word(self.word)
+        there = f"exists no {word} arrow" if reason == "none" else f"exist several {word} arrows"
+        raise NormalConditionViolated(f"there {there} from the current node")
 
     def bind_apply(self):
         operands = self.operands
@@ -1211,7 +1207,7 @@ def eval_proposition(g: LabeledGraph, prop: Proposition, current: Optional[int] 
     and UniqueArrowExists are total and never crash.
     """
     _refuse_foreign(prop)
-    return prop.holds(g, current)
+    return prop.bind_holds()(g, current)
 
 
 def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None) -> Optional[int]:
@@ -1224,7 +1220,7 @@ def apply_action(g: LabeledGraph, action: Action, current: Optional[int] = None)
     condition.
     """
     _refuse_foreign(action)
-    return action.apply(g, current)
+    return action.bind_apply()(g, current)
 
 
 def normal_violation(

@@ -51,20 +51,20 @@ class CheckFailed(ValueError):
 class CheckResult:
     """Everything one pass over a program text produced.
 
-    ``points`` holds what ``classify`` found, less its chain table,
-    which the later stages and ``make_executable`` read. ``stop`` and
-    ``flow_counts`` are filled only when the label checks found no
-    errors, since control flow cannot be built over ambiguous or
-    dangling go to statements. ``linked`` counts declaration links,
-    added only when every used tape word is declared somewhere.
+    ``points`` holds what ``classify`` found, less its chain table: the
+    node classes (``points.classes``) and what the later stages and
+    ``make_executable`` read. ``stop`` and ``flow_counts`` are filled
+    only when the label checks found no errors, since control flow
+    cannot be built over ambiguous or dangling go to statements.
+    ``linked`` counts declaration links, added only when every used
+    tape word is declared somewhere.
     """
 
-    __slots__ = ("tree", "classes", "points", "diagnostics", "stop", "linked", "flow_counts")
+    __slots__ = ("tree", "points", "diagnostics", "stop", "linked", "flow_counts")
 
     def __init__(
         self,
         tree: Tree,
-        classes: tuple[str, ...],
         points: Points,
         diagnostics: list[Diagnostic],
         stop: Optional[int] = None,
@@ -72,7 +72,6 @@ class CheckResult:
         flow_counts: Optional[dict[str, int]] = None,
     ) -> None:
         self.tree = tree
-        self.classes = classes
         self.points = points
         self.diagnostics = diagnostics
         self.stop = stop
@@ -119,7 +118,7 @@ def check_program(text: str) -> CheckResult:
     points = classify(tree)
     diagnostics = check_alphabet(tree, points)
     diagnostics += check_labels(tree, points)
-    result = CheckResult(tree, points.classes, points._replace(chains=None), diagnostics)
+    result = CheckResult(tree, points._replace(chains=None), diagnostics)
     if not any(d.code == "AW2" for d in diagnostics):
         result.linked = link_is_declared_at(tree, points)
     if not any(d.severity == "error" for d in diagnostics):

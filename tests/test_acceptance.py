@@ -142,7 +142,7 @@ def test_criterion_05_control_flow_contract(increment_text):
     assert result.ok
     g = result.tree.graph
 
-    statements = [n for n, c in enumerate(result.classes) if c == STATEMENT]
+    statements = [n for n, c in enumerate(result.points.classes) if c == STATEMENT]
     assert flow_out(g, result.tree.root) == {NEXT: 1}
     for node in statements:
         if g.node_label(node) == "if":

@@ -106,14 +106,13 @@ def test_stages_after_classify_list_no_nodes(monkeypatch, increment_text):
 
     monkeypatch.setattr(LabeledGraph, "nodes", scan)
     points = classify(tree)
-    classes = points.classes
     diagnostics = check_alphabet(tree, points) + check_labels(tree, points)
     link_is_declared_at(tree, points)
     stop = add_stop_node(tree)
     build_back_arrows(tree, stop, points)
     build_control(tree, stop, points)
     diagnostics += check_reachability(tree, points) + check_next_acyclic(tree)
-    instructions = make_executable(CheckResult(tree, classes, points, diagnostics, stop))
+    instructions = make_executable(CheckResult(tree, points, diagnostics, stop))
     monkeypatch.undo()
     assert {"diagnostics": [d.as_dict() for d in diagnostics],
             "graph": json.loads(export_json(tree.graph))} == checked(increment_text)

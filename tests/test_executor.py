@@ -37,8 +37,10 @@ from wordtree.executor import (
     TAPE_ARROW,
     TAPE_PATH,
     Act,
+    DirectionsExhausted,
     Guarded,
     Instruction,
+    NoInstruction,
     final_tape,
     initialize,
     install_instructions,
@@ -61,6 +63,7 @@ from wordtree.graph import (
     LabelsEqual,
     NoArrowFrom,
     NoArrowTo,
+    NormalConditionViolated,
     ReassignArrow,
     RelabelNode,
     LabeledGraph,
@@ -532,6 +535,12 @@ class TestStep:
         assert result.outcome == CRASHED
         assert state.situation.situation == NO_INSTRUCTION
         assert "holds no instruction" in str(state.situation)
+
+    def test_each_crash_situation_is_the_name_of_its_exception(self):
+        """The step loop reports a crash by the class of the exception the step raised."""
+        raised = (NoInstruction, DirectionsExhausted, NormalConditionViolated)
+        situations = (NO_INSTRUCTION, DIRECTIONS_EXHAUSTED, NORMAL_CONDITION_VIOLATED)
+        assert tuple(crash.__name__ for crash in raised) == situations
 
     def test_finished_state_cannot_step(self, increment_text):
         result, _, _, _, _ = execute(increment_text, "one", "last")

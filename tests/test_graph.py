@@ -43,11 +43,11 @@ from wordtree.graph import (
     resolve,
     settle,
 )
-from wordtree.executor import initialize, run
+from wordtree.executor import LEFT_CELL_PATH, RIGHT_CELL_PATH, TAPE_PATH, initialize, run
 from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import FINDINGS
+from wordtree.semantics import FINDINGS, PRINT_WORD_PATH, SYMBOL_PATH
 from wordtree.tape import add_cells, parse_tape
 
 import reference_algebra
@@ -675,14 +675,74 @@ def test_follow_arrow_reads_the_index(monkeypatch):
         raise AssertionError("follow was called")
 
     monkeypatch.setattr(LabeledGraph, "follow", refuse)
-    assert FollowArrow("next").apply(g, a) == b
-    assert G.FollowArrowTo("next", b).apply(g, a) == b
+    assert apply_action(g, FollowArrow("next"), a) == b
+    assert apply_action(g, G.FollowArrowTo("next", b), a) == b
     monkeypatch.undo()
     g.add_arrow(a, "next", a)
     with pytest.raises(NormalConditionViolated, match="several 'next' arrows"):
-        FollowArrow("next").apply(g, a)
+        apply_action(g, FollowArrow("next"), a)
     with pytest.raises(NormalConditionViolated, match="no 'next' arrow"):
-        FollowArrow("next").apply(g, b)
+        apply_action(g, FollowArrow("next"), b)
+
+
+def test_path_reads_call_follow_only_to_name_a_failed_step(monkeypatch, increment_text):
+    """Settling, resolving and following step through ``_walk``; ``follow`` only names a failure.
+
+    On a checked ``increment.tgl`` with a tape mounted, and then with a
+    second 'tape' arrow, every read from every own node that succeeds
+    calls no ``follow``, and one that fails reaches it from
+    ``_failed_step`` alone and raises the reference's exception and text.
+    """
+    result = check_program(increment_text)
+    state = initialize(result.tree, parse_tape("one zero one"), 1, make_executable(result))
+    g, root = state.tree.graph, state.tree.root
+    formulas = [TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH, SYMBOL_PATH, PRINT_WORD_PATH]
+    formulas += map(parse_path, ['"tape-alphabet"+tape+""+""', "+next+next", "-next", '-";"'])
+    follow, calls = LabeledGraph.follow, []
+
+    def from_the_helper_only(self, *args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_failed_step":
+            raise AssertionError(f"{caller} called follow")
+        calls.append(args)
+        return follow(self, *args)
+
+    def outcome(read, *args):
+        try:
+            return read(*args)
+        except (G.GraphError, ValueError) as failure:
+            return type(failure), str(failure)
+
+    def checked(read, *args):
+        """``outcome``, having called ``follow`` exactly when the read failed."""
+        calls.clear()
+        got = outcome(read, *args)
+        assert bool(calls) == (type(got) is tuple), (read, args, calls)
+        return got
+
+    monkeypatch.setattr(LabeledGraph, "follow", from_the_helper_only)
+    for node in range(g._own_end):
+        for formula in formulas:
+            settled = settle(g, formula, node)
+            expected = outcome(reference_algebra.resolve, g, formula, node)
+            assert checked(resolve, g, formula, node) == expected
+            assert checked(resolve, g, settled, node) == expected
+            expected = outcome(reference_algebra.locate, g, formula, node)
+            assert checked(G.reader(settled), g, node) == expected
+        expected = outcome(reference_algebra.apply_action, g, FollowArrow("next"), node)
+        assert checked(apply_action, g, FollowArrow("next"), node) == expected
+    tapes = [settle(g, path) for path in (TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH)]
+    assert [(path.node, path.taken) for path in tapes] == [(root, 0)] * 3
+    head = g._own_end + 1  # the second of the three cells
+    assert [checked(resolve, g, path) for path in tapes] == [head, head - 1, head + 1]
+    g.add_arrow(root, "tape", root, G.SEMANTIC)
+    for path in tapes:
+        expected = outcome(reference_algebra.resolve, g, path.formula)
+        assert checked(resolve, g, path) == expected
+        assert expected[0] is Inapplicable
+    expected = outcome(reference_algebra.apply_action, g, FollowArrow("tape"), root)
+    assert checked(apply_action, g, FollowArrow("tape"), root) == expected
+    assert "several" in expected[1]
 
 
 def containers(g: LabeledGraph) -> dict[int, object]:

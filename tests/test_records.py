@@ -110,7 +110,6 @@ MUTABLE = [
         CheckResult,
         {
             "tree": TREE,
-            "classes": (),
             "points": Points((), (), (), (), ()),
             "diagnostics": [],
             "stop": None,
