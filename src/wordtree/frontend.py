@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Sequence
-from typing import NamedTuple, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from .graph import BARE_WORD, SYNTACTIC, WORD, LabeledGraph, Tree, display_word
 
@@ -29,27 +29,11 @@ Sytr = Tree
 
 PUNCT_CHARS = ";{}.:,'"
 
-# One token: a punctuation mark or a maximal word.
-_TOKEN = re.compile(r"[;{}.:,']|" + WORD.pattern)
-# Whitespace, then one token, whose offset is the group's start.
-_SCAN = re.compile(r"\s*(" + _TOKEN.pattern + ")")
-
-
-def _scan(text: str) -> tuple[list[int], int]:
-    """The offsets of the tokens that follow each other from the start of ``text``.
-
-    Each match must start where the previous one ended, so the scan
-    stops at the first character that is neither whitespace nor part of
-    a token. Returns the offsets and the end of the last match.
-    """
-    starts: list[int] = []
-    end = 0
-    for match in _SCAN.finditer(text):
-        if match.start() != end:
-            break
-        starts.append(match.start(1))
-        end = match.end()
-    return starts, end
+# One token: a punctuation mark or a maximal word; or else any character
+# but whitespace, which is illegal, as a token of its own.
+_TOKEN = re.compile(r"[;{}.:,']|" + WORD.pattern + r"|\S")
+# The one-character texts a legal token may have: a punctuation mark or a letter.
+_ONE_CHAR_TOKENS = frozenset(PUNCT_CHARS + "abcdefghijklmnopqrstuvwxyz")
 
 
 class IllegalCharacter(Exception):
@@ -105,7 +89,7 @@ class Tokens(Sequence[Token]):
     @property
     def starts(self) -> list[int]:
         if self._starts is None:
-            self._starts = _scan(self.source)[0]
+            self._starts = [match.start() for match in _TOKEN.finditer(self.source)]
         return self._starts
 
     def __len__(self) -> int:
@@ -132,40 +116,75 @@ class Tokens(Sequence[Token]):
 def lex(text: str) -> Tokens:
     """Tokenize source text into maximal-munch words and punctuation marks.
 
-    One ``findall`` of one pattern finds the tokens. It skips what no
-    token covers, so the text is legal exactly when the tokens' lengths
-    add up to the number of its characters other than whitespace
-    (tokens hold none, and ``str.split`` and the scan's ``\\s`` agree on
-    what whitespace is). Otherwise the offset scan behind
-    ``Tokens.starts`` finds the first character that is neither
-    whitespace nor part of a token, which is illegal.
+    One ``findall`` of one pattern finds the tokens, and any other
+    character but whitespace as a token of its own. So the text is
+    legal exactly when each of its distinct one-character tokens is a
+    punctuation mark or a letter. Otherwise the first illegal token is
+    the first illegal character, and ``Tokens.starts`` gives its offset.
     """
     texts = _TOKEN.findall(text)
-    if sum(map(len, texts)) != sum(map(len, text.split())):
-        end = _scan(text)[1]
-        offset = len(text) - len(text[end:].lstrip())
-        raise IllegalCharacter(text[offset], *Tokens(text, texts).position(offset))
-    return Tokens(text, texts)
+    tokens = Tokens(text, texts)
+    if 1 in map(len, set(texts).difference(_ONE_CHAR_TOKENS)):
+        illegal = [i for i, t in enumerate(texts) if len(t) == 1 and t not in _ONE_CHAR_TOKENS]
+        offset = tokens.starts[illegal[0]]
+        raise IllegalCharacter(text[offset], *tokens.position(offset))
+    return tokens
 
 
-# What the parser still owes a construct whose last statement or list it
-# is parsing: its labels, the 'then' arrow of an 'if', the '}' arrow of
-# a block, or the ';' arrows of a statement list.
-_LABELS, _IF, _BLOCK, _LIST = range(4)
+# The free slot of a statement shape, named by what a refusal expects
+# there, and the test of the text that fills it.
+_ID = "an identifier"
+_DIR = "'left' or 'right'"
+_ADMITS = {_ID: str.isalpha, _DIR: ("left", "right").__contains__}
+
+# Each statement a keyword starts: its token texts, one of them free; its
+# nodes, in order; and the words of the arrows that chain those nodes. None
+# stands for the text of the free slot.
+_SHAPES = {
+    "go": (("go", "to", _ID), ("go", None), ("to",)),
+    "print": (("print", "'", _ID, "'"), ("print", None), ("'",)),
+    "move": (("move", _DIR, "one-square"), ("move", "one-square"), (None,)),
+    "if": (("if", "the-tape-symbol", "is", "'", _ID, "'", "then"),
+           ("if", "the-tape-symbol", None), ("", "is")),
+}
+
+
+def _staged(slots: tuple, nodes: tuple, words: tuple) -> tuple:
+    """A shape as the parser reads it: width, free slot, texts with None in that
+    slot, the test of its text, nodes, arrow words, and whether its text labels a node."""
+    free = next(i for i, slot in enumerate(slots) if slot in _ADMITS)
+    fixed = [None if i == free else slot for i, slot in enumerate(slots)]
+    return len(slots), free, fixed, _ADMITS[slots[free]], nodes, words, None in nodes
+
+
+_STAGES = {keyword: _staged(*shape) for keyword, shape in _SHAPES.items()}
+# Empty texts past the end: enough that a slice of the widest shape stays full.
+_PAD = [""] * max(stage[0] for stage in _STAGES.values())
+
+# What the parser still owes a statement whose last part it is parsing:
+# its labels, the 'then' arrow of an 'if', or the '}' arrow of a block.
+_LABELS, _IF, _BLOCK = range(3)
 
 
 class _Parser:
-    """Descent over the token texts, with an explicit stack instead of recursion.
+    """Descent over the token texts, a statement at a time, with an explicit stack.
 
     Punctuation marks and words are disjoint, so comparing a text with
     a mark or a keyword also tests its kind, and a word is a text that
-    starts with a letter. Two empty texts past the end stand for the end
-    of the program: no token is empty, so they match nothing, and the
-    one-token lookahead for a statement label stays in range.
+    starts with a letter. Empty texts past the end stand for the end of
+    the program: no token is empty, so they match nothing.
+
+    A statement that a keyword starts has a shape in ``_SHAPES``. The
+    parser compares the statement's slice of texts with it at once,
+    then stages its nodes and arrows in a few list operations. Where
+    the texts do not fit, ``refuse`` walks the shape slot by slot and
+    raises the ParseError for the first slot they leave unfilled, as a
+    token-by-token descent would. It is the parser's only error path.
 
     Nodes and arrows are staged in the order a recursive descent adds
-    them: a node when its construct starts, an arrow to a statement or
-    a statement list once that has been parsed. So nesting depth costs
+    them: a statement's nodes when it starts, an arrow to a statement
+    or a statement list once that has been parsed. What a statement
+    still owes waits on the ``pending`` stack, so nesting depth costs
     heap, not stack. A node's id is its index in ``labels``, and
     ``srcs``, ``words`` and ``dsts`` are the arrow columns that
     ``LabeledGraph.extend`` takes once the program has parsed.
@@ -173,153 +192,134 @@ class _Parser:
 
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        self.texts = tokens.texts + ["", ""]
-        self.pos = 0
+        self.texts = tokens.texts + _PAD
         self.labels: list[str] = []
         self.srcs: list[int] = []
         self.words: list[str] = []
         self.dsts: list[int] = []
 
-    def node(self, label: str) -> int:
-        self.labels.append(label)
-        return len(self.labels) - 1
+    def refuse(self, pos: int, slots: Sequence[str]) -> NoReturn:
+        """Raise the ParseError for the first of ``slots`` the texts from ``pos`` leave unfilled.
 
-    def arrow(self, src: int, word: str, dst: int) -> None:
-        self.srcs.append(src)
-        self.words.append(word)
-        self.dsts.append(dst)
+        A slot is a token text, the empty text for the end of the program, or a free slot.
+        """
+        for pos, slot in enumerate(slots, pos):
+            text = self.texts[pos]
+            admits = _ADMITS.get(slot)
+            if admits(text) if admits else text == slot:
+                continue
+            if not admits:
+                expected = display_word(slot) if slot else "end of program"
+            elif slot == _ID and text[:1].isalpha():  # scanned words hold only a-z and hyphens
+                expected = "an identifier without hyphens"
+            else:
+                expected = slot
+            raise ParseError(expected, self.tokens[pos] if text else None)
 
-    def found(self) -> Optional[Token]:
-        """The token at the parse position; None at the end of the program."""
-        return self.tokens[self.pos] if self.texts[self.pos] else None
-
-    def expect(self, text: str) -> None:
-        if self.texts[self.pos] != text:
-            raise ParseError(display_word(text), self.found())
-        self.pos += 1
-
-    def identifier(self) -> str:
-        text = self.texts[self.pos]
-        if not text.isalpha():  # scanned words hold only a-z and hyphens
-            expected = "an identifier without hyphens" if text[:1].isalpha() else "an identifier"
-            raise ParseError(expected, self.found())
-        self.pos += 1
-        return text
+    def chain(self, src: int, names: list[str], words: list[str]) -> None:
+        """Stage a node per name; ``src`` enters the first, and each node enters the next."""
+        node = len(self.labels)
+        self.labels += names
+        self.srcs += [src, *range(node, node + len(names) - 1)]
+        self.words += words
+        self.dsts += range(node, node + len(names))
 
     def program(self) -> int:
-        self.expect("tape-alphabet")
-        root = self.node("tape-alphabet")
-        self.expect("is")
-        prev = self.node(self.identifier())
-        self.arrow(root, "is", prev)
-        while self.texts[self.pos] == ",":
-            self.pos += 1
-            node = self.node(self.identifier())
-            self.arrow(prev, ",", node)
-            prev = node
-        self.expect(";")
-        first = self.statement_list()
-        self.arrow(root, ";", first)
-        self.expect(".")
-        dot = self.node(".")
-        self.arrow(root, "", dot)
-        if self.texts[self.pos]:
-            raise ParseError("end of program", self.found())
-        return root
+        texts, labels, srcs, words, dsts = self.texts, self.labels, self.srcs, self.words, self.dsts
+        end = 2  # the last declared word
+        while texts[end + 1] == ",":
+            end += 2
+        declared = texts[2:end + 1:2]
+        head = texts[:2] == ["tape-alphabet", "is"] and texts[end + 1] == ";"
+        if not head or not all(map(str.isalpha, declared)):
+            self.refuse(0, ["tape-alphabet", "is"] + [_ID, ","] * (len(declared) - 1) + [_ID, ";"])
+        labels.append("tape-alphabet")
+        self.chain(0, declared, ["is"] + [","] * (len(declared) - 1))
+        first, pos = self.statement_list(end + 2)
+        if texts[pos] != "." or texts[pos + 1]:
+            self.refuse(pos, (".", ""))
+        srcs += (0, 0)
+        words += (";", "")
+        dsts += (first, len(labels))
+        labels.append(".")
+        return 0
 
-    def statement_list(self) -> int:
-        """Parse a statement list, nested ones included; return its first statement."""
-        texts = self.texts
-        pending: list[list] = [[_LIST, None, None]]  # a list: its first and last statement
+    def statement_list(self, pos: int) -> tuple[int, int]:
+        """Parse the statement list at ``pos``; return its first statement and its end."""
+        texts, labels, srcs, words, dsts = self.texts, self.labels, self.srcs, self.words, self.dsts
+        stage_of = _STAGES.get
+        first = last = None  # the first and last statement so far of the innermost list
+        pending: list[tuple] = []
         while True:
-            labels: list[str] = []
-            while texts[self.pos + 1] == ":" and texts[self.pos][:1].isalpha():
-                labels.append(self.identifier())
-                self.pos += 1
-            pending.append([_LABELS, labels])
-            keyword = texts[self.pos]
-            if keyword == "if":
-                self.pos += 1
-                node = self.node("if")
-                self.expect("the-tape-symbol")
-                symbol = self.node("the-tape-symbol")
-                self.arrow(node, "", symbol)
-                self.expect("is")
-                word = self.node(self.string())
-                self.arrow(symbol, "is", word)
-                self.expect("then")
-                pending.append([_IF, node])
-                continue  # parse the subordinate statement
-            if keyword == "{":
-                self.pos += 1
-                pending.append([_BLOCK, self.node("{")])
-                pending.append([_LIST, None, None])
+            if texts[pos + 1] == ":":
+                start = pos
+                while texts[pos + 1] == ":" and texts[pos][:1].isalpha():
+                    if not texts[pos].isalpha():
+                        self.refuse(pos, (_ID,))
+                    pos += 2
+                if pos != start:
+                    pending.append((_LABELS, texts[start:pos:2]))
+            keyword = texts[pos]
+            stage = stage_of(keyword)
+            if stage is not None:
+                width, free, fixed, admits, nodes, arrow_words, into_nodes = stage
+                got = texts[pos:pos + width]
+                text = got[free]
+                got[free] = None
+                if got != fixed or not admits(text):
+                    self.refuse(pos, _SHAPES[keyword][0])
+                done = len(labels)
+                labels += nodes
+                words += arrow_words
+                (labels if into_nodes else words)[-1] = text  # the free text is last in either
+                srcs.append(done)
+                dsts.append(done + 1)
+                pos += width
+                if keyword == "if":  # a second arrow, and a subordinate statement to parse
+                    srcs.append(done + 1)
+                    dsts.append(done + 2)
+                    pending.append((_IF, done))
+                    continue
+            elif keyword == "{":  # the block's frame keeps the list around it
+                pending.append((_BLOCK, len(labels), first, last))
+                first = last = None
+                labels.append("{")
+                pos += 1
                 continue  # parse the inner statement list
-            done = self.simple_statement(keyword)
+            else:
+                done = len(labels)
+                labels.append("")
             # Hand the parsed node to what waits for it, until a list goes on.
             while True:
-                frame = pending.pop()
-                kind = frame[0]
-                if kind == _LABELS:
-                    prev = done
-                    for label in frame[1]:
-                        target = self.node(label)
-                        self.arrow(prev, ":", target)
-                        prev = target
-                elif kind == _IF:
-                    self.arrow(frame[1], "then", done)
-                    done = frame[1]
-                elif kind == _BLOCK:
-                    self.expect("}")
-                    self.arrow(frame[1], "}", done)
-                    done = frame[1]
-                else:
-                    if frame[1] is None:
-                        frame[1] = done
+                while pending and pending[-1][0] != _BLOCK:
+                    kind, owed = pending.pop()
+                    if kind == _IF:
+                        srcs.append(owed)
+                        words.append("then")
+                        dsts.append(done)
+                        done = owed
                     else:
-                        self.arrow(frame[2], ";", done)
-                    frame[2] = done
-                    if texts[self.pos] == ";":
-                        self.pos += 1
-                        pending.append(frame)
-                        break  # parse the list's next statement
-                    done = frame[1]
-                    if not pending:
-                        return done
-
-    def simple_statement(self, keyword: str) -> int:
-        """A statement with no statement inside: go, print, move, or the empty one."""
-        if keyword == "go":
-            self.pos += 1
-            node = self.node("go")
-            self.expect("to")
-            target = self.node(self.identifier())
-            self.arrow(node, "to", target)
-            return node
-        if keyword == "print":
-            self.pos += 1
-            node = self.node("print")
-            word = self.node(self.string())
-            self.arrow(node, "'", word)
-            return node
-        if keyword == "move":
-            self.pos += 1
-            node = self.node("move")
-            direction = self.texts[self.pos]
-            if direction != "left" and direction != "right":
-                raise ParseError("'left' or 'right'", self.found())
-            self.pos += 1
-            self.expect("one-square")
-            square = self.node("one-square")
-            self.arrow(node, direction, square)
-            return node
-        return self.node("")
-
-    def string(self) -> str:
-        self.expect("'")
-        word = self.identifier()
-        self.expect("'")
-        return word
+                        self.chain(done, owed, [":"] * len(owed))
+                if last is None:
+                    first = done
+                else:
+                    srcs.append(last)
+                    words.append(";")
+                    dsts.append(done)
+                last = done
+                if texts[pos] == ";":
+                    pos += 1
+                    break  # parse the list's next statement
+                if not pending:
+                    return first, pos
+                _, block, outer_first, outer_last = pending.pop()
+                if texts[pos] != "}":
+                    self.refuse(pos, ("}",))
+                pos += 1
+                srcs.append(block)
+                words.append("}")
+                dsts.append(first)
+                done, first, last = block, outer_first, outer_last
 
 
 def parse_program(tokens: Tokens) -> Sytr:

@@ -266,3 +266,45 @@ def test_deep_nesting_parses_alike_ids_and_errors(shape):
     finally:
         sys.setrecursionlimit(limit)
     assert [parsed(parse_text, text) for text in texts] == expected
+
+
+HEAD = ["tape-alphabet", "is", "a", ",", "b", ";"]
+SHAPES = {
+    "go": ["go", "to", "a"],
+    "print": ["print", "'", "a", "'"],
+    "move": ["move", "left", "one-square"],
+    "if": ["if", "the-tape-symbol", "is", "'", "a", "'", "then", "move", "right", "one-square"],
+    "labelled": ["x", ":", "y", ":", "print", "'", "b", "'"],
+    "block": ["{", "go", "to", "a", ";", "x", ":", "{", "}", "}"],
+}
+END = None  # the program ends at the slot
+
+
+def test_every_slot_of_every_shape_refuses_as_the_reference_does():
+    """Each slot of a program holding one statement shape, filled with each token or cut short.
+
+    The statement is followed by a second one, so a slot after it is
+    still in a list. Every slot, the program's head and end included,
+    takes the end of the program, each keyword, each punctuation mark,
+    a plain identifier and a hyphenated one, and the two parsers must
+    agree on the graph or the ParseError.
+    """
+    refusals = set()
+    for shape in SHAPES.values():
+        program = HEAD + shape + [";", "go", "to", "b", "."]
+        for slot in range(len(program) + 1):
+            for filler in [END, *KEYWORDS, *PUNCT, "a", "a-b"]:
+                tokens = program[:slot]
+                if filler is not END:
+                    tokens += [filler] + program[slot + 1:]
+                text = " ".join(tokens)
+                expected = parsed(reference.parse_text, text)
+                assert parsed(parse_text, text) == expected, text
+                if expected[0] == "ParseError":
+                    refusals.add(expected[1].split(", found")[0])
+    assert refusals == {
+        'expected "tape-alphabet"', "expected 'is'", "expected 'to'", "expected 'then'",
+        'expected "the-tape-symbol"', 'expected "one-square"', "expected 'left' or 'right'",
+        "expected an identifier", "expected an identifier without hyphens",
+        'expected "\'"', 'expected ";"', 'expected "}"', 'expected "."', "expected end of program",
+    }
