@@ -1,39 +1,35 @@
 #!/usr/bin/env python3
-"""Run the benchmark over a seed set and record each metric's median and quartiles.
+"""Compare the benchmark of the working tree with a git revision's, over a seed set.
 
-For every workload ``BENCHMARK.json`` declares, runs
+``git archive`` exports ``REV``, and the files of the working tree that
+git tracks or would track are copied, each into a temporary directory
+of its own, neither holding a ``__pycache__``. Each is then compiled
+once (``python -m compileall`` of its ``src/`` and ``perfbench/``), so
+that ``setup_s`` times reading the bytecode on both sides rather than
+compiling the source, which would charge every added line to the
+change. For every workload ``BENCHMARK.json`` declares, and every seed,
+it then runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once per seed, one run at a time, from the root of this checkout, with
-``T`` the run length ``BENCHMARK.json`` names. It then writes
-``BENCH_<pr>.json`` in the current directory: for each workload, each
-end-to-end metric's median and quartiles over the seeds, and each
-seed's ``attempted`` and ``failed`` counts. The file also names the
-Python version and the processor, since the figures hold only for the
-machine that produced them.
-
-    python3 scripts/bench_medians.py --pr 12
-    python3 scripts/bench_medians.py --pr 12 --seeds 1 2 3
-
-With ``--against REV`` it compares two checkouts instead: ``git
-archive`` exports ``REV``, and the files of the working tree that git
-tracks or would track are copied, each into a temporary directory of
-its own, neither holding a ``__pycache__``. Each is then compiled once
-(``python -m compileall`` of its ``src/`` and ``perfbench/``), so that
-``setup_s`` times reading the bytecode on both sides rather than
-compiling the source, which would charge every added line to the
-change. For each workload and seed it runs the benchmark once in each,
-with ``PYTHONDONTWRITEBYTECODE=1`` so that no run adds to either
-cache, and the side that goes first alternates from seed to seed.
-``BENCH_<pr>.json`` then holds each seed's pair of runs and, per
-metric, each side's median and quartiles, the number of pairs each
-side won, by the direction ``BENCHMARK.json`` gives the metric (a tie
-counts for neither), and ``sign_p``, the exact two-sided sign-test p
-of that split with the ties dropped: the chance of a split at least as
-uneven if either side were as likely to win.
+once in each, one run at a time, with ``T`` the run length
+``BENCHMARK.json`` names and ``PYTHONDONTWRITEBYTECODE=1`` so that no
+run adds to either cache; the side that goes first alternates from
+seed to seed. It writes ``BENCH_<pr>.json`` in the current directory:
+each seed's pair of runs and, per end-to-end metric, each side's median
+and quartiles, the number of pairs each side won, by the direction
+``BENCHMARK.json`` gives the metric (a tie counts for neither), and
+``sign_p``, the exact two-sided sign-test p of that split with the ties
+dropped: the chance of a split at least as uneven if either side were
+as likely to win. The file also names the Python version and the
+processor, since the figures hold only for the machine that produced
+them.
 
     python3 scripts/bench_medians.py --pr 27 --against main
+    python3 scripts/bench_medians.py --pr 27 --against main --seeds 1 2 3
+
+A change whose tree names a workload that ``REV`` lacks is compared
+with itself: commit it and run ``--against HEAD``, an A/A run.
 """
 
 from __future__ import annotations
@@ -69,16 +65,9 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2**pairs)
 
 
-def run_once(workload: str, seed: int, seconds: float, root: Optional[Path] = None) -> dict:
-    """The JSON object on the last line of one untraced benchmark run.
-
-    The run is this checkout's, or, given ``root``, that checkout's,
-    run there without writing bytecode.
-    """
-    env = None
-    if root is not None:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    root = ROOT if root is None else root
+def run_once(workload: str, seed: int, seconds: float, root: Path) -> dict:
+    """The JSON object on the last line of one untraced benchmark run in the checkout at ``root``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
@@ -96,24 +85,6 @@ def processor() -> str:
     except OSError:
         pass
     return platform.processor() or platform.machine()
-
-
-def summarize(workload: str, seeds: list[int], seconds: float, names: list[str]) -> dict:
-    runs = []
-    for seed in seeds:
-        result = run_once(workload, seed, seconds)
-        runs.append(result)
-        print(f"{workload} seed {seed}: attempted {result['attempted']} failed {result['failed']} "
-              f"ops_per_s {result['metrics']['ops_per_s']['value']:.4g}", file=sys.stderr)
-    metrics = {}
-    for name in names:
-        values = [r["metrics"][name]["value"] for r in runs]
-        metrics[name] = {"unit": runs[0]["metrics"][name]["unit"], **spread(values)}
-    per_seed = [
-        {"seed": seed, "attempted": r["attempted"], "failed": r["failed"], "correct": r["correct"]}
-        for seed, r in zip(seeds, runs)
-    ]
-    return {"metrics": metrics, "per_seed": per_seed}
 
 
 def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -174,12 +145,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="benchmark medians and quartiles over seeds")
     parser.add_argument("--pr", type=int, required=True, help="number in the name BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    parser.add_argument("--against", metavar="REV",
+    parser.add_argument("--against", metavar="REV", required=True,
                         help="compare the working tree against this git revision")
     args = parser.parse_args(argv)
 
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
+    commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}", text=True).stdout
     report = {
         "pr": args.pr,
         "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
@@ -187,25 +159,18 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "processor": processor(),
         "cpus": os.cpu_count(),
+        "against": {"rev": args.against, "commit": commit.strip()},
     }
-    if args.against is None:
-        names = [m["name"] for m in spec["end_to_end"]]
+    with tempfile.TemporaryDirectory(prefix="bench_medians_") as scratch:
+        roots = {"base": Path(scratch) / "base", "change": Path(scratch) / "change"}
+        export(args.against, roots["base"])
+        export(None, roots["change"])
+        for root in roots.values():
+            compile_export(root)
         report["workloads"] = {
-            workload: summarize(workload, args.seeds, seconds, names) for workload in workloads
+            workload: compare(workload, args.seeds, seconds, spec["end_to_end"], roots)
+            for workload in workloads
         }
-    else:
-        commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}", text=True).stdout
-        report["against"] = {"rev": args.against, "commit": commit.strip()}
-        with tempfile.TemporaryDirectory(prefix="bench_medians_") as scratch:
-            roots = {"base": Path(scratch) / "base", "change": Path(scratch) / "change"}
-            export(args.against, roots["base"])
-            export(None, roots["change"])
-            for root in roots.values():
-                compile_export(root)
-            report["workloads"] = {
-                workload: compare(workload, args.seeds, seconds, spec["end_to_end"], roots)
-                for workload in workloads
-            }
     Path(f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -18,11 +18,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from wordtree.cli import positive_int
 from wordtree.executor import CRASHED, initialize, run
 from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import SYNTACTIC
 from wordtree.pipeline import check_program, execute_program, make_executable
-from wordtree.schema import generate_sytr, turingol_schema
+from wordtree.schema import BudgetExceeded, generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape
 
@@ -156,7 +157,7 @@ def main() -> int:
                         help="check-clean generated programs to run")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-steps", type=int, default=10_000)
-    parser.add_argument("--budget", type=int, default=120,
+    parser.add_argument("--budget", type=positive_int, default=120,
                         help="node budget for generated programs")
     args = parser.parse_args()
 
@@ -167,9 +168,13 @@ def main() -> int:
         print(f"  {outcome}: {count}")
 
     print(f"generated programs: {args.generated} check-clean programs, one tape each")
-    generated, seeds_tried, rejected = sweep_generated(
-        args.generated, rng, args.max_steps, args.budget
-    )
+    try:
+        generated, seeds_tried, rejected = sweep_generated(
+            args.generated, rng, args.max_steps, args.budget
+        )
+    except BudgetExceeded as failure:
+        print(failure, file=sys.stderr)
+        return 1
     print(f"  (generation used {seeds_tried} seeds, {rejected} rejected after repair)")
     for outcome, count in sorted(generated.items()):
         print(f"  {outcome}: {count}")

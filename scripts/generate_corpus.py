@@ -13,17 +13,18 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from wordtree.cli import positive_int
 from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.graph import check_uni_labeled
 from wordtree.pipeline import check_program
-from wordtree.schema import generate_sytr, turingol_schema
+from wordtree.schema import BudgetExceeded, generate_sytr, turingol_schema
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="generate and check random programs")
-    parser.add_argument("--count", type=int, default=50)
+    parser.add_argument("--count", type=positive_int, default=50)
     parser.add_argument("--seed", type=int, default=0, help="first seed; seeds count up")
-    parser.add_argument("--budget", type=int, default=200, help="node budget per tree")
+    parser.add_argument("--budget", type=positive_int, default=200, help="node budget per tree")
     parser.add_argument("--out", help="directory to write the programs into")
     args = parser.parse_args()
 
@@ -38,7 +39,11 @@ def main() -> int:
     sizes = []
     for offset in range(args.count):
         seed = args.seed + offset
-        grown = generate_sytr(schema, "P", random.Random(seed), node_budget=args.budget)
+        try:
+            grown = generate_sytr(schema, "P", random.Random(seed), node_budget=args.budget)
+        except BudgetExceeded as failure:
+            print(failure, file=sys.stderr)
+            return 1
         assert check_uni_labeled(grown.graph) == [], f"seed {seed} broke uni-labeledness"
         text = render_program(to_canonical(grown))
         reparsed = parse_text(text)

@@ -195,7 +195,8 @@ def _start_position(text: str):
         )
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """An argparse type: ``text`` as an integer of at least 1; the experiment scripts share it."""
     try:
         value = int(text)
     except ValueError:
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--max-steps",
-        type=_positive_int,
+        type=positive_int,
         default=10_000,
         help="step budget before the run is cut off (default 10000)",
     )
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     schema_p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     schema_p.add_argument(
         "--budget",
-        type=_positive_int,
+        type=positive_int,
         default=500,
         help="node budget for generation (default 500)",
     )

@@ -13,7 +13,8 @@ direction touches the graph.
 
 Each flow node holds an instruction of its own, built by
 ``install_instructions`` with the node's program side settled once: its
-follows carry their targets (``FollowArrowTo``), and its paths are
+follows carry their targets (``FollowArrowTo``), and each of its paths,
+the word paths from the node and the tape paths from the root, is
 ``settle``d up to the tape, so a step resolves only the tape side of
 each path, '+tape' and the cells beyond it. That holds because a run
 writes only the tape.
@@ -65,7 +66,6 @@ from .graph import (
     Proposition,
     ReassignArrow,
     RelabelNode,
-    Settled,
     Stop,
     Tree,
     _Item,
@@ -365,17 +365,15 @@ def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Ins
 
     Exactly the root, the stop node, and the statements of ``points``
     carry instructions; ``points`` is what ``classify`` found for this
-    tree. Each flow node gets an instruction of its own, in one of
-    six shapes (follow 'next', stop, if, print, move left, move right),
-    with its program side settled here once:
+    tree, and only its statements are read. Each flow node gets an
+    instruction of its own, in one of six shapes (follow 'next', stop,
+    if, print, move left, move right), with its program side settled
+    here once:
 
     - each follow is a ``FollowArrowTo`` of the one end the node's
       ``next``, ``yes`` or ``no`` arrow has, which is checked here;
-    - the compared and printed word paths are ``Settled`` at the word
-      nodes ``classify`` found them to lead to, ``points.usages`` in
-      statement order. The checks after it add 'is-declared-at', 'back'
-      and flow arrows, none of which those paths follow, so the usages
-      are still where the paths lead;
+    - the compared and printed word paths are ``settle``d from the
+      statement node to the word node they lead to;
     - the tape paths start at the own node ``settle`` finds once for
       their start word.
 
@@ -394,14 +392,6 @@ def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Ins
             )
         return FollowArrowTo(label, ends[0])
 
-    usages = iter(points.usages)
-
-    def settled_word(node: int, path) -> Settled:
-        usage = next(usages, None)
-        if usage is None:
-            raise ValueError(f"the points hold no usage for statement node {node}")
-        return Settled(path, usage, len(path.steps), ())
-
     tape = settle(g, TAPE_PATH)
     moves: dict[str, tuple[Direction, Direction]] = {}  # by side, built at its first move
     instructions = {tree.root: Instruction((Act(flow(tree.root, NEXT)),))}
@@ -411,11 +401,11 @@ def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Ins
         word = g.node_label(node)
         if word == "if":
             yes, no = flow(node, YES), flow(node, NO)
-            compared = LabelsEqual(tape, settled_word(node, SYMBOL_PATH))
+            compared = LabelsEqual(tape, settle(g, SYMBOL_PATH, node))
             instructions[node] = Instruction((Guarded(compared, yes), Act(no)))
         elif word == "print":
             onward = flow(node, NEXT)
-            printed = settled_word(node, PRINT_WORD_PATH)
+            printed = settle(g, PRINT_WORD_PATH, node)
             instructions[node] = Instruction((Act(RelabelNode(tape, printed)), Act(onward)))
         elif word == "move":
             onward = flow(node, NEXT)

@@ -113,6 +113,9 @@ class Points(NamedTuple):
     targets (':' ends) and goto words ('to' ends) of statements and
     labels, in arrow order. ``classes`` holds every node's class by node
     id; ``check_program`` drops the ``chains`` once control flow is built.
+    The order of the usages fixes only the order of the 'is-declared-at'
+    arrows ``link_is_declared_at`` adds: the findings are sorted, and
+    ``install_instructions`` settles each word path from its statement.
     """
 
     statements: tuple[int, ...]
@@ -275,25 +278,19 @@ def link_is_declared_at(tree: Tree, points: Points) -> int:
     the arrows with one ``LabeledGraph.extend`` call, and returns the
     number of arrows added. Refuses, before adding any arrow, while
     some usage has no declaration at all, listing the AW2 findings
-    ``check_alphabet`` reports.
+    that ``check_alphabet`` reports, from the same ``_match``.
     """
     g = tree.graph
-    words = g._nodes
-    first_decl: dict[str, int] = {}
-    for node in points.declarations:
-        first_decl.setdefault(words[node], node)
-
-    undeclared = [
-        Diagnostic("AW2", (usage,), (words[usage],))
-        for usage in sorted(points.usages)
-        if words[usage] not in first_decl
-    ]
+    findings = _match(g, points.declarations, points.usages, ("AW1", "AW2"))
+    undeclared = [d for d in findings if d.code == "AW2"]
     if undeclared:
         raise ValueError(
             "cannot link usages to declarations: "
             + "; ".join(str(d) for d in undeclared)
         )
 
+    words = g._nodes
+    first_decl = {words[node]: node for node in reversed(points.declarations)}  # the first wins
     srcs = list(dict.fromkeys(points.usages))
     if g.pairs_labeled(DECLARED_AT):
         srcs = [usage for usage in srcs if not g.ends(usage, "+", DECLARED_AT)]

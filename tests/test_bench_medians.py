@@ -18,33 +18,6 @@ def load_driver():
     return module
 
 
-def test_one_seed_one_workload(tmp_path, monkeypatch):
-    driver = load_driver()
-    # One real run, short, stands in for every run main() asks for.
-    result = driver.run_once("increment-run", 3, 0.1)
-    asked = []
-
-    def canned(workload, seed, seconds):
-        asked.append((workload, seed, seconds))
-        return result
-
-    monkeypatch.setattr(driver, "run_once", canned)
-    monkeypatch.chdir(tmp_path)
-    assert driver.main(["--pr", "0", "--seeds", "3"]) == 0
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    declared = [w["name"] for w in spec["workloads"]]
-    assert asked == [(name, 3, spec["run_seconds"]) for name in declared]
-    report = json.loads((tmp_path / "BENCH_0.json").read_text())
-    assert report["seeds"] == [3] and list(report["workloads"]) == declared
-    workload = report["workloads"]["increment-run"]
-    assert list(workload["metrics"]) == [m["name"] for m in spec["end_to_end"]]
-    for name, metric in workload["metrics"].items():
-        assert metric["q1"] == metric["median"] == metric["q3"] == result["metrics"][name]["value"] > 0
-    (run,) = workload["per_seed"]
-    assert run["seed"] == 3 and run["attempted"] >= 1 and run["failed"] == 0 and run["correct"]
-
-
 def one_commit_repository(dest: pathlib.Path) -> pathlib.Path:
     """A git repository at ``dest`` whose one commit holds this tree's library, benchmark and programs."""
     for name in ("src", "perfbench", "programs", "scripts"):
@@ -113,6 +86,15 @@ def test_against_head_runs_each_seed_on_both_exports(tmp_path, monkeypatch):
         assert metric["won"] == {"base": 0, "change": 0}  # ties count for neither side
         assert metric["sign_p"] == 1.0
     assert real["failed"] == 0 and real["correct"]
+
+
+def test_against_is_required(capsys):
+    with pytest.raises(SystemExit) as usage:
+        load_driver().main(["--pr", "0"])
+    assert usage.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: the following arguments are required: --against"
+    )
 
 
 def test_pairs_are_won_by_the_better_side_of_each_metric(monkeypatch):

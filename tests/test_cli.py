@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,6 +31,8 @@ from wordtree.schema import (
 )
 from wordtree.tape import parse_tape
 
+import fail_safety
+import generate_corpus
 import reference_tape
 from fail_safety import random_start, random_tape, tape_vocabulary
 
@@ -646,3 +649,48 @@ class TestSchema:
         code, _, err = invoke(capsys, "schema", "check", "--schema", str(stored))
         assert code == 1
         assert err != ""
+
+
+class TestExperimentScripts:
+    """The corpus and fail-safety scripts refuse what they cannot grow, in one line, with no traceback."""
+
+    def run_script(self, capsys, monkeypatch, module, *argv):
+        monkeypatch.setattr(sys, "argv", [f"{module.__name__}.py", *argv])
+        try:
+            code = module.main()
+        except SystemExit as usage:
+            code = usage.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "script, argv",
+        [
+            (generate_corpus, ("--count", "0")),
+            (generate_corpus, ("--count", "-3")),
+            (generate_corpus, ("--budget", "0")),
+            (fail_safety, ("--budget", "0")),
+        ],
+        ids=["corpus-count-0", "corpus-count-negative", "corpus-budget-0", "fail-safety-budget-0"],
+    )
+    def test_count_or_budget_below_one_is_a_usage_error(self, capsys, monkeypatch, script, argv):
+        code, out, err = self.run_script(capsys, monkeypatch, script, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"{script.__name__}.py: error: argument {argv[0]}: "
+            f"expected a positive integer, got {argv[1]!r}"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "script, argv",
+        [
+            (generate_corpus, ("--count", "2", "--budget", "1")),
+            (fail_safety, ("--program-runs", "1", "--generated", "1", "--budget", "1")),
+        ],
+        ids=["corpus", "fail-safety"],
+    )
+    def test_budget_no_program_fits_is_one_line(self, capsys, monkeypatch, script, argv):
+        code, _, err = self.run_script(capsys, monkeypatch, script, *argv)
+        command = invoke(capsys, "schema", "gen", "--budget", "1")
+        assert command == (1, "", "no expansion of P fits within 1 nodes\n")
+        assert (code, err) == (1, command[2])

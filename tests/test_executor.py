@@ -81,6 +81,7 @@ from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape, render_tape
 
+from fail_safety import repair
 import reference_executor as reference
 import reference_tape
 from reference_executor import unsettled
@@ -230,13 +231,30 @@ class TestInstall:
         assert tree.graph.node_label(empty) == ""
         assert unsettled(instructions[empty]) == reference.FOLLOW_NEXT
 
-    def test_requires_a_usage_for_each_compared_or_printed_word(self, increment_text):
-        result = check_program(increment_text)
-        g = result.tree.graph
-        last = max(n for n in result.points.statements if g.node_label(n) in ("if", "print"))
-        short = result.points._replace(usages=result.points.usages[:-1])
-        with pytest.raises(ValueError, match=f"no usage for statement node {last}$"):
-            install_instructions(result.tree, result.stop, short)
+    def test_word_paths_are_settled_from_the_tree_not_the_usages(self, increment_text):
+        """The map is the same when the points hold no usage: each word is found along its path.
+
+        The grown programs are repaired as the fail-safety experiment
+        repairs them, so that their ifs and prints name declared words.
+        """
+        texts = [increment_text]
+        for seed in range(60):
+            tree = to_canonical(
+                generate_sytr(turingol_schema(), "P", random.Random(seed), node_budget=120)
+            )
+            repair(tree, random.Random(seed))
+            texts.append(render_program(tree))
+        worded = 0
+        for text in texts:
+            result = check_program(text)
+            g, points = result.tree.graph, result.points
+            if not result.runnable:
+                continue
+            worded += any(g.node_label(n) in ("if", "print") for n in points.statements)
+            instructions = install_instructions(result.tree, result.stop, points)
+            bare = points._replace(usages=())
+            assert install_instructions(result.tree, result.stop, bare) == instructions
+        assert worded >= 20
 
     def test_requires_control_arrows(self, increment_text):
         tree = parse_text(increment_text)

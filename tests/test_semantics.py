@@ -280,6 +280,15 @@ class TestDeclarationLinks:
             map(str, undeclared)
         )
 
+    def test_refusal_of_two_undeclared_words_is_the_aw2_lines_check_alphabet_reports(self):
+        tree = parse_text("tape-alphabet is one;\nprint 'two';\nif the-tape-symbol is 'three' then print 'one'.")
+        points = points_of(tree)
+        aw2 = [d for d in check_alphabet(tree, points) if d.code == "AW2"]
+        assert [d.words for d in aw2] == [("two",), ("three",)]
+        with pytest.raises(ValueError) as refusal:
+            link_is_declared_at(tree, points)
+        assert str(refusal.value) == "cannot link usages to declarations: " + "; ".join(map(str, aw2))
+
     def test_links_point_at_first_declaration(self):
         tree = parse_text("tape-alphabet is one, one;\nprint 'one'.")
         link_is_declared_at(tree, points_of(tree))
