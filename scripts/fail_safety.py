@@ -23,7 +23,7 @@ from wordtree.executor import CRASHED, initialize, run
 from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import SYNTACTIC
 from wordtree.pipeline import check_program, execute_program, make_executable
-from wordtree.schema import BudgetExceeded, generate_sytr, turingol_schema
+from wordtree.schema import analyze, generate_sytr, turingol_schema
 from wordtree.semantics import STATEMENT, classify
 from wordtree.tape import parse_tape
 
@@ -124,12 +124,11 @@ def sweep_increment(runs, rng, max_steps):
     return outcomes
 
 
-def sweep_generated(count, rng, max_steps, budget):
+def sweep_generated(schema, count, rng, max_steps, budget):
     outcomes = Counter()
     collected = 0
     seed = 0
     rejected = 0
-    schema = turingol_schema()
     while collected < count:
         seed += 1
         grown = generate_sytr(schema, "P", random.Random(seed), node_budget=budget)
@@ -161,6 +160,11 @@ def main() -> int:
                         help="node budget for generated programs")
     args = parser.parse_args()
 
+    schema = turingol_schema()
+    if analyze(schema).structure.sizes["P"] > args.budget:  # as ``generate_sytr`` refuses it
+        print(f"no expansion of P fits within {args.budget} nodes", file=sys.stderr)
+        return 1
+
     rng = random.Random(args.seed)
     print(f"increment program: {args.program_runs} random (tape, start) runs")
     fixed = sweep_increment(args.program_runs, rng, args.max_steps)
@@ -168,13 +172,9 @@ def main() -> int:
         print(f"  {outcome}: {count}")
 
     print(f"generated programs: {args.generated} check-clean programs, one tape each")
-    try:
-        generated, seeds_tried, rejected = sweep_generated(
-            args.generated, rng, args.max_steps, args.budget
-        )
-    except BudgetExceeded as failure:
-        print(failure, file=sys.stderr)
-        return 1
+    generated, seeds_tried, rejected = sweep_generated(
+        schema, args.generated, rng, args.max_steps, args.budget
+    )
     print(f"  (generation used {seeds_tried} seeds, {rejected} rejected after repair)")
     for outcome, count in sorted(generated.items()):
         print(f"  {outcome}: {count}")

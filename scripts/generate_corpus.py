@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from wordtree.cli import positive_int
-from wordtree.frontend import parse_text, render_program, to_canonical
+from wordtree.frontend import render_program, to_canonical
 from wordtree.graph import check_uni_labeled
 from wordtree.pipeline import check_program
 from wordtree.schema import BudgetExceeded, generate_sytr, turingol_schema
@@ -46,10 +46,8 @@ def main() -> int:
             return 1
         assert check_uni_labeled(grown.graph) == [], f"seed {seed} broke uni-labeledness"
         text = render_program(to_canonical(grown))
-        reparsed = parse_text(text)
-        sizes.append(reparsed.graph.node_count)
-
         result = check_program(text)
+        sizes.append(result.tree.graph.node_count - (result.stop is not None))  # less the stop node
         for finding in result.diagnostics:
             codes[finding.code] += 1
         if result.ok:

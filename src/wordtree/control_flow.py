@@ -2,25 +2,21 @@
 
 Adds a stop node, 'back' arrows from statements that end a chain to the
 statement they are subordinate to, and the flow arrows an executor
-walks: 'next' for unconditional succession, 'yes' and 'no' for the two
-outcomes of an if. The builders walk no tree; they read the chain table
-of ``semantics.classify``. Two checks inspect the finished flow graph:
-every statement should be reachable from the root, and 'next' arrows
-alone must not form a cycle, because a program caught in one could
-never leave it. Their CW1 and C2 findings, like the L1 and L2 findings
-that keep control arrows from being built, are worded by
-``semantics.FINDINGS``.
+walks, each labeled as ``semantics.STATEMENTS`` has it. The builders
+walk no tree; they read the chain table of ``semantics.classify``. Two
+checks inspect the finished flow graph: every statement should be
+reachable from the root, and 'next' arrows alone must not form a cycle,
+because a program caught in one could never leave it. Their CW1 and C2
+findings, like the L1 and L2 findings that keep control arrows from
+being built, are worded by ``semantics.FINDINGS``.
 """
 
 from __future__ import annotations
 
 from .graph import CONTROL, SYNTACTIC, Tree, check_uni_labeled, display_word, functional_cycles
-from .semantics import STATEMENT, Chains, Diagnostic, Points, _match
+from .semantics import NEXT, NO, STATEMENT, STATEMENTS, YES, Chains, Diagnostic, Points, _match
 
 BACK = "back"
-NEXT = "next"
-YES = "yes"
-NO = "no"
 
 FLOW_LABELS = (NEXT, YES, NO)
 
@@ -82,12 +78,11 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     Requires 'back' arrows to be in place and the label checks to be
     clean, since a goto can only be wired when exactly one statement
     carries the label it names; otherwise refuses with the L1 and L2
-    findings before adding any arrow. Direct succession runs in
-    parallel with ';' arrows, an if branches along 'yes' (parallel to
-    'then') and 'no', a brace pair steps inside itself along '}', and a
-    goto jumps to the statement risen to from its target label. Then
-    each chain end, innermost first and out along the owners that end
-    chains too, sends its flow to the chain's continuation, or to stop.
+    findings before adding any arrow. Each statement gets the arrows
+    its ``STATEMENTS`` entry names: ``branch`` and ``onward``, the
+    latter parallel to its ';' arrow. Then each chain end, innermost
+    first and out along the owners that end chains too, sends its
+    ``onward`` flow to the chain's continuation, or to stop.
     The arrows are staged and added by one ``LabeledGraph.extend`` call
     at the end, so a refusal adds none.
     """
@@ -118,31 +113,27 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     chains = _chains(points)
     successors, ends, after = chains.successors, chains.ends, chains.continuations
     uni = not check_uni_labeled(g)  # else ``_required_dst`` names a repeated arrow
-    thens, braces, jumps = (g.ends_labeled(word) if uni else {} for word in ("then", "}", "to"))
+    view = {}  # by word: its labels, the arrow it branches along, that arrow's ends by node
+    for word, s in STATEMENTS.items():
+        along = s.data if s.inner is None else s.inner
+        heads = g.ends_labeled(along) if uni and s.branch is not None else {}
+        view[word] = s.branch, s.onward, along, heads, s.inner is None
     arrows = [tree.root, NEXT, first]  # flat: origin, label, end of each arrow in turn
     for node in points.statements:
-        word = words[node]
-        if word == "if":
-            arrows += node, YES, thens.get(node) or _required_dst(g, node, "then")
-            if node in successors:
-                arrows += node, NO, successors[node]
-        elif word == "{":
-            arrows += node, NEXT, braces.get(node) or _required_dst(g, node, "}")
-        elif word == "go":
-            jump = jumps.get(node) or _required_dst(g, node, "to")
-            arrows += node, NEXT, target_statement[words[jump]]
-        elif node in successors:
-            arrows += node, NEXT, successors[node]
+        branch, label, along, heads, rises = view[words[node]]
+        if branch is not None:
+            head = heads.get(node) or _required_dst(g, node, along)
+            arrows += node, branch, target_statement[words[head]] if rises else head
+        if label is not None and node in successors:
+            arrows += node, label, successors[node]
 
     owners = set(ends.values())
     for member in sorted(node for node in ends if node not in owners):
         onward = stop if after[member] is None else after[member]
         while member in ends:
-            word = words[member]
-            if word == "if":
-                arrows += member, NO, onward
-            elif word != "go" and word != "{":
-                arrows += member, NEXT, onward
+            label = STATEMENTS[words[member]].onward
+            if label is not None:
+                arrows += member, label, onward
             member = ends[member]
     srcs, labels, dsts = arrows[0::3], arrows[1::3], arrows[2::3]
     g.extend((), srcs, labels, dsts, CONTROL)

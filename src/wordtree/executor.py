@@ -12,12 +12,12 @@ before its first graph write, so a violation crashes before the
 direction touches the graph.
 
 Each flow node holds an instruction of its own, built by
-``install_instructions`` with the node's program side settled once: its
-follows carry their targets (``FollowArrowTo``), and each of its paths,
-the word paths from the node and the tape paths from the root, is
-``settle``d up to the tape, so a step resolves only the tape side of
-each path, '+tape' and the cells beyond it. That holds because a run
-writes only the tape.
+``install_instructions`` in the shape ``semantics.STATEMENTS`` names,
+with the node's program side settled once: its follows carry their
+targets (``FollowArrowTo``), and each of its paths, the word paths from
+the node and the tape paths from the root, is ``settle``d up to the
+tape, so a step resolves only the tape side of each path, '+tape' and
+the cells beyond it. That holds because a run writes only the tape.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``. An instruction is bound once, the first time a step reaches
@@ -51,7 +51,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .control_flow import NEXT, NO, YES
 from .graph import (
     SEMANTIC,
     Action,
@@ -74,7 +73,7 @@ from .graph import (
     parse_path,
     settle,
 )
-from .semantics import PRINT_WORD_PATH, SYMBOL_PATH, Points
+from .semantics import NEXT, STATEMENTS, Points
 from .tape import add_cells, chain_text
 
 RUNNING = "running"
@@ -363,23 +362,20 @@ def _move_directions(g, side: str, tape) -> tuple[Direction, Direction]:
 def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Instruction]:
     """Build the node-to-instruction map for an executable program tree.
 
-    Exactly the root, the stop node, and the statements of ``points``
-    carry instructions; ``points`` is what ``classify`` found for this
-    tree, and only its statements are read. Each flow node gets an
-    instruction of its own, in one of six shapes (follow 'next', stop,
-    if, print, move left, move right), with its program side settled
-    here once:
+    The root follows 'next', the stop node stops, and each statement of
+    ``points``, what ``classify`` found for this tree, gets an instruction
+    of its own, of the shape its ``STATEMENTS`` entry names; no other node
+    gets one, and nothing else of ``points`` is read. Each node's program
+    side is settled here once:
 
     - each follow is a ``FollowArrowTo`` of the one end the node's
-      ``next``, ``yes`` or ``no`` arrow has, which is checked here;
-    - the compared and printed word paths are ``settle``d from the
-      statement node to the word node they lead to;
+      arrow of the entry's flow label has, which is checked here;
+    - the entry's ``usage`` is ``settle``d from the statement to its word;
     - the tape paths start at the own node ``settle`` finds once for
       their start word.
 
-    So a step resolves only the tape side of its paths, '+tape' and the
-    cells beyond. A settled path prints as its formula, so phrases and
-    crash reports read as the unsettled shapes' do.
+    A settled path prints as its formula, so phrases and crash reports
+    read as the unsettled shapes' do.
     """
     g = tree.graph
 
@@ -398,28 +394,26 @@ def install_instructions(tree: Tree, stop: int, points: Points) -> dict[int, Ins
     instructions[stop] = Instruction((Act(Stop()),))
 
     for node in points.statements:
-        word = g.node_label(node)
-        if word == "if":
-            yes, no = flow(node, YES), flow(node, NO)
-            compared = LabelsEqual(tape, settle(g, SYMBOL_PATH, node))
+        entry = STATEMENTS[g.node_label(node)]
+        if entry.shape == "compare":
+            yes, no = flow(node, entry.branch), flow(node, entry.onward)
+            compared = LabelsEqual(tape, settle(g, entry.usage, node))
             instructions[node] = Instruction((Guarded(compared, yes), Act(no)))
-        elif word == "print":
-            onward = flow(node, NEXT)
-            printed = settle(g, PRINT_WORD_PATH, node)
-            instructions[node] = Instruction((Act(RelabelNode(tape, printed)), Act(onward)))
-        elif word == "move":
-            onward = flow(node, NEXT)
+            continue
+        onward = Act(flow(node, entry.onward or entry.branch))
+        if entry.shape == "relabel":
+            printed = settle(g, entry.usage, node)
+            instructions[node] = Instruction((Act(RelabelNode(tape, printed)), onward))
+        elif entry.shape == "shift":
             sideways = [w for w in ("left", "right") for _ in g.ends(node, "+", w)]
             if len(sideways) != 1:
-                raise ValueError(
-                    f"move node {node} needs exactly one left or right arrow"
-                )
+                raise ValueError(f"move node {node} needs exactly one left or right arrow")
             side = sideways[0]
             if side not in moves:
                 moves[side] = _move_directions(g, side, tape)
-            instructions[node] = Instruction((*moves[side], Act(onward)))
+            instructions[node] = Instruction((*moves[side], onward))
         else:
-            instructions[node] = Instruction((Act(flow(node, NEXT)),))
+            instructions[node] = Instruction((onward,))
     return instructions
 
 

@@ -4,13 +4,10 @@ Program text is turned into a word tree in a fixed canonical encoding:
 
 - root 'tape-alphabet' with arrows `is` (alphabet chain, linked by `,`),
   `;` (first statement), and the empty word (the final '.');
-- statements chained by `;` arrows, each node labeled by its keyword
-  ('go', 'if', 'print', 'move', '{') or by the empty word;
-- statement labels hang off `:` arrows, goto targets off `to`, printed
-  words off `'`, moves off `left`/`right` to a 'one-square' node;
-- 'if' points through the empty arrow to 'the-tape-symbol', whose `is`
-  arrow carries the compared word; `then` points to the subordinate
-  statement; '{' points through `}` to its inner chain.
+- statements chained by `;` arrows, each node labeled by a word of
+  `semantics.STATEMENTS`, whose entry names the arrows its data and
+  inner chain hang off; labels hang off `:` arrows, moves off
+  `left`/`right` to 'one-square', and an if's data is 'the-tape-symbol'.
 
 Quote characters from the source survive only as the `'` arrow label of
 print nodes; the compared word of an 'if' sits directly after `is`.

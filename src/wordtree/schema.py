@@ -46,9 +46,6 @@ class Literal:
     def sample(self, rng: random.Random) -> str:
         return self.word
 
-    def placeholder(self) -> str:
-        return self.word
-
     def to_text(self) -> str:
         return f"'{self.word}'"
 
@@ -72,9 +69,6 @@ class Alternation:
     def sample(self, rng: random.Random) -> str:
         return rng.choice(self._sorted)
 
-    def placeholder(self) -> str:
-        return self._sorted[0]
-
     def to_text(self) -> str:
         return "(" + " | ".join(f"'{w}'" for w in self._sorted) + ")"
 
@@ -88,9 +82,6 @@ class LowerWord:
 
     def sample(self, rng: random.Random) -> str:
         return "".join(rng.choice(_LOWER) for _ in range(rng.randint(1, 6)))
-
-    def placeholder(self) -> str:
-        return "x"
 
     def to_text(self) -> str:
         return "[a-z]+"

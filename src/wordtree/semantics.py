@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional
 from .graph import (
     SEMANTIC,
     SYNTACTIC,
+    PathFormula,
     Tree,
     check_uni_labeled,
     display_word,
@@ -31,15 +32,36 @@ STATEMENT = "statement"
 LABEL = "label"
 OTHER = "other"
 
-STATEMENT_WORDS = frozenset({"go", "if", "print", "move", "", "{"})
-
+NEXT = "next"
+YES = "yes"
+NO = "no"
 DECLARED_AT = "is-declared-at"
 
-# The declaration chain's head from the root, and from a statement node
-# the word a print writes and the word an if compares the tape symbol to.
 DECLARATIONS_PATH = parse_path('"tape-alphabet"+is')
 PRINT_WORD_PATH = parse_path("+\"'\"")
 SYMBOL_PATH = parse_path('+""+is')
+
+
+class Statement(NamedTuple):
+    """A statement word's meaning to the walk, the flow and the instructions; None: no such part."""
+
+    data: Optional[str]  # the arrow to the data the statement carries
+    usage: Optional[PathFormula]  # the '+' path to the tape word it uses, first along ``data``
+    inner: Optional[str]  # the arrow to its inner chain
+    branch: Optional[str]  # the flow label along ``inner``, else to where the ``data`` label rises
+    onward: Optional[str]  # the flow label to its successor, or at a chain end to the continuation
+    shape: str  # the instruction: follow, compare, relabel or shift
+
+
+STATEMENTS = {  # Turingol's statements by word, each entry its whole meaning
+    "": Statement(None, None, None, None, NEXT, "follow"),
+    "move": Statement(None, None, None, None, NEXT, "shift"),
+    "print": Statement("'", PRINT_WORD_PATH, None, None, NEXT, "relabel"),
+    "if": Statement("", SYMBOL_PATH, "then", YES, NO, "compare"),
+    "{": Statement(None, None, "}", NEXT, None, "follow"),
+    "go": Statement("to", None, None, NEXT, None, "follow"),
+}
+STATEMENT_WORDS = STATEMENTS.keys()
 
 # The text of each finding code; its {} takes the finding's words.
 FINDINGS = {
@@ -108,8 +130,8 @@ class Chains(NamedTuple):
 class Points(NamedTuple):
     """What the checks and the control flow read of a tree, found in one walk.
 
-    The statements in id order; the ',' chain of declarations; the word
-    each print writes or if compares, in statement order; the label
+    The statements in id order; the ',' chain of declarations; the tape
+    word each statement's ``usage`` leads to, in statement order; the label
     targets (':' ends) and goto words ('to' ends) of statements and
     labels, in arrow order. ``classes`` holds every node's class by node
     id; ``check_program`` drops the ``chains`` once control flow is built.
@@ -131,23 +153,27 @@ def classify(tree: Tree) -> Points:
     """Class every node and find the points and chains, in one walk of the statement chains.
 
     The walk starts at the root's ';' arrow and keeps the chains it has
-    still to finish on a stack. It reads the label index as one map per
-    arrow label, not node by node. A statement is a node on a chain
-    (reached along ';', 'then' or '}') labeled by a statement word;
-    label nodes (':' destinations) win over every other class. Data
-    hangs off the arrows that carry program data: the alphabet under
-    the root's 'is', the final '.', each printed word, each if's
-    tape-symbol wrapper and word, and each goto target, with whatever
-    hangs below them along syntactic arrows. The rest is other. A usage
-    the maps do not give is resolved, which names the missing arrow. A
-    statement with several ';' arrows, or a ';' arrow into the root, is
-    the table's ``defect``; a chain that meets a walked statement ends.
+    still to finish on a stack. A statement is a node on a chain, reached
+    along ';' or an ``inner`` arrow of ``STATEMENTS``, labeled by a word
+    of that table; label nodes (':' destinations) win over every other
+    class. Data is the alphabet under the root's 'is', the final '.' and
+    each statement's ``data`` end, with whatever hangs below them along
+    syntactic arrows; the rest is other. The walk reads each arrow label
+    as one map, not node by node; a usage the maps do not give is
+    resolved, which names the missing arrow. A statement with several
+    ';' arrows, or a ';' arrow into the root, is the chain table's
+    ``defect``; a chain that meets a walked statement ends.
     """
     g = tree.graph
     words, repeats = g._nodes, check_uni_labeled(g)
-    successors, thens, braces, quotes, symbols, compared, jumps = map(
-        g.ends_labeled, (";", "then", "}", "'", "", "is", "to")
-    )
+    successors = g.ends_labeled(";")
+    view = {}  # by word: its data ends, used words and inner heads by statement node; its usage
+    for word, s in STATEMENTS.items():
+        carried = used = None if s.data is None else g.ends_labeled(s.data)
+        for _, label in () if s.usage is None else s.usage.steps[1:]:  # the first is ``data``
+            step = g.ends_labeled(label)
+            used = {node: step.get(end) for node, end in used.items()}
+        view[word] = carried, used, s.usage, None if s.inner is None else g.ends_labeled(s.inner)
     colons = g.pairs_labeled(":")
     classes = [OTHER] * len(words)
     for _, label in colons:
@@ -162,31 +188,23 @@ def classify(tree: Tree) -> Points:
     stack = [(successors[tree.root], None, None)] if tree.root in successors else []
     while stack:
         node, owner, after = stack.pop()
-        while classes[node] is OTHER and words[node] in STATEMENT_WORDS:
-            word = words[node]
+        while classes[node] is OTHER and words[node] in view:
+            carried, used_of, usage, inners = view[words[node]]
             classes[node] = STATEMENT
             statements.append(node)
             nxt = successors.get(node)
             if nxt is None:
                 ends[node], continuations[node] = owner, after
-            inner = None
-            if word == "print":
-                used = quotes.get(node)
-                if used is None or repeats:
-                    used = resolve(g, PRINT_WORD_PATH, node)
-                usage_of[node] = used
-                data.append(used)
-            elif word == "if":
-                used = compared.get(symbols.get(node))
-                if used is None or repeats:
-                    used = resolve(g, SYMBOL_PATH, node)
-                usage_of[node] = used
-                data.append(symbols[node])
-                inner = thens.get(node)
-            elif word == "{":
-                inner = braces.get(node)
-            elif word == "go" and node in jumps:
-                data.append(jumps[node])
+            if carried is not None:
+                end = carried.get(node)
+                if usage is not None:
+                    used = used_of.get(node)
+                    if used is None or repeats:
+                        used = resolve(g, usage, node)
+                    usage_of[node] = used
+                if end is not None:
+                    data.append(end)
+            inner = None if inners is None else inners.get(node)
             if inner is not None:  # the inner chain first, then the rest of this one
                 if nxt is not None:
                     stack.append((nxt, owner, after))

@@ -25,11 +25,9 @@ from wordtree.executor import (
     LEFT_CELL_PATH,
     NO_INSTRUCTION,
     NORMAL_CONDITION_VIOLATED,
-    PRINT_WORD_PATH,
     RIGHT_CELL_PATH,
     RUNNING,
     STOPPED,
-    SYMBOL_PATH,
     TAPE_ARROW,
     TAPE_PATH,
     Act,
@@ -57,6 +55,7 @@ from wordtree.graph import (
     display_word,
     eval_proposition,
 )
+from wordtree.semantics import PRINT_WORD_PATH, SYMBOL_PATH
 
 FOLLOW_NEXT = Instruction((Act(FollowArrow(NEXT)),))
 STOP = Instruction((Act(Stop()),))

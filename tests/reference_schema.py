@@ -9,7 +9,8 @@
 - ``_choices`` lists each one-step expansion of a name in the order
   ``CountTable`` ranks them: OR choices in declaration order, and per
   choice the masks over the optional AND arrows counted up from 0.
-  ``expansions`` builds each of them as a tree.
+  ``expansions`` builds each of them as a tree, its open label patterns
+  filled by ``placeholder`` words unless a word source is given.
 - ``generate_sytr`` is the listing generator ``wordtree.schema.generate_sytr``
   replaced: per name it lists every OR choice times every subset of the
   optional AND arrows (``_choices``), with the nodes each adds at least,
@@ -39,8 +40,10 @@ import networkx as nx
 
 from wordtree.graph import LabeledGraph, Tree
 from wordtree.schema import (
+    Alternation,
     AndArrow,
     BudgetExceeded,
+    Literal,
     RegexSpec,
     Schema,
     analyze,
@@ -75,8 +78,18 @@ def or_bearing_cycles(schema: Schema) -> list[tuple[str, ...]]:
     return [c for c in elementary_cycles(schema) if cycle_steps(c) & or_pairs]
 
 
+def placeholder(spec: RegexSpec) -> str:
+    """A fixed word ``spec`` matches: a literal's word, an alternation's least word, else 'x'."""
+    match spec:
+        case Literal(word):
+            return word
+        case Alternation(words):
+            return min(words)
+    return "x"
+
+
 def _instantiate(spec: RegexSpec, rng: Optional[random.Random]) -> str:
-    return spec.placeholder() if rng is None else spec.sample(rng)
+    return placeholder(spec) if rng is None else spec.sample(rng)
 
 
 def _choices(schema: Schema, name: str) -> Iterator[tuple[Optional[str], list[AndArrow]]]:

@@ -686,11 +686,16 @@ class TestExperimentScripts:
         [
             (generate_corpus, ("--count", "2", "--budget", "1")),
             (fail_safety, ("--program-runs", "1", "--generated", "1", "--budget", "1")),
+            (fail_safety, ("--program-runs", "1", "--generated", "1", "--budget", "3")),
         ],
-        ids=["corpus", "fail-safety"],
+        ids=["corpus", "fail-safety", "fail-safety-3"],
     )
     def test_budget_no_program_fits_is_one_line(self, capsys, monkeypatch, script, argv):
-        code, _, err = self.run_script(capsys, monkeypatch, script, *argv)
-        command = invoke(capsys, "schema", "gen", "--budget", "1")
-        assert command == (1, "", "no expansion of P fits within 1 nodes\n")
-        assert (code, err) == (1, command[2])
+        """Refused before any run: the fail-safety script prints no increment line first.
+
+        3 is the largest budget the built-in schema's least program exceeds."""
+        code, out, err = self.run_script(capsys, monkeypatch, script, *argv)
+        budget = argv[-1]
+        command = invoke(capsys, "schema", "gen", "--budget", budget)
+        assert command == (1, "", f"no expansion of P fits within {budget} nodes\n")
+        assert (code, out, err) == (1, "", command[2])

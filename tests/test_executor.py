@@ -30,11 +30,9 @@ from wordtree.executor import (
     LEFT_CELL_PATH,
     NO_INSTRUCTION,
     NORMAL_CONDITION_VIOLATED,
-    PRINT_WORD_PATH,
     RIGHT_CELL_PATH,
     RUNNING,
     STOPPED,
-    SYMBOL_PATH,
     TAPE_ARROW,
     TAPE_PATH,
     Act,
@@ -78,7 +76,7 @@ from wordtree.graph import (
 )
 from wordtree.pipeline import CheckFailed, check_program, execute_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import STATEMENT, classify
+from wordtree.semantics import PRINT_WORD_PATH, STATEMENT, SYMBOL_PATH, classify
 from wordtree.tape import parse_tape, render_tape
 
 from fail_safety import repair

@@ -45,7 +45,7 @@ from wordtree.graph import (
     parse_path,
 )
 from wordtree.pipeline import CheckResult
-from wordtree.semantics import Chains, Points
+from wordtree.semantics import Chains, Points, Statement
 
 P = parse_path('"tape-alphabet"+tape')
 Q = parse_path('+""+is')
@@ -73,6 +73,10 @@ RECORDS = [
     (
         Chains,
         {"successors": {1: 4}, "ends": {4: None}, "continuations": {4: None}, "defect": None},
+    ),
+    (
+        Statement,
+        {"data": "", "usage": Q, "inner": "then", "branch": "yes", "onward": "no", "shape": "compare"},
     ),
     (UniLabelViolation, {"node": 0, "label": "x", "arrow_ids": (0, 1)}),
     (CrashReport, {"situation": "NoInstruction", "node": 3, "detail": "none"}),

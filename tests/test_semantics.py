@@ -1,5 +1,6 @@
-"""Node classification, alphabet checks, declaration links, label checks."""
+"""Node classification, alphabet checks, declaration links, label checks, the statement table."""
 
+import ast
 import importlib.util
 import random
 import sys
@@ -10,8 +11,10 @@ import pytest
 
 from wordtree import control_flow, frontend, graph, pipeline, semantics
 
+from wordtree.executor import install_instructions
 from wordtree.frontend import parse_text, to_canonical
 from wordtree.graph import (
+    CONTROL,
     SEMANTIC,
     LabeledGraph,
     StartAmbiguous,
@@ -27,6 +30,7 @@ from wordtree.semantics import (
     LABEL,
     OTHER,
     STATEMENT,
+    STATEMENTS,
     Diagnostic,
     check_alphabet,
     check_labels,
@@ -36,6 +40,7 @@ from wordtree.semantics import (
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "wordtree"
 
 
 def words(tree: Tree, nodes) -> list[str]:
@@ -382,3 +387,102 @@ def test_one_check_walks_the_tree_once(monkeypatch, increment_text):
                 monkeypatch.setattr(holder, name, counted)
     check_program(increment_text)
     assert calls == {"classify": 1, "w_declaration_points": 1, "resolve": 1}
+
+
+# The statement words a stage could compare a label with; the empty word is
+# every other kind of word too, so it is left out.
+STATEMENT_WORD_LITERALS = frozenset({"go", "if", "print", "move", "{"})
+
+
+def statement_word_comparisons(source: str) -> list[int]:
+    """The line of each comparison in ``source`` of a value with a statement-word literal.
+
+    An ``==``, ``!=``, ``in`` or ``not in`` comparison, or a ``case``
+    pattern, counts when an operand is such a literal or a tuple, list
+    or set display holding one. The ``STATEMENTS`` table and
+    ``turingol_schema`` are skipped.
+    """
+    module = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(module):
+        table = isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "STATEMENTS" for t in node.targets
+        )
+        if table or isinstance(node, ast.FunctionDef) and node.name == "turingol_schema":
+            skipped.update(map(id, ast.walk(node)))
+
+    def literals(operand) -> set:
+        items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+        return {item.value for item in items if isinstance(item, ast.Constant)}
+
+    lines = []
+    for node in ast.walk(module):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Compare):
+            ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+            if any(isinstance(op, ops) for op in node.ops):
+                operands = [node.left, *node.comparators]
+                if set().union(*map(literals, operands)) & STATEMENT_WORD_LITERALS:
+                    lines.append(node.lineno)
+        elif isinstance(node, ast.MatchValue) and literals(node.value) & STATEMENT_WORD_LITERALS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestStatementTable:
+    def test_no_stage_compares_a_label_with_a_statement_word(self):
+        planted = """
+if word == "go": pass
+ok = word in ("if", "x") or "print" != word or word not in {"{"}
+fine = word == "" or word in STATEMENTS
+match word:
+    case "move": pass
+STATEMENTS = {"go": word == "go"}
+def turingol_schema(): return word == "if"
+"""
+        assert statement_word_comparisons(planted) == [2, 3, 3, 3, 6]
+        found = {
+            path.name: statement_word_comparisons(path.read_text())
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "frontend.py"
+        }
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_table_keys_are_the_statement_words(self):
+        assert set(semantics.STATEMENT_WORDS) == {"", "move", "print", "if", "{", "go"}
+        assert set(semantics.STATEMENT_WORDS) == set(STATEMENTS)
+        for statement in STATEMENTS.values():
+            if statement.usage is not None:  # a usage starts along the data arrow
+                assert statement.usage.start is None
+                assert statement.usage.steps[0] == ("+", statement.data)
+
+    def test_one_entry_adds_a_statement_kind(self, monkeypatch):
+        """A ``skip`` word that copies the empty statement's entry is classed, wired
+        and installed as the empty statement is, with no code edit."""
+        text = (
+            "tape-alphabet is a, b;\nprint 'a';\n;\nhere: ;\n"
+            "if the-tape-symbol is 'b' then { move left one-square; };\ngo to here.\n"
+        )
+        monkeypatch.setitem(STATEMENTS, "skip", STATEMENTS[""])
+        built = []
+        for relabel in (False, True):
+            tree = parse_text(text)
+            g = tree.graph
+            empty = [n for n in classify(tree).statements if g.node_label(n) == ""]
+            if relabel:
+                for node in empty:
+                    g.set_node_label(node, "skip")
+            points = classify(tree)
+            stop = control_flow.add_stop_node(tree)
+            control_flow.build_back_arrows(tree, stop, points)
+            control_flow.build_control(tree, stop, points)
+            flow = [(a.src, a.label, a.dst) for _, a in g.arrows() if a.kind == CONTROL]
+            built.append((empty, points, flow, install_instructions(tree, stop, points)))
+        (empty, plain, plain_flow, plain_map), (_, skip, skip_flow, skip_map) = built
+        assert len(empty) == 3  # mid-chain, labeled, and ending a brace's chain
+        assert all(skip.classes[node] == STATEMENT for node in empty)
+        assert skip.classes == plain.classes and skip[:5] == plain[:5]
+        assert skip_flow == plain_flow
+        assert any(src in empty for src, _, _ in skip_flow)
+        assert skip_map == plain_map
