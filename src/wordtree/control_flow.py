@@ -54,6 +54,29 @@ def _chains(points: Points) -> Chains:
     return points.chains
 
 
+def _riser(g):
+    """The walk up a label's ':' arrows to where they rise from, as ``g.chain(node, "-", ":")[-1]``.
+
+    It reads a map inverted from the ':' arrows, and it stops, as the
+    chain does, where a node would repeat. Where two ':' arrows share a
+    destination, the map cannot tell them apart, so the walk is the
+    chain, which refuses the repeated arrow in its own words.
+    """
+    colons = g.pairs_labeled(":")
+    up = {end: origin for origin, end in colons}
+    if len(up) < len(colons):
+        return lambda node: g.chain(node, "-", ":")[-1]
+
+    def rise(node):
+        seen = {node}
+        while node in up and up[node] not in seen:
+            node = up[node]
+            seen.add(node)
+        return node
+
+    return rise
+
+
 def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     """Give every statement without a ';' successor a 'back' arrow.
 
@@ -78,11 +101,13 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     Requires 'back' arrows to be in place and the label checks to be
     clean, since a goto can only be wired when exactly one statement
     carries the label it names; otherwise refuses with the L1 and L2
-    findings before adding any arrow. Each statement gets the arrows
-    its ``STATEMENTS`` entry names: ``branch`` and ``onward``, the
-    latter parallel to its ';' arrow. Then each chain end, innermost
-    first and out along the owners that end chains too, sends its
-    ``onward`` flow to the chain's continuation, or to stop.
+    findings before adding any arrow. A goto's target rises along ':'
+    arrows to its statement through a map inverted from the ':' pairs
+    (``_riser``), so no in-arrow index is built. Each statement gets
+    the arrows its ``STATEMENTS`` entry names: ``branch`` and
+    ``onward``, the latter parallel to its ';' arrow. Then each chain
+    end, innermost first and out along the owners that end chains too,
+    sends its ``onward`` flow to the chain's continuation, or to stop.
     The arrows are staged and added by one ``LabeledGraph.extend`` call
     at the end, so a refusal adds none.
     """
@@ -98,12 +123,13 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     first = g.follow(tree.root, "+", ";")
     if first is None:
         raise ValueError("the root has no ';' arrow to the first statement")
+    rise = _riser(g)
 
     # A goto jumps to the statement its label rises to along ':' arrows.
     words, classes = g._nodes, points.classes
     target_statement = {}
     for target in points.targets:
-        risen = g.chain(target, "-", ":")[-1]
+        risen = rise(target)
         if classes[risen] is not STATEMENT:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"

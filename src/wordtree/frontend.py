@@ -31,6 +31,8 @@ PUNCT_CHARS = ";{}.:,'"
 _TOKEN = re.compile(r"[;{}.:,']|" + WORD.pattern + r"|\S")
 # The one-character texts a legal token may have: a punctuation mark or a letter.
 _ONE_CHAR_TOKENS = frozenset(PUNCT_CHARS + "abcdefghijklmnopqrstuvwxyz")
+# Each punctuation mark, and the text ``lex`` puts in its place to split on.
+_SPACED_MARKS = tuple((mark, f" {mark} ") for mark in PUNCT_CHARS)
 
 
 class IllegalCharacter(Exception):
@@ -113,12 +115,23 @@ class Tokens(Sequence[Token]):
 def lex(text: str) -> Tokens:
     """Tokenize source text into maximal-munch words and punctuation marks.
 
-    One ``findall`` of one pattern finds the tokens, and any other
-    character but whitespace as a token of its own. So the text is
-    legal exactly when each of its distinct one-character tokens is a
-    punctuation mark or a letter. Otherwise the first illegal token is
-    the first illegal character, and ``Tokens.starts`` gives its offset.
+    Two string passes find the tokens of a legal text: each punctuation
+    mark is padded with spaces, and the result is split on whitespace.
+    The text is legal exactly when each distinct token that is no mark
+    fully matches ``WORD``, and then these are the tokens that the one
+    pattern ``_TOKEN`` finds, since ``str.split`` and the pattern agree
+    on which characters are whitespace; so ``Tokens.starts``, which scans
+    with that pattern, lines up with them. Otherwise one ``findall`` of
+    the pattern finds the tokens, and any other character but
+    whitespace as a token of its own: the first illegal token is the
+    first illegal character, and ``Tokens.starts`` gives its offset.
     """
+    padded = text
+    for mark, spaced in _SPACED_MARKS:
+        padded = padded.replace(mark, spaced)
+    texts = padded.split()
+    if all(map(WORD.fullmatch, set(texts).difference(PUNCT_CHARS))):
+        return Tokens(text, texts)
     texts = _TOKEN.findall(text)
     tokens = Tokens(text, texts)
     if 1 in map(len, set(texts).difference(_ONE_CHAR_TOKENS)):

@@ -11,13 +11,18 @@ uni-labeledness check, and deterministic JSON/DOT export.
 
 A graph is built by ``LabeledGraph.extend``, which takes a whole build
 as parallel columns: node labels, then the origins, labels and
-destinations of the arrows. It validates each distinct word once per
-build, refuses a bad build before touching the graph, appends the
-arrows to the graph's own columns and then fills each index in one
-loop. ``add_node`` and ``add_arrow`` are its one-element calls; the
-builders that know their graph up front (the parser, ``to_canonical``,
-the schema generator, the control-flow and declaration links, the tape)
-stage columns and call it once.
+destinations of the arrows. It validates each distinct word it has not
+validated before, refuses a bad build before touching the graph,
+appends the arrows to the graph's own columns and then fills the
+out-arrow and arrow label indexes in one loop. ``add_node`` and
+``add_arrow`` are its one-element calls; the builders that know their
+graph up front (the parser, ``to_canonical``, the schema generator, the
+control-flow and declaration links, the tape) stage columns and call it
+once. Two indexes are built only when first read, since a check reads
+neither: the in-arrow ids of every node, on the first "-" step or
+in-arrow listing, and the own nodes of a word, when a path start,
+``settle`` or ``nodes_labeled`` first names it. ``extend`` keeps
+whatever of them a read has built current.
 
 Arrows are stored as four parallel columns (origin, label, destination,
 kind), not as one object each: an arrow adds list entries, but no
@@ -57,7 +62,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import insort
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -169,13 +174,14 @@ class LabeledGraph:
     ``ends_of_kind`` read the columns and build none, and so do
     ``follow``, ``ends``, ``chain`` and ``resolve``.
 
-    A label is validated when the label index (own nodes by label,
-    arrows by label) has no key for it yet; later uses of a word the
-    index holds are not checked again, and within one ``extend`` each
-    distinct word is checked once. A refused build leaves the graph
-    untouched. Duplicate arrows (same endpoints, same label) are
-    allowed at this level; uni-labeledness is a separate check so that
-    violating graphs can be constructed and reported.
+    A node label is validated once per graph: the graph keeps the set of
+    node labels it has validated, whether or not a node still carries
+    one. An arrow label is validated when the arrow label index has no
+    key for it yet. Within one ``extend`` each distinct word is checked
+    once. A refused build leaves the graph untouched. Duplicate arrows
+    (same endpoints, same label) are allowed at this level;
+    uni-labeledness is a separate check so that violating graphs can be
+    constructed and reported.
 
     Navigation (``follow``, ``ends``, ``chain``, and ``_walk`` for paths)
     goes by label alone, so a label a node repeats always means several
@@ -194,19 +200,32 @@ class LabeledGraph:
     both listed in id order, also after ``set_arrow_dst`` moves an
     arrow.
 
+    In-arrows are indexed by destination, once something reads them:
+    ``_in`` is None until a "-" step (``ends``, ``ends_of_kind``,
+    ``follow``, a path's walk) or ``in_arrows``, ``set_arrow_dst`` or a
+    deep copy asks for it, and ``_ins`` then builds it in one pass over
+    the destinations. From then on ``extend`` and ``set_arrow_dst`` keep
+    it current. A check takes no "-" step, so a checked program has none.
+
     ``copy.deepcopy`` copies the columns and indexes list by list
     (``__deepcopy__``) and shares the words and ids they hold, so a
     copy costs a few list copies per node rather than a walk over
-    every object; ``execute_program`` mounts each tape on one.
+    every object; ``execute_program`` mounts each tape on one. It
+    builds the original's in-arrow index first, so a kept program
+    builds it once and each copy copies it.
 
     The nodes a graph has before ``end_own_nodes`` is called are its
     own; nodes added after that call are mounted, as a tape's cells
     and the cells it grows are. An absolute path start names one of
     the graph's own nodes, so a mounted tape never shadows a program
-    word. The node label index holds own nodes only: ``extend`` and
-    ``set_node_label`` leave it untouched for a mounted node, so
-    ``resolve`` finds an absolute start in one lookup whatever words
-    the cells carry, and ``nodes_labeled`` lists no mounted node.
+    word. The node label index holds own nodes only, and only for the
+    words asked for: the first ``nodes_labeled``, ``resolve`` or
+    ``settle`` that names a word scans the own nodes once for it
+    (``_labeled``), and from then on ``extend`` and ``set_node_label``
+    keep that word's entry current. They leave it untouched for a
+    mounted node, so ``resolve`` finds an absolute start in one lookup
+    whatever words the cells carry, and ``nodes_labeled`` lists no
+    mounted node.
     """
 
     def __init__(self) -> None:
@@ -217,8 +236,9 @@ class LabeledGraph:
         self._dst: list[int] = []
         self._kind: list[str] = []
         self._out: list[dict[str, int]] = []  # by node id: label -> first out-arrow id
-        self._in: list[list[int]] = []  # in-arrow ids by node id
-        self._by_label: dict[str, set[int]] = {}
+        self._in: Optional[list[list[int]]] = None  # in-arrow ids by node id, once read
+        self._by_label: dict[str, set[int]] = {}  # own nodes by label, for each word asked
+        self._validated: set[str] = set()  # the node labels validated so far
         self._arrows_by_label: dict[str, list[int]] = {}
         self._out_more: dict[tuple[int, str], list[int]] = {}
         self._own_end = math.inf  # ids below it are the graph's own nodes
@@ -238,9 +258,10 @@ class LabeledGraph:
         The arrow columns ``srcs``, ``words`` and ``dsts`` are parallel.
         Nodes get the next ids in the order of ``labels``, then arrows
         in column order, so an arrow may end at a node of the same call.
-        Each distinct word the label index does not hold yet is
-        validated once, and the end ranges are checked by their least
-        and greatest ids. A refused build raises the ValueError that
+        Each distinct node label the graph has not validated yet, and
+        each distinct arrow label the arrow label index does not hold
+        yet, is validated once, and the end ranges are checked by their
+        least and greatest ids. A refused build raises the ValueError that
         adding its elements one at a time would raise first, nodes
         before arrows, and leaves the graph untouched.
         """
@@ -251,8 +272,8 @@ class LabeledGraph:
         first_node = len(nodes)
         node_count = first_node + len(labels)
         if labels:
-            by_label = self._by_label
-            new_labels = set(labels).difference(by_label)
+            validated = self._validated
+            new_labels = set(labels).difference(validated)
             bad = new_labels and {w for w in new_labels if not (is_pla_word(w) or is_mla_word(w))}
             if bad:
                 first_bad = next(w for w in labels if w in bad)
@@ -279,15 +300,19 @@ class LabeledGraph:
                     if kind not in ARROW_KINDS:
                         raise ValueError(f"unknown arrow kind {kind!r}")
 
+        ins = self._in
         if labels:
             nodes += labels
-            self._in += [[] for _ in labels]
+            if ins is not None:
+                ins += [[] for _ in labels]
             self._out += [_NO_OUT] * len(labels)
-            if first_node < self._own_end:  # mounted nodes stay out of the index
-                for word in new_labels:
-                    by_label[word] = set()
-                for node, label in enumerate(labels, first_node):
-                    by_label[label].add(node)
+            if new_labels:
+                validated |= new_labels
+            by_label = self._by_label
+            if by_label and first_node < self._own_end:  # mounted nodes stay out of the index
+                added = range(first_node, node_count)
+                for word, members in by_label.items():
+                    members.update(compress(added, map(word.__eq__, labels)))
         if arrow_count:
             first_arrow = len(self._src)
             # One int object per id, shared by every index that holds the id.
@@ -296,19 +321,20 @@ class LabeledGraph:
             self._label += words
             self._dst += dsts
             self._kind += repeat(kind, arrow_count)
-            ins = self._in
             outs = self._out
             for word in new_words:
                 by_word[word] = []
             more = self._out_more
-            for arrow_id, src, word, dst in zip(arrow_ids, srcs, words, dsts):
-                ins[dst].append(arrow_id)
+            for arrow_id, src, word in zip(arrow_ids, srcs, words):
                 by_word[word].append(arrow_id)
                 firsts = outs[src]
                 if firsts is _NO_OUT:
                     firsts = outs[src] = {}
                 if firsts.setdefault(word, arrow_id) != arrow_id:
                     more.setdefault((src, word), []).append(arrow_id)
+            if ins is not None:
+                for arrow_id, dst in zip(arrow_ids, dsts):
+                    ins[dst].append(arrow_id)
 
     def add_node(self, label: str) -> int:
         """Add a node labeled by a PLA word, or by an MLA word (auxiliary node)."""
@@ -325,25 +351,29 @@ class LabeledGraph:
     # -- mutation ----------------------------------------------------
 
     def set_node_label(self, node: int, label: str) -> None:
-        by_label = self._by_label
-        if label not in by_label and not (is_pla_word(label) or is_mla_word(label)):
+        new = label not in self._validated
+        if new and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
         old = self.node_label(node)
         self._nodes[node] = label
-        if node < self._own_end:
-            by_label[old].discard(node)
-            if not by_label[old]:
-                del by_label[old]
-            by_label.setdefault(label, set()).add(node)
+        if new:
+            self._validated.add(label)
+        by_label = self._by_label
+        if node < self._own_end and by_label:
+            if old in by_label:
+                by_label[old].discard(node)
+            if label in by_label:
+                by_label[label].add(node)
 
     def set_arrow_dst(self, arrow_id: int, dst: int) -> None:
         if not 0 <= dst < len(self._nodes):
             raise ValueError(f"arrow destination {dst} is not a node of this graph")
         if arrow_id < 0:
             raise IndexError(f"{arrow_id} is not an arrow of this graph")
-        self._in[self._dst[arrow_id]].remove(arrow_id)
+        ins = self._ins()
+        ins[self._dst[arrow_id]].remove(arrow_id)
         self._dst[arrow_id] = dst
-        insort(self._in[dst], arrow_id)
+        insort(ins[dst], arrow_id)
 
     # -- queries -----------------------------------------------------
 
@@ -373,7 +403,17 @@ class LabeledGraph:
     def in_arrows(self, node: int) -> list[tuple[int, Arrow]]:
         if not 0 <= node < len(self._nodes):
             raise ValueError(f"{node} is not a node of this graph")
-        return self._records(self._in[node])
+        return self._records(self._ins()[node])
+
+    def _ins(self) -> list[list[int]]:
+        """Each node's in-arrow ids, in id order: built in one pass over the destinations
+        on the first call, and kept current from then on by ``extend`` and ``set_arrow_dst``."""
+        ins = self._in
+        if ins is None:
+            ins = self._in = [[] for _ in self._nodes]
+            for arrow_id, dst in enumerate(self._dst):
+                ins[dst].append(arrow_id)
+        return ins
 
     def _out_ids(self, node: int):
         """The ids of the arrows leaving ``node``, in id order."""
@@ -411,7 +451,7 @@ class LabeledGraph:
         if sign == "-":
             labels, srcs = self._label, self._src
             ends = []
-            for arrow_id in self._in[node]:
+            for arrow_id in self._ins()[node]:
                 if labels[arrow_id] == word:
                     ends.append(srcs[arrow_id])
             return ends
@@ -429,7 +469,7 @@ class LabeledGraph:
         if sign == "+":
             ids, far = self._out_ids(node), self._dst
         elif sign == "-":
-            ids, far = self._in[node], self._src
+            ids, far = self._ins()[node], self._src
         else:
             raise ValueError(f"arrow sign must be '+' or '-', not {sign!r}")
         kinds = self._kind
@@ -491,7 +531,17 @@ class LabeledGraph:
 
     def nodes_labeled(self, word: str) -> list[int]:
         """The graph's own nodes labeled ``word``, in id order; mounted nodes are not listed."""
-        return sorted(self._by_label.get(word, ()))
+        return sorted(self._labeled(word))
+
+    def _labeled(self, word: str) -> set[int]:
+        """The own nodes labeled ``word``: found by one scan of the own nodes on the first
+        call for the word, and kept current from then on by ``extend`` and ``set_node_label``."""
+        members = self._by_label.get(word)
+        if members is None:
+            nodes = self._nodes
+            own = range(min(self._own_end, len(nodes)))  # the scan stops at the mounted nodes
+            members = self._by_label[word] = set(compress(own, map(word.__eq__, nodes)))
+        return members
 
     def arrows_labeled(self, word: str) -> list[tuple[int, Arrow]]:
         # Ids are handed out in increasing order and labels never change,
@@ -537,8 +587,9 @@ class LabeledGraph:
         clone._dst = self._dst[:]
         clone._kind = self._kind[:]
         clone._out = [firsts.copy() if firsts else _NO_OUT for firsts in self._out]
-        clone._in = list(map(list.copy, self._in))
+        clone._in = list(map(list.copy, self._ins()))
         clone._by_label = {word: nodes.copy() for word, nodes in self._by_label.items()}
+        clone._validated = self._validated.copy()
         clone._arrows_by_label = {word: ids[:] for word, ids in self._arrows_by_label.items()}
         clone._out_more = {key: ids[:] for key, ids in self._out_more.items()}
         clone._own_end = self._own_end
@@ -687,7 +738,7 @@ def settle(
             return formula
         node = current
     else:
-        candidates = g._by_label.get(formula.start, ())  # own nodes only
+        candidates = g._labeled(formula.start)  # own nodes only
         if len(candidates) != 1:
             return formula
         (node,) = candidates
@@ -724,7 +775,7 @@ def _walk(g: LabeledGraph, node: int, steps) -> Optional[int]:
         elif sign == "-":
             labels = g._label
             found = None
-            for arrow_id in g._in[node]:
+            for arrow_id in (g._in or g._ins())[node]:  # a run's graph has it built
                 if labels[arrow_id] == word:
                     if found is not None:
                         return None
@@ -781,7 +832,7 @@ def resolve(
                 )
             node = current
         else:
-            candidates = g._by_label.get(formula.start, ())  # own nodes only
+            candidates = g._labeled(formula.start)  # own nodes only
             if len(candidates) != 1:
                 raise StartAmbiguous(formula.start, len(candidates))
             (node,) = candidates
@@ -945,7 +996,7 @@ def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
     if sign == "+":
         return word not in g._out[node]
     labels = g._label
-    for arrow_id in g._in[node]:
+    for arrow_id in (g._in or g._ins())[node]:
         if labels[arrow_id] == word:
             return False
     return True

@@ -162,7 +162,9 @@ def classify(tree: Tree) -> Points:
     as one map, not node by node; a usage the maps do not give is
     resolved, which names the missing arrow. A statement with several
     ';' arrows, or a ';' arrow into the root, is the chain table's
-    ``defect``; a chain that meets a walked statement ends.
+    ``defect``; a chain that meets a walked statement ends. The root
+    test reads the ';' pairs, so the walk takes no "-" step and builds
+    no in-arrow index.
     """
     g = tree.graph
     words, repeats = g._nodes, check_uni_labeled(g)
@@ -224,7 +226,8 @@ def classify(tree: Tree) -> Points:
     if forks:
         defect = f"node {forks[0]} has several {display_word(';')} arrows leaving it"
     else:
-        defect = "';' arrows loop; not a program tree" if g.ends(tree.root, "-", ";") else None
+        into_root = any(end == tree.root for _, end in g.pairs_labeled(";"))
+        defect = "';' arrows loop; not a program tree" if into_root else None
     statements.sort()
     usages = tuple(usage_of[node] for node in statements if node in usage_of)
     targets, gotos = (

@@ -3,7 +3,8 @@
 This is how ``wordtree.graph`` evaluated and applied items before each
 item class resolved its own operands: a table keyed by the item's type
 finds the operands, and a ``match`` over the item's class gives their
-meaning. Paths are resolved step by step through ``LabeledGraph.ends``.
+meaning. Paths are resolved step by step through ``LabeledGraph.ends``,
+from a start ``LabeledGraph.nodes_labeled`` names.
 It is kept only as an oracle: the kernel must agree with it on every
 graph, item and current node, in result, in the graph left behind, and
 in exception type and text.
@@ -41,9 +42,7 @@ def resolve(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None
             raise ValueError("formula starts at the current node but no current node was given")
         node = current
     else:
-        candidates = g._by_label.get(formula.start, ())
-        if len(candidates) != 1 or max(candidates) >= g._own_end:
-            candidates = [n for n in candidates if n < g._own_end]
+        candidates = g.nodes_labeled(formula.start)  # own nodes only
         if len(candidates) != 1:
             raise StartAmbiguous(formula.start, len(candidates))
         (node,) = candidates

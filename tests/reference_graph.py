@@ -6,7 +6,9 @@ here, where the tests that compare trees up to isomorphism use it.
 
 ``PerCallGraph`` keeps the validated one-element ``add_node`` and
 ``add_arrow`` that ``LabeledGraph.extend`` replaced, as the oracle the
-bulk build is compared with.
+bulk build is compared with. Like ``extend``, they keep the first-read
+indexes current once a read has built them: the in-arrow ids, and the
+own nodes of each word asked for.
 
 ``uni_label_violations`` keeps the uni-labeledness check that grouped
 every node's listed out-arrows by label, as the oracle
@@ -29,14 +31,16 @@ class PerCallGraph(LabeledGraph):
     """A labeled graph built one validated node or arrow per call."""
 
     def add_node(self, label: str) -> int:
-        if label not in self._by_label and not (is_pla_word(label) or is_mla_word(label)):
+        if label not in self._validated and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
         node = len(self._nodes)
         self._nodes.append(label)
+        self._validated.add(label)
         self._out.append({})
-        self._in.append([])
-        if node < self._own_end:  # mounted nodes stay out of the index
-            self._by_label.setdefault(label, set()).add(node)
+        if self._in is not None:
+            self._in.append([])
+        if node < self._own_end and label in self._by_label:  # mounted nodes stay out
+            self._by_label[label].add(node)
         return node
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:
@@ -57,7 +61,8 @@ class PerCallGraph(LabeledGraph):
         self._label.append(label)
         self._dst.append(dst)
         self._kind.append(kind)
-        self._in[dst].append(arrow_id)
+        if self._in is not None:
+            self._in[dst].append(arrow_id)
         same_label.append(arrow_id)
         if not self._out[src]:  # a deep copy's arrowless nodes share the library's empty dict
             self._out[src] = {}

@@ -61,13 +61,14 @@ def merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
     """
     node_base = len(host._nodes)
     arrow_base = len(host._src)
+    host_ins = host._ins()  # built before the host grows
     host._own_end = min(host._own_end, node_base)
     host._nodes += other._nodes
     host._out += [
         {label: arrow_base + arrow_id for label, arrow_id in firsts.items()}
         for firsts in other._out
     ]
-    host._in += [[arrow_base + arrow_id for arrow_id in ids] for ids in other._in]
+    host_ins += [[arrow_base + arrow_id for arrow_id in ids] for ids in other._ins()]
     host._src += [node_base + src for src in other._src]
     host._label += other._label
     host._dst += [node_base + dst for dst in other._dst]

@@ -273,6 +273,22 @@ class TestBuildControl:
         with pytest.raises(ValueError, match="does not rise to a statement"):
             build_control(tree, stop, points)
 
+    def test_a_label_two_colon_arrows_enter_is_refused_as_its_chain_refuses_it(self):
+        """Where two ':' arrows share an end, the rise walks the chain, which names the repeat."""
+        tree = parse_text("tape-alphabet is one;\ngo to a;\na: print 'one'.")
+        g = tree.graph
+        (statement,) = g.nodes_labeled("print")
+        (label,) = g.ends(statement, "+", ":")
+        (data,) = g.ends(statement, "+", "'")
+        g.add_arrow(data, ":", label)  # a later ':' arrow into the label, from a data node
+        points = points_of(tree)
+        assert points.targets == (label,)
+        stop = add_stop_node(tree)
+        build_back_arrows(tree, stop, points)
+        with pytest.raises(ValueError) as refusal:
+            build_control(tree, stop, points)
+        assert str(refusal.value) == f'node {label} has several ":" arrows entering it'
+
     def test_inner_chain_continues_after_braces(self):
         tree, stop, _ = build_all(
             "tape-alphabet is a;\n{print 'a'; print 'a'};\nprint 'a'."

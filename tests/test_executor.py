@@ -1123,11 +1123,12 @@ def count_graph_reads(g: LabeledGraph, read: list) -> None:
     """Swap ``g``'s columns and per-node indexes for containers that count what is read.
 
     A label, an arrow end, or a node's out-arrow index counts 1; a
-    node's in-arrow id list counts the ids a scan of it may read.
+    node's in-arrow id list counts the ids a scan of it may read. The
+    in-arrow index is built first, as a run's deep copy has it built.
     """
     for name in ("_nodes", "_src", "_label", "_dst", "_out"):
         setattr(g, name, Counted(getattr(g, name), read, lambda entry: 1))
-    g._in = Counted(g._in, read, len)
+    g._in = Counted(g._ins(), read, len)
 
 
 def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:

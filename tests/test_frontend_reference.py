@@ -9,13 +9,17 @@ parsers the same graph, node ids included, or the same ParseError.
 import pathlib
 import sys
 import traceback
+import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_frontend as reference
+from wordtree import frontend
 from wordtree.frontend import (
+    _TOKEN,
+    PUNCT_CHARS,
     IllegalCharacter,
     ParseError,
     lex,
@@ -92,6 +96,97 @@ def test_tokens_behave_as_a_sequence(text):
         assert tokens[-1] == expected[-1]
     with pytest.raises(IndexError):
         tokens[len(expected)]
+
+
+def pattern_route(text):
+    """What the one pattern ``_TOKEN`` finds: its tokens, or where the first illegal one is.
+
+    The first one-character token that is neither a mark nor a letter is
+    the illegal character; its line and column are counted here from the
+    text itself, as ``("illegal", char, line, column)``.
+    """
+    found = list(_TOKEN.finditer(text))
+    for match in found:
+        token = match.group()
+        if len(token) == 1 and not (token in PUNCT_CHARS or "a" <= token <= "z"):
+            offset = match.start()
+            line = text.count("\n", 0, offset) + 1
+            return ("illegal", token, line, offset - text.rfind("\n", 0, offset))
+    return [match.group() for match in found]
+
+
+def lexed_texts(text):
+    """``lex``'s token texts, or its refusal in ``pattern_route``'s form."""
+    try:
+        return lex(text).texts
+    except IllegalCharacter as error:
+        return ("illegal", error.char, error.line, error.column)
+
+
+# Characters of every sort the two string passes and the pattern must
+# agree on: letters, hyphens, the marks, ASCII and Unicode whitespace,
+# digits, uppercase letters and letters beyond ASCII.
+LEX_CHARS = "abz-" + PUNCT_CHARS + " \t\n\r\x0b\x0c\x1c\xa0\u2028" + "07AZ\u00e9\u03bb"
+lex_texts = st.lists(
+    st.one_of(
+        st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT + [" ", "\n", "\x1c", "\xa0", "\u2028"]),
+        st.text(alphabet=LEX_CHARS, max_size=4),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@given(lex_texts)
+@settings(deadline=None, max_examples=300)
+@example("go to x;\u2028print 'a'\x1c.")
+@example("a\xa0b-c\x1c{d}")
+@example("a-\u00e9")
+@example("\u03bb")
+@example("a\n  b7")
+@example("x--y")
+def test_two_string_passes_lex_as_the_pattern_does(text):
+    """A legal text's tokens are the pattern's, and ``starts`` lines up with them;
+    an illegal text is refused at the pattern's first illegal character."""
+    expected = pattern_route(text)
+    assert lexed_texts(text) == expected
+    if type(expected) is list:
+        tokens = lex(text)
+        assert len(tokens.starts) == len(expected)
+        assert [text[at:at + len(t)] for at, t in zip(tokens.starts, tokens.texts)] == expected
+
+
+def test_every_code_point_between_letters_lexes_alike_both_routes(monkeypatch):
+    """``"a" + chr(c) + "b"``, for every code point c: the two string passes give
+    the pattern's tokens exactly when the pattern finds no illegal character,
+    and hand every other text on to it.
+
+    The passes run with the pattern's ``findall`` swapped for one that finds no
+    token, so a text handed on lexes to no token at all. ``lex`` itself then
+    lexes each text that the passes keep, and every 4 099th of the rest.
+    """
+    one_char = frozenset(PUNCT_CHARS + "abcdefghijklmnopqrstuvwxyz")
+    never = types.SimpleNamespace(findall=lambda text: [])
+    kept = []
+    for first in range(0, 0x110000, 0x10000):
+        points = range(first, first + 0x10000)
+        texts = ["a" + chr(c) + "b" for c in points]
+        found = list(map(_TOKEN.findall, texts))
+        expected = [
+            tokens if not any(len(t) == 1 and t not in one_char for t in tokens) else []
+            for tokens in found
+        ]
+        monkeypatch.setattr(frontend, "_TOKEN", never)
+        passed = [tokens.texts for tokens in map(lex, texts)]
+        monkeypatch.undo()
+        if passed != expected:
+            c = next(c for c, got, want in zip(points, passed, expected) if got != want)
+            got, want = passed[c - first], found[c - first]
+            pytest.fail(f"U+{c:04X}: the passes give {got}, the pattern {want}")
+        kept += (c for c, tokens in zip(points, expected) if tokens)
+    assert len(kept) > len(PUNCT_CHARS) + 26 + 1  # the marks, the letters, the hyphen, whitespace
+    for c in kept + list(range(0, 0x110000, 4099)):
+        text = "a" + chr(c) + "b"
+        assert lexed_texts(text) == pattern_route(text), hex(c)
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """Kernel tests: storage, path formulas, propositions, actions, checks, export."""
 
 import ast
+import contextlib
 import copy
 import gc
+import importlib.util
 import json
 import pickle
 import random
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordtree import graph as G
+from wordtree import pipeline
 from wordtree.graph import (
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
@@ -45,7 +48,7 @@ from wordtree.graph import (
 )
 from wordtree.executor import LEFT_CELL_PATH, RIGHT_CELL_PATH, TAPE_PATH, initialize, run
 from wordtree.frontend import parse_text, render_program, to_canonical
-from wordtree.pipeline import check_program, make_executable
+from wordtree.pipeline import check_program, execute_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import FINDINGS, PRINT_WORD_PATH, SYMBOL_PATH
 from wordtree.tape import add_cells, parse_tape
@@ -765,7 +768,11 @@ def containers(g: LabeledGraph) -> dict[int, object]:
 )
 @settings(deadline=None)
 def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, per_call, change, word):
-    """A copy has the same state, its own class, and no list, dict or set but ``_NO_OUT`` in common."""
+    """A copy has the same state, its own class, and no list, dict or set but ``_NO_OUT`` in common.
+
+    Copying builds the original's in-arrow index, if no read has built
+    it yet, and changes nothing else of the original.
+    """
     g, node = graph_and_node
     if per_call:
         oracle = PerCallGraph()
@@ -775,6 +782,10 @@ def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, pe
         g = oracle
     before = copy.deepcopy(vars(g))
     dup = copy.deepcopy(g)
+    dsts = g._dst
+    assert g._in == [[i for i in range(g.arrow_count) if dsts[i] == n] for n in g.nodes()]
+    before["_in"] = copy.deepcopy(g._in)
+    assert vars(g) == before
     assert type(dup) is type(g)
     assert vars(dup) == vars(g)
     assert all(firsts is G._NO_OUT for firsts in dup._out if not firsts)
@@ -963,7 +974,7 @@ def test_refusals_keep_their_text_and_change_nothing(monkeypatch, relabel_first)
     a, b = g.add_node("a"), g.add_node("b")
     g.add_arrow(a, "x", b)
     if relabel_first:
-        # The last node labeled "b" takes another label, so "b" leaves the index.
+        # The last node labeled "b" takes another label, so no node carries "b".
         g.set_node_label(b, "a")
         assert g.nodes_labeled("b") == []
     words = ["a", "b", "x", "fresh", "Print", "LD"]
@@ -982,13 +993,14 @@ def test_refusals_keep_their_text_and_change_nothing(monkeypatch, relabel_first)
             refuse()
         assert str(refusal.value) == message
         assert index_snapshot(g, words) == before
-    # A word that is not in the index is validated again when it comes back.
+    # A node label is validated once per graph, also when no node carries it
+    # any longer; an arrow label the index does not hold is validated again.
     checked = []
     real = G.is_pla_word
     monkeypatch.setattr(G, "is_pla_word", lambda text: checked.append(text) or real(text))
     g.add_node("b")
     g.add_arrow(a, "fresh", b)
-    assert checked == (["b"] if relabel_first else []) + ["fresh"]
+    assert checked == ["fresh"]
 
 
 # Words of every sort a build may carry: PLA words with and without
@@ -1057,17 +1069,31 @@ def followed(g: LabeledGraph, node: int, sign: str, word: str):
         return ("SeveralArrows", str(several))
 
 
-@given(builds())
+def primed(g: LabeledGraph, prime: bool) -> LabeledGraph:
+    """``g``, with its first-read indexes built when ``prime`` holds: the in-arrow
+    ids, and the own nodes of each of ``BUILD_WORDS``."""
+    if prime:
+        g._ins()
+        for word in BUILD_WORDS:
+            g.nodes_labeled(word)
+    return g
+
+
+@given(builds(), st.booleans())
 @settings(deadline=None, max_examples=300)
-@example([(["a", "Ab", "b", "a b", "\u00e9", "-\n"], [], [], [], G.SYNTACTIC)])
-@example([(["a", "b"], [0, 5, 1], ["x", "Ab", "a b"], [1, 7, 9], G.CONTROL)])
-@example([(["a", "b"], [0, 1], ["LD", "x"], [1, 3], "bogus")])
-def test_extend_builds_what_adding_one_element_at_a_time_builds(calls):
-    """``extend`` against the per-call oracle: same graph, or the same refusal and no change."""
-    g, oracle = LabeledGraph(), PerCallGraph()
+@example([(["a", "Ab", "b", "a b", "\u00e9", "-\n"], [], [], [], G.SYNTACTIC)], False)
+@example([(["a", "b"], [0, 5, 1], ["x", "Ab", "a b"], [1, 7, 9], G.CONTROL)], True)
+@example([(["a", "b"], [0, 1], ["LD", "x"], [1, 3], "bogus")], False)
+def test_extend_builds_what_adding_one_element_at_a_time_builds(calls, prime):
+    """``extend`` against the per-call oracle: same graph, or the same refusal and no change.
+
+    With ``prime``, both graphs build their first-read indexes before the
+    first call, so every call after it must keep them current. The
+    oracle is rebuilt from the calls that succeeded after each refusal.
+    """
+    g, oracle, done = primed(LabeledGraph(), prime), primed(PerCallGraph(), prime), []
     for labels, srcs, words, dsts, kind in calls:
         before = (G.export_json(g), copy.deepcopy(vars(g)))
-        kept = copy.deepcopy(oracle)
         try:
             oracle.extend(labels, srcs, words, dsts, kind)
         except ValueError as refusal:
@@ -1075,9 +1101,12 @@ def test_extend_builds_what_adding_one_element_at_a_time_builds(calls):
                 g.extend(labels, srcs, words, dsts, kind)
             assert str(refused.value) == str(refusal)
             assert (G.export_json(g), vars(g)) == before
-            oracle = kept
+            oracle = primed(PerCallGraph(), prime)
+            for call in done:
+                oracle.extend(*call)
         else:
             g.extend(labels, srcs, words, dsts, kind)
+            done.append((labels, srcs, words, dsts, kind))
     assert vars(g) == vars(oracle)
     assert G.export_json(g) == G.export_json(oracle)
     for word in BUILD_WORDS:
@@ -1490,8 +1519,9 @@ def test_labels_alone_navigate_checked_and_run_programs():
 
 
 # Bytes a checked program keeps alive per graph arrow with the arrows kept
-# as columns (CPython 3.11.7, 64-bit), on the program below: 334.2.
-RETAINED_BYTES_PER_ARROW = 335
+# as columns and no in-arrow or node label index built by the check
+# (CPython 3.11.7, 64-bit), on the program below: 197.5.
+RETAINED_BYTES_PER_ARROW = 198
 
 
 def increment_copies(increment_text: str, copies: int) -> str:
@@ -1521,6 +1551,151 @@ def test_checked_program_memory_per_arrow(increment_text):
     arrows = result.tree.graph.arrow_count
     assert arrows > 2000
     assert retained / arrows <= RETAINED_BYTES_PER_ARROW * 1.10
+
+
+
+# -- indexes built on first read ---------------------------------------
+
+SCHEMA_FLOW_SEEDS = sorted(
+    map(int, json.loads((Path(__file__).parent / "data" / "schema_flows.json").read_text()))
+)
+
+
+def corpus_texts() -> list[str]:
+    """The 96 programs of the first two seed-1 ``check-corpus`` rounds."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("index_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # a dataclass module must be importable by name
+    try:
+        spec.loader.exec_module(workloads)
+        rounds = workloads.check_corpus_rounds(1)
+        return [program.text for _ in range(2) for program in next(rounds)]
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_checking_builds_no_in_arrow_index():
+    """No stage of a check takes a "-" step: ``programs/*.tgl``, the programs grown
+    from the ``schema_flows.json`` seeds, and two seed-1 corpus rounds."""
+    schema = turingol_schema()
+    texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.tgl"))]
+    texts += [
+        render_program(to_canonical(generate_sytr(schema, "P", random.Random(seed))))
+        for seed in SCHEMA_FLOW_SEEDS
+    ]
+    texts += corpus_texts()
+    built = [i for i, text in enumerate(texts) if check_program(text).tree.graph._in is not None]
+    assert built == []
+
+
+def test_a_kept_program_builds_its_in_arrow_index_once(monkeypatch, increment_text):
+    """The first run's copy builds the kept program's index; the second copies it."""
+    built = []
+    real = LabeledGraph._ins
+
+    def counted(self):
+        if self._in is None:
+            built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LabeledGraph, "_ins", counted)
+    pipeline._executable.cache_clear()
+    first = execute_program(increment_text, "one one", "last")
+    kept = pipeline._executable(increment_text)[0].graph
+    second = execute_program(increment_text, "zero one", "last")
+    assert built == [kept]
+    assert (first.outcome, second.outcome) == ("stopped", "stopped")
+    assert second.state.tree.graph._in is not None
+    pipeline._executable.cache_clear()
+
+
+INDEX_WORDS = ["a", "b", "", "c"]
+
+
+@st.composite
+def index_scripts(draw):
+    """Writes of every kind, with reads among them, as (operation, raw arguments) pairs.
+
+    The raw ids are taken modulo the graph's size when the step runs, so
+    each write lands whatever the graph holds. Reads build the first-read
+    indexes, so some writes come before an index exists and some after.
+    """
+    raw = st.integers(0, 10**6)
+    word = st.sampled_from(INDEX_WORDS)
+    steps = st.one_of(
+        st.tuples(st.just("extend"), st.lists(word, max_size=4),
+                  st.lists(st.tuples(raw, word, raw), max_size=5), st.sampled_from(G.ARROW_KINDS)),
+        st.tuples(st.just("relabel"), raw, word),
+        st.tuples(st.just("move"), raw, raw),
+        st.tuples(st.just("mount"), st.lists(word, min_size=1, max_size=3)),
+        st.tuples(st.just("copy")),
+        st.tuples(st.just("read"), st.sampled_from(["labeled", "resolve", "ends", "in"]), word, raw),
+    )
+    return draw(st.lists(steps, min_size=1, max_size=20))
+
+
+def assert_indexes_equal_a_scan(g: LabeledGraph) -> None:
+    """Every first-read index reads as a brute-force scan of the columns."""
+    count = g.node_count
+    own_end = min(g._own_end, count)
+    for word in INDEX_WORDS:
+        own = [n for n in range(own_end) if g._nodes[n] == word]
+        assert g.nodes_labeled(word) == own
+        try:
+            reached = resolve(g, PathFormula(word))
+        except StartAmbiguous as refusal:
+            reached = ("StartAmbiguous", refusal.count)
+        assert reached == (own[0] if len(own) == 1 else ("StartAmbiguous", len(own)))
+    for node in range(count):
+        entering = [i for i in range(g.arrow_count) if g._dst[i] == node]
+        assert g.in_arrows(node) == [(i, g.arrow(i)) for i in entering]
+        for word in INDEX_WORDS:
+            assert g.ends(node, "-", word) == [g._src[i] for i in entering if g._label[i] == word]
+
+
+@given(index_scripts())
+@settings(deadline=None, max_examples=200)
+def test_first_read_indexes_read_as_a_scan_of_the_columns(script):
+    """``extend``, ``set_node_label``, ``set_arrow_dst``, mounts and deep copies keep
+    the in-arrow index and the label index equal to a scan, built or not."""
+    g = LabeledGraph()
+    g.add_node("a")
+    for step, *args in script:
+        count = g.node_count
+        if step == "extend":
+            labels, arrows, kind = args
+            ends = count + len(labels)
+            g.extend(
+                labels,
+                [src % ends for src, _, _ in arrows],
+                [word for _, word, _ in arrows],
+                [dst % ends for _, _, dst in arrows],
+                kind,
+            )
+        elif step == "relabel":
+            g.set_node_label(args[0] % count, args[1])
+        elif step == "move" and g.arrow_count:
+            g.set_arrow_dst(args[0] % g.arrow_count, args[1] % count)
+        elif step == "mount":
+            add_cells(g, args[0])
+        elif step == "copy":
+            original, g = g, copy.deepcopy(g)
+            assert original._in is not None  # the copy built the original's index
+            assert_indexes_equal_a_scan(original)
+        elif step == "read":
+            read, word, node = args
+            node %= count
+            if read == "labeled":
+                g.nodes_labeled(word)
+            elif read == "resolve":
+                with contextlib.suppress(StartAmbiguous):
+                    resolve(g, PathFormula(word))
+            elif read == "ends":
+                g.ends(node, "-", word)
+            else:
+                g.in_arrows(node)
+    assert_indexes_equal_a_scan(g)
 
 
 class TestUniLabeled:
