@@ -7,7 +7,7 @@ performs the instruction found at every node reached. Crashes are
 states, not exceptions: a node without an instruction, an instruction
 out of directions and a violated normal-execution condition each raise
 in the step, and the loop marks the state crashed, named by the class.
-Every run is cautious: an item of the algebra resolves all its operands
+Every run is cautious: an item of the algebra resolves all its paths
 before its first graph write, so a violation crashes before the
 direction touches the graph.
 
@@ -135,7 +135,8 @@ class Instruction(_Directions):
     state: both depend on the directions alone, and a pickled or copied
     instruction holds only its directions and binds afresh. A value
     that is no item of the algebra binds to a function that refuses it
-    when the step reaches it.
+    when the step reaches it; an item in the place of the other kind
+    refuses to bind, with TypeError, at the first step that reads it.
     """
 
     def phrases(self) -> list[str]:

@@ -15,7 +15,6 @@ print nodes; the compared word of an 'if' sits directly after `is`.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from typing import NamedTuple, NoReturn, Optional
@@ -26,11 +25,6 @@ Sytr = Tree
 
 PUNCT_CHARS = ";{}.:,'"
 
-# One token: a punctuation mark or a maximal word; or else any character
-# but whitespace, which is illegal, as a token of its own.
-_TOKEN = re.compile(r"[;{}.:,']|" + WORD.pattern + r"|\S")
-# The one-character texts a legal token may have: a punctuation mark or a letter.
-_ONE_CHAR_TOKENS = frozenset(PUNCT_CHARS + "abcdefghijklmnopqrstuvwxyz")
 # Each punctuation mark, and the text ``lex`` puts in its place to split on.
 _SPACED_MARKS = tuple((mark, f" {mark} ") for mark in PUNCT_CHARS)
 
@@ -70,8 +64,10 @@ class Tokens(Sequence[Token]):
     """The tokens of one source text, as ``lex`` returns them.
 
     ``texts`` holds each token's text; the parser reads it directly.
-    ``starts``, each token's offset in ``source``, is scanned on the
-    first request, so a text that parses finds no offsets at all.
+    ``starts``, each token's offset in ``source``, is found on the
+    first request, so a text that parses finds no offsets at all. Only
+    whitespace lies between two tokens, so each token starts where its
+    text first occurs past the end of the one before.
     Indexing and iteration build each ``Token`` on demand. Its line and
     column come from a binary search over the offsets at which lines
     start, which are found once, on the first such request.
@@ -88,7 +84,12 @@ class Tokens(Sequence[Token]):
     @property
     def starts(self) -> list[int]:
         if self._starts is None:
-            self._starts = [match.start() for match in _TOKEN.finditer(self.source)]
+            find, at, starts = self.source.find, 0, []
+            for text in self.texts:
+                at = find(text, at)
+                starts.append(at)
+                at += len(text)
+            self._starts = starts
         return self._starts
 
     def __len__(self) -> int:
@@ -115,16 +116,12 @@ class Tokens(Sequence[Token]):
 def lex(text: str) -> Tokens:
     """Tokenize source text into maximal-munch words and punctuation marks.
 
-    Two string passes find the tokens of a legal text: each punctuation
-    mark is padded with spaces, and the result is split on whitespace.
-    The text is legal exactly when each distinct token that is no mark
-    fully matches ``WORD``, and then these are the tokens that the one
-    pattern ``_TOKEN`` finds, since ``str.split`` and the pattern agree
-    on which characters are whitespace; so ``Tokens.starts``, which scans
-    with that pattern, lines up with them. Otherwise one ``findall`` of
-    the pattern finds the tokens, and any other character but
-    whitespace as a token of its own: the first illegal token is the
-    first illegal character, and ``Tokens.starts`` gives its offset.
+    Two string passes find the tokens: each punctuation mark is padded
+    with spaces, and the result is split on whitespace. The text is
+    legal exactly when each distinct token that is no mark fully
+    matches ``WORD``. Otherwise the first token that does not holds
+    the first illegal character, just past the longest prefix of it
+    that ``WORD`` matches, and ``Tokens.starts`` gives its offset.
     """
     padded = text
     for mark, spaced in _SPACED_MARKS:
@@ -132,13 +129,12 @@ def lex(text: str) -> Tokens:
     texts = padded.split()
     if all(map(WORD.fullmatch, set(texts).difference(PUNCT_CHARS))):
         return Tokens(text, texts)
-    texts = _TOKEN.findall(text)
     tokens = Tokens(text, texts)
-    if 1 in map(len, set(texts).difference(_ONE_CHAR_TOKENS)):
-        illegal = [i for i, t in enumerate(texts) if len(t) == 1 and t not in _ONE_CHAR_TOKENS]
-        offset = tokens.starts[illegal[0]]
-        raise IllegalCharacter(text[offset], *tokens.position(offset))
-    return tokens
+    for i, token in enumerate(texts):
+        if token not in PUNCT_CHARS and not WORD.fullmatch(token):
+            prefix = WORD.match(token)
+            offset = tokens.starts[i] + (prefix.end() if prefix else 0)
+            raise IllegalCharacter(text[offset], *tokens.position(offset))
 
 
 # The free slot of a statement shape, named by what a refusal expects
@@ -407,6 +403,7 @@ class _Renderer:
     def __init__(self, tree: Sytr):
         self.g = tree.graph
         self.root = tree.root
+        self.reached: list[int] = []  # the end of each arrow the renderer follows
         # A tree enters each node once and its root never, so no chain
         # the renderer walks can loop.
         entered = {self.root}
@@ -422,8 +419,19 @@ class _Renderer:
     def fail(self, message: str) -> "ValueError":
         return ValueError(f"not a canonical program tree: {message}")
 
-    def need(self, node: int, label: str) -> int:
+    def follow(self, node: int, label: str) -> Optional[int]:
         dst = self.g.follow(node, "+", label)
+        if dst is not None:
+            self.reached.append(dst)
+        return dst
+
+    def chain(self, node: int, label: str) -> list[int]:
+        nodes = self.g.chain(node, "+", label)
+        self.reached += nodes[1:]
+        return nodes
+
+    def need(self, node: int, label: str) -> int:
+        dst = self.follow(node, label)
         if dst is None:
             raise self.fail(f"node {node} lacks a {display_word(label)} arrow")
         return dst
@@ -438,13 +446,20 @@ class _Renderer:
         if self.g.node_label(self.root) != "tape-alphabet":
             raise self.fail("root is not labeled 'tape-alphabet'")
         self.need(self.root, "")
-        declared = self.g.chain(self.need(self.root, "is"), "+", ",")
+        declared = self.chain(self.need(self.root, "is"), ",")
         words = [self.plain_word(node, "declared word") for node in declared]
         lines = ["tape-alphabet is " + ", ".join(words) + ";"]
-        statements = self.g.chain(self.need(self.root, ";"), "+", ";")
+        statements = self.chain(self.need(self.root, ";"), ";")
         for i, node in enumerate(statements):
             mark = "." if i == len(statements) - 1 else ";"
             lines.append(self.statement(node) + mark)
+        if len(self.reached) < self.g.arrow_count:  # each arrow enters a node of its own
+            reached = set(self.reached)
+            missed = next(arrow for _, arrow in self.g.arrows() if arrow.dst not in reached)
+            raise self.fail(
+                f"the {display_word(missed.label)} arrow from node {missed.src}"
+                f" to node {missed.dst} is not program text"
+            )
         return "\n".join(lines)
 
     def statement(self, node: int) -> str:
@@ -464,9 +479,9 @@ class _Renderer:
             if isinstance(item, str):
                 parts.append(item)
                 continue
-            first = g.follow(item, "+", ":")
+            first = self.follow(item, ":")
             if first is not None:
-                labels = [self.plain_word(n, "statement label") for n in g.chain(first, "+", ":")]
+                labels = [self.plain_word(n, "statement label") for n in self.chain(first, ":")]
                 parts.append(": ".join(labels) + ": ")
             label = g.node_label(item)
             if label == "go":
@@ -485,7 +500,7 @@ class _Renderer:
             elif label == "move":
                 parts.append(self.move(item))
             elif label == "{":
-                inner = g.chain(self.need(item, "}"), "+", ";")
+                inner = self.chain(self.need(item, "}"), ";")
                 pieces: list = [inner[0]]
                 for statement in inner[1:]:
                     pieces += ["; ", statement]
@@ -498,7 +513,7 @@ class _Renderer:
 
     def move(self, node: int) -> str:
         for direction in ("left", "right"):
-            square = self.g.follow(node, "+", direction)
+            square = self.follow(node, direction)
             if square is not None:
                 if self.g.node_label(square) != "one-square":
                     raise self.fail("'move' does not point at 'one-square'")
@@ -512,6 +527,8 @@ def render_program(tree: Sytr) -> str:
     The text reparses to an isomorphic tree; whitespace and statement
     layout are normalized, one top-level statement per line. A graph in
     which some node is reached twice (a loop, or a shared node) is not
-    a tree and is refused with ValueError.
+    a tree, and one with an arrow the text does not show (a 'move' with
+    both directions, a statement with an arrow of no statement's shape)
+    would not reparse to it: both are refused with ValueError.
     """
     return _Renderer(tree).render()

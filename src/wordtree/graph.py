@@ -18,11 +18,12 @@ out-arrow and arrow label indexes in one loop. ``add_node`` and
 ``add_arrow`` are its one-element calls; the builders that know their
 graph up front (the parser, ``to_canonical``, the schema generator, the
 control-flow and declaration links, the tape) stage columns and call it
-once. Two indexes are built only when first read, since a check reads
-neither: the in-arrow ids of every node, on the first "-" step or
-in-arrow listing, and the own nodes of a word, when a path start,
-``settle`` or ``nodes_labeled`` first names it. ``extend`` keeps
-whatever of them a read has built current.
+once. Two indexes are built only when first read: the in-arrow ids of
+every node, on the first "-" step or in-arrow listing, which a check
+never takes, and the own nodes of a word, when a path start, ``settle``
+or ``nodes_labeled`` names it. ``extend`` keeps the in-arrow index
+current once built; the label index is a memo, which ``extend`` and
+``set_node_label`` drop whenever they add or relabel an own node.
 
 Arrows are stored as four parallel columns (origin, label, destination,
 kind), not as one object each: an arrow adds list entries, but no
@@ -40,18 +41,19 @@ step and the node's in-arrow ids in place for a "-" one; ``resolve``,
 it fails, ``_failed_step`` takes the steps again through ``follow`` to
 name the failing one. Kinds serve the column readers and export.
 
-An item's ``operands``, its normal-execution conditions, are its path
-fields, each read through its ``reader``, unless the item says
-otherwise; its one bound form, ``bind_holds`` or ``bind_apply``, is a
-function (g, current) built once from the same fields and readers,
-which ``eval_proposition`` and ``apply_action`` call and the executor
-folds into one function per instruction. A reader of a ``Settled``
-path reads a single remaining "+" step from the index in place, walks
-longer rests through ``_walk``, and defers to ``locate`` where a step
-has no arrow or several, so every failure reads as it would through
-``resolve``. A bound form resolves every operand before its first
-write, so a violation leaves the graph as it was; ``normal_violation``
-predicts it without acting. ``settle`` resolves the program side of a
+An item's one bound form, ``bind_holds`` or ``bind_apply``, is a
+function (g, current) built once from its fields, each path read
+through its ``reader``. It is the one statement of the item's
+normal-execution conditions, raising NormalConditionViolated where one
+fails; ``eval_proposition`` and ``apply_action`` call it, and the
+executor folds it into one function per instruction. A reader of a
+``Settled`` path reads a single remaining "+" step from the index in
+place, walks longer rests through ``_walk``, and defers to ``locate``
+where a step has no arrow or several, so every failure reads as it
+would through ``resolve``. A bound form resolves every path before its
+first write, so a violation leaves the graph as it was;
+``normal_violation`` reports one by evaluating a proposition, or by
+applying an action to a copy. ``settle`` resolves the program side of a
 path formula once, into a ``Settled`` record, and ``FollowArrowTo`` is
 a follow bound to its target: the executor builds both at install,
 for the parts of a step a run never changes.
@@ -218,14 +220,14 @@ class LabeledGraph:
     own; nodes added after that call are mounted, as a tape's cells
     and the cells it grows are. An absolute path start names one of
     the graph's own nodes, so a mounted tape never shadows a program
-    word. The node label index holds own nodes only, and only for the
-    words asked for: the first ``nodes_labeled``, ``resolve`` or
-    ``settle`` that names a word scans the own nodes once for it
-    (``_labeled``), and from then on ``extend`` and ``set_node_label``
-    keep that word's entry current. They leave it untouched for a
-    mounted node, so ``resolve`` finds an absolute start in one lookup
-    whatever words the cells carry, and ``nodes_labeled`` lists no
-    mounted node.
+    word. The node label index is a memo of own nodes, for the words
+    asked for: a ``nodes_labeled``, ``resolve`` or ``settle`` that
+    names a word it lacks scans the own nodes once for it
+    (``_labeled``), and ``extend`` and ``set_node_label`` clear it
+    whenever they add or relabel an own node. A mounted node never
+    enters or clears it, so ``resolve`` finds an absolute start in one
+    lookup whatever words the cells carry, and ``nodes_labeled`` lists
+    no mounted node.
     """
 
     def __init__(self) -> None:
@@ -308,11 +310,8 @@ class LabeledGraph:
             self._out += [_NO_OUT] * len(labels)
             if new_labels:
                 validated |= new_labels
-            by_label = self._by_label
-            if by_label and first_node < self._own_end:  # mounted nodes stay out of the index
-                added = range(first_node, node_count)
-                for word, members in by_label.items():
-                    members.update(compress(added, map(word.__eq__, labels)))
+            if first_node < self._own_end:  # mounted nodes stay out of the index
+                self._by_label.clear()
         if arrow_count:
             first_arrow = len(self._src)
             # One int object per id, shared by every index that holds the id.
@@ -354,16 +353,12 @@ class LabeledGraph:
         new = label not in self._validated
         if new and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
-        old = self.node_label(node)
+        self.node_label(node)  # refuses a negative id
         self._nodes[node] = label
         if new:
             self._validated.add(label)
-        by_label = self._by_label
-        if node < self._own_end and by_label:
-            if old in by_label:
-                by_label[old].discard(node)
-            if label in by_label:
-                by_label[label].add(node)
+        if node < self._own_end:  # mounted nodes stay out of the index
+            self._by_label.clear()
 
     def set_arrow_dst(self, arrow_id: int, dst: int) -> None:
         if not 0 <= dst < len(self._nodes):
@@ -534,8 +529,8 @@ class LabeledGraph:
         return sorted(self._labeled(word))
 
     def _labeled(self, word: str) -> set[int]:
-        """The own nodes labeled ``word``: found by one scan of the own nodes on the first
-        call for the word, and kept current from then on by ``extend`` and ``set_node_label``."""
+        """The own nodes labeled ``word``: found by one scan of the own nodes, and kept
+        until ``extend`` or ``set_node_label`` adds or relabels an own node."""
         members = self._by_label.get(word)
         if members is None:
             nodes = self._nodes
@@ -902,20 +897,17 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
 class _Item:
     """What every proposition and action of the algebra has.
 
-    ``operands`` resolves what the item works on, or raises
-    NormalConditionViolated saying why it cannot. These are its
-    normal-execution conditions: its path fields (annotated
-    ``PathFormula``, found once per class) in field order, each read
-    through its ``reader``, unless the item says otherwise. A
-    proposition's meaning is its ``bind_holds``, an action's its
-    ``bind_apply``: a function (g, current) built once from the same
-    fields and readers, which finds the same operands and then
-    evaluates or applies the item. So once they resolve, it cannot
-    violate a condition, and it writes only after they resolve, so a
-    violation leaves the graph untouched. ``eval_proposition`` and
-    ``apply_action`` call it; an item asked for the form it does not
-    have resolves its operands and raises TypeError. An action whose
-    ``ends_step`` is true ends an executor step when it is performed.
+    A proposition's meaning is its ``bind_holds``, an action's its
+    ``bind_apply``: a function (g, current) built once from the item's
+    fields, which resolves what the item works on, each path through
+    its ``reader``, and then evaluates or applies the item. Resolving
+    is where it raises NormalConditionViolated, so that is the one
+    statement of its normal-execution conditions; an action resolves
+    everything before its first write, so a violation leaves the graph
+    untouched. ``eval_proposition`` and ``apply_action`` call it; an
+    item asked for the form it does not have raises TypeError at once.
+    An action whose ``ends_step`` is true ends an executor step when it
+    is performed.
 
     An item is an immutable value. Each class names the fields it adds
     in ``__slots__``, and its ``_fields`` are its base's followed by
@@ -928,14 +920,10 @@ class _Item:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _paths: tuple[str, ...] = ()
     ends_step = False
 
     def __init_subclass__(cls) -> None:
-        own = cls.__dict__.get("__slots__", ())
-        kinds = cls.__dict__.get("__annotations__", {})
-        cls._fields = cls._fields + own
-        cls._paths = cls._paths + tuple(name for name in own if kinds.get(name) == "PathFormula")
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
         cls.__match_args__ = cls._fields
 
     def __init__(self, *values, **named) -> None:
@@ -970,23 +958,11 @@ class _Item:
     def __reduce__(self):
         return type(self), self._values()
 
-    def operands(self, g: "LabeledGraph", current: Optional[int]) -> tuple:
-        return tuple(reader(getattr(self, name))(g, current) for name in self._paths)
-
     def bind_holds(self) -> Callable[[LabeledGraph, Optional[int]], bool]:
-        return self._refusal("a proposition")
+        raise TypeError(f"not a proposition: {self!r}")
 
     def bind_apply(self) -> Callable[[LabeledGraph, Optional[int]], Optional[int]]:
-        return self._refusal("an action")
-
-    def _refusal(self, kind: str) -> Callable:
-        operands = self.operands
-
-        def refuse(g: LabeledGraph, current: Optional[int]):
-            operands(g, current)
-            raise TypeError(f"not {kind}: {self!r}")
-
-        return refuse
+        raise TypeError(f"not an action: {self!r}")
 
 
 def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
@@ -1075,9 +1051,6 @@ class PathPassable(_Item):
     def phrase(self) -> str:
         return f"the {self.path} path is passable"
 
-    def operands(self, g, current):
-        return ()  # total: passability is what it tests
-
     def bind_holds(self):
         read = reader(self.path)
 
@@ -1120,9 +1093,6 @@ class ReassignArrow(_Item):
 
     def phrase(self) -> str:
         return f"reassign the {display_word(self.word)} arrow to the {self.target} node"
-
-    def operands(self, g, current):
-        return super().operands(g, current) + (_unique_arrow(g, self.word),)
 
     def bind_apply(self):
         target, word = reader(self.target), self.word
@@ -1184,22 +1154,23 @@ class FollowArrow(_Item):
     def phrase(self) -> str:
         return f"follow the {display_word(self.word)} arrow"
 
-    def operands(self, g, current):
-        if current is None:
-            raise ValueError("follow requires a current node")
-        steps = (("+", self.word),)
-        if 0 <= current < len(g._nodes):
-            node = _walk(g, current, steps)
-            if node is not None:
-                return (node,)
-        _, reason = _failed_step(g, current, steps)
-        word = display_word(self.word)
-        there = f"exists no {word} arrow" if reason == "none" else f"exist several {word} arrows"
-        raise NormalConditionViolated(f"there {there} from the current node")
-
     def bind_apply(self):
-        operands = self.operands
-        return lambda g, current: operands(g, current)[0]
+        steps = (("+", self.word),)
+
+        def apply(g, current):
+            if current is None:
+                raise ValueError("follow requires a current node")
+            if 0 <= current < len(g._nodes):
+                node = _walk(g, current, steps)
+                if node is not None:
+                    return node
+            _, reason = _failed_step(g, current, steps)
+            word = display_word(self.word)
+            there = (f"exists no {word} arrow" if reason == "none"
+                     else f"exist several {word} arrows")
+            raise NormalConditionViolated(f"there {there} from the current node")
+
+        return apply
 
 
 class FollowArrowTo(FollowArrow):
@@ -1214,9 +1185,6 @@ class FollowArrowTo(FollowArrow):
 
     __slots__ = ("target",)
     target: int
-
-    def operands(self, g, current):
-        return (self.target,)
 
     def bind_apply(self):
         target = self.target
@@ -1279,15 +1247,22 @@ def normal_violation(
 ) -> Optional[str]:
     """Describe the violated normal-execution condition, if any.
 
-    Returns the detail that evaluating or applying ``item`` would raise
-    as NormalConditionViolated, or None when it would raise none. It
-    resolves the item's operands as evaluating or applying it would,
-    without acting; the executor needs no such check, since the item
-    resolves them itself before its first write.
+    Returns the detail that evaluating or applying ``item`` raises as
+    NormalConditionViolated, or None when it raises none; any other
+    exception it raises propagates. A proposition is evaluated on ``g``;
+    an action is applied to a deep copy of ``g``, so ``g`` is left as
+    it was, though the copy may build ``g``'s in-arrow index. The
+    executor needs no such check, since an item resolves everything
+    before its first write.
     """
     _refuse_foreign(item)
     try:
-        item.operands(g, current)
+        if isinstance(item, Proposition):
+            item.bind_holds()(g, current)
+        else:
+            import copy
+
+            item.bind_apply()(copy.deepcopy(g), current)
     except NormalConditionViolated as violation:
         return violation.detail
     return None

@@ -101,21 +101,20 @@ def _pattern_words(spec: RegexSpec) -> tuple[str, ...]:
 
 
 def disjoint(a: RegexSpec, b: RegexSpec) -> bool:
-    """Whether two label patterns denote non-overlapping word sets."""
-    match (a, b):
-        case (Literal(wa), Literal(wb)):
-            return wa != wb
-        case (Literal(w), Alternation(ws)) | (Alternation(ws), Literal(w)):
-            return w not in ws
-        case (Literal(w), LowerWord()) | (LowerWord(), Literal(w)):
-            return not LowerWord().matches(w)
-        case (Alternation(wa), Alternation(wb)):
-            return not (wa & wb)
-        case (Alternation(ws), LowerWord()) | (LowerWord(), Alternation(ws)):
-            return not any(LowerWord().matches(w) for w in ws)
-        case (LowerWord(), LowerWord()):
-            return False
-    raise TypeError(f"not label patterns: {a!r}, {b!r}")
+    """Whether two label patterns denote non-overlapping word sets.
+
+    A literal or one-of pattern names its words, so it meets another
+    pattern exactly when that pattern matches one of them. Two
+    ``LowerWord``s always meet, and when only one side is a
+    ``LowerWord`` it is put second, as the one asked to match.
+    """
+    if not (isinstance(a, RegexSpec) and isinstance(b, RegexSpec)):
+        raise TypeError(f"not label patterns: {a!r}, {b!r}")
+    if isinstance(a, LowerWord):
+        a, b = b, a
+    if isinstance(a, LowerWord):
+        return False
+    return not any(map(b.matches, _pattern_words(a)))
 
 
 @dataclass(frozen=True)

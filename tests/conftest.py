@@ -1,10 +1,34 @@
+import functools
+import importlib.util
+import itertools
 import pathlib
 import re
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded once per session."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up while it loads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+@functools.cache
+def corpus_texts(rounds: int = 2) -> tuple[str, ...]:
+    """The programs of the first ``rounds`` seed-1 ``check-corpus`` rounds, deep ones included."""
+    batches = itertools.islice(bench_workloads().check_corpus_rounds(1), rounds)
+    return tuple(program.text for batch in batches for program in batch)
 
 
 @pytest.fixture(scope="session")

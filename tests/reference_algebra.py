@@ -7,11 +7,15 @@ meaning. Paths are resolved step by step through ``LabeledGraph.ends``,
 from a start ``LabeledGraph.nodes_labeled`` names.
 It is kept only as an oracle: the kernel must agree with it on every
 graph, item and current node, in result, in the graph left behind, and
-in exception type and text.
+in exception type and text. As in the kernel, an item given to the
+entry point for the other kind is refused before anything is resolved,
+and ``normal_violation`` evaluates a proposition, or applies an action
+to a copy of the graph, and reports the violation that raises.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from wordtree.graph import (
@@ -63,10 +67,13 @@ def locate(g: LabeledGraph, formula: PathFormula, current: Optional[int] = None)
         raise NormalConditionViolated(f"path {formula} is not passable: {exc}") from exc
 
 
-def _operands(g, item, current) -> tuple:
+def _operands(g, item, current, kinds: tuple, kind: str) -> tuple:
+    """The item's operands, once it is known to be one of ``kinds``, which are ``kind``."""
     find = _OPERANDS.get(type(item))
     if find is None:
         raise TypeError(f"not a proposition or action: {item!r}")
+    if type(item) not in kinds:
+        raise TypeError(f"not {kind}: {item!r}")
     return find(g, item, current)
 
 
@@ -113,8 +120,19 @@ _OPERANDS = {
 }
 
 
+PROPOSITIONS = (LabelsEqual, NoArrowTo, NoArrowFrom, UniqueArrowExists, PathPassable)
+ACTIONS = (
+    FollowArrow,
+    RelabelNode,
+    ReassignArrow,
+    CreateNodeWithArrowToTarget,
+    CreateNodeWithArrowFromSource,
+    Stop,
+)
+
+
 def eval_proposition(g: LabeledGraph, prop, current: Optional[int] = None) -> bool:
-    operands = _operands(g, prop, current)
+    operands = _operands(g, prop, current, PROPOSITIONS, "a proposition")
     match prop:
         case LabelsEqual():
             n1, n2 = operands
@@ -131,11 +149,10 @@ def eval_proposition(g: LabeledGraph, prop, current: Optional[int] = None) -> bo
             except (NormalConditionViolated, ValueError):
                 return False
             return True
-    raise TypeError(f"not a proposition: {prop!r}")
 
 
 def apply_action(g: LabeledGraph, action, current: Optional[int] = None) -> Optional[int]:
-    operands = _operands(g, action, current)
+    operands = _operands(g, action, current, ACTIONS, "an action")
     match action:
         case FollowArrow():
             return operands[0]
@@ -155,12 +172,14 @@ def apply_action(g: LabeledGraph, action, current: Optional[int] = None) -> Opti
             return current
         case Stop():
             return None
-    raise TypeError(f"not an action: {action!r}")
 
 
 def normal_violation(g: LabeledGraph, item, current: Optional[int] = None) -> Optional[str]:
     try:
-        _operands(g, item, current)
+        if type(item) in PROPOSITIONS:
+            eval_proposition(g, item, current)
+        else:
+            apply_action(copy.deepcopy(g), item, current)
     except NormalConditionViolated as violation:
         return violation.detail
     return None

@@ -6,9 +6,9 @@ here, where the tests that compare trees up to isomorphism use it.
 
 ``PerCallGraph`` keeps the validated one-element ``add_node`` and
 ``add_arrow`` that ``LabeledGraph.extend`` replaced, as the oracle the
-bulk build is compared with. Like ``extend``, they keep the first-read
-indexes current once a read has built them: the in-arrow ids, and the
-own nodes of each word asked for.
+bulk build is compared with. Like ``extend``, they keep the in-arrow
+index current once a read has built it, and clear the memo of own
+nodes by label whenever they add an own node.
 
 ``uni_label_violations`` keeps the uni-labeledness check that grouped
 every node's listed out-arrows by label, as the oracle
@@ -39,8 +39,8 @@ class PerCallGraph(LabeledGraph):
         self._out.append({})
         if self._in is not None:
             self._in.append([])
-        if node < self._own_end and label in self._by_label:  # mounted nodes stay out
-            self._by_label[label].add(node)
+        if node < self._own_end:  # mounted nodes stay out of the label memo
+            self._by_label.clear()
         return node
 
     def add_arrow(self, src: int, label: str, dst: int, kind: str = SYNTACTIC) -> int:

@@ -24,6 +24,9 @@
   name's least tree size from the others' until no size falls, so a
   mandatory chain declared in forward order takes a round per name.
   The library's worklist must give the same sizes.
+- ``disjoint`` is the six-case table over pattern kinds that
+  ``wordtree.schema.disjoint`` replaced with one rule on ``matches``.
+  The library must answer alike on every pair of patterns.
 
 Listing the cycles or the expansions is exponential, and one name with
 k optional AND arrows costs 2**k here, so keep the inputs small.
@@ -44,6 +47,7 @@ from wordtree.schema import (
     AndArrow,
     BudgetExceeded,
     Literal,
+    LowerWord,
     RegexSpec,
     Schema,
     analyze,
@@ -193,3 +197,21 @@ def min_sizes(schema: Schema) -> dict[str, float]:
         if not changed:
             break
     return size
+
+
+def disjoint(a: RegexSpec, b: RegexSpec) -> bool:
+    """Whether two label patterns denote non-overlapping word sets, case by case."""
+    match (a, b):
+        case (Literal(wa), Literal(wb)):
+            return wa != wb
+        case (Literal(w), Alternation(ws)) | (Alternation(ws), Literal(w)):
+            return w not in ws
+        case (Literal(w), LowerWord()) | (LowerWord(), Literal(w)):
+            return not LowerWord().matches(w)
+        case (Alternation(wa), Alternation(wb)):
+            return not (wa & wb)
+        case (Alternation(ws), LowerWord()) | (LowerWord(), Alternation(ws)):
+            return not any(LowerWord().matches(w) for w in ws)
+        case (LowerWord(), LowerWord()):
+            return False
+    raise TypeError(f"not label patterns: {a!r}, {b!r}")

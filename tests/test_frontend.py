@@ -4,6 +4,8 @@ import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordtree import graph as G
 from wordtree.frontend import (
@@ -18,6 +20,7 @@ from wordtree.frontend import (
 from wordtree.graph import LabeledGraph, check_uni_labeled
 from wordtree.schema import generate_sytr, turingol_schema
 
+from conftest import PROGRAMS, corpus_texts
 from reference_graph import canonical_form
 
 
@@ -246,6 +249,66 @@ class TestRenderer:
         parsed.graph.set_node_label(go, "halt")
         with pytest.raises(ValueError):
             render_program(parsed)
+
+    def test_refuses_a_move_in_both_directions(self):
+        parsed = parse_text("tape-alphabet is a; move left one-square.")
+        (move,) = parsed.graph.nodes_labeled("move")
+        parsed.graph.add_arrow(move, "right", parsed.graph.add_node("one-square"))
+        with pytest.raises(ValueError, match="not a canonical program tree: the 'right' arrow"):
+            render_program(parsed)
+
+    def test_refuses_an_arrow_of_no_statement_shape(self):
+        parsed = parse_text("tape-alphabet is a; x: go to x.")
+        (go,) = parsed.graph.nodes_labeled("go")
+        parsed.graph.add_arrow(go, "foo", parsed.graph.add_node("a"))
+        with pytest.raises(ValueError, match="not a canonical program tree: the 'foo' arrow"):
+            render_program(parsed)
+
+    def test_canonical_trees_render_as_before(self):
+        """A canonical tree renders as the parsed program normalizes: ``programs/*.tgl``
+        and two seed-1 corpus rounds, each rendered once more from its rendering."""
+        texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.tgl"))]
+        for text in texts + list(corpus_texts()):
+            once = render_program(parse_text(text))
+            assert render_program(parse_text(once)) == once
+
+
+def grown_or_corpus_tree(choice: int) -> Sytr:
+    """A grown tree for an even ``choice``, a corpus program's tree for an odd one."""
+    if choice % 2 == 0:
+        return to_canonical(generate_sytr(turingol_schema(), "P", random.Random(choice)))
+    texts = corpus_texts()
+    return parse_text(texts[choice // 2 % len(texts)])
+
+
+EXTRA_WORDS = ["", ";", ":", ",", "'", "is", "to", "then", "}", "left", "right", "foo"]
+EXTRA_LABELS = ["", "a", "one-square", "go", "print", "the-tape-symbol", "{"]
+
+
+@given(
+    st.integers(0, 399),
+    st.integers(0, 10**6),
+    st.sampled_from(EXTRA_WORDS),
+    st.sampled_from(EXTRA_LABELS),
+)
+@settings(deadline=None, max_examples=200)
+def test_an_extra_arrow_is_refused_or_reparses_alike(choice, at, word, label):
+    """A grown or corpus tree with one more node and an arrow into it: ``render_program``
+    refuses it, or its text reparses to the same tree.
+
+    The same up to node ids: the extra node is numbered last, where a
+    parse may number it earlier, so the trees are compared by
+    ``canonical_form``.
+    """
+    tree = grown_or_corpus_tree(choice)
+    g = tree.graph
+    g.add_arrow(at % g.node_count, word, g.add_node(label))
+    try:
+        text = render_program(tree)
+    except ValueError:
+        return
+    reparsed = parse_text(text)
+    assert canonical_form(reparsed.graph, reparsed.root) == canonical_form(g, tree.root)
 
 
 @pytest.fixture

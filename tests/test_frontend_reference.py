@@ -7,18 +7,16 @@ parsers the same graph, node ids included, or the same ParseError.
 """
 
 import pathlib
+import re
 import sys
 import traceback
-import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_frontend as reference
-from wordtree import frontend
 from wordtree.frontend import (
-    _TOKEN,
     PUNCT_CHARS,
     IllegalCharacter,
     ParseError,
@@ -27,7 +25,7 @@ from wordtree.frontend import (
     render_program,
     to_canonical,
 )
-from wordtree.graph import export_json
+from wordtree.graph import WORD, export_json
 from wordtree.pipeline import check_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,6 +39,11 @@ PUNCT = list(";{}.:,'")
 KEYWORDS = ["tape-alphabet", "is", "go", "to", "print", "if", "the-tape-symbol",
             "then", "move", "left", "right", "one-square"]
 IDENTIFIERS = ["a", "b", "xy", "a-b"]
+
+# The lexer's reference pattern for one token: a punctuation mark or a
+# maximal word; or else any character but whitespace, which is illegal,
+# as a token of its own.
+TOKEN = re.compile(r"[;{}.:,']|" + WORD.pattern + r"|\S")
 
 
 def lexed(lex_text, text):
@@ -78,6 +81,7 @@ source_texts = st.lists(
 @example("-a")
 @example("go to x;  \t\n\x85 \u3000\n  $")
 @example("print\x1c'a'\x1f\x00")
+@example("go to go;\n go")
 def test_lex_matches_reference(text):
     assert lexed(lex, text) == lexed(reference.lex, text)
 
@@ -99,20 +103,19 @@ def test_tokens_behave_as_a_sequence(text):
 
 
 def pattern_route(text):
-    """What the one pattern ``_TOKEN`` finds: its tokens, or where the first illegal one is.
+    """What the pattern ``TOKEN`` finds: its tokens, or where the first illegal one is.
 
     The first one-character token that is neither a mark nor a letter is
     the illegal character; its line and column are counted here from the
     text itself, as ``("illegal", char, line, column)``.
     """
-    found = list(_TOKEN.finditer(text))
-    for match in found:
+    for match in TOKEN.finditer(text):
         token = match.group()
         if len(token) == 1 and not (token in PUNCT_CHARS or "a" <= token <= "z"):
             offset = match.start()
             line = text.count("\n", 0, offset) + 1
             return ("illegal", token, line, offset - text.rfind("\n", 0, offset))
-    return [match.group() for match in found]
+    return TOKEN.findall(text)
 
 
 def lexed_texts(text):
@@ -144,6 +147,8 @@ lex_texts = st.lists(
 @example("\u03bb")
 @example("a\n  b7")
 @example("x--y")
+@example("a b-\u00e9")
+@example("aa aa;-")
 def test_two_string_passes_lex_as_the_pattern_does(text):
     """A legal text's tokens are the pattern's, and ``starts`` lines up with them;
     an illegal text is refused at the pattern's first illegal character."""
@@ -153,40 +158,21 @@ def test_two_string_passes_lex_as_the_pattern_does(text):
         tokens = lex(text)
         assert len(tokens.starts) == len(expected)
         assert [text[at:at + len(t)] for at, t in zip(tokens.starts, tokens.texts)] == expected
+        ends = [at + len(t) for at, t in zip(tokens.starts, tokens.texts)]
+        gaps = [text[end:at] for end, at in zip([0] + ends, tokens.starts + [len(text)])]
+        assert not "".join(gaps).strip()  # only whitespace lies between two tokens
 
 
-def test_every_code_point_between_letters_lexes_alike_both_routes(monkeypatch):
-    """``"a" + chr(c) + "b"``, for every code point c: the two string passes give
-    the pattern's tokens exactly when the pattern finds no illegal character,
-    and hand every other text on to it.
-
-    The passes run with the pattern's ``findall`` swapped for one that finds no
-    token, so a text handed on lexes to no token at all. ``lex`` itself then
-    lexes each text that the passes keep, and every 4 099th of the rest.
-    """
-    one_char = frozenset(PUNCT_CHARS + "abcdefghijklmnopqrstuvwxyz")
-    never = types.SimpleNamespace(findall=lambda text: [])
-    kept = []
+def test_every_code_point_between_letters_lexes_as_the_pattern_does():
+    """``"a" + chr(c) + "b"``, for every code point c: ``lex`` gives the
+    pattern's tokens, or refuses the pattern's first illegal character
+    at its line and column."""
     for first in range(0, 0x110000, 0x10000):
-        points = range(first, first + 0x10000)
-        texts = ["a" + chr(c) + "b" for c in points]
-        found = list(map(_TOKEN.findall, texts))
-        expected = [
-            tokens if not any(len(t) == 1 and t not in one_char for t in tokens) else []
-            for tokens in found
-        ]
-        monkeypatch.setattr(frontend, "_TOKEN", never)
-        passed = [tokens.texts for tokens in map(lex, texts)]
-        monkeypatch.undo()
-        if passed != expected:
-            c = next(c for c, got, want in zip(points, passed, expected) if got != want)
-            got, want = passed[c - first], found[c - first]
-            pytest.fail(f"U+{c:04X}: the passes give {got}, the pattern {want}")
-        kept += (c for c, tokens in zip(points, expected) if tokens)
-    assert len(kept) > len(PUNCT_CHARS) + 26 + 1  # the marks, the letters, the hyphen, whitespace
-    for c in kept + list(range(0, 0x110000, 4099)):
-        text = "a" + chr(c) + "b"
-        assert lexed_texts(text) == pattern_route(text), hex(c)
+        texts = ["a" + chr(c) + "b" for c in range(first, first + 0x10000)]
+        got, want = list(map(lexed_texts, texts)), list(map(pattern_route, texts))
+        if got != want:
+            i = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+            pytest.fail(f"U+{first + i:04X}: lex gives {got[i]}, the pattern {want[i]}")
 
 
 @st.composite

@@ -4,7 +4,6 @@ import ast
 import contextlib
 import copy
 import gc
-import importlib.util
 import json
 import pickle
 import random
@@ -54,6 +53,7 @@ from wordtree.semantics import FINDINGS, PRINT_WORD_PATH, SYMBOL_PATH
 from wordtree.tape import add_cells, parse_tape
 
 import reference_algebra
+from conftest import corpus_texts
 from fail_safety import repair
 from reference_graph import PerCallGraph, canonical_form, uni_label_violations
 
@@ -479,6 +479,24 @@ class TestNormalViolation:
         g.add_arrow(a, "next", b, kind=G.CONTROL)
         g.add_arrow(a, "next", c, kind=G.CONTROL)
         assert "several" in normal_violation(g, FollowArrow("next"), current=a)
+
+    def test_an_item_of_the_other_kind_is_refused_before_its_paths_resolve(self):
+        g = LabeledGraph()
+        g.add_node("a")
+        with pytest.raises(TypeError, match="not a proposition"):
+            eval_proposition(g, ReassignArrow("y", parse_path("a+x")))
+        with pytest.raises(TypeError, match="not an action"):
+            apply_action(g, LabelsEqual(parse_path("a+x"), parse_path("a")))
+
+    def test_a_stepless_relative_path_at_no_node_raises_what_evaluating_raises(self):
+        g = LabeledGraph()
+        g.add_node("a")
+        item = NoArrowTo("x", PathFormula(None, ()))
+        with pytest.raises(ValueError) as evaluated:
+            eval_proposition(g, item, 8)
+        with pytest.raises(ValueError) as predicted:
+            normal_violation(g, item, 8)
+        assert str(predicted.value) == str(evaluated.value)
 
 
 words = st.sampled_from(["x", "y", ""])
@@ -1187,6 +1205,7 @@ items = st.one_of(
 
 
 @given(graphs_with_current(), items)
+@example(looped_node(), CreateNodeWithArrowToTarget(PathFormula(None)))
 @settings(deadline=None)
 def test_normal_violation_predicts_execution(graph_and_current, item):
     g, current = graph_and_current
@@ -1218,21 +1237,14 @@ def test_algebra_agrees_with_the_reference_dispatch(graph_and_node, item, where)
     Compared: the return value, or the exception's type and text, and
     the graph the call leaves behind, for every item type, for values
     that are no item, and with the current node in the graph, absent,
-    or foreign to it. ``operands`` is compared with the reference's
-    type table; a value that is no item is refused before it is asked.
+    or foreign to it.
     """
     g, node = graph_and_node
     current = {"node": node, "none": None, "foreign": g.node_count + 7}[where]
-
-    def operands(graph, item, current):
-        G._refuse_foreign(item)
-        return item.operands(graph, current)
-
     for name, kernel, reference in (
         ("eval_proposition", G.eval_proposition, reference_algebra.eval_proposition),
         ("apply_action", G.apply_action, reference_algebra.apply_action),
         ("normal_violation", G.normal_violation, reference_algebra.normal_violation),
-        ("operands", operands, reference_algebra._operands),
     ):
         results = []
         for call in (kernel, reference):
@@ -1561,20 +1573,6 @@ SCHEMA_FLOW_SEEDS = sorted(
 )
 
 
-def corpus_texts() -> list[str]:
-    """The 96 programs of the first two seed-1 ``check-corpus`` rounds."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("index_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # a dataclass module must be importable by name
-    try:
-        spec.loader.exec_module(workloads)
-        rounds = workloads.check_corpus_rounds(1)
-        return [program.text for _ in range(2) for program in next(rounds)]
-    finally:
-        del sys.modules[spec.name]
-
-
 def test_checking_builds_no_in_arrow_index():
     """No stage of a check takes a "-" step: ``programs/*.tgl``, the programs grown
     from the ``schema_flows.json`` seeds, and two seed-1 corpus rounds."""
@@ -1655,6 +1653,7 @@ def assert_indexes_equal_a_scan(g: LabeledGraph) -> None:
 
 
 @given(index_scripts())
+@example([("read", "labeled", "a", 0), ("extend", ["a"], [], G.SYNTACTIC)])
 @settings(deadline=None, max_examples=200)
 def test_first_read_indexes_read_as_a_scan_of_the_columns(script):
     """``extend``, ``set_node_label``, ``set_arrow_dst``, mounts and deep copies keep
@@ -1982,16 +1981,16 @@ def _hand_walks(path: Path) -> list[str]:
     return sorted(found)
 
 
-def test_operands_are_the_path_fields_unless_an_item_says_otherwise():
-    """Only the items whose operands are not their path fields state their own."""
+def test_no_item_states_its_conditions_beside_its_bound_form():
+    """An item's bound form is the one statement of its normal-execution conditions:
+    no item class, nor their base, keeps an ``operands`` method or a ``_paths`` list."""
     items = [
         value
         for value in vars(G).values()
-        if isinstance(value, type) and issubclass(value, G._Item) and value is not G._Item
+        if isinstance(value, type) and issubclass(value, G._Item)
     ]
-    assert len(items) == 12
-    own = sorted(item.__name__ for item in items if "operands" in item.__dict__)
-    assert own == ["FollowArrow", "FollowArrowTo", "PathPassable", "ReassignArrow"]
+    assert len(items) == 13
+    assert [item.__name__ for item in items if {"operands", "_paths"} & set(vars(item))] == []
 
 
 def test_arrows_are_followed_by_label_only_in_the_kernel():

@@ -31,6 +31,7 @@ from wordtree.schema import (
     _min_sizes,
     _subset_counts,
     analyze,
+    disjoint,
     generate_sytr,
     turingol_schema,
 )
@@ -239,3 +240,35 @@ def test_analyze_time_per_name_is_flat_on_a_forward_mandatory_chain():
     finally:
         if enabled:
             gc.enable()
+
+
+PATTERN_WORDS = ["", "a", "ab", "a-b", ":", "'", "is", "X1", "z"]
+PATTERNS = (
+    [Literal(word) for word in PATTERN_WORDS]
+    + [
+        Alternation(words)
+        for size in (1, 2, 3)
+        for words in itertools.combinations(PATTERN_WORDS, size)
+    ]
+    + [LowerWord()]
+)
+
+
+def test_disjoint_answers_as_the_case_table_on_every_pair():
+    """Every ordered pair of 139 patterns: literals, one-ofs of one to three words, ``LowerWord``."""
+    assert len(PATTERNS) == 139
+    differ = [
+        (a, b)
+        for a, b in itertools.product(PATTERNS, repeat=2)
+        if disjoint(a, b) != reference_schema.disjoint(a, b)
+    ]
+    assert differ == []
+
+
+def test_disjoint_refuses_what_is_no_pattern_as_the_case_table_does():
+    for a, b in [(Literal("a"), "a"), ("a", LowerWord()), (None, None)]:
+        with pytest.raises(TypeError) as refused:
+            disjoint(a, b)
+        with pytest.raises(TypeError) as expected:
+            reference_schema.disjoint(a, b)
+        assert str(refused.value) == str(expected.value)

@@ -1,9 +1,7 @@
 """Node classification, alphabet checks, declaration links, label checks, the statement table."""
 
 import ast
-import importlib.util
 import random
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -39,7 +37,8 @@ from wordtree.semantics import (
     w_declaration_points,
 )
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import bench_workloads
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "wordtree"
 
 
@@ -206,10 +205,7 @@ class TestDiagnostics:
 
     def test_findings_are_worded_only_when_read(self, monkeypatch):
         """``check_program`` words no finding; reading one words each of its words once."""
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = bench_workloads()
         rng = random.Random(1)
         texts = [
             workloads.make_program(rng, 60, defect).text

@@ -7,16 +7,14 @@ that refuses must refuse with the same text at the same stage.
 """
 
 import copy
-import importlib.util
-import itertools
 import json
 import pathlib
 import random
-import sys
 
 import pytest
 
 import reference_semantics as reference
+from conftest import corpus_texts
 from wordtree.control_flow import add_stop_node, build_back_arrows, build_control
 from wordtree.frontend import parse_text, to_canonical
 from wordtree.graph import LabeledGraph, Tree, export_json
@@ -25,19 +23,6 @@ from wordtree.semantics import classify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def corpus_texts(rounds: int = 2) -> list[str]:
-    """The programs of the first ``rounds`` seed-1 check-corpus rounds, deep ones included."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up while it loads
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    batches = itertools.islice(workloads.check_corpus_rounds(1), rounds)
-    return [program.text for batch in batches for program in batch]
 
 
 def fixture_tree(path: pathlib.Path) -> Tree:
