@@ -41,7 +41,10 @@ def add_stop_node(tree: Tree) -> int:
     """
     g = tree.graph
     for node in g.nodes_labeled("stop"):
-        attached = g.ends_of_kind(node, "+", SYNTACTIC) or g.ends_of_kind(node, "-", SYNTACTIC)
+        # The arrows are scanned for an in-arrow: a "-" step would build the in-arrow index.
+        attached = g.ends_of_kind(node, "+", SYNTACTIC) or any(
+            arrow.dst == node and arrow.kind == SYNTACTIC for _, arrow in g.arrows()
+        )
         if not attached:
             raise ValueError("the tree already has a stop node")
     return g.add_node("stop")

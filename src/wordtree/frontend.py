@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from typing import NamedTuple, NoReturn, Optional
 
-from .graph import BARE_WORD, SYNTACTIC, WORD, LabeledGraph, Tree, display_word
+from .graph import BARE_WORD, SYNTACTIC, WORD, LabeledGraph, SeveralArrows, Tree, display_word
 
 Sytr = Tree
 
@@ -420,14 +420,20 @@ class _Renderer:
         return ValueError(f"not a canonical program tree: {message}")
 
     def follow(self, node: int, label: str) -> Optional[int]:
-        dst = self.g.follow(node, "+", label)
+        try:
+            dst = self.g.follow(node, "+", label)
+        except SeveralArrows as several:
+            raise self.fail(str(several)) from None
         if dst is not None:
             self.reached.append(dst)
         return dst
 
     def chain(self, node: int, label: str) -> list[int]:
-        nodes = self.g.chain(node, "+", label)
-        self.reached += nodes[1:]
+        nodes = [node]
+        step = self.follow(node, label)
+        while step is not None:
+            nodes.append(step)
+            step = self.follow(step, label)
         return nodes
 
     def need(self, node: int, label: str) -> int:
@@ -529,6 +535,6 @@ def render_program(tree: Sytr) -> str:
     which some node is reached twice (a loop, or a shared node) is not
     a tree, and one with an arrow the text does not show (a 'move' with
     both directions, a statement with an arrow of no statement's shape)
-    would not reparse to it: both are refused with ValueError.
+    would not reparse to it; these and a repeated arrow label raise ValueError.
     """
     return _Renderer(tree).render()

@@ -894,44 +894,33 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
 # -- propositions and actions ---------------------------------------
 
 
-class _Item:
-    """What every proposition and action of the algebra has.
+class _Record:
+    """An immutable value: an item of the algebra below, or a schema record.
 
-    A proposition's meaning is its ``bind_holds``, an action's its
-    ``bind_apply``: a function (g, current) built once from the item's
-    fields, which resolves what the item works on, each path through
-    its ``reader``, and then evaluates or applies the item. Resolving
-    is where it raises NormalConditionViolated, so that is the one
-    statement of its normal-execution conditions; an action resolves
-    everything before its first write, so a violation leaves the graph
-    untouched. ``eval_proposition`` and ``apply_action`` call it; an
-    item asked for the form it does not have raises TypeError at once.
-    An action whose ``ends_step`` is true ends an executor step when it
-    is performed.
-
-    An item is an immutable value. Each class names the fields it adds
-    in ``__slots__``, and its ``_fields`` are its base's followed by
-    those; this base takes them positionally or by keyword, refuses
-    assignment, matches class patterns positionally and compares and
-    hashes them together with the class, so two items of different
-    classes are never equal, even when their fields are. A bound form
-    is not kept on the item.
+    Each class names the fields it adds in ``__slots__`` (a slot with a
+    leading underscore is a cache, no field); its ``_fields`` are its
+    base's followed by those. They are taken by position or keyword, a
+    field left out from ``_defaults``. A record refuses assignment,
+    matches class patterns by position, and compares and hashes as its
+    class and fields, so records of different classes are never equal.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    ends_step = False
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
-        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
         cls.__match_args__ = cls._fields
 
     def __init__(self, *values, **named) -> None:
         fields = self._fields
         if named or len(values) != len(fields):
-            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
-            if len(values) != len(fields) or named:
+            rest = fields[len(values):]
+            given = {**self._defaults, **named}
+            if len(values) > len(fields) or not set(named) <= set(rest) <= given.keys():
                 raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+            values += tuple(map(given.__getitem__, rest))
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
@@ -939,7 +928,7 @@ class _Item:
         return tuple(map(self.__getattribute__, self._fields))
 
     def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable item")
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
 
     __delattr__ = __setattr__
 
@@ -957,6 +946,27 @@ class _Item:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class _Item(_Record):
+    """What every proposition and action of the algebra has.
+
+    A proposition's meaning is its ``bind_holds``, an action's its
+    ``bind_apply``: a function (g, current) built once from the item's
+    fields, which resolves what the item works on, each path through
+    its ``reader``, and then evaluates or applies the item. Resolving
+    is where it raises NormalConditionViolated, so that is the one
+    statement of its normal-execution conditions; an action resolves
+    everything before its first write, so a violation leaves the graph
+    untouched. ``eval_proposition`` and ``apply_action`` call it; an
+    item asked for the form it does not have raises TypeError at once.
+    An action whose ``ends_step`` is true ends an executor step when it
+    is performed. A bound form is not kept on the item. A ``word`` field
+    is an arrow label; a path field, a PathFormula or its ``Settled`` form.
+    """
+
+    __slots__ = ()
+    ends_step = False
 
     def bind_holds(self) -> Callable[[LabeledGraph, Optional[int]], bool]:
         raise TypeError(f"not a proposition: {self!r}")
@@ -990,8 +1000,6 @@ def _unique_arrow(g: LabeledGraph, word: str) -> int:
 
 class LabelsEqual(_Item):
     __slots__ = ("p1", "p2")
-    p1: PathFormula
-    p2: PathFormula
 
     def phrase(self) -> str:
         return f"the {self.p1} node label equals the {self.p2} node label"
@@ -1008,8 +1016,6 @@ class LabelsEqual(_Item):
 
 class NoArrowTo(_Item):
     __slots__ = ("word", "path")
-    word: str
-    path: PathFormula
 
     def phrase(self) -> str:
         return f"no {display_word(self.word)} arrow exists to the {self.path} node"
@@ -1021,8 +1027,6 @@ class NoArrowTo(_Item):
 
 class NoArrowFrom(_Item):
     __slots__ = ("word", "path")
-    word: str
-    path: PathFormula
 
     def phrase(self) -> str:
         return f"no {display_word(self.word)} arrow exists from the {self.path} node"
@@ -1034,7 +1038,6 @@ class NoArrowFrom(_Item):
 
 class UniqueArrowExists(_Item):
     __slots__ = ("word",)
-    word: str
 
     def phrase(self) -> str:
         return f"there exists a unique {display_word(self.word)} arrow"
@@ -1046,7 +1049,6 @@ class UniqueArrowExists(_Item):
 
 class PathPassable(_Item):
     __slots__ = ("path",)
-    path: PathFormula
 
     def phrase(self) -> str:
         return f"the {self.path} path is passable"
@@ -1069,8 +1071,6 @@ Proposition = Union[LabelsEqual, NoArrowTo, NoArrowFrom, UniqueArrowExists, Path
 
 class RelabelNode(_Item):
     __slots__ = ("target", "source")
-    target: PathFormula
-    source: PathFormula
 
     def phrase(self) -> str:
         return f"label the {self.target} node by the {self.source} node label"
@@ -1088,8 +1088,6 @@ class RelabelNode(_Item):
 
 class ReassignArrow(_Item):
     __slots__ = ("word", "target")
-    word: str
-    target: PathFormula
 
     def phrase(self) -> str:
         return f"reassign the {display_word(self.word)} arrow to the {self.target} node"
@@ -1107,7 +1105,6 @@ class ReassignArrow(_Item):
 
 class CreateNodeWithArrowToTarget(_Item):
     __slots__ = ("target",)
-    target: PathFormula
 
     def phrase(self) -> str:
         return f"create a node and an arrow from it to the {self.target} node"
@@ -1125,7 +1122,6 @@ class CreateNodeWithArrowToTarget(_Item):
 
 class CreateNodeWithArrowFromSource(_Item):
     __slots__ = ("source",)
-    source: PathFormula
 
     def phrase(self) -> str:
         return f"create a node and an arrow from the {self.source} node to it"
@@ -1148,7 +1144,6 @@ class FollowArrow(_Item):
     """
 
     __slots__ = ("word",)
-    word: str
     ends_step = True
 
     def phrase(self) -> str:
@@ -1184,7 +1179,6 @@ class FollowArrowTo(FollowArrow):
     """
 
     __slots__ = ("target",)
-    target: int
 
     def bind_apply(self):
         target = self.target

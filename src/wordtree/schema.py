@@ -11,16 +11,15 @@ uni-labeled, and the exporter prints the schema as EBNF productions.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import json
 import math
-import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .graph import LabeledGraph, Tree, is_mla_word, is_pla_word
+from .graph import LabeledGraph, Tree, _Record, is_mla_word, is_pla_word
+
+if TYPE_CHECKING:
+    import random
 
 ATOMIC = "atomic"
 AND_NODE = "and"
@@ -34,11 +33,11 @@ class BudgetExceeded(Exception):
     """Tree generation ran out of node budget with schema names remaining."""
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Record):
     """Pattern matching exactly one word (possibly the empty word)."""
 
-    word: str = ""
+    __slots__ = ("word",)
+    _defaults = {"word": ""}
 
     def matches(self, word: str) -> bool:
         return word == self.word
@@ -50,18 +49,17 @@ class Literal:
         return f"'{self.word}'"
 
 
-@dataclass(frozen=True)
-class Alternation:
-    """Pattern matching any one of a finite set of words."""
+class Alternation(_Record):
+    """Pattern matching any one of a finite set of words; samples come from the sorted words."""
 
-    words: frozenset[str]
+    __slots__ = ("words", "_sorted")  # a frozenset, and the cache of its sorted words
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", frozenset(self.words))
-        if not self.words:
+    def __init__(self, words: Iterable[str]) -> None:
+        words = frozenset(words)
+        if not words:
             raise ValueError("alternation needs at least one word")
-        # Not a field: equality, hashing and matching see ``words`` alone.
-        object.__setattr__(self, "_sorted", tuple(sorted(self.words)))
+        super().__init__(words)
+        object.__setattr__(self, "_sorted", tuple(sorted(words)))
 
     def matches(self, word: str) -> bool:
         return word in self.words
@@ -73,9 +71,10 @@ class Alternation:
         return "(" + " | ".join(f"'{w}'" for w in self._sorted) + ")"
 
 
-@dataclass(frozen=True)
-class LowerWord:
+class LowerWord(_Record):
     """Pattern matching any non-empty word of lowercase letters."""
+
+    __slots__ = ()
 
     def matches(self, word: str) -> bool:
         return bool(word) and all(c in _LOWER for c in word)
@@ -117,37 +116,28 @@ def disjoint(a: RegexSpec, b: RegexSpec) -> bool:
     return not any(map(b.matches, _pattern_words(a)))
 
 
-@dataclass(frozen=True)
-class SchemaNode:
+class SchemaNode(_Record):
     """A named node. ``number`` is its own slot in the node's word order."""
 
-    name: str
-    label: RegexSpec = Literal("")
-    number: Optional[int] = None
+    __slots__ = ("name", "label", "number")
+    _defaults = {"label": Literal(""), "number": None}
 
 
-@dataclass(frozen=True)
-class AndArrow:
+class AndArrow(_Record):
     """A child prescription: label pattern, optionality, word-order slot.
 
     ``suffix`` marks arrows whose label is written after the child in the
     linear word order (closing quotes, closing braces, label colons).
     """
 
-    src: str
-    dst: str
-    label: RegexSpec = Literal("")
-    optional: bool = False
-    order: Optional[int] = None
-    suffix: bool = False
+    __slots__ = ("src", "dst", "label", "optional", "order", "suffix")
+    _defaults = {"label": Literal(""), "optional": False, "order": None, "suffix": False}
 
 
-@dataclass(frozen=True)
-class OrArrow:
+class OrArrow(_Record):
     """An alternative refinement of the source node."""
 
-    src: str
-    dst: str
+    __slots__ = ("src", "dst")
 
 
 class Schema:
@@ -247,11 +237,8 @@ class Schema:
         return ATOMIC
 
 
-@dataclass
-class ValidationReport:
-    errors: list[str]
-    classes: dict[str, str]
-    sizes: dict[str, float]
+class ValidationReport(_Record):
+    __slots__ = ("errors", "classes", "sizes")
 
     @property
     def ok(self) -> bool:
@@ -276,6 +263,8 @@ def _min_sizes(schema: Schema) -> dict[str, float]:
     settled or none; the first OR target settled is its least. So each
     name and arrow is handled once.
     """
+    import heapq  # only this search uses it, so importing the schema module loads none
+
     size: dict[str, float] = {name: math.inf for name in schema.names()}
     waiting = dict.fromkeys(size, 0)  # mandatory AND arrows to names not settled yet
     mandatory = dict.fromkeys(size, 0)  # the sizes of those settled, summed
@@ -339,13 +328,10 @@ def validate(schema: Schema) -> ValidationReport:
     return ValidationReport(errors, classes, sizes)
 
 
-@dataclass(frozen=True)
-class AndConflict:
+class AndConflict(_Record):
     """Two AND arrows from one node whose label patterns overlap."""
 
-    node: str
-    first: AndArrow
-    second: AndArrow
+    __slots__ = ("node", "first", "second")
 
 
 def check_and_condition(schema: Schema) -> list[AndConflict]:
@@ -398,19 +384,14 @@ def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
 Pair = tuple[str, RegexSpec]
 
 
-@dataclass(frozen=True)
-class PairConflict:
+class PairConflict(_Record):
     """Two label pairs meeting at one node with overlapping patterns."""
 
-    node: str
-    first: Pair
-    second: Pair
+    __slots__ = ("node", "first", "second")
 
 
-@dataclass
-class PairReport:
-    pairs: dict[str, set[Pair]]
-    conflicts: list[PairConflict]
+class PairReport(_Record):
+    __slots__ = ("pairs", "conflicts")
 
     @property
     def ok(self) -> bool:
@@ -651,7 +632,11 @@ def generate_sytr(
     report = analyze(schema)
     if not report.uni_labeled:
         raise ValueError("schema is not guaranteed uni-labeled; refusing to generate")
-    rng = word_source if word_source is not None else random.Random(0)
+    rng = word_source
+    if rng is None:
+        import random  # only the default source needs it
+
+        rng = random.Random(0)
     sizes = report.structure.sizes
     tables = report.counts
     for table in tables.values():
@@ -760,6 +745,8 @@ _REQUIRED = object()
 
 
 def _described(value: object) -> str:
+    import json  # here and in the two converters below, so importing the module loads none
+
     if isinstance(value, list):
         return "a list"
     if isinstance(value, dict):
@@ -829,6 +816,8 @@ def _spec_from_obj(obj: dict, path: str) -> RegexSpec:
 
 def schema_to_json(schema: Schema) -> str:
     """Serialize a schema so it can be stored and reloaded."""
+    import json
+
     payload = {
         "nodes": [
             {
@@ -862,6 +851,8 @@ def schema_from_json(text: str) -> Schema:
     writes, and for a schema ``Schema`` refuses to build; the message
     names the JSON path of the fault.
     """
+    import json
+
     try:
         payload = json.loads(text)
     except RecursionError:

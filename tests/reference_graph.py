@@ -98,6 +98,24 @@ def canonical_form(g: LabeledGraph, root: int):
     return walk(root)
 
 
+def forms_equal(first, second) -> bool:
+    """``first == second`` for two ``canonical_form`` results, compared without recursion.
+
+    A tree level nests three tuples, so ``==`` on the forms of a tree a few
+    hundred levels deep exceeds the interpreter's recursion limit.
+    """
+    pending = [(first, second)]
+    while pending:
+        (label, children), (other_label, other_children) = pending.pop()
+        if label != other_label or len(children) != len(other_children):
+            return False
+        for (word, child), (other_word, other_child) in zip(children, other_children):
+            if word != other_word:
+                return False
+            pending.append((child, other_child))
+    return True
+
+
 def uni_label_violations(g: LabeledGraph) -> list[UniLabelViolation]:
     """Group each node's listed out-arrows by label."""
     violations = []

@@ -21,7 +21,7 @@ from wordtree.graph import LabeledGraph, check_uni_labeled
 from wordtree.schema import generate_sytr, turingol_schema
 
 from conftest import PROGRAMS, corpus_texts
-from reference_graph import canonical_form
+from reference_graph import canonical_form, forms_equal
 
 
 def build_increment_tree() -> Sytr:
@@ -264,6 +264,18 @@ class TestRenderer:
         with pytest.raises(ValueError, match="not a canonical program tree: the 'foo' arrow"):
             render_program(parsed)
 
+    @pytest.mark.parametrize("label", ["'", ";"])  # a step the renderer follows, a chain it walks
+    def test_refuses_a_repeated_arrow_label(self, label):
+        parsed = parse_text("tape-alphabet is a; print 'a'; go to x; x: .")
+        (printed,) = parsed.graph.nodes_labeled("print")
+        parsed.graph.add_arrow(printed, label, parsed.graph.add_node("a"))
+        with pytest.raises(ValueError) as refusal:
+            render_program(parsed)
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value) == (
+            f'not a canonical program tree: node 2 has several "{label}" arrows leaving it'
+        )
+
     def test_canonical_trees_render_as_before(self):
         """A canonical tree renders as the parsed program normalizes: ``programs/*.tgl``
         and two seed-1 corpus rounds, each rendered once more from its rendering."""
@@ -308,7 +320,7 @@ def test_an_extra_arrow_is_refused_or_reparses_alike(choice, at, word, label):
     except ValueError:
         return
     reparsed = parse_text(text)
-    assert canonical_form(reparsed.graph, reparsed.root) == canonical_form(g, tree.root)
+    assert forms_equal(canonical_form(reparsed.graph, reparsed.root), canonical_form(g, tree.root))
 
 
 @pytest.fixture

@@ -55,7 +55,7 @@ from wordtree.tape import add_cells, parse_tape
 import reference_algebra
 from conftest import corpus_texts
 from fail_safety import repair
-from reference_graph import PerCallGraph, canonical_form, uni_label_violations
+from reference_graph import PerCallGraph, canonical_form, forms_equal, uni_label_violations
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -1575,7 +1575,8 @@ SCHEMA_FLOW_SEEDS = sorted(
 
 def test_checking_builds_no_in_arrow_index():
     """No stage of a check takes a "-" step: ``programs/*.tgl``, the programs grown
-    from the ``schema_flows.json`` seeds, and two seed-1 corpus rounds."""
+    from the ``schema_flows.json`` seeds, two seed-1 corpus rounds, and a program
+    whose nodes labeled 'stop' are leaves, which the stop node's check asks after."""
     schema = turingol_schema()
     texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.tgl"))]
     texts += [
@@ -1583,6 +1584,7 @@ def test_checking_builds_no_in_arrow_index():
         for seed in SCHEMA_FLOW_SEEDS
     ]
     texts += corpus_texts()
+    texts.append("tape-alphabet is one, stop;\nprint 'stop'.")  # two leaves labeled 'stop'
     built = [i for i, text in enumerate(texts) if check_program(text).tree.graph._in is not None]
     assert built == []
 
@@ -1773,6 +1775,7 @@ class TestCanonicalForm:
         g2.add_arrow(r2, "y", b2)
         g2.add_arrow(r2, "x", a2)
         assert canonical_form(g1, r1) == canonical_form(g2, r2)
+        assert forms_equal(canonical_form(g1, r1), canonical_form(g2, r2))
 
     def test_label_difference_detected(self):
         g1 = LabeledGraph()
@@ -1782,6 +1785,16 @@ class TestCanonicalForm:
         r2 = g2.add_node("r")
         g2.add_arrow(r2, "x", g2.add_node("b"))
         assert canonical_form(g1, r1) != canonical_form(g2, r2)
+        assert not forms_equal(canonical_form(g1, r1), canonical_form(g2, r2))
+
+    def test_deep_forms_compare_without_recursion(self):
+        """The forms of a 500-level chain, on which ``==`` exceeds CPython 3.11's recursion limit."""
+        forms = []
+        for last in ("end", "end", "other"):
+            g = LabeledGraph()
+            g.extend(["a"] * 500 + [last], list(range(500)), ["x"] * 500, list(range(1, 501)))
+            forms.append(canonical_form(g, 0))
+        assert forms_equal(forms[0], forms[1]) and not forms_equal(forms[0], forms[2])
 
     def test_non_tree_rejected(self):
         g = LabeledGraph()

@@ -1,10 +1,12 @@
 """The value semantics of the library's record classes.
 
-Immutable records are ``NamedTuple``s, or items of the path-formula
-algebra built on ``graph._Item``; ``ExecState`` and ``CheckResult`` are
-the two records a check or a run updates in place. Each is built by
-keyword and by position, read, compared, hashed, printed and matched
-here, and each immutable one refuses assignment.
+Immutable records are ``NamedTuple``s, or slotted classes on
+``graph._Record``: the items of the path-formula algebra (``graph._Item``)
+and the schema's patterns, nodes, arrows, conflicts and reports.
+``ExecState`` and ``CheckResult`` are the two records a check or a run
+updates in place. Each is built by keyword and by position, read,
+compared, hashed, printed and matched here, each immutable one refuses
+assignment, and the schema records take their defaults as before.
 """
 
 from __future__ import annotations
@@ -45,12 +47,28 @@ from wordtree.graph import (
     parse_path,
 )
 from wordtree.pipeline import CheckResult
+from wordtree.schema import (
+    Alternation,
+    AndArrow,
+    AndConflict,
+    Literal,
+    LowerWord,
+    OrArrow,
+    PairConflict,
+    PairReport,
+    SchemaNode,
+    ValidationReport,
+)
 from wordtree.semantics import Chains, Points, Statement
 
 P = parse_path('"tape-alphabet"+tape')
 Q = parse_path('+""+is')
 TREE = Tree(LabeledGraph(), 0)
 STATE = ExecState(TREE, {}, 0)
+WORD = Literal("is")
+ONE_OF = Alternation(frozenset({"left", "right"}))
+ARROW = AndArrow("P", "DL", WORD, False, 2, False)
+TWIN = AndArrow("P", "L", LowerWord(), True, None, True)
 
 # Each class with the fields of one record, in declaration order.
 RECORDS = [
@@ -97,7 +115,25 @@ RECORDS = [
     (FollowArrow, {"word": "next"}),
     (FollowArrowTo, {"word": "next", "target": 3}),
     (Stop, {}),
+    (Literal, {"word": "go"}),
+    (Alternation, {"words": ONE_OF.words}),
+    (LowerWord, {}),
+    (SchemaNode, {"name": "S", "label": ONE_OF, "number": 2}),
+    (AndArrow, {"src": "P", "dst": "DL", "label": WORD, "optional": True, "order": 2, "suffix": True}),
+    (OrArrow, {"src": "S", "dst": "SG"}),
+    (AndConflict, {"node": "P", "first": ARROW, "second": TWIN}),
+    (PairConflict, {"node": "S", "first": ("P", WORD), "second": ("L", ONE_OF)}),
+    (ValidationReport, {"errors": [], "classes": {"P": "and"}, "sizes": {"P": 5}}),
+    (PairReport, {"pairs": {"P": {("P", WORD)}}, "conflicts": []}),
 ]
+# Each schema record class with the fields a call may leave out, and their values.
+DEFAULTS = [
+    (Literal, (), {"word": ""}),
+    (SchemaNode, ("S",), {"label": Literal(""), "number": None}),
+    (AndArrow, ("P", "DL"), {"label": Literal(""), "optional": False, "order": None, "suffix": False}),
+]
+# A changed field value for a record that normalises its fields, where ``object()`` will not do.
+OTHER = {Alternation: frozenset({"up"})}
 MUTABLE = [
     (
         ExecState,
@@ -146,10 +182,10 @@ def test_record_semantics(cls, fields):
     assert record == cls(*fields.values())
     twin = copy.copy(record)
     assert twin == record and twin is not record
-    if cls not in (RunResult, Chains):  # a trace is a list, a chain table holds dicts
+    if cls not in (RunResult, Chains, ValidationReport, PairReport):  # these hold lists or dicts
         assert hash(twin) == hash(record)
     for name in fields:
-        assert cls(**{**fields, name: object()}) != record
+        assert cls(**{**fields, name: OTHER.get(cls, object())}) != record
         with pytest.raises(AttributeError):
             setattr(record, name, fields[name])
     shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
@@ -169,6 +205,34 @@ def test_items_of_different_classes_are_never_equal():
     assert FollowArrowTo("next", 3) != FollowArrow("next")
     assert Stop() == Stop() and hash(Stop()) == hash(Stop())
     assert repr(Stop()) == "Stop()"
+
+
+@pytest.mark.parametrize("cls, given, defaults", DEFAULTS, ids=[cls.__name__ for cls, *_ in DEFAULTS])
+def test_schema_records_take_their_defaults(cls, given, defaults):
+    record = cls(*given)
+    assert record == cls(*given, *defaults.values())
+    assert [getattr(record, name) for name in defaults] == list(defaults.values())
+    for name, value in defaults.items():
+        assert cls(*given, **{name: value}) == record
+
+
+def test_schema_records_of_different_classes_are_never_equal():
+    assert AndConflict("P", ARROW, TWIN) != PairConflict("P", ARROW, TWIN)
+    assert Literal("left") != Alternation({"left"}) and LowerWord() != Literal("")
+    assert OrArrow("S", "SG") != AndArrow("S", "SG")
+
+
+def test_alternation_normalises_its_words():
+    """A set of words becomes a frozenset; an empty one is refused; the sorted
+    words the pattern samples from are no field."""
+    pattern = Alternation(["right", "left", "right"])
+    assert pattern.words == frozenset({"left", "right"}) and type(pattern.words) is frozenset
+    assert pattern == ONE_OF and hash(pattern) == hash(ONE_OF)
+    assert pattern._sorted == ("left", "right")
+    with pytest.raises(ValueError, match="alternation needs at least one word"):
+        Alternation(set())
+    with pytest.raises(AttributeError):
+        pattern._sorted = ()
 
 
 def test_items_refuse_wrong_fields():

@@ -3,7 +3,9 @@
 The check and run path needs no dataclass machinery, no JSON, no
 ``copy`` module and no schema code, so importing the package loads
 none of them; the schema names still resolve through the package,
-imported on first use.
+imported on first use. The schema module's records are slotted classes,
+and it imports ``json`` only where a schema is read or written, so
+building, analysing and growing a schema loads none of them either.
 """
 
 import subprocess
@@ -67,3 +69,18 @@ def test_forwarded_names_read_the_schema_module_each_time(monkeypatch):
 def test_unknown_names_are_refused():
     with pytest.raises(AttributeError, match="module 'wordtree' has no attribute 'no_such_name'"):
         wordtree.no_such_name
+
+
+def test_schema_work_loads_no_dataclasses_or_json():
+    out = fresh(
+        "import random\n"
+        "from wordtree.schema import analyze, generate_sytr, schema_from_json, schema_to_json\n"
+        "from wordtree.schema import turingol_schema\n"
+        "schema = turingol_schema()\n"
+        "tree = generate_sytr(schema, 'P', random.Random(1))\n"
+        "print(analyze(schema).uni_labeled, tree.graph.node_count > 1)\n"
+        "print([name for name in ('dataclasses', 'inspect', 'json') if name in sys.modules])\n"
+        "text = schema_to_json(schema)\n"
+        "print(schema_to_json(schema_from_json(text)) == text, 'json' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["True True", "[]", "True True"]
