@@ -7,14 +7,16 @@ walk no tree; they read the chain table of ``semantics.classify``. Two
 checks inspect the finished flow graph: every statement should be
 reachable from the root, and 'next' arrows alone must not form a cycle,
 because a program caught in one could never leave it. Their CW1 and C2
-findings, like the L1 and L2 findings that keep control arrows from
-being built, are worded by ``semantics.FINDINGS``.
+findings are worded by ``semantics.FINDINGS``; ``semantics.require``
+refuses control arrows while the ``LABELS`` requirement is unmet.
 """
 
 from __future__ import annotations
 
 from .graph import CONTROL, SYNTACTIC, Tree, check_uni_labeled, display_word, functional_cycles
-from .semantics import NEXT, NO, STATEMENT, STATEMENTS, YES, Chains, Diagnostic, Points, _match
+from .semantics import (
+    LABELS, NEXT, NO, STATEMENT, STATEMENTS, YES, Chains, Diagnostic, Points, require
+)
 
 BACK = "back"
 
@@ -101,12 +103,12 @@ def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
 def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     """Build the 'next', 'yes', and 'no' arrows and return counts per label.
 
-    Requires 'back' arrows to be in place and the label checks to be
-    clean, since a goto can only be wired when exactly one statement
-    carries the label it names; otherwise refuses with the L1 and L2
-    findings before adding any arrow. A goto's target rises along ':'
-    arrows to its statement through a map inverted from the ':' pairs
-    (``_riser``), so no in-arrow index is built. Each statement gets
+    Requires 'back' arrows to be in place and the ``LABELS`` requirement
+    to hold, since a goto can only be wired when exactly one statement
+    carries the label it names; otherwise ``require`` refuses before any
+    arrow is added. A goto's target rises along ':' arrows to its
+    statement through a map inverted from the ':' pairs (``_riser``), so
+    no in-arrow index is built. Each statement gets
     the arrows its ``STATEMENTS`` entry names: ``branch`` and
     ``onward``, the latter parallel to its ';' arrow. Then each chain
     end, innermost first and out along the owners that end chains too,
@@ -115,11 +117,7 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     at the end, so a refusal adds none.
     """
     g = tree.graph
-    problems = _match(g, points.targets, points.gotos, ("L1", "L2"))
-    if problems:
-        raise ValueError(
-            "cannot build control arrows: " + "; ".join(str(d) for d in problems)
-        )
+    targets = require(tree, points, LABELS, "build control arrows")
     overlap = [label for label in FLOW_LABELS if g.pairs_labeled(label)]
     if overlap:
         raise ValueError(f"flow arrows are already built: {sorted(overlap)}")
@@ -131,13 +129,12 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     # A goto jumps to the statement its label rises to along ':' arrows.
     words, classes = g._nodes, points.classes
     target_statement = {}
-    for target in points.targets:
-        risen = rise(target)
+    for word, target in targets.items():
+        target_statement[word] = risen = rise(target)
         if classes[risen] is not STATEMENT:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"
             )
-        target_statement[words[target]] = risen
 
     chains = _chains(points)
     successors, ends, after = chains.successors, chains.ends, chains.continuations

@@ -1,10 +1,10 @@
 """End-to-end composition: program text to a checked, runnable graph.
 
-The individual modules each own one stage (parsing, classification,
-requirement checks, control flow, execution). This module strings them
-together in the order the stages depend on each other, so callers that
-just want "check this program" or "run this program on that tape" have
-a single entry point.
+Each module owns one stage (parsing, classification, requirement
+checks, control flow, execution). This one strings them together in the
+order the stages depend on each other, so callers that just want "check
+this program" or "run this program on that tape" have a single entry
+point; ``semantics.REQUIREMENTS`` says which finding blocks which stage.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .executor import (
 from .frontend import parse_text
 from .graph import Tree
 from .semantics import (
+    ALPHABET,
     Diagnostic,
     Points,
     check_alphabet,
@@ -41,7 +42,7 @@ from .tape import parse_tape
 
 
 class CheckFailed(ValueError):
-    """A program that may not run was asked to: it has errors or an AW2 finding."""
+    """A program that may not run was asked to: it has ``blocking`` findings."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         super().__init__("; ".join(str(d) for d in diagnostics))
@@ -54,10 +55,8 @@ class CheckResult:
     ``points`` holds what ``classify`` found, less its chain table: the
     node classes (``points.classes``) and what the later stages and
     ``make_executable`` read. ``stop`` and ``flow_counts`` are filled
-    only when the label checks found no errors, since control flow
-    cannot be built over ambiguous or dangling go to statements.
-    ``linked`` counts declaration links, added only when every used
-    tape word is declared somewhere.
+    only when the checks found no errors, and ``linked``, the count of
+    declaration links, only when no tape word is used undeclared.
     """
 
     __slots__ = ("tree", "points", "diagnostics", "stop", "linked", "flow_counts")
@@ -92,8 +91,8 @@ class CheckResult:
 
     @property
     def blocking(self) -> list[Diagnostic]:
-        """The findings that keep the program from running: errors and AW2."""
-        return [d for d in self.diagnostics if d.severity == "error" or d.code == "AW2"]
+        """The findings that keep the program from running (``Diagnostic.blocking``)."""
+        return [d for d in self.diagnostics if d.blocking]
 
     @property
     def runnable(self) -> bool:
@@ -106,22 +105,21 @@ def check_program(text: str) -> CheckResult:
 
     Stages, in dependency order: parse to the canonical tree, walk its
     statement chains once (``classify``), alphabet checks, label checks,
-    declaration links (when no AW2 finding blocks them), stop node and
-    back arrows and control arrows read off the walk's chain table
-    (when no label error blocks them), then reachability and next-cycle
-    checks over the finished flow graph.
+    declaration links (unless an undefined usage of the ``ALPHABET``
+    row blocks them), stop node and back arrows and control arrows
+    read off the walk's chain table (unless an error blocks them), then
+    reachability and next-cycle checks over the finished flow graph.
 
     Syntax problems raise (IllegalCharacter, ParseError); everything
     later is reported as diagnostics on the result.
     """
     tree = parse_text(text)
     points = classify(tree)
-    diagnostics = check_alphabet(tree, points)
-    diagnostics += check_labels(tree, points)
+    diagnostics = check_alphabet(tree, points) + check_labels(tree, points)
     result = CheckResult(tree, points._replace(chains=None), diagnostics)
-    if not any(d.code == "AW2" for d in diagnostics):
+    if not any(d.code == ALPHABET.undefined for d in diagnostics):
         result.linked = link_is_declared_at(tree, points)
-    if not any(d.severity == "error" for d in diagnostics):
+    if result.ok:
         stop = add_stop_node(tree)
         build_back_arrows(tree, stop, points)
         result.flow_counts = build_control(tree, stop, points)

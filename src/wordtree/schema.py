@@ -70,6 +70,9 @@ class Alternation(_Record):
     def to_text(self) -> str:
         return "(" + " | ".join(f"'{w}'" for w in self._sorted) + ")"
 
+    def __repr__(self) -> str:  # sorted, not in the hash order of the process
+        return f"Alternation(words=frozenset({{{', '.join(map(repr, self._sorted))}}}))"
+
 
 class LowerWord(_Record):
     """Pattern matching any non-empty word of lowercase letters."""

@@ -1,15 +1,14 @@
 """Requirement checks over program trees.
 
 ``classify`` walks a program tree's statement chains once and returns
-its ``Points``: each node's class (data, statement, label or other),
-the points of tape words and labels, and the chain table the control
-flow is built from. The checks read them: tape words are declared
-before use, goto labels name exactly one statement, and semantic
-``is-declared-at`` arrows join each usage to its declaration. Checks
-return Diagnostic records instead of raising, so callers can collect
-every finding in one pass. A record holds a finding's code, nodes and
-words; ``FINDINGS`` maps each code of this module and of
-``control_flow`` to its text, worded only when a message is read.
+its ``Points``: each node's class (data, statement, label or other), the
+points of tape words and labels, and the chain table the control flow is
+built from. The checks read them by the rows of the ``REQUIREMENTS``
+table: tape words are declared before use and linked to their
+declaration (``ALPHABET``), and goto labels name one statement each
+(``LABELS``). A row's undefined usage refuses its link and running, and
+any error refuses the flow. Checks return Diagnostic records;
+``FINDINGS`` words each code here and in ``control_flow``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ OTHER = "other"
 NEXT = "next"
 YES = "yes"
 NO = "no"
-DECLARED_AT = "is-declared-at"
 
 DECLARATIONS_PATH = parse_path('"tape-alphabet"+is')
 PRINT_WORD_PATH = parse_path("+\"'\"")
@@ -76,6 +74,22 @@ FINDINGS = {
 }
 
 
+class Requirement(NamedTuple):
+    """A requirement that each word a usage names is defined once, and each definition is used."""
+
+    definitions: str  # the ``Points`` field of the defining points
+    usages: str  # the ``Points`` field of the using points, compared with those by label
+    twice: str  # the code of a word defined twice
+    undefined: str  # the code of a usage no definition names: it refuses the link and running
+    unused: str  # the code of a definition no usage names
+    link: Optional[str]  # a usage's arrow to its first definition; None: its flow, refused by twice
+
+
+ALPHABET = Requirement("declarations", "usages", "AW1", "AW2", "AW3", "is-declared-at")
+LABELS = Requirement("targets", "gotos", "L1", "L2", "LW1", None)
+REQUIREMENTS = (ALPHABET, LABELS)
+
+
 class Diagnostic(NamedTuple):
     """One finding of a requirement check: its code, the nodes involved, the words it names.
 
@@ -92,6 +106,10 @@ class Diagnostic(NamedTuple):
     @property
     def severity(self) -> str:
         return "warning" if "W" in self.code else "error"
+
+    @property
+    def blocking(self) -> bool:  # keeps the program from running: an error or an undefined usage
+        return self.severity == "error" or any(self.code == r.undefined for r in REQUIREMENTS)
 
     @property
     def message(self) -> str:
@@ -249,77 +267,61 @@ def w_declaration_points(tree: Tree) -> list[int]:
     return points
 
 
-def _match(
-    g, definitions: tuple[int, ...], usages: tuple[int, ...], codes: tuple[str, ...]
-) -> list[Diagnostic]:
-    """Compare defining nodes with using nodes by label.
+def _match(g, points: Points, row: Requirement, refusing: bool = False):
+    """The findings of ``row``, sorted by code and nodes, and each word's first definition.
 
-    Reports each word defined twice (with its first definition), each
-    usage of an undefined word, and, when ``codes`` has a third entry,
-    each definition no usage names, under those ``codes`` and sorted by
-    code and nodes. The first two are the ones that block control flow.
+    A finding is a word defined twice (with its first definition), an
+    undefined usage or an unused definition; ``refusing`` keeps only
+    those that refuse the row's link.
     """
-    twice, undefined, *unused_codes = codes
     words = g._nodes
-    diagnostics = []
-    first_seen: dict[str, int] = {}
+    definitions, usages = getattr(points, row.definitions), getattr(points, row.usages)
+    found, first = [], {}
     for node in definitions:
         word = words[node]
-        if word in first_seen:
-            diagnostics.append(Diagnostic(twice, (first_seen[word], node), (word,)))
-        else:
-            first_seen[word] = node
-
-    for node in usages:
-        word = words[node]
-        if word not in first_seen:
-            diagnostics.append(Diagnostic(undefined, (node,), (word,)))
-
-    for unused in unused_codes:
+        if word not in first:
+            first[word] = node
+        elif not refusing or row.link is None:
+            found.append(Diagnostic(row.twice, (first[word], node), (word,)))
+    found += [Diagnostic(row.undefined, (n,), (words[n],)) for n in usages if words[n] not in first]
+    if not refusing:
         used = {words[n] for n in usages}
-        for node in definitions:
-            word = words[node]
-            if word not in used:
-                diagnostics.append(Diagnostic(unused, (node,), (word,)))
+        unused = [n for n in definitions if words[n] not in used]
+        found += [Diagnostic(row.unused, (n,), (words[n],)) for n in unused]
+    return sorted(found), first
 
-    diagnostics.sort()
-    return diagnostics
+
+def require(tree: Tree, points: Points, row: Requirement, doing: str) -> dict[str, int]:
+    """Each word's first definition, the end of ``row``'s link; refuses as ``Requirement`` says."""
+    refusals, first = _match(tree.graph, points, row, refusing=True)
+    if refusals:
+        raise ValueError(f"cannot {doing}: " + "; ".join(map(str, refusals)))
+    return first
 
 
 def check_alphabet(tree: Tree, points: Points) -> list[Diagnostic]:
     """Alphabet checks: duplicate declarations, undeclared uses, unused words."""
-    return _match(tree.graph, points.declarations, points.usages, ("AW1", "AW2", "AW3"))
+    return _match(tree.graph, points, ALPHABET)[0]
 
 
 def link_is_declared_at(tree: Tree, points: Points) -> int:
-    """Add a semantic 'is-declared-at' arrow from each usage to its declaration.
+    """Add a semantic ``ALPHABET.link`` arrow from each usage to its first declaration.
 
-    Points at the first declaration of the word, skips usages that are
-    already linked (none are while the graph has no such arrow), adds
-    the arrows with one ``LabeledGraph.extend`` call, and returns the
-    number of arrows added. Refuses, before adding any arrow, while
-    some usage has no declaration at all, listing the AW2 findings
-    that ``check_alphabet`` reports, from the same ``_match``.
+    ``require`` finds those, and refuses while some usage has none.
+    Usages already linked are skipped (none are while the graph has no
+    such arrow), and one ``LabeledGraph.extend`` call adds the rest.
+    Returns the number of arrows added.
     """
-    g = tree.graph
-    findings = _match(g, points.declarations, points.usages, ("AW1", "AW2"))
-    undeclared = [d for d in findings if d.code == "AW2"]
-    if undeclared:
-        raise ValueError(
-            "cannot link usages to declarations: "
-            + "; ".join(str(d) for d in undeclared)
-        )
-
-    words = g._nodes
-    first_decl = {words[node]: node for node in reversed(points.declarations)}  # the first wins
+    first = require(tree, points, ALPHABET, "link usages to declarations")
+    g, link, words = tree.graph, ALPHABET.link, tree.graph._nodes
     srcs = list(dict.fromkeys(points.usages))
-    if g.pairs_labeled(DECLARED_AT):
-        srcs = [usage for usage in srcs if not g.ends(usage, "+", DECLARED_AT)]
-    dsts = [first_decl[words[usage]] for usage in srcs]
-    g.extend((), srcs, [DECLARED_AT] * len(srcs), dsts, SEMANTIC)
+    if g.pairs_labeled(link):
+        srcs = [usage for usage in srcs if not g.ends(usage, "+", link)]
+    dsts = [first[words[usage]] for usage in srcs]
+    g.extend((), srcs, [link] * len(srcs), dsts, SEMANTIC)
     return len(srcs)
 
 
 def check_labels(tree: Tree, points: Points) -> list[Diagnostic]:
     """Label checks: duplicate targets, dangling gotos, unused labels."""
-    return _match(tree.graph, points.targets, points.gotos, ("L1", "L2", "LW1"))
+    return _match(tree.graph, points, LABELS)[0]

@@ -31,6 +31,36 @@ def corpus_texts(rounds: int = 2) -> tuple[str, ...]:
     return tuple(program.text for batch in batches for program in batch)
 
 
+class Counted(list):
+    """A graph container that adds the weight of every entry it hands out to ``read[0]``."""
+
+    def __init__(self, entries, read: list, weight) -> None:
+        super().__init__(entries)
+        self.read, self.weight = read, weight
+
+    def __getitem__(self, index):
+        found = super().__getitem__(index)
+        self.read[0] += sum(map(self.weight, found)) if type(index) is slice else self.weight(found)
+        return found
+
+    def __iter__(self):
+        for entry in super().__iter__():
+            self.read[0] += self.weight(entry)
+            yield entry
+
+
+def count_graph_reads(g, read: list) -> None:
+    """Swap ``g``'s columns and per-node indexes for containers that count what is read.
+
+    A label, an arrow end, or a node's out-arrow index counts 1; a
+    node's in-arrow id list counts the ids a scan of it may read. The
+    in-arrow index is built first, as a run's deep copy has it built.
+    """
+    for name in ("_nodes", "_src", "_label", "_dst", "_out"):
+        setattr(g, name, Counted(getattr(g, name), read, lambda entry: 1))
+    g._in = Counted(g._ins(), read, len)
+
+
 @pytest.fixture(scope="session")
 def increment_text() -> str:
     return (PROGRAMS / "increment.tgl").read_text()

@@ -14,6 +14,9 @@ reads as the rule it states:
   as the first five fields of ``wordtree.semantics.Points``.
 - ``subordinator`` walks back along ';' arrows from a chain end to the
   chain's head and asks what the head hangs off.
+- ``unmatched`` compares label targets with gotos by word on its own,
+  and ``build_control`` refuses with what it finds, as the library's
+  refuses with the ``LABELS`` requirement's refusals.
 - ``build_back_arrows`` and ``build_control`` add the same arrows as
   the library's, in the same order: control reads the back arrows it
   finds in the graph, chains them from each head, and takes the
@@ -35,7 +38,7 @@ from wordtree.semantics import (
     STATEMENT,
     STATEMENT_WORDS,
     SYMBOL_PATH,
-    _match,
+    Diagnostic,
     w_declaration_points,
 )
 
@@ -103,6 +106,23 @@ def find_points(tree: Tree, classes: dict[int, str]) -> tuple:
     )
 
 
+def unmatched(g, targets, gotos) -> list[Diagnostic]:
+    """Each label word on two targets (L1, with its first) and each goto to no target (L2)."""
+    first: dict[str, int] = {}
+    found = []
+    for target in targets:
+        word = g.node_label(target)
+        if word in first:
+            found.append(Diagnostic("L1", (first[word], target), (word,)))
+        else:
+            first[word] = target
+    for goto in gotos:
+        word = g.node_label(goto)
+        if word not in first:
+            found.append(Diagnostic("L2", (goto,), (word,)))
+    return sorted(found)
+
+
 def subordinator(g, node: int, stop: int) -> int:
     head = g.chain(node, "-", ";")[-1]
     for word in ("then", "}"):
@@ -127,7 +147,7 @@ def build_back_arrows(tree: Tree, stop: int, statements) -> int:
 def build_control(tree: Tree, stop: int, points: tuple) -> dict[str, int]:
     g = tree.graph
     statements, _, _, targets, gotos = points
-    problems = _match(g, targets, gotos, ("L1", "L2"))
+    problems = unmatched(g, targets, gotos)
     if problems:
         raise ValueError("cannot build control arrows: " + "; ".join(str(d) for d in problems))
     overlap = [label for label in FLOW_LABELS if g.pairs_labeled(label)]

@@ -79,6 +79,7 @@ from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import PRINT_WORD_PATH, STATEMENT, SYMBOL_PATH, classify
 from wordtree.tape import parse_tape, render_tape
 
+from conftest import count_graph_reads
 from fail_safety import repair
 import reference_executor as reference
 import reference_tape
@@ -1099,36 +1100,6 @@ class TestTracing:
         entries = []
         assert_step_cost_is_flat(increment_text, monkeypatch, on_step=entries.append)
         assert len(entries) == (8 * 10 + 2) + (8 * 1000 + 2)
-
-
-class Counted(list):
-    """A graph container that adds the weight of every entry it hands out to ``read[0]``."""
-
-    def __init__(self, entries, read: list, weight) -> None:
-        super().__init__(entries)
-        self.read, self.weight = read, weight
-
-    def __getitem__(self, index):
-        found = super().__getitem__(index)
-        self.read[0] += sum(map(self.weight, found)) if type(index) is slice else self.weight(found)
-        return found
-
-    def __iter__(self):
-        for entry in super().__iter__():
-            self.read[0] += self.weight(entry)
-            yield entry
-
-
-def count_graph_reads(g: LabeledGraph, read: list) -> None:
-    """Swap ``g``'s columns and per-node indexes for containers that count what is read.
-
-    A label, an arrow end, or a node's out-arrow index counts 1; a
-    node's in-arrow id list counts the ids a scan of it may read. The
-    in-arrow index is built first, as a run's deep copy has it built.
-    """
-    for name in ("_nodes", "_src", "_label", "_dst", "_out"):
-        setattr(g, name, Counted(getattr(g, name), read, lambda entry: 1))
-    g._in = Counted(g._ins(), read, len)
 
 
 def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:

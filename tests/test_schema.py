@@ -1,10 +1,13 @@
 """Schema analysis tests: label patterns, checks, expansion, generation, export."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,25 @@ class TestLabelPatterns:
         assert repr(Alternation({"up"})) == "Alternation(words=frozenset({'up'}))"
         assert placeholder(pattern) == "down"
         assert pattern.to_text() == "('down' | 'left' | 'right' | 'stay' | 'up')"
+
+    def test_repr_does_not_depend_on_the_hash_seed(self):
+        """The built-in schema's AND arrows print alike in processes of ten hash seeds."""
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from wordtree.schema import turingol_schema\n"
+            "print(repr(turingol_schema().and_arrows()))"
+        )
+        src = str(Path(schema_module.__file__).resolve().parent.parent)
+        shown = {
+            subprocess.run(
+                [sys.executable, "-S", "-c", code, src],
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for seed in range(10)
+        }
+        assert len(shown) == 1
+        assert "Alternation(words=frozenset({'left', 'right'}))" in shown.pop()
 
     def test_samples_match_their_pattern(self):
         rng = random.Random(5)

@@ -22,10 +22,11 @@ from wordtree.graph import (
 from wordtree.pipeline import check_program
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import (
+    ALPHABET,
     DATA,
-    DECLARED_AT,
     FINDINGS,
     LABEL,
+    LABELS,
     OTHER,
     STATEMENT,
     STATEMENTS,
@@ -34,12 +35,14 @@ from wordtree.semantics import (
     check_labels,
     classify,
     link_is_declared_at,
+    require,
     w_declaration_points,
 )
 
 from conftest import bench_workloads
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wordtree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wordtree"
 
 
 def words(tree: Tree, nodes) -> list[str]:
@@ -233,7 +236,7 @@ class TestDeclarationLinks:
         g = increment.graph
         links = [a for _, a in g.arrows() if a.kind == SEMANTIC]
         assert len(links) == 5
-        assert all(a.label == DECLARED_AT for a in links)
+        assert all(a.label == ALPHABET.link == "is-declared-at" for a in links)
 
     def test_links_join_equal_labels(self, increment):
         link_is_declared_at(increment, points_of(increment))
@@ -296,6 +299,28 @@ class TestDeclarationLinks:
         first = w_declaration_points(tree)[0]
         semantic = [a for _, a in tree.graph.arrows() if a.kind == SEMANTIC]
         assert [a.dst for a in semantic] == [first]
+
+
+class TestRequire:
+    def test_returns_each_words_first_definition(self):
+        tree = parse_text("tape-alphabet is one, two, one;\nprint 'one'; x: go to x; y: go to x.")
+        points = points_of(tree)
+        declarations, targets = points.declarations, points.targets
+        assert require(tree, points, ALPHABET, "link") == {"one": declarations[0], "two": declarations[1]}
+        assert require(tree, points, LABELS, "wire") == {"x": targets[0], "y": targets[1]}
+
+    def test_a_word_defined_twice_refuses_only_a_row_without_a_link(self):
+        tree = parse_text("tape-alphabet is one, one;\nx: print 'one'; x: go to x.")
+        points = points_of(tree)
+        assert [d.code for d in check_alphabet(tree, points)] == [ALPHABET.twice]
+        assert list(require(tree, points, ALPHABET, "link")) == ["one"]
+        with pytest.raises(ValueError, match=r"^cannot wire: L1 error nodes"):
+            require(tree, points, LABELS, "wire")
+
+    def test_blocking_is_an_error_or_an_undefined_usage(self):
+        assert [Diagnostic(code, (1,), ("w",)).blocking for code in sorted(FINDINGS)] == [
+            False, True, False, True, False, True, True, False
+        ]
 
 
 class TestLabelPoints:
@@ -426,6 +451,27 @@ def statement_word_comparisons(source: str) -> list[int]:
     return sorted(lines)
 
 
+REQUIREMENT_CODES = frozenset({"AW1", "AW2", "AW3", "L1", "L2", "LW1"})
+
+
+def requirement_leaks(source: str) -> tuple[list[int], list[int]]:
+    """The lines in ``source`` of a requirement code literal, and of a use of ``_match``.
+
+    A code literal is a string constant equal to a finding code of a
+    ``semantics.REQUIREMENTS`` row; a use is a ``from`` import naming
+    ``_match`` or an attribute read ``x._match``.
+    """
+    codes, uses = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in REQUIREMENT_CODES:
+            codes.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "_match" for a in node.names):
+            uses.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_match":
+            uses.append(node.lineno)
+    return sorted(codes), sorted(uses)
+
+
 class TestStatementTable:
     def test_no_stage_compares_a_label_with_a_statement_word(self):
         planted = """
@@ -444,6 +490,29 @@ def turingol_schema(): return word == "if"
             if path.name != "frontend.py"
         }
         assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_only_semantics_names_a_requirement_code_or_matches(self):
+        """The requirement rows alone state their codes, and ``_match`` stays inside."""
+        planted = """
+from wordtree.semantics import ALPHABET, _match
+if d.code == "AW2": pass
+blocked = {"L1", "L2"}
+found = semantics._match(g, points, LABELS)
+fine = d.code == ALPHABET.undefined or "LW12" or "AW2 warning"
+"""
+        assert requirement_leaks(planted) == ([3, 4, 4], [2, 5])
+        rows = semantics.REQUIREMENTS
+        assert {code for row in rows for code in (row.twice, row.undefined, row.unused)} == (
+            REQUIREMENT_CODES
+        )
+        paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+        paths += (ROOT / "tests").glob("reference_*.py")
+        leaks = {path: requirement_leaks(path.read_text()) for path in paths}
+        del leaks[SRC / "semantics.py"]
+        assert len(leaks) > 10
+        assert {path.name: uses for path, (_, uses) in leaks.items() if uses} == {}
+        in_src = {path.name: codes for path, (codes, _) in leaks.items() if path.parent == SRC}
+        assert {name: codes for name, codes in in_src.items() if codes} == {}
 
     def test_table_keys_are_the_statement_words(self):
         assert set(semantics.STATEMENT_WORDS) == {"", "move", "print", "if", "{", "go"}
