@@ -17,7 +17,12 @@ with the node's program side settled once: its follows carry their
 targets (``FollowArrowTo``), and each of its paths, the word paths from
 the node and the tape paths from the root, is ``settle``d up to the
 tape, so a step resolves only the tape side of each path, '+tape' and
-the cells beyond it. That holds because a run writes only the tape.
+the cells beyond it. That holds because a run writes only the tape,
+which the run graph enforces: ``initialize`` mounts the tape beside the
+program (``LabeledGraph.mount``), and a write at a program node raises
+NormalConditionViolated, so it crashes the run. The moves to one side
+share one grow and one reassign item, whose kinds keep their bound
+forms (``graph._Kept``), so they are bound once per side.
 
 Every direction exposes a ``condition`` (None for ``Act``) and an
 ``action``. An instruction is bound once, the first time a step reaches
@@ -52,7 +57,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .graph import (
-    SEMANTIC,
     Action,
     CreateNodeWithArrowFromSource,
     CreateNodeWithArrowToTarget,
@@ -74,7 +78,7 @@ from .graph import (
     settle,
 )
 from .semantics import NEXT, STATEMENTS, Points
-from .tape import add_cells, chain_text
+from .tape import chain_text, mount
 
 RUNNING = "running"
 STOPPED = "stopped"
@@ -204,14 +208,14 @@ def _fold(directions: Sequence[Direction], traced: bool) -> Callable:
     rest, then = _exhausted, _CALL
     for direction in reversed(directions):
         condition, action = direction.condition, direction.action
-        holds = None if condition is None else _bound(condition, "bind_holds")
+        holds = None if condition is None else _bound(condition, "holds")
         ends_step = getattr(action, "ends_step", False)
         fixed = _CALL
         if type(action) is FollowArrowTo:
             fixed = (action.target, direction) if traced else action.target
             apply = _returning(fixed)
         else:
-            apply = _bound(action, "bind_apply")
+            apply = _bound(action, "apply")
             if ends_step and traced:
                 apply = _with_direction(apply, direction)
         if ends_step and holds is None:
@@ -274,9 +278,9 @@ def _with_direction(apply, direction):
 
 
 def _bound(item, form: str) -> Callable:
-    """``item``'s bound form ``form``; for a value that is no item, a function refusing it."""
+    """``item.bound(form)``; for a value that is no item, a function refusing it."""
     if isinstance(item, _Item):
-        return getattr(item, form)()
+        return item.bound(form)
 
     def refuse(g, node):
         _refuse_foreign(item)
@@ -349,7 +353,7 @@ def _move_directions(g, side: str, tape) -> tuple[Direction, Direction]:
 
     Grow a cell on that side if the tape ends at the head, then put the
     head on the cell beside it. These depend on the tape alone, so the
-    moves to one side share them.
+    moves to one side share them, and their bound forms.
     """
     if side == "left":
         grow = Guarded(NoArrowTo("", tape), CreateNodeWithArrowToTarget(tape))
@@ -425,25 +429,28 @@ def initialize(
     instructions: dict[int, Instruction],
     cautious: bool = False,
 ) -> ExecState:
-    """Attach a tape to the program tree and return the starting state.
+    """Mount a tape beside the program tree and return the starting state of a run.
 
     ``tape`` holds the cell words, as ``parse_tape`` returns them; a
     plain string is refused, not mounted one letter per cell. ``start``
     is 'first', 'last', or a zero-based cell index. Refuses graphs that
-    already carry a 'tape' arrow, start positions off the tape and
-    illegal cell words before touching the graph. Then ``add_cells``
-    adds the cells to the program graph after its own nodes, so no cell
-    shadows a program word an absolute path starts from; a single
-    semantic 'tape' arrow points from the root at the chosen cell, and
-    the executor is placed at the root. Whether the program may run is
-    decided before ``instructions`` exist, by ``make_executable``.
-    ``cautious`` is accepted and ignored, for callers that still pass
-    it: every run verifies each direction before it writes.
+    already carry a 'tape' arrow, a run graph among them, start
+    positions off the tape and illegal cell words. ``tree`` is not
+    written: the state's tree is a run graph of its own
+    (``tape.mount``), which shares the program's per-node containers,
+    holds the cells after the program's nodes, so no cell shadows a
+    program word an absolute path starts from, and has a single
+    semantic 'tape' arrow from the root to the chosen cell. So one
+    program serves any number of runs, and a write at a program node
+    crashes its run. The executor is placed at the root. Whether the
+    program may run is decided before ``instructions`` exist, by
+    ``make_executable``. ``cautious`` is accepted and ignored, for
+    callers that still pass it: every run verifies each direction
+    before it writes.
     """
     if isinstance(tape, str):
         raise ValueError("a tape is a sequence of cell words, not a string")
-    g = tree.graph
-    if g.pairs_labeled(TAPE_ARROW):
+    if tree.graph.pairs_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
 
     if start == "first":
@@ -457,9 +464,7 @@ def initialize(
     if not 0 <= index < len(tape):
         raise ValueError(f"start index {index} outside the {len(tape)}-cell tape")
 
-    cells = add_cells(g, tape)
-    g.add_arrow(tree.root, TAPE_ARROW, cells[index], SEMANTIC)
-    return ExecState(tree, dict(instructions), tree.root)
+    return ExecState(mount(tree, tape, index, TAPE_ARROW), dict(instructions), tree.root)
 
 
 def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:

@@ -17,13 +17,16 @@ appends the arrows to the graph's own columns and then fills the
 out-arrow and arrow label indexes in one loop. ``add_node`` and
 ``add_arrow`` are its one-element calls; the builders that know their
 graph up front (the parser, ``to_canonical``, the schema generator, the
-control-flow and declaration links, the tape) stage columns and call it
-once. Two indexes are built only when first read: the in-arrow ids of
-every node, on the first "-" step or in-arrow listing, which a check
-never takes, and the own nodes of a word, when a path start, ``settle``
-or ``nodes_labeled`` names it. ``extend`` keeps the in-arrow index
+control-flow and declaration links) stage columns and call it once.
+Two indexes are built only when first read: the in-arrow ids of every
+node, on the first "-" step or in-arrow listing, which a check never
+takes, and the own nodes of a word, when a path start, ``settle`` or
+``nodes_labeled`` names it. ``extend`` keeps the in-arrow index
 current once built; the label index is a memo, which ``extend`` and
 ``set_node_label`` drop whenever they add or relabel an own node.
+``LabeledGraph.mount`` builds a run graph beside a program: the tape's
+cells follow the program's nodes, whose containers it shares and
+refuses to write.
 
 Arrows are stored as four parallel columns (origin, label, destination,
 kind), not as one object each: an arrow adds list entries, but no
@@ -47,11 +50,13 @@ through its ``reader``. It is the one statement of the item's
 normal-execution conditions, raising NormalConditionViolated where one
 fails; ``eval_proposition`` and ``apply_action`` call it, and the
 executor folds it into one function per instruction. A reader of a
-``Settled`` path reads a single remaining "+" step from the index in
-place, walks longer rests through ``_walk``, and defers to ``locate``
-where a step has no arrow or several, so every failure reads as it
-would through ``resolve``. A bound form resolves every path before its
-first write, so a violation leaves the graph as it was;
+``Settled`` path reads a rest of one "+" step, or of a "+" step and
+one more (the tape paths' '+tape+""' and '+tape-""'), from the indexes
+in place, walks longer rests through ``_walk``, and defers to
+``locate`` where a step has no arrow or several, so every failure reads
+as it would through ``resolve``. A bound form resolves every path
+before its first write, and a run graph refuses a write at a program
+node before it writes, so a violation leaves the graph as it was;
 ``normal_violation`` reports one by evaluating a proposition, or by
 applying an action to a copy. ``settle`` resolves the program side of a
 path formula once, into a ``Settled`` record, and ``FollowArrowTo`` is
@@ -61,7 +66,6 @@ for the parts of a step a run never changes.
 
 from __future__ import annotations
 
-import math
 import re
 from bisect import insort
 from itertools import compress, repeat
@@ -204,30 +208,32 @@ class LabeledGraph:
 
     In-arrows are indexed by destination, once something reads them:
     ``_in`` is None until a "-" step (``ends``, ``ends_of_kind``,
-    ``follow``, a path's walk) or ``in_arrows``, ``set_arrow_dst`` or a
-    deep copy asks for it, and ``_ins`` then builds it in one pass over
-    the destinations. From then on ``extend`` and ``set_arrow_dst`` keep
-    it current. A check takes no "-" step, so a checked program has none.
+    ``follow``, a path's walk) or ``in_arrows``, ``set_arrow_dst``, a
+    deep copy or a mount asks for it, and ``_ins`` then builds it in one
+    pass over the destinations. From then on ``extend`` and
+    ``set_arrow_dst`` keep it current. A check takes no "-" step, so a checked program has none.
 
     ``copy.deepcopy`` copies the columns and indexes list by list
     (``__deepcopy__``) and shares the words and ids they hold, so a
     copy costs a few list copies per node rather than a walk over
-    every object; ``execute_program`` mounts each tape on one. It
-    builds the original's in-arrow index first, so a kept program
-    builds it once and each copy copies it.
+    every object. A run copies nothing of its program: ``mount``
+    builds a run graph that shares the program's per-node containers.
 
-    The nodes a graph has before ``end_own_nodes`` is called are its
-    own; nodes added after that call are mounted, as a tape's cells
-    and the cells it grows are. An absolute path start names one of
-    the graph's own nodes, so a mounted tape never shadows a program
-    word. The node label index is a memo of own nodes, for the words
-    asked for: a ``nodes_labeled``, ``resolve`` or ``settle`` that
-    names a word it lacks scans the own nodes once for it
-    (``_labeled``), and ``extend`` and ``set_node_label`` clear it
-    whenever they add or relabel an own node. A mounted node never
-    enters or clears it, so ``resolve`` finds an absolute start in one
-    lookup whatever words the cells carry, and ``nodes_labeled`` lists
-    no mounted node.
+    A run graph's own nodes are its program's, the first ``_frozen``
+    ids; every node of a graph that is no run graph is its own
+    (``_frozen`` is 0). The own nodes are read-only in a run graph: a
+    write that would touch one raises NormalConditionViolated before
+    it writes, with one compare of the id against ``_frozen``, and a
+    run graph adds only cells and ``""`` arrows between them. An
+    absolute path start names one of the own nodes, so a mounted tape
+    never shadows a program word. The node label index is a memo of own
+    nodes, for the words asked for: a ``nodes_labeled``, ``resolve`` or
+    ``settle`` that names a word it lacks scans the own nodes once for
+    it (``_labeled``), and ``extend`` and ``set_node_label`` clear it
+    whenever they add or relabel a node of a graph that is no run
+    graph. A cell never enters or clears it, so ``resolve`` finds an
+    absolute start in one lookup whatever words the cells carry, and
+    ``nodes_labeled`` lists no cell.
     """
 
     def __init__(self) -> None:
@@ -243,7 +249,7 @@ class LabeledGraph:
         self._validated: set[str] = set()  # the node labels validated so far
         self._arrows_by_label: dict[str, list[int]] = {}
         self._out_more: dict[tuple[int, str], list[int]] = {}
-        self._own_end = math.inf  # ids below it are the graph's own nodes
+        self._frozen = 0  # on a run graph, its program's node count (see ``mount``)
 
     # -- construction ------------------------------------------------
 
@@ -271,8 +277,8 @@ class LabeledGraph:
         if not len(srcs) == arrow_count == len(dsts):
             raise ValueError("the arrow columns differ in length")
         nodes = self._nodes
-        first_node = len(nodes)
-        node_count = first_node + len(labels)
+        node_count = len(nodes) + len(labels)
+        floor = self._frozen
         if labels:
             validated = self._validated
             new_labels = set(labels).difference(validated)
@@ -289,8 +295,9 @@ class LabeledGraph:
             if (
                 bad
                 or kind not in ARROW_KINDS
-                or not 0 <= min(srcs) <= max(srcs) < node_count
-                or not 0 <= min(dsts) <= max(dsts) < node_count
+                or not floor <= min(srcs) <= max(srcs) < node_count
+                or not floor <= min(dsts) <= max(dsts) < node_count
+                or floor and any(words)
             ):
                 for src, word, dst in zip(srcs, words, dsts):
                     if not 0 <= src < node_count:
@@ -301,6 +308,13 @@ class LabeledGraph:
                         raise ValueError(f"arrow label {word!r} is not a PLA word")
                     if kind not in ARROW_KINDS:
                         raise ValueError(f"unknown arrow kind {kind!r}")
+                    if src < floor or dst < floor:
+                        raise _read_only(min(src, dst))
+                    if floor and word:
+                        raise NormalConditionViolated(
+                            f"a run adds no {display_word(word)} arrow, "
+                            'only "" arrows between cells'
+                        )
 
         ins = self._in
         if labels:
@@ -310,7 +324,7 @@ class LabeledGraph:
             self._out += [_NO_OUT] * len(labels)
             if new_labels:
                 validated |= new_labels
-            if first_node < self._own_end:  # mounted nodes stay out of the index
+            if not floor:  # a run graph's new nodes are cells, which stay out of the index
                 self._by_label.clear()
         if arrow_count:
             first_arrow = len(self._src)
@@ -353,11 +367,15 @@ class LabeledGraph:
         new = label not in self._validated
         if new and not (is_pla_word(label) or is_mla_word(label)):
             raise ValueError(f"node label {label!r} is neither a PLA word nor an MLA word")
-        self.node_label(node)  # refuses a negative id
+        floor = self._frozen
+        if node < floor:  # a negative id, or a program node of a run graph
+            if node < 0:
+                raise IndexError(f"{node} is not a node of this graph")
+            raise _read_only(node)
         self._nodes[node] = label
         if new:
             self._validated.add(label)
-        if node < self._own_end:  # mounted nodes stay out of the index
+        if not floor:  # a run graph relabels cells only, which stay out of the index
             self._by_label.clear()
 
     def set_arrow_dst(self, arrow_id: int, dst: int) -> None:
@@ -365,10 +383,7 @@ class LabeledGraph:
             raise ValueError(f"arrow destination {dst} is not a node of this graph")
         if arrow_id < 0:
             raise IndexError(f"{arrow_id} is not an arrow of this graph")
-        ins = self._ins()
-        ins[self._dst[arrow_id]].remove(arrow_id)
-        self._dst[arrow_id] = dst
-        insort(ins[dst], arrow_id)
+        _redirect(self, arrow_id, dst)
 
     # -- queries -----------------------------------------------------
 
@@ -534,7 +549,7 @@ class LabeledGraph:
         members = self._by_label.get(word)
         if members is None:
             nodes = self._nodes
-            own = range(min(self._own_end, len(nodes)))  # the scan stops at the mounted nodes
+            own = range(self._frozen or len(nodes))  # a run graph's scan stops at its cells
             members = self._by_label[word] = set(compress(own, map(word.__eq__, nodes)))
         return members
 
@@ -587,7 +602,7 @@ class LabeledGraph:
         clone._validated = self._validated.copy()
         clone._arrows_by_label = {word: ids[:] for word, ids in self._arrows_by_label.items()}
         clone._out_more = {key: ids[:] for key, ids in self._out_more.items()}
-        clone._own_end = self._own_end
+        clone._frozen = self._frozen
         return clone
 
     def __setstate__(self, state: dict) -> None:
@@ -602,9 +617,63 @@ class LabeledGraph:
             setattr(self, name, value)
         self._out = [firsts or _NO_OUT for firsts in self._out]
 
-    def end_own_nodes(self) -> None:
-        """Count the nodes added from now on as mounted, not as this graph's own."""
-        self._own_end = min(self._own_end, len(self._nodes))
+    def mount(self, origin: int, label: str, cells: Sequence[str], head: int) -> "LabeledGraph":
+        """A run graph: this graph as its program, read-only, and a chain of ``cells`` beside it.
+
+        The run graph holds this graph's nodes and arrows under their
+        ids, then a node per word of ``cells``, a ``""`` tape arrow from
+        each cell to the next, and one semantic ``label`` arrow from
+        ``origin`` to the ``head``-th cell, in that order. Its label
+        index holds the program's nodes only, so no cell shadows a word
+        an absolute path starts from. It shares this graph's per-node
+        containers and owns what a run writes: the columns, ``origin``'s
+        out-arrow index, the ``""`` and ``label`` lists of the arrow
+        label index, the validated labels, the overflow map and its own
+        memo of the label index. So a write at a program node raises
+        NormalConditionViolated (``_frozen``), and a run graph adds
+        nothing but cells and ``""`` arrows between them. This graph
+        must not change while a run graph over it is in use. Builds this
+        graph's in-arrow index, if no read has yet, once for every run
+        graph over it. Refuses a run graph, a cell word that is no word
+        and a ``head`` off the cells, and then leaves this graph as it was.
+        """
+        count, arrows, size = len(self._nodes), len(self._src), len(cells)
+        if self._frozen:
+            raise ValueError("a run graph is mounted on no further; mount its program")
+        if not 0 <= origin < count:
+            raise ValueError(f"arrow origin {origin} is not a node of this graph")
+        if not 0 <= head < size:
+            raise ValueError(f"no cell {head} among {size} cells")
+        new = set(cells).difference(self._validated)
+        for word in cells if new else ():
+            if word in new and not (is_pla_word(word) or is_mla_word(word)):
+                raise ValueError(f"node label {word!r} is neither a PLA word nor an MLA word")
+        if label not in self._arrows_by_label and not is_pla_word(label):
+            raise ValueError(f"arrow label {label!r} is not a PLA word")
+        links = range(arrows, arrows + size - 1)  # the chain's arrows; the cells follow ``count``
+        tape = arrows + size - 1
+        run = object.__new__(LabeledGraph)
+        # Set in ``__init__``'s order, as ``__deepcopy__`` does. Each column is
+        # one list concatenation: the program's part is copied as references.
+        run._nodes = self._nodes + list(cells)
+        run._src = self._src + [*range(count, count + size - 1), origin]
+        run._label = self._label + [""] * (size - 1) + [label]
+        run._dst = self._dst + [*range(count + 1, count + size), count + head]
+        run._kind = self._kind + [TAPE] * (size - 1) + [SEMANTIC]
+        run._out = self._out + [{"": link} for link in links] + [_NO_OUT]
+        run._in = self._ins() + [[]] + [[link] for link in links]
+        run._by_label = self._by_label.copy()
+        run._validated = self._validated | new
+        run._arrows_by_label = by_word = self._arrows_by_label.copy()
+        run._out_more = more = self._out_more.copy()
+        run._frozen = count
+        by_word[""] = [*by_word.get("", ()), *links]
+        by_word[label] = [*by_word.get(label, ()), tape]
+        firsts = run._out[origin] = self._out[origin].copy()
+        if firsts.setdefault(label, tape) != tape:
+            more[origin, label] = [*more.get((origin, label), ()), tape]
+        run._in[count + head].append(tape)
+        return run
 
 
 # -- path formulas ---------------------------------------------------
@@ -722,12 +791,13 @@ def settle(
     settled relative formula resolves from ``current`` wherever it is
     resolved, so it serves the item of that node alone.
 
-    This is sound because a run writes only the tape: an own node keeps
-    its label and its arrows, apart from the root's one 'tape' arrow
-    that the mount adds, so a settled step reaches at every call the
-    node it reached here (``test_a_run_writes_only_the_tape`` pins it).
+    This is sound because a run writes only the tape: a run graph
+    refuses to write an own node, which so keeps its label and its
+    arrows, apart from the root's one 'tape' arrow that the mount adds,
+    and a settled step reaches at every call the node it reached here
+    (``test_a_run_writes_only_the_tape`` pins it).
     """
-    own_end = min(g._own_end, len(g._nodes))
+    own_end = g._frozen or len(g._nodes)
     if formula.start is None:
         if current is None or not 0 <= current < own_end:
             return formula
@@ -863,7 +933,10 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
     A ``Settled`` path's reader takes the path's ``rest`` from its
     settled node: one with no step left is its node, one whose rest is
     a single "+" step reads the (node, label) index in place, as the
-    tape path's '+tape' does, and any other walks through ``_walk``.
+    tape path's '+tape' does, one whose rest is a "+" step and one more
+    reads the far step's index in place too, as '+tape+""' and
+    '+tape-""' do, and any other walks through ``_walk``. So a settled
+    reader returns a node of g, or defers.
     Where a step has no arrow or several, and for a formula that is not
     settled, the reader calls ``locate``, so it returns what ``locate``
     returns and raises what ``locate`` raises, with the same text.
@@ -873,8 +946,8 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
     node, rest = path.node, path.rest
     if not rest:
         return lambda g, current: node
-    if len(rest) == 1 and rest[0][0] == "+":
-        word = rest[0][1]
+    (sign, word), *far = rest
+    if sign == "+" and not far:
 
         def read_one(g: LabeledGraph, current: Optional[int]) -> int:
             first = g._out[node].get(word)
@@ -883,6 +956,37 @@ def reader(path: Union[PathFormula, Settled]) -> Callable[[LabeledGraph, Optiona
             return g._dst[first]
 
         return read_one
+    if sign == "+" and len(far) == 1 and far[0][0] == "+":
+        far_word = far[0][1]
+
+        def read_right(g: LabeledGraph, current: Optional[int]) -> int:
+            outs, more = g._out, g._out_more
+            first = outs[node].get(word)
+            if first is not None and not (more and (node, word) in more):
+                cell = g._dst[first]
+                second = outs[cell].get(far_word)
+                if second is not None and not (more and (cell, far_word) in more):
+                    return g._dst[second]
+            return locate(g, path, current)
+
+        return read_right
+    if sign == "+" and len(far) == 1 and far[0][0] == "-":
+        far_word = far[0][1]
+
+        def read_left(g: LabeledGraph, current: Optional[int]) -> int:
+            first = g._out[node].get(word)
+            if first is not None and not (g._out_more and (node, word) in g._out_more):
+                labels, found = g._label, None
+                for arrow_id in (g._in or g._ins())[g._dst[first]]:
+                    if labels[arrow_id] == far_word:
+                        if found is not None:
+                            return locate(g, path, current)
+                        found = arrow_id
+                if found is not None:
+                    return g._src[found]
+            return locate(g, path, current)
+
+        return read_left
 
     def read(g: LabeledGraph, current: Optional[int]) -> int:
         reached = _walk(g, node, rest)
@@ -961,8 +1065,9 @@ class _Item(_Record):
     untouched. ``eval_proposition`` and ``apply_action`` call it; an
     item asked for the form it does not have raises TypeError at once.
     An action whose ``ends_step`` is true ends an executor step when it
-    is performed. A bound form is not kept on the item. A ``word`` field
-    is an arrow label; a path field, a PathFormula or its ``Settled`` form.
+    is performed. ``bound`` is the form the executor's folds take. A
+    ``word`` field is an arrow label; a path field, a PathFormula or its
+    ``Settled`` form.
     """
 
     __slots__ = ()
@@ -974,18 +1079,35 @@ class _Item(_Record):
     def bind_apply(self) -> Callable[[LabeledGraph, Optional[int]], Optional[int]]:
         raise TypeError(f"not an action: {self!r}")
 
+    def bound(self, form: str) -> Callable:
+        """``bind_holds()`` or ``bind_apply()``, as ``form`` ("holds" or "apply") says."""
+        return getattr(self, "bind_" + form)()
 
-def _no_arrow(g: LabeledGraph, node: int, sign: str, word: str) -> bool:
-    """True when no ``word`` arrow leaves ``node`` ("+") or enters it ("-"); reads in place."""
-    if not 0 <= node < len(g._nodes):
-        raise ValueError(f"{node} is not a node of this graph")
-    if sign == "+":
-        return word not in g._out[node]
-    labels = g._label
-    for arrow_id in (g._in or g._ins())[node]:
-        if labels[arrow_id] == word:
-            return False
-    return True
+
+class _Kept(_Item):
+    """An item of the kinds a move is made of, which keeps the first form ``bound`` builds.
+
+    A bound form depends on the item's fields alone, so every fold that
+    holds this item object shares it: the moves to one side, which
+    ``install_instructions`` gives one grow item and one reassign item,
+    bind them once between them. The other kinds are bound afresh by
+    each fold, and a one-shot program pays for no cache.
+    """
+
+    __slots__ = ("_holds", "_apply")  # caches of ``bound``, no fields
+
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        object.__setattr__(self, "_holds", None)
+        object.__setattr__(self, "_apply", None)
+
+    def bound(self, form: str) -> Callable:
+        name = "_" + form
+        kept = getattr(self, name)
+        if kept is None:
+            kept = super().bound(form)
+            object.__setattr__(self, name, kept)
+        return kept
 
 
 def _unique_arrow(g: LabeledGraph, word: str) -> int:
@@ -998,6 +1120,25 @@ def _unique_arrow(g: LabeledGraph, word: str) -> int:
     return ids[0]
 
 
+def _redirect(g: LabeledGraph, arrow_id: int, dst: int) -> None:
+    """Point arrow ``arrow_id`` at node ``dst``, both ids of ``g``: ``set_arrow_dst`` unchecked.
+
+    On a run graph it refuses, before it writes, an arrow that leaves or
+    reaches a program node, whose in-arrow list the program shares.
+    """
+    dsts, ins, floor = g._dst, g._in or g._ins(), g._frozen
+    old = dsts[arrow_id]
+    if old < floor or dst < floor:
+        raise _read_only(min(old, dst))
+    ins[old].remove(arrow_id)
+    dsts[arrow_id] = dst
+    insort(ins[dst], arrow_id)
+
+
+def _read_only(node: int) -> NormalConditionViolated:
+    return NormalConditionViolated(f"node {node} is the program's, which a run only reads")
+
+
 class LabelsEqual(_Item):
     __slots__ = ("p1", "p2")
 
@@ -1006,6 +1147,8 @@ class LabelsEqual(_Item):
 
     def bind_holds(self):
         first, second = reader(self.p1), reader(self.p2)
+        if type(self.p1) is type(self.p2) is Settled:  # each reaches a node of g: read in place
+            return lambda g, current: g._nodes[first(g, current)] == g._nodes[second(g, current)]
 
         def holds(g, current):
             n1, n2 = first(g, current), second(g, current)
@@ -1014,7 +1157,7 @@ class LabelsEqual(_Item):
         return holds
 
 
-class NoArrowTo(_Item):
+class NoArrowTo(_Kept):
     __slots__ = ("word", "path")
 
     def phrase(self) -> str:
@@ -1022,10 +1165,21 @@ class NoArrowTo(_Item):
 
     def bind_holds(self):
         read, word = reader(self.path), self.word
-        return lambda g, current: _no_arrow(g, read(g, current), "-", word)
+
+        def holds(g, current):
+            node = read(g, current)
+            if not 0 <= node < len(g._nodes):
+                raise ValueError(f"{node} is not a node of this graph")
+            labels = g._label
+            for arrow_id in (g._in or g._ins())[node]:
+                if labels[arrow_id] == word:
+                    return False
+            return True
+
+        return holds
 
 
-class NoArrowFrom(_Item):
+class NoArrowFrom(_Kept):
     __slots__ = ("word", "path")
 
     def phrase(self) -> str:
@@ -1033,7 +1187,14 @@ class NoArrowFrom(_Item):
 
     def bind_holds(self):
         read, word = reader(self.path), self.word
-        return lambda g, current: _no_arrow(g, read(g, current), "+", word)
+
+        def holds(g, current):
+            node = read(g, current)
+            if not 0 <= node < len(g._nodes):
+                raise ValueError(f"{node} is not a node of this graph")
+            return word not in g._out[node]
+
+        return holds
 
 
 class UniqueArrowExists(_Item):
@@ -1077,16 +1238,17 @@ class RelabelNode(_Item):
 
     def bind_apply(self):
         target, source = reader(self.target), reader(self.source)
+        in_place = type(self.source) is Settled  # it reaches a node of g
 
         def apply(g, current):
             node, origin = target(g, current), source(g, current)
-            g.set_node_label(node, g.node_label(origin))
+            g.set_node_label(node, g._nodes[origin] if in_place else g.node_label(origin))
             return current
 
         return apply
 
 
-class ReassignArrow(_Item):
+class ReassignArrow(_Kept):
     __slots__ = ("word", "target")
 
     def phrase(self) -> str:
@@ -1094,16 +1256,18 @@ class ReassignArrow(_Item):
 
     def bind_apply(self):
         target, word = reader(self.target), self.word
+        # A settled target reaches a node of g, and the label index holds arrows of g.
+        redirect = _redirect if type(self.target) is Settled else LabeledGraph.set_arrow_dst
 
         def apply(g, current):
             node = target(g, current)
-            g.set_arrow_dst(_unique_arrow(g, word), node)
+            redirect(g, _unique_arrow(g, word), node)
             return current
 
         return apply
 
 
-class CreateNodeWithArrowToTarget(_Item):
+class CreateNodeWithArrowToTarget(_Kept):
     __slots__ = ("target",)
 
     def phrase(self) -> str:
@@ -1113,14 +1277,14 @@ class CreateNodeWithArrowToTarget(_Item):
         target = reader(self.target)
 
         def apply(g, current):
-            node = target(g, current)
-            g.add_arrow(g.add_node(""), "", node, TAPE)
+            node, cell = target(g, current), len(g._nodes)
+            g.extend(("",), (cell,), ("",), (node,), TAPE)  # one call: refused whole or done whole
             return current
 
         return apply
 
 
-class CreateNodeWithArrowFromSource(_Item):
+class CreateNodeWithArrowFromSource(_Kept):
     __slots__ = ("source",)
 
     def phrase(self) -> str:
@@ -1130,8 +1294,8 @@ class CreateNodeWithArrowFromSource(_Item):
         source = reader(self.source)
 
         def apply(g, current):
-            node = source(g, current)
-            g.add_arrow(node, "", g.add_node(""), TAPE)
+            node, cell = source(g, current), len(g._nodes)
+            g.extend(("",), (node,), ("",), (cell,), TAPE)  # one call: refused whole or done whole
             return current
 
         return apply

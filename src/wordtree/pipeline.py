@@ -148,7 +148,7 @@ def make_executable(result: CheckResult) -> dict[int, Instruction]:
 def _executable(text: str) -> tuple[Tree, dict[int, Instruction]]:
     """The checked tree of ``text`` and its instructions, for the last text asked.
 
-    The tree is never mounted or changed; each run gets a copy. A
+    The tree is never written: each run mounts its tape beside it. A
     refusal is raised, not kept, so it is raised again on every call.
     """
     result = check_program(text)
@@ -167,9 +167,11 @@ def execute_program(
     The last program checked is kept, so calls that run one text on
     many tapes check it on the first call only; a text is checked
     again after a call with another text. The kept program costs the
-    memory of one checked tree. Each run mounts its tape on a deep
-    copy of that tree, so the result's ``state`` holds a graph of its
-    own.
+    memory of one checked tree. Each run mounts its tape beside that
+    tree (``initialize``), in a run graph that shares the program's
+    per-node containers and refuses to write them, so the result's
+    ``state`` holds a graph of its own and the kept program stays as
+    checked.
 
     ``on_step`` receives each trace entry as the run produces it; the
     run renders no tape for it. Raises CheckFailed when the program may
@@ -177,10 +179,6 @@ def execute_program(
     on bad syntax, on every call; tape or start problems raise
     ValueError from initialization.
     """
-    import copy  # only a run needs it, so ``import wordtree`` does not load it
-
     tree, instructions = _executable(text)
-    tape = parse_tape(tape_text)
-    tree = Tree(copy.deepcopy(tree.graph), tree.root)
-    state = initialize(tree, tape, start, instructions)
+    state = initialize(tree, parse_tape(tape_text), start, instructions)
     return run(state, max_steps, on_step)

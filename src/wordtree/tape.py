@@ -4,17 +4,17 @@ A tape is a finite chain of word-labeled cells. Cells hold whole words,
 not letters. The text format is whitespace separated tokens, with
 ``\"\"`` standing for a cell labeled by the empty word (whitespace
 cannot carry an empty token). ``parse_tape`` reads a text to its cell
-words; ``add_cells`` builds the chain in a program's graph, one node per
-cell and a tape-kind arrow labeled by the empty word from each cell to
-the next, and there the chain can grow at either end on demand.
-``chain_text`` renders it back.
+words; ``mount`` builds the chain beside a program's graph, in a run
+graph of its own, one node per cell and a tape-kind arrow labeled by
+the empty word from each cell to the next, and there the chain can grow
+at either end on demand. ``chain_text`` renders it back.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import TAPE, WORD, LabeledGraph
+from .graph import WORD, LabeledGraph, Tree
 
 EMPTY_TOKEN = '""'
 
@@ -41,21 +41,17 @@ def render_tape(words: Sequence[str]) -> str:
     return " ".join(word if word else EMPTY_TOKEN for word in words)
 
 
-def add_cells(g: LabeledGraph, words: Sequence[str]) -> list[int]:
-    """Add a cell node per word and a tape arrow from each cell to the next.
+def mount(tree: Tree, words: Sequence[str], head: int, label: str) -> Tree:
+    """The run tree of a tape of ``words`` beside the program ``tree``, which it does not write.
 
-    Refuses a word that is neither a ``WORD`` nor empty before touching
-    ``g``. Then ends ``g``'s own nodes (``LabeledGraph.end_own_nodes``),
-    so the cells count as mounted. Returns the cells left to right.
-    One ``LabeledGraph.extend`` call adds them, so nodes and arrows get
-    the next ids of ``g`` in the order the words come.
+    Refuses a word that is neither a ``WORD`` nor empty first. The run
+    graph is ``LabeledGraph.mount`` of the program: a cell per word
+    after the program's nodes, a tape arrow labeled by the empty word
+    from each cell to the next, and a semantic ``label`` arrow from the
+    root to cell ``head``.
     """
     _require_words(words, "word")
-    g.end_own_nodes()
-    first = g.node_count
-    cells = list(range(first, first + len(words)))
-    g.extend(words, cells[:-1], [""] * (len(cells) - 1), cells[1:], TAPE)
-    return cells
+    return Tree(tree.graph.mount(tree.root, label, words, head), tree.root)
 
 
 def chain_text(g: LabeledGraph, cell: int) -> str:

@@ -1,3 +1,4 @@
+import copy
 import functools
 import importlib.util
 import itertools
@@ -54,11 +55,29 @@ def count_graph_reads(g, read: list) -> None:
 
     A label, an arrow end, or a node's out-arrow index counts 1; a
     node's in-arrow id list counts the ids a scan of it may read. The
-    in-arrow index is built first, as a run's deep copy has it built.
+    in-arrow index is built first, as a run graph has it built.
     """
     for name in ("_nodes", "_src", "_label", "_dst", "_out"):
         setattr(g, name, Counted(getattr(g, name), read, lambda entry: 1))
     g._in = Counted(g._ins(), read, len)
+
+
+def two_tape_arrows(tree, cells, start, instructions, cautious=False):
+    """``initialize``'s state, but with a second 'tape' arrow, from the root to itself.
+
+    A run graph refuses a write at a program node, and ``initialize``
+    refuses a program that carries a 'tape' arrow. So the extra arrow
+    goes into a copy of the program, which ``LabeledGraph.mount`` then
+    mounts. Every tape path from the root is ambiguous in that graph.
+    """
+    from wordtree.executor import TAPE_ARROW, ExecState
+    from wordtree.graph import SEMANTIC, Tree
+
+    program = copy.deepcopy(tree.graph)
+    program.add_arrow(tree.root, TAPE_ARROW, tree.root, SEMANTIC)
+    head = {"first": 0, "last": len(cells) - 1}.get(start, start)
+    graph = program.mount(tree.root, TAPE_ARROW, cells, head)
+    return ExecState(Tree(graph, tree.root), dict(instructions), tree.root)
 
 
 @pytest.fixture(scope="session")

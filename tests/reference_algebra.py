@@ -164,11 +164,11 @@ def apply_action(g: LabeledGraph, action, current: Optional[int] = None) -> Opti
             target, arrow_id = operands
             g.set_arrow_dst(arrow_id, target)
             return current
-        case CreateNodeWithArrowToTarget():
-            g.add_arrow(g.add_node(""), "", operands[0], TAPE)
+        case CreateNodeWithArrowToTarget():  # the node and its arrow in one build, refused whole
+            g.extend([""], [g.node_count], [""], [operands[0]], TAPE)
             return current
         case CreateNodeWithArrowFromSource():
-            g.add_arrow(operands[0], "", g.add_node(""), TAPE)
+            g.extend([""], [operands[0]], [""], [g.node_count], TAPE)
             return current
         case Stop():
             return None

@@ -8,7 +8,8 @@ here, where the tests that compare trees up to isomorphism use it.
 ``add_arrow`` that ``LabeledGraph.extend`` replaced, as the oracle the
 bulk build is compared with. Like ``extend``, they keep the in-arrow
 index current once a read has built it, and clear the memo of own
-nodes by label whenever they add an own node.
+nodes by label whenever they add an own node; they refuse none of a
+run graph's writes, so the tests build plain graphs with them.
 
 ``uni_label_violations`` keeps the uni-labeledness check that grouped
 every node's listed out-arrows by label, as the oracle
@@ -39,7 +40,7 @@ class PerCallGraph(LabeledGraph):
         self._out.append({})
         if self._in is not None:
             self._in.append([])
-        if node < self._own_end:  # mounted nodes stay out of the label memo
+        if not self._frozen:  # a run graph's cells stay out of the label memo
             self._by_label.clear()
         return node
 

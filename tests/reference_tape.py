@@ -1,11 +1,12 @@
 """Reference tape mount: parse the tape into a graph of its own, then merge it.
 
-The library adds a tape's cells straight to the program graph. This
-module keeps the earlier two-stage mount: ``parse_tape`` built a
-``Tape`` holding a separate LabeledGraph, ``merge`` copied that graph's
-storage into the program graph behind the program's own nodes, and
-``initialize`` walked the tape's cells to find the start cell. Tests
-mount the same tape both ways and compare the results.
+The library builds a run graph beside the program in one pass
+(``LabeledGraph.mount``). This module keeps the earlier two-stage
+mount: ``parse_tape`` built a ``Tape`` holding a separate LabeledGraph,
+``merge`` copied that graph's storage behind the program's own nodes,
+here in a deep copy of the program, and ``initialize`` walked the
+tape's cells to find the start cell. Tests mount the same tape both
+ways and compare the results.
 
 ``snapshot_trace`` keeps the rule by which the executor once chose the
 tape text of a trace entry, and by which ``wordtree run --trace json``
@@ -15,6 +16,7 @@ the tape, and show the text when it differs from the text last shown.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -54,15 +56,15 @@ def parse_tape(text: str) -> Tape:
 
 
 def merge(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
-    """Copy ``other``'s storage into ``host`` as mounted nodes; map old ids to new.
+    """Copy ``other``'s storage into ``host`` behind its nodes; map old ids to new.
 
-    Mounted nodes stay out of the host's node label index, as they do
-    when ``LabeledGraph.extend`` adds them.
+    The label index is cleared, and ``initialize`` makes the copied
+    nodes mounted ones once the 'tape' arrow is in.
     """
     node_base = len(host._nodes)
     arrow_base = len(host._src)
     host_ins = host._ins()  # built before the host grows
-    host._own_end = min(host._own_end, node_base)
+    host._by_label.clear()
     host._nodes += other._nodes
     host._out += [
         {label: arrow_base + arrow_id for label, arrow_id in firsts.items()}
@@ -86,10 +88,14 @@ def initialize(
     start: Union[str, int],
     instructions: dict[int, Instruction],
 ) -> ExecState:
-    """Merge the tape graph into the program graph and aim 'tape' at the start cell."""
-    g = tree.graph
-    if g.arrows_labeled(TAPE_ARROW):
+    """Merge the tape graph into a copy of the program graph and aim 'tape' at the start cell.
+
+    The copy's program nodes then become read-only, and its cells
+    mounted, as in a run graph.
+    """
+    if tree.graph.arrows_labeled(TAPE_ARROW):
         raise ValueError("the graph already carries a 'tape' arrow")
+    g = copy.deepcopy(tree.graph)
     cells = tape.cells()
     if start == "first":
         index = 0
@@ -101,9 +107,12 @@ def initialize(
         raise ValueError(f"unknown start position {start!r}")
     if not 0 <= index < len(cells):
         raise ValueError(f"start index {index} outside the {len(cells)}-cell tape")
+    own = g.node_count
     mapping = merge(g, tape.graph)
     g.add_arrow(tree.root, TAPE_ARROW, mapping[cells[index]], SEMANTIC)
-    return ExecState(tree, dict(instructions), tree.root)
+    g._frozen = own
+    g._by_label.clear()
+    return ExecState(Tree(g, tree.root), dict(instructions), tree.root)
 
 
 def snapshot_trace(

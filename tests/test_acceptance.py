@@ -5,7 +5,6 @@ Each criterion test's name carries its number; the terminal summary hook
 in conftest prints one PASS or FAIL line per number after the run.
 """
 
-import copy
 import json
 import pathlib
 import random
@@ -219,9 +218,8 @@ def test_criterion_08_fail_safety(increment_text):
     vocabulary = tape_vocabulary(template)
     for _ in range(1000):
         tape_text = random_tape(rng, vocabulary)
-        tree = copy.deepcopy(template.tree)
         state = initialize(
-            tree, parse_tape(tape_text), random_start(rng, tape_text), instructions
+            template.tree, parse_tape(tape_text), random_start(rng, tape_text), instructions
         )
         outcomes[run(state).outcome] += 1
 

@@ -18,7 +18,7 @@ from wordtree import schema as schema_module
 from wordtree.cli import main
 from wordtree.executor import final_tape, initialize, run, trace_line, trace_row
 from wordtree.frontend import parse_text, render_program, to_canonical
-from wordtree.graph import SEMANTIC, SYNTACTIC
+from wordtree.graph import SYNTACTIC
 from wordtree.pipeline import check_program, make_executable
 from wordtree.schema import (
     Literal,
@@ -34,6 +34,7 @@ from wordtree.tape import parse_tape
 import fail_safety
 import generate_corpus
 import reference_tape
+from conftest import two_tape_arrows
 from fail_safety import random_start, random_tape, tape_vocabulary
 
 
@@ -278,12 +279,7 @@ class TestRun:
     def test_crash_exit_code(self, capsys, program_path, monkeypatch):
         # A second 'tape' arrow from the root makes the scanned-cell path
         # ambiguous, which is a crash, not an exception.
-        def initialize_with_two_tape_arrows(tree, *args):
-            state = initialize(tree, *args)
-            tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
-            return state
-
-        monkeypatch.setattr(cli_module, "initialize", initialize_with_two_tape_arrows)
+        monkeypatch.setattr(cli_module, "initialize", two_tape_arrows)
         code, out, err = invoke(
             capsys, "run", str(program_path("increment.tgl")), "--tape", "one"
         )

@@ -68,6 +68,7 @@ from wordtree.graph import (
     LabeledGraph,
     Settled,
     StartAmbiguous,
+    Stop,
     Tree,
     UniqueArrowExists,
     check_uni_labeled,
@@ -79,7 +80,7 @@ from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import PRINT_WORD_PATH, STATEMENT, SYMBOL_PATH, classify
 from wordtree.tape import parse_tape, render_tape
 
-from conftest import count_graph_reads
+from conftest import count_graph_reads, two_tape_arrows
 from fail_safety import repair
 import reference_executor as reference
 import reference_tape
@@ -114,16 +115,16 @@ def statements(tree) -> list[int]:
 
 
 def execute(text: str, tape_text: str, start):
-    """Full pipeline run; statement ids are taken before the tape merges in.
+    """Full pipeline run; statement ids are taken from the program.
 
-    Returns the result, the trace entries the run streamed, the tree,
-    the stop node and the statement ids.
+    Returns the result, the trace entries the run streamed, the run's
+    tree, the stop node and the statement ids.
     """
     tree, stop, instructions = prepare(text)
     s_nodes = statements(tree)
     state = initialize(tree, parse_tape(tape_text), start, instructions)
     trace = []
-    return run(state, on_step=trace.append), trace, tree, stop, s_nodes
+    return run(state, on_step=trace.append), trace, state.tree, stop, s_nodes
 
 
 def snapshot_run(text: str, tape_text: str, start):
@@ -264,14 +265,16 @@ class TestInstall:
 
 class TestInitialize:
     def test_tape_arrow_to_last_cell(self, increment_parts):
+        """The run graph has one 'tape' arrow, from the root to the last cell; the program none."""
         tree, _, instructions = increment_parts
-        initialize(tree, parse_tape("one one"), "last", instructions)
-        g = tree.graph
+        state = initialize(tree, parse_tape("one one"), "last", instructions)
+        g = state.tree.graph
         tapes = [a for _, a in g.arrows() if a.label == "tape"]
         assert len(tapes) == 1
         arrow = tapes[0]
         assert arrow.src == tree.root and arrow.kind == SEMANTIC
         assert [a for _, a in g.out_arrows(arrow.dst) if a.kind == TAPE] == []
+        assert tree.graph.arrows_labeled("tape") == []
 
     def test_state_starts_at_root(self, increment_parts):
         tree, _, instructions = increment_parts
@@ -281,13 +284,13 @@ class TestInitialize:
         assert state.status == RUNNING
         assert final_tape(state) == "one"
 
-    def test_index_zero_is_first(self, increment_text):
+    def test_index_zero_is_first(self, increment_parts):
+        tree, _, instructions = increment_parts
         for start in ("first", 0):
-            tree, _, instructions = prepare(increment_text)
-            initialize(tree, parse_tape("one zero"), start, instructions)
-            g = tree.graph
+            g = initialize(tree, parse_tape("one zero"), start, instructions).tree.graph
             cell = [a.dst for _, a in g.arrows() if a.label == "tape"][0]
             assert [a for _, a in g.in_arrows(cell) if a.kind == TAPE] == []
+            assert g.node_label(cell) == "one"
 
     def test_bad_start_positions(self, increment_parts):
         tree, _, instructions = increment_parts
@@ -302,10 +305,16 @@ class TestInitialize:
         assert export_json(tree.graph) == before
 
     def test_refuses_second_tape(self, increment_parts):
+        """A second mount of one program is a run of its own; a mount on a run graph is refused."""
         tree, _, instructions = increment_parts
-        initialize(tree, parse_tape("one"), "first", instructions)
-        with pytest.raises(ValueError, match="tape"):
-            initialize(tree, parse_tape("one"), "first", instructions)
+        first = initialize(tree, parse_tape("one"), "first", instructions)
+        second = initialize(tree, parse_tape("zero one"), "first", instructions)
+        assert first.tree.graph is not second.tree.graph
+        assert (final_tape(first), final_tape(second)) == ("one", "zero one")
+        with pytest.raises(ValueError, match="already carries a 'tape' arrow"):
+            initialize(first.tree, parse_tape("one"), "first", instructions)
+        assert run(first).outcome == run(second).outcome == STOPPED
+        assert (final_tape(first), final_tape(second)) == ("one point", "one point one")
 
     @pytest.mark.parametrize(
         "tape, message",
@@ -336,8 +345,9 @@ class TestInitialize:
     def test_mount_adds_each_cell_and_arrow_once(self, monkeypatch, increment_parts, cells):
         """n cells add n nodes and n arrows, n - 1 chain arrows plus 'tape', and walk nothing.
 
-        Every node and arrow enters a graph through ``extend``; the cells
-        and their chain take one call and the 'tape' arrow another.
+        The mount builds the run graph in one pass of its own
+        (``LabeledGraph.mount``): it calls no ``extend``, and the program
+        graph gains nothing.
         """
         tree, _, instructions = increment_parts
         calls = Counter()
@@ -357,9 +367,15 @@ class TestInitialize:
             return extend(self, labels, srcs, words, dsts, kind)
 
         monkeypatch.setattr(LabeledGraph, "extend", counted_extend)
-        initialize(tree, parse_tape(" ".join(["one"] * cells)), "last", instructions)
+        before = export_json(tree.graph)
+        state = initialize(tree, parse_tape(" ".join(["one"] * cells)), "last", instructions)
         monkeypatch.undo()
-        assert calls == Counter(extend=2, nodes=cells, arrows=cells)
+        assert calls == Counter()
+        g, nodes, arrows = state.tree.graph, tree.graph.node_count, tree.graph.arrow_count
+        assert (g.node_count, g.arrow_count) == (nodes + cells, arrows + cells)
+        added = [(a.label, a.kind) for _, a in g.arrows()[arrows:]]
+        assert added == [("", TAPE)] * (cells - 1) + [("tape", SEMANTIC)]
+        assert export_json(tree.graph) == before
 
     def test_cells_stay_out_of_the_node_label_index(self, increment_text):
         """Cells carrying the root's word leave one node under it in the index.
@@ -390,7 +406,7 @@ class TestInitialize:
     @given(st.data())
     @settings(deadline=None)
     def test_mount_matches_the_merged_mount(self, increment_text, data):
-        """Cells added straight to the program graph match the parse-then-merge mount."""
+        """The run graph matches the parse-then-merge mount into a copy of the program."""
         template, _, instructions = prepare(increment_text)
         g = template.graph
         declared = [g.node_label(n) for n in semantics.w_declaration_points(template)]
@@ -401,13 +417,12 @@ class TestInitialize:
         words = data.draw(st.lists(cell_words, min_size=1, max_size=12))
         start = data.draw(st.sampled_from(["first", "last", *range(len(words))]))
         text = render_tape(words)
-        state = initialize(
-            Tree(copy.deepcopy(g), template.root), parse_tape(text), start, instructions
-        )
+        state = initialize(template, parse_tape(text), start, instructions)
         expected = reference_tape.initialize(
-            Tree(copy.deepcopy(g), template.root), reference_tape.parse_tape(text), start, instructions
+            template, reference_tape.parse_tape(text), start, instructions
         )
         assert export_json(state.tree.graph) == export_json(expected.tree.graph)
+        assert state.tree.graph._frozen == expected.tree.graph._frozen == g.node_count
         assert final_tape(state) == final_tape(expected) == text
         for path in (TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH):
             assert resolved(state, path) == resolved(expected, path)
@@ -446,8 +461,27 @@ class TestGate:
         assert calls == {"classify": 2, "check_alphabet": 2, "check_labels": 2}
 
 
+# Writes a mutated instruction map aims at the program's root, which a run only reads.
+PROGRAM_WRITES = ("print", "create", "reassign")
+
+
+def aimed_at_the_root(tree, instructions, write: str, settled: bool) -> dict:
+    """``instructions`` with the root's instruction writing at the root before it follows 'next'."""
+    root = graph_module.parse_path('"tape-alphabet"')
+    if settled:
+        root = graph_module.settle(tree.graph, root)
+    item = {
+        "print": RelabelNode(root, TAPE_PATH),
+        "create": CreateNodeWithArrowToTarget(root),
+        "reassign": ReassignArrow(TAPE_ARROW, root),
+    }[write]
+    mutated = dict(instructions)
+    mutated[tree.root] = Instruction((Act(item), *instructions[tree.root].directions))
+    return mutated
+
+
 class TestKeptProgram:
-    """``execute_program`` keeps the last checked program and runs each tape on a copy."""
+    """``execute_program`` keeps the last checked program and mounts each tape beside it."""
 
     def test_runs_leave_the_kept_program_as_checked(self, increment_text):
         pipeline._executable.cache_clear()
@@ -498,6 +532,59 @@ class TestKeptProgram:
             result = execute_program(increment_text, "one one blank")
             assert result.outcome == STOPPED
             assert final_tape(result.state) == "one zero zero point"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["one", "zero", "blank", "", "tape-alphabet"]),
+                         min_size=1, max_size=6),
+                st.sampled_from(["first", "last"]),
+                st.integers(0, 60),
+                st.sampled_from((None, "no stop") + PROGRAM_WRITES),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_runs_leave_the_kept_program_as_a_fresh_check_has_it(self, increment_text, runs):
+        """Many runs on one kept program, some crashing, some writing at a program node.
+
+        A run whose map lacks the stop node's instruction crashes there,
+        after its tape writes. Each run of a map that writes at the root
+        crashes with NormalConditionViolated, and no exception leaks from
+        any run. Afterwards every attribute of the kept program graph,
+        indexes and memos included, equals that of a fresh check whose
+        in-arrow index has been built, as the first mount builds the kept
+        program's.
+        """
+        pipeline._executable.cache_clear()
+        tree, instructions = pipeline._executable(increment_text)
+        (stop,) = [n for n, each in instructions.items() if each.directions == (Act(Stop()),)]
+        for cells, start, budget, write, settled in runs:
+            if write is None:
+                result = execute_program(increment_text, render_tape(cells), start, budget)
+                assert result.outcome in (STOPPED, BUDGET_EXHAUSTED)
+                continue
+            if write == "no stop":
+                unstoppable = {node: each for node, each in instructions.items() if node != stop}
+                state = initialize(tree, cells, start, unstoppable)
+                assert run(state).outcome == CRASHED
+                assert state.situation[:2] == (NO_INSTRUCTION, stop)
+                continue
+            state = initialize(
+                tree, cells, start, aimed_at_the_root(tree, instructions, write, settled)
+            )
+            assert run(state, budget + 1).outcome == CRASHED
+            assert state.situation.situation == NORMAL_CONDITION_VIOLATED
+            detail = f"node {tree.root} is the program's, which a run only reads"
+            assert state.situation.detail == detail
+        fresh = check_program(increment_text)
+        make_executable(fresh)
+        fresh.tree.graph._ins()
+        assert vars(tree.graph) == vars(fresh.tree.graph)
+        pipeline._executable.cache_clear()
 
 
 class TestStep:
@@ -594,16 +681,22 @@ FOREIGN = "a foreign item"
 FOLD_FAULTS = FAULTS + (AFTER_THE_END, FALSE_LAST_GUARD, FOREIGN)
 
 
+def mount_with(fault):
+    """How a run with ``fault`` mounts its tape: ``initialize``, or ``two_tape_arrows``."""
+    return two_tape_arrows if fault == "two tape arrows" else initialize
+
+
 def plant(state, fault, faulty: int) -> None:
-    """Plant ``fault`` in a mounted state; an instruction fault goes in node ``faulty``."""
+    """Plant ``fault`` in a mounted state; an instruction fault goes in node ``faulty``.
+
+    The 'two tape arrows' fault is planted by the mount (``mount_with``).
+    """
     instructions = state.instructions
-    if fault == "two tape arrows":
-        state.tree.graph.add_arrow(state.tree.root, "tape", state.tree.root, SEMANTIC)
-    elif fault == NO_INSTRUCTION:
+    if fault == NO_INSTRUCTION:
         del instructions[faulty]
     elif fault == DIRECTIONS_EXHAUSTED:
         instructions[faulty] = Instruction(())
-    elif fault is not None:
+    elif fault not in (None, "two tape arrows"):
         *first, (last,) = instructions[faulty].directions  # every last direction is an Act
         planted = {
             AFTER_THE_END: (*first, Act(last), Act("never run")),
@@ -634,10 +727,8 @@ class TestOneLoop:
 
         def mounted():
             """A fresh state, its ``on_step``, and the entries and states that callback saw."""
-            state = initialize(copy.deepcopy(result.tree), cells, start, instructions)
-            if fault == "two tape arrows":
-                state.tree.graph.add_arrow(state.tree.root, "tape", state.tree.root, SEMANTIC)
-            elif fault == NO_INSTRUCTION:
+            state = mount_with(fault)(result.tree, cells, start, instructions)
+            if fault == NO_INSTRUCTION:
                 del state.instructions[faulty]
             elif fault == DIRECTIONS_EXHAUSTED:
                 state.instructions[faulty] = Instruction(())
@@ -685,7 +776,7 @@ class TestOneLoop:
         tapes = [["one", "one", "zero", "blank"], ["zero", "one", "one", "one", "blank"]]
 
         def mounted(cells):
-            return initialize(copy.deepcopy(result.tree), cells, "last", instructions)
+            return initialize(result.tree, cells, "last", instructions)
 
         for cells in tapes:
             assert run(mounted(cells)).outcome == STOPPED
@@ -792,7 +883,7 @@ def own_parts(g, nodes: int, arrows: int) -> dict:
         "columns": (g._src[:arrows], g._label[:arrows], g._dst[:arrows], g._kind[:arrows]),
         "out": [dict(firsts) for firsts in g._out[:nodes]],
         "out_more": {key: ids[:] for key, ids in g._out_more.items() if key[0] < nodes},
-        "in": [ids[:] for ids in g._in[:nodes]],
+        "in": [ids[:] for ids in g._ins()[:nodes]],
     }
 
 
@@ -826,20 +917,22 @@ class TestSettled:
     def test_a_run_writes_only_the_tape(self, drawn):
         """What the settled prefixes rest on: a run leaves the program as the mount found it.
 
-        The own nodes keep their labels, their out- and in-arrow entries
-        and their place in the label index, and every arrow the program
-        had keeps its origin, label, destination and kind. The one entry
-        the mount adds among them is the root's 'tape' arrow.
+        In the run graph, the own nodes keep their labels, their out- and
+        in-arrow entries and their place in the label index, and every
+        arrow the program had keeps its origin, label, destination and
+        kind. The one entry the mount adds among them is the root's
+        'tape' arrow. The program graph itself is as it was.
         """
         result, cells, start, budget = drawn
-        tree = copy.deepcopy(result.tree)
-        g = tree.graph
+        instructions = make_executable(result)
+        g = result.tree.graph
         nodes, arrows = g.node_count, g.arrow_count
         before = own_parts(g, nodes, arrows)
-        state = initialize(tree, cells, start, make_executable(result))
+        state = initialize(result.tree, cells, start, instructions)
         run(state, budget)
-        after = own_parts(g, nodes, arrows)
-        assert after["out"][tree.root].pop(TAPE_ARROW) >= arrows
+        assert own_parts(g, nodes, arrows) == before
+        after = own_parts(state.tree.graph, nodes, arrows)
+        assert after["out"][result.tree.root].pop(TAPE_ARROW) >= arrows
         assert after == before
 
     @given(mounted_runs(), st.sampled_from(FOLD_FAULTS), st.data())
@@ -912,7 +1005,7 @@ def ran(tree, instructions, cells, start, budget, fault, faulty, traced=True, ru
     untraced run), and the state's node, status and crash report.
     ``runner`` is ``run`` or the reference loop.
     """
-    state = initialize(copy.deepcopy(tree), cells, start, instructions)
+    state = mount_with(fault)(tree, cells, start, instructions)
     plant(state, fault, faulty)
     entries = [] if traced else None
     try:
@@ -929,13 +1022,13 @@ class TestRunDiscipline:
         before = {n: tree.graph.node_label(n) for n in program_nodes}
         state = initialize(tree, parse_tape("one one"), "last", instructions)
         run(state)
-        after = {n: tree.graph.node_label(n) for n in program_nodes}
+        after = {n: state.tree.graph.node_label(n) for n in program_nodes}
         assert before == after
 
     def test_only_tape_structure_changes(self, increment_text):
         tree, stop, instructions = prepare(increment_text)
         state = initialize(tree, parse_tape("one one"), "last", instructions)
-        g = tree.graph
+        g = state.tree.graph
 
         def arrows_of(kind):
             return sorted(
@@ -952,7 +1045,7 @@ class TestRunDiscipline:
     def test_growth_only_on_move_steps(self, increment_text):
         tree, stop, instructions = prepare(increment_text)
         state = initialize(tree, parse_tape("one one"), "last", instructions)
-        g = tree.graph
+        g = state.tree.graph
         trace = []
         while state.status == RUNNING:
             before = g.node_count
@@ -984,11 +1077,10 @@ class TestModes:
         results, traces = [], []
         for cautious in (False, True):
             tree, _, instructions = prepare(increment_text)
-            state = initialize(
+            mount = two_tape_arrows if case.get("second_tape_arrow") else initialize
+            state = mount(
                 tree, parse_tape(case["tape"]), case["start"], instructions, cautious=cautious
             )
-            if case.get("second_tape_arrow"):
-                tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
             traces.append([])
             results.append(run(state, on_step=traces[-1].append))
         plain, careful = results
@@ -1005,7 +1097,8 @@ class TestModes:
         steps, whose readers take 359 regular reads and defer to
         ``locate`` (and so to ``resolve``) never. 257 of the reads are
         of '"tape-alphabet"+tape', whose one-step reader reads the index
-        in place; the 102 reads of a cell beside the head walk through
+        in place, and the 102 reads of a cell beside the head are taken
+        in place by the two-step reader, so none walks through
         ``_walk``. Run on 'one' with a second 'tape' arrow, it crashes
         at its first print: that step's one-step reader finds two 'tape'
         arrows and defers once, and ``resolve`` walks to say which step
@@ -1027,9 +1120,8 @@ class TestModes:
                 ("two tape arrows", ["one"], True),
             ]:
                 tree, _, instructions = prepare(increment_text)
-                state = initialize(tree, cells, "last", instructions, cautious=cautious)
-                if second_tape_arrow:
-                    tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
+                mount = two_tape_arrows if second_tape_arrow else initialize
+                state = mount(tree, cells, "last", instructions, cautious=cautious)
                 running.append((cautious, run_name))
                 outcome = run(state)
                 running.clear()
@@ -1037,7 +1129,7 @@ class TestModes:
                     (CRASHED, 2) if second_tape_arrow else (STOPPED, 410)
                 )
         for cautious in (False, True):
-            assert calls[cautious, "410 steps", "_walk"] == 102
+            assert calls[cautious, "410 steps", "_walk"] == 0
             assert calls[cautious, "410 steps", "locate"] == 0
             assert calls[cautious, "410 steps", "resolve"] == 0
             assert calls[cautious, "two tape arrows", "_walk"] == 1
@@ -1046,16 +1138,14 @@ class TestModes:
 
     def test_crashes_are_states_not_exceptions(self, increment_parts):
         tree, _, instructions = increment_parts
-        state = initialize(tree, parse_tape("one"), "first", instructions)
-        tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
+        state = two_tape_arrows(tree, parse_tape("one"), "first", instructions)
         result = run(state)
         assert result.outcome == CRASHED
         assert state.situation.situation == NORMAL_CONDITION_VIOLATED
 
     def test_cautious_crash_is_structured(self, increment_parts):
         tree, _, instructions = increment_parts
-        state = initialize(tree, parse_tape("one"), "first", instructions, cautious=True)
-        tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
+        state = two_tape_arrows(tree, parse_tape("one"), "first", instructions, cautious=True)
         result = run(state)
         assert result.outcome == CRASHED
         report = state.situation
@@ -1067,8 +1157,7 @@ class TestModes:
 class TestTracing:
     def test_trace_is_streamed_not_kept(self, increment_parts):
         tree, _, instructions = increment_parts
-        state = initialize(tree, parse_tape("one"), "first", instructions)
-        tree.graph.add_arrow(tree.root, "tape", tree.root, SEMANTIC)
+        state = two_tape_arrows(tree, parse_tape("one"), "first", instructions)
         entries = []
         result = run(state, on_step=entries.append)
         assert result.outcome == CRASHED
@@ -1148,7 +1237,7 @@ def assert_step_cost_is_flat(increment_text, monkeypatch, on_step) -> None:
         tree, _, instructions = prepare(increment_text)
         tape = parse_tape(" ".join(["one"] * cells))
         state = initialize(tree, tape, "last", instructions)
-        count_graph_reads(tree.graph, read)
+        count_graph_reads(state.tree.graph, read)
         calls.update(arrows=0, chain_text=0)
         by_node: dict[int, set[int]] = {}
         while state.status == RUNNING:

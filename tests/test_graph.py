@@ -50,10 +50,10 @@ from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.pipeline import check_program, execute_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import FINDINGS, PRINT_WORD_PATH, SYMBOL_PATH
-from wordtree.tape import add_cells, parse_tape
+from wordtree.tape import parse_tape
 
 import reference_algebra
-from conftest import corpus_texts
+from conftest import corpus_texts, two_tape_arrows
 from fail_safety import repair
 from reference_graph import PerCallGraph, canonical_form, forms_equal, uni_label_violations
 
@@ -67,6 +67,27 @@ def small_tape(labels):
     for a, b in zip(cells, cells[1:]):
         g.add_arrow(a, "", b, kind=G.TAPE)
     return g, cells
+
+
+def add_chain(g: LabeledGraph, words) -> list[int]:
+    """Add a cell per word to ``g``, and a ``""`` tape arrow from each cell to the next."""
+    first = g.node_count
+    cells = list(range(first, first + len(words)))
+    g.extend(words, cells[:-1], [""] * (len(cells) - 1), cells[1:], G.TAPE)
+    return cells
+
+
+def as_run_graph(g: LabeledGraph, own: int) -> LabeledGraph:
+    """``g`` made to read as a run graph over its first ``own`` nodes.
+
+    ``LabeledGraph.mount`` builds regular mounts only, and a run graph
+    refuses the writes that would make one irregular. So a test builds
+    an irregular mount as a plain graph, then makes the nodes from
+    ``own`` on mounted and the first ``own`` read-only, as a mount does.
+    """
+    g._frozen = own
+    g._by_label.clear()
+    return g
 
 
 def program_with_tape(labels, current_index):
@@ -209,13 +230,12 @@ class TestPathFormulas:
             resolve(g, parse_path("missing"))
 
     def test_resolve_start_names_own_nodes_only(self):
-        g, root, (one,) = program_with_tape(["one"], 0)
-        g.add_node("four")
-        g.add_node("four")
-        g.end_own_nodes()
-        cells = add_cells(g, ["tape-alphabet", "two", "one"])
+        program, root, (one,) = program_with_tape(["one"], 0)
+        program.add_node("four")
+        program.add_node("four")
+        g = program.mount(root, "is", ["tape-alphabet", "two", "one"], 0)
+        cells = list(range(program.node_count, g.node_count))
         grown = g.add_node("three")
-        g.end_own_nodes()  # a second boundary does not move the first
         assert resolve(g, parse_path('"tape-alphabet"')) == root
         assert resolve(copy.deepcopy(g), parse_path('"tape-alphabet"')) == root
         assert resolve(g, parse_path("one")) == one
@@ -518,26 +538,15 @@ def graphs_with_current(draw):
     return g, draw(st.sampled_from(nodes))
 
 
-def add_after_own_nodes(host: LabeledGraph, other: LabeledGraph) -> dict[int, int]:
-    """End ``host``'s own nodes, then add ``other``'s nodes and arrows one by one in id order."""
-    host.end_own_nodes()
-    mapping = {}
-    for node in sorted(other.nodes()):
-        mapping[node] = host.add_node(other.node_label(node))
-    for _, arrow in sorted(other.arrows(), key=lambda pair: pair[0]):
-        host.add_arrow(mapping[arrow.src], arrow.label, mapping[arrow.dst], arrow.kind)
-    return mapping
-
-
 @st.composite
 def indexed_graphs(draw):
     """Graphs built every way the out-arrow index is kept, plus a node.
 
     Arrows repeat a (node, label) pair that already has one, arrows are
     moved by ``set_arrow_dst``, nodes are relabeled by
-    ``set_node_label``, and the graph is used as built, as a
-    deep copy whose original then grows, or added node by node and
-    arrow by arrow to another graph after its own nodes end.
+    ``set_node_label``, and the graph is used as built, as a deep copy
+    whose original then grows, or as the program of a run graph, with a
+    tape mounted at the node that has grown a cell.
     """
     g, node = draw(graphs_with_current())
     nodes = g.nodes()
@@ -563,9 +572,9 @@ def indexed_graphs(draw):
         original, g = g, copy.deepcopy(g)
         original.add_arrow(node, draw(words), node)
     elif how == "mounted":
-        host, _ = draw(graphs_with_current())
-        node = add_after_own_nodes(host, g)[node]
-        g = host
+        cells = draw(st.lists(st.sampled_from(["a", "b", "", "c"]), min_size=1, max_size=3))
+        g = g.mount(node, draw(words), cells, draw(st.integers(0, len(cells) - 1)))
+        g.extend([""], [g.node_count - 1], [""], [g.node_count], G.TAPE)
     return g, node
 
 
@@ -645,8 +654,9 @@ def test_a_settled_formula_resolves_as_its_formula(
     g, node = graph_and_node
 
     def mount() -> None:
-        if cells and node < min(g._own_end, g.node_count) and not g.ends(node, "+", word):
-            g.add_arrow(node, word, add_cells(g, cells)[0], G.SEMANTIC)
+        nonlocal g
+        if cells and not g._frozen and not g.ends(node, "+", word):
+            g = g.mount(node, word, cells, 0)
 
     def outcome(path):
         try:
@@ -663,7 +673,7 @@ def test_a_settled_formula_resolves_as_its_formula(
     if settled is not formula:
         assert settled.formula is formula
         assert settled.rest == formula.steps[settled.taken:]
-        assert 0 <= settled.node < min(g._own_end, g.node_count)
+        assert 0 <= settled.node < (g._frozen or g.node_count)
         assert settled.taken or formula.start is not None
     assert outcome(settled) == outcome(formula)
 
@@ -674,8 +684,8 @@ def test_settle_stops_before_a_mounted_node_and_a_missing_arrow():
     g.add_arrow(root, "is", word)
     path = parse_path('"tape-alphabet"+is+x')
     assert settle(g, path) == G.Settled(path, word, 1, (("+", "x"),))
-    (cell,) = add_cells(g, ["a"])
-    g.add_arrow(word, "x", cell, G.SEMANTIC)
+    g = g.mount(word, "x", ["a"], 0)
+    cell = g.node_count - 1
     assert resolve(g, settle(g, path)) == cell
     assert settle(g, path) == G.Settled(path, word, 1, (("+", "x"),))
     for unsettled, current in [
@@ -715,7 +725,8 @@ def test_path_reads_call_follow_only_to_name_a_failed_step(monkeypatch, incremen
     ``_failed_step`` alone and raises the reference's exception and text.
     """
     result = check_program(increment_text)
-    state = initialize(result.tree, parse_tape("one zero one"), 1, make_executable(result))
+    instructions = make_executable(result)
+    state = initialize(result.tree, parse_tape("one zero one"), 1, instructions)
     g, root = state.tree.graph, state.tree.root
     formulas = [TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH, SYMBOL_PATH, PRINT_WORD_PATH]
     formulas += map(parse_path, ['"tape-alphabet"+tape+""+""', "+next+next", "-next", '-";"'])
@@ -742,7 +753,7 @@ def test_path_reads_call_follow_only_to_name_a_failed_step(monkeypatch, incremen
         return got
 
     monkeypatch.setattr(LabeledGraph, "follow", from_the_helper_only)
-    for node in range(g._own_end):
+    for node in range(g._frozen):
         for formula in formulas:
             settled = settle(g, formula, node)
             expected = outcome(reference_algebra.resolve, g, formula, node)
@@ -754,9 +765,9 @@ def test_path_reads_call_follow_only_to_name_a_failed_step(monkeypatch, incremen
         assert checked(apply_action, g, FollowArrow("next"), node) == expected
     tapes = [settle(g, path) for path in (TAPE_PATH, LEFT_CELL_PATH, RIGHT_CELL_PATH)]
     assert [(path.node, path.taken) for path in tapes] == [(root, 0)] * 3
-    head = g._own_end + 1  # the second of the three cells
+    head = g._frozen + 1  # the second of the three cells
     assert [checked(resolve, g, path) for path in tapes] == [head, head - 1, head + 1]
-    g.add_arrow(root, "tape", root, G.SEMANTIC)
+    g = two_tape_arrows(result.tree, parse_tape("one zero one"), 1, instructions).tree.graph
     for path in tapes:
         expected = outcome(reference_algebra.resolve, g, path.formula)
         assert checked(resolve, g, path) == expected
@@ -781,7 +792,7 @@ def containers(g: LabeledGraph) -> dict[int, object]:
 @given(
     indexed_graphs(),
     st.booleans(),
-    st.sampled_from(["add_arrow", "set_node_label", "set_arrow_dst", "add_cells"]),
+    st.sampled_from(["add_arrow", "set_node_label", "set_arrow_dst", "extend"]),
     words,
 )
 @settings(deadline=None)
@@ -789,7 +800,8 @@ def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, pe
     """A copy has the same state, its own class, and no list, dict or set but ``_NO_OUT`` in common.
 
     Copying builds the original's in-arrow index, if no read has built
-    it yet, and changes nothing else of the original.
+    it yet, and changes nothing else of the original. The copy of a run
+    graph is one too, so it is changed at its last cell, by a ``""`` arrow.
     """
     g, node = graph_and_node
     if per_call:
@@ -808,6 +820,9 @@ def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, pe
     assert vars(dup) == vars(g)
     assert all(firsts is G._NO_OUT for firsts in dup._out if not firsts)
     assert set(containers(dup)) & set(containers(g)) <= {id(G._NO_OUT)}
+    assert dup._frozen == g._frozen
+    if dup._frozen:
+        node, word = dup.node_count - 1, ""
     if change == "add_arrow":
         dup.add_arrow(node, word, node)
         assert dup.ends(node, "+", word)[-1] == node
@@ -815,11 +830,11 @@ def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, pe
         dup.set_node_label(node, "c")
         assert dup.node_label(node) == "c"
     elif change == "set_arrow_dst" and dup.arrow_count:
-        dup.set_arrow_dst(0, node)
-        assert dup.arrow(0).dst == node
+        dup.set_arrow_dst(dup.arrow_count - 1, node)
+        assert dup.arrow(dup.arrow_count - 1).dst == node
     else:
-        cells = add_cells(dup, ["a", ""])
-        assert dup.node_count == g.node_count + len(cells)
+        dup.extend(["a", ""])
+        assert dup.node_count == g.node_count + 2
     assert vars(g) == before
     assert G._NO_OUT == {}
 
@@ -852,8 +867,9 @@ def test_ids_are_in_order(graph_and_node):
     g, _ = graph_and_node
     assert g.nodes() == list(range(g.node_count))
     assert [arrow_id for arrow_id, _ in g.arrows()] == list(range(g.arrow_count))
-    assert g.add_node("a") == g.node_count - 1
-    assert g.add_arrow(0, "x", 0) == g.arrow_count - 1
+    node = g.add_node("a")  # a cell, when ``g`` is a run graph
+    assert node == g.node_count - 1
+    assert g.add_arrow(node, "", node) == g.arrow_count - 1
 
 
 # One program per finding code that blocks or ends a check, and a clean one.
@@ -1292,7 +1308,8 @@ def mounted_programs(draw):
 
     The root has an 'is' arrow to each word node. The tape's cells are
     mounted after the program's own nodes, with a 'tape' arrow from the
-    root to one cell. The irregularity is a second 'tape' arrow, a cell
+    root to one cell; the graph is built by hand and then read as a run
+    graph (``as_run_graph``). The irregularity is a second 'tape' arrow, a cell
     with two '""' in-arrows or two '""' out-arrows, or a root that
     "tape-alphabet" no longer names or names with another node; the
     relabelling is a change to the program, so it precedes settling.
@@ -1314,7 +1331,7 @@ def mounted_programs(draw):
     twice = draw(st.integers(0, len(cells) - 1))
 
     def mount() -> None:
-        placed = add_cells(g, cells)
+        placed = add_chain(g, cells)
         g.add_arrow(root, "tape", placed[head], G.SEMANTIC)
         if irregular == "two tape arrows":
             g.add_arrow(root, "tape", placed[twice], G.SEMANTIC)
@@ -1322,6 +1339,7 @@ def mounted_programs(draw):
             g.add_arrow(g.add_node(""), "", placed[twice], G.TAPE)
         elif irregular == "two out-arrows":
             g.add_arrow(placed[twice], "", g.add_node(""), G.TAPE)
+        as_run_graph(g, own)
 
     return g, mount, draw(st.integers(0, own - 1)), irregular
 
@@ -1392,7 +1410,8 @@ def test_each_irregular_tape_read_crashes_as_the_reference_does():
             g.set_node_label(root, "point")
         elif irregular == "root named twice":
             g.add_node("tape-alphabet")
-        cells = add_cells(g, ["one", "zero"])
+        own = g.node_count
+        cells = add_chain(g, ["one", "zero"])
         g.add_arrow(root, "tape", cells[0], G.SEMANTIC)
         if irregular == "two tape arrows":
             g.add_arrow(root, "tape", cells[1], G.SEMANTIC)
@@ -1400,6 +1419,7 @@ def test_each_irregular_tape_read_crashes_as_the_reference_does():
             g.add_arrow(g.add_node(""), "", cells[1], G.TAPE)
         elif irregular == "two out-arrows":
             g.add_arrow(cells[0], "", g.add_node(""), G.TAPE)
+        as_run_graph(g, own)
         path = parse_path('"tape-alphabet"+tape+""-""' if "in" in irregular else '"tape-alphabet"+tape+""')
         item = LabelsEqual(settle(g, path), settle(g, path))
         expected = f"path {path} is not passable: "
@@ -1434,7 +1454,7 @@ def test_a_one_step_settled_read_is_what_locate_gives(monkeypatch, tape_arrows, 
     settled = settle(g, formula)
     assert (settled.node, settled.rest) == (root, (("+", "tape"),))
     read = G.reader(settled)
-    cells = add_cells(g, ["one", "zero"])
+    cells = add_chain(g, ["one", "zero"])
     for cell in cells[:tape_arrows]:
         g.add_arrow(root, "tape", cell, G.SEMANTIC)
     walks = []
@@ -1638,7 +1658,7 @@ def index_scripts(draw):
 def assert_indexes_equal_a_scan(g: LabeledGraph) -> None:
     """Every first-read index reads as a brute-force scan of the columns."""
     count = g.node_count
-    own_end = min(g._own_end, count)
+    own_end = g._frozen or count
     for word in INDEX_WORDS:
         own = [n for n in range(own_end) if g._nodes[n] == word]
         assert g.nodes_labeled(word) == own
@@ -1654,32 +1674,55 @@ def assert_indexes_equal_a_scan(g: LabeledGraph) -> None:
             assert g.ends(node, "-", word) == [g._src[i] for i in entering if g._label[i] == word]
 
 
+def write(g: LabeledGraph, step: str, args) -> None:
+    """One write step of ``index_scripts`` on ``g``: its raw ids taken modulo the graph's size."""
+    count = g.node_count
+    if step == "extend":
+        labels, arrows, kind = args
+        ends = count + len(labels)
+        g.extend(
+            labels,
+            [src % ends for src, _, _ in arrows],
+            [word for _, word, _ in arrows],
+            [dst % ends for _, _, dst in arrows],
+            kind,
+        )
+    elif step == "relabel":
+        g.set_node_label(args[0] % count, args[1])
+    elif g.arrow_count:
+        g.set_arrow_dst(args[0] % g.arrow_count, args[1] % count)
+
+
 @given(index_scripts())
 @example([("read", "labeled", "a", 0), ("extend", ["a"], [], G.SYNTACTIC)])
+@example([("mount", ["a"]), ("relabel", 0, "b"), ("extend", [], [(1, "", 0)], G.TAPE)])
 @settings(deadline=None, max_examples=200)
 def test_first_read_indexes_read_as_a_scan_of_the_columns(script):
     """``extend``, ``set_node_label``, ``set_arrow_dst``, mounts and deep copies keep
-    the in-arrow index and the label index equal to a scan, built or not."""
+    the in-arrow index and the label index equal to a scan, built or not.
+
+    A mount makes a run graph of the graph, which goes on: a write it
+    refuses (NormalConditionViolated) leaves it as it was, and the graph
+    it was mounted on, its program, is as it was at the mount.
+    """
     g = LabeledGraph()
     g.add_node("a")
+    programs = []  # each mounted graph, and its state at the mount
     for step, *args in script:
         count = g.node_count
-        if step == "extend":
-            labels, arrows, kind = args
-            ends = count + len(labels)
-            g.extend(
-                labels,
-                [src % ends for src, _, _ in arrows],
-                [word for _, word, _ in arrows],
-                [dst % ends for _, _, dst in arrows],
-                kind,
-            )
-        elif step == "relabel":
-            g.set_node_label(args[0] % count, args[1])
-        elif step == "move" and g.arrow_count:
-            g.set_arrow_dst(args[0] % g.arrow_count, args[1] % count)
+        if step in ("extend", "relabel", "move"):
+            before = copy.deepcopy(vars(g))
+            try:
+                write(g, step, args)
+            except NormalConditionViolated:
+                assert g._frozen and vars(g) == before
+        elif step == "mount" and g._frozen:
+            with pytest.raises(ValueError, match="a run graph is mounted on no further"):
+                g.mount(0, "", args[0], 0)
         elif step == "mount":
-            add_cells(g, args[0])
+            g._ins()  # the mount builds it
+            programs.append((g, copy.deepcopy(vars(g))))
+            g = g.mount(0, "", args[0], 0)
         elif step == "copy":
             original, g = g, copy.deepcopy(g)
             assert original._in is not None  # the copy built the original's index
@@ -1696,6 +1739,8 @@ def test_first_read_indexes_read_as_a_scan_of_the_columns(script):
                 g.ends(node, "-", word)
             else:
                 g.in_arrows(node)
+    for program, at_mount in programs:
+        assert vars(program) == at_mount
     assert_indexes_equal_a_scan(g)
 
 
@@ -2002,7 +2047,7 @@ def test_no_item_states_its_conditions_beside_its_bound_form():
         for value in vars(G).values()
         if isinstance(value, type) and issubclass(value, G._Item)
     ]
-    assert len(items) == 13
+    assert len(items) == 14  # the base, ``_Kept`` and twelve kinds
     assert [item.__name__ for item in items if {"operands", "_paths"} & set(vars(item))] == []
 
 

@@ -11,7 +11,9 @@ import itertools
 
 import pytest
 
+from wordtree.executor import initialize
 from wordtree.frontend import parse_text
+from wordtree.pipeline import check_program, make_executable
 from wordtree.semantics import (
     ALPHABET,
     LABELS,
@@ -79,3 +81,37 @@ STAGES = [
 def test_requirement_stages_read_linearly(program, stage):
     small, large = reads(program(N), stage), reads(program(8 * N), stage)
     assert 0 < small and large <= 8 * small + SLACK, (small, large)
+
+
+def printing_program(statements: int) -> str:
+    """``statements`` prints of one declared word."""
+    return "tape-alphabet is one;\n" + ";\n".join(["print 'one'"] * statements) + "."
+
+
+def mount_reads(statements: int, cells: int) -> int:
+    """The graph column reads of ``initialize`` mounting ``cells`` cells beside a checked program.
+
+    The program's in-arrow index is built first, as the first mount of a
+    kept program builds it once for every later run.
+    """
+    result = check_program(printing_program(statements))
+    instructions = make_executable(result)
+    result.tree.graph._ins()
+    read = [0]
+    count_graph_reads(result.tree.graph, read)
+    initialize(result.tree, ["one"] * cells, "last", instructions)
+    return read[0]
+
+
+def test_the_mount_reads_by_the_tape_not_by_the_program():
+    """A mount reads the program a fixed number of times, and the tape linearly.
+
+    From 32 to 256 cells the reads grow at most 8 times plus ``SLACK``;
+    from a 10-statement to a 2 000-statement program they do not grow,
+    so no per-node copy of the program comes back into a run. The
+    program's columns are copied as references, one list concatenation
+    each, which reads no entry through the counting containers.
+    """
+    small, large = mount_reads(10, N), mount_reads(10, 8 * N)
+    assert large <= 8 * small + SLACK, (small, large)
+    assert mount_reads(2000, N) == small

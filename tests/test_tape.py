@@ -7,24 +7,31 @@ from hypothesis import strategies as st
 from wordtree import graph as G
 from wordtree.executor import STOPPED, final_tape
 from wordtree.pipeline import execute_program
-from wordtree.tape import add_cells, chain_text, parse_tape, render_tape
+from wordtree.tape import chain_text, mount, parse_tape, render_tape
+
+
+def program() -> G.Tree:
+    """A program of one node, its root."""
+    g = G.LabeledGraph()
+    return G.Tree(g, g.add_node("tape-alphabet"))
 
 
 def test_parse_single_cell():
-    g = G.LabeledGraph()
-    assert add_cells(g, parse_tape("one")) == [0]
-    assert g.node_count == 1
-    assert g.arrow_count == 0
+    g = mount(program(), parse_tape("one"), 0, "tape").graph
+    assert [g.node_label(n) for n in g.nodes()] == ["tape-alphabet", "one"]
+    assert g.arrows() == [(0, G.Arrow((0, "tape", 1, G.SEMANTIC)))]
 
 
 def test_parse_chain():
-    g = G.LabeledGraph()
-    assert add_cells(g, parse_tape("one zero point")) == [0, 1, 2]
-    assert [g.node_label(n) for n in g.nodes()] == ["one", "zero", "point"]
-    assert g.arrow_count == 2
-    for _, arrow in g.arrows():
+    tree = program()
+    g = mount(tree, parse_tape("one zero point"), 2, "tape").graph
+    assert [g.node_label(n) for n in g.nodes()] == ["tape-alphabet", "one", "zero", "point"]
+    assert g.arrow_count == 3
+    for _, arrow in g.arrows()[:2]:
         assert arrow.label == ""
         assert arrow.kind == G.TAPE
+    assert g.arrow(2) == (0, "tape", 3, G.SEMANTIC)
+    assert (tree.graph.node_count, tree.graph.arrow_count) == (1, 0)
 
 
 def test_parse_empty_cell_token():
@@ -59,15 +66,13 @@ def test_parse_refusal_texts():
         assert str(refusal.value) == message
 
 
-def test_add_cells_checks_every_word_before_adding_any():
-    g = G.LabeledGraph()
-    g.add_node("tape-alphabet")
+def test_mount_checks_every_word_before_mounting():
+    tree = program()
+    before = vars(tree.graph).copy()
     for words in (("one", "One"), ("one", ";"), ("", "Zero"), ("one", None)):
         with pytest.raises(ValueError, match="illegal tape word"):
-            add_cells(g, words)
-        assert (g.node_count, g.arrow_count) == (1, 0)
-    own = g.add_node("stop")  # no refused mount ended the graph's own nodes
-    assert G.resolve(g, G.parse_path("stop")) == own
+            mount(tree, words, 0, "tape")
+        assert vars(tree.graph) == before
 
 
 def test_hyphenated_cells_allowed():
@@ -76,9 +81,8 @@ def test_hyphenated_cells_allowed():
 
 def test_chain_text_renders_long_chains_whole():
     text = " ".join(["zero"] * 1499 + ["blank"])
-    g = G.LabeledGraph()
-    cells = add_cells(g, parse_tape(text))
-    assert chain_text(g, cells[700]) == text
+    g = mount(program(), parse_tape(text), 0, "tape").graph
+    assert chain_text(g, 701) == text
 
 
 def test_chain_text_ends_on_a_cycle():
