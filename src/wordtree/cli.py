@@ -4,7 +4,9 @@ Four commands: ``check`` runs every requirement check over a program,
 ``run`` executes one on a tape, ``graph`` exports a program graph at a
 chosen construction stage, and ``schema`` analyzes the schema itself,
 prints its grammar, or generates a random program from it. Only the
-schema commands import ``wordtree.schema``, so the others start without it.
+schema commands import ``wordtree.schema``, and only ``run`` imports
+``wordtree.executor`` and ``wordtree.tape``, so the others start
+without them.
 
 Exit codes: 0 on success, 1 for check errors and usage or file
 problems; ``run`` additionally uses 2 for a crashed execution and 3
@@ -19,12 +21,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_line, trace_row
 from .frontend import IllegalCharacter, ParseError, parse_text, render_program, to_canonical
 from .graph import export
 from .pipeline import check_program, make_executable
 from .semantics import classify, link_is_declared_at
-from .tape import parse_tape
 
 if TYPE_CHECKING:
     from .schema import Schema
@@ -59,6 +59,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .executor import CRASHED, STOPPED, final_tape, initialize, run, trace_line, trace_row
+    from .tape import parse_tape
+
     text = _read(args.program)
     if (args.tape is None) == (args.tape_file is None):
         raise Refusal("provide exactly one of --tape or --tape-file")

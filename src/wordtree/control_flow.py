@@ -7,7 +7,8 @@ walk no tree; they read the chain table of ``semantics.classify``. Two
 checks inspect the finished flow graph: every statement should be
 reachable from the root, and 'next' arrows alone must not form a cycle,
 because a program caught in one could never leave it. Their CW1 and C2
-findings are worded by ``semantics.FINDINGS``; ``semantics.require``
+findings take their codes (``UNREACHED``, ``NEXT_CYCLE``) and their
+wording (``FINDINGS``) from ``semantics``; ``semantics.require``
 refuses control arrows while the ``LABELS`` requirement is unmet.
 """
 
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from .graph import CONTROL, SYNTACTIC, Tree, check_uni_labeled, display_word, functional_cycles
 from .semantics import (
-    LABELS, NEXT, NO, STATEMENT, STATEMENTS, YES, Chains, Diagnostic, Points, require
+    LABELS, NEXT, NEXT_CYCLE, NO, STATEMENT, STATEMENTS, UNREACHED, YES, Chains, Diagnostic, Points,
+    require,
 )
 
 BACK = "back"
@@ -185,7 +187,7 @@ def check_reachability(tree: Tree, points: Points) -> list[Diagnostic]:
                 work.append(dst)
     words = g._nodes
     unreached = [node for node in points.statements if node not in reached]
-    return [Diagnostic("CW1", (node,), (words[node],)) for node in unreached]
+    return [Diagnostic(UNREACHED, (node,), (words[node],)) for node in unreached]
 
 
 def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
@@ -200,6 +202,6 @@ def check_next_acyclic(tree: Tree) -> list[Diagnostic]:
         raise ValueError(f"node {twice[0][1]} has more than one 'next' arrow")
     successor = g.ends_labeled(NEXT)
     return [
-        Diagnostic("C2", cycle, tuple(map(g.node_label, cycle)))
+        Diagnostic(NEXT_CYCLE, cycle, tuple(map(g.node_label, cycle)))
         for cycle in functional_cycles(successor)
     ]

@@ -5,12 +5,17 @@ checks, control flow, execution). This one strings them together in the
 order the stages depend on each other, so callers that just want "check
 this program" or "run this program on that tape" have a single entry
 point; ``semantics.REQUIREMENTS`` says which finding blocks which stage.
+
+A check runs no code of ``executor`` or ``tape``, so this module
+imports them at the first ``make_executable`` or ``execute_program``
+call, not when it loads. It calls their functions through the modules,
+so a function replaced in its module's namespace is the one called.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .control_flow import (
     add_stop_node,
@@ -18,14 +23,6 @@ from .control_flow import (
     build_control,
     check_next_acyclic,
     check_reachability,
-)
-from .executor import (
-    Instruction,
-    OnStep,
-    RunResult,
-    initialize,
-    install_instructions,
-    run,
 )
 from .frontend import parse_text
 from .graph import Tree
@@ -38,7 +35,9 @@ from .semantics import (
     classify,
     link_is_declared_at,
 )
-from .tape import parse_tape
+
+if TYPE_CHECKING:
+    from .executor import Instruction, OnStep, RunResult
 
 
 class CheckFailed(ValueError):
@@ -130,6 +129,14 @@ def check_program(text: str) -> CheckResult:
     return result
 
 
+@lru_cache(maxsize=None)
+def _run_modules():
+    """The ``executor`` and ``tape`` modules, imported at the first call."""
+    from . import executor, tape
+
+    return executor, tape
+
+
 def make_executable(result: CheckResult) -> dict[int, Instruction]:
     """Store an instruction in every flow node of a runnable check result.
 
@@ -141,7 +148,8 @@ def make_executable(result: CheckResult) -> dict[int, Instruction]:
         raise CheckFailed(result.blocking)
     if result.stop is None:
         raise ValueError("control flow was not built")
-    return install_instructions(result.tree, result.stop, result.points)
+    executor, _ = _run_modules()
+    return executor.install_instructions(result.tree, result.stop, result.points)
 
 
 @lru_cache(maxsize=1)
@@ -180,5 +188,6 @@ def execute_program(
     ValueError from initialization.
     """
     tree, instructions = _executable(text)
-    state = initialize(tree, parse_tape(tape_text), start, instructions)
-    return run(state, max_steps, on_step)
+    executor, tape = _run_modules()
+    state = executor.initialize(tree, tape.parse_tape(tape_text), start, instructions)
+    return executor.run(state, max_steps, on_step)

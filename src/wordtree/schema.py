@@ -70,8 +70,8 @@ class Alternation(_Record):
     def to_text(self) -> str:
         return "(" + " | ".join(f"'{w}'" for w in self._sorted) + ")"
 
-    def __repr__(self) -> str:  # sorted, not in the hash order of the process
-        return f"Alternation(words=frozenset({{{', '.join(map(repr, self._sorted))}}}))"
+    def __repr__(self) -> str:
+        return f"Alternation(words=frozenset({_set_repr(self._sorted)}))"
 
 
 class LowerWord(_Record):
@@ -90,6 +90,11 @@ class LowerWord(_Record):
 
 
 RegexSpec = Union[Literal, Alternation, LowerWord]
+
+
+def _set_repr(items, key=None) -> str:
+    """A set's ``repr`` with its items sorted, not in the hash order of the process."""
+    return "{" + ", ".join(map(repr, sorted(items, key=key))) + "}" if items else "set()"
 
 
 def _pattern_words(spec: RegexSpec) -> tuple[str, ...]:
@@ -387,6 +392,10 @@ def check_and_cycle_condition(schema: Schema) -> list[tuple[str, ...]]:
 Pair = tuple[str, RegexSpec]
 
 
+def _pair_order(pair: Pair) -> tuple[str, str]:
+    return pair[0], pair[1].to_text()
+
+
 class PairConflict(_Record):
     """Two label pairs meeting at one node with overlapping patterns."""
 
@@ -399,6 +408,10 @@ class PairReport(_Record):
     @property
     def ok(self) -> bool:
         return not self.conflicts
+
+    def __repr__(self) -> str:  # each name's pairs in the order ``propagate_pairs`` compares them
+        shown = (f"{name!r}: {_set_repr(pairs, _pair_order)}" for name, pairs in self.pairs.items())
+        return f"PairReport(pairs={{{', '.join(shown)}}}, conflicts={self.conflicts!r})"
 
 
 class StuckCycles(ValueError):
@@ -437,7 +450,7 @@ def propagate_pairs(schema: Schema) -> PairReport:
                 work.append((arrow.dst, pair))
     conflicts = []
     for name in schema.names():
-        settled = sorted(pairs[name], key=lambda p: (p[0], p[1].to_text()))
+        settled = sorted(pairs[name], key=_pair_order)
         for p, q in itertools.combinations(settled, 2):
             if not disjoint(p[1], q[1]):
                 conflicts.append(PairConflict(name, p, q))

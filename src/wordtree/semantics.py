@@ -8,7 +8,9 @@ table: tape words are declared before use and linked to their
 declaration (``ALPHABET``), and goto labels name one statement each
 (``LABELS``). A row's undefined usage refuses its link and running, and
 any error refuses the flow. Checks return Diagnostic records;
-``FINDINGS`` words each code here and in ``control_flow``.
+``FINDINGS`` words each code, here and in ``control_flow``, and
+``UNREACHED`` and ``NEXT_CYCLE`` name the two codes ``control_flow``
+finds.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ FINDINGS = {
     "CW1": "no flow path reaches the {} statement",
     "C2": "'next' arrows cycle through {}",
 }
+UNREACHED = "CW1"  # the flow check's code of a statement no flow path reaches
+NEXT_CYCLE = "C2"  # the flow check's code of a cycle of 'next' arrows
 
 
 class Requirement(NamedTuple):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordtree import cli as cli_module
+from wordtree import executor as executor_module
 from wordtree import schema as schema_module
 from wordtree.cli import main
 from wordtree.executor import final_tape, initialize, run, trace_line, trace_row
@@ -278,8 +279,9 @@ class TestRun:
 
     def test_crash_exit_code(self, capsys, program_path, monkeypatch):
         # A second 'tape' arrow from the root makes the scanned-cell path
-        # ambiguous, which is a crash, not an exception.
-        monkeypatch.setattr(cli_module, "initialize", two_tape_arrows)
+        # ambiguous, which is a crash, not an exception. ``run`` imports
+        # ``initialize`` from the executor when it starts.
+        monkeypatch.setattr(executor_module, "initialize", two_tape_arrows)
         code, out, err = invoke(
             capsys, "run", str(program_path("increment.tgl")), "--tape", "one"
         )

@@ -49,6 +49,27 @@ from wordtree.schema import (
 )
 
 
+def printed_under_hash_seeds(expression: str) -> set[str]:
+    """What a fresh process prints of ``expression`` under ``PYTHONHASHSEED`` 0–9, as a set.
+
+    The expression may name anything ``wordtree.schema`` defines.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from wordtree.schema import *\n"
+        f"print({expression})"
+    )
+    src = str(Path(schema_module.__file__).resolve().parent.parent)
+    return {
+        subprocess.run(
+            [sys.executable, "-S", "-c", code, src],
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in range(10)
+    }
+
+
 class TestLabelPatterns:
     def test_matching(self):
         assert Literal("go").matches("go")
@@ -101,20 +122,7 @@ class TestLabelPatterns:
 
     def test_repr_does_not_depend_on_the_hash_seed(self):
         """The built-in schema's AND arrows print alike in processes of ten hash seeds."""
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1])\n"
-            "from wordtree.schema import turingol_schema\n"
-            "print(repr(turingol_schema().and_arrows()))"
-        )
-        src = str(Path(schema_module.__file__).resolve().parent.parent)
-        shown = {
-            subprocess.run(
-                [sys.executable, "-S", "-c", code, src],
-                env={**os.environ, "PYTHONHASHSEED": str(seed)},
-                capture_output=True, text=True, timeout=60, check=True,
-            ).stdout
-            for seed in range(10)
-        }
+        shown = printed_under_hash_seeds("repr(turingol_schema().and_arrows())")
         assert len(shown) == 1
         assert "Alternation(words=frozenset({'left', 'right'}))" in shown.pop()
 
@@ -414,6 +422,20 @@ class TestPairPropagation:
         s.add_and_arrow("X", "Y", Literal("a"))
         report = propagate_pairs(s)
         assert report.pairs == {"X": {("X", Literal("a"))}, "Y": set()}
+
+    def test_report_repr_does_not_depend_on_the_hash_seed(self):
+        """Each name's pairs print sorted, alike in processes of ten hash seeds."""
+        shown = printed_under_hash_seeds("repr(analyze(turingol_schema()).pairs)")
+        assert len(shown) == 1
+        text = shown.pop()
+        assert "'I': set(), " in text
+        assert (
+            "'SI': {('L', Literal(word=';')), ('S', Literal(word=':')), "
+            "('SI', Literal(word='')), ('SI', Literal(word='then'))}"
+        ) in text
+        report = propagate_pairs(turingol_schema())
+        assert eval(text, vars(schema_module)) == report
+        assert repr(report) == text.rstrip("\n")
 
     def test_refuses_undecidable_propagation(self):
         s = Schema()

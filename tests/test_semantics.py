@@ -452,18 +452,20 @@ def statement_word_comparisons(source: str) -> list[int]:
 
 
 REQUIREMENT_CODES = frozenset({"AW1", "AW2", "AW3", "L1", "L2", "LW1"})
+FINDING_CODES = REQUIREMENT_CODES | {"CW1", "C2"}
 
 
 def requirement_leaks(source: str) -> tuple[list[int], list[int]]:
-    """The lines in ``source`` of a requirement code literal, and of a use of ``_match``.
+    """The lines in ``source`` of a finding code literal, and of a use of ``_match``.
 
-    A code literal is a string constant equal to a finding code of a
-    ``semantics.REQUIREMENTS`` row; a use is a ``from`` import naming
-    ``_match`` or an attribute read ``x._match``.
+    A code literal is a string constant equal to a code of
+    ``semantics.FINDINGS``: a requirement row's or a flow check's. A use
+    is a ``from`` import naming ``_match`` or an attribute read
+    ``x._match``.
     """
     codes, uses = [], []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Constant) and node.value in REQUIREMENT_CODES:
+        if isinstance(node, ast.Constant) and node.value in FINDING_CODES:
             codes.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and any(a.name == "_match" for a in node.names):
             uses.append(node.lineno)
@@ -492,19 +494,22 @@ def turingol_schema(): return word == "if"
         assert {name: lines for name, lines in found.items() if lines} == {}
 
     def test_only_semantics_names_a_requirement_code_or_matches(self):
-        """The requirement rows alone state their codes, and ``_match`` stays inside."""
+        """``semantics`` alone states the finding codes, and ``_match`` stays inside."""
         planted = """
 from wordtree.semantics import ALPHABET, _match
 if d.code == "AW2": pass
 blocked = {"L1", "L2"}
 found = semantics._match(g, points, LABELS)
-fine = d.code == ALPHABET.undefined or "LW12" or "AW2 warning"
+fine = d.code == ALPHABET.undefined or "LW12" or "AW2 warning" or "CW12"
+unreached = Diagnostic("CW1", (node,), (word,))
 """
-        assert requirement_leaks(planted) == ([3, 4, 4], [2, 5])
+        assert requirement_leaks(planted) == ([3, 4, 4, 7], [2, 5])
         rows = semantics.REQUIREMENTS
         assert {code for row in rows for code in (row.twice, row.undefined, row.unused)} == (
             REQUIREMENT_CODES
         )
+        assert {semantics.UNREACHED, semantics.NEXT_CYCLE} | REQUIREMENT_CODES == FINDING_CODES
+        assert set(FINDINGS) == FINDING_CODES
         paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
         paths += (ROOT / "tests").glob("reference_*.py")
         leaks = {path: requirement_leaks(path.read_text()) for path in paths}
