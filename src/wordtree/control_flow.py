@@ -3,21 +3,22 @@
 Adds a stop node, 'back' arrows from statements that end a chain to the
 statement they are subordinate to, and the flow arrows an executor
 walks, each labeled as ``semantics.STATEMENTS`` has it. The builders
-walk no tree; they read the chain table of ``semantics.classify``. Two
-checks inspect the finished flow graph: every statement should be
-reachable from the root, and 'next' arrows alone must not form a cycle,
-because a program caught in one could never leave it. Their CW1 and C2
-findings take their codes (``UNREACHED``, ``NEXT_CYCLE``) and their
-wording (``FINDINGS``) from ``semantics``; ``semantics.require``
-refuses control arrows while the ``LABELS`` requirement is unmet.
+walk no tree; they read the chain table of ``semantics.classify``,
+which took a uni-labeled tree, so they keep no fallback for a graph
+that is none. Two checks inspect the finished flow graph: every
+statement should be reachable from the root, and 'next' arrows alone
+must not form a cycle, because a program caught in one could never
+leave it. Their CW1 and C2 findings take their codes (``UNREACHED``,
+``NEXT_CYCLE``) and their wording (``FINDINGS``) from ``semantics``;
+``semantics.require`` refuses control arrows while the ``LABELS``
+requirement is unmet.
 """
 
 from __future__ import annotations
 
 from .graph import CONTROL, SYNTACTIC, Tree, check_uni_labeled, display_word, functional_cycles
 from .semantics import (
-    LABELS, NEXT, NEXT_CYCLE, NO, STATEMENT, STATEMENTS, UNREACHED, YES, Chains, Diagnostic, Points,
-    require,
+    LABELS, NEXT, NEXT_CYCLE, NO, STATEMENT, STATEMENTS, UNREACHED, YES, Diagnostic, Points, require,
 )
 
 BACK = "back"
@@ -54,36 +55,6 @@ def add_stop_node(tree: Tree) -> int:
     return g.add_node("stop")
 
 
-def _chains(points: Points) -> Chains:
-    """The chain table of ``points``; refuses one whose chains are no program tree."""
-    if points.chains.defect is not None:
-        raise ValueError(points.chains.defect)
-    return points.chains
-
-
-def _riser(g):
-    """The walk up a label's ':' arrows to where they rise from, as ``g.chain(node, "-", ":")[-1]``.
-
-    It reads a map inverted from the ':' arrows, and it stops, as the
-    chain does, where a node would repeat. Where two ':' arrows share a
-    destination, the map cannot tell them apart, so the walk is the
-    chain, which refuses the repeated arrow in its own words.
-    """
-    colons = g.pairs_labeled(":")
-    up = {end: origin for origin, end in colons}
-    if len(up) < len(colons):
-        return lambda node: g.chain(node, "-", ":")[-1]
-
-    def rise(node):
-        seen = {node}
-        while node in up and up[node] not in seen:
-            node = up[node]
-            seen.add(node)
-        return node
-
-    return rise
-
-
 def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     """Give every statement without a ';' successor a 'back' arrow.
 
@@ -95,7 +66,7 @@ def build_back_arrows(tree: Tree, stop: int, points: Points) -> int:
     g = tree.graph
     if g.pairs_labeled(BACK):
         raise ValueError("'back' arrows are already built")
-    ends = _chains(points).ends
+    ends = points.chains.ends
     srcs = sorted(ends)
     dsts = [stop if ends[node] is None else ends[node] for node in srcs]
     g.extend((), srcs, [BACK] * len(srcs), dsts, CONTROL)
@@ -109,10 +80,12 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     to hold, since a goto can only be wired when exactly one statement
     carries the label it names; otherwise ``require`` refuses before any
     arrow is added. A goto's target rises along ':' arrows to its
-    statement through a map inverted from the ':' pairs (``_riser``), so
-    no in-arrow index is built. Each statement gets
-    the arrows its ``STATEMENTS`` entry names: ``branch`` and
-    ``onward``, the latter parallel to its ';' arrow. Then each chain
+    statement, as ``g.chain(target, "-", ":")[-1]`` would, through a map
+    inverted from the ':' pairs, so no in-arrow index is built; in the
+    uni-labeled tree ``classify`` took, no two ':' arrows share an end.
+    Each statement gets the arrows its ``STATEMENTS`` entry names:
+    ``branch``, its head read from one map of the arrow it branches
+    along, and ``onward``, parallel to its ';' arrow. Then each chain
     end, innermost first and out along the owners that end chains too,
     sends its ``onward`` flow to the chain's continuation, or to stop.
     The arrows are staged and added by one ``LabeledGraph.extend`` call
@@ -126,25 +99,26 @@ def build_control(tree: Tree, stop: int, points: Points) -> dict[str, int]:
     first = g.follow(tree.root, "+", ";")
     if first is None:
         raise ValueError("the root has no ';' arrow to the first statement")
-    rise = _riser(g)
-
     # A goto jumps to the statement its label rises to along ':' arrows.
+    up = {end: origin for origin, end in g.pairs_labeled(":")}  # a tree's ':' ends are distinct
     words, classes = g._nodes, points.classes
     target_statement = {}
     for word, target in targets.items():
-        target_statement[word] = risen = rise(target)
+        risen, seen = target, {target}
+        while risen in up and up[risen] not in seen:  # ends where a node would repeat, as a chain
+            risen = up[risen]
+            seen.add(risen)
+        target_statement[word] = risen
         if classes[risen] is not STATEMENT:
             raise ValueError(
                 f"label node {target} does not rise to a statement; not a program tree"
             )
 
-    chains = _chains(points)
-    successors, ends, after = chains.successors, chains.ends, chains.continuations
-    uni = not check_uni_labeled(g)  # else ``_required_dst`` names a repeated arrow
+    successors, ends, after = points.chains
     view = {}  # by word: its labels, the arrow it branches along, that arrow's ends by node
     for word, s in STATEMENTS.items():
         along = s.data if s.inner is None else s.inner
-        heads = g.ends_labeled(along) if uni and s.branch is not None else {}
+        heads = g.ends_labeled(along) if s.branch is not None else {}
         view[word] = s.branch, s.onward, along, heads, s.inner is None
     arrows = [tree.root, NEXT, first]  # flat: origin, label, end of each arrow in turn
     for node in points.statements:

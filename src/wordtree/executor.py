@@ -78,7 +78,7 @@ from .graph import (
     settle,
 )
 from .semantics import NEXT, STATEMENTS, Points
-from .tape import chain_text, mount
+from .tape import chain_text
 
 RUNNING = "running"
 STOPPED = "stopped"
@@ -437,16 +437,16 @@ def initialize(
     already carry a 'tape' arrow, a run graph among them, start
     positions off the tape and illegal cell words. ``tree`` is not
     written: the state's tree is a run graph of its own
-    (``tape.mount``), which shares the program's per-node containers,
-    holds the cells after the program's nodes, so no cell shadows a
-    program word an absolute path starts from, and has a single
-    semantic 'tape' arrow from the root to the chosen cell. So one
-    program serves any number of runs, and a write at a program node
-    crashes its run. The executor is placed at the root. Whether the
-    program may run is decided before ``instructions`` exist, by
-    ``make_executable``. ``cautious`` is accepted and ignored, for
-    callers that still pass it: every run verifies each direction
-    before it writes.
+    (``LabeledGraph.mount``, which checks the cell words), which shares
+    the program's per-node containers, holds the cells after the
+    program's nodes, so no cell shadows a program word an absolute path
+    starts from, and has a single semantic 'tape' arrow from the root to
+    the chosen cell. So one program serves any number of runs, and a
+    write at a program node crashes its run. The executor is placed at
+    the root. Whether the program may run is decided before
+    ``instructions`` exist, by ``make_executable``. ``cautious`` is
+    accepted and ignored, for callers that still pass it: every run
+    verifies each direction before it writes.
     """
     if isinstance(tape, str):
         raise ValueError("a tape is a sequence of cell words, not a string")
@@ -464,7 +464,8 @@ def initialize(
     if not 0 <= index < len(tape):
         raise ValueError(f"start index {index} outside the {len(tape)}-cell tape")
 
-    return ExecState(mount(tree, tape, index, TAPE_ARROW), dict(instructions), tree.root)
+    graph = tree.graph.mount(tree.root, TAPE_ARROW, tape, index)
+    return ExecState(Tree(graph, tree.root), dict(instructions), tree.root)
 
 
 def _advance(state: ExecState, max_steps: int, on_step: OnStep) -> None:

@@ -7,7 +7,8 @@ over MLA (uppercase letters and digits), which marks auxiliary nodes in
 sentential trees. On top of the storage layer this module provides path
 formulas (textual navigation expressions with crash-on-ambiguity
 semantics), a small algebra of propositions and guarded actions, the
-uni-labeledness check, and deterministic JSON/DOT export.
+uni-labeledness check and the tree test (``tree_defect``), and
+deterministic JSON/DOT export.
 
 A graph is built by ``LabeledGraph.extend``, which takes a whole build
 as parallel columns: node labels, then the origins, labels and
@@ -82,7 +83,7 @@ TAPE = "tape"
 ARROW_KINDS = (SYNTACTIC, SEMANTIC, CONTROL, TAPE)
 
 # A word of program text or of a tape: lowercase letters, joined by single
-# hyphens. The frontend's scanner and ``parse_tape`` both use this pattern.
+# hyphens. The frontend's scanner, ``parse_tape`` and ``LabeledGraph.mount`` use it.
 WORD = re.compile(r"[a-z]+(?:-[a-z]+)*")
 # A word with no hyphen: bare in a path formula, a plain identifier in a program.
 BARE_WORD = re.compile(r"[a-z]+")
@@ -200,23 +201,22 @@ class LabeledGraph:
     graph that is not uni-labeled has. Each dict lists the node's
     first arrows in id order, since labels enter it as their first
     arrows are added; all nodes that no arrow leaves share one empty
-    dict, which is never written and which a deep copy or unpickled
-    graph shares again. Origins and labels never change, so only
-    ``extend`` updates the index. A node's out-arrows and in-arrows are
-    both listed in id order, also after ``set_arrow_dst`` moves an
-    arrow.
+    dict, which is never written and which a deep copy or an unpickled
+    graph shares again (``__setstate__``). Origins and labels never
+    change, so only ``extend`` updates the index. A node's out-arrows
+    and in-arrows are both listed in id order, also after
+    ``set_arrow_dst`` moves an arrow.
 
     In-arrows are indexed by destination, once something reads them:
     ``_in`` is None until a "-" step (``ends``, ``ends_of_kind``,
-    ``follow``, a path's walk) or ``in_arrows``, ``set_arrow_dst``, a
-    deep copy or a mount asks for it, and ``_ins`` then builds it in one
-    pass over the destinations. From then on ``extend`` and
-    ``set_arrow_dst`` keep it current. A check takes no "-" step, so a checked program has none.
+    ``follow``, a path's walk) or ``in_arrows``, ``set_arrow_dst`` or a
+    mount asks for it, and ``_ins`` then builds it in one pass over the
+    destinations. From then on ``extend`` and ``set_arrow_dst`` keep it
+    current. A check takes no "-" step, so a checked program has none.
 
-    ``copy.deepcopy`` copies the columns and indexes list by list
-    (``__deepcopy__``) and shares the words and ids they hold, so a
-    copy costs a few list copies per node rather than a walk over
-    every object. A run copies nothing of its program: ``mount``
+    ``copy.deepcopy`` copies every container, and a copy has an in-arrow
+    index only where the original has one; only ``normal_violation``
+    copies a graph. A run copies nothing of its program: ``mount``
     builds a run graph that shares the program's per-node containers.
 
     A run graph's own nodes are its program's, the first ``_frozen``
@@ -580,38 +580,14 @@ class LabeledGraph:
     def arrow_count(self) -> int:
         return len(self._src)
 
-    def __deepcopy__(self, memo: dict) -> "LabeledGraph":
-        """A graph of the same class that shares no column or index with this one.
-
-        Each column and index is copied one level down; the words and
-        ids in them are immutable and stay shared, and so does
-        ``_NO_OUT``. Attributes a subclass adds are not copied.
-        """
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        # Set in ``__init__``'s order, never through ``__dict__``, so the
-        # copy keeps the attribute layout that makes reading it fast.
-        clone._nodes = self._nodes[:]
-        clone._src = self._src[:]
-        clone._label = self._label[:]
-        clone._dst = self._dst[:]
-        clone._kind = self._kind[:]
-        clone._out = [firsts.copy() if firsts else _NO_OUT for firsts in self._out]
-        clone._in = list(map(list.copy, self._ins()))
-        clone._by_label = {word: nodes.copy() for word, nodes in self._by_label.items()}
-        clone._validated = self._validated.copy()
-        clone._arrows_by_label = {word: ids[:] for word, ids in self._arrows_by_label.items()}
-        clone._out_more = {key: ids[:] for key, ids in self._out_more.items()}
-        clone._frozen = self._frozen
-        return clone
-
     def __setstate__(self, state: dict) -> None:
         """Rebuild from ``pickle``, sharing ``_NO_OUT`` again.
 
         The pickled state holds one ordinary empty dict in place of the
         sentinel; left shared, an arrow added from one arrowless node
-        would show up on all of them. Each attribute is set on its own,
-        as in ``__deepcopy__``, so the graph reads as fast as a built one.
+        would show up on all of them. ``copy.deepcopy`` rebuilds through
+        it too. Each attribute is set on its own, as ``mount`` sets them,
+        so the graph reads as fast as a built one.
         """
         for name, value in state.items():
             setattr(self, name, value)
@@ -634,8 +610,10 @@ class LabeledGraph:
         nothing but cells and ``""`` arrows between them. This graph
         must not change while a run graph over it is in use. Builds this
         graph's in-arrow index, if no read has yet, once for every run
-        graph over it. Refuses a run graph, a cell word that is no word
-        and a ``head`` off the cells, and then leaves this graph as it was.
+        graph over it. Refuses a run graph, a ``head`` off the cells and a
+        cell word that is neither a ``WORD`` nor empty, the first such
+        distinct word as an illegal tape word, and then leaves this graph
+        as it was.
         """
         count, arrows, size = len(self._nodes), len(self._src), len(cells)
         if self._frozen:
@@ -644,16 +622,17 @@ class LabeledGraph:
             raise ValueError(f"arrow origin {origin} is not a node of this graph")
         if not 0 <= head < size:
             raise ValueError(f"no cell {head} among {size} cells")
-        new = set(cells).difference(self._validated)
-        for word in cells if new else ():
-            if word in new and not (is_pla_word(word) or is_mla_word(word)):
-                raise ValueError(f"node label {word!r} is neither a PLA word nor an MLA word")
+        words = dict.fromkeys(cells)  # each distinct cell word once, in order
+        for word in words:
+            if word != "" and not (isinstance(word, str) and WORD.fullmatch(word)):
+                raise ValueError(f"illegal tape word {word!r}")
         if label not in self._arrows_by_label and not is_pla_word(label):
             raise ValueError(f"arrow label {label!r} is not a PLA word")
         links = range(arrows, arrows + size - 1)  # the chain's arrows; the cells follow ``count``
         tape = arrows + size - 1
         run = object.__new__(LabeledGraph)
-        # Set in ``__init__``'s order, as ``__deepcopy__`` does. Each column is
+        # Set in ``__init__``'s order, never through ``__dict__``, so the run graph
+        # keeps the attribute layout that makes reading it fast. Each column is
         # one list concatenation: the program's part is copied as references.
         run._nodes = self._nodes + list(cells)
         run._src = self._src + [*range(count, count + size - 1), origin]
@@ -663,7 +642,7 @@ class LabeledGraph:
         run._out = self._out + [{"": link} for link in links] + [_NO_OUT]
         run._in = self._ins() + [[]] + [[link] for link in links]
         run._by_label = self._by_label.copy()
-        run._validated = self._validated | new
+        run._validated = self._validated.union(words)
         run._arrows_by_label = by_word = self._arrows_by_label.copy()
         run._out_more = more = self._out_more.copy()
         run._frozen = count
@@ -1408,8 +1387,8 @@ def normal_violation(
     Returns the detail that evaluating or applying ``item`` raises as
     NormalConditionViolated, or None when it raises none; any other
     exception it raises propagates. A proposition is evaluated on ``g``;
-    an action is applied to a deep copy of ``g``, so ``g`` is left as
-    it was, though the copy may build ``g``'s in-arrow index. The
+    an action is applied to a deep copy of ``g`` (``__setstate__``), so
+    ``g`` is left as it was, its in-arrow index unbuilt if it was. The
     executor needs no such check, since an item resolves everything
     before its first write.
     """
@@ -1447,6 +1426,31 @@ def check_uni_labeled(g: LabeledGraph) -> list[UniLabelViolation]:
         UniLabelViolation(node, label, (g._out[node][label], *more))
         for (node, label), more in sorted(g._out_more.items())
     ]
+
+
+def tree_defect(g: LabeledGraph, root: int) -> Optional[str]:
+    """Why ``g`` is no uni-labeled tree at ``root``, or None when it is one.
+
+    The first reason found: the least (node, label) that repeats an
+    out-arrow word, whatever its kind (the overflow map); else the first
+    node a second syntactic arrow enters, in arrow order; else a
+    syntactic arrow into ``root``. A graph of syntactic arrows only, as
+    every parse is, takes one set over the destinations.
+    """
+    if g._out_more:
+        node, label = min(g._out_more)
+        return f"node {node} has several {display_word(label)} arrows leaving it"
+    dsts = g._dst
+    if g._kind.count(SYNTACTIC) < len(dsts):
+        dsts = list(compress(dsts, map(SYNTACTIC.__eq__, g._kind)))
+    entered = set(dsts)
+    if len(entered) < len(dsts):
+        seen: set[int] = set()
+        node = next(dst for dst in dsts if dst in seen or seen.add(dst))
+        return f"node {node} has several syntactic arrows entering it"
+    if root in entered:
+        return f"a syntactic arrow enters the root, node {root}"
+    return None
 
 
 def functional_cycles(successor: dict) -> list[tuple]:

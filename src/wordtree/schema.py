@@ -490,6 +490,10 @@ class CountTable:
         self.rows: list[list[int]] = []
         self.limit = -1  # rows are exact up to this growth
 
+    def __repr__(self) -> str:
+        fields = ("label", "roots", "growths", "ands", "bits", "weights", "rows", "limit")
+        return f"CountTable({', '.join(f'{name}={getattr(self, name)!r}' for name in fields)})"
+
     def cover(self, budget: int) -> None:
         """Make the rows exact for every growth up to ``budget``."""
         if budget > self.limit:

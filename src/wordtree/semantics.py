@@ -1,12 +1,13 @@
 """Requirement checks over program trees.
 
-``classify`` walks a program tree's statement chains once and returns
-its ``Points``: each node's class (data, statement, label or other), the
-points of tape words and labels, and the chain table the control flow is
-built from. The checks read them by the rows of the ``REQUIREMENTS``
-table: tape words are declared before use and linked to their
-declaration (``ALPHABET``), and goto labels name one statement each
-(``LABELS``). A row's undefined usage refuses its link and running, and
+``classify`` takes a uni-labeled tree, and refuses any other graph
+before it walks (``graph.tree_defect``). It walks the statement chains
+once and returns its ``Points``: each node's class (data, statement,
+label or other), the points of tape words and labels, and the chain
+table the control flow is built from. The checks read them by the rows
+of the ``REQUIREMENTS`` table: tape words are declared before use and
+linked to their declaration (``ALPHABET``), and goto labels name one
+statement each (``LABELS``). A row's undefined usage refuses its link and running, and
 any error refuses the flow. Checks return Diagnostic records;
 ``FINDINGS`` words each code, here and in ``control_flow``, and
 ``UNREACHED`` and ``NEXT_CYCLE`` name the two codes ``control_flow``
@@ -22,10 +23,10 @@ from .graph import (
     SYNTACTIC,
     PathFormula,
     Tree,
-    check_uni_labeled,
     display_word,
     parse_path,
     resolve,
+    tree_defect,
 )
 
 DATA = "data"
@@ -140,13 +141,11 @@ class Chains(NamedTuple):
     statement without one to the 'if' or '{' whose chain it ends (None:
     the body), ``continuations`` to where flow goes after that chain:
     the owner's successor, else the owner's continuation (None: stop).
-    ``defect`` is why the chains are no program tree, or None.
     """
 
     successors: dict[int, int]
     ends: dict[int, Optional[int]]
     continuations: dict[int, Optional[int]]
-    defect: Optional[str]
 
 
 class Points(NamedTuple):
@@ -182,14 +181,17 @@ def classify(tree: Tree) -> Points:
     each statement's ``data`` end, with whatever hangs below them along
     syntactic arrows; the rest is other. The walk reads each arrow label
     as one map, not node by node; a usage the maps do not give is
-    resolved, which names the missing arrow. A statement with several
-    ';' arrows, or a ';' arrow into the root, is the chain table's
-    ``defect``; a chain that meets a walked statement ends. The root
-    test reads the ';' pairs, so the walk takes no "-" step and builds
-    no in-arrow index.
+    resolved, which names the missing arrow. Those maps hold every arrow
+    because ``tree`` is a uni-labeled tree: a graph that is not one
+    (``tree_defect``) is refused with a ValueError before the walk. A
+    chain that meets a walked statement ends. The walk takes no "-" step
+    and builds no in-arrow index.
     """
     g = tree.graph
-    words, repeats = g._nodes, check_uni_labeled(g)
+    defect = tree_defect(g, tree.root)
+    if defect is not None:
+        raise ValueError(defect)
+    words = g._nodes
     successors = g.ends_labeled(";")
     view = {}  # by word: its data ends, used words and inner heads by statement node; its usage
     for word, s in STATEMENTS.items():
@@ -223,9 +225,7 @@ def classify(tree: Tree) -> Points:
                 end = carried.get(node)
                 if usage is not None:
                     used = used_of.get(node)
-                    if used is None or repeats:
-                        used = resolve(g, usage, node)
-                    usage_of[node] = used
+                    usage_of[node] = resolve(g, usage, node) if used is None else used
                 if end is not None:
                     data.append(end)
             inner = None if inners is None else inners.get(node)
@@ -244,19 +244,13 @@ def classify(tree: Tree) -> Points:
             classes[node] = DATA
             data += g.ends_of_kind(node, "+", SYNTACTIC) if g._out[node] else ()
 
-    forks = [v.node for v in repeats if v.label == ";" and classes[v.node] is STATEMENT]
-    if forks:
-        defect = f"node {forks[0]} has several {display_word(';')} arrows leaving it"
-    else:
-        into_root = any(end == tree.root for _, end in g.pairs_labeled(";"))
-        defect = "';' arrows loop; not a program tree" if into_root else None
     statements.sort()
     usages = tuple(usage_of[node] for node in statements if node in usage_of)
     targets, gotos = (
         tuple(end for origin, end in pairs if classes[origin] in (STATEMENT, LABEL))
         for pairs in (colons, g.pairs_labeled("to"))
     )
-    chains = Chains(successors, ends, continuations, defect)
+    chains = Chains(successors, ends, continuations)
     classes = tuple(classes)
     return Points(tuple(statements), tuple(declarations), usages, targets, gotos, classes, chains)
 

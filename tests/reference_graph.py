@@ -13,7 +13,8 @@ run graph's writes, so the tests build plain graphs with them.
 
 ``uni_label_violations`` keeps the uni-labeledness check that grouped
 every node's listed out-arrows by label, as the oracle
-``check_uni_labeled`` is compared with.
+``check_uni_labeled`` is compared with, and ``tree_defect`` states the
+kernel's tree test over the same listings.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from wordtree.graph import (
     SYNTACTIC,
     LabeledGraph,
     UniLabelViolation,
+    display_word,
     is_mla_word,
     is_pla_word,
 )
@@ -129,3 +131,19 @@ def uni_label_violations(g: LabeledGraph) -> list[UniLabelViolation]:
             if len(ids) > 1:
                 violations.append(UniLabelViolation(node, label, tuple(ids)))
     return violations
+
+
+def tree_defect(g: LabeledGraph, root: int):
+    """The first repeated out-arrow word, else the first node a syntactic arrow enters again,
+    else a syntactic arrow into ``root``, each from the listings; None for a uni-labeled tree."""
+    violations = uni_label_violations(g)
+    if violations:
+        node, label, _ = violations[0]
+        return f"node {node} has several {display_word(label)} arrows leaving it"
+    entered = set()
+    for _, arrow in g.arrows():
+        if arrow.kind == SYNTACTIC:
+            if arrow.dst in entered:
+                return f"node {arrow.dst} has several syntactic arrows entering it"
+            entered.add(arrow.dst)
+    return f"a syntactic arrow enters the root, node {root}" if root in entered else None

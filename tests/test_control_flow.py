@@ -1,12 +1,14 @@
 """Stop node, back arrows, flow arrow construction, and flow checks."""
 
+import contextlib
 import hashlib
 import json
 import pathlib
 import random
+import signal
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_schema import elementary_cycles
@@ -24,16 +26,20 @@ from wordtree.control_flow import (
 )
 from wordtree.frontend import parse_text, render_program, to_canonical
 from wordtree.graph import (
+    ARROW_KINDS,
     CONTROL,
+    GraphError,
     LabeledGraph,
     Tree,
     export_json,
     functional_cycles,
+    tree_defect,
 )
 from wordtree.pipeline import CheckResult, check_program, make_executable
 from wordtree.schema import generate_sytr, turingol_schema
 from wordtree.semantics import (
     STATEMENT,
+    STATEMENTS,
     Points,
     check_alphabet,
     check_labels,
@@ -189,14 +195,18 @@ class TestBackArrows:
             build_back_arrows(tree, stop, points_of(tree))
 
     def test_refuses_a_semicolon_loop(self):
+        """A ';' arrow into the root is no tree; a second one from the root forks it first."""
         tree = parse_text("tape-alphabet is a;\nprint 'a';\nprint 'a'.")
         g = tree.graph
         other = g.add_node("x")
         g.add_arrow(other, ";", tree.root)
+        with pytest.raises(ValueError) as refusal:
+            points_of(tree)
+        assert str(refusal.value) == f"a syntactic arrow enters the root, node {tree.root}"
         g.add_arrow(tree.root, ";", other)
-        stop = add_stop_node(tree)
-        with pytest.raises(ValueError, match="';' arrows loop"):
-            build_back_arrows(tree, stop, points_of(tree))
+        with pytest.raises(ValueError) as refusal:
+            points_of(tree)
+        assert str(refusal.value) == f'node {tree.root} has several ";" arrows leaving it'
 
 
 class TestBuildControl:
@@ -260,34 +270,36 @@ class TestBuildControl:
         assert (goto, target) in control_pairs(tree, NEXT)
 
     def test_refuses_a_label_that_rises_to_no_statement(self):
-        tree = parse_text("tape-alphabet is one;\ngo to a;\na: print 'one'.")
+        """A tree whose ':' chain hangs off a data node: the goto's label rises to no statement."""
+        tree = parse_text("tape-alphabet is one;\ngo to b;\nprint 'one'.")
         g = tree.graph
         (statement,) = g.nodes_labeled("print")
-        (label,) = g.ends(statement, "+", ":")
-        loop = g.add_node("b")
-        g.add_arrow(label, ":", loop)
-        g.add_arrow(loop, ":", statement)
-        points = points_of(tree)
-        stop = add_stop_node(tree)
-        build_back_arrows(tree, stop, points)
-        with pytest.raises(ValueError, match="does not rise to a statement"):
-            build_control(tree, stop, points)
-
-    def test_a_label_two_colon_arrows_enter_is_refused_as_its_chain_refuses_it(self):
-        """Where two ':' arrows share an end, the rise walks the chain, which names the repeat."""
-        tree = parse_text("tape-alphabet is one;\ngo to a;\na: print 'one'.")
-        g = tree.graph
-        (statement,) = g.nodes_labeled("print")
-        (label,) = g.ends(statement, "+", ":")
         (data,) = g.ends(statement, "+", "'")
-        g.add_arrow(data, ":", label)  # a later ':' arrow into the label, from a data node
+        first = g.add_node("a")
+        g.add_arrow(data, ":", first)
+        label = g.add_node("b")
+        g.add_arrow(first, ":", label)
         points = points_of(tree)
         assert points.targets == (label,)
         stop = add_stop_node(tree)
         build_back_arrows(tree, stop, points)
         with pytest.raises(ValueError) as refusal:
             build_control(tree, stop, points)
-        assert str(refusal.value) == f'node {label} has several ":" arrows entering it'
+        assert str(refusal.value) == (
+            f"label node {label} does not rise to a statement; not a program tree"
+        )
+
+    def test_a_label_two_colon_arrows_enter_is_refused_by_classify(self):
+        """Where two ':' arrows share an end, the graph is no tree, and ``classify`` says so."""
+        tree = parse_text("tape-alphabet is one;\ngo to a;\na: print 'one'.")
+        g = tree.graph
+        (statement,) = g.nodes_labeled("print")
+        (label,) = g.ends(statement, "+", ":")
+        (data,) = g.ends(statement, "+", "'")
+        g.add_arrow(data, ":", label)  # a later ':' arrow into the label, from a data node
+        with pytest.raises(ValueError) as refusal:
+            points_of(tree)
+        assert str(refusal.value) == f"node {label} has several syntactic arrows entering it"
 
     def test_inner_chain_continues_after_braces(self):
         tree, stop, _ = build_all(
@@ -483,3 +495,85 @@ def test_checked_schema_programs_match_their_golden_graphs():
             "sha256": hashlib.sha256(export_json(g).encode()).hexdigest(),
         }
     assert found == SCHEMA_FLOWS
+
+
+STAGE_TEXTS = [path.read_text() for path in sorted(PROGRAMS.glob("*.tgl"))] + [
+    "tape-alphabet is a, b;\nl: if the-tape-symbol is 'a' then {print 'b'; go to l};\n"
+    "move left one-square; print 'a'.",
+]
+STAGE_NODE_WORDS = ["tape-alphabet", "a", "b", "l", "stop", "the-tape-symbol", *STATEMENTS]
+STAGE_ARROW_WORDS = [";", ":", ",", "'", "", "is", "to", "then", "}", "next", "back"]
+
+
+@st.composite
+def stage_graphs(draw):
+    """A graph over statement and arrow words, rooted at node 0, and perhaps no tree.
+
+    Either a parsed program or a drawn forest, whose nodes mostly hang
+    off earlier ones by drawn words, which a node may repeat; then up to
+    three more arrows of any kind between any nodes.
+    """
+    if draw(st.booleans()):
+        g = parse_text(draw(st.sampled_from(STAGE_TEXTS))).graph
+    else:
+        g = LabeledGraph()
+        g.extend(draw(st.lists(st.sampled_from(STAGE_NODE_WORDS), min_size=1, max_size=12)))
+        for node in range(1, g.node_count):
+            if draw(st.integers(0, 4)):
+                g.add_arrow(draw(st.integers(0, node - 1)), draw(st.sampled_from(STAGE_ARROW_WORDS)), node)
+    nodes = st.integers(0, g.node_count - 1)
+    words, kinds = st.sampled_from(STAGE_ARROW_WORDS), st.sampled_from(ARROW_KINDS)
+    for src, word, dst, kind in draw(st.lists(st.tuples(nodes, words, nodes, kinds), max_size=3)):
+        g.add_arrow(src, word, dst, kind)
+    return Tree(g, 0)
+
+
+@contextlib.contextmanager
+def within_one_second():
+    """Turn a stage that never returns into a failure after one second."""
+
+    def expire(signum, frame):
+        raise TimeoutError("a stage did not return within one second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def returned(stage, *args):
+    """What ``stage(*args)`` returns, or None when it refuses with ValueError or GraphError."""
+    try:
+        return stage(*args)
+    except (ValueError, GraphError):
+        return None
+
+
+@given(stage_graphs())
+@settings(deadline=None, max_examples=300)
+def test_every_stage_returns_or_refuses_on_any_graph(tree):
+    """From ``classify`` to ``check_next_acyclic``, each stage returns, or raises ValueError or
+    GraphError, and none loops; ``classify`` refuses a graph that is no uni-labeled tree with
+    the kernel's reason, before any other refusal."""
+    defect = tree_defect(tree.graph, tree.root)
+    with within_one_second():
+        if defect is not None:
+            with pytest.raises(ValueError) as refusal:
+                classify(tree)
+            assert str(refusal.value) == defect
+            return
+        points = returned(classify, tree)
+        if points is None:
+            return
+        returned(check_alphabet, tree, points)
+        returned(check_labels, tree, points)
+        returned(link_is_declared_at, tree, points)
+        stop = returned(add_stop_node, tree)
+        if stop is not None:
+            returned(build_back_arrows, tree, stop, points)
+            returned(build_control, tree, stop, points)
+        returned(check_reachability, tree, points)
+        returned(check_next_acyclic, tree)

@@ -25,7 +25,7 @@ from wordtree.frontend import (
     render_program,
     to_canonical,
 )
-from wordtree.graph import WORD, export_json
+from wordtree.graph import WORD, export_json, tree_defect
 from wordtree.pipeline import check_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -244,6 +244,18 @@ token_soups = st.lists(st.sampled_from(KEYWORDS + IDENTIFIERS + PUNCT), max_size
 @example("")
 def test_parse_matches_reference(text):
     assert parsed(parse_text, text) == parsed(reference.parse_text, text)
+
+
+@given(st.one_of(programs(), token_soups))
+@settings(deadline=None)
+@example("tape-alphabet is a; a: b: c: {if the-tape-symbol is 'a' then {go to a}; move left one-square}.")
+def test_every_parse_is_a_uni_labeled_tree(text):
+    """What ``parse_text`` builds passes the tree test ``classify`` makes, or it is a ParseError."""
+    try:
+        tree = parse_text(text)
+    except ParseError:
+        return
+    assert tree_defect(tree.graph, tree.root) is None
 
 
 def test_parse_error_on_line_two_thousand():

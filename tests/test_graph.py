@@ -44,6 +44,7 @@ from wordtree.graph import (
     parse_path,
     resolve,
     settle,
+    tree_defect,
 )
 from wordtree.executor import LEFT_CELL_PATH, RIGHT_CELL_PATH, TAPE_PATH, initialize, run
 from wordtree.frontend import parse_text, render_program, to_canonical
@@ -55,6 +56,7 @@ from wordtree.tape import parse_tape
 import reference_algebra
 from conftest import corpus_texts, two_tape_arrows
 from fail_safety import repair
+import reference_graph
 from reference_graph import PerCallGraph, canonical_form, forms_equal, uni_label_violations
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -799,9 +801,9 @@ def containers(g: LabeledGraph) -> dict[int, object]:
 def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, per_call, change, word):
     """A copy has the same state, its own class, and no list, dict or set but ``_NO_OUT`` in common.
 
-    Copying builds the original's in-arrow index, if no read has built
-    it yet, and changes nothing else of the original. The copy of a run
-    graph is one too, so it is changed at its last cell, by a ``""`` arrow.
+    Copying leaves the original as it was, its in-arrow index unbuilt
+    if no read has built it. The copy of a run graph is one too, so it
+    is changed at its last cell, by a ``""`` arrow.
     """
     g, node = graph_and_node
     if per_call:
@@ -812,9 +814,6 @@ def test_deep_copy_equals_the_graph_and_changes_apart_from_it(graph_and_node, pe
         g = oracle
     before = copy.deepcopy(vars(g))
     dup = copy.deepcopy(g)
-    dsts = g._dst
-    assert g._in == [[i for i in range(g.arrow_count) if dsts[i] == n] for n in g.nodes()]
-    before["_in"] = copy.deepcopy(g._in)
     assert vars(g) == before
     assert type(dup) is type(g)
     assert vars(dup) == vars(g)
@@ -1724,8 +1723,9 @@ def test_first_read_indexes_read_as_a_scan_of_the_columns(script):
             programs.append((g, copy.deepcopy(vars(g))))
             g = g.mount(0, "", args[0], 0)
         elif step == "copy":
-            original, g = g, copy.deepcopy(g)
-            assert original._in is not None  # the copy built the original's index
+            original, state = g, copy.deepcopy(vars(g))
+            g = copy.deepcopy(g)
+            assert vars(original) == state  # the copy left the original as it was
             assert_indexes_equal_a_scan(original)
         elif step == "read":
             read, word, node = args
@@ -1805,6 +1805,75 @@ class TestUniLabeled:
         monkeypatch.setattr(LabeledGraph, "out_arrows", scan)
         monkeypatch.setattr(LabeledGraph, "_records", scan)
         assert check_uni_labeled(g) == [G.UniLabelViolation(a, "x", (0, 1, 3))]
+
+
+class TestTreeDefect:
+    def test_parsed_and_checked_programs_are_trees(self, increment_text):
+        """A parse is one; so is a checked program, whose other arrows enter nodes again."""
+        tree = parse_text(increment_text)
+        assert tree_defect(tree.graph, tree.root) is None
+        checked = check_program(increment_text).tree
+        assert checked.graph._kind.count(G.SYNTACTIC) < checked.graph.arrow_count
+        assert tree_defect(checked.graph, checked.root) is None
+        assert tree_defect(LabeledGraph(), 0) is None
+
+    def test_reasons_in_their_order(self):
+        g = LabeledGraph()
+        g.extend(("r", "a", "b"))
+        root, a, b = 0, 1, 2
+        g.add_arrow(b, "x", root)
+        assert tree_defect(g, root) == "a syntactic arrow enters the root, node 0"
+        assert tree_defect(g, a) is None
+        g.add_arrow(root, "x", b, G.SEMANTIC)
+        assert tree_defect(g, a) is None  # only syntactic arrows count as entering
+        g.add_arrow(a, "y", b)
+        assert tree_defect(g, a) is None
+        g.add_arrow(root, "y", b)
+        assert tree_defect(g, root) == "node 2 has several syntactic arrows entering it"
+        g.add_arrow(b, ";", a, G.CONTROL)
+        g.add_arrow(b, ";", root, G.CONTROL)
+        assert tree_defect(g, root) == 'node 2 has several ";" arrows leaving it'
+
+    def test_reads_no_listing(self, monkeypatch):
+        g = LabeledGraph()
+        g.extend(("r", "a"), (0, 1), ("x", "y"), (1, 1), G.SYNTACTIC)
+
+        def scan(*args, **kwargs):
+            raise AssertionError("tree_defect built an Arrow record")
+
+        monkeypatch.setattr(LabeledGraph, "arrows", scan)
+        monkeypatch.setattr(LabeledGraph, "_records", scan)
+        assert tree_defect(g, 0) == "node 1 has several syntactic arrows entering it"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["", "x", ";"]),
+                st.integers(0, 3),
+                st.sampled_from(G.ARROW_KINDS),
+            ),
+            max_size=8,
+        ),
+        st.integers(0, 3),
+    )
+    @example([(0, "x", 1, G.SYNTACTIC), (2, "x", 1, G.SYNTACTIC)], 3)
+    @example([(0, "x", 1, G.SEMANTIC), (2, "x", 1, G.SYNTACTIC), (1, "", 0, G.SYNTACTIC)], 0)
+    @settings(deadline=None)
+    def test_matches_listing_reference(self, arrows, root):
+        """The columns give the reason the listings give, on every graph and root."""
+        g = LabeledGraph()
+        g.extend(("a", "b", "c", "d"))
+        for src, label, dst, kind in arrows:
+            g.add_arrow(src, label, dst, kind)
+        assert tree_defect(g, root) == reference_graph.tree_defect(g, root)
+
+    @given(indexed_graphs())
+    @settings(deadline=None)
+    def test_matches_listing_reference_on_indexed_graphs(self, graph_and_node):
+        """Also on graphs whose arrows moved, on deep copies and on run graphs."""
+        g, node = graph_and_node
+        assert tree_defect(g, node) == reference_graph.tree_defect(g, node)
 
 
 class TestCanonicalForm:

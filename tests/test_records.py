@@ -90,7 +90,7 @@ RECORDS = [
     ),
     (
         Chains,
-        {"successors": {1: 4}, "ends": {4: None}, "continuations": {4: None}, "defect": None},
+        {"successors": {1: 4}, "ends": {4: None}, "continuations": {4: None}},
     ),
     (
         Statement,

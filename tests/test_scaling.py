@@ -88,6 +88,25 @@ def printing_program(statements: int) -> str:
     return "tape-alphabet is one;\n" + ";\n".join(["print 'one'"] * statements) + "."
 
 
+def nesting_program(depth: int) -> str:
+    """``depth`` braces, each inside the one before, around one print."""
+    return "tape-alphabet is one;\n" + "{" * depth + "print 'one'" + "}" * depth + "."
+
+
+@pytest.mark.parametrize("program", [printing_program, nesting_program])
+def test_classify_reads_linearly(program):
+    """``classify``, its tree test included, on a ';' chain and on '{' nesting."""
+    counts = []
+    for size in (N, 8 * N):
+        tree = parse_text(program(size))
+        read = [0]
+        count_graph_reads(tree.graph, read)
+        classify(tree)
+        counts.append(read[0])
+    small, large = counts
+    assert 0 < small and large <= 8 * small + SLACK, (small, large)
+
+
 def mount_reads(statements: int, cells: int) -> int:
     """The graph column reads of ``initialize`` mounting ``cells`` cells beside a checked program.
 

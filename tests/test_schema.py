@@ -565,6 +565,19 @@ class TestAnalysis:
         fresh.add_or_arrow("S", "L")
         assert analyze(fresh).stuck_cycles == [("L", "S")]
 
+    def test_report_repr_does_not_depend_on_the_hash_seed(self):
+        """A whole report prints alike in processes of ten hash seeds, count tables included."""
+        shown = printed_under_hash_seeds("repr(analyze(turingol_schema()))")
+        assert len(shown) == 1
+        text = shown.pop()
+        assert " object at 0x" not in text
+        assert (
+            "'SM': CountTable(label=Literal(word='move'), roots=[None], growths=[1], "
+            "ands=[('OS', Alternation(words=frozenset({'left', 'right'})), 0)], bits=[-1], "
+            "weights=[], rows=[], limit=-1)"
+        ) in text
+        assert repr(analyze(turingol_schema())) == text.rstrip("\n")
+
     def test_analysis_runs_once_per_schema_state(self, monkeypatch):
         calls = count_calls(
             monkeypatch, schema_module, ("_min_sizes", "propagate_pairs", "CountTable", "_subset_counts")

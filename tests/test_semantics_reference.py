@@ -3,7 +3,10 @@
 On every tree below, the walk must give the reference's classes and
 points, and the back and flow arrows built from its chain table must
 export as the reference builders' do: same arrows, same ids. A builder
-that refuses must refuse with the same text at the same stage.
+that refuses must refuse with the same text at the same stage. A graph
+that is no uni-labeled tree is refused by ``classify`` before it walks,
+with the kernel's reason (``tree_defect``), where the reference refuses
+it at some later stage or builds flow arrows that cycle.
 """
 
 import copy
@@ -15,11 +18,13 @@ import pytest
 
 import reference_semantics as reference
 from conftest import corpus_texts
-from wordtree.control_flow import add_stop_node, build_back_arrows, build_control
+from wordtree.control_flow import (
+    add_stop_node, build_back_arrows, build_control, check_next_acyclic,
+)
 from wordtree.frontend import parse_text, to_canonical
 from wordtree.graph import LabeledGraph, Tree, export_json
 from wordtree.schema import generate_sytr, turingol_schema
-from wordtree.semantics import classify
+from wordtree.semantics import NEXT_CYCLE, classify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = pathlib.Path(__file__).parent / "data"
@@ -104,39 +109,57 @@ PRINTS = "tape-alphabet a . print a print a"
 
 
 @pytest.mark.parametrize(
-    "labels, arrows, stage, refusal",
+    "labels, arrows, stage, refusal, kernel",
     [
         # The root has a second ';' arrow, to a node whose ';' arrow runs back to the root.
         (PRINTS + " x", ALPHABET + "; 0 semi 3; 3 ' 4; 3 semi 5; 5 ' 6; 0 semi 7; 7 semi 0",
-         1, "';' arrows loop; not a program tree"),
+         1, "';' arrows loop; not a program tree", 'node 0 has several ";" arrows leaving it'),
         (PRINTS, ALPHABET + "; 0 semi 3; 3 ' 4; 0 semi 5; 5 ' 6",
-         2, 'node 0 has several ";" arrows leaving it'),
+         2, 'node 0 has several ";" arrows leaving it', 'node 0 has several ";" arrows leaving it'),
         (PRINTS, ALPHABET + "; 0 semi 3; 3 ' 4; 3 semi 5; 3 semi 5; 5 ' 6",
-         1, 'node 3 has several ";" arrows leaving it'),
+         1, 'node 3 has several ";" arrows leaving it', 'node 3 has several ";" arrows leaving it'),
         ("tape-alphabet a . if the-tape-symbol a", ALPHABET + "; 0 semi 3; 3 _ 4; 4 is 5",
-         2, "'if' node 3 lacks its 'then' arrow"),
-        ("tape-alphabet a . {", ALPHABET + "; 0 semi 3", 2, '"{" node 3 lacks its "}" arrow'),
+         2, "'if' node 3 lacks its 'then' arrow", None),
+        ("tape-alphabet a . {", ALPHABET + "; 0 semi 3", 2, '"{" node 3 lacks its "}" arrow', None),
         ("tape-alphabet a . { print a print a", ALPHABET + "; 0 semi 3; 3 } 4; 4 ' 5; 3 } 6; 6 ' 7",
-         2, 'node 3 has several "}" arrows leaving it'),
+         2, 'node 3 has several "}" arrows leaving it', 'node 3 has several "}" arrows leaving it'),
         # A label chain that loops back to its statement rises to no statement.
         ("tape-alphabet a . go a print a a b", ALPHABET + "; 0 semi 3; 3 to 4; 3 semi 5; 5 ' 6; "
-         "5 : 7; 7 : 8; 8 : 5", 2, "label node 7 does not rise to a statement; not a program tree"),
+         "5 : 7; 7 : 8; 8 : 5", 2, "label node 7 does not rise to a statement; not a program tree",
+         "node 5 has several syntactic arrows entering it"),
     ],
     ids=["semicolon-loop", "root-forks", "statement-forks", "if-without-then",
          "brace-without-close", "brace-forks", "label-rises-nowhere"],
 )
-def test_hand_built_graphs_are_refused_at_the_same_stage(labels, arrows, stage, refusal):
-    """Each stage runs until the same one refuses with the same text; none loops or fails earlier."""
+def test_hand_built_graphs_are_refused_at_the_same_stage(labels, arrows, stage, refusal, kernel):
+    """The reference runs each stage until ``stage`` refuses with ``refusal``; none loops.
+
+    The walk refuses a tree at the same stage with the same text, and a
+    graph that is no tree (``kernel``, its reason) in ``classify``.
+    """
     tree = hand_built(labels, arrows)
     twin = Tree(copy.deepcopy(tree.graph), tree.root)
     ours, theirs = stages(tree, walk=True), stages(twin, walk=False)
-    assert len(ours) == len(theirs) == stage + 2
-    assert ours[stage] == theirs[stage] == ("refused", refusal)
+    assert len(theirs) == stage + 2 and theirs[stage] == ("refused", refusal)
+    if kernel is None:
+        assert ours == theirs
+    else:
+        assert ours[:-1] == [("refused", kernel)]
 
 
-def test_a_forward_semicolon_cycle_is_built_like_the_reference():
-    """A ';' cycle past the root has no chain end; its flow arrows cycle, as C2 then reports."""
-    assert_walk_agrees(hand_built(PRINTS, ALPHABET + "; 0 semi 3; 3 ' 4; 3 semi 5; 5 ' 6; 5 semi 3"))
+def test_a_forward_semicolon_cycle_is_refused_by_classify():
+    """A ';' cycle past the root enters a statement twice, so ``classify`` refuses it.
+
+    The reference builds every stage of it; its flow arrows cycle, and
+    C2 reports that.
+    """
+    tree = hand_built(PRINTS, ALPHABET + "; 0 semi 3; 3 ' 4; 3 semi 5; 5 ' 6; 5 semi 3")
+    twin = Tree(copy.deepcopy(tree.graph), tree.root)
+    assert stages(tree, walk=True)[:-1] == [
+        ("refused", "node 3 has several syntactic arrows entering it")
+    ]
+    assert len(stages(twin, walk=False)) == 4  # three stages built, then the export
+    assert [d.code for d in check_next_acyclic(twin)] == [NEXT_CYCLE]
 
 
 @pytest.mark.parametrize("build", ["back", "control"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from wordtree import graph as G
 from wordtree.executor import STOPPED, final_tape
 from wordtree.pipeline import execute_program
-from wordtree.tape import chain_text, mount, parse_tape, render_tape
+from wordtree.tape import chain_text, parse_tape, render_tape
 
 
 def program() -> G.Tree:
@@ -16,15 +16,20 @@ def program() -> G.Tree:
     return G.Tree(g, g.add_node("tape-alphabet"))
 
 
+def mount(tree: G.Tree, words, head: int) -> G.LabeledGraph:
+    """The run graph of a tape of ``words`` beside ``tree``, its 'tape' arrow at cell ``head``."""
+    return tree.graph.mount(tree.root, "tape", words, head)
+
+
 def test_parse_single_cell():
-    g = mount(program(), parse_tape("one"), 0, "tape").graph
+    g = mount(program(), parse_tape("one"), 0)
     assert [g.node_label(n) for n in g.nodes()] == ["tape-alphabet", "one"]
     assert g.arrows() == [(0, G.Arrow((0, "tape", 1, G.SEMANTIC)))]
 
 
 def test_parse_chain():
     tree = program()
-    g = mount(tree, parse_tape("one zero point"), 2, "tape").graph
+    g = mount(tree, parse_tape("one zero point"), 2)
     assert [g.node_label(n) for n in g.nodes()] == ["tape-alphabet", "one", "zero", "point"]
     assert g.arrow_count == 3
     for _, arrow in g.arrows()[:2]:
@@ -71,7 +76,7 @@ def test_mount_checks_every_word_before_mounting():
     before = vars(tree.graph).copy()
     for words in (("one", "One"), ("one", ";"), ("", "Zero"), ("one", None)):
         with pytest.raises(ValueError, match="illegal tape word"):
-            mount(tree, words, 0, "tape")
+            mount(tree, words, 0)
         assert vars(tree.graph) == before
 
 
@@ -81,7 +86,7 @@ def test_hyphenated_cells_allowed():
 
 def test_chain_text_renders_long_chains_whole():
     text = " ".join(["zero"] * 1499 + ["blank"])
-    g = mount(program(), parse_tape(text), 0, "tape").graph
+    g = mount(program(), parse_tape(text), 0)
     assert chain_text(g, 701) == text
 
 
